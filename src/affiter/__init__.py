@@ -17,7 +17,6 @@ from .engine import (
     SequenceError,
     error_budget_check,
     run,
-    step,
 )
 from .errors import (
     CertificateUnavailableError,

@@ -6,20 +6,23 @@ declared PASS when the minimum slack stays above ``-tolerance``):
 
   (i)   ||x_{n+1} - x*||  <=  sum_j |mu_{n,j}| ||x_j - x*||  +  theta_n
 
-  (ii)  ||x_{n+1} - x*||^2  <=  sum_j mu_{n,j} ||x_j - x*||^2
-          - 1/2 sum_{j,k} mu_{n,j} mu_{n,k} ||x_j - x_k||^2
+  (ii)  ||x_{n+1} - x*||^2  <=  ||xbar_n - x*||^2
           - lambda_n (1/phi_n - lambda_n) ||T_n xbar_n - xbar_n||^2 + nu_n
 
-  (iii) ||x_{n+1} - x*||^2  <=  sum_j mu_{n,j} ||x_j - x*||^2
-          - 1/2 sum_{j,k} mu_{n,j} mu_{n,k} ||x_j - x_k||^2
+  (iii) ||x_{n+1} - x*||^2  <=  ||xbar_n - x*||^2
           + lambda_n (lambda_n - 1) ||T_n xbar_n - xbar_n||^2
           - lambda_n max_i ((1-alpha_i)/alpha_i)
                 ||(Id - T_i) T_{i+} xbar_n - (Id - T_i) T_{i+} x*||^2 + nu_n
 
 where ``theta_n = lambda_n sum_i ||e_{i,n}||``, ``nu_n = theta_n (2 ||xbar_n
-- x*|| + theta_n)``, and ``T_{i+}`` is the inner tail of the stack.  These
-are deterministic functions of the trace: recomputing yields identical
-values.
+- x*|| + theta_n)``, and ``T_{i+}`` is the inner tail of the stack.  The
+paper states (ii) and (iii) with ``sum_j mu_{n,j} ||x_j - x*||^2 - 1/2
+sum_{j,k} mu_{n,j} mu_{n,k} ||x_j - x_k||^2`` in place of ``||xbar_n -
+x*||^2``; the two are equal for every row whose weights sum to 1, with
+negative weights allowed (the identity for affine combinations).  So (ii)
+and (iii) read ``xbar_n`` from ``trace.xbars`` and cost O(d) per step
+(plus the stack tails for (iii)).  These are deterministic functions of the
+trace: recomputing yields identical values.
 """
 
 from __future__ import annotations
@@ -98,9 +101,11 @@ def run_certificates(
 ) -> dict[str, CertificateReport]:
     """Evaluate the requested certificate slacks along a trace.
 
-    The weight rows are regenerated from the run's schedule, so the trace
-    must retain the orbit prefix each row touches (always true here: traces
-    keep full history).  Certificate (iii) evaluates the stack tails at both
+    Certificates (ii) and (iii) start from ``||xbar_n - x*||^2``, with
+    ``xbar_n`` read from ``trace.xbars`` (the point the run fed to the
+    stack), so they cost O(d) per step.  Only certificate (i) regenerates
+    the weight rows from the run's schedule and needs the orbit prefix each
+    row touches.  Certificate (iii) also evaluates the stack tails at both
     ``xbar_n`` and ``x_ref`` every iteration; ``indices`` restricts the
     evaluation to a subsample when that cost matters.
     """
@@ -125,10 +130,6 @@ def run_certificates(
 
     slacks = {name: np.zeros(eval_at.size) for name in which}
     for pos, n in enumerate(eval_at):
-        row = cfg.weights.row(n)
-        support = row.support()
-        if support[-1] >= len(points):
-            raise InsufficientHistoryError(f"row {n} touches missing history")
         theta_n = trace.thetas[n]
         xbar = trace.xbars[n]
         r_n = trace.residuals[n]
@@ -140,21 +141,16 @@ def run_certificates(
         lhs1 = dists[n + 1]
 
         if "i" in which:
+            row = cfg.weights.row(n)
+            if row.support()[-1] >= len(points):
+                raise InsufficientHistoryError(f"row {n} touches missing history")
             rhs = math.fsum(abs(w) * dists[j] for j, w in row.entries.items()) + theta_n
             slacks["i"][pos] = rhs - lhs1
 
         if need_sq:
-            nu_n = theta_n * (2.0 * float(np.linalg.norm(xbar - x_ref)) + theta_n)
-            mean_sq = math.fsum(w * dists[j] ** 2 for j, w in row.entries.items())
-            spread = 0.0
-            for j, wj in row.entries.items():
-                for k, wk in row.entries.items():
-                    if k <= j:
-                        continue
-                    djk = float(np.linalg.norm(points[j] - points[k]))
-                    spread += wj * wk * djk * djk
-            # the double sum counts each unordered pair twice; diagonal is zero
-            base = mean_sq - spread - lhs1**2 + nu_n
+            dbar = float(np.linalg.norm(xbar - x_ref))
+            nu_n = theta_n * (2.0 * dbar + theta_n)
+            base = dbar**2 - lhs1**2 + nu_n
 
         if "ii" in which:
             slacks["ii"][pos] = base - lam * (1.0 / phi - lam) * r_n**2
@@ -199,13 +195,14 @@ def gronwall_envelope(
 ) -> GronwallReport:
     """Envelope for sequences obeying ``theta_{n+1} <= (1 + nu_n) theta_n + eps_n``.
 
-    Returns, for each ``n``,
+    Returns, for each ``n``, the recurrence
 
-        env_n = theta0 exp(sum_{k<=n} nu_k)
-                + sum_{j<n} eps_j exp(sum_{k=j+1}^{n} nu_k) + eps_n.
+        env_n = exp(nu_n) env_{n-1} + eps_n,    env_{-1} = theta0,
 
-    When ``theta_seq`` (= theta_0, theta_1, ...) is supplied, checks
-    ``theta_{n+1} <= env_n`` and reports the first violation.
+    which unrolls to ``theta0 exp(sum_{k<=n} nu_k) + sum_{j<n} eps_j
+    exp(sum_{k=j+1}^{n} nu_k) + eps_n``.  When ``theta_seq`` (= theta_0,
+    theta_1, ...) is supplied, checks ``theta_{n+1} <= env_n`` and reports
+    the first violation.
     """
     if theta0 < 0.0:
         raise ConfigurationError("theta0 must be nonnegative")
@@ -214,15 +211,11 @@ def gronwall_envelope(
     if np.any(eps < 0.0):
         raise ConfigurationError("eps sequence must be nonnegative")
     n_max = min(nu.size, eps.size)
-    # prefix[k] = sum_{i<k} nu_i, so sum_{k=j+1}^{n} nu_k = prefix[n+1]-prefix[j+1]
-    prefix = np.concatenate([[0.0], np.cumsum(nu[:n_max])])
     env = np.zeros(n_max)
+    prev = float(theta0)
     for n in range(n_max):
-        total = theta0 * math.exp(prefix[n + 1])
-        total += math.fsum(
-            eps[j] * math.exp(prefix[n + 1] - prefix[j + 1]) for j in range(n)
-        )
-        env[n] = total + eps[n]
+        prev = math.exp(nu[n]) * prev + eps[n]
+        env[n] = prev
     dominated = None
     first_violation = None
     if theta_seq is not None:

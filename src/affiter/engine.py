@@ -203,7 +203,8 @@ class RunTrace:
     def final_dist_to_ref(self) -> float | None:
         if self.config.reference is None:
             return None
-        return float(np.linalg.norm(self.final_point - self.config.reference))
+        reference = as_vector(self.config.reference, dim=self.final_point.size)
+        return float(np.linalg.norm(self.final_point - reference))
 
     def step_differences(self) -> np.ndarray:
         """Norms ``||x_{n+1} - x_n||`` for n = 0 .. n_steps-1."""
@@ -252,8 +253,9 @@ def run(config: IterationConfig) -> RunTrace:
 
     trace = RunTrace(config=config)
     trace.points.append(x0)
+    reference = None
     if config.reference is not None:
-        config.reference = as_vector(config.reference, dim=x0.size)
+        reference = as_vector(config.reference, dim=x0.size)
         trace.dist_to_ref = []
     if config.aux_recorder is not None:
         trace.aux = []
@@ -297,7 +299,7 @@ def run(config: IterationConfig) -> RunTrace:
             trace.thetas.append(lam * noisy.aggregate_error)
             if trace.dist_to_ref is not None:
                 trace.dist_to_ref.append(
-                    float(np.linalg.norm(trace.points[n] - config.reference))
+                    float(np.linalg.norm(trace.points[n] - reference))
                 )
             if config.aux_recorder is not None:
                 trace.aux.append(config.aux_recorder(n, xbar))
@@ -315,23 +317,6 @@ def run(config: IterationConfig) -> RunTrace:
     trace.stop_reason = stop_reason
     trace.peak_orbit_points = orbit.peak_retained
     return trace
-
-
-def step(orbit_points: Sequence[Vector], n: int, stack: LayerStack,
-         weights: WeightSchedule, lam: float, errors=None) -> tuple[Vector, Vector]:
-    """One update from the orbit prefix ``x_0 .. x_n``; returns (xbar_n, x_{n+1}).
-
-    Convenience for tests and small experiments; ``run`` is the real driver.
-    """
-    if len(orbit_points) != n + 1:
-        raise ConfigurationError(f"orbit prefix must hold x_0..x_{n}")
-    relaxation_at(RelaxationSchedule(policy="constant", value=lam), n, stack.phi)
-    xbar = affine_combine(weights.row(n), list(orbit_points))
-    out = apply_stack(stack, xbar, errors)
-    x_next = xbar + lam * (out.value - xbar)
-    if not np.all(np.isfinite(x_next)):
-        raise NumericalDivergence(f"iterate became non-finite at iteration {n}", iteration=n)
-    return xbar, x_next
 
 
 # ---------------------------------------------------------------------------

@@ -265,8 +265,11 @@ def forward_backward(
         weights = inertial(eta)
         has_errors = a_errors is not None or b_errors is not None
         if has_errors:
-            lam_fn = lam if callable(lam) else (lambda n: 1.0 if lam is None else float(lam))
-            unit = all(lam_fn(n) == 1.0 for n in range(min(max_iters, 50)))
+            # lam=None runs at the fb-band cap, which always exceeds 1
+            unit = lam is not None and all(
+                (float(lam(n)) if callable(lam) else float(lam)) == 1.0
+                for n in range(max_iters)
+            )
             if not (unit and A.bounded_domain):
                 raise ConfigurationError(
                     "errors under inertial weights need unit relaxation and a "

@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 
 from affiter import (
     ConfigurationError,
+    EtaSchedule,
     InertialBandParams,
     InvalidReferenceError,
     IterationConfig,
+    catalog,
+    cesaro,
     compose,
     constant_relaxation,
+    forward_backward,
     gradient_step,
     gronwall_envelope,
     inertial_band_validate,
@@ -21,12 +25,80 @@ from affiter import (
     run,
     run_certificates,
     summability_monitor,
+    tail_apply,
     window,
 )
 
 
 def vec(*xs):
     return np.array(xs, dtype=np.float64)
+
+
+def sq(v):
+    return float(v @ v)
+
+
+def pairwise_form(entries, points, x_ref):
+    """The paper's ``sum_j mu_j ||x_j - x*||^2 - 1/2 sum_{j,k} mu_j mu_k ||x_j - x_k||^2``."""
+    items = list(entries.items())
+    mean_sq = math.fsum(w * sq(points[j] - x_ref) for j, w in items)
+    spread = math.fsum(
+        wj * wk * sq(points[j] - points[k]) for j, wj in items for k, wk in items
+    )
+    return mean_sq - 0.5 * spread
+
+
+def closed_form_envelope(theta0, nus, eps):
+    """``theta0 exp(sum_{k<=n} nu_k) + sum_{j<n} eps_j exp(sum_{k=j+1}^n nu_k) + eps_n``."""
+    prefix = np.concatenate([[0.0], np.cumsum(nus)])
+    return np.array([
+        theta0 * math.exp(prefix[n + 1])
+        + math.fsum(eps[j] * math.exp(prefix[n + 1] - prefix[j + 1]) for j in range(n))
+        + eps[n]
+        for n in range(len(nus))
+    ])
+
+
+def pairwise_slacks(trace, x_ref):
+    """Certificates (ii) and (iii) with the paper's pairwise sums over each row."""
+    ii, iii = [], []
+    for n in range(trace.n_steps):
+        assert trace.residual_kinds[n] == "exact"
+        row = trace.config.weights.row(n)
+        lam, phi, r_n, theta = (trace.lambdas[n], trace.phis[n], trace.residuals[n],
+                                trace.thetas[n])
+        xbar = trace.xbars[n]
+        dbar = float(np.linalg.norm(xbar - x_ref))
+        base = (pairwise_form(row.entries, trace.points, x_ref)
+                - sq(trace.points[n + 1] - x_ref) + theta * (2.0 * dbar + theta))
+        ii.append(base - lam * (1.0 / phi - lam) * r_n**2)
+        stack = trace.config.stack_at(n)
+        layer_term = 0.0
+        for i, layer in enumerate(stack.layers, start=1):
+            t_bar, t_ref = tail_apply(stack, i, xbar), tail_apply(stack, i, x_ref)
+            disp = (t_bar - layer.fn(t_bar)) - (t_ref - layer.fn(t_ref))
+            layer_term = max(layer_term, (1.0 - layer.alpha) / layer.alpha * sq(disp))
+        iii.append(base + lam * (lam - 1.0) * r_n**2 - lam * layer_term)
+    return {"ii": np.array(ii), "iii": np.array(iii)}
+
+
+class TestAffineIdentity:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        size=st.integers(1, 12),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pairwise_form_equals_distance_of_the_combination(self, size, dim, seed):
+        rng = np.random.default_rng(seed)
+        free = rng.uniform(-1.0, 1.0, size - 1)
+        weights = np.append(free, 1.0 - math.fsum(free))
+        points = list(rng.uniform(-10.0, 10.0, (size, dim)))
+        x_ref = rng.uniform(-10.0, 10.0, dim)
+        xbar = sum(w * x for w, x in zip(weights, points))
+        scale = 1.0 + max(sq(x - x_ref) for x in points)
+        paper = pairwise_form(dict(enumerate(weights)), points, x_ref)
+        assert abs(paper - sq(xbar - x_ref)) <= 1e-12 * scale
 
 
 class TestGronwall:
@@ -67,6 +139,21 @@ class TestGronwall:
             theta.append((1.0 + nu) * theta[-1] + e)
         report = gronwall_envelope(theta0, nus, eps, theta_seq=theta)
         assert report.dominated, f"violated at {report.first_violation}"
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        theta0=st.floats(0.0, 5.0),
+        nus=st.lists(st.floats(-0.9, 1.5), min_size=1, max_size=30),
+        eps_scale=st.floats(0.0, 2.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_recurrence_matches_closed_form(self, theta0, nus, eps_scale, seed):
+        eps = (eps_scale * np.random.default_rng(seed).random(len(nus))).tolist()
+        env = gronwall_envelope(theta0, nus, eps).envelope
+        expected = closed_form_envelope(theta0, nus, eps)
+        # relative precision stops at the smallest normal float
+        tiny = np.finfo(np.float64).tiny
+        assert np.all(np.abs(env - expected) <= 1e-12 * np.abs(expected) + tiny)
 
 
 class TestInertialBand:
@@ -160,6 +247,30 @@ class TestRunCertificates:
             x0=vec(x0), max_iters=max_iters, stop_residual=0.0,
         )
         return run(cfg)
+
+    @pytest.mark.parametrize("variant", ["window5", "cesaro", "nesterov"])
+    def test_energy_slacks_match_pairwise_form(self, variant):
+        prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+        kwargs = {
+            "window5": dict(variant="mean", weights=window(5)),
+            "cesaro": dict(variant="mean", weights=cesaro()),
+            "nesterov": dict(variant="inertial", eta=EtaSchedule(kind="nesterov", tau=2.0)),
+        }[variant]
+        preset = forward_backward(
+            A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=prob.beta,
+            gamma=0.8, x0=vec(-1.0, 2.0, 3.0), max_iters=60, stop_residual=0.0,
+            **kwargs,
+        )
+        _, trace = preset.solve()
+        x_ref = prob.reference
+        reports = run_certificates(trace, x_ref, which=("ii", "iii"))
+        expected = pairwise_slacks(trace, x_ref)
+        scale = 1.0 + max(sq(p - x_ref) for p in trace.points)
+        for name, rep in reports.items():
+            assert np.max(np.abs(rep.slacks - expected[name])) <= 1e-12 * scale, name
+            bad = np.nonzero(expected[name] < -rep.tolerance)[0]
+            assert rep.first_violation == (int(bad[0]) if bad.size else None), name
+            assert rep.passed == (bad.size == 0), name
 
     def test_forward_backward_energy_certificate(self):
         trace = self.fb_trace()

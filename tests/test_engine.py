@@ -20,7 +20,6 @@ from affiter import (
     memoryless,
     prox_l1,
     run,
-    step,
     window,
 )
 from affiter.engine import OrbitBuffer
@@ -34,25 +33,37 @@ def vec(*xs):
 
 
 class TestStep:
+    """Single updates of ``run`` against hand-computed values."""
+
     def test_memoryless_hand_value(self):
         # x1 = 2 + 0.5 * (-2 - 2) = 0
-        xbar, x1 = step([vec(2.0)], 0, NEG_ID, memoryless(), lam=0.5)
-        assert xbar == pytest.approx(2.0)
-        assert x1 == pytest.approx(0.0)
+        cfg = IterationConfig(
+            stacks=NEG_ID, weights=memoryless(), relaxation=constant_relaxation(0.5),
+            x0=vec(2.0), max_iters=1, stop_residual=0.0,
+        )
+        trace = run(cfg)
+        assert trace.xbars[0] == pytest.approx(2.0)
+        assert trace.points[1] == pytest.approx(0.0)
 
     def test_inertial_two_steps_hand_values(self):
-        weights = inertial(EtaSchedule(kind="constant", eta=0.5))
-        x0 = vec(1.0)
-        xbar0, x1 = step([x0], 0, NEG_ID, weights, lam=0.5)
-        assert x1 == pytest.approx(0.0)
-        xbar1, x2 = step([x0, x1], 1, NEG_ID, weights, lam=0.5)
-        assert xbar1 == pytest.approx(-0.5)
-        assert x2 == pytest.approx(0.0)
+        cfg = IterationConfig(
+            stacks=NEG_ID, weights=inertial(EtaSchedule(kind="constant", eta=0.5)),
+            relaxation=constant_relaxation(0.5), x0=vec(1.0), max_iters=2,
+            stop_residual=0.0,
+        )
+        trace = run(cfg)
+        assert trace.points[1] == pytest.approx(0.0)
+        assert trace.xbars[1] == pytest.approx(-0.5)
+        assert trace.points[2] == pytest.approx(0.0)
 
     def test_fixed_point_is_stationary(self):
-        stack = compose([prox_l1(1.0)])
-        xbar, x1 = step([vec(0.0)], 0, stack, memoryless(), lam=1.0)
-        assert np.array_equal(x1, vec(0.0))
+        cfg = IterationConfig(
+            stacks=compose([prox_l1(1.0)]), weights=memoryless(),
+            relaxation=constant_relaxation(1.0), x0=vec(0.0), max_iters=1,
+            stop_residual=0.0,
+        )
+        trace = run(cfg)
+        assert np.array_equal(trace.points[1], vec(0.0))
 
 
 class TestRun:

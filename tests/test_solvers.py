@@ -196,6 +196,39 @@ class TestForwardBackward:
         x, _ = preset.solve()
         assert abs(x[0] - 1.0) <= 1e-4
 
+    def test_inertial_errors_check_unit_relaxation_over_whole_horizon(self):
+        # unit relaxation for the first 50 steps only is not the unit regime
+        cone = normal_cone("ball", center=[0.0], radius=2.0)
+        with pytest.raises(ConfigurationError, match="unit relaxation"):
+            forward_backward(
+                A=cone, B=lambda x: x - 1.0, beta=1.0, gamma=0.8, x0=vec(0.0),
+                variant="inertial", eta=EtaSchedule(kind="constant", eta=0.3),
+                lam=lambda n: 1.0 if n < 50 else 0.9,
+                a_errors=lambda n: vec(0.25**n * 0.01), max_iters=150,
+            )
+
+    def test_inertial_errors_reject_default_band_cap_relaxation(self):
+        # lam=None runs at the fb-band cap (1.54 at gamma=0.8), not at 1
+        cone = normal_cone("ball", center=[0.0], radius=2.0)
+        with pytest.raises(ConfigurationError, match="unit relaxation"):
+            forward_backward(
+                A=cone, B=lambda x: x - 1.0, beta=1.0, gamma=0.8, x0=vec(0.0),
+                variant="inertial", eta=EtaSchedule(kind="constant", eta=0.3),
+                lam=None, a_errors=lambda n: vec(0.25**n * 0.01), max_iters=150,
+            )
+
+    def test_solve_leaves_caller_reference_untouched(self):
+        cone = normal_cone("ball", center=[0.0], radius=2.0)
+        reference = [1.0]
+        preset = forward_backward(
+            A=cone, B=lambda x: x - 1.0, beta=1.0, gamma=1.0, x0=vec(0.0),
+            max_iters=20, reference=reference,
+        )
+        _, trace = preset.solve()
+        assert preset.config.reference is reference
+        assert preset.config.reference == [1.0]
+        assert trace.final_dist_to_ref() <= 1e-8
+
     def test_mean_variant_rejects_inertial_weights(self):
         from affiter import inertial as inertial_weights
 
