@@ -67,16 +67,22 @@ class CertificateReport:
 
 
 def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
-    """Check that ``x_ref`` is fixed by the run's stacks (sampled iterations).
+    """Check that ``x_ref`` is fixed by the run's stacks.
 
-    Multi-layer stacks with a quasinonexpansive last layer assume a common
-    fixed point, so each layer is checked individually there; otherwise the
-    composite residual suffices.
+    A single LayerStack is checked once.  A stack provider is checked only
+    at three sampled iterations (the first, the middle and the last step),
+    so a stack elsewhere in the run that does not fix ``x_ref`` goes
+    unnoticed.  Multi-layer stacks with a quasinonexpansive last layer
+    assume a common fixed point, so each layer is checked individually
+    there; otherwise the composite residual suffices.
     """
-    n_steps = trace.n_steps
-    sample = sorted({0, n_steps // 2, max(n_steps - 1, 0)})
+    config = trace.config
+    sample = [0]
+    if callable(config.stacks):
+        n_steps = trace.n_steps
+        sample = sorted({0, n_steps // 2, max(n_steps - 1, 0)})
     for n in sample:
-        stack = trace.config.stack_at(n)
+        stack = config.stack_at(n)
         if stack.case == "b":
             for i, layer in enumerate(stack.layers, start=1):
                 if float(np.linalg.norm(layer.fn(x_ref) - x_ref)) > tol:
@@ -105,9 +111,10 @@ def run_certificates(
     ``xbar_n`` read from ``trace.xbars`` (the point the run fed to the
     stack), so they cost O(d) per step.  Only certificate (i) regenerates
     the weight rows from the run's schedule and needs the orbit prefix each
-    row touches.  Certificate (iii) also evaluates the stack tails at both
-    ``xbar_n`` and ``x_ref`` every iteration; ``indices`` restricts the
-    evaluation to a subsample when that cost matters.
+    row touches.  Certificate (iii) also evaluates the stack tails at
+    ``xbar_n`` every iteration, and at ``x_ref`` once per distinct stack;
+    ``indices`` restricts the evaluation to a subsample when that cost
+    matters.
     """
     x_ref = as_vector(x_ref, dim=trace.points[0].size)
     unknown = set(which) - {"i", "ii", "iii"}
@@ -129,6 +136,7 @@ def run_certificates(
     need_sq = "ii" in which or "iii" in which
 
     slacks = {name: np.zeros(eval_at.size) for name in which}
+    ref_stack = None
     for pos, n in enumerate(eval_at):
         theta_n = trace.thetas[n]
         xbar = trace.xbars[n]
@@ -157,14 +165,18 @@ def run_certificates(
 
         if "iii" in which:
             stack = cfg.stack_at(n)
+            if stack is not ref_stack:
+                # (Id - T_i) T_{i+} x_ref, for each layer with a nonzero coefficient
+                ref_stack, ref_disps = stack, []
+                for i, layer in enumerate(stack.layers, start=1):
+                    coeff = (1.0 - layer.alpha) / layer.alpha
+                    if coeff != 0.0:
+                        t_ref = tail_apply(stack, i, x_ref)
+                        ref_disps.append((i, layer, coeff, t_ref - layer.fn(t_ref)))
             layer_term = 0.0
-            for i, layer in enumerate(stack.layers, start=1):
-                coeff = (1.0 - layer.alpha) / layer.alpha
-                if coeff == 0.0:
-                    continue
+            for i, layer, coeff, d_ref in ref_disps:
                 t_bar = tail_apply(stack, i, xbar)
-                t_ref = tail_apply(stack, i, x_ref)
-                disp = (t_bar - layer.fn(t_bar)) - (t_ref - layer.fn(t_ref))
+                disp = (t_bar - layer.fn(t_bar)) - d_ref
                 layer_term = max(layer_term, coeff * float(disp @ disp))
             slacks["iii"][pos] = base + lam * (lam - 1.0) * r_n**2 - lam * layer_term
 

@@ -6,10 +6,14 @@ One step of the scheme, from the current orbit prefix ``x_0 .. x_n``:
     x_{n+1} = xbar_n + lambda_n * (T_{1,n}( ... T_{m,n} xbar_n + e_{m,n} ... )
                                    + e_{1,n} - xbar_n)
 
-with ``lambda_n in (0, 1/phi_n]``.  The engine keeps only as much orbit as
-the weight family can touch (a ring buffer of ``support_bound`` points; the
-full-orbit cesaro family uses an incremental running mean instead), while the
-returned trace retains the whole history for post-hoc certificate analysis.
+with ``lambda_n in (0, 1/phi_n]``.  One pre-pass (``_prevalidate``) checks
+the whole horizon before the first operator call and returns the run's plan:
+every ``lambda_n``, every stack when the layers depend on n, and the weight
+family's kernel for ``xbar_n`` (``schedules.orbit_mean``, which holds every
+``eta_n`` of an inertial row).  Memoryless ``xbar_n`` is ``x_n`` itself, not
+a copy.  The engine keeps only as much orbit as the weight family can touch
+(a ring buffer of ``support_bound`` points), while the returned trace retains
+the whole history for post-hoc certificate analysis.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ from .schedules import (
     RelaxationSchedule,
     WeightSchedule,
     chi_value,
+    orbit_mean,
     relaxation_at,
-    validate_weights,
 )
-from .space import Vector, affine_combine, as_vector
+from .space import Vector, all_finite, as_vector, norm
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +163,6 @@ class IterationConfig:
     reference: Vector | None = None
     synthetic_errors: bool = True
     aux_recorder: Callable[[int, Vector], dict] | None = None
-    validate_horizon: int | None = None
 
     def stack_at(self, n: int) -> LayerStack:
         return self.stacks(n) if callable(self.stacks) else self.stacks
@@ -214,42 +217,54 @@ class RunTrace:
         )
 
 
-def _prevalidate(config: IterationConfig) -> None:
-    horizon = config.validate_horizon
-    if horizon is None:
-        horizon = min(config.max_iters, 1000)
-    validate_weights(config.weights, max(horizon, 1))
-    # probe the relaxation band over the whole run before touching operators
-    if callable(config.stacks):
-        m0 = config.stacks(0).m
-        for n in range(config.max_iters):
-            stack = config.stacks(n)
-            if stack.m != m0:
-                raise ConfigurationError(
-                    f"stack provider changed layer count at n={n} ({stack.m} != {m0})"
-                )
-            relaxation_at(config.relaxation, n, stack.phi)
-    else:
+@dataclass(frozen=True)
+class RunPlan:
+    """What the pre-pass established for the steps ``n < max_iters``."""
+
+    lambdas: list[float]
+    stacks: list[LayerStack] | None  # None when the config holds one LayerStack
+    xbar: Callable[[int, OrbitBuffer], Vector]  # the weight family's kernel
+
+
+def _prevalidate(config: IterationConfig) -> RunPlan:
+    """Check the whole horizon before any operator call; the run's only pre-pass.
+
+    Calls a stack provider and the relaxation schedule once per n, and
+    raises the first violated bound with its n.
+    """
+    xbar = orbit_mean(config.weights, config.max_iters)
+    steps = range(config.max_iters)
+    if not callable(config.stacks):
         phi = config.stacks.phi
-        for n in range(config.max_iters):
-            relaxation_at(config.relaxation, n, phi)
+        return RunPlan([relaxation_at(config.relaxation, n, phi) for n in steps], None, xbar)
+    lambdas, stacks = [], []
+    for n in steps:
+        stack = config.stacks(n)
+        if stacks and stack.m != stacks[0].m:
+            raise ConfigurationError(
+                f"stack provider changed layer count at n={n} ({stack.m} != {stacks[0].m})"
+            )
+        stacks.append(stack)
+        lambdas.append(relaxation_at(config.relaxation, n, stack.phi))
+    return RunPlan(lambdas, stacks, xbar)
 
 
 def run(config: IterationConfig) -> RunTrace:
     """Iterate until the clean residual drops below ``stop_residual`` or
     ``max_iters`` is reached; returns the full trace.
 
-    With memoryless weights the produced iterates coincide bit-for-bit with
-    the plain recursion ``x <- x + lambda (T_1(...T_m x + e_m ...) + e_1 - x)``
-    (same floating-point operation order).
+    Every configuration error is raised by the pre-pass, before the first
+    operator call; the loop then reads ``lambda_n``, the stack and
+    ``xbar_n`` from the plan.  With memoryless weights ``trace.xbars[n]`` is
+    ``trace.points[n]`` (the same array), and the produced iterates coincide
+    bit-for-bit with the plain recursion
+    ``x <- x + lambda (T_1(...T_m x + e_m ...) + e_1 - x)`` (same
+    floating-point operation order).
     """
-    _prevalidate(config)
+    plan = _prevalidate(config)
     x0 = as_vector(config.x0)
-    weights = config.weights
-    cesaro_mode = weights.support_bound is None
-    orbit = OrbitBuffer(weights.support_bound)
+    orbit = OrbitBuffer(config.weights.support_bound)
     orbit.append(x0)
-    running_sum = x0.copy() if cesaro_mode else None
 
     trace = RunTrace(config=config)
     trace.points.append(x0)
@@ -260,32 +275,31 @@ def run(config: IterationConfig) -> RunTrace:
     if config.aux_recorder is not None:
         trace.aux = []
 
+    stack = config.stacks
     stop_reason = "max_iters"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for n in range(config.max_iters):
-            if cesaro_mode:
-                xbar = running_sum / (n + 1.0)
-            else:
-                xbar = affine_combine(weights.row(n), orbit)
-            stack = config.stack_at(n)
-            lam = relaxation_at(config.relaxation, n, stack.phi)
+            xbar = plan.xbar(n, orbit)
+            if plan.stacks is not None:
+                stack = plan.stacks[n]
+            lam = plan.lambdas[n]
 
             errors_n = config.errors.errors_for(n)
             noisy = apply_stack(stack, xbar, errors_n)
             if errors_n is None:
-                residual = float(np.linalg.norm(noisy.value - xbar))
+                residual = norm(noisy.value - xbar)
                 residual_kind = "exact"
             elif config.synthetic_errors:
                 clean = apply_stack(stack, xbar).value
-                residual = float(np.linalg.norm(clean - xbar))
+                residual = norm(clean - xbar)
                 residual_kind = "exact"
             else:
-                residual = float(np.linalg.norm(noisy.value - xbar))
+                residual = norm(noisy.value - xbar)
                 residual_kind = "approximate"
 
             x_next = xbar + lam * (noisy.value - xbar)
-            if not np.all(np.isfinite(x_next)):
+            if not all_finite(x_next):
                 raise NumericalDivergence(
                     f"iterate became non-finite at iteration {n}", iteration=n
                 )
@@ -298,16 +312,12 @@ def run(config: IterationConfig) -> RunTrace:
             trace.error_norms.append(noisy.error_norms)
             trace.thetas.append(lam * noisy.aggregate_error)
             if trace.dist_to_ref is not None:
-                trace.dist_to_ref.append(
-                    float(np.linalg.norm(trace.points[n] - reference))
-                )
+                trace.dist_to_ref.append(norm(trace.points[n] - reference))
             if config.aux_recorder is not None:
                 trace.aux.append(config.aux_recorder(n, xbar))
 
             trace.points.append(x_next)
             orbit.append(x_next)
-            if cesaro_mode:
-                running_sum = running_sum + x_next
 
             if config.stop_residual > 0.0 and residual <= config.stop_residual:
                 stop_reason = "residual"

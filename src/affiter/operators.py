@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateSelectionWarning
-from .space import Vector, as_vector, check_same_dim
+from .space import Vector, as_vector, check_same_dim, norm
 
 NONEXPANSIVE = "nonexpansive"
 QUASINONEXPANSIVE = "quasinonexpansive"
@@ -486,7 +486,7 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
         if e is not None:
             check_same_dim(y, e)
             y = y + e
-            norms[i - 1] = float(np.linalg.norm(e))
+            norms[i - 1] = norm(e)
     return StackApplication(value=y, error_norms=tuple(norms), aggregate_error=sum(norms))
 
 

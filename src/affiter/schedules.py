@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from .errors import (
     CertificateUnavailableError,
     ConfigurationError,
     InvalidScheduleError,
+    NumericalDivergence,
 )
-from .space import SparseRow, row_sum
+from .space import SparseRow, Vector, all_finite, row_sum
 
 #: default truncation horizon for chi sums
 CHI_TRUNCATION = 200
@@ -107,7 +108,7 @@ class WeightSchedule:
     ``memoryless`` is the Kronecker row {n: 1}; ``window(w)`` averages the
     last ``w`` iterates with equal weight (head rows use all available
     indices); ``cesaro`` averages the full orbit, which has unbounded support
-    and is handled by an incremental running-mean update in the engine;
+    and is formed by a running mean (see ``orbit_mean``);
     ``inertial`` is the two-term extrapolation row {n: 1+eta_n, n-1: -eta_n}.
     """
 
@@ -186,6 +187,74 @@ def cesaro() -> WeightSchedule:
 
 def inertial(eta: EtaSchedule) -> WeightSchedule:
     return WeightSchedule(family="inertial", eta=eta)
+
+
+# ---------------------------------------------------------------------------
+# averaged-point kernels
+# ---------------------------------------------------------------------------
+
+def _finite(xbar: Vector, n: int) -> Vector:
+    if not all_finite(xbar):
+        raise NumericalDivergence(
+            f"affine combination at row {n} is non-finite", iteration=n
+        )
+    return xbar
+
+
+def orbit_mean(schedule: WeightSchedule, horizon: int) -> Callable[[int, Any], Vector]:
+    """The family's kernel ``(n, orbit) -> xbar_n`` for the steps ``n < horizon``.
+
+    ``orbit`` is indexable by orbit index and holds ``x_n`` when the kernel
+    is called for ``n``; calls come for ``n = 0, 1, ...`` in order, because
+    the cesaro kernel keeps a running sum of the points it has seen and
+    divides it by ``n + 1``.  The other kernels perform the operations of
+    ``affine_combine(schedule.row(n), orbit)`` in the same order, so their
+    results are the same bit for bit, except that a Kronecker row returns
+    ``x_n`` itself rather than a copy.  For inertial rows the eta values over
+    the horizon are computed here, once: a custom eta outside [0, 1) raises
+    InvalidScheduleError.
+    """
+    family = schedule.family
+    if family == "memoryless":
+        return lambda n, orbit: orbit[n]
+
+    if family == "window":
+        width = schedule.window
+
+        def window_mean(n, orbit):
+            w = min(width, n + 1)
+            if w == 1:
+                return orbit[n]
+            weight = 1.0 / w
+            acc = weight * orbit[n - w + 1]
+            for j in range(n - w + 2, n + 1):
+                acc = acc + weight * orbit[j]
+            return _finite(acc, n)
+
+        return window_mean
+
+    if family == "cesaro":
+        total = None
+
+        def running_mean(n, orbit):
+            nonlocal total
+            total = orbit[n] if n == 0 else total + orbit[n]
+            return total / (n + 1.0)
+
+        return running_mean
+
+    try:
+        etas = [schedule.eta.value(n) for n in range(horizon)]
+    except ConfigurationError as exc:
+        raise InvalidScheduleError(str(exc)) from exc
+
+    def extrapolate(n, orbit):
+        eta_n = etas[n]
+        if eta_n == 0.0:
+            return orbit[n]
+        return _finite((-eta_n) * orbit[n - 1] + (1.0 + eta_n) * orbit[n], n)
+
+    return extrapolate
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,7 @@ def forward_backward(
         policy="fb_band", value=lam, epsilon=epsilon, beta=beta, gamma=gamma_fn
     )
     config = IterationConfig(
-        stacks=stack_for,
+        stacks=stack_for if callable(gamma) else stack_for(0),
         weights=weights,
         relaxation=relax,
         x0=as_vector(x0),
@@ -373,12 +373,7 @@ def polyak_subgradient(
     g_op = subgradient_projector(f, s, theta)
 
     def stack_for(n: int) -> LayerStack:
-        x = xi_fn(n)
-        if not eta_low <= x <= 2.0 - eta_low:
-            raise ConfigurationError(
-                f"xi_{n} = {x} outside [eta, 2-eta] = [{eta_low}, {2.0 - eta_low}]"
-            )
-        return compose([region_projector, relaxed(g_op, x)])
+        return compose([region_projector, relaxed(g_op, xi_fn(n))])
 
     for n in range(max_iters):
         x = xi_fn(n)
@@ -393,7 +388,7 @@ def polyak_subgradient(
             )
 
     config = IterationConfig(
-        stacks=stack_for,
+        stacks=stack_for if callable(xi) else stack_for(0),
         weights=weights,
         relaxation=RelaxationSchedule(policy="constant", value=lam),
         x0=region_projector.fn(as_vector(x0)),

@@ -41,6 +41,26 @@ def check_same_dim(p: Vector, q: Vector) -> None:
         )
 
 
+def norm(x: Vector) -> float:
+    """Euclidean norm of a 1-D float64 array.
+
+    Bit for bit ``float(np.linalg.norm(x))``, which also takes the correctly
+    rounded square root of ``x.dot(x)``, without its dispatch overhead.
+    """
+    return math.sqrt(x.dot(x))
+
+
+def all_finite(x: Vector) -> bool:
+    """``np.all(np.isfinite(x))`` for a 1-D float64 array.
+
+    The sum of squares is finite only when every entry is; when it is not,
+    the entries are tested one by one, since the sum can overflow.
+    ``np.vdot`` raises no floating-point warning on that overflow, which
+    ``run`` would record among the trace's flags.
+    """
+    return math.isfinite(np.vdot(x, x)) or bool(np.all(np.isfinite(x)))
+
+
 def norm_dist(p: Vector, q: Vector) -> float:
     """Euclidean distance ``||p - q||``; zero iff the points are equal."""
     check_same_dim(p, q)

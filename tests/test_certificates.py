@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -311,6 +312,41 @@ class TestRunCertificates:
         trace = self.fb_trace(max_iters=5)
         with pytest.raises(ConfigurationError):
             run_certificates(trace, vec(1.0), which=("iv",))
+
+    def test_reference_tails_evaluated_once_per_distinct_stack(self):
+        # forward-backward on |x| + (x - 2)^2 / 2 at step 1/2; its fixed point
+        # 1 is approached as 2^-n, so no iterate equals it within 20 steps
+        x_ref = vec(1.0)
+        at_ref = []
+
+        def counted(op):
+            def fn(x):
+                if np.array_equal(x, x_ref):
+                    at_ref.append(op.name)
+                return op.fn(x)
+
+            return dataclasses.replace(op, fn=fn)
+
+        layers = [counted(prox_l1(0.5)), counted(gradient_step(0.5, lambda x: x - 2.0, beta=1.0))]
+
+        def slacks(stacks, max_iters):
+            cfg = IterationConfig(
+                stacks=stacks, weights=memoryless(), relaxation=constant_relaxation(1.0),
+                x0=vec(4.0), max_iters=max_iters, stop_residual=0.0,
+            )
+            trace = run(cfg)
+            del at_ref[:]
+            report = run_certificates(trace, x_ref, which=("iii",))["iii"]
+            return report.slacks, len(at_ref)
+
+        constant, calls_10 = slacks(compose(layers), 10)
+        _, calls_20 = slacks(compose(layers), 20)
+        # the inner layer sees x_ref once in verify_reference and twice in (iii)
+        assert calls_10 == calls_20 == 3
+        # a provider returns a new stack every n, so its tails are evaluated every step
+        per_step, _ = slacks(lambda n: compose(layers), 10)
+        assert constant.tobytes() == per_step.tobytes()
+        assert constant.min() >= -1e-9
 
     def test_subsampled_evaluation(self):
         trace = self.fb_trace(max_iters=50, x0=4.0)

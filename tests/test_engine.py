@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affiter import (
+    AveragedOperator,
     ConfigurationError,
     EtaSchedule,
     GeometricError,
     InsufficientHistoryError,
+    InvalidScheduleError,
     IterationConfig,
     NumericalDivergence,
     SequenceError,
@@ -213,6 +217,81 @@ class TestRun:
         trace = run(cfg)
         assert trace.dist_to_ref[0] == pytest.approx(1.0)
         assert trace.final_dist_to_ref() == pytest.approx(np.linalg.norm(trace.final_point))
+
+
+KERNEL_WEIGHTS = st.one_of(
+    st.just(memoryless()),
+    st.integers(1, 6).map(window),
+    st.floats(0.0, 0.95).map(lambda eta: inertial(EtaSchedule(kind="constant", eta=eta))),
+    st.floats(2.0, 10.0).map(lambda tau: inertial(EtaSchedule(kind="nesterov", tau=tau))),
+    st.floats(0.0, 0.95).map(lambda sup: inertial(
+        EtaSchedule(kind="custom", eta=sup, fn=lambda n: sup * n / (n + 2.0)))),
+)
+
+
+class TestPlan:
+    """The pre-pass checks the horizon once; the loop reads its plan."""
+
+    def test_callable_lam_and_stack_provider_called_once_per_n(self):
+        stack = compose([prox_l1(1.0)])
+        stack_calls, lam_calls = [], []
+
+        def provider(n):
+            stack_calls.append(n)
+            return stack
+
+        def lam(n):
+            lam_calls.append(n)
+            return 1.0
+
+        cfg = IterationConfig(
+            stacks=provider, weights=memoryless(), relaxation=constant_relaxation(lam),
+            x0=vec(3.0), max_iters=12, stop_residual=0.0,
+        )
+        run(cfg)
+        assert stack_calls == list(range(12))
+        assert lam_calls == list(range(12))
+
+    def test_custom_eta_leaving_band_raises_before_operator_calls(self):
+        # the bad value sits deep in the horizon: only a whole-horizon check sees it early
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return 0.5 * x
+
+        eta = EtaSchedule(kind="custom", eta=0.5, fn=lambda n: 1.5 if n == 1200 else 0.25)
+        cfg = IterationConfig(
+            stacks=compose([AveragedOperator(fn=counting, alpha=0.5, name="counting")]),
+            weights=inertial(eta), relaxation=constant_relaxation(1.0), x0=vec(1.0),
+            max_iters=1300, stop_residual=0.0,
+        )
+        with pytest.raises(InvalidScheduleError, match=r"custom eta value 1.5 at n=1200 outside \[0, 1\)"):
+            run(cfg)
+        assert calls == []
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        weights=KERNEL_WEIGHTS,
+        dim=st.integers(1, 4),
+        steps=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_xbar_matches_affine_combine_bitwise(self, weights, dim, steps, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        cfg = IterationConfig(
+            stacks=compose([linear_operator(0.9 * q, alpha=1.0)]), weights=weights,
+            relaxation=constant_relaxation(float(rng.uniform(0.2, 1.0))),
+            x0=rng.standard_normal(dim) * 10.0 ** rng.uniform(-3.0, 3.0),
+            max_iters=steps, stop_residual=0.0,
+        )
+        trace = run(cfg)
+        for n, xbar in enumerate(trace.xbars):
+            if weights.family == "memoryless":
+                assert xbar is trace.points[n]
+            else:
+                assert xbar.tobytes() == affine_combine(weights.row(n), trace.points).tobytes()
 
 
 class TestResidualModes:

@@ -1,9 +1,13 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from affiter import (
     ConfigurationError,
     EtaSchedule,
+    LayerStack,
     catalog,
     error_budget_check,
     forward_backward,
@@ -166,6 +170,29 @@ class TestForwardBackward:
                 gamma=2.5, x0=vec(0.0), epsilon=0.1,
             )
 
+    def test_constant_gamma_builds_one_stack(self):
+        assert isinstance(self.variant_preset("memoryless", gamma=0.8).config.stacks, LayerStack)
+        provider = self.variant_preset("memoryless", gamma=lambda n: 0.8).config.stacks
+        assert callable(provider) and isinstance(provider(3), LayerStack)
+
+    def test_callable_gamma_leaving_band_raises_before_operator_calls(self):
+        prob = self.problem()
+        calls = []
+        A = prob.ingredients["A"]
+
+        def counting(g, x):
+            calls.append(1)
+            return A.resolvent(g, x)
+
+        preset = forward_backward(
+            A=dataclasses.replace(A, resolvent=counting), B=prob.ingredients["grad"],
+            beta=1.0, gamma=lambda n: 0.8 if n < 7 else 5.0, x0=vec(0.0), max_iters=20,
+        )
+        message = "gamma_7 = 5.0 outside the admissible band [0.1, 1.8181818181818181]"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            preset.solve()
+        assert calls == []
+
     def test_lambda_band_enforced(self):
         prob = self.problem()
         with pytest.raises(ConfigurationError, match="cap"):
@@ -301,6 +328,15 @@ class TestPolyakSubgradient:
                 region_projector=prob.ingredients["projector"], x0=vec(3.0, 2.0),
                 lam=1.6, xi=1.0, eta_low=0.5, epsilon=0.05,
             )
+
+    def test_constant_xi_builds_one_stack(self):
+        prob = catalog("polyak_norm_over_halfspace")
+        kwargs = dict(
+            f=prob.ingredients["f"], s=prob.ingredients["s"], theta=prob.theta,
+            region_projector=prob.ingredients["projector"], x0=vec(3.0, 2.0), max_iters=5,
+        )
+        assert isinstance(polyak_subgradient(xi=1.2, **kwargs).config.stacks, LayerStack)
+        assert callable(polyak_subgradient(xi=lambda n: 1.2, **kwargs).config.stacks)
 
     def test_start_projected_into_region(self):
         prob = catalog("polyak_norm_over_halfspace")

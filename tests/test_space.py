@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affiter import ConfigurationError, SparseRow, affine_combine, norm_dist
-from affiter.space import as_vector
+from affiter.space import all_finite, as_vector, norm
 
 
 def vec(*xs):
@@ -27,6 +27,26 @@ class TestNormDist:
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
             norm_dist(vec(1.0), vec(1.0, 2.0))
+
+
+class TestNorm:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        dim=st.integers(1, 10_000),
+        log_scale=st.floats(-150.0, 150.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_bit_for_bit(self, dim, log_scale, seed):
+        x = np.random.default_rng(seed).standard_normal(dim) * 10.0**log_scale
+        assert norm(x).hex() == float(np.linalg.norm(x)).hex()
+
+    @pytest.mark.filterwarnings("error")
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.floats(), min_size=1, max_size=8))
+    def test_all_finite_matches_numpy_without_warnings(self, values):
+        # st.floats() draws nan, infinities and squares that overflow
+        x = np.array(values, dtype=np.float64)
+        assert all_finite(x) == bool(np.all(np.isfinite(x)))
 
 
 class TestSparseRow:
