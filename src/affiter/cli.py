@@ -2,7 +2,7 @@
 
 Commands
 --------
-``affiter run <config.json> [--out-dir DIR] [--seed N]``
+``affiter run <config.json> [--out-dir DIR]``
     Build the configured problem + solver preset, iterate, and write the
     trace CSV and report JSON.  Exit 0 on a clean stop, 2 on numerical
     divergence, 3 on a configuration error.
@@ -10,6 +10,7 @@ Commands
 ``affiter validate <config.json>``
     Validate the weight array, relaxation band, and (when the config selects
     the custom inertial band) the inertial parameters, without iterating.
+    The relaxation range comes from the run's own pre-pass over the horizon.
 
 ``affiter chi --family {zero,constant,nesterov} [--eta E] [--tau T] --N H [--K TRUNC]``
     Tabulate the summability weights ``chi_n`` with their analytic bound as
@@ -35,7 +36,7 @@ from .certificates import (
     inertial_band_validate,
     run_certificates,
 )
-from .engine import GeometricError, SequenceError
+from .engine import GeometricError, SequenceError, _prevalidate
 from .errors import (
     CertificateUnavailableError,
     ConfigurationError,
@@ -219,7 +220,7 @@ def _write_trace(path: Path, trace, cert_i=None, cert_ii=None) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = int(cfg.get("seed", 0))
     preset, problem = _build_preset(cfg)
     solution, trace = preset.solve()
 
@@ -269,10 +270,7 @@ def cmd_validate(args) -> int:
     horizon = int(cfg.get("horizon", 200))
     preset, _problem = _build_preset(cfg)
     weights_report = validate_weights(preset.config.weights, horizon)
-    lam_probe = []
-    for n in range(horizon):
-        phi = preset.config.stack_at(n).phi
-        lam_probe.append(relaxation_at(preset.config.relaxation, n, phi))
+    lam_probe = _prevalidate(preset.config).lambdas
     out = {
         "weights": {
             "schedule": weights_report.schedule,
@@ -332,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a configured solver")
     p_run.add_argument("config")
     p_run.add_argument("--out-dir", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a config without iterating")

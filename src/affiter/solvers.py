@@ -1,12 +1,20 @@
 """Solver presets: named iteration configs with solution extractors.
 
-Each builder validates its parameter bands eagerly, wires the layer stack,
-weights, relaxation, and error model into an IterationConfig, and attaches
-the rule that maps a finished trace to the reported solution.
+Each builder checks its scalar parameter bands, wires the layer stack,
+weights, relaxation, and error model into one IterationConfig, and attaches
+the rule that maps a finished trace to the reported solution.  Bands that
+depend on n (a callable step or xi, the relaxation caps, a custom eta) are
+checked for every n < ``max_iters`` by the run's pre-pass
+(``engine._prevalidate``), before the first operator call; a constant
+parameter is checked once, at build, through its n = 0 value.  Two checks
+over the horizon stay in the builders, because they select the regime a
+configuration runs in: unit relaxation for inertial forward-backward with
+errors, and the inertial fixed-point band, which couples lambda_n and eta_n.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +38,6 @@ from .schedules import (
     WeightSchedule,
     inertial,
     memoryless,
-    validate_weights,
 )
 from .space import Vector, as_vector
 
@@ -109,8 +116,13 @@ def peaceman_rachford(
             f"weights {weights.describe()} rejected: the mean-value iteration needs "
             "a nonnegative family with inf mu_{n+1,n} mu_{n+1,n+1} > 0 (window w >= 2)"
         )
-    validate_weights(weights, horizon=max(max_iters, 2))
     a_fn, b_fn = _seq(a_errors), _seq(b_errors)
+
+    @functools.lru_cache(maxsize=1)
+    def perturbations(n: int) -> tuple[Vector | None, Vector | None]:
+        # errors_for and record both need (a_n, b_n): one user call per n
+        return (a_fn(n) if a_fn is not None else None,
+                b_fn(n) if b_fn is not None else None)
 
     def jb(x):
         return B.resolvent(gamma, x)
@@ -138,8 +150,7 @@ def peaceman_rachford(
 
         class _ResolventPerturbation(ErrorModel):
             def errors_for(self, n: int):
-                a_n = a_fn(n) if a_fn is not None else None
-                b_n = b_fn(n) if b_fn is not None else None
+                a_n, b_n = perturbations(n)
                 if a_n is None and b_n is None:
                     return None
 
@@ -155,8 +166,7 @@ def peaceman_rachford(
                 return err
 
             def budget(self, n: int, i: int) -> float:
-                a_n = a_fn(n) if a_fn is not None else None
-                b_n = b_fn(n) if b_fn is not None else None
+                a_n, b_n = perturbations(n)
                 na = 0.0 if a_n is None else float(np.linalg.norm(a_n))
                 nb = 0.0 if b_n is None else float(np.linalg.norm(b_n))
                 return 2.0 * (na + nb)
@@ -164,8 +174,7 @@ def peaceman_rachford(
         error_model = _ResolventPerturbation()
 
     def record(n, xbar):
-        b_n = b_fn(n) if b_fn is not None else None
-        a_n = a_fn(n) if a_fn is not None else None
+        a_n, b_n = perturbations(n)
         y = jb(xbar) if b_n is None else jb(xbar) + b_n
         z = ja(2.0 * y - xbar) if a_n is None else ja(2.0 * y - xbar) + a_n
         return {"y": y, "z": z}
@@ -279,7 +288,6 @@ def forward_backward(
         weights = memoryless()
     if variant == "mean" and not weights.nonnegative:
         raise ConfigurationError("mean variant needs a nonnegative weight family")
-    validate_weights(weights, horizon=max(max_iters, 2))
 
     a_fn, b_fn = _seq(a_errors), _seq(b_errors)
 
@@ -368,14 +376,10 @@ def polyak_subgradient(
         weights = memoryless()
     if not weights.nonnegative:
         raise ConfigurationError("subgradient projection needs nonnegative weights")
-    validate_weights(weights, horizon=max(max_iters, 2))
     xi_fn = _gamma_fn(xi)
     g_op = subgradient_projector(f, s, theta)
 
     def stack_for(n: int) -> LayerStack:
-        return compose([region_projector, relaxed(g_op, xi_fn(n))])
-
-    for n in range(max_iters):
         x = xi_fn(n)
         if not eta_low <= x <= 2.0 - eta_low:
             raise ConfigurationError(
@@ -386,6 +390,7 @@ def polyak_subgradient(
             raise ConfigurationError(
                 f"lambda = {lam} outside [eps, (1-eps)(2 - xi/2)] = [{epsilon}, {cap}] at n={n}"
             )
+        return compose([region_projector, relaxed(g_op, x)])
 
     config = IterationConfig(
         stacks=stack_for if callable(xi) else stack_for(0),
@@ -445,35 +450,14 @@ def krasnoselskii_mann(
     ])
     x0 = as_vector(x0)
     if variant == "memoryless":
-        e_fn = _seq(errors)
-        config = IterationConfig(
-            stacks=stack,
-            weights=memoryless(),
-            relaxation=RelaxationSchedule(policy="constant", value=lam),
-            x0=x0,
-            errors=SequenceError([e_fn]) if e_fn is not None else ErrorModel(),
-            max_iters=max_iters,
-            stop_residual=stop_residual,
-            reference=reference,
-        )
+        weights = memoryless()
     elif variant == "mean":
         if weights is None or not weights.nonnegative or weights.mann_product_bound() <= 0.0:
             raise ConfigurationError(
                 "mean variant needs a nonnegative family with "
                 "inf mu_{n+1,n} mu_{n+1,n+1} > 0 (window w >= 2)"
             )
-        validate_weights(weights, horizon=max(max_iters, 2))
-        e_fn = _seq(errors)
-        config = IterationConfig(
-            stacks=stack,
-            weights=weights,
-            relaxation=RelaxationSchedule(policy="constant", value=1.0),
-            x0=x0,
-            errors=SequenceError([e_fn]) if e_fn is not None else ErrorModel(),
-            max_iters=max_iters,
-            stop_residual=stop_residual,
-            reference=reference,
-        )
+        lam = 1.0
     elif variant == "inertial":
         if eta is None:
             raise ConfigurationError("inertial variant needs an eta schedule")
@@ -496,17 +480,20 @@ def krasnoselskii_mann(
             raise ConfigurationError(
                 f"inertial band violated ({report.violated}) at n={report.first_violation}"
             )
-        config = IterationConfig(
-            stacks=stack,
-            weights=inertial(eta),
-            relaxation=RelaxationSchedule(policy="constant", value=lam),
-            x0=x0,
-            max_iters=max_iters,
-            stop_residual=stop_residual,
-            reference=reference,
-        )
+        weights = inertial(eta)
     else:
         raise ConfigurationError(f"unknown fixed-point variant {variant!r}")
+    e_fn = _seq(errors)
+    config = IterationConfig(
+        stacks=stack,
+        weights=weights,
+        relaxation=RelaxationSchedule(policy="constant", value=lam),
+        x0=x0,
+        errors=SequenceError([e_fn]) if e_fn is not None else ErrorModel(),
+        max_iters=max_iters,
+        stop_residual=stop_residual,
+        reference=reference,
+    )
     return SolverPreset(
         name=f"krasnoselskii_mann[{variant}]",
         config=config,

@@ -125,6 +125,15 @@ class TestRunCommand:
         assert cli.main(["run", cfg]) == 3
         assert "ingredient" in capsys.readouterr().err
 
+    def test_seed_flag_is_rejected(self, tmp_path, capsys):
+        # nothing random reads a seed; report.json echoes the config's own
+        cfg = fb_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", cfg, "--out-dir", str(tmp_path), "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestValidateCommand:
     def test_valid_config_passes(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from affiter import (
     ConfigurationError,
     EtaSchedule,
+    InvalidScheduleError,
     LayerStack,
     catalog,
     error_budget_check,
@@ -90,6 +91,28 @@ class TestPeacemanRachford:
         report = error_budget_check(preset.config, 100)
         # declared budget per iteration is 2 (||a_n|| + ||b_n||), summing to 8u
         assert report.total == pytest.approx(8.0 * u, abs=1e-9)
+
+    def test_error_sequences_called_once_per_step(self):
+        prob = self.problem()
+        a_calls, b_calls = [], []
+
+        def a_errors(n):
+            a_calls.append(n)
+            return vec(0.5**n * 0.1)
+
+        def b_errors(n):
+            b_calls.append(n)
+            return vec(0.5**n * -0.05)
+
+        preset = peaceman_rachford(
+            prob.ingredients["A"], prob.ingredients["B"], gamma=1.0,
+            weights=window(2), x0=vec(0.7), max_iters=30, stop_residual=0.0,
+            a_errors=a_errors, b_errors=b_errors,
+        )
+        _, trace = preset.solve()
+        assert trace.n_steps == 30
+        assert a_calls == list(range(30))
+        assert b_calls == list(range(30))
 
     def test_rejects_families_without_adjacent_mass(self):
         from affiter import cesaro, memoryless
@@ -256,6 +279,31 @@ class TestForwardBackward:
         assert preset.config.reference == [1.0]
         assert trace.final_dist_to_ref() <= 1e-8
 
+    def test_custom_eta_leaving_band_after_horizon_builds_and_solves(self):
+        # the run never reads eta_n for n >= max_iters
+        eta = EtaSchedule(kind="custom", eta=0.3, fn=lambda n: 0.3 if n < 40 else 1.5)
+        preset = self.variant_preset("inertial", eta=eta, max_iters=40, stop_residual=0.0)
+        _, trace = preset.solve()
+        assert trace.n_steps == 40
+
+    def test_custom_eta_leaving_band_raises_from_solve_before_operator_calls(self):
+        prob = self.problem()
+        calls = []
+        A = prob.ingredients["A"]
+
+        def counting(g, x):
+            calls.append(1)
+            return A.resolvent(g, x)
+
+        eta = EtaSchedule(kind="custom", eta=0.3, fn=lambda n: 1.5 if n == 7 else 0.3)
+        preset = self.variant_preset(
+            "inertial", A=dataclasses.replace(A, resolvent=counting), eta=eta, max_iters=40,
+        )
+        message = "custom eta value 1.5 at n=7 outside [0, 1)"
+        with pytest.raises(InvalidScheduleError, match=re.escape(message)):
+            preset.solve()
+        assert calls == []
+
     def test_mean_variant_rejects_inertial_weights(self):
         from affiter import inertial as inertial_weights
 
@@ -328,6 +376,46 @@ class TestPolyakSubgradient:
                 region_projector=prob.ingredients["projector"], x0=vec(3.0, 2.0),
                 lam=1.6, xi=1.0, eta_low=0.5, epsilon=0.05,
             )
+
+    def polyak(self, **kwargs):
+        prob = catalog("polyak_norm_over_halfspace")
+        args = dict(
+            f=prob.ingredients["f"], s=prob.ingredients["s"], theta=prob.theta,
+            region_projector=prob.ingredients["projector"], x0=vec(3.0, 2.0),
+            eta_low=0.5, epsilon=0.05, max_iters=20, stop_residual=0.0,
+        )
+        args.update(kwargs)
+        return polyak_subgradient(**args)
+
+    def test_constant_xi_band_checked_at_build(self):
+        message = "xi_0 = 1.8 outside [eta, 2-eta] = [0.5, 1.5]"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            self.polyak(xi=1.8)
+
+    def test_callable_xi_leaving_band_raises_from_solve_before_operator_calls(self):
+        f = catalog("polyak_norm_over_halfspace").ingredients["f"]
+        calls = []
+
+        def counting_f(x):
+            calls.append(1)
+            return f(x)
+
+        preset = self.polyak(f=counting_f, xi=lambda n: 1.0 if n < 7 else 1.8)
+        message = "xi_7 = 1.8 outside [eta, 2-eta] = [0.5, 1.5]"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            preset.solve()
+        assert calls == []
+
+    def test_callable_xi_called_once_per_step(self):
+        xi_calls = []
+
+        def xi(n):
+            xi_calls.append(n)
+            return 1.2
+
+        _, trace = self.polyak(xi=xi).solve()
+        assert trace.n_steps == 20
+        assert xi_calls == list(range(20))
 
     def test_constant_xi_builds_one_stack(self):
         prob = catalog("polyak_norm_over_halfspace")
