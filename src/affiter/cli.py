@@ -131,6 +131,9 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
     stop_residual = float(cfg.get("stop_residual", 1e-10))
     x0 = as_vector(cfg.get("x0", np.zeros(problem.dim)), dim=problem.dim)
     relax_cfg = cfg.get("relaxation", {})
+    policy = relax_cfg.get("policy", "constant")
+    if policy != "constant":
+        raise ConfigurationError(f"unsupported relaxation policy {policy!r} (only \"constant\")")
     lam = relax_cfg.get("value", params.pop("lambda", 1.0))
     error_model = _errors_from(cfg.get("errors"))
 

@@ -11,9 +11,8 @@ the whole horizon before the first operator call and returns the run's plan:
 every ``lambda_n``, every stack when the layers depend on n, and the weight
 family's kernel for ``xbar_n`` (``schedules.orbit_mean``, which holds every
 ``eta_n`` of an inertial row).  Memoryless ``xbar_n`` is ``x_n`` itself, not
-a copy.  The engine keeps only as much orbit as the weight family can touch
-(a ring buffer of ``support_bound`` points), while the returned trace retains
-the whole history for post-hoc certificate analysis.
+a copy.  The returned trace retains the whole history for post-hoc
+certificate analysis.
 """
 
 from __future__ import annotations
@@ -24,11 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    InsufficientHistoryError,
-    NumericalDivergence,
-)
+from .errors import ConfigurationError, NumericalDivergence
 from .operators import LayerStack, apply_stack
 from .schedules import (
     RelaxationSchedule,
@@ -103,39 +98,6 @@ class SequenceError(ErrorModel):
 
 
 # ---------------------------------------------------------------------------
-# orbit storage
-# ---------------------------------------------------------------------------
-
-class OrbitBuffer:
-    """Ring buffer over orbit indices; capacity = deepest row support."""
-
-    def __init__(self, capacity: int | None):
-        if capacity is not None and capacity < 1:
-            raise ConfigurationError("orbit capacity must be >= 1")
-        self.capacity = capacity
-        self._points: dict[int, Vector] = {}
-        self.next_index = 0
-        self.peak_retained = 0
-
-    def append(self, x: Vector) -> None:
-        self._points[self.next_index] = x
-        self.next_index += 1
-        if self.capacity is not None:
-            evict = self.next_index - self.capacity
-            if evict - 1 in self._points:
-                del self._points[evict - 1]
-        self.peak_retained = max(self.peak_retained, len(self._points))
-
-    def __getitem__(self, j: int) -> Vector:
-        try:
-            return self._points[j]
-        except KeyError:
-            raise InsufficientHistoryError(
-                f"orbit index {j} evicted (capacity {self.capacity})"
-            ) from None
-
-
-# ---------------------------------------------------------------------------
 # configuration and trace
 # ---------------------------------------------------------------------------
 
@@ -189,7 +151,7 @@ class RunTrace:
     aux: list[dict] | None = None
     stop_reason: str = ""
     flags: list[str] = field(default_factory=list)
-    peak_orbit_points: int = 0
+    peak_orbit_points: int = 0  # orbit points the xbar_n kernel held at most
 
     @property
     def n_steps(self) -> int:
@@ -223,7 +185,7 @@ class RunPlan:
 
     lambdas: list[float]
     stacks: list[LayerStack] | None  # None when the config holds one LayerStack
-    xbar: Callable[[int, OrbitBuffer], Vector]  # the weight family's kernel
+    xbar: Callable[[int, Vector], Vector]  # the weight family's kernel, fed x_n
 
 
 def _prevalidate(config: IterationConfig) -> RunPlan:
@@ -263,8 +225,6 @@ def run(config: IterationConfig) -> RunTrace:
     """
     plan = _prevalidate(config)
     x0 = as_vector(config.x0)
-    orbit = OrbitBuffer(config.weights.support_bound)
-    orbit.append(x0)
 
     trace = RunTrace(config=config)
     trace.points.append(x0)
@@ -280,7 +240,7 @@ def run(config: IterationConfig) -> RunTrace:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for n in range(config.max_iters):
-            xbar = plan.xbar(n, orbit)
+            xbar = plan.xbar(n, trace.points[n])
             if plan.stacks is not None:
                 stack = plan.stacks[n]
             lam = plan.lambdas[n]
@@ -317,7 +277,6 @@ def run(config: IterationConfig) -> RunTrace:
                 trace.aux.append(config.aux_recorder(n, xbar))
 
             trace.points.append(x_next)
-            orbit.append(x_next)
 
             if config.stop_residual > 0.0 and residual <= config.stop_residual:
                 stop_reason = "residual"
@@ -325,7 +284,7 @@ def run(config: IterationConfig) -> RunTrace:
 
     trace.flags = [str(w.message) for w in caught]
     trace.stop_reason = stop_reason
-    trace.peak_orbit_points = orbit.peak_retained
+    trace.peak_orbit_points = min(config.weights.support_bound or 1, len(trace.points))
     return trace
 
 

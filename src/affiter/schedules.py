@@ -23,8 +23,10 @@ reported value a safe upper estimate.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -201,34 +203,35 @@ def _finite(xbar: Vector, n: int) -> Vector:
     return xbar
 
 
-def orbit_mean(schedule: WeightSchedule, horizon: int) -> Callable[[int, Any], Vector]:
-    """The family's kernel ``(n, orbit) -> xbar_n`` for the steps ``n < horizon``.
+def orbit_mean(schedule: WeightSchedule, horizon: int) -> Callable[[int, Vector], Vector]:
+    """The family's kernel ``(n, x_n) -> xbar_n`` for the steps ``n < horizon``.
 
-    ``orbit`` is indexable by orbit index and holds ``x_n`` when the kernel
-    is called for ``n``; calls come for ``n = 0, 1, ...`` in order, because
-    the cesaro kernel keeps a running sum of the points it has seen and
-    divides it by ``n + 1``.  The other kernels perform the operations of
+    Calls must come for ``n = 0, 1, ...`` in order, each with the newest
+    orbit point: every kernel keeps only the history its rows read.  The
+    memoryless kernel keeps nothing and returns ``x_n`` itself (not a copy);
+    the inertial kernel keeps ``x_{n-1}``; ``window(w)`` keeps the last ``w``
+    points; cesaro keeps a running sum, which it divides by ``n + 1``.  The
+    memoryless, window and inertial kernels perform the operations of
     ``affine_combine(schedule.row(n), orbit)`` in the same order, so their
-    results are the same bit for bit, except that a Kronecker row returns
-    ``x_n`` itself rather than a copy.  For inertial rows the eta values over
+    results are the same bit for bit.  For inertial rows the eta values over
     the horizon are computed here, once: a custom eta outside [0, 1) raises
     InvalidScheduleError.
     """
     family = schedule.family
     if family == "memoryless":
-        return lambda n, orbit: orbit[n]
+        return lambda n, x: x
 
     if family == "window":
-        width = schedule.window
+        recent: deque[Vector] = deque(maxlen=schedule.window)
 
-        def window_mean(n, orbit):
-            w = min(width, n + 1)
-            if w == 1:
-                return orbit[n]
-            weight = 1.0 / w
-            acc = weight * orbit[n - w + 1]
-            for j in range(n - w + 2, n + 1):
-                acc = acc + weight * orbit[j]
+        def window_mean(n, x):
+            recent.append(x)
+            if len(recent) == 1:
+                return x
+            weight = 1.0 / len(recent)
+            acc = weight * recent[0]
+            for y in islice(recent, 1, None):
+                acc = acc + weight * y
             return _finite(acc, n)
 
         return window_mean
@@ -236,9 +239,9 @@ def orbit_mean(schedule: WeightSchedule, horizon: int) -> Callable[[int, Any], V
     if family == "cesaro":
         total = None
 
-        def running_mean(n, orbit):
+        def running_mean(n, x):
             nonlocal total
-            total = orbit[n] if n == 0 else total + orbit[n]
+            total = x if n == 0 else total + x
             return total / (n + 1.0)
 
         return running_mean
@@ -247,12 +250,15 @@ def orbit_mean(schedule: WeightSchedule, horizon: int) -> Callable[[int, Any], V
         etas = [schedule.eta.value(n) for n in range(horizon)]
     except ConfigurationError as exc:
         raise InvalidScheduleError(str(exc)) from exc
+    prev = None
 
-    def extrapolate(n, orbit):
+    def extrapolate(n, x):
+        nonlocal prev
+        x_prev, prev = prev, x
         eta_n = etas[n]
         if eta_n == 0.0:
-            return orbit[n]
-        return _finite((-eta_n) * orbit[n - 1] + (1.0 + eta_n) * orbit[n], n)
+            return x
+        return _finite((-eta_n) * x_prev + (1.0 + eta_n) * x, n)
 
     return extrapolate
 
@@ -465,17 +471,16 @@ class RelaxationSchedule:
       ``1/phi_n`` cap.
     - ``fraction_of_inverse_phi``: ``(1 - eps) / phi_n``.
     - ``overrelaxed``: ``eps + (1 - eps) / phi_n``.
-    - ``fb_band``: values in ``[eps, 1 + (1 - eps)(1 - gamma_n / (2 beta))]``
-      for forward-backward steps (``beta = None`` means the proximal-point
-      limit ``beta = +inf``); a requested value defaults to the band's upper
-      end.
+    - ``fb_band``: values in ``[eps, eps + (1 - eps) / phi_n]``; a requested
+      value defaults to the band's upper end.  For forward-backward steps
+      ``phi_n = 2 / (4 - gamma_n / beta)``, so the top is
+      ``1 + (1 - eps)(1 - gamma_n / (2 beta))``, and ``2 - eps`` for the
+      proximal point (``phi = 1/2``, the limit ``beta = +inf``).
     """
 
     policy: str
     value: float | Callable[[int], float] | None = None
     epsilon: float = 0.0
-    beta: float | None = None
-    gamma: float | Callable[[int], float] | None = None
 
     def __post_init__(self):
         if self.policy not in ("constant", "fraction_of_inverse_phi", "overrelaxed", "fb_band"):
@@ -484,8 +489,6 @@ class RelaxationSchedule:
             raise ConfigurationError("constant relaxation needs a value")
         if self.policy != "constant" and not 0.0 < self.epsilon < 1.0:
             raise ConfigurationError("relaxation epsilon must lie in (0, 1)")
-        if self.policy == "fb_band" and self.gamma is None:
-            raise ConfigurationError("fb_band relaxation needs the step sequence gamma")
 
     def _requested(self, n: int) -> float | None:
         if self.value is None:
@@ -513,14 +516,7 @@ def relaxation_at(rs: RelaxationSchedule, n: int, phi_n: float) -> float:
     elif rs.policy == "overrelaxed":
         lam = rs.epsilon + (1.0 - rs.epsilon) / phi_n
     else:  # fb_band
-        g = float(rs.gamma(n)) if callable(rs.gamma) else float(rs.gamma)
-        shrink = 0.0 if rs.beta is None else g / (2.0 * rs.beta)
-        cap = 1.0 + (1.0 - rs.epsilon) * (1.0 - shrink)
-        alt = rs.epsilon + (1.0 - rs.epsilon) / phi_n
-        if cap > alt + 1e-9:
-            raise ConfigurationError(
-                f"inconsistent fb band at n={n}: cap {cap} exceeds eps+(1-eps)/phi = {alt}"
-            )
+        cap = rs.epsilon + (1.0 - rs.epsilon) / phi_n
         lam = rs._requested(n)
         if lam is None:
             lam = cap

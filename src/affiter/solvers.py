@@ -6,10 +6,12 @@ the rule that maps a finished trace to the reported solution.  Bands that
 depend on n (a callable step or xi, the relaxation caps, a custom eta) are
 checked for every n < ``max_iters`` by the run's pre-pass
 (``engine._prevalidate``), before the first operator call; a constant
-parameter is checked once, at build, through its n = 0 value.  Two checks
-over the horizon stay in the builders, because they select the regime a
-configuration runs in: unit relaxation for inertial forward-backward with
-errors, and the inertial fixed-point band, which couples lambda_n and eta_n.
+parameter is checked once, at build, through its n = 0 value.  One check
+over the horizon stays in a builder, because it selects the regime a
+configuration runs in: the inertial fixed-point band, which couples lambda_n
+and eta_n.  Inertial forward-backward with errors needs unit relaxation; a
+callable lambda is wrapped so that the pre-pass rejects the first
+lambda_n != 1.
 """
 
 from __future__ import annotations
@@ -272,18 +274,25 @@ def forward_backward(
         if eta is None:
             raise ConfigurationError("inertial variant needs an eta schedule")
         weights = inertial(eta)
-        has_errors = a_errors is not None or b_errors is not None
-        if has_errors:
-            # lam=None runs at the fb-band cap, which always exceeds 1
-            unit = lam is not None and all(
-                (float(lam(n)) if callable(lam) else float(lam)) == 1.0
-                for n in range(max_iters)
+        if a_errors is not None or b_errors is not None:
+            rejected = (
+                "errors under inertial weights need unit relaxation and a "
+                "bounded-domain backward operator; rejected"
             )
-            if not (unit and A.bounded_domain):
-                raise ConfigurationError(
-                    "errors under inertial weights need unit relaxation and a "
-                    "bounded-domain backward operator; rejected"
-                )
+            # lam=None runs at the fb-band cap, which always exceeds 1
+            if lam is None or not A.bounded_domain or (not callable(lam) and float(lam) != 1.0):
+                raise ConfigurationError(rejected)
+            if callable(lam):
+                lam_fn = lam
+
+                def unit_lam(n: int) -> float:
+                    # read by the run's pre-pass once per n, before any operator call
+                    value = float(lam_fn(n))
+                    if value != 1.0:
+                        raise ConfigurationError(rejected)
+                    return value
+
+                lam = unit_lam
     elif weights is None:
         weights = memoryless()
     if variant == "mean" and not weights.nonnegative:
@@ -305,24 +314,21 @@ def forward_backward(
             )
         return compose(layers)
 
+    def forward_error(n: int) -> Vector | None:
+        b_n = b_fn(n)
+        return None if b_n is None else -gamma_fn(n) * b_n
+
     per_layer = None
     if a_fn is not None or b_fn is not None:
         layers_err = [a_fn]
         if not proximal_point:
-            layers_err.append(
-                (lambda n: None)
-                if b_fn is None
-                else (lambda n: None if b_fn(n) is None else -gamma_fn(n) * b_fn(n))
-            )
+            layers_err.append(None if b_fn is None else forward_error)
         per_layer = SequenceError(layers_err)
 
-    relax = RelaxationSchedule(
-        policy="fb_band", value=lam, epsilon=epsilon, beta=beta, gamma=gamma_fn
-    )
     config = IterationConfig(
         stacks=stack_for if callable(gamma) else stack_for(0),
         weights=weights,
-        relaxation=relax,
+        relaxation=RelaxationSchedule(policy="fb_band", value=lam, epsilon=epsilon),
         x0=as_vector(x0),
         errors=per_layer if per_layer is not None else ErrorModel(),
         max_iters=max_iters,

@@ -125,6 +125,16 @@ class TestRunCommand:
         assert cli.main(["run", cfg]) == 3
         assert "ingredient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_relaxation_policy_other_than_constant_exits_3_naming_it(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = fb_config(tmp_path, relaxation={"policy": "overrelaxed", "value": 1.0})
+        assert cli.main([command, cfg]) == 3
+        assert "unsupported relaxation policy 'overrelaxed'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_seed_flag_is_rejected(self, tmp_path, capsys):
         # nothing random reads a seed; report.json echoes the config's own
         cfg = fb_config(tmp_path)

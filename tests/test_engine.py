@@ -8,7 +8,6 @@ from affiter import (
     ConfigurationError,
     EtaSchedule,
     GeometricError,
-    InsufficientHistoryError,
     InvalidScheduleError,
     IterationConfig,
     NumericalDivergence,
@@ -26,7 +25,6 @@ from affiter import (
     run,
     window,
 )
-from affiter.engine import OrbitBuffer
 
 NEG_ID = compose([linear_operator(-np.eye(1), alpha=1.0)])
 NEG_ID2 = compose([linear_operator(-np.eye(2), alpha=1.0)])
@@ -181,6 +179,16 @@ class TestRun:
             explicit = affine_combine(cesaro().row(n), trace.points)
             assert np.linalg.norm(trace.xbars[n] - explicit) <= 1e-12
 
+    def test_cesaro_kernel_holds_one_point(self):
+        # the running mean reads x_n only: no orbit store grows with the horizon
+        cfg = IterationConfig(
+            stacks=NEG_ID2, weights=cesaro(), relaxation=constant_relaxation(1.0),
+            x0=vec(1.0, 0.0), max_iters=60, stop_residual=0.0,
+        )
+        trace = run(cfg)
+        assert len(trace.points) == 61
+        assert trace.peak_orbit_points == 1
+
     def test_divergence_raises_with_iteration(self):
         expanding = compose([linear_operator(2.0 * np.eye(1), alpha=1.0)])
         cfg = IterationConfig(
@@ -315,18 +323,6 @@ class TestResidualModes:
         )
         trace = run(cfg)
         assert set(trace.residual_kinds) == {"approximate"}
-
-
-class TestOrbitBuffer:
-    def test_eviction_raises(self):
-        buf = OrbitBuffer(capacity=2)
-        for k in range(5):
-            buf.append(vec(float(k)))
-        assert np.array_equal(buf[4], vec(4.0))
-        assert np.array_equal(buf[3], vec(3.0))
-        with pytest.raises(InsufficientHistoryError):
-            buf[0]
-        assert buf.peak_retained == 2
 
 
 class TestErrorBudget:

@@ -181,7 +181,7 @@ class TestValidateWeights:
 
 class TestRelaxation:
     def test_fb_band_cap_and_consistency(self):
-        rs = RelaxationSchedule(policy="fb_band", value=None, epsilon=0.1, beta=1.0, gamma=1.0)
+        rs = RelaxationSchedule(policy="fb_band", value=None, epsilon=0.1)
         lam = relaxation_at(rs, 0, phi_n=2.0 / 3.0)
         # cap = 1 + 0.9 * (1 - 0.5) = 1.45 and eps + (1-eps)/phi = 0.1 + 0.9 * 1.5 agrees
         assert lam == pytest.approx(1.45)
@@ -205,11 +205,11 @@ class TestRelaxation:
             relaxation_at(constant_relaxation(5.0), 0, 2.0 / 3.0)
 
     def test_fb_band_floor(self):
-        rs = RelaxationSchedule(policy="fb_band", value=0.01, epsilon=0.1, beta=1.0, gamma=1.0)
+        rs = RelaxationSchedule(policy="fb_band", value=0.01, epsilon=0.1)
         with pytest.raises(ConfigurationError, match="floor"):
             relaxation_at(rs, 0, 2.0 / 3.0)
 
     def test_fb_band_requested_above_cap(self):
-        rs = RelaxationSchedule(policy="fb_band", value=1.5, epsilon=0.1, beta=1.0, gamma=1.0)
+        rs = RelaxationSchedule(policy="fb_band", value=1.5, epsilon=0.1)
         with pytest.raises(ConfigurationError, match="cap"):
             relaxation_at(rs, 0, 2.0 / 3.0)

@@ -249,13 +249,82 @@ class TestForwardBackward:
     def test_inertial_errors_check_unit_relaxation_over_whole_horizon(self):
         # unit relaxation for the first 50 steps only is not the unit regime
         cone = normal_cone("ball", center=[0.0], radius=2.0)
+        calls = []
+
+        def counting(g, x):
+            calls.append(1)
+            return cone.resolvent(g, x)
+
+        def forward(x):
+            calls.append(1)
+            return x - 1.0
+
+        preset = forward_backward(
+            A=dataclasses.replace(cone, resolvent=counting), B=forward, beta=1.0,
+            gamma=0.8, x0=vec(0.0), variant="inertial",
+            eta=EtaSchedule(kind="constant", eta=0.3),
+            lam=lambda n: 1.0 if n < 50 else 0.9,
+            a_errors=lambda n: vec(0.25**n * 0.01), max_iters=150,
+        )
         with pytest.raises(ConfigurationError, match="unit relaxation"):
+            preset.solve()
+        assert calls == []
+
+    def test_inertial_errors_reject_constant_nonunit_relaxation(self):
+        cone = normal_cone("ball", center=[0.0], radius=2.0)
+        message = (
+            "errors under inertial weights need unit relaxation and a "
+            "bounded-domain backward operator; rejected"
+        )
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             forward_backward(
                 A=cone, B=lambda x: x - 1.0, beta=1.0, gamma=0.8, x0=vec(0.0),
                 variant="inertial", eta=EtaSchedule(kind="constant", eta=0.3),
-                lam=lambda n: 1.0 if n < 50 else 0.9,
-                a_errors=lambda n: vec(0.25**n * 0.01), max_iters=150,
+                lam=0.9, a_errors=lambda n: vec(0.25**n * 0.01), max_iters=150,
             )
+
+    def test_inertial_errors_call_lambda_once_per_n(self):
+        cone = normal_cone("ball", center=[0.0], radius=2.0)
+        lam_calls = []
+
+        def lam(n):
+            lam_calls.append(n)
+            return 1.0
+
+        preset = forward_backward(
+            A=cone, B=lambda x: x - 1.0, beta=1.0, gamma=1.0, x0=vec(0.0),
+            variant="inertial", eta=EtaSchedule(kind="constant", eta=0.3),
+            lam=lam, a_errors=lambda n: vec(0.25**n * 0.01), max_iters=40,
+            stop_residual=0.0,
+        )
+        preset.solve()
+        assert lam_calls == list(range(40))
+
+    def test_callable_gamma_called_once_per_n(self):
+        calls = []
+
+        def gamma(n):
+            calls.append(n)
+            return 0.8
+
+        preset = self.variant_preset("memoryless", gamma=gamma, max_iters=30, stop_residual=0.0)
+        assert calls == [0]  # the builder checks gamma_0 at build
+        calls.clear()
+        preset.solve()
+        assert calls == list(range(30))
+
+    def test_forward_error_reads_b_once_per_n(self):
+        b_calls = []
+
+        def b_errors(n):
+            b_calls.append(n)
+            return vec(0.5**n * 0.01)
+
+        preset = self.variant_preset(
+            "memoryless", b_errors=b_errors, max_iters=30, stop_residual=0.0,
+        )
+        preset.solve()
+        assert b_calls == list(range(30))
 
     def test_inertial_errors_reject_default_band_cap_relaxation(self):
         # lam=None runs at the fb-band cap (1.54 at gamma=0.8), not at 1
