@@ -22,7 +22,6 @@ from .errors import (
     CertificateUnavailableError,
     ConfigurationError,
     DegenerateSelectionWarning,
-    InsufficientHistoryError,
     InvalidReferenceError,
     InvalidScheduleError,
     NumericalDivergence,
@@ -74,6 +73,6 @@ from .solvers import (
     peaceman_rachford,
     polyak_subgradient,
 )
-from .space import SparseRow, affine_combine, as_vector, norm_dist
+from .space import affine_combine, as_vector, norm_dist
 
 __version__ = "0.1.0"

@@ -34,11 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import RunTrace
-from .errors import (
-    ConfigurationError,
-    InsufficientHistoryError,
-    InvalidReferenceError,
-)
+from .errors import ConfigurationError, InvalidReferenceError
 from .operators import apply_stack, tail_apply
 from .space import Vector, as_vector
 
@@ -67,22 +63,23 @@ class CertificateReport:
 
 
 def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
-    """Check that ``x_ref`` is fixed by the run's stacks.
+    """Check that ``x_ref`` is fixed by the stacks the run applied.
 
-    A single LayerStack is checked once.  A stack provider is checked only
-    at three sampled iterations (the first, the middle and the last step),
-    so a stack elsewhere in the run that does not fix ``x_ref`` goes
-    unnoticed.  Multi-layer stacks with a quasinonexpansive last layer
+    The stacks are read from the trace, so a stack provider is not called
+    again.  A single LayerStack is checked once.  Per-iteration stacks are
+    checked only at three sampled iterations (the first, the middle and the
+    last step), so a stack elsewhere in the run that does not fix ``x_ref``
+    goes unnoticed.  Multi-layer stacks with a quasinonexpansive last layer
     assume a common fixed point, so each layer is checked individually
     there; otherwise the composite residual suffices.
     """
-    config = trace.config
     sample = [0]
-    if callable(config.stacks):
+    if isinstance(trace.stacks, list):
         n_steps = trace.n_steps
-        sample = sorted({0, n_steps // 2, max(n_steps - 1, 0)})
+        # a run of zero steps applied no stack
+        sample = sorted({0, n_steps // 2, n_steps - 1}) if n_steps else []
     for n in sample:
-        stack = config.stack_at(n)
+        stack = trace.stack_at(n)
         if stack.case == "b":
             for i, layer in enumerate(stack.layers, start=1):
                 if float(np.linalg.norm(layer.fn(x_ref) - x_ref)) > tol:
@@ -110,11 +107,12 @@ def run_certificates(
     Certificates (ii) and (iii) start from ``||xbar_n - x*||^2``, with
     ``xbar_n`` read from ``trace.xbars`` (the point the run fed to the
     stack), so they cost O(d) per step.  Only certificate (i) regenerates
-    the weight rows from the run's schedule and needs the orbit prefix each
-    row touches.  Certificate (iii) also evaluates the stack tails at
-    ``xbar_n`` every iteration, and at ``x_ref`` once per distinct stack;
-    ``indices`` restricts the evaluation to a subsample when that cost
-    matters.
+    the weight rows from the run's schedule; row ``n`` touches only
+    ``x_0 .. x_n``, which the trace holds.  Stacks are read from the trace
+    (``RunTrace.stack_at``), never from a stack provider.  Certificate (iii)
+    also evaluates the stack tails at ``xbar_n`` every iteration, and at
+    ``x_ref`` once per distinct stack; ``indices`` restricts the evaluation
+    to a subsample when that cost matters.
     """
     x_ref = as_vector(x_ref, dim=trace.points[0].size)
     unknown = set(which) - {"i", "ii", "iii"}
@@ -123,7 +121,7 @@ def run_certificates(
     if check_reference:
         verify_reference(trace, x_ref)
 
-    cfg = trace.config
+    weights = trace.config.weights
     n_steps = trace.n_steps
     if indices is None:
         eval_at = np.arange(n_steps)
@@ -142,17 +140,15 @@ def run_certificates(
         xbar = trace.xbars[n]
         r_n = trace.residuals[n]
         if trace.residual_kinds[n] != "exact" and need_sq:
-            stack = cfg.stack_at(n)
+            stack = trace.stack_at(n)
             r_n = float(np.linalg.norm(apply_stack(stack, xbar).value - xbar))
         lam = trace.lambdas[n]
         phi = trace.phis[n]
         lhs1 = dists[n + 1]
 
         if "i" in which:
-            row = cfg.weights.row(n)
-            if row.support()[-1] >= len(points):
-                raise InsufficientHistoryError(f"row {n} touches missing history")
-            rhs = math.fsum(abs(w) * dists[j] for j, w in row.entries.items()) + theta_n
+            row = weights.row(n)
+            rhs = math.fsum(abs(w) * dists[j] for j, w in row.items()) + theta_n
             slacks["i"][pos] = rhs - lhs1
 
         if need_sq:
@@ -164,7 +160,7 @@ def run_certificates(
             slacks["ii"][pos] = base - lam * (1.0 / phi - lam) * r_n**2
 
         if "iii" in which:
-            stack = cfg.stack_at(n)
+            stack = trace.stack_at(n)
             if stack is not ref_stack:
                 # (Id - T_i) T_{i+} x_ref, for each layer with a nonzero coefficient
                 ref_stack, ref_disps = stack, []

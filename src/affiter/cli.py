@@ -10,7 +10,8 @@ Commands
 ``affiter validate <config.json>``
     Validate the weight array, relaxation band, and (when the config selects
     the custom inertial band) the inertial parameters, without iterating.
-    The relaxation range comes from the run's own pre-pass over the horizon.
+    The relaxation range and the band's sequences come from one run of the
+    pre-pass, over two steps past the horizon when a band is checked.
 
 ``affiter chi --family {zero,constant,nesterov} [--eta E] [--tau T] --N H [--K TRUNC]``
     Tabulate the summability weights ``chi_n`` with their analytic bound as
@@ -24,6 +25,7 @@ with 17 significant digits (empty where unavailable).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -47,7 +49,6 @@ from .schedules import (
     EtaSchedule,
     WeightSchedule,
     chi_table,
-    relaxation_at,
     validate_weights,
 )
 from .space import as_vector
@@ -273,7 +274,11 @@ def cmd_validate(args) -> int:
     horizon = int(cfg.get("horizon", 200))
     preset, _problem = _build_preset(cfg)
     weights_report = validate_weights(preset.config.weights, horizon)
-    lam_probe = _prevalidate(preset.config).lambdas
+    band_cfg = cfg.get("inertial_band")
+    # one sweep: the band condition at n reads omega_{n+1}, so it needs two more steps
+    steps = horizon + 2 if band_cfg else horizon
+    plan = _prevalidate(dataclasses.replace(preset.config, max_iters=steps))
+    lam_probe = plan.lambdas[:horizon]
     out = {
         "weights": {
             "schedule": weights_report.schedule,
@@ -286,7 +291,6 @@ def cmd_validate(args) -> int:
         },
         "relaxation": {"min": min(lam_probe), "max": max(lam_probe)},
     }
-    band_cfg = cfg.get("inertial_band")
     if band_cfg:
         eta = _eta_from(cfg.get("weights", {}).get("eta", {}))
         params = InertialBandParams(
@@ -294,10 +298,9 @@ def cmd_validate(args) -> int:
             sigma=float(band_cfg["sigma"]),
             theta_tune=float(band_cfg["theta_tune"]),
         )
-        phis = [preset.config.stack_at(n).phi for n in range(horizon + 2)]
-        lams = [relaxation_at(preset.config.relaxation, n, phis[n]) for n in range(horizon + 2)]
-        etas = [eta.value(n) for n in range(horizon + 2)]
-        band = inertial_band_validate(params, phis, lams, etas)
+        phis = [stack.phi for stack in plan.stacks or [preset.config.stacks] * steps]
+        etas = [eta.value(n) for n in range(steps)]
+        band = inertial_band_validate(params, phis, plan.lambdas, etas)
         out["inertial_band"] = {
             "ok": band.ok,
             "violated": band.violated,

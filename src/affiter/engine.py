@@ -12,7 +12,7 @@ every ``lambda_n``, every stack when the layers depend on n, and the weight
 family's kernel for ``xbar_n`` (``schedules.orbit_mean``, which holds every
 ``eta_n`` of an inertial row).  Memoryless ``xbar_n`` is ``x_n`` itself, not
 a copy.  The returned trace retains the whole history for post-hoc
-certificate analysis.
+certificate analysis, together with the stacks the loop applied.
 """
 
 from __future__ import annotations
@@ -135,10 +135,13 @@ class RunTrace:
     """Per-iteration record of a run, plus the config that produced it.
 
     ``points`` holds ``x_0 .. x_N`` (one more entry than there are steps);
-    all step-indexed lists have length ``n_steps``.
+    all step-indexed lists have length ``n_steps``.  ``stacks`` is the
+    single LayerStack of the config, or the pre-pass's list of per-step
+    stacks; read it through ``stack_at(n)``.
     """
 
     config: IterationConfig
+    stacks: LayerStack | list[LayerStack]
     points: list[Vector] = field(default_factory=list)
     xbars: list[Vector] = field(default_factory=list)
     lambdas: list[float] = field(default_factory=list)
@@ -156,6 +159,10 @@ class RunTrace:
     @property
     def n_steps(self) -> int:
         return len(self.residuals)
+
+    def stack_at(self, n: int) -> LayerStack:
+        """The stack the run applied at step ``n``."""
+        return self.stacks[n] if isinstance(self.stacks, list) else self.stacks
 
     @property
     def final_point(self) -> Vector:
@@ -226,7 +233,8 @@ def run(config: IterationConfig) -> RunTrace:
     plan = _prevalidate(config)
     x0 = as_vector(config.x0)
 
-    trace = RunTrace(config=config)
+    stacks = config.stacks if plan.stacks is None else plan.stacks
+    trace = RunTrace(config=config, stacks=stacks)
     trace.points.append(x0)
     reference = None
     if config.reference is not None:
@@ -235,14 +243,12 @@ def run(config: IterationConfig) -> RunTrace:
     if config.aux_recorder is not None:
         trace.aux = []
 
-    stack = config.stacks
     stop_reason = "max_iters"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for n in range(config.max_iters):
             xbar = plan.xbar(n, trace.points[n])
-            if plan.stacks is not None:
-                stack = plan.stacks[n]
+            stack = trace.stack_at(n)
             lam = plan.lambdas[n]
 
             errors_n = config.errors.errors_for(n)

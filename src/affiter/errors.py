@@ -25,9 +25,5 @@ class InvalidReferenceError(ConfigurationError):
     """A supplied reference point is not a common fixed point of the stacks."""
 
 
-class InsufficientHistoryError(RuntimeError):
-    """The retained orbit history does not cover the requested weight rows."""
-
-
 class DegenerateSelectionWarning(UserWarning):
     """A subgradient selection returned 0 at a point above the target level."""

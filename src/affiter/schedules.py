@@ -36,7 +36,7 @@ from .errors import (
     InvalidScheduleError,
     NumericalDivergence,
 )
-from .space import SparseRow, Vector, all_finite, row_sum
+from .space import Vector, all_finite
 
 #: default truncation horizon for chi sums
 CHI_TRUNCATION = 200
@@ -126,20 +126,25 @@ class WeightSchedule:
         if self.family == "inertial" and self.eta is None:
             raise ConfigurationError("inertial weights need an eta schedule")
 
-    def row(self, n: int) -> SparseRow:
+    def row(self, n: int) -> dict[int, float]:
+        """Row ``n`` as a dict ``{j: mu_{n,j}}``.
+
+        Its indices lie in ``[0, n]`` and its weights sum to 1 by
+        construction, so nothing here checks either.
+        """
         if n < 0:
             raise ConfigurationError("row index must be >= 0")
         if self.family == "memoryless":
-            return SparseRow(n, {n: 1.0})
+            return {n: 1.0}
         if self.family == "window":
             w = min(self.window, n + 1)
-            return SparseRow(n, {j: 1.0 / w for j in range(n - w + 1, n + 1)})
+            return {j: 1.0 / w for j in range(n - w + 1, n + 1)}
         if self.family == "cesaro":
-            return SparseRow(n, {j: 1.0 / (n + 1) for j in range(n + 1)})
+            return {j: 1.0 / (n + 1) for j in range(n + 1)}
         eta_n = self.eta.value(n)
         if eta_n == 0.0:
-            return SparseRow(n, {n: 1.0})
-        return SparseRow(n, {n: 1.0 + eta_n, n - 1: -eta_n})
+            return {n: 1.0}
+        return {n: 1.0 + eta_n, n - 1: -eta_n}
 
     @property
     def support_bound(self) -> int | None:
@@ -363,17 +368,35 @@ def _sample_indexes(horizon: int, dense_limit: int = 2000) -> list[int]:
     return dense + sparse
 
 
-def _toeplitz_transform(row: SparseRow) -> float:
+def _toeplitz_transform(row: dict[int, float]) -> float:
     # transform of the probe sequence 1 + 1/(j+1), which converges to 1
-    return math.fsum(w * (1.0 + 1.0 / (j + 1.0)) for j, w in row.entries.items())
+    return math.fsum(w * (1.0 + 1.0 / (j + 1.0)) for j, w in row.items())
+
+
+def _explicit_row(n: int, entries) -> dict[int, float]:
+    """Caller-supplied row ``n`` as a dict, with its indices and unit sum checked."""
+    row = dict(entries)
+    for j in row:
+        if not 0 <= j <= n:
+            raise InvalidScheduleError(
+                f"row {n}: row {n} touches orbit index {j} outside [0, {n}]"
+            )
+    s = math.fsum(row.values())
+    if abs(s - 1.0) > 1e-12:
+        raise InvalidScheduleError(
+            f"row {n}: row {n} weights sum to {s!r}, expected 1 within 1e-12"
+        )
+    return row
 
 
 def validate_weights(schedule, horizon: int) -> WeightValidationReport:
     """Check the row conditions over a horizon and report the (e) certificate.
 
-    ``schedule`` is a WeightSchedule or an explicit sequence of rows (dicts or
-    SparseRow) for ad-hoc arrays.  Row-sum violations raise
-    InvalidScheduleError; everything else is reported.  The regularity
+    ``schedule`` is a WeightSchedule or, for ad-hoc arrays, an explicit
+    sequence of rows given as mappings ``{j: mu_{n,j}}``.  Only explicit rows
+    are checked entry by entry: an index outside ``[0, n]`` or a row sum off
+    1 by more than 1e-12 raises InvalidScheduleError; a family's rows hold
+    both by construction.  Everything else is reported.  The regularity
     certificate (e) comes from the family's analytic argument, never from
     data; explicit row sets get no certificate.
     """
@@ -390,8 +413,6 @@ def validate_weights(schedule, horizon: int) -> WeightValidationReport:
                 rows[n] = schedule.row(n)
             except ConfigurationError as exc:
                 raise InvalidScheduleError(str(exc)) from exc
-        sup_abs = max(r.abs_sum() for r in rows.values())
-        max_dev = max(abs(row_sum(r.entries) - 1.0) for r in rows.values())
         if schedule.support_bound is not None:
             decay, max_tail = "exact-zero", None
             notes.append("columns vanish exactly outside the bounded support")
@@ -420,22 +441,12 @@ def validate_weights(schedule, horizon: int) -> WeightValidationReport:
         t_idx = TOEPLITZ_PROBE
     else:
         name = "explicit rows"
-        rows = {}
-        for n, entries in enumerate(schedule):
-            if isinstance(entries, SparseRow):
-                rows[n] = entries
-            else:
-                try:
-                    rows[n] = SparseRow(n, dict(entries))
-                except ConfigurationError as exc:
-                    raise InvalidScheduleError(f"row {n}: {exc}") from exc
+        rows = {n: _explicit_row(n, entries) for n, entries in enumerate(schedule)}
         if not rows:
             raise InvalidScheduleError("no rows supplied")
         last = max(rows)
-        sup_abs = max(r.abs_sum() for r in rows.values())
-        max_dev = max(abs(row_sum(r.entries) - 1.0) for r in rows.values())
         half = last // 2
-        tail = [abs(rows[last].entries.get(j, 0.0)) for j in range(half + 1)]
+        tail = [abs(rows[last].get(j, 0.0)) for j in range(half + 1)]
         max_tail = max(tail) if tail else 0.0
         decay = "checked" if max_tail < 1e-6 else "failed"
         chi_cert, chi_sup = "none (explicit rows carry no analytic certificate)", None
@@ -445,8 +456,8 @@ def validate_weights(schedule, horizon: int) -> WeightValidationReport:
     return WeightValidationReport(
         schedule=name,
         horizon=horizon,
-        sup_abs_row_sum=sup_abs,
-        max_row_sum_deviation=max_dev,
+        sup_abs_row_sum=max(math.fsum(abs(w) for w in r.values()) for r in rows.values()),
+        max_row_sum_deviation=max(abs(math.fsum(r.values()) - 1.0) for r in rows.values()),
         decay_status=decay,
         max_tail_weight=max_tail,
         chi_certificate=chi_cert,

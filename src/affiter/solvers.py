@@ -17,7 +17,7 @@ lambda_n != 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -69,6 +69,11 @@ def _seq(errors) -> Callable[[int], Vector | None] | None:
         return vectors[n] if n < len(vectors) else None
 
     return fn
+
+
+def _tabulated(values: list[float], fn: Callable[[int], float]) -> Callable[[int], float]:
+    """``fn``, read from ``values[n]`` where the list covers ``n``."""
+    return lambda n: values[n] if n < len(values) else fn(n)
 
 
 def _gamma_fn(gamma) -> Callable[[int], float]:
@@ -473,19 +478,25 @@ def krasnoselskii_mann(
             raise ConfigurationError(
                 "the inertial fixed-point variant needs sup eta < 1"
             )
+        # lambda_n and eta_n over the band's horizon, computed once: the
+        # config reads them back from these lists, so the run's pre-pass
+        # does not call a user callable a second time
         lam_fn = _gamma_fn(lam)
-        horizon = max_iters + 1
+        horizon = max_iters + 2
+        lambdas = [lam_fn(n) for n in range(horizon)]
+        etas = [eta.value(n) for n in range(horizon)]
         params = InertialBandParams(eta=eta.sup(), sigma=sigma, theta_tune=theta_tune)
         report = inertial_band_validate(
-            params,
-            phi_seq=np.ones(horizon + 1),
-            lambda_seq=np.array([lam_fn(n) for n in range(horizon + 1)]),
-            eta_seq=np.array([eta.value(n) for n in range(horizon + 1)]),
+            params, phi_seq=np.ones(horizon), lambda_seq=lambdas, eta_seq=etas
         )
         if not report.ok:
             raise ConfigurationError(
                 f"inertial band violated ({report.violated}) at n={report.first_violation}"
             )
+        if callable(lam):
+            lam = _tabulated(lambdas, lam)
+        if eta.kind == "custom":
+            eta = replace(eta, fn=_tabulated(etas, eta.fn))
         weights = inertial(eta)
     else:
         raise ConfigurationError(f"unknown fixed-point variant {variant!r}")

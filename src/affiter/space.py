@@ -1,15 +1,15 @@
 """Finite-dimensional real inner-product space primitives.
 
-Points are plain 1-D float64 numpy arrays.  The only nontrivial structure
-here is the sparse affine-combination row: a finite map ``j -> weight`` over
-orbit indices whose weights sum to one, used to form the averaged point
-``xbar_n = sum_j mu_{n,j} x_j`` from the iteration history.
+Points are plain 1-D float64 numpy arrays.  A weight row is a plain dict
+``{j: mu_{n,j}}`` over orbit indices; ``affine_combine`` forms the averaged
+point ``xbar_n = sum_j mu_{n,j} x_j`` from it.  The run forms ``xbar_n``
+with the weight family's own kernel (``schedules.orbit_mean``);
+``affine_combine`` is the reference those kernels are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -17,10 +17,6 @@ import numpy as np
 from .errors import ConfigurationError, NumericalDivergence
 
 Vector = np.ndarray
-
-#: absolute tolerance on the unit row-sum condition
-ROW_SUM_TOL = 1e-12
-
 
 def as_vector(x, dim: int | None = None) -> Vector:
     """Coerce ``x`` to a finite float64 1-D array; scalars become length 1."""
@@ -67,43 +63,6 @@ def norm_dist(p: Vector, q: Vector) -> float:
     return float(np.linalg.norm(np.asarray(p, dtype=np.float64) - q))
 
 
-def row_sum(entries: Mapping[int, float]) -> float:
-    """Exactly-rounded sum of the stored weights (fsum, order independent)."""
-    return math.fsum(entries.values())
-
-
-@dataclass(frozen=True)
-class SparseRow:
-    """One affine-combination row ``mu_{n, .}`` over orbit indices ``0..index``.
-
-    Invariants enforced at construction: every index lies in ``[0, index]``
-    and the weights sum to 1 within ``ROW_SUM_TOL``.
-    """
-
-    index: int
-    entries: Mapping[int, float]
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ConfigurationError(f"row index must be >= 0, got {self.index}")
-        for j in self.entries:
-            if not 0 <= j <= self.index:
-                raise ConfigurationError(
-                    f"row {self.index} touches orbit index {j} outside [0, {self.index}]"
-                )
-        s = row_sum(self.entries)
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            raise ConfigurationError(
-                f"row {self.index} weights sum to {s!r}, expected 1 within {ROW_SUM_TOL}"
-            )
-
-    def abs_sum(self) -> float:
-        return math.fsum(abs(w) for w in self.entries.values())
-
-    def support(self) -> list[int]:
-        return sorted(self.entries)
-
-
 def _orbit_get(orbit, j: int) -> Vector:
     try:
         return orbit[j]
@@ -111,15 +70,17 @@ def _orbit_get(orbit, j: int) -> Vector:
         raise ConfigurationError(f"orbit index {j} is not available") from exc
 
 
-def affine_combine(row: SparseRow, orbit) -> Vector:
-    """Weighted sum ``sum_j mu_j x_j`` of orbit points.
+def affine_combine(row: Mapping[int, float], orbit) -> Vector:
+    """Weighted sum ``sum_j mu_j x_j`` of orbit points for a row ``{j: mu_j}``.
 
-    ``orbit`` is anything indexable by the row's support (dict, list, or the
-    engine's ring buffer).  A Kronecker row ``{n: 1.0}`` returns a bit-exact
-    copy of ``orbit[n]``; general rows accumulate terms in increasing index
-    order so results are reproducible.
+    ``orbit`` is anything indexable by the row's indices (a dict or a list).
+    A Kronecker row ``{n: 1.0}`` returns a bit-exact copy of ``orbit[n]``;
+    general rows accumulate terms in increasing index order so results are
+    reproducible.
     """
-    items = sorted(row.entries.items())
+    items = sorted(row.items())
+    if not items:
+        raise ConfigurationError("affine combination of an empty row")
     if len(items) == 1 and items[0][1] == 1.0:
         return _orbit_get(orbit, items[0][0]).copy()
     acc = None
@@ -127,10 +88,7 @@ def affine_combine(row: SparseRow, orbit) -> Vector:
         x = _orbit_get(orbit, j)
         term = w * x
         acc = term if acc is None else acc + term
-    if acc is None:
-        raise ConfigurationError(f"row {row.index} has no entries")
     if not np.all(np.isfinite(acc)):
-        raise NumericalDivergence(
-            f"affine combination at row {row.index} is non-finite", iteration=row.index
-        )
+        n = items[-1][0]
+        raise NumericalDivergence(f"affine combination at row {n} is non-finite", iteration=n)
     return acc

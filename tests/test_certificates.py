@@ -70,10 +70,10 @@ def pairwise_slacks(trace, x_ref):
                                 trace.thetas[n])
         xbar = trace.xbars[n]
         dbar = float(np.linalg.norm(xbar - x_ref))
-        base = (pairwise_form(row.entries, trace.points, x_ref)
+        base = (pairwise_form(row, trace.points, x_ref)
                 - sq(trace.points[n + 1] - x_ref) + theta * (2.0 * dbar + theta))
         ii.append(base - lam * (1.0 / phi - lam) * r_n**2)
-        stack = trace.config.stack_at(n)
+        stack = trace.stack_at(n)
         layer_term = 0.0
         for i, layer in enumerate(stack.layers, start=1):
             t_bar, t_ref = tail_apply(stack, i, xbar), tail_apply(stack, i, x_ref)

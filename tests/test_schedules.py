@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -51,27 +52,27 @@ class TestEtaSchedule:
 
 class TestWeightRows:
     def test_memoryless_kronecker(self):
-        assert memoryless().row(3).entries == {3: 1.0}
+        assert memoryless().row(3) == {3: 1.0}
 
     def test_inertial_two_term_row(self):
         sched = inertial(EtaSchedule(kind="constant", eta=0.5))
-        assert sched.row(5).entries == {5: 1.5, 4: -0.5}
-        assert sched.row(0).entries == {0: 1.0}
+        assert sched.row(5) == {5: 1.5, 4: -0.5}
+        assert sched.row(0) == {0: 1.0}
 
     def test_window_rows(self):
         w2 = window(2)
-        assert w2.row(0).entries == {0: 1.0}
-        assert w2.row(4).entries == {4: 0.5, 3: 0.5}
+        assert w2.row(0) == {0: 1.0}
+        assert w2.row(4) == {4: 0.5, 3: 0.5}
 
     def test_window_head_renormalized(self):
         w5 = window(5)
-        head = w5.row(2).entries
+        head = w5.row(2)
         assert head == {0: pytest.approx(1 / 3), 1: pytest.approx(1 / 3), 2: pytest.approx(1 / 3)}
 
     def test_cesaro_row_sums(self):
         row = cesaro().row(10_000)
-        assert len(row.entries) == 10_001
-        assert abs(math.fsum(row.entries.values()) - 1.0) <= 1e-12
+        assert len(row) == 10_001
+        assert abs(math.fsum(row.values()) - 1.0) <= 1e-12
 
     def test_support_bounds(self):
         assert memoryless().support_bound == 1
@@ -88,8 +89,9 @@ class TestWeightRows:
     @given(st.floats(0.0, 0.99), st.integers(1, 500))
     def test_inertial_abs_sum_below_three(self, eta, n):
         sched = inertial(EtaSchedule(kind="constant", eta=eta))
-        assert sched.row(n).abs_sum() == pytest.approx(1.0 + 2.0 * eta * (n >= 1), abs=1e-12)
-        assert sched.row(n).abs_sum() <= 3.0
+        abs_sum = math.fsum(abs(w) for w in sched.row(n).values())
+        assert abs_sum == pytest.approx(1.0 + 2.0 * eta * (n >= 1), abs=1e-12)
+        assert abs_sum <= 3.0
 
 
 class TestChi:
@@ -155,6 +157,26 @@ class TestValidateWeights:
     def test_custom_rows_bad_sum_rejected(self):
         with pytest.raises(InvalidScheduleError):
             validate_weights([{0: 1.0}, {1: 0.9}], 1)
+
+    def test_explicit_row_rejects_bad_sum(self):
+        with pytest.raises(InvalidScheduleError, match=re.escape(
+            "row 2: row 2 weights sum to 0.9, expected 1 within 1e-12"
+        )):
+            validate_weights([{0: 1.0}, {1: 1.0}, {2: 0.9}], 2)
+
+    def test_explicit_row_rejects_out_of_range_index(self):
+        with pytest.raises(InvalidScheduleError, match=re.escape(
+            "row 2: row 2 touches orbit index 3 outside [0, 2]"
+        )):
+            validate_weights([{0: 1.0}, {1: 1.0}, {3: 1.0}], 2)
+        with pytest.raises(InvalidScheduleError, match=re.escape(
+            "row 2: row 2 touches orbit index -1 outside [0, 2]"
+        )):
+            validate_weights([{0: 1.0}, {1: 1.0}, {-1: 0.5, 2: 0.5}], 2)
+
+    def test_explicit_rows_abs_row_sum(self):
+        rows = [{0: 1.0}, {1: 1.0}, {2: 1.0}, {3: 1.0}, {4: 1.0}, {5: 1.5, 4: -0.5}]
+        assert validate_weights(rows, 5).sup_abs_row_sum == 2.0
 
     def test_custom_rows_checked_decay(self):
         rows = [{0: 1.0}, {1: 1.0}, {2: 1.0}, {3: 1.0}, {4: 1.0}]

@@ -18,6 +18,7 @@ from affiter import (
     peaceman_rachford,
     polyak_subgradient,
     projector,
+    run_certificates,
     window,
 )
 
@@ -313,6 +314,24 @@ class TestForwardBackward:
         preset.solve()
         assert calls == list(range(30))
 
+    def test_certificates_reuse_the_stacks_the_run_applied(self):
+        calls = []
+
+        def gamma(n):
+            calls.append(n)
+            return 0.8
+
+        preset = self.variant_preset("memoryless", gamma=gamma, max_iters=50, stop_residual=0.0)
+        _, trace = preset.solve()
+        run_certificates(trace, self.problem().reference, which=("i", "ii", "iii"))
+        assert calls == [0] + list(range(50))  # the build's gamma_0, then the pre-pass
+
+    def test_certificates_of_a_zero_step_run_with_callable_gamma(self):
+        preset = self.variant_preset("memoryless", gamma=lambda n: 0.8, max_iters=0)
+        _, trace = preset.solve()
+        reports = run_certificates(trace, self.problem().reference, which=("i", "ii", "iii"))
+        assert all(report.slacks.size == 0 for report in reports.values())
+
     def test_forward_error_reads_b_once_per_n(self):
         b_calls = []
 
@@ -547,6 +566,28 @@ class TestKrasnoselskiiMann:
         )
         x, _ = preset.solve()
         assert np.linalg.norm(x) <= 1e-10
+
+    def test_inertial_calls_lambda_and_custom_eta_once_per_n(self):
+        lam_calls, eta_calls = [], []
+
+        def lam(n):
+            lam_calls.append(n)
+            return 0.5
+
+        def eta_fn(n):
+            eta_calls.append(n)
+            return 0.2
+
+        preset = krasnoselskii_mann(
+            self.neg_id(), x0=vec(1.0, 0.0), variant="inertial",
+            eta=EtaSchedule(kind="custom", eta=0.2, fn=eta_fn), lam=lam,
+            max_iters=20, stop_residual=0.0, reference=vec(0.0, 0.0),
+        )
+        _, trace = preset.solve()
+        run_certificates(trace, vec(0.0, 0.0), which=("i", "ii"))
+        # the band check reads n <= max_iters + 1; eta_0 = 0 needs no call
+        assert lam_calls == list(range(22))
+        assert eta_calls == list(range(1, 22))
 
     def test_mean_variant_rejects_memoryless_weights(self):
         from affiter import memoryless
