@@ -156,10 +156,17 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
             **common,
         )
     elif name == "peaceman_rachford":
+        B = _ingredient(problem, "B")
+        gamma = params.pop("gamma", 1.0)
+        # the orbit converges to x* = y* + gamma B(y*), not to the solution y*
+        y_ref = problem.reference
+        common["reference"] = (
+            None if y_ref is None or B.mapping is None else y_ref + gamma * B.mapping(y_ref)
+        )
         preset = solvers.peaceman_rachford(
             A=_ingredient(problem, "A"),
-            B=_ingredient(problem, "B"),
-            gamma=params.pop("gamma", 1.0),
+            B=B,
+            gamma=gamma,
             weights=weights or WeightSchedule(family="window", window=2),
             x0=x0,
             **common,
@@ -235,8 +242,8 @@ def cmd_run(args) -> int:
 
     cert_summary = {}
     cert_i = cert_ii = None
-    if problem.reference is not None:
-        reports = run_certificates(trace, problem.reference, which=("i", "ii"))
+    if preset.config.reference is not None:
+        reports = run_certificates(trace, preset.config.reference, which=("i", "ii"))
         cert_i = reports["i"].slacks
         cert_ii = reports["ii"].slacks
         cert_summary = {

@@ -7,7 +7,8 @@ weight families, the certificates or the output formatting that moves any
 iterate, averaged point, relaxation, residual or slack by one ulp shows up
 here.  The configs cover the README example and its memoryless form,
 window(3), cesaro, nesterov and constant inertial rows, geometric errors,
-and a window(2) Polyak subgradient run.
+a window(2) Polyak subgradient run, and a window(2) Peaceman-Rachford run
+with errors on its outer reflector.
 
 To regenerate after an intended change of output, run, for each directory,
 ``affiter run tests/golden/<name>/config.json --out-dir tests/golden/<name>``
@@ -24,7 +25,7 @@ from affiter import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = ["cesaro", "constant_inertial", "geometric_error", "memoryless",
-         "nesterov_inertial", "polyak_window2", "readme", "window3"]
+         "nesterov_inertial", "peaceman_rachford", "polyak_window2", "readme", "window3"]
 # readme and memoryless ask for an inertial band their relaxation violates
 VALIDATE_EXIT = {name: 0 for name in CASES} | {"memoryless": 3, "readme": 3}
 
