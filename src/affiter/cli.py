@@ -299,7 +299,7 @@ def cmd_validate(args) -> int:
         "relaxation": {"min": min(lam_probe), "max": max(lam_probe)},
     }
     if band_cfg:
-        eta = _eta_from(cfg.get("weights", {}).get("eta", {}))
+        eta = preset.config.weights.eta_schedule()
         params = InertialBandParams(
             eta=float(band_cfg["eta"]),
             sigma=float(band_cfg["sigma"]),

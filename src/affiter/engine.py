@@ -18,7 +18,7 @@ certificate analysis, together with the stacks the loop applied.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,11 +42,15 @@ from .space import Vector, all_finite, as_vector, norm
 class ErrorModel:
     """Base: no errors.  Subclasses inject per-layer perturbations.
 
-    ``errors_for(n)`` returns whatever ``apply_stack`` accepts: ``None``, a
-    per-layer list, or a callable ``(i, layer_input) -> vector | None``.
+    ``errors_for(n)`` returns ``None`` or a sequence of per-layer vectors
+    (``None`` entries allowed), outermost layer first; a sequence shorter
+    than the stack leaves the inner layers exact.  ``layers`` is the depth
+    the model reaches, checked against the stack by the run's pre-pass.
     ``budget(n, i)`` is the declared norm bound used by summability
     diagnostics (actual injected norms are recorded in the trace).
     """
+
+    layers = 0
 
     def errors_for(self, n: int):
         return None
@@ -67,11 +71,12 @@ class GeometricError(ErrorModel):
         self.direction = as_vector(direction)
         self.layer = layer
 
-    def errors_for(self, n: int):
-        def err(i, _layer_input):
-            return self.rate**n * self.direction if i == self.layer else None
+    @property
+    def layers(self) -> int:
+        return self.layer
 
-        return err
+    def errors_for(self, n: int):
+        return (None,) * (self.layer - 1) + (self.rate**n * self.direction,)
 
     def budget(self, n: int, i: int) -> float:
         if i != self.layer:
@@ -84,6 +89,10 @@ class SequenceError(ErrorModel):
 
     def __init__(self, per_layer: Sequence[Callable[[int], Vector | None] | None]):
         self.per_layer = list(per_layer)
+
+    @property
+    def layers(self) -> int:
+        return len(self.per_layer)
 
     def errors_for(self, n: int):
         out = [fn(n) if fn is not None else None for fn in self.per_layer]
@@ -195,21 +204,32 @@ class RunPlan:
     xbar: Callable[[int, Vector], Vector]  # the weight family's kernel, fed x_n
 
 
+def _check_error_depth(errors: ErrorModel, m: int) -> None:
+    if errors.layers > m:
+        raise ConfigurationError(
+            f"error model perturbs layer {errors.layers}, but the stack has {m} layers"
+        )
+
+
 def _prevalidate(config: IterationConfig) -> RunPlan:
     """Check the whole horizon before any operator call; the run's only pre-pass.
 
-    Calls a stack provider and the relaxation schedule once per n, and
-    raises the first violated bound with its n.
+    Calls a stack provider and the relaxation schedule once per n, checks
+    that the error model reaches no layer below the stack, and raises the
+    first violated bound with its n.
     """
     xbar = orbit_mean(config.weights, config.max_iters)
     steps = range(config.max_iters)
     if not callable(config.stacks):
+        _check_error_depth(config.errors, config.stacks.m)
         phi = config.stacks.phi
         return RunPlan([relaxation_at(config.relaxation, n, phi) for n in steps], None, xbar)
     lambdas, stacks = [], []
     for n in steps:
         stack = config.stacks(n)
-        if stacks and stack.m != stacks[0].m:
+        if not stacks:
+            _check_error_depth(config.errors, stack.m)
+        elif stack.m != stacks[0].m:
             raise ConfigurationError(
                 f"stack provider changed layer count at n={n} ({stack.m} != {stacks[0].m})"
             )
@@ -313,33 +333,31 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     """Partial sums of the chi-weighted error budget over a horizon.
 
     Uses declared budgets, not actual injected vectors, so it runs without
-    iterating.  Flags inertial weights carrying errors outside the supported
+    iterating; ``lambda_n`` and the stacks come from the run's pre-pass over
+    ``horizon + 1`` steps, which raises the same configuration errors a run
+    would.  Flags inertial weights carrying errors outside the supported
     regime (unit relaxation and a bounded-range outermost layer).
     """
     if horizon < 1:
         raise ConfigurationError("budget horizon must be >= 1")
+    plan = _prevalidate(replace(config, max_iters=horizon + 1))
+    first = config.stacks if plan.stacks is None else plan.stacks[0]
     weights = config.weights
     nonneg = weights.nonnegative
     flags: list[str] = []
-    m = config.stack_at(0).m
     sums = np.zeros(horizon + 1)
     acc = 0.0
     any_error = False
-    all_unit_lambda = True
-    for n in range(horizon + 1):
-        stack = config.stack_at(n)
-        lam = relaxation_at(config.relaxation, n, stack.phi)
-        if lam != 1.0:
-            all_unit_lambda = False
+    for n, lam in enumerate(plan.lambdas):
         chi_n = 1.0 if nonneg else chi_value(weights, n).value
-        per_iter = sum(config.errors.budget(n, i) for i in range(1, m + 1))
+        per_iter = sum(config.errors.budget(n, i) for i in range(1, first.m + 1))
         if per_iter > 0.0:
             any_error = True
         acc += chi_n * lam * per_iter
         sums[n] = acc
     if any_error and not nonneg:
-        first_layer_bounded = config.stack_at(0).layers[0].bounded_range
-        if not (all_unit_lambda and first_layer_bounded):
+        all_unit_lambda = all(lam == 1.0 for lam in plan.lambdas)
+        if not (all_unit_lambda and first.layers[0].bounded_range):
             flags.append(
                 "unsupported-regime: errors under inertial weights are only "
                 "covered with unit relaxation and a bounded-range outer layer"

@@ -465,24 +465,22 @@ class StackApplication:
 def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
     """Evaluate ``T_1(T_2(... T_m x + e_m ...) + e_2) + e_1``.
 
-    ``errors`` is ``None`` (clean pass), a sequence of per-layer vectors (or
-    ``None`` entries, outermost first), or a callable ``(i, layer_input) ->
-    vector | None`` with 1-based layer index.  The aggregate error equals
-    ``sum_i ||e_i||``; when the outer layers are nonexpansive it bounds the
-    deviation of the perturbed output from the clean composite.
+    ``errors`` is ``None`` (clean pass) or a sequence of per-layer vectors
+    (``None`` entries allowed), outermost first; a sequence shorter than the
+    stack leaves the inner layers exact, a longer one is rejected.  The
+    aggregate error equals ``sum_i ||e_i||``; when the outer layers are
+    nonexpansive it bounds the deviation of the perturbed output from the
+    clean composite.
     """
     m = stack.m
-    if errors is not None and not callable(errors) and len(errors) != m:
-        raise ConfigurationError(f"expected {m} per-layer errors, got {len(errors)}")
+    given = 0 if errors is None else len(errors)
+    if given > m:
+        raise ConfigurationError(f"expected at most {m} per-layer errors, got {given}")
     y = x
     norms = [0.0] * m
     for i in range(m, 0, -1):
-        layer = stack.layers[i - 1]
-        layer_input = y
-        y = layer.fn(layer_input)
-        e = None
-        if errors is not None:
-            e = errors(i, layer_input) if callable(errors) else errors[i - 1]
+        y = stack.layers[i - 1].fn(y)
+        e = errors[i - 1] if i <= given else None
         if e is not None:
             check_same_dim(y, e)
             y = y + e

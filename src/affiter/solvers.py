@@ -30,6 +30,7 @@ from .operators import (
     LayerStack,
     MonotoneMap,
     compose,
+    reflector_operator,
     relaxed,
     resolvent_operator,
     subgradient_projector,
@@ -57,13 +58,13 @@ class SolverPreset:
         return self.extract(trace), trace
 
 
-def _seq(errors) -> Callable[[int], Vector | None] | None:
+def _seq(sequence) -> Callable[[int], Vector | None] | None:
     """Normalize an error sequence argument: None, callable, or list."""
-    if errors is None:
+    if sequence is None:
         return None
-    if callable(errors):
-        return errors
-    vectors = [None if e is None else as_vector(e) for e in errors]
+    if callable(sequence):
+        return sequence
+    vectors = [None if e is None else as_vector(e) for e in sequence]
 
     def fn(n: int):
         return vectors[n] if n < len(vectors) else None
@@ -109,12 +110,12 @@ def peaceman_rachford(
     converge by itself in general; averaging over the orbit restores
     convergence, which is why the weight family must be nonnegative with
     ``inf_n mu_{n+1,n} mu_{n+1,n+1} > 0`` (window w >= 2 qualifies; cesaro
-    and memoryless do not).  Internally this is a 1-layer stack with the
-    nonexpansive composite and unit relaxation; the error made by perturbed
-    resolvents is ``e_n = 2 a_n + R_{gamma A}(R_{gamma B} xbar_n + 2 b_n) -
-    R_{gamma A}(R_{gamma B} xbar_n)``, of norm at most ``2(||a_n|| +
-    ||b_n||)``.  The trace records the three-line quantities y_n, z_n; the
-    reported solution is y_n.
+    and memoryless do not).  This is the driver's two-layer case with unit
+    relaxation: ``T_1 = R_{gamma A}``, ``T_2 = R_{gamma B}`` (both
+    nonexpansive, so phi = 1), and per-layer errors ``e_1 = 2 a_n`` and
+    ``e_2 = 2 b_n``, so ``theta_n = 2 (||a_n|| + ||b_n||)``.  The trace
+    records the three-line quantities y_n, z_n; the reported solution is
+    y_n, and the orbit converges to ``x* = y* + gamma B y*``.
     """
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
@@ -131,54 +132,18 @@ def peaceman_rachford(
         return (a_fn(n) if a_fn is not None else None,
                 b_fn(n) if b_fn is not None else None)
 
+    def doubled(k: int) -> Callable[[int], Vector | None]:
+        def error(n: int) -> Vector | None:
+            e = perturbations(n)[k]
+            return None if e is None else 2.0 * e
+
+        return error
+
     def jb(x):
         return B.resolvent(gamma, x)
 
     def ja(x):
         return A.resolvent(gamma, x)
-
-    def rb(x):
-        return 2.0 * jb(x) - x
-
-    def ra(x):
-        return 2.0 * ja(x) - x
-
-    composite = AveragedOperator(
-        fn=lambda x: ra(rb(x)),
-        alpha=1.0,
-        name=f"reflected_composition(gamma={gamma})",
-    )
-    stack = compose([composite])
-
-    error_model: ErrorModel
-    if a_fn is None and b_fn is None:
-        error_model = ErrorModel()
-    else:
-
-        class _ResolventPerturbation(ErrorModel):
-            def errors_for(self, n: int):
-                a_n, b_n = perturbations(n)
-                if a_n is None and b_n is None:
-                    return None
-
-                def err(i, xbar):
-                    e = np.zeros_like(xbar)
-                    if a_n is not None:
-                        e = e + 2.0 * a_n
-                    if b_n is not None:
-                        rbx = rb(xbar)
-                        e = e + ra(rbx + 2.0 * b_n) - ra(rbx)
-                    return e
-
-                return err
-
-            def budget(self, n: int, i: int) -> float:
-                a_n, b_n = perturbations(n)
-                na = 0.0 if a_n is None else float(np.linalg.norm(a_n))
-                nb = 0.0 if b_n is None else float(np.linalg.norm(b_n))
-                return 2.0 * (na + nb)
-
-        error_model = _ResolventPerturbation()
 
     def record(n, xbar):
         a_n, b_n = perturbations(n)
@@ -187,11 +152,12 @@ def peaceman_rachford(
         return {"y": y, "z": z}
 
     config = IterationConfig(
-        stacks=stack,
+        stacks=compose([reflector_operator(gamma, A), reflector_operator(gamma, B)]),
         weights=weights,
         relaxation=RelaxationSchedule(policy="constant", value=1.0),
         x0=as_vector(x0),
-        errors=error_model,
+        errors=(ErrorModel() if a_fn is None and b_fn is None
+                else SequenceError([doubled(0), doubled(1)])),
         max_iters=max_iters,
         stop_residual=stop_residual,
         reference=reference,
@@ -263,6 +229,7 @@ def forward_backward(
             )
     gamma_fn = _gamma_fn(gamma)
     gamma_hi = None if proximal_point else 2.0 * beta / (1.0 + epsilon)
+    checked: dict[int, float] = {}  # gamma_n as the pre-pass read it
 
     def checked_gamma(n: int) -> float:
         g = gamma_fn(n)
@@ -271,6 +238,7 @@ def forward_backward(
             raise ConfigurationError(
                 f"gamma_{n} = {g} outside the admissible band [{epsilon}, {hi}]"
             )
+        checked[n] = g
         return g
 
     checked_gamma(0)
@@ -321,21 +289,20 @@ def forward_backward(
 
     def forward_error(n: int) -> Vector | None:
         b_n = b_fn(n)
-        return None if b_n is None else -gamma_fn(n) * b_n
+        if b_n is None:
+            return None
+        return -(checked[n] if n in checked else gamma_fn(n)) * b_n
 
-    per_layer = None
+    errors = ErrorModel()
     if a_fn is not None or b_fn is not None:
-        layers_err = [a_fn]
-        if not proximal_point:
-            layers_err.append(None if b_fn is None else forward_error)
-        per_layer = SequenceError(layers_err)
+        errors = SequenceError([a_fn] if b_fn is None else [a_fn, forward_error])
 
     config = IterationConfig(
         stacks=stack_for if callable(gamma) else stack_for(0),
         weights=weights,
         relaxation=RelaxationSchedule(policy="fb_band", value=lam, epsilon=epsilon),
         x0=as_vector(x0),
-        errors=per_layer if per_layer is not None else ErrorModel(),
+        errors=errors,
         max_iters=max_iters,
         stop_residual=stop_residual,
         reference=reference,

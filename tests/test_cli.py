@@ -1,11 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affiter import cli
 from affiter.errors import NumericalDivergence
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -97,6 +100,24 @@ class TestRunCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["final_dist_to_ref"] <= 1e-6
 
+    def test_readme_custom_errors_example_runs(self, tmp_path):
+        # the README's custom model names one layer of the two-layer stack
+        payload = json.loads((GOLDEN / "readme" / "config.json").read_text())
+        payload["errors"] = {"model": "custom", "values": [[0.1], None], "layer": 1}
+        code = cli.main(["run", write_config(tmp_path, payload), "--out-dir", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "trace.csv").read_text().splitlines()
+        assert rows[1].split(",")[2] == "0.10000000000000001"  # theta_0 = lambda_0 ||e_0||
+        assert rows[2].split(",")[2] == "0"
+
+    def test_error_layer_below_the_stack_exits_3_naming_it(self, tmp_path, capsys):
+        cfg = fb_config(tmp_path, errors={
+            "model": "geometric", "rate": 0.5, "direction": [0.01], "layer": 3,
+        })
+        assert cli.main(["run", cfg, "--out-dir", str(tmp_path)]) == 3
+        assert "perturbs layer 3, but the stack has 2 layers" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_divergence_maps_to_exit_2(self, tmp_path, monkeypatch, capsys):
         cfg = fb_config(tmp_path)
 
@@ -168,6 +189,24 @@ class TestValidateCommand:
         assert cli.main(["validate", cfg]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["inertial_band"]["ok"]
+
+    def test_inertial_band_reads_the_runs_eta(self, tmp_path, capsys):
+        # eta comes from the solver's params; the weights section names none
+        cfg = write_config(tmp_path, {
+            "problem": {"name": "l1_quadratic", "params": {"a": [2.0]}},
+            "solver": {"name": "forward_backward",
+                       "params": {"gamma": 1.0, "variant": "inertial",
+                                  "eta": {"kind": "constant", "eta": 0.9}}},
+            "relaxation": {"policy": "constant", "value": 1.0},
+            "inertial_band": {"eta": 0.3, "sigma": 0.2, "theta_tune": 2.0},
+            "horizon": 50,
+            "x0": [0.0],
+        })
+        assert cli.main(["validate", cfg]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["weights"]["schedule"] == "inertial(constant)"
+        assert out["inertial_band"]["violated"] == "eta monotonicity / bound"
+        assert out["inertial_band"]["first_violation"] == 0
 
     def test_invalid_relaxation_exits_3(self, tmp_path):
         cfg = fb_config(tmp_path, relaxation={"policy": "constant", "value": 9.0})

@@ -278,6 +278,27 @@ class TestPlan:
             run(cfg)
         assert calls == []
 
+    @pytest.mark.parametrize("errors", [
+        GeometricError(0.5, vec(0.1), layer=3),
+        SequenceError([None, None, lambda n: vec(0.1)]),
+    ], ids=["geometric", "sequence"])
+    def test_error_layer_below_the_stack_raises_before_operator_calls(self, errors):
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return 0.5 * x
+
+        stack = compose([AveragedOperator(fn=counting, alpha=0.5, name="counting"), prox_l1(1.0)])
+        for stacks in (stack, lambda n: stack):
+            cfg = IterationConfig(
+                stacks=stacks, weights=memoryless(), relaxation=constant_relaxation(1.0),
+                x0=vec(1.0), errors=errors, max_iters=10, stop_residual=0.0,
+            )
+            with pytest.raises(ConfigurationError, match="perturbs layer 3, but the stack has 2"):
+                run(cfg)
+        assert calls == []
+
     @settings(deadline=None, max_examples=80)
     @given(
         weights=KERNEL_WEIGHTS,
@@ -344,6 +365,15 @@ class TestErrorBudget:
         report = error_budget_check(cfg, 60)
         assert report.total == pytest.approx(2.0, abs=1e-12)
         assert report.tail_increment <= 1e-9
+
+    def test_error_layer_below_the_stack_raises(self):
+        stack = compose([prox_l1(1.0), gradient_step(0.7, lambda x: x - 2.0, beta=1.0)])
+        cfg = IterationConfig(
+            stacks=stack, weights=memoryless(), relaxation=constant_relaxation(1.0),
+            x0=vec(1.0), errors=GeometricError(0.5, [1.0], layer=3), max_iters=10,
+        )
+        with pytest.raises(ConfigurationError, match="perturbs layer 3, but the stack has 2"):
+            error_budget_check(cfg, 20)
 
     def test_inertial_with_errors_and_nonunit_lambda_flagged(self):
         weights = inertial(EtaSchedule(kind="constant", eta=0.3))

@@ -17,6 +17,8 @@ tests/golden/<name>/validate.txt``, and say why in the change's description.
 The exit codes of ``affiter validate`` are pinned in ``VALIDATE_EXIT`` below.
 """
 
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,10 @@ def test_validate_output_is_byte_identical(name, capsysbinary):
     code = cli.main(["validate", str(case / "config.json")])
     assert code == VALIDATE_EXIT[name]
     assert capsysbinary.readouterr().out == (case / "validate.txt").read_bytes()
+
+
+def test_readme_schema_block_is_the_readme_golden_config():
+    readme = (GOLDEN.parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```jsonc\n(.*?)```", readme, flags=re.DOTALL)
+    schema = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert schema == json.loads((GOLDEN / "readme" / "config.json").read_text())

@@ -143,6 +143,14 @@ class TestApplyStack:
         for x in (-3.0, 0.0, 5.5):
             assert apply_stack(stack, vec(x)).value == pytest.approx(-1.0)
 
+    def test_short_error_sequence_leaves_inner_layers_exact(self):
+        stack = compose([prox_l1(1.0), gradient_step(0.7, lambda x: x - 2.0, beta=1.0)])
+        x = vec(3.0)
+        short = apply_stack(stack, x, [vec(0.25)])
+        padded = apply_stack(stack, x, [vec(0.25), None])
+        assert np.array_equal(short.value, padded.value)
+        assert short.error_norms == padded.error_norms == (0.25, 0.0)
+
     def test_wrong_error_count(self):
         stack = compose([prox_l1(1.0)])
         with pytest.raises(ConfigurationError):

@@ -7,6 +7,7 @@ import pytest
 from affiter import (
     ConfigurationError,
     EtaSchedule,
+    GeometricError,
     InvalidScheduleError,
     LayerStack,
     catalog,
@@ -114,6 +115,73 @@ class TestPeacemanRachford:
         assert trace.n_steps == 30
         assert a_calls == list(range(30))
         assert b_calls == list(range(30))
+
+    def test_stack_is_the_two_reflectors(self):
+        prob = self.problem()
+        preset = peaceman_rachford(
+            prob.ingredients["A"], prob.ingredients["B"], gamma=0.5,
+            weights=window(2), x0=vec(0.3), b_errors=lambda n: vec(0.5**n),
+        )
+        stack = preset.config.stacks
+        assert stack.m == 2 and stack.phi == 1.0
+        assert [layer.name for layer in stack.layers] == [
+            "reflector(l1_subdifferential(weight=1.0), gamma=0.5)",
+            "reflector(affine_monotone, gamma=0.5)",
+        ]
+
+    def test_b_errors_cost_three_resolvents_of_each_map_per_step(self):
+        # one perturbed pass, one clean pass for the exact residual, one record
+        prob = self.problem()
+        calls = {"A": 0, "B": 0}
+
+        def counted(key):
+            mono = prob.ingredients[key]
+
+            def resolvent(g, x):
+                calls[key] += 1
+                return mono.resolvent(g, x)
+
+            return dataclasses.replace(mono, resolvent=resolvent)
+
+        preset = peaceman_rachford(
+            counted("A"), counted("B"), gamma=1.0, weights=window(2), x0=vec(0.7),
+            b_errors=lambda n: vec(0.5**n * -0.05), max_iters=40, stop_residual=0.0,
+        )
+        preset.solve()
+        assert calls == {"A": 3 * 40, "B": 3 * 40}
+
+    def test_error_layer_below_the_stack_raises_from_solve_before_resolvent_calls(self):
+        prob = self.problem()
+        calls = []
+
+        def resolvent(g, x):
+            calls.append(1)
+            return prob.ingredients["A"].resolvent(g, x)
+
+        preset = peaceman_rachford(
+            dataclasses.replace(prob.ingredients["A"], resolvent=resolvent),
+            prob.ingredients["B"], gamma=1.0, weights=window(2), x0=vec(0.7),
+        )
+        preset.config.errors = GeometricError(0.5, vec(0.1), layer=3)
+        with pytest.raises(ConfigurationError, match="perturbs layer 3, but the stack has 2"):
+            preset.solve()
+        assert calls == []
+
+    def test_theta_is_the_sum_of_the_doubled_error_norms(self):
+        prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+        rng = np.random.default_rng(4)
+        a_n = rng.standard_normal((30, 3)) * 0.1
+        b_n = rng.standard_normal((30, 3)) * 0.1
+        preset = peaceman_rachford(
+            prob.ingredients["A"], prob.ingredients["B"], gamma=0.6, weights=window(2),
+            x0=vec(-1.0, 0.5, 3.0), a_errors=lambda n: 0.7**n * a_n[n],
+            b_errors=lambda n: 0.8**n * b_n[n], max_iters=30, stop_residual=0.0,
+        )
+        _, trace = preset.solve()
+        for n in range(trace.n_steps):
+            bound = (float(np.linalg.norm(2.0 * 0.7**n * a_n[n]))
+                     + float(np.linalg.norm(2.0 * 0.8**n * b_n[n])))
+            assert trace.thetas[n] == trace.lambdas[n] * bound
 
     def test_rejects_families_without_adjacent_mass(self):
         from affiter import cesaro, memoryless
@@ -344,6 +412,20 @@ class TestForwardBackward:
         )
         preset.solve()
         assert b_calls == list(range(30))
+
+    def test_forward_error_reads_the_checked_gamma(self):
+        calls = []
+
+        def gamma(n):
+            calls.append(n)
+            return 0.8
+
+        preset = self.variant_preset(
+            "memoryless", gamma=gamma, b_errors=lambda n: vec(0.5**n * 0.01),
+            max_iters=20, stop_residual=0.0,
+        )
+        preset.solve()
+        assert len(calls) == 21  # gamma_0 at build, then once per n in the pre-pass
 
     def test_inertial_errors_reject_default_band_cap_relaxation(self):
         # lam=None runs at the fb-band cap (1.54 at gamma=0.8), not at 1
