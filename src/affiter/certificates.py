@@ -21,7 +21,9 @@ sum_{j,k} mu_{n,j} mu_{n,k} ||x_j - x_k||^2`` in place of ``||xbar_n -
 x*||^2``; the two are equal for every row whose weights sum to 1, with
 negative weights allowed (the identity for affine combinations).  So (ii)
 and (iii) read ``xbar_n`` from ``trace.xbars`` and cost O(d) per step
-(plus the stack tails for (iii)).  These are deterministic functions of the
+(plus the stack tails for (iii)).  Certificate (i) builds no weight row:
+``schedules.abs_weighted_sums`` forms its sum per family from the
+distances ``||x_j - x*||``.  These are deterministic functions of the
 trace: recomputing yields identical values.
 """
 
@@ -36,7 +38,8 @@ import numpy as np
 from .engine import RunTrace
 from .errors import ConfigurationError, InvalidReferenceError
 from .operators import apply_stack, tail_apply
-from .space import Vector, as_vector
+from .schedules import abs_weighted_sums
+from .space import Vector, as_vector, norm
 
 DEFAULT_CERT_TOL = 1e-9
 
@@ -82,12 +85,12 @@ def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
         stack = trace.stack_at(n)
         if stack.case == "b":
             for i, layer in enumerate(stack.layers, start=1):
-                if float(np.linalg.norm(layer.fn(x_ref) - x_ref)) > tol:
+                if norm(layer.fn(x_ref) - x_ref) > tol:
                     raise InvalidReferenceError(
                         f"reference is not fixed by layer {i} of the stack at n={n}"
                     )
         else:
-            resid = float(np.linalg.norm(apply_stack(stack, x_ref).value - x_ref))
+            resid = norm(apply_stack(stack, x_ref).value - x_ref)
             if resid > tol:
                 raise InvalidReferenceError(
                     f"reference has composite fixed-point residual {resid:.3e} at n={n}"
@@ -104,11 +107,15 @@ def run_certificates(
 ) -> dict[str, CertificateReport]:
     """Evaluate the requested certificate slacks along a trace.
 
-    Certificates (ii) and (iii) start from ``||xbar_n - x*||^2``, with
-    ``xbar_n`` read from ``trace.xbars`` (the point the run fed to the
-    stack), so they cost O(d) per step.  Only certificate (i) regenerates
-    the weight rows from the run's schedule; row ``n`` touches only
-    ``x_0 .. x_n``, which the trace holds.  Stacks are read from the trace
+    Certificate (i) builds no weight row: ``schedules.abs_weighted_sums``
+    forms ``sum_j |mu_{n,j}| ||x_j - x*||`` from the distances and the
+    eta_n the run kept (``trace.etas``).  That costs O(N) for memoryless
+    and inertial traces, O(N w) for ``window(w)`` and an O(N^2)
+    numpy-and-``fsum`` sum for cesaro.  The slacks are bit for bit those of
+    ``fsum`` over row ``n``'s terms ``|mu_{n,j}| ||x_j - x*||``: ``fsum`` is
+    correctly rounded whatever the order of its terms.  Certificates (ii) and (iii) start from ``||xbar_n - x*||^2``,
+    with ``xbar_n`` read from ``trace.xbars`` (the point the run fed to the
+    stack), so they cost O(d) per step.  Stacks are read from the trace
     (``RunTrace.stack_at``), never from a stack provider.  Certificate (iii)
     also evaluates the stack tails at ``xbar_n`` every iteration, and at
     ``x_ref`` once per distinct stack; ``indices`` restricts the evaluation
@@ -121,7 +128,6 @@ def run_certificates(
     if check_reference:
         verify_reference(trace, x_ref)
 
-    weights = trace.config.weights
     n_steps = trace.n_steps
     if indices is None:
         eval_at = np.arange(n_steps)
@@ -130,31 +136,29 @@ def run_certificates(
         if eval_at.size and (eval_at[0] < 0 or eval_at[-1] >= n_steps):
             raise ConfigurationError(f"certificate indices outside 0..{n_steps - 1}")
     points = trace.points
-    dists = [float(np.linalg.norm(p - x_ref)) for p in points]
-    need_sq = "ii" in which or "iii" in which
+    dists = [norm(p - x_ref) for p in points]
 
     slacks = {name: np.zeros(eval_at.size) for name in which}
+    if "i" in which:
+        d = np.array(dists)
+        rhs = abs_weighted_sums(trace.config.weights, d, eval_at, trace.etas)
+        slacks["i"] = (rhs + np.array(trace.thetas)[eval_at]) - d[eval_at + 1]
+    # (ii) and (iii) share this scalar loop: numpy's squares would differ from
+    # Python's x**2 (libm pow) in the last bit
+    sq_at = eval_at.tolist() if {"ii", "iii"} & set(which) else []
     ref_stack = None
-    for pos, n in enumerate(eval_at):
+    for pos, n in enumerate(sq_at):
         theta_n = trace.thetas[n]
         xbar = trace.xbars[n]
         r_n = trace.residuals[n]
-        if trace.residual_kinds[n] != "exact" and need_sq:
-            stack = trace.stack_at(n)
-            r_n = float(np.linalg.norm(apply_stack(stack, xbar).value - xbar))
+        if trace.residual_kinds[n] != "exact":
+            r_n = norm(apply_stack(trace.stack_at(n), xbar).value - xbar)
         lam = trace.lambdas[n]
         phi = trace.phis[n]
         lhs1 = dists[n + 1]
-
-        if "i" in which:
-            row = weights.row(n)
-            rhs = math.fsum(abs(w) * dists[j] for j, w in row.items()) + theta_n
-            slacks["i"][pos] = rhs - lhs1
-
-        if need_sq:
-            dbar = float(np.linalg.norm(xbar - x_ref))
-            nu_n = theta_n * (2.0 * dbar + theta_n)
-            base = dbar**2 - lhs1**2 + nu_n
+        dbar = dists[n] if xbar is points[n] else norm(xbar - x_ref)
+        nu_n = theta_n * (2.0 * dbar + theta_n)
+        base = dbar**2 - lhs1**2 + nu_n
 
         if "ii" in which:
             slacks["ii"][pos] = base - lam * (1.0 / phi - lam) * r_n**2

@@ -8,16 +8,18 @@ One step of the scheme, from the current orbit prefix ``x_0 .. x_n``:
 
 with ``lambda_n in (0, 1/phi_n]``.  One pre-pass (``_prevalidate``) checks
 the whole horizon before the first operator call and returns the run's plan:
-every ``lambda_n``, every stack when the layers depend on n, and the weight
-family's kernel for ``xbar_n`` (``schedules.orbit_mean``, which holds every
-``eta_n`` of an inertial row).  Memoryless ``xbar_n`` is ``x_n`` itself, not
+every ``lambda_n``, every stack when the layers depend on n, every
+``eta_n`` of an inertial row, and the weight family's kernel for ``xbar_n``
+(``schedules.orbit_mean``).  Memoryless ``xbar_n`` is ``x_n`` itself, not
 a copy.  The returned trace retains the whole history for post-hoc
-certificate analysis, together with the stacks the loop applied.
+certificate analysis, together with the stacks and the eta_n the loop
+applied.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -29,6 +31,7 @@ from .schedules import (
     RelaxationSchedule,
     WeightSchedule,
     chi_value,
+    eta_values,
     orbit_mean,
     relaxation_at,
 )
@@ -81,7 +84,7 @@ class GeometricError(ErrorModel):
     def budget(self, n: int, i: int) -> float:
         if i != self.layer:
             return 0.0
-        return self.rate**n * float(np.linalg.norm(self.direction))
+        return self.rate**n * norm(self.direction)
 
 
 class SequenceError(ErrorModel):
@@ -103,7 +106,7 @@ class SequenceError(ErrorModel):
         if fn is None:
             return 0.0
         e = fn(n)
-        return 0.0 if e is None else float(np.linalg.norm(e))
+        return 0.0 if e is None else norm(as_vector(e))
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +149,14 @@ class RunTrace:
     ``points`` holds ``x_0 .. x_N`` (one more entry than there are steps);
     all step-indexed lists have length ``n_steps``.  ``stacks`` is the
     single LayerStack of the config, or the pre-pass's list of per-step
-    stacks; read it through ``stack_at(n)``.
+    stacks; read it through ``stack_at(n)``.  ``etas`` holds the pre-pass's
+    eta_n of inertial rows (``schedules.eta_values``, one per
+    ``n < max_iters``), None for the other families.
     """
 
     config: IterationConfig
     stacks: LayerStack | list[LayerStack]
+    etas: array | None = None
     points: list[Vector] = field(default_factory=list)
     xbars: list[Vector] = field(default_factory=list)
     lambdas: list[float] = field(default_factory=list)
@@ -185,13 +191,12 @@ class RunTrace:
         if self.config.reference is None:
             return None
         reference = as_vector(self.config.reference, dim=self.final_point.size)
-        return float(np.linalg.norm(self.final_point - reference))
+        return norm(self.final_point - reference)
 
     def step_differences(self) -> np.ndarray:
         """Norms ``||x_{n+1} - x_n||`` for n = 0 .. n_steps-1."""
         return np.array(
-            [float(np.linalg.norm(self.points[k + 1] - self.points[k]))
-             for k in range(self.n_steps)]
+            [norm(self.points[k + 1] - self.points[k]) for k in range(self.n_steps)]
         )
 
 
@@ -202,6 +207,7 @@ class RunPlan:
     lambdas: list[float]
     stacks: list[LayerStack] | None  # None when the config holds one LayerStack
     xbar: Callable[[int, Vector], Vector]  # the weight family's kernel, fed x_n
+    etas: array | None  # eta_n of inertial rows, None for the other families
 
 
 def _check_error_depth(errors: ErrorModel, m: int) -> None:
@@ -218,12 +224,14 @@ def _prevalidate(config: IterationConfig) -> RunPlan:
     that the error model reaches no layer below the stack, and raises the
     first violated bound with its n.
     """
-    xbar = orbit_mean(config.weights, config.max_iters)
+    etas = eta_values(config.weights, config.max_iters)
+    xbar = orbit_mean(config.weights, etas)
     steps = range(config.max_iters)
     if not callable(config.stacks):
         _check_error_depth(config.errors, config.stacks.m)
         phi = config.stacks.phi
-        return RunPlan([relaxation_at(config.relaxation, n, phi) for n in steps], None, xbar)
+        lambdas = [relaxation_at(config.relaxation, n, phi) for n in steps]
+        return RunPlan(lambdas, None, xbar, etas)
     lambdas, stacks = [], []
     for n in steps:
         stack = config.stacks(n)
@@ -235,7 +243,7 @@ def _prevalidate(config: IterationConfig) -> RunPlan:
             )
         stacks.append(stack)
         lambdas.append(relaxation_at(config.relaxation, n, stack.phi))
-    return RunPlan(lambdas, stacks, xbar)
+    return RunPlan(lambdas, stacks, xbar, etas)
 
 
 def run(config: IterationConfig) -> RunTrace:
@@ -254,7 +262,7 @@ def run(config: IterationConfig) -> RunTrace:
     x0 = as_vector(config.x0)
 
     stacks = config.stacks if plan.stacks is None else plan.stacks
-    trace = RunTrace(config=config, stacks=stacks)
+    trace = RunTrace(config=config, stacks=stacks, etas=plan.etas)
     trace.points.append(x0)
     reference = None
     if config.reference is not None:
@@ -336,7 +344,10 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     iterating; ``lambda_n`` and the stacks come from the run's pre-pass over
     ``horizon + 1`` steps, which raises the same configuration errors a run
     would.  Flags inertial weights carrying errors outside the supported
-    regime (unit relaxation and a bounded-range outermost layer).
+    regime (unit relaxation and a bounded-range outermost layer).  A
+    ``SequenceError`` budget calls the user's error sequences again, so a
+    stateful or random sequence yields a budget for errors other than the
+    ones a run injected.
     """
     if horizon < 1:
         raise ConfigurationError("budget horizon must be >= 1")

@@ -23,6 +23,7 @@ reported value a safe upper estimate.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -208,19 +209,33 @@ def _finite(xbar: Vector, n: int) -> Vector:
     return xbar
 
 
-def orbit_mean(schedule: WeightSchedule, horizon: int) -> Callable[[int, Vector], Vector]:
-    """The family's kernel ``(n, x_n) -> xbar_n`` for the steps ``n < horizon``.
+def eta_values(schedule: WeightSchedule, horizon: int) -> array | None:
+    """``eta_0 .. eta_{horizon-1}`` of an inertial schedule's rows; None otherwise.
+
+    Each eta_n is computed once, so a custom eta is called once per n; a
+    value outside [0, 1) raises InvalidScheduleError.  The values are kept
+    as an ``array("d")``, 8 bytes each, since a run's trace holds them.
+    """
+    if schedule.family != "inertial":
+        return None
+    try:
+        return array("d", [schedule.eta.value(n) for n in range(horizon)])
+    except ConfigurationError as exc:
+        raise InvalidScheduleError(str(exc)) from exc
+
+
+def orbit_mean(schedule: WeightSchedule, etas: array | None) -> Callable[[int, Vector], Vector]:
+    """The family's kernel ``(n, x_n) -> xbar_n``.
 
     Calls must come for ``n = 0, 1, ...`` in order, each with the newest
     orbit point: every kernel keeps only the history its rows read.  The
     memoryless kernel keeps nothing and returns ``x_n`` itself (not a copy);
-    the inertial kernel keeps ``x_{n-1}``; ``window(w)`` keeps the last ``w``
-    points; cesaro keeps a running sum, which it divides by ``n + 1``.  The
-    memoryless, window and inertial kernels perform the operations of
+    the inertial kernel keeps ``x_{n-1}`` and reads ``etas[n]`` (from
+    ``eta_values``); ``window(w)`` keeps the last ``w`` points; cesaro
+    keeps a running sum, which it divides by ``n + 1``.  The memoryless,
+    window and inertial kernels perform the operations of
     ``affine_combine(schedule.row(n), orbit)`` in the same order, so their
-    results are the same bit for bit.  For inertial rows the eta values over
-    the horizon are computed here, once: a custom eta outside [0, 1) raises
-    InvalidScheduleError.
+    results are the same bit for bit.
     """
     family = schedule.family
     if family == "memoryless":
@@ -251,10 +266,6 @@ def orbit_mean(schedule: WeightSchedule, horizon: int) -> Callable[[int, Vector]
 
         return running_mean
 
-    try:
-        etas = [schedule.eta.value(n) for n in range(horizon)]
-    except ConfigurationError as exc:
-        raise InvalidScheduleError(str(exc)) from exc
     prev = None
 
     def extrapolate(n, x):
@@ -266,6 +277,40 @@ def orbit_mean(schedule: WeightSchedule, horizon: int) -> Callable[[int, Vector]
         return _finite((-eta_n) * x_prev + (1.0 + eta_n) * x, n)
 
     return extrapolate
+
+
+def abs_weighted_sums(
+    schedule: WeightSchedule,
+    dists: np.ndarray,
+    indices: np.ndarray,
+    etas: array | None,
+) -> np.ndarray:
+    """``sum_j |mu_{n,j}| d_j`` for each ``n`` in ``indices``, without building a row.
+
+    ``dists`` holds ``d_0 .. d_N`` (``N > max(indices)``); ``etas`` comes
+    from ``eta_values``.  Memoryless rows give ``d_n``; inertial rows
+    ``(1 + eta_n) d_n + eta_n d_{n-1}`` (``d_n`` when ``eta_n = 0``); window
+    and cesaro rows ``fsum`` their ``k`` distances times ``1/k``, in O(k).
+    Each sum equals ``math.fsum(abs(w) * d[j] for j, w in schedule.row(n).items())``
+    bit for bit: the products are the same IEEE multiplies, ``fsum`` is
+    correctly rounded in any order, and a two-term ``fsum`` is one
+    correctly rounded addition.
+    """
+    family = schedule.family
+    if family == "memoryless":
+        return dists[indices]
+    if family == "inertial":
+        d = dists.tolist()
+        return np.array([
+            d[n] if etas[n] == 0.0 else (1.0 + etas[n]) * d[n] + etas[n] * d[n - 1]
+            for n in indices.tolist()
+        ])
+    cap = schedule.window if family == "window" else None
+    sums = np.empty(indices.size)
+    for pos, n in enumerate(indices.tolist()):
+        k = n + 1 if cap is None else min(cap, n + 1)
+        sums[pos] = math.fsum((dists[n + 1 - k : n + 1] * (1.0 / k)).tolist())
+    return sums
 
 
 # ---------------------------------------------------------------------------

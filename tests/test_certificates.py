@@ -12,6 +12,7 @@ from affiter import (
     InertialBandParams,
     InvalidReferenceError,
     IterationConfig,
+    WeightSchedule,
     catalog,
     cesaro,
     compose,
@@ -347,6 +348,66 @@ class TestRunCertificates:
         per_step, _ = slacks(lambda n: compose(layers), 10)
         assert constant.tobytes() == per_step.tobytes()
         assert constant.min() >= -1e-9
+
+    FAMILIES = {
+        "memoryless": {},
+        "window3": dict(variant="mean", weights=window(3)),
+        "cesaro": dict(variant="mean", weights=cesaro()),
+        "nesterov": dict(variant="inertial", eta=EtaSchedule(kind="nesterov", tau=2.0)),
+        "custom": dict(variant="inertial",
+                       eta=EtaSchedule(kind="custom", eta=0.5, fn=lambda n: 0.5 - 2.0 / (n + 3))),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_certificate_i_builds_no_weight_row(self, family, monkeypatch):
+        prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+        preset = forward_backward(
+            A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=prob.beta,
+            gamma=0.8, x0=vec(-1.0, 2.0, 3.0), max_iters=15, stop_residual=0.0,
+            **self.FAMILIES[family],
+        )
+        _, trace = preset.solve()
+        x_ref = prob.reference
+        # certificate (i) as the explicit row sum: the oracle the kernel must match
+        dists = [float(np.linalg.norm(p - x_ref)) for p in trace.points]
+        weights = trace.config.weights
+        oracle = np.array([
+            (math.fsum(abs(w) * dists[j] for j, w in weights.row(n).items()) + trace.thetas[n])
+            - dists[n + 1]
+            for n in range(trace.n_steps)
+        ])
+        energy = run_certificates(trace, x_ref, which=("ii", "iii"))
+
+        def no_row(self, n):
+            raise AssertionError(f"run_certificates built weight row {n}")
+
+        monkeypatch.setattr(WeightSchedule, "row", no_row)
+        for indices in (None, [0, 1, 6, 14]):
+            at = slice(None) if indices is None else indices
+            reports = run_certificates(trace, x_ref, which=("i", "ii", "iii"), indices=indices)
+            assert reports["i"].slacks.tobytes() == oracle[at].tobytes()
+            for name in ("ii", "iii"):
+                assert reports[name].slacks.tobytes() == energy[name].slacks[at].tobytes()
+
+    def test_certificate_i_reads_the_runs_eta(self):
+        calls = []
+
+        def eta(n):
+            calls.append(n)
+            return 0.5 - 2.0 / (n + 3)
+
+        prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+        preset = forward_backward(
+            A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=prob.beta,
+            gamma=0.8, x0=vec(-1.0, 2.0, 3.0), max_iters=20, stop_residual=0.0,
+            variant="inertial", eta=EtaSchedule(kind="custom", eta=0.5, fn=eta),
+        )
+        _, trace = preset.solve()
+        assert calls == list(range(1, 20))
+        calls.clear()
+        reports = run_certificates(trace, prob.reference, which=("i",))
+        assert calls == []
+        assert reports["i"].passed
 
     def test_subsampled_evaluation(self):
         trace = self.fb_trace(max_iters=50, x0=4.0)

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from affiter import (
     validate_weights,
     window,
 )
+from affiter.schedules import abs_weighted_sums, eta_values
 
 # independent oracles for the geometric chi sums: for constant eta the terms
 # are exp((eta-1) d), d >= 0, so chi == 1 / (1 - exp(eta - 1))
@@ -92,6 +94,49 @@ class TestWeightRows:
         abs_sum = math.fsum(abs(w) for w in sched.row(n).values())
         assert abs_sum == pytest.approx(1.0 + 2.0 * eta * (n >= 1), abs=1e-12)
         assert abs_sum <= 3.0
+
+
+def _weight_schedule(data, horizon):
+    """Draw a weight family; inertial draws include rows with eta_n = 0."""
+    family = data.draw(st.sampled_from(
+        ["memoryless", "window", "cesaro", "constant", "nesterov", "custom"]
+    ))
+    if family == "memoryless":
+        return memoryless()
+    if family == "window":
+        return window(data.draw(st.integers(1, 12)))
+    if family == "cesaro":
+        return cesaro()
+    if family == "constant":
+        return inertial(EtaSchedule(kind="constant", eta=data.draw(st.floats(0.0, 0.99))))
+    if family == "nesterov":
+        return inertial(EtaSchedule(kind="nesterov", tau=data.draw(st.floats(2.0, 10.0))))
+    values = sorted(data.draw(st.lists(
+        st.just(0.0) | st.floats(0.0, 0.99), min_size=horizon, max_size=horizon
+    )))
+    return inertial(EtaSchedule(kind="custom", eta=0.99, fn=values.__getitem__))
+
+
+class TestAbsWeightedSums:
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_sums_equal_the_row_fsum_bit_for_bit(self, data):
+        n_max = data.draw(st.integers(0, 40))
+        schedule = _weight_schedule(data, n_max + 1)
+        dists = data.draw(st.lists(
+            st.floats(0.0, 1e100), min_size=n_max + 2, max_size=n_max + 2
+        ))
+        subset = sorted(data.draw(st.sets(st.integers(0, n_max))))
+        etas = eta_values(schedule, n_max + 1)
+        for indices in (subset, list(range(n_max + 1))):
+            got = abs_weighted_sums(
+                schedule, np.array(dists), np.array(indices, dtype=int), etas
+            )
+            expected = [
+                math.fsum(abs(w) * dists[j] for j, w in schedule.row(n).items())
+                for n in indices
+            ]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
 
 
 class TestChi:
