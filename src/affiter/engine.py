@@ -88,7 +88,11 @@ class GeometricError(ErrorModel):
 
 
 class SequenceError(ErrorModel):
-    """Per-layer error sequences given as callables ``n -> vector | None``."""
+    """Per-layer error sequences given as callables ``n -> vector | None``.
+
+    A returned value that is not an ndarray (a list, a scalar) is coerced
+    with ``as_vector``.
+    """
 
     def __init__(self, per_layer: Sequence[Callable[[int], Vector | None] | None]):
         self.per_layer = list(per_layer)
@@ -99,7 +103,9 @@ class SequenceError(ErrorModel):
 
     def errors_for(self, n: int):
         out = [fn(n) if fn is not None else None for fn in self.per_layer]
-        return out if any(e is not None for e in out) else None
+        if not any(e is not None for e in out):
+            return None
+        return [e if e is None or isinstance(e, np.ndarray) else as_vector(e) for e in out]
 
     def budget(self, n: int, i: int) -> float:
         fn = self.per_layer[i - 1] if i - 1 < len(self.per_layer) else None
@@ -120,9 +126,11 @@ class IterationConfig:
     ``stacks`` is a single LayerStack or a callable ``n -> LayerStack`` for
     iteration-dependent layers; stacks must keep a constant layer count and
     dimension.  ``synthetic_errors`` selects how the residual is measured
-    when errors are injected: synthetic errors trigger an extra clean
-    composite evaluation (the residual stays exact); genuine inexactness
-    falls back to the perturbed value and the trace labels it approximate.
+    when errors are injected: with synthetic errors the perturbed pass also
+    carries the clean composite from the innermost perturbed layer outward
+    (``apply_stack(..., clean=True)``), so the residual stays exact; genuine
+    inexactness falls back to the perturbed value and the trace labels it
+    approximate.
     ``stop_residual = 0`` disables the residual stop entirely (useful when a
     mean point can land on a fixed point without the orbit having settled).
     """
@@ -280,13 +288,12 @@ def run(config: IterationConfig) -> RunTrace:
             lam = plan.lambdas[n]
 
             errors_n = config.errors.errors_for(n)
-            noisy = apply_stack(stack, xbar, errors_n)
+            noisy = apply_stack(stack, xbar, errors_n, clean=config.synthetic_errors)
             if errors_n is None:
                 residual = norm(noisy.value - xbar)
                 residual_kind = "exact"
             elif config.synthetic_errors:
-                clean = apply_stack(stack, xbar).value
-                residual = norm(clean - xbar)
+                residual = norm(noisy.clean - xbar)
                 residual_kind = "exact"
             else:
                 residual = norm(noisy.value - xbar)

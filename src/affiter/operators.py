@@ -133,22 +133,43 @@ def l1_subdifferential(weight: float = 1.0) -> MonotoneMap:
 def affine_monotone(matrix, offset) -> MonotoneMap:
     """Single-valued affine map ``x -> M x + c`` with ``M`` positive semidefinite.
 
-    The resolvent solves ``(I + g M) y = x - g c``.  Monotonicity of ``M`` is
-    the caller's assertion; it is exercised by the sampled certificates.
+    A scalar, a 1-D diagonal, or a 2-D matrix without off-diagonal nonzeros
+    is kept as its diagonal ``D``: ``mapping`` is ``D x + c`` and the
+    resolvent is the closed form ``(x - g c) / (1 + g D)``, O(d) in time and
+    memory.  The division (not a multiply by the reciprocal) reproduces
+    ``np.linalg.solve`` on ``I + g M`` bit for bit, up to the sign of an
+    exact zero.  Any other matrix is
+    stored dense and its resolvent solves ``(I + g M) y = x - g c``.
+    Monotonicity of ``M`` is the caller's assertion; it is exercised by the
+    sampled certificates.
     """
     c = as_vector(offset)
     m = np.asarray(matrix, dtype=np.float64)
+    square = m.ndim == 2 and m.shape[0] == m.shape[1]
+    if square and np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
+        m = np.diagonal(m)
     if m.ndim == 0:
-        m = float(m) * np.eye(c.size)
-    if m.shape != (c.size, c.size):
-        raise ConfigurationError(f"matrix shape {m.shape} does not match offset {c.size}")
-    eye = np.eye(c.size)
+        m = np.full(c.size, float(m))
+    if m.ndim == 1:
+        if m.size != c.size:
+            raise ConfigurationError(f"diagonal length {m.size} does not match offset {c.size}")
+        diag = m.copy()  # np.diagonal is a view of the caller's matrix
 
-    def mapping(x):
-        return m @ x + c
+        def mapping(x):
+            return diag * x + c
 
-    def resolvent(g, x):
-        return np.linalg.solve(eye + g * m, x - g * c)
+        def resolvent(g, x):
+            return (x - g * c) / (1.0 + g * diag)
+    else:
+        if m.shape != (c.size, c.size):
+            raise ConfigurationError(f"matrix shape {m.shape} does not match offset {c.size}")
+        eye = np.eye(c.size)
+
+        def mapping(x):
+            return m @ x + c
+
+        def resolvent(g, x):
+            return np.linalg.solve(eye + g * m, x - g * c)
 
     return MonotoneMap(
         name="affine_monotone",
@@ -455,14 +476,19 @@ def compose(layers: Sequence[AveragedOperator]) -> LayerStack:
 
 @dataclass(frozen=True)
 class StackApplication:
-    """Result of one (possibly perturbed) pass through a stack."""
+    """Result of one (possibly perturbed) pass through a stack.
+
+    ``clean`` is the error-free composite when ``apply_stack`` was asked for
+    it (the same array as ``value`` when no error was injected), else None.
+    """
 
     value: Vector
     error_norms: tuple[float, ...]
     aggregate_error: float
+    clean: Vector | None = None
 
 
-def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
+def apply_stack(stack: LayerStack, x: Vector, errors=None, clean: bool = False) -> StackApplication:
     """Evaluate ``T_1(T_2(... T_m x + e_m ...) + e_2) + e_1``.
 
     ``errors`` is ``None`` (clean pass) or a sequence of per-layer vectors
@@ -471,21 +497,36 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
     aggregate error equals ``sum_i ||e_i||``; when the outer layers are
     nonexpansive it bounds the deviation of the perturbed output from the
     clean composite.
+
+    With ``clean=True`` the same pass also returns the clean composite
+    ``T_1 ... T_m x``: the innermost perturbed layer and the layers inside
+    it run once, and only the layers outside it run on both chains, so each
+    value comes from the same calls on the same inputs as a separate pass.
     """
     m = stack.m
     given = 0 if errors is None else len(errors)
     if given > m:
         raise ConfigurationError(f"expected at most {m} per-layer errors, got {given}")
     y = x
+    exact = None  # the clean chain, once an error has split it from y
     norms = [0.0] * m
     for i in range(m, 0, -1):
-        y = stack.layers[i - 1].fn(y)
+        fn = stack.layers[i - 1].fn
+        if exact is not None:
+            exact = fn(exact)
+        y = fn(y)
         e = errors[i - 1] if i <= given else None
         if e is not None:
             check_same_dim(y, e)
+            if clean and exact is None:
+                exact = y
             y = y + e
             norms[i - 1] = norm(e)
-    return StackApplication(value=y, error_norms=tuple(norms), aggregate_error=sum(norms))
+    if clean and exact is None:
+        exact = y
+    return StackApplication(
+        value=y, error_norms=tuple(norms), aggregate_error=sum(norms), clean=exact
+    )
 
 
 def tail_apply(stack: LayerStack, i: int, x: Vector) -> Vector:

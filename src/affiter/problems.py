@@ -63,7 +63,7 @@ def catalog(name: str, **params) -> ProblemSpec:
             objective=objective,
             ingredients={
                 "A": l1_subdifferential(),
-                "B": affine_monotone(np.eye(a.size), -a),
+                "B": affine_monotone(1.0, -a),
                 "grad": lambda x: x - a,
                 "a": a,
             },

@@ -59,11 +59,19 @@ class SolverPreset:
 
 
 def _seq(sequence) -> Callable[[int], Vector | None] | None:
-    """Normalize an error sequence argument: None, callable, or list."""
+    """Normalize an error sequence argument: None, callable, or list.
+
+    Entries become float64 vectors: a callable's value that is not an
+    ndarray is coerced with ``as_vector`` when it is read.
+    """
     if sequence is None:
         return None
     if callable(sequence):
-        return sequence
+        def coerced(n: int):
+            e = sequence(n)
+            return e if e is None or isinstance(e, np.ndarray) else as_vector(e)
+
+        return coerced
     vectors = [None if e is None else as_vector(e) for e in sequence]
 
     def fn(n: int):

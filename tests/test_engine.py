@@ -335,6 +335,43 @@ class TestResidualModes:
         assert set(trace.residual_kinds) == {"exact"}
         assert trace.thetas[0] == pytest.approx(1.0)  # lam * ||e_0|| = 1
 
+    def test_outer_layer_error_costs_no_extra_layer_call(self):
+        # the clean residual is the outer layer's output before e_1 is added
+        calls = {"outer": 0, "inner": 0}
+
+        def counted(key, op):
+            def fn(x):
+                calls[key] += 1
+                return op.fn(x)
+
+            return AveragedOperator(fn=fn, alpha=op.alpha)
+
+        stack = compose([
+            counted("outer", prox_l1(1.0)),
+            counted("inner", gradient_step(0.7, lambda x: x - 2.0, beta=1.0)),
+        ])
+        cfg = IterationConfig(
+            stacks=stack, weights=memoryless(), relaxation=constant_relaxation(1.0),
+            x0=vec(3.0), errors=GeometricError(0.5, vec(0.1), layer=1), max_iters=12,
+            stop_residual=0.0,
+        )
+        trace = run(cfg)
+        assert calls == {"outer": 12, "inner": 12}
+        assert set(trace.residual_kinds) == {"exact"}
+
+    def test_sequence_error_coerces_a_returned_list(self):
+        def config(e):
+            return IterationConfig(
+                stacks=compose([prox_l1(1.0)]), weights=memoryless(),
+                relaxation=constant_relaxation(1.0), x0=vec(3.0),
+                errors=SequenceError([e]), max_iters=5, stop_residual=0.0,
+            )
+
+        listed = run(config(lambda n: [0.5**n]))
+        arrays = run(config(lambda n: vec(0.5**n)))
+        assert [p.tobytes() for p in listed.points] == [p.tobytes() for p in arrays.points]
+        assert listed.thetas == arrays.thetas == [0.5**n for n in range(5)]
+
     def test_genuine_errors_marked_approximate(self):
         stack = compose([prox_l1(1.0)])
         cfg = IterationConfig(

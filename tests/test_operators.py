@@ -20,6 +20,7 @@ from affiter import (
     prox_l1,
     reflector_operator,
     relaxed,
+    resolvent_operator,
     subgradient_projector,
     tail_apply,
 )
@@ -177,6 +178,117 @@ class TestApplyStack:
         noisy = apply_stack(stack, x, errors)
         dev = float(np.linalg.norm(noisy.value - clean))
         assert dev <= noisy.aggregate_error + 1e-12
+
+
+LAYER_KINDS = (
+    "ball", "halfspace", "relaxed", "gradient",
+    "resolvent_diag", "resolvent_dense", "reflector_diag", "reflector_dense",
+)
+
+
+def random_layer(kind, rng, d):
+    """A nonexpansive catalog layer of the given kind with random data."""
+    if kind == "ball":
+        return projector("ball", center=rng.normal(size=d), radius=rng.uniform(0.5, 2.0))
+    if kind == "halfspace":
+        return projector("halfspace", normal=rng.normal(size=d) + 0.1, offset=rng.normal())
+    if kind == "relaxed":
+        return relaxed(projector("nonneg"), rng.uniform(0.1, 1.9))
+    if kind == "gradient":
+        q, center = rng.uniform(0.5, 2.0), rng.normal(size=d)
+        return gradient_step(rng.uniform(0.1, 1.9) / q, lambda x: q * (x - center), beta=1.0 / q)
+    if kind.endswith("_diag"):
+        mono = affine_monotone(rng.uniform(0.0, 3.0, size=d), rng.normal(size=d))
+    else:
+        root = rng.normal(size=(d, d))
+        mono = affine_monotone(root @ root.T, rng.normal(size=d))
+    factory = resolvent_operator if kind.startswith("resolvent") else reflector_operator
+    return factory(rng.uniform(0.05, 3.0), mono)
+
+
+class TestSharedCleanPass:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(LAYER_KINDS), min_size=1, max_size=4),
+        st.integers(1, 4),
+        st.one_of(st.none(), st.lists(st.booleans(), max_size=4)),
+    )
+    def test_clean_value_is_a_separate_clean_pass(self, seed, kinds, d, pattern):
+        rng = np.random.default_rng(seed)
+        stack = compose([random_layer(kind, rng, d) for kind in kinds])
+        x = rng.normal(size=d) * 3.0
+        errors = None
+        if pattern is not None:  # None entries, and possibly fewer than m
+            errors = [rng.normal(size=d) * 0.1 if hit else None for hit in pattern[:stack.m]]
+        shared = apply_stack(stack, x, errors, clean=True)
+        noisy = apply_stack(stack, x, errors)
+        assert noisy.clean is None
+        assert shared.value.tobytes() == noisy.value.tobytes()
+        assert shared.clean.tobytes() == apply_stack(stack, x).value.tobytes()
+        assert shared.error_norms == noisy.error_norms
+        assert shared.aggregate_error == noisy.aggregate_error
+
+    def test_layers_below_the_innermost_error_run_once(self):
+        calls = []
+
+        def layer(k):
+            return AveragedOperator(fn=lambda x: calls.append(k) or 0.5 * x, alpha=0.5)
+
+        stack = compose([layer(1), layer(2), layer(3)])
+        out = apply_stack(stack, vec(4.0), [None, vec(1.0)], clean=True)
+        assert calls == [3, 2, 1, 1]  # layer 1 on the perturbed and the clean chain
+        assert out.value.tolist() == [1.0] and out.clean.tolist() == [0.5]
+
+
+def hexes(v):
+    return [float(t).hex() for t in v]
+
+
+class TestDiagonalAffineMonotone:
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_closed_form_matches_dense_solve_bit_for_bit(self, data):
+        d = data.draw(st.integers(1, 8))
+        form = data.draw(st.sampled_from(["scalar", "1-D", "2-D"]))
+        entries = st.floats(0.0, 10.0)
+        diag = np.full(d, data.draw(entries)) if form == "scalar" else np.array(
+            data.draw(st.lists(entries, min_size=d, max_size=d)))
+        coords = st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)
+        c, x = np.array(data.draw(coords)), np.array(data.draw(coords))
+        gamma = data.draw(st.floats(1e-3, 10.0))
+        matrix = {"scalar": diag[0], "1-D": diag, "2-D": np.diag(diag)}[form]
+        mono = affine_monotone(matrix, c)
+        dense = np.diag(diag)
+        expected = np.linalg.solve(np.eye(d) + gamma * dense, x - gamma * c)
+        # bit for bit up to the sign of an exact zero (adding 0.0 maps -0.0 to
+        # +0.0 and keeps every other value): the dense solve and product add
+        # 0 * x_j for the off-diagonal terms, which turns a -0.0 into +0.0
+        assert hexes(mono.resolvent(gamma, x) + 0.0) == hexes(expected + 0.0)
+        assert hexes(mono.mapping(x) + 0.0) == hexes(dense @ x + c + 0.0)
+
+    def test_only_a_non_diagonal_matrix_calls_the_dense_solve(self, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+        x = vec(1.0, -2.0)
+        for matrix in (2.0, [2.0, 1.0], [[2.0, 0.0], [0.0, 1.0]]):
+            affine_monotone(matrix, vec(0.5, 0.5)).resolvent(0.7, x)
+        assert solves == []
+        dense = [[2.0, 0.3], [0.3, 1.0]]
+        y = affine_monotone(dense, vec(0.5, 0.5)).resolvent(0.7, x)
+        assert solves == [1]
+        assert y.tobytes() == solve(np.eye(2) + 0.7 * np.array(dense), x - 0.35).tobytes()
+
+    def test_wrong_diagonal_length_raises(self):
+        with pytest.raises(ConfigurationError, match="diagonal length 3 does not match offset 2"):
+            affine_monotone([1.0, 2.0, 3.0], vec(0.0, 0.0))
+
+    def test_caller_matrix_is_copied(self):
+        matrix = np.diag([1.0, 2.0])
+        mono = affine_monotone(matrix, vec(0.0, 0.0))
+        matrix[0, 0] = 5.0
+        assert mono.mapping(vec(1.0, 1.0)).tolist() == [1.0, 2.0]
 
 
 class TestResolventIdentity:

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,8 +130,11 @@ class TestPeacemanRachford:
             "reflector(affine_monotone, gamma=0.5)",
         ]
 
-    def test_b_errors_cost_three_resolvents_of_each_map_per_step(self):
-        # one perturbed pass, one clean pass for the exact residual, one record
+    def test_b_errors_cost_three_resolvents_of_a_and_two_of_b_per_step(self):
+        # b_n perturbs the inner layer, so the perturbed and the clean chain of
+        # the one pass share J_{gamma B}(xbar_n) and each apply R_{gamma A}
+        # (A: 2, B: 1); the record makes the third J_{gamma A} and the second
+        # J_{gamma B}
         prob = self.problem()
         calls = {"A": 0, "B": 0}
 
@@ -148,7 +152,24 @@ class TestPeacemanRachford:
             b_errors=lambda n: vec(0.5**n * -0.05), max_iters=40, stop_residual=0.0,
         )
         preset.solve()
-        assert calls == {"A": 3 * 40, "B": 3 * 40}
+        assert calls == {"A": 3 * 40, "B": 2 * 40}
+
+    def test_catalog_and_steps_at_large_d_stay_o_of_d_in_memory(self):
+        # the catalog's B is the scalar 1 and its resolvent the closed-form
+        # diagonal one: no d x d matrix is built at d = 1e5 (np.eye would be 80 GB)
+        d, steps = 100_000, 5
+        tracemalloc.start()
+        try:
+            prob = catalog("l1_quadratic", a=np.linspace(-3.0, 3.0, d))
+            _, trace = peaceman_rachford(
+                prob.ingredients["A"], prob.ingredients["B"], gamma=1.0, weights=window(2),
+                x0=np.zeros(d), max_iters=steps, stop_residual=0.0,
+            ).solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.n_steps == steps
+        assert peak <= 8 * (steps + 1) * 8 * d
 
     def test_error_layer_below_the_stack_raises_from_solve_before_resolvent_calls(self):
         prob = self.problem()
@@ -193,6 +214,34 @@ class TestPeacemanRachford:
                     prob.ingredients["A"], prob.ingredients["B"], gamma=1.0,
                     weights=weights, x0=vec(0.0),
                 )
+
+
+def points_bytes(trace):
+    return [p.tobytes() for p in trace.points]
+
+
+@pytest.mark.parametrize("key", ["a_errors", "b_errors"])
+@pytest.mark.parametrize("solver", ["forward_backward", "peaceman_rachford"])
+def test_error_callable_returning_a_list_runs_as_its_array(solver, key):
+    prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+
+    def preset(errors):
+        if solver == "forward_backward":
+            return forward_backward(
+                prob.ingredients["A"], prob.ingredients["grad"], prob.beta, 1.0,
+                x0=np.zeros(3), max_iters=20, stop_residual=0.0, **{key: errors},
+            )
+        return peaceman_rachford(
+            prob.ingredients["A"], prob.ingredients["B"], 1.0, window(2),
+            np.zeros(3), max_iters=20, stop_residual=0.0, **{key: errors},
+        )
+
+    listed = preset(lambda n: [0.1 * 0.5**n, 0, 0])
+    _, trace = listed.solve()
+    _, expected = preset(lambda n: vec(0.1 * 0.5**n, 0.0, 0.0)).solve()
+    assert points_bytes(trace) == points_bytes(expected)
+    assert trace.thetas == expected.thetas
+    assert error_budget_check(listed.config, 19).total == pytest.approx(sum(trace.thetas))
 
 
 class TestForwardBackward:
