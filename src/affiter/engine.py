@@ -42,6 +42,12 @@ from .space import Vector, all_finite, as_vector, norm
 # error models
 # ---------------------------------------------------------------------------
 
+def error_vector(e):
+    """An injected error as the run uses it: None and ndarrays pass through
+    unchecked, any other value (a list, a scalar) goes through ``as_vector``."""
+    return e if e is None or isinstance(e, np.ndarray) else as_vector(e)
+
+
 class ErrorModel:
     """Base: no errors.  Subclasses inject per-layer perturbations.
 
@@ -90,8 +96,7 @@ class GeometricError(ErrorModel):
 class SequenceError(ErrorModel):
     """Per-layer error sequences given as callables ``n -> vector | None``.
 
-    A returned value that is not an ndarray (a list, a scalar) is coerced
-    with ``as_vector``.
+    Returned values go through ``error_vector``.
     """
 
     def __init__(self, per_layer: Sequence[Callable[[int], Vector | None] | None]):
@@ -102,10 +107,8 @@ class SequenceError(ErrorModel):
         return len(self.per_layer)
 
     def errors_for(self, n: int):
-        out = [fn(n) if fn is not None else None for fn in self.per_layer]
-        if not any(e is not None for e in out):
-            return None
-        return [e if e is None or isinstance(e, np.ndarray) else as_vector(e) for e in out]
+        out = [error_vector(fn(n)) if fn is not None else None for fn in self.per_layer]
+        return out if any(e is not None for e in out) else None
 
     def budget(self, n: int, i: int) -> float:
         fn = self.per_layer[i - 1] if i - 1 < len(self.per_layer) else None

@@ -138,10 +138,9 @@ def affine_monotone(matrix, offset) -> MonotoneMap:
     resolvent is the closed form ``(x - g c) / (1 + g D)``, O(d) in time and
     memory.  The division (not a multiply by the reciprocal) reproduces
     ``np.linalg.solve`` on ``I + g M`` bit for bit, up to the sign of an
-    exact zero.  Any other matrix is
-    stored dense and its resolvent solves ``(I + g M) y = x - g c``.
-    Monotonicity of ``M`` is the caller's assertion; it is exercised by the
-    sampled certificates.
+    exact zero.  Any other matrix is stored dense and its resolvent solves
+    ``(I + g M) y = x - g c``.  Monotonicity of ``M`` is the caller's
+    assertion; it is exercised by the sampled certificates.
     """
     c = as_vector(offset)
     m = np.asarray(matrix, dtype=np.float64)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .certificates import InertialBandParams, inertial_band_validate
-from .engine import ErrorModel, IterationConfig, RunTrace, SequenceError, run
+from .engine import ErrorModel, IterationConfig, RunTrace, SequenceError, error_vector, run
 from .errors import ConfigurationError
 from .operators import (
     AveragedOperator,
@@ -61,17 +61,12 @@ class SolverPreset:
 def _seq(sequence) -> Callable[[int], Vector | None] | None:
     """Normalize an error sequence argument: None, callable, or list.
 
-    Entries become float64 vectors: a callable's value that is not an
-    ndarray is coerced with ``as_vector`` when it is read.
+    A callable's values go through ``engine.error_vector`` as they are read.
     """
     if sequence is None:
         return None
     if callable(sequence):
-        def coerced(n: int):
-            e = sequence(n)
-            return e if e is None or isinstance(e, np.ndarray) else as_vector(e)
-
-        return coerced
+        return lambda n: error_vector(sequence(n))
     vectors = [None if e is None else as_vector(e) for e in sequence]
 
     def fn(n: int):
