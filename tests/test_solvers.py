@@ -130,7 +130,7 @@ class TestPeacemanRachford:
             "reflector(affine_monotone, gamma=0.5)",
         ]
 
-    def test_b_errors_cost_three_resolvents_of_a_and_two_of_b_per_step(self):
+    def test_b_errors_cost_three_a_and_two_b_resolvents_per_step(self):
         # b_n perturbs the inner layer, so the perturbed and the clean chain of
         # the one pass share J_{gamma B}(xbar_n) and each apply R_{gamma A}
         # (A: 2, B: 1); the record makes the third J_{gamma A} and the second
