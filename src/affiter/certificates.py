@@ -113,13 +113,14 @@ def run_certificates(
     and inertial traces, O(N w) for ``window(w)`` and an O(N^2)
     numpy-and-``fsum`` sum for cesaro.  The slacks are bit for bit those of
     ``fsum`` over row ``n``'s terms ``|mu_{n,j}| ||x_j - x*||``: ``fsum`` is
-    correctly rounded whatever the order of its terms.  Certificates (ii) and (iii) start from ``||xbar_n - x*||^2``,
-    with ``xbar_n`` read from ``trace.xbars`` (the point the run fed to the
-    stack), so they cost O(d) per step.  Stacks are read from the trace
-    (``RunTrace.stack_at``), never from a stack provider.  Certificate (iii)
-    also evaluates the stack tails at ``xbar_n`` every iteration, and at
-    ``x_ref`` once per distinct stack; ``indices`` restricts the evaluation
-    to a subsample when that cost matters.
+    correctly rounded whatever the order of its terms.  Certificates (ii)
+    and (iii) start from ``||xbar_n - x*||^2``, with ``xbar_n`` read from
+    ``trace.xbars`` (the point the run fed to the stack), so they cost O(d)
+    per step.  Stacks are read from the trace (``RunTrace.stack_at``), never
+    from a stack provider.  Certificate (iii) also evaluates the stack tails
+    at ``xbar_n`` every iteration, and at ``x_ref`` once per distinct stack;
+    ``indices`` restricts the evaluation to a subsample when that cost
+    matters.
     """
     x_ref = as_vector(x_ref, dim=trace.points[0].size)
     unknown = set(which) - {"i", "ii", "iii"}

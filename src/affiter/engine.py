@@ -18,6 +18,7 @@ applied.
 
 from __future__ import annotations
 
+import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
@@ -115,7 +116,15 @@ class SequenceError(ErrorModel):
         if fn is None:
             return 0.0
         e = fn(n)
-        return 0.0 if e is None else norm(as_vector(e))
+        if e is None:
+            return 0.0
+        if type(e) is np.ndarray and e.dtype == np.float64 and e.ndim == 1 and e.size:
+            r = norm(e)
+            if math.isfinite(r):
+                return r
+        # other values, and non-finite norms: as_vector coerces them or raises
+        # on non-finite entries (finite entries whose squares overflow give inf)
+        return norm(as_vector(e))
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +291,35 @@ def run(config: IterationConfig) -> RunTrace:
     if config.aux_recorder is not None:
         trace.aux = []
 
+    stack = config.stacks  # the one LayerStack, unless the plan has one per n
+    per_step = plan.stacks
+    xbar_at = plan.xbar
+    errors_for = config.errors.errors_for
+    synthetic = config.synthetic_errors
+    stop_residual = config.stop_residual
     stop_reason = "max_iters"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for n in range(config.max_iters):
-            xbar = plan.xbar(n, trace.points[n])
-            stack = trace.stack_at(n)
+            xbar = xbar_at(n, trace.points[n])
+            if per_step is not None:
+                stack = per_step[n]
             lam = plan.lambdas[n]
 
-            errors_n = config.errors.errors_for(n)
-            noisy = apply_stack(stack, xbar, errors_n, clean=config.synthetic_errors)
+            errors_n = errors_for(n)
+            noisy = apply_stack(stack, xbar, errors_n, clean=synthetic)
+            step = noisy.value - xbar
             if errors_n is None:
-                residual = norm(noisy.value - xbar)
+                residual = norm(step)
                 residual_kind = "exact"
-            elif config.synthetic_errors:
+            elif synthetic:
                 residual = norm(noisy.clean - xbar)
                 residual_kind = "exact"
             else:
-                residual = norm(noisy.value - xbar)
+                residual = norm(step)
                 residual_kind = "approximate"
 
-            x_next = xbar + lam * (noisy.value - xbar)
+            x_next = xbar + lam * step
             if not all_finite(x_next):
                 raise NumericalDivergence(
                     f"iterate became non-finite at iteration {n}", iteration=n
@@ -322,7 +339,7 @@ def run(config: IterationConfig) -> RunTrace:
 
             trace.points.append(x_next)
 
-            if config.stop_residual > 0.0 and residual <= config.stop_residual:
+            if stop_residual > 0.0 and residual <= stop_residual:
                 stop_reason = "residual"
                 break
 

@@ -24,6 +24,7 @@ stack may be merely quasinonexpansive; earlier layers must be nonexpansive.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -473,18 +474,27 @@ def compose(layers: Sequence[AveragedOperator]) -> LayerStack:
     return LayerStack(layers=layers, phi=composite_phi(op.alpha for op in layers), case=case)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StackApplication:
     """Result of one (possibly perturbed) pass through a stack.
 
     ``clean`` is the error-free composite when ``apply_stack`` was asked for
     it (the same array as ``value`` when no error was injected), else None.
+    A plain ``slots`` record, not frozen: ``run`` builds one per step, and a
+    frozen dataclass costs about four times as much to construct.  Nothing
+    reassigns its fields.
     """
 
     value: Vector
     error_norms: tuple[float, ...]
     aggregate_error: float
     clean: Vector | None = None
+
+
+@functools.cache
+def _zero_norms(m: int) -> tuple[float, ...]:
+    """The error norms of an error-free pass, one shared tuple per depth."""
+    return (0.0,) * m
 
 
 def apply_stack(stack: LayerStack, x: Vector, errors=None, clean: bool = False) -> StackApplication:
@@ -497,13 +507,25 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None, clean: bool = False) 
     nonexpansive it bounds the deviation of the perturbed output from the
     clean composite.
 
+    With ``errors=None`` the pass is the layers' ``fn`` calls, innermost
+    first, and nothing else: every such pass returns the same shared tuple
+    of m zero norms, and ``clean`` (if asked for) is ``value`` itself.
+
     With ``clean=True`` the same pass also returns the clean composite
     ``T_1 ... T_m x``: the innermost perturbed layer and the layers inside
     it run once, and only the layers outside it run on both chains, so each
     value comes from the same calls on the same inputs as a separate pass.
+    On each layer both chains share, the clean chain is evaluated first and
+    the perturbed one last; ``solvers.peaceman_rachford`` reads the
+    perturbed chain's resolvents through that order.
     """
     m = stack.m
-    given = 0 if errors is None else len(errors)
+    if errors is None:
+        y = x
+        for op in reversed(stack.layers):
+            y = op.fn(y)
+        return StackApplication(y, _zero_norms(m), 0.0, y if clean else None)
+    given = len(errors)
     if given > m:
         raise ConfigurationError(f"expected at most {m} per-layer errors, got {given}")
     y = x

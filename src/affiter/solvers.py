@@ -30,7 +30,6 @@ from .operators import (
     LayerStack,
     MonotoneMap,
     compose,
-    reflector_operator,
     relaxed,
     resolvent_operator,
     subgradient_projector,
@@ -119,6 +118,17 @@ def peaceman_rachford(
     ``e_2 = 2 b_n``, so ``theta_n = 2 (||a_n|| + ||b_n||)``.  The trace
     records the three-line quantities y_n, z_n; the reported solution is
     y_n, and the orbit converges to ``x* = y* + gamma B y*``.
+
+    The two reflectors keep the resolvent value they last computed, and the
+    recorder reads y_n and z_n from the step's own pass instead of calling
+    the resolvents again: y_n from ``J_{gamma B} xbar_n``, and z_n from the
+    perturbed chain's ``J_{gamma A} u_n`` with ``u_n = R_{gamma B} xbar_n +
+    2 b_n`` (``apply_stack`` evaluates the clean chain of a shared layer
+    first).  ``u_n`` is ``2 y_n - xbar_n`` in exact arithmetic; in floating
+    point z_n can differ from that form by rounding when b_n is given.  An
+    error model set on the config directly reaches z_n the same way.  One
+    preset must not be solved from two threads at once: these values and
+    the per-n cache of (a_n, b_n) are shared by its runs.
     """
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
@@ -142,20 +152,25 @@ def peaceman_rachford(
 
         return error
 
-    def jb(x):
-        return B.resolvent(gamma, x)
+    resolvents = [None, None]  # J_{gamma A}, J_{gamma B} as the layers last returned them
 
-    def ja(x):
-        return A.resolvent(gamma, x)
+    def reflector(k: int, mono: MonotoneMap) -> AveragedOperator:
+        # reflector_operator(gamma, mono), keeping its resolvent value for record
+        def fn(x):
+            j = resolvents[k] = mono.resolvent(gamma, x)
+            return 2.0 * j - x
+
+        return AveragedOperator(fn=fn, alpha=1.0, name=f"reflector({mono.name}, gamma={gamma})")
 
     def record(n, xbar):
+        # the step's pass has just evaluated J_{gamma B} at xbar_n and, last,
+        # J_{gamma A} on the perturbed chain
         a_n, b_n = perturbations(n)
-        y = jb(xbar) if b_n is None else jb(xbar) + b_n
-        z = ja(2.0 * y - xbar) if a_n is None else ja(2.0 * y - xbar) + a_n
-        return {"y": y, "z": z}
+        ja, jb = resolvents
+        return {"y": jb if b_n is None else jb + b_n, "z": ja if a_n is None else ja + a_n}
 
     config = IterationConfig(
-        stacks=compose([reflector_operator(gamma, A), reflector_operator(gamma, B)]),
+        stacks=compose([reflector(0, A), reflector(1, B)]),
         weights=weights,
         relaxation=RelaxationSchedule(policy="constant", value=1.0),
         x0=as_vector(x0),

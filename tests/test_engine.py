@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -411,6 +413,28 @@ class TestErrorBudget:
         )
         with pytest.raises(ConfigurationError, match="perturbs layer 3, but the stack has 2"):
             error_budget_check(cfg, 20)
+
+    @pytest.mark.parametrize("value,expected", [
+        (np.array([3.0, 4.0]), 5.0),
+        ([3.0, 4.0], 5.0),
+        (3, 3.0),
+        (np.array([0.1, 0.2], dtype=np.float32),
+         float(np.linalg.norm(np.array([0.1, 0.2], dtype=np.float32).astype(np.float64)))),
+        (np.array([1e200, 1e200]), float("inf")),
+        (np.array([[3.0, 4.0]]), "expected a 1-D point, got shape (1, 2)"),
+        (np.array([1.0, np.nan]), "point has non-finite coordinates"),
+        (np.array([np.inf, 0.0]), "point has non-finite coordinates"),
+    ], ids=["float64", "list", "int", "float32", "overflow", "2-D", "nan", "inf"])
+    def test_sequence_budget_coerces_only_what_it_must(self, value, expected):
+        # a finite 1-D float64 array is its own norm; every other value goes
+        # through as_vector, with its value or its message
+        model = SequenceError([lambda n: value])
+        if isinstance(expected, str):
+            with pytest.raises(ConfigurationError, match=re.escape(expected)):
+                model.budget(0, 1)
+        else:
+            with np.errstate(over="ignore"):  # the overflow case's dot
+                assert model.budget(0, 1) == expected
 
     def test_inertial_with_errors_and_nonunit_lambda_flagged(self):
         weights = inertial(EtaSchedule(kind="constant", eta=0.3))

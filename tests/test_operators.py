@@ -229,6 +229,29 @@ class TestSharedCleanPass:
         assert shared.error_norms == noisy.error_norms
         assert shared.aggregate_error == noisy.aggregate_error
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(LAYER_KINDS), min_size=1, max_size=4),
+        st.integers(1, 4),
+    )
+    def test_error_free_pass_is_the_hand_loop(self, seed, kinds, d):
+        rng = np.random.default_rng(seed)
+        stack = compose([random_layer(kind, rng, d) for kind in kinds])
+        x = rng.normal(size=d) * 3.0
+        expected = x
+        for layer in reversed(stack.layers):
+            expected = layer.fn(expected)
+        plain = apply_stack(stack, x)
+        shared = apply_stack(stack, x, clean=True)
+        for out in (plain, shared):
+            assert out.value.tobytes() == expected.tobytes()
+            assert out.error_norms == (0.0,) * stack.m
+            assert out.aggregate_error == 0.0
+        assert plain.clean is None and shared.clean is shared.value
+        # one shared tuple of zeros, not a new one per pass
+        assert plain.error_norms is shared.error_norms
+
     def test_layers_below_the_innermost_error_run_once(self):
         calls = []
 

@@ -130,11 +130,11 @@ class TestPeacemanRachford:
             "reflector(affine_monotone, gamma=0.5)",
         ]
 
-    def test_b_errors_cost_three_a_and_two_b_resolvents_per_step(self):
+    def test_b_errors_cost_two_a_and_one_b_resolvent_per_step(self):
         # b_n perturbs the inner layer, so the perturbed and the clean chain of
         # the one pass share J_{gamma B}(xbar_n) and each apply R_{gamma A}
-        # (A: 2, B: 1); the record makes the third J_{gamma A} and the second
-        # J_{gamma B}
+        # (A: 2, B: 1); the recorder reads both resolvents from the step's
+        # pass and calls neither again
         prob = self.problem()
         calls = {"A": 0, "B": 0}
 
@@ -152,7 +152,32 @@ class TestPeacemanRachford:
             b_errors=lambda n: vec(0.5**n * -0.05), max_iters=40, stop_residual=0.0,
         )
         preset.solve()
-        assert calls == {"A": 3 * 40, "B": 2 * 40}
+        assert calls == {"A": 2 * 40, "B": 1 * 40}
+
+    def test_recorder_reads_the_resolvents_of_the_steps_pass(self):
+        # y_n is J_B(xbar_n) + b_n; z_n is J_A at the perturbed chain's input
+        # u_n = R_B(xbar_n) + 2 b_n, which is 2 y_n - xbar_n up to rounding
+        prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+        A, B, gamma = prob.ingredients["A"], prob.ingredients["B"], 0.6
+        rng = np.random.default_rng(7)
+        a_n = rng.standard_normal((40, 3)) * 0.1
+        b_n = rng.standard_normal((40, 3)) * 0.1
+        _, trace = peaceman_rachford(
+            A, B, gamma=gamma, weights=window(2), x0=vec(-1.0, 0.5, 3.0),
+            a_errors=lambda n: 0.9**n * a_n[n], b_errors=lambda n: 0.9**n * b_n[n],
+            max_iters=40, stop_residual=0.0,
+        ).solve()
+        rounded = 0
+        for n in range(trace.n_steps):
+            xbar, a, b = trace.xbars[n], 0.9**n * a_n[n], 0.9**n * b_n[n]
+            jb = B.resolvent(gamma, xbar)
+            y, z = trace.aux[n]["y"], trace.aux[n]["z"]
+            assert y.tobytes() == (jb + b).tobytes()
+            assert z.tobytes() == (A.resolvent(gamma, (2.0 * jb - xbar) + 2.0 * b) + a).tobytes()
+            three_line = A.resolvent(gamma, 2.0 * y - xbar) + a
+            assert np.max(np.abs(z - three_line)) <= 1e-15
+            rounded += z.tobytes() != three_line.tobytes()
+        assert rounded > 0  # the two forms of the input do round apart here
 
     def test_catalog_and_steps_at_large_d_stay_o_of_d_in_memory(self):
         # the catalog's B is the scalar 1 and its resolvent the closed-form
@@ -430,6 +455,30 @@ class TestForwardBackward:
         calls.clear()
         preset.solve()
         assert calls == list(range(30))
+
+    def test_callable_gamma_run_stopping_early_is_the_hand_loop(self):
+        # a stack per n from the plan, and the residual stop: the orbit equals
+        # x <- x + (J_{gamma_n A}(x - gamma_n B x) - x) bit for bit
+        prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+        A, grad = prob.ingredients["A"], prob.ingredients["grad"]
+
+        def gamma(n):
+            return 0.6 + 0.4 * 0.5**n
+
+        _, trace = forward_backward(
+            A=A, B=grad, beta=prob.beta, gamma=gamma, x0=vec(-1.0, 0.5, 3.0),
+            lam=1.0, max_iters=500, stop_residual=1e-6,
+        ).solve()
+        x, points = vec(-1.0, 0.5, 3.0), [vec(-1.0, 0.5, 3.0)]
+        for n in range(500):
+            g = gamma(n)
+            step = A.resolvent(g, x - g * grad(x)) - x
+            x = x + 1.0 * step
+            points.append(x)
+            if np.linalg.norm(step) <= 1e-6:
+                break
+        assert trace.stop_reason == "residual" and trace.n_steps < 500
+        assert points_bytes(trace) == [p.tobytes() for p in points]
 
     def test_certificates_reuse_the_stacks_the_run_applied(self):
         calls = []
