@@ -23,8 +23,10 @@ negative weights allowed (the identity for affine combinations).  So (ii)
 and (iii) read ``xbar_n`` from ``trace.xbars`` and cost O(d) per step
 (plus the stack tails for (iii)).  Certificate (i) builds no weight row:
 ``schedules.abs_weighted_sums`` forms its sum per family from the
-distances ``||x_j - x*||``.  These are deterministic functions of the
-trace: recomputing yields identical values.
+distances ``||x_j - x*||``, in O(N) for every family but ``window(w)``
+(O(N w)).  When x* is the run's reference, those distances are the ones
+the run stored in ``trace.dist_to_ref``.  These are deterministic
+functions of the trace: recomputing yields identical values.
 """
 
 from __future__ import annotations
@@ -107,14 +109,20 @@ def run_certificates(
 ) -> dict[str, CertificateReport]:
     """Evaluate the requested certificate slacks along a trace.
 
+    The distances ``||x_j - x*||`` for ``j < N`` come from
+    ``trace.dist_to_ref`` when ``x_ref`` equals the run's reference, and only
+    ``||x_N - x*||`` is measured; for any other point every distance is
+    measured.  Both are the same ``norm(x_j - x*)`` call on the same arrays,
+    so the slacks do not depend on which path ran.
+
     Certificate (i) builds no weight row: ``schedules.abs_weighted_sums``
     forms ``sum_j |mu_{n,j}| ||x_j - x*||`` from the distances and the
-    eta_n the run kept (``trace.etas``).  That costs O(N) for memoryless
-    and inertial traces, O(N w) for ``window(w)`` and an O(N^2)
-    numpy-and-``fsum`` sum for cesaro.  The slacks are bit for bit those of
-    ``fsum`` over row ``n``'s terms ``|mu_{n,j}| ||x_j - x*||``: ``fsum`` is
-    correctly rounded whatever the order of its terms.  Certificates (ii)
-    and (iii) start from ``||xbar_n - x*||^2``, with ``xbar_n`` read from
+    eta_n the run kept (``trace.etas``).  That costs O(N) for memoryless,
+    inertial and cesaro traces and O(N w) for ``window(w)``.  Except for
+    cesaro, the slacks are bit for bit those of ``fsum`` over row ``n``'s
+    terms ``|mu_{n,j}| ||x_j - x*||``; cesaro's running sum stays within
+    about ``2 eps`` of that ``fsum``, relative.  Certificates (ii) and (iii)
+    start from ``||xbar_n - x*||^2``, with ``xbar_n`` read from
     ``trace.xbars`` (the point the run fed to the stack), so they cost O(d)
     per step.  Stacks are read from the trace (``RunTrace.stack_at``), never
     from a stack provider.  Certificate (iii) also evaluates the stack tails
@@ -137,7 +145,12 @@ def run_certificates(
         if eval_at.size and (eval_at[0] < 0 or eval_at[-1] >= n_steps):
             raise ConfigurationError(f"certificate indices outside 0..{n_steps - 1}")
     points = trace.points
-    dists = [norm(p - x_ref) for p in points]
+    ref = trace.config.reference
+    if trace.dist_to_ref is not None and np.array_equal(x_ref, as_vector(ref)):
+        # the run measured ||x_n - x*|| for n < N with the same norm call
+        dists = trace.dist_to_ref + [norm(points[-1] - x_ref)]
+    else:
+        dists = [norm(p - x_ref) for p in points]
 
     slacks = {name: np.zeros(eval_at.size) for name in which}
     if "i" in which:

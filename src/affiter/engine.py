@@ -145,6 +145,11 @@ class IterationConfig:
     approximate.
     ``stop_residual = 0`` disables the residual stop entirely (useful when a
     mean point can land on a fixed point without the orbit having settled).
+    ``aux_recorder(n, xbar_n, errors_n)`` runs after each step's pass and
+    its dict goes to ``trace.aux``; ``errors_n`` is what
+    ``errors.errors_for(n)`` returned for that pass (None, or per-layer
+    vectors outermost first), so a recorder reads the errors the step
+    injected without calling the error model again.
     """
 
     stacks: LayerStack | Callable[[int], LayerStack]
@@ -156,7 +161,7 @@ class IterationConfig:
     stop_residual: float = 1e-10
     reference: Vector | None = None
     synthetic_errors: bool = True
-    aux_recorder: Callable[[int, Vector], dict] | None = None
+    aux_recorder: Callable[[int, Vector, Sequence | None], dict] | None = None
 
     def stack_at(self, n: int) -> LayerStack:
         return self.stacks(n) if callable(self.stacks) else self.stacks
@@ -171,7 +176,10 @@ class RunTrace:
     single LayerStack of the config, or the pre-pass's list of per-step
     stacks; read it through ``stack_at(n)``.  ``etas`` holds the pre-pass's
     eta_n of inertial rows (``schedules.eta_values``, one per
-    ``n < max_iters``), None for the other families.
+    ``n < max_iters``), None for the other families.  With a reference set,
+    ``dist_to_ref`` holds ``norm(x_n - reference)`` for each step ``n``
+    (not the final point); ``run_certificates`` reuses these values when
+    it certifies against that reference.
     """
 
     config: IterationConfig
@@ -335,7 +343,7 @@ def run(config: IterationConfig) -> RunTrace:
             if trace.dist_to_ref is not None:
                 trace.dist_to_ref.append(norm(trace.points[n] - reference))
             if config.aux_recorder is not None:
-                trace.aux.append(config.aux_recorder(n, xbar))
+                trace.aux.append(config.aux_recorder(n, xbar, errors_n))
 
             trace.points.append(x_next)
 
@@ -386,9 +394,13 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     sums = np.zeros(horizon + 1)
     acc = 0.0
     any_error = False
+    budget = config.errors.budget
+    layers = range(1, first.m + 1)
     for n, lam in enumerate(plan.lambdas):
         chi_n = 1.0 if nonneg else chi_value(weights, n).value
-        per_iter = sum(config.errors.budget(n, i) for i in range(1, first.m + 1))
+        per_iter = 0
+        for i in layers:
+            per_iter += budget(n, i)
         if per_iter > 0.0:
             any_error = True
         acc += chi_n * lam * per_iter

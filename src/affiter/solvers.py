@@ -16,7 +16,6 @@ lambda_n != 1.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -125,10 +124,12 @@ def peaceman_rachford(
     perturbed chain's ``J_{gamma A} u_n`` with ``u_n = R_{gamma B} xbar_n +
     2 b_n`` (``apply_stack`` evaluates the clean chain of a shared layer
     first).  ``u_n`` is ``2 y_n - xbar_n`` in exact arithmetic; in floating
-    point z_n can differ from that form by rounding when b_n is given.  An
-    error model set on the config directly reaches z_n the same way.  One
-    preset must not be solved from two threads at once: these values and
-    the per-n cache of (a_n, b_n) are shared by its runs.
+    point z_n can differ from that form by rounding when b_n is given.  The
+    recorder takes a_n and b_n as half the layer errors the step injected
+    (halving ``2 b_n`` is exact), so an error model set on the config
+    directly gives y_n, z_n with ``x_{n+1} = xbar_n + 2 (z_n - y_n)`` too.
+    One preset must not be solved from two threads at once: the resolvent
+    values are shared by its runs.
     """
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
@@ -139,18 +140,9 @@ def peaceman_rachford(
         )
     a_fn, b_fn = _seq(a_errors), _seq(b_errors)
 
-    @functools.lru_cache(maxsize=1)
-    def perturbations(n: int) -> tuple[Vector | None, Vector | None]:
-        # errors_for and record both need (a_n, b_n): one user call per n
-        return (a_fn(n) if a_fn is not None else None,
-                b_fn(n) if b_fn is not None else None)
-
-    def doubled(k: int) -> Callable[[int], Vector | None]:
-        def error(n: int) -> Vector | None:
-            e = perturbations(n)[k]
-            return None if e is None else 2.0 * e
-
-        return error
+    def doubled(fn):
+        # the layer error 2 e_n of a sequence e_n; an absent sequence stays absent
+        return None if fn is None else (lambda n: None if (e := fn(n)) is None else 2.0 * e)
 
     resolvents = [None, None]  # J_{gamma A}, J_{gamma B} as the layers last returned them
 
@@ -162,12 +154,13 @@ def peaceman_rachford(
 
         return AveragedOperator(fn=fn, alpha=1.0, name=f"reflector({mono.name}, gamma={gamma})")
 
-    def record(n, xbar):
+    def record(n, xbar, errors_n):
         # the step's pass has just evaluated J_{gamma B} at xbar_n and, last,
-        # J_{gamma A} on the perturbed chain
-        a_n, b_n = perturbations(n)
+        # J_{gamma A} on the perturbed chain; errors_n is (2 a_n, 2 b_n), or shorter
+        e_a, e_b = (*(errors_n or ()), None, None)[:2]
         ja, jb = resolvents
-        return {"y": jb if b_n is None else jb + b_n, "z": ja if a_n is None else ja + a_n}
+        return {"y": jb if e_b is None else jb + 0.5 * e_b,
+                "z": ja if e_a is None else ja + 0.5 * e_a}
 
     config = IterationConfig(
         stacks=compose([reflector(0, A), reflector(1, B)]),
@@ -175,7 +168,7 @@ def peaceman_rachford(
         relaxation=RelaxationSchedule(policy="constant", value=1.0),
         x0=as_vector(x0),
         errors=(ErrorModel() if a_fn is None and b_fn is None
-                else SequenceError([doubled(0), doubled(1)])),
+                else SequenceError([doubled(a_fn), doubled(b_fn)])),
         max_iters=max_iters,
         stop_residual=stop_residual,
         reference=reference,

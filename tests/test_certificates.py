@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from affiter import (
     inertial_band_validate,
     linear_operator,
     memoryless,
+    peaceman_rachford,
     prox_l1,
     run,
     run_certificates,
@@ -30,6 +32,9 @@ from affiter import (
     tail_apply,
     window,
 )
+
+
+EPS = np.finfo(np.float64).eps
 
 
 def vec(*xs):
@@ -371,11 +376,11 @@ class TestRunCertificates:
         # certificate (i) as the explicit row sum: the oracle the kernel must match
         dists = [float(np.linalg.norm(p - x_ref)) for p in trace.points]
         weights = trace.config.weights
-        oracle = np.array([
-            (math.fsum(abs(w) * dists[j] for j, w in weights.row(n).items()) + trace.thetas[n])
-            - dists[n + 1]
+        rhs = np.array([
+            math.fsum(abs(w) * dists[j] for j, w in weights.row(n).items())
             for n in range(trace.n_steps)
         ])
+        oracle = (rhs + np.array(trace.thetas)) - np.array(dists[1:])
         energy = run_certificates(trace, x_ref, which=("ii", "iii"))
 
         def no_row(self, n):
@@ -385,7 +390,13 @@ class TestRunCertificates:
         for indices in (None, [0, 1, 6, 14]):
             at = slice(None) if indices is None else indices
             reports = run_certificates(trace, x_ref, which=("i", "ii", "iii"), indices=indices)
-            assert reports["i"].slacks.tobytes() == oracle[at].tobytes()
+            if family == "cesaro":
+                # one compensated running sum, not a row fsum: within 2 eps of the
+                # row sum, plus the rounding of the subtraction (theta_n = 0 here)
+                bound = 2.0 * EPS * rhs[at] + np.spacing(np.abs(oracle[at]))
+                assert np.all(np.abs(reports["i"].slacks - oracle[at]) <= bound)
+            else:
+                assert reports["i"].slacks.tobytes() == oracle[at].tobytes()
             for name in ("ii", "iii"):
                 assert reports[name].slacks.tobytes() == energy[name].slacks[at].tobytes()
 
@@ -418,3 +429,107 @@ class TestRunCertificates:
         assert sub.slacks == pytest.approx(full.slacks[[0, 7, 20]])
         with pytest.raises(ConfigurationError):
             run_certificates(trace, vec(1.0), indices=[999])
+
+
+class TestDistanceReuse:
+    """``run_certificates`` reads ``||x_n - x*||``, n < N, from ``trace.dist_to_ref``
+    when x* is the run's reference, and measures every distance otherwise."""
+
+    CASES = [*TestRunCertificates.FAMILIES, "peaceman_rachford"]
+
+    def solve(self, case, max_iters=40, stop_residual=0.0):
+        prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+        if case == "peaceman_rachford":
+            A, B, gamma = prob.ingredients["A"], prob.ingredients["B"], 0.6
+            y_ref = prob.reference
+            preset = peaceman_rachford(
+                A, B, gamma=gamma, weights=window(2), x0=vec(-1.0, 0.5, 3.0),
+                b_errors=lambda n: 0.5**n * vec(0.1, -0.2, 0.05),
+                max_iters=max_iters, stop_residual=stop_residual,
+                reference=y_ref + gamma * B.mapping(y_ref),
+            )
+        else:
+            preset = forward_backward(
+                A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=prob.beta,
+                gamma=0.8, x0=vec(-1.0, 2.0, 3.0), max_iters=max_iters,
+                stop_residual=stop_residual, reference=prob.reference,
+                **TestRunCertificates.FAMILIES[case],
+            )
+        return preset.solve()[1]
+
+    @staticmethod
+    def slacks(trace, x_ref, **kwargs):
+        reports = run_certificates(trace, x_ref, which=("i", "ii", "iii"), **kwargs)
+        return {name: rep.slacks.tobytes() for name, rep in reports.items()}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_slacks_are_bit_identical_with_and_without_the_runs_distances(self, case):
+        trace = self.solve(case)
+        assert len(trace.dist_to_ref) == trace.n_steps
+        x_ref = trace.config.reference
+        bare = dataclasses.replace(trace, dist_to_ref=None)
+        assert self.slacks(trace, x_ref) == self.slacks(bare, x_ref)
+        assert self.slacks(trace, list(x_ref)) == self.slacks(bare, x_ref)
+        sub = [0, 3, trace.n_steps - 1]
+        assert self.slacks(trace, x_ref, indices=sub) == self.slacks(bare, x_ref, indices=sub)
+
+    @pytest.mark.parametrize("case", ["memoryless", "window3", "peaceman_rachford"])
+    def test_a_trace_stopped_on_the_residual_gives_the_same_slacks(self, case):
+        trace = self.solve(case, max_iters=400, stop_residual=1e-6)
+        assert trace.stop_reason == "residual" and trace.n_steps < 400
+        assert len(trace.dist_to_ref) == trace.n_steps == len(trace.points) - 1
+        x_ref = trace.config.reference
+        bare = dataclasses.replace(trace, dist_to_ref=None)
+        assert self.slacks(trace, x_ref) == self.slacks(bare, x_ref)
+
+    def test_the_runs_distances_are_read_for_its_reference_only(self):
+        trace = self.solve("cesaro")
+        x_ref = trace.config.reference
+        honest = self.slacks(trace, x_ref)
+        # a stored distance the certificates read shows up in the slacks
+        skewed = dataclasses.replace(trace, dist_to_ref=[d + 1.0 for d in trace.dist_to_ref])
+        assert self.slacks(skewed, x_ref) != honest
+        # another point gets fresh distances, so the stored ones do not matter
+        other = x_ref + vec(0.25, -0.5, 0.125)
+        fresh = self.slacks(dataclasses.replace(trace, dist_to_ref=None), other,
+                            check_reference=False)
+        assert self.slacks(skewed, other, check_reference=False) == fresh
+        assert fresh != honest
+
+
+class TestLongCesaroCertificateI:
+    """Certificate (i) on a 2000-step cesaro forward-backward trace at d = 3."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+        preset = forward_backward(
+            A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=prob.beta,
+            gamma=0.8, x0=vec(-1.0, 2.0, 3.0), max_iters=2000, stop_residual=0.0,
+            variant="mean", weights=cesaro(), reference=prob.reference,
+        )
+        return preset.solve()[1]
+
+    def test_slacks_stay_within_two_eps_of_the_row_fsum(self, solved):
+        trace = solved
+        x_ref = trace.config.reference
+        assert trace.n_steps == 2000 and not any(trace.thetas)
+        dists = np.array([float(np.linalg.norm(p - x_ref)) for p in trace.points])
+        rhs = np.array([math.fsum((dists[:k] * (1.0 / k)).tolist()) for k in range(1, 2001)])
+        oracle = rhs - dists[1:]
+        got = run_certificates(trace, x_ref, which=("i",))["i"].slacks
+        # theta_n = 0: the slack is rhs_n - d_{n+1}, so its one rounding joins the bound
+        assert np.all(np.abs(got - oracle) <= 2.0 * EPS * rhs + np.spacing(np.abs(oracle)))
+
+    def test_certificate_i_costs_no_more_than_ii(self, solved):
+        x_ref = solved.config.reference
+
+        def best_of_five(which):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                run_certificates(solved, x_ref, which=which, check_reference=False)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best_of_five(("i",)) <= best_of_five(("ii",))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from affiter import (
     AveragedOperator,
     ConfigurationError,
+    ErrorModel,
     EtaSchedule,
     GeometricError,
     InvalidScheduleError,
@@ -16,6 +17,7 @@ from affiter import (
     SequenceError,
     affine_combine,
     cesaro,
+    chi_value,
     compose,
     constant_relaxation,
     error_budget_check,
@@ -435,6 +437,50 @@ class TestErrorBudget:
         else:
             with np.errstate(over="ignore"):  # the overflow case's dot
                 assert model.budget(0, 1) == expected
+
+    def test_partial_sums_add_each_layers_budget_in_order(self):
+        # the sums and flags of the per-n generator sum over layers 1..m, with
+        # one budget call per (n, i), for the three kinds of error model
+        class Decaying(ErrorModel):
+            layers = 2
+
+            def __init__(self):
+                self.calls = []
+
+            def budget(self, n, i):
+                self.calls.append((n, i))
+                return 0.3 * i / (n + 1.0) ** 2
+
+        stack = compose([prox_l1(1.0), gradient_step(0.7, lambda x: x - 2.0, beta=1.0)])
+        models = [
+            GeometricError(0.7, vec(0.3), layer=2),
+            SequenceError([lambda n: [0.1 / (n + 1.0)], lambda n: vec(0.2 * 0.9**n)]),
+            Decaying(),
+        ]
+        regimes = [(memoryless(), 0.9), (inertial(EtaSchedule(kind="constant", eta=0.3)), 1.0)]
+        horizon = 40
+        for model in models:
+            for weights, lam in regimes:
+                cfg = IterationConfig(
+                    stacks=stack, weights=weights, relaxation=constant_relaxation(lam),
+                    x0=vec(1.0), errors=model, max_iters=10,
+                )
+                acc, expected = 0.0, []
+                for n in range(horizon + 1):
+                    chi_n = 1.0 if weights.nonnegative else chi_value(weights, n).value
+                    acc += chi_n * lam * sum(model.budget(n, i) for i in (1, 2))
+                    expected.append(acc)
+                if isinstance(model, Decaying):
+                    model.calls.clear()
+                report = error_budget_check(cfg, horizon)
+                assert report.partial_sums.tobytes() == np.array(expected).tobytes()
+                unsupported = not weights.nonnegative  # prox_l1 has an unbounded range
+                assert report.flags == ((
+                    "unsupported-regime: errors under inertial weights are only "
+                    "covered with unit relaxation and a bounded-range outer layer",
+                ) if unsupported else ())
+                if isinstance(model, Decaying):
+                    assert model.calls == [(n, i) for n in range(horizon + 1) for i in (1, 2)]
 
     def test_inertial_with_errors_and_nonunit_lambda_flagged(self):
         weights = inertial(EtaSchedule(kind="constant", eta=0.3))

@@ -24,6 +24,8 @@ from affiter import (
 )
 from affiter.schedules import abs_weighted_sums, eta_values
 
+EPS = np.finfo(np.float64).eps
+
 # independent oracles for the geometric chi sums: for constant eta the terms
 # are exp((eta-1) d), d >= 0, so chi == 1 / (1 - exp(eta - 1))
 CHI_ETA_ZERO = 1.0 / (1.0 - math.exp(-1.0))        # = 1.5819767068693265
@@ -136,7 +138,26 @@ class TestAbsWeightedSums:
                 math.fsum(abs(w) * dists[j] for j, w in schedule.row(n).items())
                 for n in indices
             ]
-            assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+            if schedule.family == "cesaro":
+                # a compensated running sum times 1/(n+1): within 2 eps of the row
+                # fsum, plus one smallest subnormal per underflowing product
+                for n, v, e in zip(indices, got.tolist(), expected):
+                    assert abs(v - e) <= 2.0 * EPS * e + (n + 3) * math.ulp(0.0)
+            else:
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+
+    def test_cesaro_sums_stay_within_two_eps_of_the_row_fsum_at_n_2000(self):
+        # distances of a slowly converging orbit and of a noisy one, 2001 each
+        rng = np.random.default_rng(11)
+        n = np.arange(2001.0)
+        for dists in (3.0 / np.sqrt(n + 1.0) + 1e-3 * rng.random(2001),
+                      np.abs(rng.standard_normal(2001)) * 10.0 ** rng.integers(-6, 6, 2001)):
+            got = abs_weighted_sums(cesaro(), dists, np.arange(2000), None)
+            expected = np.array([
+                math.fsum((dists[:k] * (1.0 / k)).tolist()) for k in range(1, 2001)
+            ])
+            assert np.all(np.abs(got - expected) <= 2.0 * EPS * expected)
+            assert np.any(got != expected)  # the two sums do round apart
 
 
 class TestChi:

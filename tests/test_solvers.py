@@ -179,6 +179,22 @@ class TestPeacemanRachford:
             rounded += z.tobytes() != three_line.tobytes()
         assert rounded > 0  # the two forms of the input do round apart here
 
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_error_model_on_the_config_keeps_the_three_line_form(self, layer):
+        # what affiter run does with a config's errors section: the model
+        # perturbs a reflector, and y_n, z_n take half its error as b_n or a_n
+        prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+        preset = peaceman_rachford(
+            prob.ingredients["A"], prob.ingredients["B"], gamma=1.0, weights=window(2),
+            x0=vec(-1.0, 0.5, 3.0), max_iters=20, stop_residual=0.0,
+        )
+        preset.config.errors = GeometricError(0.5, [0.1, 0.0, 0.0], layer=layer)
+        _, trace = preset.solve()
+        assert [norms[layer - 1] for norms in trace.error_norms[:3]] == [0.1, 0.05, 0.025]
+        for n in range(trace.n_steps):
+            three_line = trace.xbars[n] + 2.0 * (trace.aux[n]["z"] - trace.aux[n]["y"])
+            assert np.linalg.norm(trace.points[n + 1] - three_line) <= 1e-15
+
     def test_catalog_and_steps_at_large_d_stay_o_of_d_in_memory(self):
         # the catalog's B is the scalar 1 and its resolvent the closed-form
         # diagonal one: no d x d matrix is built at d = 1e5 (np.eye would be 80 GB)
