@@ -157,7 +157,7 @@ def peaceman_rachford(
     def record(n, xbar, errors_n):
         # the step's pass has just evaluated J_{gamma B} at xbar_n and, last,
         # J_{gamma A} on the perturbed chain; errors_n is (2 a_n, 2 b_n), or shorter
-        e_a, e_b = (*(errors_n or ()), None, None)[:2]
+        e_a, e_b = (None, None) if errors_n is None else (*errors_n, None, None)[:2]
         ja, jb = resolvents
         return {"y": jb if e_b is None else jb + 0.5 * e_b,
                 "z": ja if e_a is None else ja + 0.5 * e_a}
