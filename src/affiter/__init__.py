@@ -39,7 +39,6 @@ from .operators import (
     identity_operator,
     l1_subdifferential,
     linear_operator,
-    make_operator,
     normal_cone,
     projector,
     prox_l1,
@@ -73,6 +72,6 @@ from .solvers import (
     peaceman_rachford,
     polyak_subgradient,
 )
-from .space import affine_combine, as_vector, norm_dist
+from .space import affine_combine, as_vector
 
 __version__ = "0.1.0"

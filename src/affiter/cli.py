@@ -99,6 +99,8 @@ def _errors_from(cfg: dict | None):
     if model == "custom":
         values = [None if v is None else as_vector(v) for v in cfg["values"]]
         layer = int(cfg.get("layer", 1))
+        if layer < 1:
+            raise ConfigurationError("layer index is 1-based")
 
         def fn(n):
             return values[n] if n < len(values) else None
@@ -129,6 +131,8 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
     params = dict(solver_cfg.get("params", {}))
     weights = _weights_from(cfg.get("weights"))
     horizon = int(cfg.get("horizon", 200))
+    if horizon < 1:
+        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     stop_residual = float(cfg.get("stop_residual", 1e-10))
     x0 = as_vector(cfg.get("x0", np.zeros(problem.dim)), dim=problem.dim)
     relax_cfg = cfg.get("relaxation", {})
@@ -299,14 +303,13 @@ def cmd_validate(args) -> int:
         "relaxation": {"min": min(lam_probe), "max": max(lam_probe)},
     }
     if band_cfg:
-        eta = preset.config.weights.eta_schedule()
         params = InertialBandParams(
             eta=float(band_cfg["eta"]),
             sigma=float(band_cfg["sigma"]),
             theta_tune=float(band_cfg["theta_tune"]),
         )
         phis = [stack.phi for stack in plan.stacks or [preset.config.stacks] * steps]
-        etas = [eta.value(n) for n in range(steps)]
+        etas = plan.etas if plan.etas is not None else [0.0] * steps
         band = inertial_band_validate(params, phis, plan.lambdas, etas)
         out["inertial_band"] = {
             "ok": band.ok,

@@ -54,22 +54,22 @@ class AveragedOperator:
         (quasi)nonexpansive.
     kind : str
         ``"nonexpansive"`` or ``"quasinonexpansive"``.
-    fix_oracle : callable, optional
-        Predicate ``x -> bool`` deciding fixed-point membership exactly
-        (used by test problems; falls back to a residual check).
-    beta : float, optional
-        Cocoercivity constant of the displaced map for gradient steps.
+    name : str
+        Label for reports and error messages.
     bounded_range : bool
         Whether the range of the operator is bounded (resolvents of
-        bounded-domain maps, projectors onto bounded sets).
+        bounded-domain maps, projectors onto bounded sets); the inertial
+        error budget needs it of the outermost layer.
+
+    ``compose`` (with the composite constant ``phi``), ``run``, the error
+    budget and the certificates read only ``fn``, ``alpha``, ``kind`` and
+    ``bounded_range``.
     """
 
     fn: Callable[[Vector], Vector]
     alpha: float
     kind: str = NONEXPANSIVE
     name: str = ""
-    fix_oracle: Callable[[Vector], bool] | None = None
-    beta: float | None = None
     bounded_range: bool = False
 
     def __post_init__(self):
@@ -80,11 +80,6 @@ class AveragedOperator:
 
     def __call__(self, x: Vector) -> Vector:
         return self.fn(x)
-
-    def fixes(self, x: Vector, tol: float = 1e-10) -> bool:
-        if self.fix_oracle is not None:
-            return bool(self.fix_oracle(x))
-        return float(np.linalg.norm(self.fn(x) - x)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +202,6 @@ def prox_l1(gamma: float, weight: float = 1.0) -> AveragedOperator:
         fn=lambda x: soft_threshold(x, t),
         alpha=0.5,
         name=f"prox_l1(gamma={gamma})",
-        fix_oracle=lambda x: bool(np.all(x == 0.0)),
     )
 
 
@@ -218,13 +212,11 @@ def projector(set_kind: str, **params) -> AveragedOperator:
     offset)`` for ``{x : <normal, x> <= offset}``, ``nonneg``, and
     ``hyperplane(normal, offset)`` for ``{x : <normal, x> = offset}``.
     """
-    tol = 1e-12
     if set_kind == "box":
         lo, hi = as_vector(params["lo"]), as_vector(params["hi"])
         if np.any(lo > hi):
             raise ConfigurationError("box has lo > hi")
         fn = lambda x: np.clip(x, lo, hi)
-        member = lambda x: bool(np.all(x >= lo - tol) and np.all(x <= hi + tol))
         bounded = True
     elif set_kind == "ball":
         center, radius = as_vector(params["center"]), float(params["radius"])
@@ -236,7 +228,6 @@ def projector(set_kind: str, **params) -> AveragedOperator:
             nd = np.linalg.norm(d)
             return x if nd <= radius else center + (radius / nd) * d
 
-        member = lambda x: bool(np.linalg.norm(x - center) <= radius + tol)
         bounded = True
     elif set_kind == "halfspace":
         a, b = as_vector(params["normal"]), float(params["offset"])
@@ -244,11 +235,9 @@ def projector(set_kind: str, **params) -> AveragedOperator:
         if na2 == 0.0:
             raise ConfigurationError("halfspace normal must be nonzero")
         fn = lambda x: x - (max(float(a @ x) - b, 0.0) / na2) * a
-        member = lambda x: bool(float(a @ x) <= b + tol)
         bounded = False
     elif set_kind == "nonneg":
         fn = lambda x: np.maximum(x, 0.0)
-        member = lambda x: bool(np.all(x >= -tol))
         bounded = False
     elif set_kind == "hyperplane":
         a, b = as_vector(params["normal"]), float(params["offset"])
@@ -256,7 +245,6 @@ def projector(set_kind: str, **params) -> AveragedOperator:
         if na2 == 0.0:
             raise ConfigurationError("hyperplane normal must be nonzero")
         fn = lambda x: x - ((float(a @ x) - b) / na2) * a
-        member = lambda x: bool(abs(float(a @ x) - b) <= tol)
         bounded = False
     else:
         raise ConfigurationError(f"unknown projector set {set_kind!r}")
@@ -264,7 +252,6 @@ def projector(set_kind: str, **params) -> AveragedOperator:
         fn=fn,
         alpha=0.5,
         name=f"projector({set_kind})",
-        fix_oracle=member,
         bounded_range=bounded,
     )
 
@@ -284,7 +271,6 @@ def gradient_step(gamma: float, grad: Callable[[Vector], Vector], beta: float) -
         fn=lambda x: x - gamma * grad(x),
         alpha=gamma / (2.0 * beta),
         name=f"gradient_step(gamma={gamma}, beta={beta})",
-        beta=beta,
     )
 
 
@@ -345,7 +331,6 @@ def subgradient_projector(
         alpha=0.5,
         kind=QUASINONEXPANSIVE,
         name=f"subgradient_projector(theta={theta})",
-        fix_oracle=lambda x: bool(float(f(x)) <= theta + 1e-12),
     )
 
 
@@ -364,7 +349,6 @@ def relaxed(op: AveragedOperator, xi: float) -> AveragedOperator:
         alpha=xi / 2.0,
         kind=op.kind,
         name=f"relaxed({op.name}, xi={xi})",
-        fix_oracle=op.fix_oracle,
         bounded_range=op.bounded_range,
     )
 
@@ -376,43 +360,11 @@ def linear_operator(matrix, alpha: float = 1.0, kind: str = NONEXPANSIVE) -> Ave
     meant to be exercised through ``averagedness_certificate``.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    fix = None
-    if np.linalg.matrix_rank(m - np.eye(m.shape[0])) == m.shape[0]:
-        fix = lambda x: bool(np.allclose(x, 0.0, atol=1e-12))
-    return AveragedOperator(
-        fn=lambda x: m @ x,
-        alpha=alpha,
-        kind=kind,
-        name="linear",
-        fix_oracle=fix,
-    )
+    return AveragedOperator(fn=lambda x: m @ x, alpha=alpha, kind=kind, name="linear")
 
 
 def identity_operator() -> AveragedOperator:
-    return AveragedOperator(fn=lambda x: x.copy(), alpha=1.0, name="identity",
-                            fix_oracle=lambda x: True)
-
-
-_CATALOG = {
-    "prox_l1": prox_l1,
-    "projector": projector,
-    "gradient_step": gradient_step,
-    "resolvent": resolvent_operator,
-    "reflector": reflector_operator,
-    "subgradient_projector": subgradient_projector,
-    "relaxed": relaxed,
-    "linear": linear_operator,
-    "identity": identity_operator,
-}
-
-
-def make_operator(name: str, **params) -> AveragedOperator:
-    """Build a catalog operator from a descriptor name and parameters."""
-    try:
-        factory = _CATALOG[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown operator descriptor {name!r}") from None
-    return factory(**params)
+    return AveragedOperator(fn=lambda x: x.copy(), alpha=1.0, name="identity")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Desk-scale test problems with exact or oracle-verified reference solutions.
 
 Each problem packages the operator/function ingredients a solver preset
-needs, a reference solution with its provenance, and enough oracles for the
-certificate machinery (fixed-point membership, objective evaluation).
+needs, a reference solution with its provenance, and the oracles that
+``brute_oracle`` and the tests use: an objective and, for the constrained
+problems, a feasible-set membership predicate with a 1e-12 slack.
 Reference values tagged grid-oracle are confirmed by ``brute_oracle`` at
 test time, never at solve time.
 """
@@ -36,8 +37,22 @@ class ProblemSpec:
     ingredients: dict = field(default_factory=dict)
     theta: float | None = None
     beta: float | None = None
-    demiclosed: bool = True
     notes: str = ""
+
+
+#: slack of the feasible-set membership predicates
+MEMBER_TOL = 1e-12
+
+
+def _in_halfspace(normal, offset: float) -> Callable[[Vector], bool]:
+    """Membership in ``{x : <normal, x> <= offset}``."""
+    a = as_vector(normal)
+    return lambda x: bool(float(a @ x) <= offset + MEMBER_TOL)
+
+
+def _in_ball(center, radius: float) -> Callable[[Vector], bool]:
+    c = as_vector(center)
+    return lambda x: bool(np.linalg.norm(x - c) <= radius + MEMBER_TOL)
 
 
 def catalog(name: str, **params) -> ProblemSpec:
@@ -90,6 +105,8 @@ def catalog(name: str, **params) -> ProblemSpec:
         # halfspace {x_1 >= 1} meets ball(center=(2,0), r=1.5) with interior
         half = projector("halfspace", normal=[-1.0, 0.0], offset=-1.0)
         ball = projector("ball", center=[2.0, 0.0], radius=1.5)
+        in_half = _in_halfspace([-1.0, 0.0], -1.0)
+        in_ball = _in_ball([2.0, 0.0], 1.5)
         ref = as_vector([2.0, 0.0])
 
         def infeasibility(x):
@@ -103,7 +120,7 @@ def catalog(name: str, **params) -> ProblemSpec:
             reference=ref,
             provenance="closed-form",
             objective=infeasibility,
-            feasible=lambda x: half.fix_oracle(x) and ball.fix_oracle(x),
+            feasible=lambda x: in_half(x) and in_ball(x),
             ingredients={"projectors": (half, ball), "x0": params.get("x0")},
         )
 
@@ -123,7 +140,7 @@ def catalog(name: str, **params) -> ProblemSpec:
             reference=as_vector([1.0, 0.0]),
             provenance="grid-oracle",
             objective=f,
-            feasible=half.fix_oracle,
+            feasible=_in_halfspace([-1.0, 0.0], -1.0),
             ingredients={"f": f, "s": selection, "projector": half},
             theta=1.0,
             notes="norm minimizer over the halfspace; sublevel set is tangent to it",

@@ -338,9 +338,6 @@ def abs_weighted_sums(
 class ChiEntry:
     n: int
     value: float            # truncated sum + tail bound (safe upper estimate)
-    truncated_sum: float
-    tail_bound: float
-    truncation: int
     analytic_bound: float | None
 
 
@@ -373,14 +370,7 @@ def chi_value(schedule: WeightSchedule, n: int, truncation: int = CHI_TRUNCATION
         q = math.exp(sup - 1.0)
         tail = math.exp(zeta) * q / (1.0 - q)
         bound = math.e / (1.0 - sup)
-    return ChiEntry(
-        n=n,
-        value=total + tail,
-        truncated_sum=total,
-        tail_bound=tail,
-        truncation=truncation,
-        analytic_bound=bound,
-    )
+    return ChiEntry(n=n, value=total + tail, analytic_bound=bound)
 
 
 def chi_table(schedule: WeightSchedule, horizon: int, truncation: int = CHI_TRUNCATION) -> list[ChiEntry]:

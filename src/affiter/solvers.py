@@ -48,8 +48,6 @@ class SolverPreset:
     name: str
     config: IterationConfig
     extract: Callable[[RunTrace], Vector]
-    notes: str = ""
-    demiclosed: bool = True
 
     def solve(self) -> tuple[Vector, RunTrace]:
         trace = run(self.config)
@@ -178,7 +176,6 @@ def peaceman_rachford(
         name="peaceman_rachford",
         config=config,
         extract=lambda trace: trace.aux[-1]["y"],
-        notes="solution reported through the inner resolvent of B",
     )
 
 
@@ -293,7 +290,6 @@ def forward_backward(
                     fn=lambda x, g=g: x - g * B(x),
                     alpha=g / (2.0 * beta),
                     name=f"forward_step(gamma={g})",
-                    beta=beta,
                 )
             )
         return compose(layers)
@@ -394,7 +390,6 @@ def polyak_subgradient(
         name="polyak_subgradient",
         config=config,
         extract=lambda trace: trace.final_point,
-        notes="theta must be the exact optimal value (problem metadata)",
     )
 
 
@@ -412,7 +407,6 @@ def krasnoselskii_mann(
     lam: float | Callable[[int], float] = 1.0,
     sigma: float = 0.2,
     theta_tune: float = 2.0 / 3.0,
-    demiclosed: bool = True,
     max_iters: int = 200,
     stop_residual: float = 1e-10,
     reference: Vector | None = None,
@@ -427,15 +421,9 @@ def krasnoselskii_mann(
     ``inertial``: two-term extrapolation, error-free, with the (eta, sigma,
     theta_tune) relaxation band validated on the supplied sequences
     (phi == 1 here).
-
-    Demiclosedness of ``Id - T`` at 0 is asserted metadata, not verified; it
-    gates which convergence conclusions the caller may draw.
     """
     stack = compose([
-        AveragedOperator(
-            fn=T.fn, alpha=1.0, kind=T.kind,
-            name=T.name or "fixed_point_map", fix_oracle=T.fix_oracle,
-        )
+        AveragedOperator(fn=T.fn, alpha=1.0, kind=T.kind, name=T.name or "fixed_point_map")
     ])
     x0 = as_vector(x0)
     if variant == "memoryless":
@@ -493,5 +481,4 @@ def krasnoselskii_mann(
         name=f"krasnoselskii_mann[{variant}]",
         config=config,
         extract=lambda trace: trace.final_point,
-        demiclosed=demiclosed,
     )

@@ -57,12 +57,6 @@ def all_finite(x: Vector) -> bool:
     return math.isfinite(np.vdot(x, x)) or bool(np.all(np.isfinite(x)))
 
 
-def norm_dist(p: Vector, q: Vector) -> float:
-    """Euclidean distance ``||p - q||``; zero iff the points are equal."""
-    check_same_dim(p, q)
-    return float(np.linalg.norm(np.asarray(p, dtype=np.float64) - q))
-
-
 def _orbit_get(orbit, j: int) -> Vector:
     try:
         return orbit[j]

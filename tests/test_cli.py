@@ -118,6 +118,24 @@ class TestRunCommand:
         assert "perturbs layer 3, but the stack has 2 layers" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("layer", [0, -3])
+    def test_custom_error_layer_below_one_exits_3(self, tmp_path, capsys, layer):
+        cfg = fb_config(tmp_path, errors={"model": "custom", "values": [[0.1]], "layer": layer})
+        assert cli.main(["run", cfg, "--out-dir", str(tmp_path)]) == 3
+        assert "layer index is 1-based" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("horizon", [0, -2])
+    def test_horizon_below_one_exits_3(self, tmp_path, monkeypatch, capsys, command, horizon):
+        monkeypatch.chdir(tmp_path)
+        cfg = fb_config(tmp_path, horizon=horizon)
+        assert cli.main([command, cfg]) == 3
+        captured = capsys.readouterr()
+        assert f"horizon must be >= 1, got {horizon}" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_divergence_maps_to_exit_2(self, tmp_path, monkeypatch, capsys):
         cfg = fb_config(tmp_path)
 

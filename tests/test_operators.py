@@ -15,7 +15,6 @@ from affiter import (
     gradient_step,
     l1_subdifferential,
     linear_operator,
-    make_operator,
     projector,
     prox_l1,
     reflector_operator,
@@ -49,12 +48,6 @@ class TestCatalog:
         with pytest.raises(ConfigurationError):
             gradient_step(2.0, lambda x: x, beta=1.0)
 
-    def test_make_operator_dispatch(self):
-        op = make_operator("projector", set_kind="nonneg")
-        assert op(vec(-3.0, 2.0)) == pytest.approx([0.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            make_operator("no_such_thing")
-
     def test_halfspace_projector(self):
         # {x : x_1 >= 1} as <(-1, 0), x> <= -1
         p = projector("halfspace", normal=[-1.0, 0.0], offset=-1.0)
@@ -65,6 +58,17 @@ class TestCatalog:
         p = projector("hyperplane", normal=[1.0, 1.0], offset=1.0)
         out = p(vec(1.0, 1.0))
         assert out == pytest.approx([0.5, 0.5])
+
+    def test_linear_operator_builds_without_factorising(self, monkeypatch):
+        def no_factorisation(*args, **kwargs):
+            raise AssertionError("linear_operator factorised its matrix")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_factorisation)
+        d = 2000
+        op = linear_operator(0.5 * np.eye(d), alpha=0.5)
+        x = np.arange(d, dtype=np.float64)
+        assert np.array_equal(op(x), 0.5 * x)
+        assert (op.alpha, op.kind) == (0.5, "nonexpansive")
 
 
 class TestComposeAndPhi:

@@ -51,6 +51,28 @@ class TestCatalog:
             catalog("nope")
 
 
+class TestFeasiblePredicates:
+    """Halfspace {x_1 >= 1}; ball(center=(2, 0), radius=1.5); slack 1e-12."""
+
+    @pytest.mark.parametrize("name", ["feasibility", "polyak_norm_over_halfspace"])
+    def test_halfspace_boundary(self, name):
+        feasible = catalog(name).feasible
+        assert feasible(vec(1.0, 0.0))
+        assert feasible(vec(1.0 - 5e-13, 0.0))
+        assert not feasible(vec(1.0 - 1e-11, 0.0))
+        assert not feasible(vec(0.8, 0.0))  # inside the ball, outside the halfspace
+
+    def test_ball_boundary(self):
+        feasible = catalog("feasibility").feasible
+        assert feasible(vec(2.0, 1.5))
+        assert feasible(vec(2.0, 1.5 + 5e-13))
+        assert not feasible(vec(2.0, 1.5 + 1e-11))
+        assert not feasible(vec(2.0, 1.6))  # inside the halfspace, outside the ball
+
+    def test_polyak_feasible_set_is_the_halfspace_alone(self):
+        assert catalog("polyak_norm_over_halfspace").feasible(vec(2.0, 1.6))
+
+
 class TestBruteOracle:
     def test_l1_quadratic_scalar(self):
         spec = catalog("l1_quadratic", a=2.0)

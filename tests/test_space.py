@@ -5,28 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affiter import ConfigurationError, affine_combine, norm_dist
+from affiter import ConfigurationError, affine_combine
 from affiter.space import all_finite, as_vector, norm
 
 
 def vec(*xs):
     return np.array(xs, dtype=np.float64)
-
-
-class TestNormDist:
-    def test_pythagorean(self):
-        assert norm_dist(vec(0.0, 0.0), vec(3.0, 4.0)) == 5.0
-
-    def test_identical_points(self):
-        p = vec(1.7, -2.2, 0.4)
-        assert norm_dist(p, p) == 0.0
-
-    def test_scalars(self):
-        assert norm_dist(vec(1.0), vec(-1.0)) == 2.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            norm_dist(vec(1.0), vec(1.0, 2.0))
 
 
 class TestNorm:
