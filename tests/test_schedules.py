@@ -99,7 +99,10 @@ class TestWeightRows:
 
 
 def _weight_schedule(data, horizon):
-    """Draw a weight family; inertial draws include rows with eta_n = 0."""
+    """Draw a weight family; inertial draws include rows with eta_n = 0.
+
+    A custom eta draws ``horizon`` values and holds the last one from then on.
+    """
     family = data.draw(st.sampled_from(
         ["memoryless", "window", "cesaro", "constant", "nesterov", "custom"]
     ))
@@ -116,7 +119,7 @@ def _weight_schedule(data, horizon):
     values = sorted(data.draw(st.lists(
         st.just(0.0) | st.floats(0.0, 0.99), min_size=horizon, max_size=horizon
     )))
-    return inertial(EtaSchedule(kind="custom", eta=0.99, fn=values.__getitem__))
+    return inertial(EtaSchedule(kind="custom", eta=0.99, fn=lambda n: values[min(n, horizon - 1)]))
 
 
 class TestAbsWeightedSums:
@@ -249,6 +252,31 @@ class TestValidateWeights:
         report = validate_weights(rows, 4)
         assert report.decay_status == "checked"
         assert report.chi_sup is None
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_row_sums_equal_the_row_fsums_over_every_row(self, data):
+        horizon = data.draw(st.integers(1, 300))
+        schedule = _weight_schedule(data, horizon + 1)
+        rows = [schedule.row(n) for n in range(horizon + 1)]
+        report = validate_weights(schedule, horizon)
+        assert report.sup_abs_row_sum == max(math.fsum(map(abs, r.values())) for r in rows)
+        assert report.max_row_sum_deviation == max(abs(math.fsum(r.values()) - 1.0) for r in rows)
+
+    def test_custom_eta_outside_the_band_at_one_row_is_caught(self):
+        # row 2500 lies past the first 2000 rows and between geometric samples
+        eta = EtaSchedule(kind="custom", eta=0.9, fn=lambda n: 1.5 if n == 2500 else 0.5)
+        with pytest.raises(InvalidScheduleError, match=re.escape(
+            "custom eta value 1.5 at n=2500 outside [0, 1)"
+        )):
+            validate_weights(inertial(eta), 5000)
+
+    def test_cesaro_builds_only_the_toeplitz_probe_row(self, monkeypatch):
+        calls = []
+        row = WeightSchedule.row
+        monkeypatch.setattr(WeightSchedule, "row", lambda self, n: calls.append(n) or row(self, n))
+        assert validate_weights(cesaro(), 2000).ok
+        assert len(calls) <= 1
 
     @pytest.mark.parametrize(
         "schedule",
