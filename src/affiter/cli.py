@@ -67,9 +67,34 @@ def _fmt(x) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"config {path} must hold a JSON object")
+    return cfg
+
+
+_REQUIRED = object()
+
+
+def _field(section: dict, where: str, key: str, convert=None, default=_REQUIRED):
+    """``section[key]``, or ``default``, passed through ``convert`` (int or float).
+
+    A missing required key, or a value that ``convert`` rejects, is a
+    ConfigurationError naming the key as ``where.key``.
+    """
+    name = f"{where}.{key}" if where else key
+    value = section.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigurationError(f"config needs {name}")
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigurationError(f"{name} must be {kind}, got {value!r}") from None
 
 
 def _weights_from(cfg: dict | None) -> WeightSchedule | None:
@@ -77,13 +102,17 @@ def _weights_from(cfg: dict | None) -> WeightSchedule | None:
         return None
     family = cfg.get("family", "memoryless")
     if family == "inertial":
-        return WeightSchedule(family="inertial", eta=_eta_from(cfg.get("eta", {})))
-    return WeightSchedule(family=family, window=int(cfg.get("window", 1)))
+        return WeightSchedule(family="inertial", eta=_eta_from(cfg.get("eta", {}), "weights.eta"))
+    return WeightSchedule(family=family, window=_field(cfg, "weights", "window", int, 1))
 
 
-def _eta_from(cfg: dict) -> EtaSchedule:
+def _eta_from(cfg: dict, where: str = "solver.params.eta") -> EtaSchedule:
     kind = cfg.get("kind", "zero")
-    return EtaSchedule(kind=kind, eta=float(cfg.get("eta", 0.0)), tau=float(cfg.get("tau", 2.0)))
+    return EtaSchedule(
+        kind=kind,
+        eta=_field(cfg, where, "eta", float, 0.0),
+        tau=_field(cfg, where, "tau", float, 2.0),
+    )
 
 
 def _errors_from(cfg: dict | None):
@@ -92,13 +121,13 @@ def _errors_from(cfg: dict | None):
     model = cfg["model"]
     if model == "geometric":
         return GeometricError(
-            rate=float(cfg["rate"]),
-            direction=as_vector(cfg["direction"]),
-            layer=int(cfg.get("layer", 1)),
+            rate=_field(cfg, "errors", "rate", float),
+            direction=as_vector(_field(cfg, "errors", "direction")),
+            layer=_field(cfg, "errors", "layer", int, 1),
         )
     if model == "custom":
-        values = [None if v is None else as_vector(v) for v in cfg["values"]]
-        layer = int(cfg.get("layer", 1))
+        values = [None if v is None else as_vector(v) for v in _field(cfg, "errors", "values")]
+        layer = _field(cfg, "errors", "layer", int, 1)
         if layer < 1:
             raise ConfigurationError("layer index is 1-based")
 
@@ -123,17 +152,17 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
     problem_cfg = cfg.get("problem")
     if not problem_cfg:
         raise ConfigurationError("config needs a problem section")
-    problem = catalog(problem_cfg["name"], **problem_cfg.get("params", {}))
+    problem = catalog(_field(problem_cfg, "problem", "name"), **problem_cfg.get("params", {}))
     solver_cfg = cfg.get("solver")
     if not solver_cfg:
         raise ConfigurationError("config needs a solver section")
-    name = solver_cfg["name"]
+    name = _field(solver_cfg, "solver", "name")
     params = dict(solver_cfg.get("params", {}))
     weights = _weights_from(cfg.get("weights"))
-    horizon = int(cfg.get("horizon", 200))
+    horizon = _field(cfg, "", "horizon", int, 200)
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-    stop_residual = float(cfg.get("stop_residual", 1e-10))
+    stop_residual = _field(cfg, "", "stop_residual", float, 1e-10)
     x0 = as_vector(cfg.get("x0", np.zeros(problem.dim)), dim=problem.dim)
     relax_cfg = cfg.get("relaxation", {})
     policy = relax_cfg.get("policy", "constant")
@@ -205,6 +234,8 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
         )
     else:
         raise ConfigurationError(f"unknown solver preset {name!r}")
+    if params:
+        raise ConfigurationError(f"unknown {name} params: {', '.join(map(repr, params))}")
     if error_model is not None:
         preset.config.errors = error_model
     return preset, problem
@@ -235,7 +266,7 @@ def _write_trace(path: Path, trace, cert_i=None, cert_ii=None) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    seed = int(cfg.get("seed", 0))
+    seed = _field(cfg, "", "seed", int, 0)
     preset, problem = _build_preset(cfg)
     solution, trace = preset.solve()
 
@@ -282,7 +313,7 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
-    horizon = int(cfg.get("horizon", 200))
+    horizon = _field(cfg, "", "horizon", int, 200)
     preset, _problem = _build_preset(cfg)
     weights_report = validate_weights(preset.config.weights, horizon)
     band_cfg = cfg.get("inertial_band")
@@ -304,9 +335,9 @@ def cmd_validate(args) -> int:
     }
     if band_cfg:
         params = InertialBandParams(
-            eta=float(band_cfg["eta"]),
-            sigma=float(band_cfg["sigma"]),
-            theta_tune=float(band_cfg["theta_tune"]),
+            eta=_field(band_cfg, "inertial_band", "eta", float),
+            sigma=_field(band_cfg, "inertial_band", "sigma", float),
+            theta_tune=_field(band_cfg, "inertial_band", "theta_tune", float),
         )
         phis = [stack.phi for stack in plan.stacks or [preset.config.stacks] * steps]
         etas = plan.etas if plan.etas is not None else [0.0] * steps

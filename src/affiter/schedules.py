@@ -374,6 +374,8 @@ def chi_value(schedule: WeightSchedule, n: int, truncation: int = CHI_TRUNCATION
 
 
 def chi_table(schedule: WeightSchedule, horizon: int, truncation: int = CHI_TRUNCATION) -> list[ChiEntry]:
+    if horizon < 0:
+        raise ConfigurationError(f"chi horizon must be >= 0, got {horizon}")
     return [chi_value(schedule, n, truncation) for n in range(horizon + 1)]
 
 

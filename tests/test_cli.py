@@ -136,6 +136,43 @@ class TestRunCommand:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("overrides, named", [
+        ({"errors": {"model": "custom"}}, "config needs errors.values"),
+        ({"errors": {"model": "geometric", "direction": [0.1]}}, "config needs errors.rate"),
+        ({"problem": {"params": {"a": [2.0]}}}, "config needs problem.name"),
+        ({"solver": {"params": {"gamma": 1.0}}}, "config needs solver.name"),
+        ({"horizon": "abc"}, "horizon must be an integer, got 'abc'"),
+        ({"weights": {"family": "window", "window": "abc"}},
+         "weights.window must be an integer, got 'abc'"),
+        (None, "must hold a JSON object"),
+    ], ids=["errors.values", "errors.rate", "problem.name", "solver.name",
+            "horizon", "window", "top-level-list"])
+    def test_malformed_config_exits_3_naming_the_key(
+        self, tmp_path, monkeypatch, capsys, command, overrides, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        if overrides is None:
+            cfg = fb_config(tmp_path)
+            cfg = write_config(tmp_path, [json.loads(Path(cfg).read_text())])
+        else:
+            cfg = fb_config(tmp_path, **overrides)
+        assert cli.main([command, cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ")
+        assert named in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_unknown_solver_param_exits_3_naming_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = fb_config(tmp_path, solver={
+            "name": "forward_backward", "params": {"gama": 1.0, "variant": "memoryless"},
+        })
+        assert cli.main(["run", cfg]) == 3
+        assert "unknown forward_backward params: 'gama'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_divergence_maps_to_exit_2(self, tmp_path, monkeypatch, capsys):
         cfg = fb_config(tmp_path)
 
@@ -226,6 +263,13 @@ class TestValidateCommand:
         assert out["inertial_band"]["violated"] == "eta monotonicity / bound"
         assert out["inertial_band"]["first_violation"] == 0
 
+    def test_inertial_band_without_sigma_exits_3_naming_it(self, tmp_path, capsys):
+        cfg = fb_config(tmp_path, inertial_band={"eta": 0.2, "theta_tune": 2.0})
+        assert cli.main(["validate", cfg]) == 3
+        captured = capsys.readouterr()
+        assert "configuration error: config needs inertial_band.sigma" in captured.err
+        assert captured.out == ""
+
     def test_invalid_relaxation_exits_3(self, tmp_path):
         cfg = fb_config(tmp_path, relaxation={"policy": "constant", "value": 9.0})
         assert cli.main(["validate", cfg]) == 3
@@ -254,3 +298,9 @@ class TestChiCommand:
 
     def test_eta_at_one_exits_3(self, capsys):
         assert cli.main(["chi", "--family", "constant", "--eta", "1.0", "--N", "3"]) == 3
+
+    def test_negative_horizon_exits_3(self, capsys):
+        assert cli.main(["chi", "--family", "constant", "--eta", "0.5", "--N", "-2"]) == 3
+        captured = capsys.readouterr()
+        assert "chi horizon must be >= 0, got -2" in captured.err
+        assert captured.out == ""
