@@ -253,7 +253,7 @@ class TestValidateWeights:
         assert report.decay_status == "checked"
         assert report.chi_sup is None
 
-    @settings(deadline=None, max_examples=100)
+    @settings(deadline=None, max_examples=60)
     @given(data=st.data())
     def test_row_sums_equal_the_row_fsums_over_every_row(self, data):
         horizon = data.draw(st.integers(1, 300))
