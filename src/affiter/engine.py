@@ -11,9 +11,13 @@ the whole horizon before the first operator call and returns the run's plan:
 every ``lambda_n``, every stack when the layers depend on n, every
 ``eta_n`` of an inertial row, and the weight family's kernel for ``xbar_n``
 (``schedules.orbit_mean``).  Memoryless ``xbar_n`` is ``x_n`` itself, not
-a copy.  The returned trace retains the whole history for post-hoc
-certificate analysis, together with the stacks and the eta_n the loop
-applied.
+a copy.  A step with ``lambda_n == 1`` forms ``xbar_n + step`` with no
+multiply (``1.0 * v`` is ``v`` bit for bit).  With a reference set, the
+distance ``||x_{n+1} - x*||`` is measured right after the update, and a
+finite distance proves every entry of ``x_{n+1}`` finite; only a run
+without a reference, or a non-finite distance, tests the entries.  The
+returned trace retains the whole history for post-hoc certificate
+analysis, together with the stacks and the eta_n the loop applied.
 """
 
 from __future__ import annotations
@@ -109,7 +113,10 @@ class SequenceError(ErrorModel):
 
     def errors_for(self, n: int):
         out = [error_vector(fn(n)) if fn is not None else None for fn in self.per_layer]
-        return out if any(e is not None for e in out) else None
+        for e in out:
+            if e is not None:
+                return out
+        return None
 
     def budget(self, n: int, i: int) -> float:
         fn = self.per_layer[i - 1] if i - 1 < len(self.per_layer) else None
@@ -284,7 +291,17 @@ def run(config: IterationConfig) -> RunTrace:
     ``trace.points[n]`` (the same array), and the produced iterates coincide
     bit-for-bit with the plain recursion
     ``x <- x + lambda (T_1(...T_m x + e_m ...) + e_1 - x)`` (same
-    floating-point operation order).
+    floating-point operation order; at ``lambda_n == 1`` the update is
+    ``x + step``, which equals ``x + 1.0 * step`` bit for bit).
+
+    A non-finite ``x_{n+1}`` raises ``NumericalDivergence`` at step ``n``.
+    With a reference set, ``norm(x_{n+1} - reference)`` is that check: it is
+    computed right after the update, kept for ``trace.dist_to_ref[n + 1]``,
+    and ``all_finite`` runs only when it is not finite (a finite iterate
+    whose distance overflows does not raise).  Such a distance is measured
+    again at step ``n + 1`` and the warnings of the first attempt are
+    dropped, so ``trace.flags`` keeps the order of a run that measures each
+    distance at its own step.
     """
     plan = _prevalidate(config)
     x0 = as_vector(config.x0)
@@ -306,6 +323,7 @@ def run(config: IterationConfig) -> RunTrace:
     synthetic = config.synthetic_errors
     stop_residual = config.stop_residual
     stop_reason = "max_iters"
+    d_ref = None  # norm(x_n - reference) when the step before measured it finite
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for n in range(config.max_iters):
@@ -327,8 +345,16 @@ def run(config: IterationConfig) -> RunTrace:
                 residual = norm(step)
                 residual_kind = "approximate"
 
-            x_next = xbar + lam * step
-            if not all_finite(x_next):
+            x_next = xbar + step if lam == 1.0 else xbar + lam * step
+            d_next = None
+            if reference is not None:
+                mark = len(caught)
+                d_next = norm(x_next - reference)
+                if not math.isfinite(d_next):
+                    # measured again at step n + 1, so its warnings keep their place
+                    del caught[mark:]
+                    d_next = None
+            if d_next is None and not all_finite(x_next):
                 raise NumericalDivergence(
                     f"iterate became non-finite at iteration {n}", iteration=n
                 )
@@ -340,8 +366,11 @@ def run(config: IterationConfig) -> RunTrace:
             trace.residual_kinds.append(residual_kind)
             trace.error_norms.append(noisy.error_norms)
             trace.thetas.append(lam * noisy.aggregate_error)
-            if trace.dist_to_ref is not None:
-                trace.dist_to_ref.append(norm(trace.points[n] - reference))
+            if reference is not None:
+                trace.dist_to_ref.append(
+                    norm(trace.points[n] - reference) if d_ref is None else d_ref
+                )
+                d_ref = d_next
             if config.aux_recorder is not None:
                 trace.aux.append(config.aux_recorder(n, xbar, errors_n))
 

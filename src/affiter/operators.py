@@ -134,7 +134,12 @@ def affine_monotone(matrix, offset) -> MonotoneMap:
     resolvent is the closed form ``(x - g c) / (1 + g D)``, O(d) in time and
     memory.  The division (not a multiply by the reciprocal) reproduces
     ``np.linalg.solve`` on ``I + g M`` bit for bit, up to the sign of an
-    exact zero.  Any other matrix is stored dense and its resolvent solves
+    exact zero.  The diagonal resolvent keeps ``(g, g c, 1 + g D)`` for the
+    last ``g`` object in one tuple and reads that tuple once per call, so a
+    run with a fixed step forms the two products once, and concurrent calls
+    with different steps never mix entries.  The key is the object, not its
+    value: a float is immutable, so the same object gives the same products
+    bit for bit.  Any other matrix is stored dense and its resolvent solves
     ``(I + g M) y = x - g c``.  Monotonicity of ``M`` is the caller's
     assertion; it is exercised by the sampled certificates.
     """
@@ -153,8 +158,14 @@ def affine_monotone(matrix, offset) -> MonotoneMap:
         def mapping(x):
             return diag * x + c
 
+        memo = (None, None, None)  # (g, g * c, 1.0 + g * diag) for the last g
+
         def resolvent(g, x):
-            return (x - g * c) / (1.0 + g * diag)
+            nonlocal memo
+            last = memo  # one read: a concurrent call with another g swaps the whole tuple
+            if last[0] is not g:
+                last = memo = (g, g * c, 1.0 + g * diag)
+            return (x - last[1]) / last[2]
     else:
         if m.shape != (c.size, c.size):
             raise ConfigurationError(f"matrix shape {m.shape} does not match offset {c.size}")
@@ -490,7 +501,8 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None, clean: bool = False) 
         y = fn(y)
         e = errors[i - 1] if i <= given else None
         if e is not None:
-            check_same_dim(y, e)
+            if type(e) is not np.ndarray or type(y) is not np.ndarray or e.shape != y.shape:
+                check_same_dim(y, e)  # lists and mismatches get its message
             if clean and exact is None:
                 exact = y
             y = y + e

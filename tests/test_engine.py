@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from affiter import (
     NumericalDivergence,
     SequenceError,
     affine_combine,
+    apply_stack,
     cesaro,
     chi_value,
     compose,
@@ -29,6 +32,7 @@ from affiter import (
     run,
     window,
 )
+from affiter.space import norm
 
 NEG_ID = compose([linear_operator(-np.eye(1), alpha=1.0)])
 NEG_ID2 = compose([linear_operator(-np.eye(2), alpha=1.0)])
@@ -203,6 +207,52 @@ class TestRun:
             run(cfg)
         assert err.value.iteration is not None
 
+    @pytest.mark.parametrize("lam, iteration", [(1.0, 1023), (0.5, 1749)])
+    def test_divergence_is_the_same_with_a_reference(self, lam, iteration):
+        # x_{n+1} = (1 + lam) x_n leaves the floats at the same n whether or not
+        # the next distance checks finiteness; [-1e300] overflows that distance
+        # hundreds of steps before the iterate itself
+        expanding = compose([linear_operator(2.0 * np.eye(1), alpha=1.0)])
+        raised = []
+        for reference in (None, vec(0.0), vec(-1e300)):
+            cfg = IterationConfig(
+                stacks=expanding, weights=memoryless(), relaxation=constant_relaxation(lam),
+                x0=vec(1.0), max_iters=5000, stop_residual=0.0, reference=reference,
+            )
+            with pytest.raises(NumericalDivergence) as err:
+                run(cfg)
+            raised.append((err.value.iteration, str(err.value)))
+        assert raised == [(iteration, f"iterate became non-finite at iteration {iteration}")] * 3
+
+    @pytest.mark.parametrize("reference", [vec(0.0), vec(-1.5e308)], ids=["dot", "subtract"])
+    def test_overflowing_distance_keeps_todays_trace(self, reference):
+        # finite iterates whose distance to the reference overflows: no raise, and
+        # dist_to_ref and flags as when each distance is measured at its own step,
+        # after that step's operator call (whose warning fixes the order)
+        def far(x):
+            warnings.warn(f"far from {x[0]:.3g}")
+            return vec(1.5e308)
+
+        stack = compose([AveragedOperator(fn=far, alpha=1.0)])
+        cfg = IterationConfig(
+            stacks=stack, weights=memoryless(), relaxation=constant_relaxation(1.0),
+            x0=vec(1.0), max_iters=4, stop_residual=0.0, reference=reference,
+        )
+        trace = run(cfg)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x, dists = vec(1.0), []
+            for _ in range(4):
+                step = far(x) - x
+                norm(step)
+                dists.append(norm(x - reference))
+                x = x + step
+        assert all(np.isfinite(p).all() for p in trace.points)
+        assert trace.dist_to_ref == dists
+        assert math.isinf(dists[-1])
+        assert trace.flags == [str(w.message) for w in caught]
+
     def test_bad_relaxation_aborts_before_iterating(self):
         from affiter import AveragedOperator
 
@@ -302,6 +352,24 @@ class TestPlan:
             with pytest.raises(ConfigurationError, match="perturbs layer 3, but the stack has 2"):
                 run(cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("weights", [
+        memoryless(), window(3), cesaro(),
+        inertial(EtaSchedule(kind="constant", eta=0.3)),
+        inertial(EtaSchedule(kind="nesterov", tau=2.0)),
+    ], ids=["memoryless", "window3", "cesaro", "constant", "nesterov"])
+    def test_unit_relaxation_update_is_bit_exact(self, weights):
+        # lambda_n = 1 adds the step with no multiply: 1.0 * v is v bit for bit
+        stack = compose([prox_l1(0.8), gradient_step(0.8, lambda x: x - vec(2.0, -0.3), beta=1.0)])
+        cfg = IterationConfig(
+            stacks=stack, weights=weights, relaxation=constant_relaxation(1.0),
+            x0=vec(-1.0, 3.0), max_iters=40, stop_residual=0.0,
+        )
+        trace = run(cfg)
+        assert trace.n_steps == 40
+        for n, xbar in enumerate(trace.xbars):
+            expected = xbar + 1.0 * (apply_stack(stack, xbar).value - xbar)
+            assert trace.points[n + 1].tobytes() == expected.tobytes()
 
     @settings(deadline=None, max_examples=80)
     @given(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,14 @@ class TestApplyStack:
         assert np.array_equal(short.value, padded.value)
         assert short.error_norms == padded.error_norms == (0.25, 0.0)
 
+    @pytest.mark.parametrize("error, shape", [
+        (vec(0.1, 0.2), "(2,)"), ([0.1, 0.2], "(2,)"), (np.zeros((1, 1)), "(1, 1)"),
+    ], ids=["ndarray", "list", "2-D"])
+    def test_error_of_another_shape_is_named(self, error, shape):
+        stack = compose([prox_l1(1.0)])
+        with pytest.raises(ConfigurationError, match=rf"^dimension mismatch: \(1,\) vs {re.escape(shape)}$"):
+            apply_stack(stack, vec(1.0), [error])
+
     def test_wrong_error_count(self):
         stack = compose([prox_l1(1.0)])
         with pytest.raises(ConfigurationError):
@@ -306,6 +316,38 @@ class TestDiagonalAffineMonotone:
         y = affine_monotone(dense, vec(0.5, 0.5)).resolvent(0.7, x)
         assert solves == [1]
         assert y.tobytes() == solve(np.eye(2) + 0.7 * np.array(dense), x - 0.35).tobytes()
+
+    def test_cached_step_terms_follow_an_alternating_gamma(self):
+        c, diag = vec(0.5, -1.25, 3.0), vec(0.0, 2.0, 0.3)
+        resolvent = affine_monotone(diag, c).resolvent
+        x = vec(1.0, -2.0, 0.7)
+        steps = (0.7, 1.9)
+        gamma = lambda n: steps[n % 2]
+        for n in range(6):
+            g = gamma(n)
+            assert resolvent(g, x).tobytes() == ((x - g * c) / (1.0 + g * diag)).tobytes()
+        # equal values as fresh float objects, and a repeated one
+        for g in (0.7 * 3.0 / 3.0, float("0.7"), 2.0, 2.0, 1e-3, 0.7):
+            assert resolvent(g, x).tobytes() == ((x - g * c) / (1.0 + g * diag)).tobytes()
+
+    def test_a_call_interleaved_with_another_gamma_never_mixes_terms(self):
+        # a thread switch inside a call, replayed in one thread: subtracting from
+        # x runs a call with another step before the division reads its terms
+        c, diag = vec(0.5, -1.25), vec(1.0, 4.0)
+        resolvent = affine_monotone(diag, c).resolvent
+        plain = vec(1.0, -2.0)
+        inner = []
+
+        class Interleaving(np.ndarray):
+            def __sub__(self, other):
+                inner.append(resolvent(5.0, plain))
+                return np.subtract(self.view(np.ndarray), other)
+
+        for g in (0.3, 0.3):
+            expected = (plain - g * c) / (1.0 + g * diag)
+            assert resolvent(g, plain.view(Interleaving)).tobytes() == expected.tobytes()
+        expected = ((plain - 5.0 * c) / (1.0 + 5.0 * diag)).tobytes()
+        assert [y.tobytes() for y in inner] == [expected, expected]
 
     def test_wrong_diagonal_length_raises(self):
         with pytest.raises(ConfigurationError, match="diagonal length 3 does not match offset 2"):
