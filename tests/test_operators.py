@@ -163,7 +163,8 @@ class TestApplyStack:
     ], ids=["ndarray", "list", "2-D"])
     def test_error_of_another_shape_is_named(self, error, shape):
         stack = compose([prox_l1(1.0)])
-        with pytest.raises(ConfigurationError, match=rf"^dimension mismatch: \(1,\) vs {re.escape(shape)}$"):
+        message = rf"^dimension mismatch: \(1,\) vs {re.escape(shape)}$"
+        with pytest.raises(ConfigurationError, match=message):
             apply_stack(stack, vec(1.0), [error])
 
     def test_wrong_error_count(self):
