@@ -97,12 +97,54 @@ def _field(section: dict, where: str, key: str, convert=None, default=_REQUIRED)
         raise ConfigurationError(f"{name} must be {kind}, got {value!r}") from None
 
 
-def _weights_from(cfg: dict | None) -> WeightSchedule | None:
+def _number(value):
+    """A JSON number as the config wrote it (messages quote an int as an int);
+    any other value goes through ``float``."""
+    return value if type(value) in (int, float) else float(value)
+
+
+def _number_or_null(value):
+    return None if value is None else _number(value)
+
+
+def _param(params: dict, key: str, default, convert=_number):
+    """Remove solver param ``key`` from ``params`` and return it as a number."""
+    value = _field(params, "solver.params", key, convert, default)
+    params.pop(key, None)
+    return value
+
+
+def _section(cfg: dict, where: str, key: str, default=None) -> dict:
+    """``cfg[key]`` as a JSON object: {} when it is missing or empty (null,
+    [], ""), ``default`` when missing and given; any other value is a
+    ConfigurationError naming the key as ``where.key``."""
+    value = cfg.get(key, default)
+    if not value:
+        return {}
+    if not isinstance(value, dict):
+        name = f"{where}.{key}" if where else key
+        raise ConfigurationError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _vector(value, name: str, dim: int | None = None):
+    """``as_vector(value, dim)``; a value it cannot convert to floats is a
+    ConfigurationError naming the key."""
+    try:
+        return as_vector(value, dim=dim)
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} must be a vector of numbers, got {value!r}") from None
+
+
+def _weights_from(cfg: dict) -> WeightSchedule | None:
     if not cfg:
         return None
     family = cfg.get("family", "memoryless")
     if family == "inertial":
-        return WeightSchedule(family="inertial", eta=_eta_from(cfg.get("eta", {}), "weights.eta"))
+        eta = _eta_from(_section(cfg, "weights", "eta"), "weights.eta")
+        return WeightSchedule(family="inertial", eta=eta)
     return WeightSchedule(family=family, window=_field(cfg, "weights", "window", int, 1))
 
 
@@ -115,18 +157,23 @@ def _eta_from(cfg: dict, where: str = "solver.params.eta") -> EtaSchedule:
     )
 
 
-def _errors_from(cfg: dict | None):
+def _errors_from(cfg: dict):
     if not cfg or cfg.get("model", "none") == "none":
         return None
     model = cfg["model"]
     if model == "geometric":
         return GeometricError(
             rate=_field(cfg, "errors", "rate", float),
-            direction=as_vector(_field(cfg, "errors", "direction")),
+            direction=_vector(_field(cfg, "errors", "direction"), "errors.direction"),
             layer=_field(cfg, "errors", "layer", int, 1),
         )
     if model == "custom":
-        values = [None if v is None else as_vector(v) for v in _field(cfg, "errors", "values")]
+        values = _field(cfg, "errors", "values")
+        if not isinstance(values, list):
+            raise ConfigurationError(f"errors.values must be a list, got {values!r}")
+        values = [
+            None if v is None else _vector(v, f"errors.values[{k}]") for k, v in enumerate(values)
+        ]
         layer = _field(cfg, "errors", "layer", int, 1)
         if layer < 1:
             raise ConfigurationError("layer index is 1-based")
@@ -149,39 +196,43 @@ def _ingredient(problem: ProblemSpec, key: str):
 
 
 def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
-    problem_cfg = cfg.get("problem")
+    problem_cfg = _section(cfg, "", "problem")
     if not problem_cfg:
         raise ConfigurationError("config needs a problem section")
-    problem = catalog(_field(problem_cfg, "problem", "name"), **problem_cfg.get("params", {}))
-    solver_cfg = cfg.get("solver")
+    problem_params = _section(problem_cfg, "problem", "params")
+    problem = catalog(_field(problem_cfg, "problem", "name"), **problem_params)
+    solver_cfg = _section(cfg, "", "solver")
     if not solver_cfg:
         raise ConfigurationError("config needs a solver section")
     name = _field(solver_cfg, "solver", "name")
-    params = dict(solver_cfg.get("params", {}))
-    weights = _weights_from(cfg.get("weights"))
+    params = dict(_section(solver_cfg, "solver", "params"))
+    weights = _weights_from(_section(cfg, "", "weights"))
     horizon = _field(cfg, "", "horizon", int, 200)
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     stop_residual = _field(cfg, "", "stop_residual", float, 1e-10)
-    x0 = as_vector(cfg.get("x0", np.zeros(problem.dim)), dim=problem.dim)
-    relax_cfg = cfg.get("relaxation", {})
+    x0 = _vector(cfg.get("x0", np.zeros(problem.dim)), "x0", dim=problem.dim)
+    relax_cfg = _section(cfg, "", "relaxation")
     policy = relax_cfg.get("policy", "constant")
     if policy != "constant":
         raise ConfigurationError(f"unsupported relaxation policy {policy!r} (only \"constant\")")
-    lam = relax_cfg.get("value", params.pop("lambda", 1.0))
-    error_model = _errors_from(cfg.get("errors"))
+    lam = _param(params, "lambda", 1.0, _number_or_null)
+    lam = _field(relax_cfg, "relaxation", "value", _number_or_null, lam)
+    error_model = _errors_from(_section(cfg, "", "errors"))
 
     common = dict(max_iters=horizon, stop_residual=stop_residual, reference=problem.reference)
     if name == "forward_backward":
         variant = params.pop("variant", "memoryless")
-        eta = _eta_from(params.pop("eta", {"kind": "nesterov"})) if variant == "inertial" else None
+        eta_cfg = _section(params, "solver.params", "eta", {"kind": "nesterov"})
+        params.pop("eta", None)
+        eta = _eta_from(eta_cfg) if variant == "inertial" else None
         preset = solvers.forward_backward(
             A=_ingredient(problem, "A"),
             B=problem.ingredients.get("grad"),
             beta=problem.beta,
-            gamma=params.pop("gamma", 1.0),
+            gamma=_param(params, "gamma", 1.0),
             x0=x0,
-            epsilon=params.pop("epsilon", 0.1),
+            epsilon=_param(params, "epsilon", 0.1),
             lam=lam,
             weights=weights,
             variant=variant,
@@ -190,7 +241,7 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
         )
     elif name == "peaceman_rachford":
         B = _ingredient(problem, "B")
-        gamma = params.pop("gamma", 1.0)
+        gamma = _param(params, "gamma", 1.0)
         # the orbit converges to x* = y* + gamma B(y*), not to the solution y*
         y_ref = problem.reference
         common["reference"] = (
@@ -211,16 +262,18 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
             theta=problem.theta,
             region_projector=_ingredient(problem, "projector"),
             x0=x0,
-            xi=params.pop("xi", 1.0),
+            xi=_param(params, "xi", 1.0),
             lam=lam,
-            eta_low=params.pop("eta_low", 0.5),
-            epsilon=params.pop("epsilon", 0.05),
+            eta_low=_param(params, "eta_low", 0.5),
+            epsilon=_param(params, "epsilon", 0.05),
             weights=weights,
             **common,
         )
     elif name == "krasnoselskii_mann":
         variant = params.pop("variant", "mean")
-        eta = _eta_from(params.pop("eta", {"kind": "constant", "eta": 0.2})) if variant == "inertial" else None
+        eta_cfg = _section(params, "solver.params", "eta", {"kind": "constant", "eta": 0.2})
+        params.pop("eta", None)
+        eta = _eta_from(eta_cfg) if variant == "inertial" else None
         preset = solvers.krasnoselskii_mann(
             T=_ingredient(problem, "T"),
             x0=x0,
@@ -228,8 +281,8 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
             weights=weights or (WeightSchedule(family="window", window=2) if variant == "mean" else None),
             eta=eta,
             lam=lam,
-            sigma=params.pop("sigma", 0.2),
-            theta_tune=params.pop("theta_tune", 2.0 / 3.0),
+            sigma=_param(params, "sigma", 0.2),
+            theta_tune=_param(params, "theta_tune", 2.0 / 3.0),
             **common,
         )
     else:
@@ -270,10 +323,11 @@ def cmd_run(args) -> int:
     preset, problem = _build_preset(cfg)
     solution, trace = preset.solve()
 
-    out_dir = Path(args.out_dir or cfg.get("outputs", {}).get("dir", "."))
+    outputs = _section(cfg, "", "outputs")
+    out_dir = Path(args.out_dir or outputs.get("dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / cfg.get("outputs", {}).get("trace", "trace.csv")
-    report_path = out_dir / cfg.get("outputs", {}).get("report", "report.json")
+    trace_path = out_dir / outputs.get("trace", "trace.csv")
+    report_path = out_dir / outputs.get("report", "report.json")
 
     cert_summary = {}
     cert_i = cert_ii = None
@@ -316,7 +370,7 @@ def cmd_validate(args) -> int:
     horizon = _field(cfg, "", "horizon", int, 200)
     preset, _problem = _build_preset(cfg)
     weights_report = validate_weights(preset.config.weights, horizon)
-    band_cfg = cfg.get("inertial_band")
+    band_cfg = _section(cfg, "", "inertial_band")
     # one sweep: the band condition at n reads omega_{n+1}, so it needs two more steps
     steps = horizon + 2 if band_cfg else horizon
     plan = _prevalidate(dataclasses.replace(preset.config, max_iters=steps))

@@ -55,6 +55,15 @@ def _in_ball(center, radius: float) -> Callable[[Vector], bool]:
     return lambda x: bool(np.linalg.norm(x - c) <= radius + MEMBER_TOL)
 
 
+#: the params each catalog problem reads
+PROBLEM_PARAMS = {
+    "l1_quadratic": ("a",),
+    "rotation_fixed_point": ("angle",),
+    "feasibility": ("x0",),
+    "polyak_norm_over_halfspace": (),
+}
+
+
 def catalog(name: str, **params) -> ProblemSpec:
     """Build a named problem.
 
@@ -62,7 +71,12 @@ def catalog(name: str, **params) -> ProblemSpec:
     soft-threshold solution), ``rotation_fixed_point`` (planar rotation, fixed
     point at the origin), ``feasibility`` (halfspace and ball with interior
     intersection), ``polyak_norm_over_halfspace`` (min ||x|| over {x_1 >= 1}).
+    A param the problem does not read (see ``PROBLEM_PARAMS``) is a
+    ConfigurationError.
     """
+    unknown = [key for key in params if key not in PROBLEM_PARAMS.get(name, params)]
+    if unknown:
+        raise ConfigurationError(f"unknown {name} params: {', '.join(map(repr, unknown))}")
     if name == "l1_quadratic":
         a = as_vector(params.get("a", 2.0))
         ref = soft_threshold(a, 1.0)

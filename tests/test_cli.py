@@ -164,6 +164,50 @@ class TestRunCommand:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("overrides, named", [
+        ({"problem": "l1"}, "problem must be an object, got 'l1'"),
+        ({"problem": {"name": "l1_quadratic", "params": [1]}},
+         "problem.params must be an object, got [1]"),
+        ({"solver": {"name": "forward_backward", "params": [1]}},
+         "solver.params must be an object, got [1]"),
+        ({"weights": "window"}, "weights must be an object, got 'window'"),
+        ({"relaxation": "x"}, "relaxation must be an object, got 'x'"),
+        ({"errors": "x"}, "errors must be an object, got 'x'"),
+        ({"x0": "abc"}, "x0 must be a vector of numbers, got 'abc'"),
+        ({"errors": {"model": "geometric", "rate": 0.5, "direction": "abc"}},
+         "errors.direction must be a vector of numbers, got 'abc'"),
+        ({"solver": {"name": "forward_backward", "params": {"gamma": "abc"}}},
+         "solver.params.gamma must be a number, got 'abc'"),
+        ({"relaxation": {"policy": "constant", "value": "abc"}},
+         "relaxation.value must be a number, got 'abc'"),
+    ], ids=["problem", "problem.params", "solver.params", "weights", "relaxation",
+            "errors", "x0", "errors.direction", "solver.params.gamma", "relaxation.value"])
+    def test_wrong_json_type_exits_3_naming_the_key(
+        self, tmp_path, monkeypatch, capsys, command, overrides, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, fb_config(tmp_path, **overrides)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {named}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_outputs_of_wrong_json_type_exits_3_naming_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", fb_config(tmp_path, outputs="x")]) == 3
+        err = capsys.readouterr().err
+        assert err == "configuration error: outputs must be an object, got 'x'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_unknown_problem_param_exits_3_naming_it(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = fb_config(tmp_path, problem={"name": "l1_quadratic", "params": {"b": 1}})
+        assert cli.main([command, cfg]) == 3
+        assert capsys.readouterr().err == "configuration error: unknown l1_quadratic params: 'b'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_unknown_solver_param_exits_3_naming_it(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = fb_config(tmp_path, solver={

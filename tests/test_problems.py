@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from affiter import ConfigurationError, brute_oracle, catalog, soft_threshold
+from affiter.problems import PROBLEM_PARAMS
 
 
 def vec(*xs):
@@ -49,6 +50,11 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
             catalog("nope")
+
+    @pytest.mark.parametrize("name", sorted(PROBLEM_PARAMS))
+    def test_unknown_param_is_named(self, name):
+        with pytest.raises(ConfigurationError, match=f"^unknown {name} params: 'b', 'zz'$"):
+            catalog(name, b=1, zz=2)
 
 
 class TestFeasiblePredicates:
