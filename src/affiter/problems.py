@@ -74,9 +74,10 @@ def catalog(name: str, **params) -> ProblemSpec:
     A param the problem does not read (see ``PROBLEM_PARAMS``) is a
     ConfigurationError.
     """
-    unknown = [key for key in params if key not in PROBLEM_PARAMS.get(name, params)]
-    if unknown:
-        raise ConfigurationError(f"unknown {name} params: {', '.join(map(repr, unknown))}")
+    if name in PROBLEM_PARAMS:
+        unknown = [key for key in params if key not in PROBLEM_PARAMS[name]]
+        if unknown:
+            raise ConfigurationError(f"unknown {name} params: {', '.join(map(repr, unknown))}")
     if name == "l1_quadratic":
         a = as_vector(params.get("a", 2.0))
         ref = soft_threshold(a, 1.0)
