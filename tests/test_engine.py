@@ -158,6 +158,24 @@ class TestRun:
         for ours, theirs in zip(trace.points, x):
             assert ours.tobytes() == theirs.tobytes()
 
+    @pytest.mark.parametrize("weights", [
+        memoryless(), window(3), cesaro(),
+        inertial(EtaSchedule(kind="constant", eta=0.3)),
+        inertial(EtaSchedule(kind="nesterov", tau=2.0)),
+    ], ids=["memoryless", "window3", "cesaro", "constant", "nesterov"])
+    def test_unit_relaxation_update_is_bit_exact(self, weights):
+        # lambda_n = 1 adds the step with no multiply: 1.0 * v is v bit for bit
+        stack = compose([prox_l1(0.8), gradient_step(0.8, lambda x: x - vec(2.0, -0.3), beta=1.0)])
+        cfg = IterationConfig(
+            stacks=stack, weights=weights, relaxation=constant_relaxation(1.0),
+            x0=vec(-1.0, 3.0), max_iters=40, stop_residual=0.0,
+        )
+        trace = run(cfg)
+        assert trace.n_steps == 40
+        for n, xbar in enumerate(trace.xbars):
+            expected = xbar + 1.0 * (apply_stack(stack, xbar).value - xbar)
+            assert trace.points[n + 1].tobytes() == expected.tobytes()
+
     def test_stack_provider_must_keep_layer_count(self):
         two = compose([prox_l1(1.0), gradient_step(1.0, lambda x: x - 2.0, beta=1.0)])
         one = compose([prox_l1(1.0)])
@@ -352,24 +370,6 @@ class TestPlan:
             with pytest.raises(ConfigurationError, match="perturbs layer 3, but the stack has 2"):
                 run(cfg)
         assert calls == []
-
-    @pytest.mark.parametrize("weights", [
-        memoryless(), window(3), cesaro(),
-        inertial(EtaSchedule(kind="constant", eta=0.3)),
-        inertial(EtaSchedule(kind="nesterov", tau=2.0)),
-    ], ids=["memoryless", "window3", "cesaro", "constant", "nesterov"])
-    def test_unit_relaxation_update_is_bit_exact(self, weights):
-        # lambda_n = 1 adds the step with no multiply: 1.0 * v is v bit for bit
-        stack = compose([prox_l1(0.8), gradient_step(0.8, lambda x: x - vec(2.0, -0.3), beta=1.0)])
-        cfg = IterationConfig(
-            stacks=stack, weights=weights, relaxation=constant_relaxation(1.0),
-            x0=vec(-1.0, 3.0), max_iters=40, stop_residual=0.0,
-        )
-        trace = run(cfg)
-        assert trace.n_steps == 40
-        for n, xbar in enumerate(trace.xbars):
-            expected = xbar + 1.0 * (apply_stack(stack, xbar).value - xbar)
-            assert trace.points[n + 1].tobytes() == expected.tobytes()
 
     @settings(deadline=None, max_examples=80)
     @given(

@@ -327,7 +327,7 @@ class TestDiagonalAffineMonotone:
         for n in range(6):
             g = gamma(n)
             assert resolvent(g, x).tobytes() == ((x - g * c) / (1.0 + g * diag)).tobytes()
-        # equal values as fresh float objects, and a repeated one
+        # fresh float objects, some equal in value to an earlier step, and a repeat
         for g in (0.7 * 3.0 / 3.0, float("0.7"), 2.0, 2.0, 1e-3, 0.7):
             assert resolvent(g, x).tobytes() == ((x - g * c) / (1.0 + g * diag)).tobytes()
 
