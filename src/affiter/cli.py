@@ -199,8 +199,14 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
     problem_cfg = _section(cfg, "", "problem")
     if not problem_cfg:
         raise ConfigurationError("config needs a problem section")
-    problem_params = _section(problem_cfg, "problem", "params")
-    problem = catalog(_field(problem_cfg, "problem", "name"), **problem_params)
+    problem_params = dict(_section(problem_cfg, "problem", "params"))
+    problem_name = _field(problem_cfg, "problem", "name")
+    # typed here so that a wrong type names its key; catalog rejects unknown keys
+    if problem_name == "l1_quadratic" and "a" in problem_params:
+        problem_params["a"] = _vector(problem_params["a"], "problem.params.a")
+    if problem_name == "rotation_fixed_point" and "angle" in problem_params:
+        problem_params["angle"] = _field(problem_params, "problem.params", "angle", float)
+    problem = catalog(problem_name, **problem_params)
     solver_cfg = _section(cfg, "", "solver")
     if not solver_cfg:
         raise ConfigurationError("config needs a solver section")

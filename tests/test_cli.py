@@ -181,8 +181,13 @@ class TestRunCommand:
          "solver.params.gamma must be a number, got 'abc'"),
         ({"relaxation": {"policy": "constant", "value": "abc"}},
          "relaxation.value must be a number, got 'abc'"),
+        ({"problem": {"name": "l1_quadratic", "params": {"a": "abc"}}},
+         "problem.params.a must be a vector of numbers, got 'abc'"),
+        ({"problem": {"name": "rotation_fixed_point", "params": {"angle": "abc"}}},
+         "problem.params.angle must be a number, got 'abc'"),
     ], ids=["problem", "problem.params", "solver.params", "weights", "relaxation",
-            "errors", "x0", "errors.direction", "solver.params.gamma", "relaxation.value"])
+            "errors", "x0", "errors.direction", "solver.params.gamma", "relaxation.value",
+            "problem.params.a", "problem.params.angle"])
     def test_wrong_json_type_exits_3_naming_the_key(
         self, tmp_path, monkeypatch, capsys, command, overrides, named
     ):
