@@ -12,12 +12,16 @@ every ``lambda_n``, every stack when the layers depend on n, every
 ``eta_n`` of an inertial row, and the weight family's kernel for ``xbar_n``
 (``schedules.orbit_mean``).  Memoryless ``xbar_n`` is ``x_n`` itself, not
 a copy.  A step with ``lambda_n == 1`` forms ``xbar_n + step`` with no
-multiply (``1.0 * v`` is ``v`` bit for bit).  With a reference set, the
-distance ``||x_{n+1} - x*||`` is measured right after the update, and a
-finite distance proves every entry of ``x_{n+1}`` finite; only a run
-without a reference, or a non-finite distance, tests the entries.  The
-returned trace retains the whole history for post-hoc certificate
-analysis, together with the stacks and the eta_n the loop applied.
+multiply (``1.0 * v`` is ``v`` bit for bit).  The errors ``e_{i,n}`` have
+one source, the error model's ``errors_for(n)``: the step injects them,
+the residual ``||T_n xbar_n - xbar_n||`` is always the clean chain's of the
+same pass, and ``error_budget_check`` sums the norms of the same vectors.
+With a reference set, the distance ``||x_{n+1} - x*||`` is measured right
+after the update, and a finite distance proves every entry of ``x_{n+1}``
+finite; only a run without a reference, or a non-finite distance, tests
+the entries.  The returned trace retains the whole history for post-hoc
+certificate analysis, together with the stacks and the eta_n the loop
+applied.
 """
 
 from __future__ import annotations
@@ -56,21 +60,18 @@ def error_vector(e):
 class ErrorModel:
     """Base: no errors.  Subclasses inject per-layer perturbations.
 
-    ``errors_for(n)`` returns ``None`` or a sequence of per-layer vectors
-    (``None`` entries allowed), outermost layer first; a sequence shorter
-    than the stack leaves the inner layers exact.  ``layers`` is the depth
-    the model reaches, checked against the stack by the run's pre-pass.
-    ``budget(n, i)`` is the declared norm bound used by summability
-    diagnostics (actual injected norms are recorded in the trace).
+    ``errors_for(n)`` is all a model defines: it returns ``None`` or a
+    sequence of per-layer vectors (``None`` entries allowed), outermost
+    layer first; a sequence shorter than the stack leaves the inner layers
+    exact.  ``layers`` is the depth the model reaches, checked against the
+    stack by the run's pre-pass.  The run and ``error_budget_check`` both
+    read the errors from ``errors_for``, once per n each.
     """
 
     layers = 0
 
     def errors_for(self, n: int):
         return None
-
-    def budget(self, n: int, i: int) -> float:
-        return 0.0
 
 
 class GeometricError(ErrorModel):
@@ -91,11 +92,6 @@ class GeometricError(ErrorModel):
 
     def errors_for(self, n: int):
         return (None,) * (self.layer - 1) + (self.rate**n * self.direction,)
-
-    def budget(self, n: int, i: int) -> float:
-        if i != self.layer:
-            return 0.0
-        return self.rate**n * norm(self.direction)
 
 
 class SequenceError(ErrorModel):
@@ -118,21 +114,6 @@ class SequenceError(ErrorModel):
                 return out
         return None
 
-    def budget(self, n: int, i: int) -> float:
-        fn = self.per_layer[i - 1] if i - 1 < len(self.per_layer) else None
-        if fn is None:
-            return 0.0
-        e = fn(n)
-        if e is None:
-            return 0.0
-        if type(e) is np.ndarray and e.dtype == np.float64 and e.ndim == 1 and e.size:
-            r = norm(e)
-            if math.isfinite(r):
-                return r
-        # other values, and non-finite norms: as_vector coerces them or raises
-        # on non-finite entries (finite entries whose squares overflow give inf)
-        return norm(as_vector(e))
-
 
 # ---------------------------------------------------------------------------
 # configuration and trace
@@ -144,12 +125,9 @@ class IterationConfig:
 
     ``stacks`` is a single LayerStack or a callable ``n -> LayerStack`` for
     iteration-dependent layers; stacks must keep a constant layer count and
-    dimension.  ``synthetic_errors`` selects how the residual is measured
-    when errors are injected: with synthetic errors the perturbed pass also
-    carries the clean composite from the innermost perturbed layer outward
-    (``apply_stack(..., clean=True)``), so the residual stays exact; genuine
-    inexactness falls back to the perturbed value and the trace labels it
-    approximate.
+    dimension.  ``errors`` perturbs each step's stack pass; the residual is
+    always the clean one, ``||T_n xbar_n - xbar_n||``, which the perturbed
+    pass carries along (``StackApplication.clean``).
     ``stop_residual = 0`` disables the residual stop entirely (useful when a
     mean point can land on a fixed point without the orbit having settled).
     ``aux_recorder(n, xbar_n, errors_n)`` runs after each step's pass and
@@ -167,7 +145,6 @@ class IterationConfig:
     max_iters: int = 1000
     stop_residual: float = 1e-10
     reference: Vector | None = None
-    synthetic_errors: bool = True
     aux_recorder: Callable[[int, Vector, Sequence | None], dict] | None = None
 
     def stack_at(self, n: int) -> LayerStack:
@@ -197,7 +174,6 @@ class RunTrace:
     lambdas: list[float] = field(default_factory=list)
     phis: list[float] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
-    residual_kinds: list[str] = field(default_factory=list)
     thetas: list[float] = field(default_factory=list)
     error_norms: list[tuple[float, ...]] = field(default_factory=list)
     dist_to_ref: list[float] | None = None
@@ -320,7 +296,6 @@ def run(config: IterationConfig) -> RunTrace:
     per_step = plan.stacks
     xbar_at = plan.xbar
     errors_for = config.errors.errors_for
-    synthetic = config.synthetic_errors
     stop_residual = config.stop_residual
     stop_reason = "max_iters"
     d_ref = None  # norm(x_n - reference) when the step before measured it finite
@@ -333,17 +308,10 @@ def run(config: IterationConfig) -> RunTrace:
             lam = plan.lambdas[n]
 
             errors_n = errors_for(n)
-            noisy = apply_stack(stack, xbar, errors_n, clean=synthetic)
+            noisy = apply_stack(stack, xbar, errors_n)
             step = noisy.value - xbar
-            if errors_n is None:
-                residual = norm(step)
-                residual_kind = "exact"
-            elif synthetic:
-                residual = norm(noisy.clean - xbar)
-                residual_kind = "exact"
-            else:
-                residual = norm(step)
-                residual_kind = "approximate"
+            # the clean residual; without errors the clean pass is the step's own
+            residual = norm(step) if errors_n is None else norm(noisy.clean - xbar)
 
             x_next = xbar + step if lam == 1.0 else xbar + lam * step
             d_next = None
@@ -363,7 +331,6 @@ def run(config: IterationConfig) -> RunTrace:
             trace.lambdas.append(lam)
             trace.phis.append(stack.phi)
             trace.residuals.append(residual)
-            trace.residual_kinds.append(residual_kind)
             trace.error_norms.append(noisy.error_norms)
             trace.thetas.append(lam * noisy.aggregate_error)
             if reference is not None:
@@ -401,15 +368,32 @@ class ErrorBudgetReport:
         return float(self.partial_sums[-1]) if len(self.partial_sums) else 0.0
 
 
+def _budget_norm(e) -> float:
+    """``norm(e)`` of a finite 1-D float64 array; any other value, or a
+    non-finite norm, goes through ``as_vector``, which coerces it or raises
+    on non-finite entries (finite entries whose squares overflow give inf)."""
+    if type(e) is np.ndarray and e.dtype == np.float64 and e.ndim == 1 and e.size:
+        r = norm(e)
+        if math.isfinite(r):
+            return r
+    return norm(as_vector(e))
+
+
 def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetReport:
     """Partial sums of the chi-weighted error budget over a horizon.
 
-    Uses declared budgets, not actual injected vectors, so it runs without
-    iterating; ``lambda_n`` and the stacks come from the run's pre-pass over
+    Sums ``chi_n lambda_n sum_i ||e_{i,n}||`` over the errors that the
+    model's ``errors_for(n)`` returns, one call per n as in a run, without
+    iterating.  Each n adds its layers' norms in layer order, as
+    ``apply_stack`` does, so for nonnegative weights (``chi_n = 1``) and
+    finite 1-D float64 errors the partial sums are
+    ``np.cumsum(trace.thetas)`` of a run given the same errors, bit for bit.
+    Any other error value goes through ``as_vector``, which coerces it or
+    raises.  ``lambda_n`` and the stacks come from the run's pre-pass over
     ``horizon + 1`` steps, which raises the same configuration errors a run
     would.  Flags inertial weights carrying errors outside the supported
-    regime (unit relaxation and a bounded-range outermost layer).  A
-    ``SequenceError`` budget calls the user's error sequences again, so a
+    regime (unit relaxation and a bounded-range outermost layer).  A model
+    that calls user code (``SequenceError``) calls it again here, so a
     stateful or random sequence yields a budget for errors other than the
     ones a run injected.
     """
@@ -423,13 +407,13 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     sums = np.zeros(horizon + 1)
     acc = 0.0
     any_error = False
-    budget = config.errors.budget
-    layers = range(1, first.m + 1)
+    errors_for = config.errors.errors_for
     for n, lam in enumerate(plan.lambdas):
         chi_n = 1.0 if nonneg else chi_value(weights, n).value
         per_iter = 0
-        for i in layers:
-            per_iter += budget(n, i)
+        for e in errors_for(n) or ():
+            if e is not None:
+                per_iter += _budget_norm(e)
         if per_iter > 0.0:
             any_error = True
         acc += chi_n * lam * per_iter

@@ -441,8 +441,8 @@ def compose(layers: Sequence[AveragedOperator]) -> LayerStack:
 class StackApplication:
     """Result of one (possibly perturbed) pass through a stack.
 
-    ``clean`` is the error-free composite when ``apply_stack`` was asked for
-    it (the same array as ``value`` when no error was injected), else None.
+    ``clean`` is the error-free composite ``T_1 ... T_m x``: ``value``
+    itself on an error-free pass, the clean chain when errors were given.
     A plain ``slots`` record, not frozen: ``run`` builds one per step, and a
     frozen dataclass costs about four times as much to construct.  Nothing
     reassigns its fields.
@@ -451,7 +451,7 @@ class StackApplication:
     value: Vector
     error_norms: tuple[float, ...]
     aggregate_error: float
-    clean: Vector | None = None
+    clean: Vector
 
 
 @functools.cache
@@ -460,25 +460,27 @@ def _zero_norms(m: int) -> tuple[float, ...]:
     return (0.0,) * m
 
 
-def apply_stack(stack: LayerStack, x: Vector, errors=None, clean: bool = False) -> StackApplication:
+def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
     """Evaluate ``T_1(T_2(... T_m x + e_m ...) + e_2) + e_1``.
 
     ``errors`` is ``None`` (clean pass) or a sequence of per-layer vectors
     (``None`` entries allowed), outermost first; a sequence shorter than the
-    stack leaves the inner layers exact, a longer one is rejected.  The
-    aggregate error equals ``sum_i ||e_i||``; when the outer layers are
-    nonexpansive it bounds the deviation of the perturbed output from the
-    clean composite.
+    stack leaves the inner layers exact, a longer one is rejected.  An error
+    that is not an ndarray of the layer's shape is checked with
+    ``check_same_dim`` and then read as a float64 array, so a list gives
+    what its array gives.  The aggregate error equals ``sum_i ||e_i||``,
+    added in layer order; when the outer layers are nonexpansive it bounds
+    the deviation of the perturbed output from the clean composite.
 
     With ``errors=None`` the pass is the layers' ``fn`` calls, innermost
     first, and nothing else: every such pass returns the same shared tuple
-    of m zero norms, and ``clean`` (if asked for) is ``value`` itself.
+    of m zero norms, and ``clean`` is ``value`` itself.
 
-    With ``clean=True`` the same pass also returns the clean composite
-    ``T_1 ... T_m x``: the innermost perturbed layer and the layers inside
-    it run once, and only the layers outside it run on both chains, so each
-    value comes from the same calls on the same inputs as a separate pass.
-    On each layer both chains share, the clean chain is evaluated first and
+    With errors the same pass also returns the clean composite ``T_1 ...
+    T_m x``: the innermost perturbed layer and the layers inside it run
+    once, and only the layers outside it run on both chains, so each value
+    comes from the same calls on the same inputs as a separate pass.  On
+    each layer both chains share, the clean chain is evaluated first and
     the perturbed one last; ``solvers.peaceman_rachford`` reads the
     perturbed chain's resolvents through that order.
     """
@@ -487,7 +489,7 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None, clean: bool = False) 
         y = x
         for op in reversed(stack.layers):
             y = op.fn(y)
-        return StackApplication(y, _zero_norms(m), 0.0, y if clean else None)
+        return StackApplication(y, _zero_norms(m), 0.0, y)
     given = len(errors)
     if given > m:
         raise ConfigurationError(f"expected at most {m} per-layer errors, got {given}")
@@ -503,11 +505,12 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None, clean: bool = False) 
         if e is not None:
             if type(e) is not np.ndarray or type(y) is not np.ndarray or e.shape != y.shape:
                 check_same_dim(y, e)  # lists and mismatches get its message
-            if clean and exact is None:
+                e = np.asarray(e, dtype=np.float64)
+            if exact is None:
                 exact = y
             y = y + e
             norms[i - 1] = norm(e)
-    if clean and exact is None:
+    if exact is None:  # every given error was None
         exact = y
     return StackApplication(
         value=y, error_norms=tuple(norms), aggregate_error=sum(norms), clean=exact

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -19,20 +20,24 @@ from affiter import (
     SequenceError,
     affine_combine,
     apply_stack,
+    catalog,
     cesaro,
     chi_value,
     compose,
     constant_relaxation,
     error_budget_check,
+    forward_backward,
     gradient_step,
     inertial,
+    krasnoselskii_mann,
     linear_operator,
     memoryless,
+    peaceman_rachford,
     prox_l1,
     run,
     window,
 )
-from affiter.space import norm
+from affiter.space import as_vector, norm
 
 NEG_ID = compose([linear_operator(-np.eye(1), alpha=1.0)])
 NEG_ID2 = compose([linear_operator(-np.eye(2), alpha=1.0)])
@@ -397,6 +402,7 @@ class TestPlan:
 
 class TestResidualModes:
     def test_synthetic_errors_keep_exact_residual(self):
+        # the residual is the clean pass's, bit for bit, whatever was injected
         stack = compose([prox_l1(1.0)])
         cfg = IterationConfig(
             stacks=stack, weights=memoryless(), relaxation=constant_relaxation(1.0),
@@ -404,7 +410,8 @@ class TestResidualModes:
             stop_residual=0.0,
         )
         trace = run(cfg)
-        assert set(trace.residual_kinds) == {"exact"}
+        for xbar, residual in zip(trace.xbars, trace.residuals):
+            assert residual == norm(apply_stack(stack, xbar).value - xbar)
         assert trace.thetas[0] == pytest.approx(1.0)  # lam * ||e_0|| = 1
 
     def test_outer_layer_error_costs_no_extra_layer_call(self):
@@ -429,7 +436,6 @@ class TestResidualModes:
         )
         trace = run(cfg)
         assert calls == {"outer": 12, "inner": 12}
-        assert set(trace.residual_kinds) == {"exact"}
 
     def test_sequence_error_coerces_a_returned_list(self):
         def config(e):
@@ -443,16 +449,6 @@ class TestResidualModes:
         arrays = run(config(lambda n: vec(0.5**n)))
         assert [p.tobytes() for p in listed.points] == [p.tobytes() for p in arrays.points]
         assert listed.thetas == arrays.thetas == [0.5**n for n in range(5)]
-
-    def test_genuine_errors_marked_approximate(self):
-        stack = compose([prox_l1(1.0)])
-        cfg = IterationConfig(
-            stacks=stack, weights=memoryless(), relaxation=constant_relaxation(1.0),
-            x0=vec(3.0), errors=GeometricError(0.5, vec(1.0)), max_iters=5,
-            stop_residual=0.0, synthetic_errors=False,
-        )
-        trace = run(cfg)
-        assert set(trace.residual_kinds) == {"approximate"}
 
 
 class TestErrorBudget:
@@ -498,26 +494,26 @@ class TestErrorBudget:
     def test_sequence_budget_coerces_only_what_it_must(self, value, expected):
         # a finite 1-D float64 array is its own norm; every other value goes
         # through as_vector, with its value or its message
-        model = SequenceError([lambda n: value])
+        cfg = self.base_config(memoryless(), SequenceError([lambda n: value]))
         if isinstance(expected, str):
             with pytest.raises(ConfigurationError, match=re.escape(expected)):
-                model.budget(0, 1)
+                error_budget_check(cfg, 1)
         else:
             with np.errstate(over="ignore"):  # the overflow case's dot
-                assert model.budget(0, 1) == expected
+                assert error_budget_check(cfg, 1).partial_sums[0] == expected
 
     def test_partial_sums_add_each_layers_budget_in_order(self):
-        # the sums and flags of the per-n generator sum over layers 1..m, with
-        # one budget call per (n, i), for the three kinds of error model
+        # the sums and flags add the norms of errors_for(n)'s layers 1..m in
+        # order, with one errors_for call per n, for the three kinds of model
         class Decaying(ErrorModel):
             layers = 2
 
             def __init__(self):
                 self.calls = []
 
-            def budget(self, n, i):
-                self.calls.append((n, i))
-                return 0.3 * i / (n + 1.0) ** 2
+            def errors_for(self, n):
+                self.calls.append(n)
+                return [vec(0.3 * i / (n + 1.0) ** 2) for i in (1, 2)]
 
         stack = compose([prox_l1(1.0), gradient_step(0.7, lambda x: x - 2.0, beta=1.0)])
         models = [
@@ -536,7 +532,9 @@ class TestErrorBudget:
                 acc, expected = 0.0, []
                 for n in range(horizon + 1):
                     chi_n = 1.0 if weights.nonnegative else chi_value(weights, n).value
-                    acc += chi_n * lam * sum(model.budget(n, i) for i in (1, 2))
+                    norms = [0.0 if e is None else norm(as_vector(e))
+                             for e in model.errors_for(n)]
+                    acc += chi_n * lam * sum(norms + [0.0] * (2 - len(norms)))
                     expected.append(acc)
                 if isinstance(model, Decaying):
                     model.calls.clear()
@@ -548,7 +546,57 @@ class TestErrorBudget:
                     "covered with unit relaxation and a bounded-range outer layer",
                 ) if unsupported else ())
                 if isinstance(model, Decaying):
-                    assert model.calls == [(n, i) for n in range(horizon + 1) for i in (1, 2)]
+                    assert model.calls == list(range(horizon + 1))
+
+    @staticmethod
+    def thetas_cases(weights):
+        """Configs with errors on ``weights``: forward-backward with a and b
+        errors, and with a geometric model on layer 1 and on layer 2; for
+        families the mean-value methods admit, Peaceman-Rachford with a and
+        b errors and a Krasnoselskii-Mann mean run with errors."""
+        prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+        A, B = prob.ingredients["A"], prob.ingredients["B"]
+        x0, steps = vec(-1.0, 2.0, 3.0), 40
+
+        def a_errors(n):
+            return vec(0.1, -0.2, 0.05) / (n + 1.0) ** 2
+
+        def b_errors(n):
+            return 0.7**n * vec(0.3, 0.1, -0.4)
+
+        fb = forward_backward(
+            A=A, B=prob.ingredients["grad"], beta=prob.beta, gamma=0.8, x0=x0, lam=0.9,
+            variant="mean", weights=weights, a_errors=a_errors, b_errors=b_errors,
+            max_iters=steps, stop_residual=0.0,
+        ).config
+        cases = {"fb": fb}
+        for layer in (1, 2):
+            model = GeometricError(0.6, vec(0.2, -0.1, 0.3), layer=layer)
+            cases[f"fb-geometric{layer}"] = dataclasses.replace(fb, errors=model)
+        if weights.mann_product_bound() > 0.0:
+            cases["pr"] = peaceman_rachford(
+                A, B, gamma=1.0, weights=weights, x0=x0, a_errors=a_errors,
+                b_errors=b_errors, max_iters=steps, stop_residual=0.0,
+            ).config
+            cases["km"] = krasnoselskii_mann(
+                linear_operator(-np.eye(3), alpha=1.0), x0=x0,
+                variant="mean", weights=weights, errors=a_errors, max_iters=steps,
+                stop_residual=0.0,
+            ).config
+        return cases
+
+    @pytest.mark.parametrize("weights", [
+        memoryless(), window(2), window(3), cesaro(), inertial(EtaSchedule(kind="zero")),
+    ], ids=["memoryless", "window2", "window3", "cesaro", "inertial-zero"])
+    def test_partial_sums_are_the_cumsum_of_the_runs_thetas(self, weights):
+        # chi_n = 1 for a nonnegative family, and the check reads the run's errors
+        cases = self.thetas_cases(weights)
+        assert ("pr" in cases) == (weights.family == "window")
+        for name, cfg in cases.items():
+            trace = run(cfg)
+            assert trace.n_steps == cfg.max_iters, name
+            sums = error_budget_check(cfg, cfg.max_iters).partial_sums[: cfg.max_iters]
+            assert sums.tobytes() == np.cumsum(trace.thetas).tobytes(), name
 
     def test_inertial_with_errors_and_nonunit_lambda_flagged(self):
         weights = inertial(EtaSchedule(kind="constant", eta=0.3))

@@ -167,6 +167,14 @@ class TestApplyStack:
         with pytest.raises(ConfigurationError, match=message):
             apply_stack(stack, vec(1.0), [error])
 
+    def test_list_error_is_read_as_its_array(self):
+        stack = compose([prox_l1(1.0)])
+        listed = apply_stack(stack, vec(3.0), [[0.5]])
+        arrayed = apply_stack(stack, vec(3.0), [vec(0.5)])
+        assert listed.value.tobytes() == arrayed.value.tobytes()
+        assert listed.clean.tobytes() == arrayed.clean.tobytes()
+        assert listed.error_norms == arrayed.error_norms == (0.5,)
+
     def test_wrong_error_count(self):
         stack = compose([prox_l1(1.0)])
         with pytest.raises(ConfigurationError):
@@ -236,13 +244,16 @@ class TestSharedCleanPass:
         errors = None
         if pattern is not None:  # None entries, and possibly fewer than m
             errors = [rng.normal(size=d) * 0.1 if hit else None for hit in pattern[:stack.m]]
-        shared = apply_stack(stack, x, errors, clean=True)
-        noisy = apply_stack(stack, x, errors)
-        assert noisy.clean is None
-        assert shared.value.tobytes() == noisy.value.tobytes()
-        assert shared.clean.tobytes() == apply_stack(stack, x).value.tobytes()
-        assert shared.error_norms == noisy.error_norms
-        assert shared.aggregate_error == noisy.aggregate_error
+        out = apply_stack(stack, x, errors)
+        assert out.clean.tobytes() == apply_stack(stack, x).value.tobytes()
+        perturbed = x  # the perturbed chain alone, by hand
+        for i in range(stack.m, 0, -1):
+            perturbed = stack.layers[i - 1].fn(perturbed)
+            if errors and i <= len(errors) and errors[i - 1] is not None:
+                perturbed = perturbed + errors[i - 1]
+        assert out.value.tobytes() == perturbed.tobytes()
+        if errors is None or not any(e is not None for e in errors):
+            assert out.clean is out.value
 
     @settings(deadline=None, max_examples=80)
     @given(
@@ -257,15 +268,13 @@ class TestSharedCleanPass:
         expected = x
         for layer in reversed(stack.layers):
             expected = layer.fn(expected)
-        plain = apply_stack(stack, x)
-        shared = apply_stack(stack, x, clean=True)
-        for out in (plain, shared):
-            assert out.value.tobytes() == expected.tobytes()
-            assert out.error_norms == (0.0,) * stack.m
-            assert out.aggregate_error == 0.0
-        assert plain.clean is None and shared.clean is shared.value
+        out = apply_stack(stack, x)
+        assert out.value.tobytes() == expected.tobytes()
+        assert out.clean is out.value
+        assert out.error_norms == (0.0,) * stack.m
+        assert out.aggregate_error == 0.0
         # one shared tuple of zeros, not a new one per pass
-        assert plain.error_norms is shared.error_norms
+        assert apply_stack(stack, x).error_norms is out.error_norms
 
     def test_layers_below_the_innermost_error_run_once(self):
         calls = []
@@ -274,7 +283,7 @@ class TestSharedCleanPass:
             return AveragedOperator(fn=lambda x: calls.append(k) or 0.5 * x, alpha=0.5)
 
         stack = compose([layer(1), layer(2), layer(3)])
-        out = apply_stack(stack, vec(4.0), [None, vec(1.0)], clean=True)
+        out = apply_stack(stack, vec(4.0), [None, vec(1.0)])
         assert calls == [3, 2, 1, 1]  # layer 1 on the perturbed and the clean chain
         assert out.value.tolist() == [1.0] and out.clean.tolist() == [0.5]
 
