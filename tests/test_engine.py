@@ -401,6 +401,8 @@ class TestPlan:
 
 
 class TestResidualModes:
+    """Injected errors: the residual stays the clean one."""
+
     def test_synthetic_errors_keep_exact_residual(self):
         # the residual is the clean pass's, bit for bit, whatever was injected
         stack = compose([prox_l1(1.0)])
