@@ -20,12 +20,17 @@ Commands
 The config file is JSON; see the README for the schema.  Trace CSV columns:
 ``n,residual,theta_n,lambda_n,phi_n,dist_to_ref,cert_i_slack,cert_ii_slack``
 with 17 significant digits (empty where unavailable).
+
+``main(argv)`` may be called repeatedly in one process; every call parses
+with one shared parser, built on the first call.  ``build_parser()`` returns
+that shared parser, which callers must not mutate.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -81,8 +86,8 @@ _REQUIRED = object()
 def _field(section: dict, where: str, key: str, convert=None, default=_REQUIRED):
     """``section[key]``, or ``default``, passed through ``convert`` (int or float).
 
-    A missing required key, or a value that ``convert`` rejects, is a
-    ConfigurationError naming the key as ``where.key``.
+    A missing required key, a JSON boolean, or a value that ``convert``
+    rejects is a ConfigurationError naming the key as ``where.key``.
     """
     name = f"{where}.{key}" if where else key
     value = section.get(key, default)
@@ -91,6 +96,8 @@ def _field(section: dict, where: str, key: str, convert=None, default=_REQUIRED)
     if convert is None:
         return value
     try:
+        if isinstance(value, bool):  # int() and float() would take it
+            raise TypeError
         return convert(value)
     except (TypeError, ValueError, OverflowError):
         kind = "an integer" if convert is int else "a number"
@@ -128,9 +135,11 @@ def _section(cfg: dict, where: str, key: str, default=None) -> dict:
 
 
 def _vector(value, name: str, dim: int | None = None):
-    """``as_vector(value, dim)``; a value it cannot convert to floats is a
-    ConfigurationError naming the key."""
+    """``as_vector(value, dim)``; a value it cannot convert to floats, or a
+    JSON boolean in place of a number, is a ConfigurationError naming the key."""
     try:
+        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+            raise TypeError
         return as_vector(value, dim=dim)
     except ConfigurationError:
         raise
@@ -301,26 +310,19 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
 
 
 def _write_trace(path: Path, trace, cert_i=None, cert_ii=None) -> None:
-    lines = [TRACE_HEADER]
-    for n in range(trace.n_steps):
-        dist = trace.dist_to_ref[n] if trace.dist_to_ref is not None else None
-        ci = cert_i[n] if cert_i is not None else None
-        cii = cert_ii[n] if cert_ii is not None else None
-        lines.append(
-            ",".join(
-                [
-                    str(n),
-                    _fmt(trace.residuals[n]),
-                    _fmt(trace.thetas[n]),
-                    _fmt(trace.lambdas[n]),
-                    _fmt(trace.phis[n]),
-                    _fmt(dist),
-                    _fmt(ci),
-                    _fmt(cii),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    steps = trace.n_steps
+
+    def column(values):
+        if values is None:
+            return [""] * steps
+        # "%.17g" of a plain float is format(float(x), ".17g"), one call per column
+        values = values.tolist() if isinstance(values, np.ndarray) else values
+        return ["%.17g" % v for v in values]
+
+    columns = (trace.residuals, trace.thetas, trace.lambdas, trace.phis,
+               trace.dist_to_ref, cert_i, cert_ii)
+    rows = zip(map(str, range(steps)), *map(column, columns))
+    path.write_text("\n".join([TRACE_HEADER, *map(",".join, rows)]) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -430,7 +432,9 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(prog="affiter", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -231,9 +231,10 @@ def _check_error_depth(errors: ErrorModel, m: int) -> None:
 def _prevalidate(config: IterationConfig) -> RunPlan:
     """Check the whole horizon before any operator call; the run's only pre-pass.
 
-    Calls a stack provider and the relaxation schedule once per n, checks
-    that the error model reaches no layer below the stack, and raises the
-    first violated bound with its n.
+    Calls a stack provider and the relaxation schedule once per n (the
+    schedule only once, at n = 0, when neither its value nor the stack
+    depends on n), checks that the error model reaches no layer below the
+    stack, and raises the first violated bound with its n.
     """
     etas = eta_values(config.weights, config.max_iters)
     xbar = orbit_mean(config.weights, etas)
@@ -241,7 +242,11 @@ def _prevalidate(config: IterationConfig) -> RunPlan:
     if not callable(config.stacks):
         _check_error_depth(config.errors, config.stacks.m)
         phi = config.stacks.phi
-        lambdas = [relaxation_at(config.relaxation, n, phi) for n in steps]
+        if callable(config.relaxation.value):
+            lambdas = [relaxation_at(config.relaxation, n, phi) for n in steps]
+        else:
+            # one float at every n, so a bound it fails at any n it fails at n = 0
+            lambdas = [relaxation_at(config.relaxation, 0, phi)] * len(steps) if steps else []
         return RunPlan(lambdas, None, xbar, etas)
     lambdas, stacks = [], []
     for n in steps:

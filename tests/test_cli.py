@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affiter import cli
+from affiter import (
+    EtaSchedule,
+    IterationConfig,
+    WeightSchedule,
+    chi_table,
+    cli,
+    compose,
+    constant_relaxation,
+    gradient_step,
+    prox_l1,
+    run,
+    run_certificates,
+    window,
+)
 from affiter.errors import NumericalDivergence
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -353,3 +367,172 @@ class TestChiCommand:
         captured = capsys.readouterr()
         assert "chi horizon must be >= 0, got -2" in captured.err
         assert captured.out == ""
+
+
+def memoryless_golden(tmp_path, edit):
+    """The memoryless golden config, changed by ``edit``, written to tmp_path."""
+    payload = json.loads((GOLDEN / "memoryless" / "config.json").read_text())
+    edit(payload)
+    return write_config(tmp_path, payload)
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(payload):
+        section = payload
+        for name in path:
+            section = section.setdefault(name, {})
+        section[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize("commands, edit, named", [
+    (("run", "validate"), _set("horizon", True), "horizon must be an integer, got True"),
+    (("run", "validate"), _set("stop_residual", False),
+     "stop_residual must be a number, got False"),
+    (("run", "validate"), _set("solver", "params", "gamma", True),
+     "solver.params.gamma must be a number, got True"),
+    (("run", "validate"), _set("relaxation", "value", True),
+     "relaxation.value must be a number, got True"),
+    (("run", "validate"), _set("weights", {"family": "window", "window": True}),
+     "weights.window must be an integer, got True"),
+    (("run", "validate"), _set("x0", [True]), "x0 must be a vector of numbers, got [True]"),
+    (("run", "validate"), _set("x0", False), "x0 must be a vector of numbers, got False"),
+    (("run", "validate"), _set("problem", "params", "a", [True]),
+     "problem.params.a must be a vector of numbers, got [True]"),
+    (("run", "validate"), _set("errors", {"model": "geometric", "rate": 0.5, "direction": [True]}),
+     "errors.direction must be a vector of numbers, got [True]"),
+    (("run", "validate"), _set("errors", {"model": "geometric", "rate": True, "direction": [0.1]}),
+     "errors.rate must be a number, got True"),
+    (("run", "validate"), _set("errors", {"model": "custom", "values": [[0.1]], "layer": True}),
+     "errors.layer must be an integer, got True"),
+    (("run", "validate"), _set("errors", {"model": "custom", "values": [[0.1], [1.0, True]]}),
+     "errors.values[1] must be a vector of numbers, got [1.0, True]"),
+    (("run",), _set("seed", True), "seed must be an integer, got True"),
+    (("validate",), _set("inertial_band", "sigma", False),
+     "inertial_band.sigma must be a number, got False"),
+], ids=["horizon", "stop_residual", "solver.params.gamma", "relaxation.value", "weights.window",
+        "x0-entry", "x0", "problem.params.a", "errors.direction", "errors.rate", "errors.layer",
+        "errors.values", "seed", "inertial_band.sigma"])
+def test_json_boolean_in_place_of_a_number_exits_3_naming_the_key(
+    tmp_path, monkeypatch, capsys, commands, edit, named
+):
+    # int(True) and float(True) would read them as 1 and 0
+    monkeypatch.chdir(tmp_path)
+    cfg = memoryless_golden(tmp_path, edit)
+    for command in commands:
+        assert cli.main([command, cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {named}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_repeated_main_calls_share_one_parser_and_keep_every_output(
+    tmp_path, monkeypatch, capsysbinary
+):
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    case = GOLDEN / "window3"
+
+    def run_matches_golden(out_dir):
+        assert cli.main(["run", str(case / "config.json"), "--out-dir", str(out_dir)]) == 0
+        for filename in ("trace.csv", "report.json"):
+            assert (out_dir / filename).read_bytes() == (case / filename).read_bytes(), filename
+        assert capsysbinary.readouterr().out.startswith(b"stop=max_iters ")
+
+    run_matches_golden(tmp_path / "first")
+    assert cli.main(["validate", str(case / "config.json")]) == 0
+    assert capsysbinary.readouterr().out == (case / "validate.txt").read_bytes()
+    assert cli.main(["chi", "--family", "nesterov", "--tau", "2", "--N", "5"]) == 0
+    table = chi_table(WeightSchedule(family="inertial", eta=EtaSchedule(kind="nesterov")), 5)
+    assert capsysbinary.readouterr().out.decode() == "".join(
+        [f"n,chi_n,analytic_bound\n"]
+        + [f"{e.n},{float(e.value):.17g},{float(e.analytic_bound):.17g}\n" for e in table]
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(case / "config.json"), "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "--no-such-flag" in capsysbinary.readouterr().err.decode()
+    run_matches_golden(tmp_path / "second")
+    # one parser and its three subparsers, at most once across all calls
+    assert len(constructed) <= 4, constructed
+
+    monkeypatch.undo()
+    shared, fresh = cli.build_parser(), cli.build_parser.__wrapped__()
+    assert shared is cli.build_parser()
+    assert shared.format_help() == fresh.format_help()
+    for command in ("run", "validate", "chi"):
+        helps = []
+        for parse in (cli.main, fresh.parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([command, "--help"])
+            assert exc.value.code == 0
+            helps.append(capsysbinary.readouterr().out.decode())
+        assert helps[0] == helps[1]
+        assert helps[0].startswith(f"usage: affiter {command} ")
+
+
+def per_field_csv(trace, cert_i=None, cert_ii=None) -> bytes:
+    """The trace CSV formatted one field at a time, as a reference."""
+    def fmt(x):
+        return "" if x is None else format(float(x), ".17g")
+
+    lines = [cli.TRACE_HEADER]
+    for n in range(trace.n_steps):
+        cells = [trace.residuals[n], trace.thetas[n], trace.lambdas[n], trace.phis[n],
+                 None if trace.dist_to_ref is None else trace.dist_to_ref[n],
+                 None if cert_i is None else cert_i[n],
+                 None if cert_ii is None else cert_ii[n]]
+        lines.append(",".join([str(n), *map(fmt, cells)]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestTraceWriter:
+    """The column-wise writer against the per-field form, where no golden reaches."""
+
+    @staticmethod
+    def trace(reference=None):
+        config = IterationConfig(
+            stacks=compose([prox_l1(0.8), gradient_step(0.8, lambda x: x - 2.0, beta=1.0)]),
+            weights=window(2), relaxation=constant_relaxation(1.2), x0=np.array([3.0, -1.0]),
+            max_iters=25, stop_residual=0.0, reference=reference,
+        )
+        return run(config)
+
+    def test_run_without_a_reference_leaves_the_distance_and_slacks_empty(self, tmp_path):
+        trace = self.trace()
+        assert trace.dist_to_ref is None
+        cli._write_trace(tmp_path / "trace.csv", trace)
+        written = (tmp_path / "trace.csv").read_bytes()
+        assert written == per_field_csv(trace)
+        assert written.splitlines()[1].endswith(b",,,")
+
+    def test_float64_slack_arrays(self, tmp_path):
+        trace = self.trace(reference=np.array([1.0, 1.0]))
+        reports = run_certificates(trace, trace.config.reference, which=("i", "ii"))
+        cert_i, cert_ii = reports["i"].slacks, reports["ii"].slacks
+        assert cert_i.dtype == cert_ii.dtype == np.float64
+        cli._write_trace(tmp_path / "trace.csv", trace, cert_i, cert_ii)
+        assert (tmp_path / "trace.csv").read_bytes() == per_field_csv(trace, cert_i, cert_ii)
+
+    def test_negative_zero_and_subnormals(self, tmp_path):
+        trace = self.trace(reference=np.array([1.0, 1.0]))
+        tiny = np.nextafter(0.0, 1.0)
+        trace.residuals[0], trace.thetas[1], trace.dist_to_ref[2] = -0.0, tiny, 3 * tiny
+        cert_i = np.linspace(-1.0, 1.0, trace.n_steps)
+        cert_ii = np.full(trace.n_steps, -0.0)
+        cert_i[3], cert_ii[4] = -tiny, np.finfo(np.float64).tiny / 7
+        cli._write_trace(tmp_path / "trace.csv", trace, cert_i, cert_ii)
+        written = (tmp_path / "trace.csv").read_bytes()
+        assert written == per_field_csv(trace, cert_i, cert_ii)
+        assert written.splitlines()[1].split(b",")[1] == b"-0"
+        assert written.splitlines()[2].split(b",")[2] == b"4.9406564584124654e-324"

@@ -34,9 +34,11 @@ from affiter import (
     memoryless,
     peaceman_rachford,
     prox_l1,
+    relaxation_at,
     run,
     window,
 )
+from affiter import engine
 from affiter.space import as_vector, norm
 
 NEG_ID = compose([linear_operator(-np.eye(1), alpha=1.0)])
@@ -336,6 +338,29 @@ class TestPlan:
         run(cfg)
         assert stack_calls == list(range(12))
         assert lam_calls == list(range(12))
+
+    @pytest.mark.parametrize("lam, evaluated_at", [
+        (0.75, [0]),
+        (lambda n: 0.75, list(range(12))),
+    ], ids=["constant", "callable"])
+    def test_fixed_stack_evaluates_a_constant_lam_once(self, monkeypatch, lam, evaluated_at):
+        seen = []
+
+        def counting(rs, n, phi_n):
+            seen.append(n)
+            return relaxation_at(rs, n, phi_n)
+
+        monkeypatch.setattr(engine, "relaxation_at", counting)
+        cfg = IterationConfig(
+            stacks=compose([prox_l1(1.0)]), weights=memoryless(),
+            relaxation=constant_relaxation(lam), x0=vec(3.0), max_iters=12, stop_residual=0.0,
+        )
+        trace = run(cfg)
+        assert seen == evaluated_at
+        assert trace.lambdas == [0.75] * 12
+        # the first violated bound keeps its n = 0
+        with pytest.raises(ConfigurationError, match=r"^lambda_0 = 5\.0 exceeds"):
+            run(dataclasses.replace(cfg, relaxation=constant_relaxation(5.0)))
 
     def test_custom_eta_leaving_band_raises_before_operator_calls(self):
         # the bad value sits deep in the horizon: only a whole-horizon check sees it early
