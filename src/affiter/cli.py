@@ -315,7 +315,7 @@ def _write_trace(path: Path, trace, cert_i=None, cert_ii=None) -> None:
     def column(values):
         if values is None:
             return [""] * steps
-        # "%.17g" of a plain float is format(float(x), ".17g"), one call per column
+        # for a float, "%.17g" % v is format(float(v), ".17g") without a call per cell
         values = values.tolist() if isinstance(values, np.ndarray) else values
         return ["%.17g" % v for v in values]
 

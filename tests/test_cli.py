@@ -455,7 +455,7 @@ def test_repeated_main_calls_share_one_parser_and_keep_every_output(
     assert cli.main(["chi", "--family", "nesterov", "--tau", "2", "--N", "5"]) == 0
     table = chi_table(WeightSchedule(family="inertial", eta=EtaSchedule(kind="nesterov")), 5)
     assert capsysbinary.readouterr().out.decode() == "".join(
-        [f"n,chi_n,analytic_bound\n"]
+        ["n,chi_n,analytic_bound\n"]
         + [f"{e.n},{float(e.value):.17g},{float(e.analytic_bound):.17g}\n" for e in table]
     )
     with pytest.raises(SystemExit) as exc:
