@@ -21,7 +21,14 @@ sum_{j,k} mu_{n,j} mu_{n,k} ||x_j - x_k||^2`` in place of ``||xbar_n -
 x*||^2``; the two are equal for every row whose weights sum to 1, with
 negative weights allowed (the identity for affine combinations).  So (ii)
 and (iii) read ``xbar_n`` from ``trace.xbars`` and cost O(d) per step
-(plus the stack tails for (iii)).  Certificate (i) builds no weight row:
+(plus the stack tails for (iii)).  The distances ``||xbar_n - x*||`` of
+the steps whose ``xbar_n`` is not ``x_n`` (inertial, window and cesaro
+traces) are taken in batches: the points are stacked in row blocks of at
+most ``XBAR_BLOCK_FLOATS`` floats, so the transient is O(block), not
+O(N d), and the squared norms are one stacked ``np.matmul``, which calls
+the same ``ddot`` as ``x.dot(x)`` and matches it bit for bit (``einsum``
+and ``(D * D).sum(1)`` reduce in other orders and do not).  Certificate
+(i) builds no weight row:
 ``schedules.abs_weighted_sums`` forms its sum per family from the
 distances ``||x_j - x*||``, in O(N) for every family but ``window(w)``
 (O(N w)).  When x* is the run's reference, those distances are the ones
@@ -101,6 +108,34 @@ def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
                 )
 
 
+#: floats per block of stacked xbar_n in ``_xbar_dists``: 512 KiB
+XBAR_BLOCK_FLOATS = 1 << 16
+
+
+def _xbar_dists(trace: RunTrace, ns: list[int], dists: list[float], x_ref: Vector) -> list[float]:
+    """``||xbar_n - x*||`` for each ``n`` in ``ns``.
+
+    Where ``xbar_n`` is ``x_n`` itself that is ``dists[n]``.  The other
+    ``xbar_n`` are stacked in row blocks of at most ``XBAR_BLOCK_FLOATS``
+    floats (one row when ``d`` is larger), ``x*`` is subtracted in place, and
+    each row's square is one stacked ``matmul`` of ``(1, d)`` by ``(d, 1)``:
+    the same ``ddot`` call as ``norm``'s ``x.dot(x)``, so bit for bit the
+    same.  ``einsum`` and ``(D * D).sum(1)`` reduce in another order.
+    """
+    xbars, points = trace.xbars, trace.points
+    out = [dists[n] for n in ns]
+    apart = [pos for pos, n in enumerate(ns) if xbars[n] is not points[n]]
+    rows = max(1, XBAR_BLOCK_FLOATS // x_ref.size)
+    for lo in range(0, len(apart), rows):
+        block = apart[lo : lo + rows]
+        diff = np.array([xbars[ns[pos]] for pos in block])
+        diff -= x_ref
+        squares = np.matmul(diff[:, None, :], diff[:, :, None]).ravel().tolist()
+        for pos, sq in zip(block, squares):
+            out[pos] = math.sqrt(sq)
+    return out
+
+
 def run_certificates(
     trace: RunTrace,
     x_ref,
@@ -126,7 +161,12 @@ def run_certificates(
     about ``2 eps`` of that ``fsum``, relative.  Certificates (ii) and (iii)
     start from ``||xbar_n - x*||^2``, with ``xbar_n`` read from
     ``trace.xbars`` (the point the run fed to the stack), so they cost O(d)
-    per step.  Stacks are read from the trace (``RunTrace.stack_at``), never
+    per step.  Where ``xbar_n`` is not ``x_n`` those distances are batched
+    (``_xbar_dists``): row blocks of at most ``XBAR_BLOCK_FLOATS`` floats,
+    one ``matmul`` of stacked ``(1, d) @ (d, 1)`` each, bit for bit
+    ``norm``'s ``x.dot(x)``; ``einsum`` would not be.  The rest of (ii) is
+    Python floats, since numpy's squares differ from ``x**2`` in the last
+    bit.  Stacks are read from the trace (``RunTrace.stack_at``), never
     from a stack provider.  Certificate (iii) also evaluates the stack tails
     at ``xbar_n`` every iteration, and at ``x_ref`` once per distinct stack;
     ``indices`` restricts the evaluation to a subsample when that cost
@@ -154,30 +194,29 @@ def run_certificates(
     else:
         dists = [norm(p - x_ref) for p in points]
 
-    slacks = {name: np.zeros(eval_at.size) for name in which}
+    slacks = {}
     if "i" in which:
         d = np.array(dists)
         rhs = abs_weighted_sums(trace.config.weights, d, eval_at, trace.etas)
         slacks["i"] = (rhs + np.array(trace.thetas)[eval_at]) - d[eval_at + 1]
-    # (ii) and (iii) share this scalar loop: numpy's squares would differ from
-    # Python's x**2 (libm pow) in the last bit
-    sq_at = eval_at.tolist() if {"ii", "iii"} & set(which) else []
-    ref_stack = None
-    for pos, n in enumerate(sq_at):
-        theta_n = trace.thetas[n]
-        xbar = trace.xbars[n]
-        r_n = trace.residuals[n]
-        lam = trace.lambdas[n]
-        phi = trace.phis[n]
-        lhs1 = dists[n + 1]
-        dbar = dists[n] if xbar is points[n] else norm(xbar - x_ref)
-        nu_n = theta_n * (2.0 * dbar + theta_n)
-        base = dbar**2 - lhs1**2 + nu_n
-
-        if "ii" in which:
-            slacks["ii"][pos] = base - lam * (1.0 / phi - lam) * r_n**2
-
-        if "iii" in which:
+    # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n, in
+    # Python floats: numpy's squares would differ from x**2 in the last bit
+    ns = eval_at.tolist() if {"ii", "iii"} & set(which) else []
+    thetas, residuals, lambdas = trace.thetas, trace.residuals, trace.lambdas
+    base = [
+        dbar**2 - dists[n + 1] ** 2 + thetas[n] * (2.0 * dbar + thetas[n])
+        for n, dbar in zip(ns, _xbar_dists(trace, ns, dists, x_ref))
+    ]
+    if "ii" in which:
+        phis = trace.phis
+        slacks["ii"] = np.array([
+            b - lambdas[n] * (1.0 / phis[n] - lambdas[n]) * residuals[n] ** 2
+            for n, b in zip(ns, base)
+        ])
+    if "iii" in which:
+        iii = []
+        ref_stack = None
+        for n, b in zip(ns, base):
             stack = trace.stack_at(n)
             if stack is not ref_stack:
                 # (Id - T_i) T_{i+} x_ref, for each layer with a nonzero coefficient
@@ -187,13 +226,15 @@ def run_certificates(
                     if coeff != 0.0:
                         t_ref = tail_apply(stack, i, x_ref)
                         ref_disps.append((i, layer, coeff, t_ref - layer.fn(t_ref)))
+            xbar = trace.xbars[n]
             layer_term = 0.0
             for i, layer, coeff, d_ref in ref_disps:
                 t_bar = tail_apply(stack, i, xbar)
                 disp = (t_bar - layer.fn(t_bar)) - d_ref
                 layer_term = max(layer_term, coeff * float(disp @ disp))
-            slacks["iii"][pos] = base + lam * (lam - 1.0) * r_n**2 - lam * layer_term
-
+            lam = lambdas[n]
+            iii.append(b + lam * (lam - 1.0) * residuals[n] ** 2 - lam * layer_term)
+        slacks["iii"] = np.array(iii)
     return {
         name: CertificateReport(
             name=name, slacks=slacks[name], tolerance=tolerance, indices=eval_at
@@ -237,11 +278,12 @@ def gronwall_envelope(
     if np.any(eps < 0.0):
         raise ConfigurationError("eps sequence must be nonnegative")
     n_max = min(nu.size, eps.size)
-    env = np.zeros(n_max)
+    steps = []
     prev = float(theta0)
-    for n in range(n_max):
-        prev = math.exp(nu[n]) * prev + eps[n]
-        env[n] = prev
+    for nu_n, eps_n in zip(nu.tolist(), eps.tolist()):
+        prev = math.exp(nu_n) * prev + eps_n
+        steps.append(prev)
+    env = np.array(steps)
     dominated = None
     first_violation = None
     if theta_seq is not None:

@@ -83,8 +83,25 @@ def _load_config(path: str) -> dict:
 _REQUIRED = object()
 
 
+def _integer(value) -> int:
+    """``int(value)``, except that a float must be integral (``2.0`` is 2)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+_KINDS = {_integer: "an integer", _string: "a string"}
+
+
 def _field(section: dict, where: str, key: str, convert=None, default=_REQUIRED):
-    """``section[key]``, or ``default``, passed through ``convert`` (int or float).
+    """``section[key]``, or ``default``, passed through ``convert`` (``_integer``,
+    ``_string``, float or a number reader).
 
     A missing required key, a JSON boolean, or a value that ``convert``
     rejects is a ConfigurationError naming the key as ``where.key``.
@@ -100,7 +117,7 @@ def _field(section: dict, where: str, key: str, convert=None, default=_REQUIRED)
             raise TypeError
         return convert(value)
     except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if convert is int else "a number"
+        kind = _KINDS.get(convert, "a number")
         raise ConfigurationError(f"{name} must be {kind}, got {value!r}") from None
 
 
@@ -154,7 +171,7 @@ def _weights_from(cfg: dict) -> WeightSchedule | None:
     if family == "inertial":
         eta = _eta_from(_section(cfg, "weights", "eta"), "weights.eta")
         return WeightSchedule(family="inertial", eta=eta)
-    return WeightSchedule(family=family, window=_field(cfg, "weights", "window", int, 1))
+    return WeightSchedule(family=family, window=_field(cfg, "weights", "window", _integer, 1))
 
 
 def _eta_from(cfg: dict, where: str = "solver.params.eta") -> EtaSchedule:
@@ -174,7 +191,7 @@ def _errors_from(cfg: dict):
         return GeometricError(
             rate=_field(cfg, "errors", "rate", float),
             direction=_vector(_field(cfg, "errors", "direction"), "errors.direction"),
-            layer=_field(cfg, "errors", "layer", int, 1),
+            layer=_field(cfg, "errors", "layer", _integer, 1),
         )
     if model == "custom":
         values = _field(cfg, "errors", "values")
@@ -183,7 +200,7 @@ def _errors_from(cfg: dict):
         values = [
             None if v is None else _vector(v, f"errors.values[{k}]") for k, v in enumerate(values)
         ]
-        layer = _field(cfg, "errors", "layer", int, 1)
+        layer = _field(cfg, "errors", "layer", _integer, 1)
         if layer < 1:
             raise ConfigurationError("layer index is 1-based")
 
@@ -222,7 +239,7 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
     name = _field(solver_cfg, "solver", "name")
     params = dict(_section(solver_cfg, "solver", "params"))
     weights = _weights_from(_section(cfg, "", "weights"))
-    horizon = _field(cfg, "", "horizon", int, 200)
+    horizon = _field(cfg, "", "horizon", _integer, 200)
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     stop_residual = _field(cfg, "", "stop_residual", float, 1e-10)
@@ -327,15 +344,19 @@ def _write_trace(path: Path, trace, cert_i=None, cert_ii=None) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    seed = _field(cfg, "", "seed", int, 0)
+    seed = _field(cfg, "", "seed", _integer, 0)
+    outputs = _section(cfg, "", "outputs")
+    out_dir, trace_name, report_name = (
+        _field(outputs, "outputs", key, _string, default)
+        for key, default in (("dir", "."), ("trace", "trace.csv"), ("report", "report.json"))
+    )
     preset, problem = _build_preset(cfg)
     solution, trace = preset.solve()
 
-    outputs = _section(cfg, "", "outputs")
-    out_dir = Path(args.out_dir or outputs.get("dir", "."))
+    out_dir = Path(args.out_dir or out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / outputs.get("trace", "trace.csv")
-    report_path = out_dir / outputs.get("report", "report.json")
+    trace_path = out_dir / trace_name
+    report_path = out_dir / report_name
 
     cert_summary = {}
     cert_i = cert_ii = None
@@ -375,7 +396,8 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
-    horizon = _field(cfg, "", "horizon", int, 200)
+    _field(cfg, "", "seed", _integer, 0)  # only run reads it; both check it
+    horizon = _field(cfg, "", "horizon", _integer, 200)
     preset, _problem = _build_preset(cfg)
     weights_report = validate_weights(preset.config.weights, horizon)
     band_cfg = _section(cfg, "", "inertial_band")

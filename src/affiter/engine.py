@@ -51,10 +51,18 @@ from .space import Vector, all_finite, as_vector, norm
 # error models
 # ---------------------------------------------------------------------------
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def error_vector(e):
-    """An injected error as the run uses it: None and ndarrays pass through
-    unchecked, any other value (a list, a scalar) goes through ``as_vector``."""
-    return e if e is None or isinstance(e, np.ndarray) else as_vector(e)
+    """An injected error as the run uses it, coerced once: None and 1-D
+    float64 ndarrays pass through unchecked; any other value (a list, a
+    scalar, a float32 or 2-D array) goes through ``as_vector``, which reads
+    it as float64 and rejects non-finite entries.  So ``apply_stack`` and
+    ``error_budget_check`` measure every error in float64."""
+    if e is None or (isinstance(e, np.ndarray) and e.dtype == _FLOAT64 and e.ndim == 1):
+        return e
+    return as_vector(e)
 
 
 class ErrorModel:
@@ -373,17 +381,6 @@ class ErrorBudgetReport:
         return float(self.partial_sums[-1]) if len(self.partial_sums) else 0.0
 
 
-def _budget_norm(e) -> float:
-    """``norm(e)`` of a finite 1-D float64 array; any other value, or a
-    non-finite norm, goes through ``as_vector``, which coerces it or raises
-    on non-finite entries (finite entries whose squares overflow give inf)."""
-    if type(e) is np.ndarray and e.dtype == np.float64 and e.ndim == 1 and e.size:
-        r = norm(e)
-        if math.isfinite(r):
-            return r
-    return norm(as_vector(e))
-
-
 def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetReport:
     """Partial sums of the chi-weighted error budget over a horizon.
 
@@ -392,9 +389,11 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     iterating.  Each n adds its layers' norms in layer order, as
     ``apply_stack`` does, so for nonnegative weights (``chi_n = 1``) and
     finite 1-D float64 errors the partial sums are
-    ``np.cumsum(trace.thetas)`` of a run given the same errors, bit for bit.
-    Any other error value goes through ``as_vector``, which coerces it or
-    raises.  ``lambda_n`` and the stacks come from the run's pre-pass over
+    ``np.cumsum(trace.thetas)`` of a run given the same errors, bit for bit;
+    ``SequenceError`` reads every value through ``error_vector``, so its
+    errors are such arrays whatever dtype the user gave.  Any other error
+    value goes through ``as_vector``, which coerces it or raises.
+    ``lambda_n`` and the stacks come from the run's pre-pass over
     ``horizon + 1`` steps, which raises the same configuration errors a run
     would.  Flags inertial weights carrying errors outside the supported
     regime (unit relaxation and a bounded-range outermost layer).  A model
@@ -409,7 +408,7 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     weights = config.weights
     nonneg = weights.nonnegative
     flags: list[str] = []
-    sums = np.zeros(horizon + 1)
+    sums = []
     acc = 0.0
     any_error = False
     errors_for = config.errors.errors_for
@@ -417,12 +416,19 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
         chi_n = 1.0 if nonneg else chi_value(weights, n).value
         per_iter = 0
         for e in errors_for(n) or ():
-            if e is not None:
-                per_iter += _budget_norm(e)
+            if e is None:
+                continue
+            fast = type(e) is np.ndarray and e.dtype == _FLOAT64 and e.ndim == 1 and e.size
+            r = math.sqrt(e.dot(e)) if fast else math.inf  # norm(e), inlined
+            if not math.isfinite(r):
+                # coerces, or raises on non-finite entries; finite entries
+                # whose squares overflow keep the norm inf
+                r = norm(as_vector(e))
+            per_iter += r
         if per_iter > 0.0:
             any_error = True
         acc += chi_n * lam * per_iter
-        sums[n] = acc
+        sums.append(acc)
     if any_error and not nonneg:
         all_unit_lambda = all(lam == 1.0 for lam in plan.lambdas)
         if not (all_unit_lambda and first.layers[0].bounded_range):
@@ -430,5 +436,5 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
                 "unsupported-regime: errors under inertial weights are only "
                 "covered with unit relaxation and a bounded-range outer layer"
             )
-    tail = acc - float(sums[(3 * horizon) // 4])
-    return ErrorBudgetReport(partial_sums=sums, tail_increment=tail, flags=tuple(flags))
+    tail = acc - sums[(3 * horizon) // 4]
+    return ErrorBudgetReport(partial_sums=np.array(sums), tail_increment=tail, flags=tuple(flags))

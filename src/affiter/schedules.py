@@ -290,7 +290,9 @@ def abs_weighted_sums(
     ``dists`` holds ``d_0 .. d_N`` (``N > max(indices)``, all ``d_j >= 0``);
     ``etas`` comes from ``eta_values``.  Memoryless rows give ``d_n``;
     inertial rows ``(1 + eta_n) d_n + eta_n d_{n-1}`` (``d_n`` when
-    ``eta_n = 0``); window rows ``fsum`` their ``k`` distances times
+    ``eta_n = 0``), formed by array operations over the rows with
+    ``eta_n != 0`` (elementwise, so the same IEEE operations as one row at a
+    time); window rows ``fsum`` their ``k`` distances times
     ``1/k``, in O(k).  These three equal
     ``math.fsum(abs(w) * d[j] for j, w in schedule.row(n).items())`` bit for
     bit: the products are the same IEEE multiplies, ``fsum`` is correctly
@@ -305,11 +307,12 @@ def abs_weighted_sums(
     if family == "memoryless":
         return dists[indices]
     if family == "inertial":
-        d = dists.tolist()
-        return np.array([
-            d[n] if etas[n] == 0.0 else (1.0 + etas[n]) * d[n] + etas[n] * d[n - 1]
-            for n in indices.tolist()
-        ])
+        sums = dists[indices]
+        eta = np.frombuffer(etas)[indices]
+        moved = eta != 0.0
+        eta, at = eta[moved], indices[moved]
+        sums[moved] = (1.0 + eta) * dists[at] + eta * dists[at - 1]
+        return sums
     if family == "cesaro":
         if not indices.size:
             return np.empty(0)

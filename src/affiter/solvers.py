@@ -57,12 +57,12 @@ class SolverPreset:
 def _seq(sequence) -> Callable[[int], Vector | None] | None:
     """Normalize an error sequence argument: None, callable, or list.
 
-    A callable's values go through ``engine.error_vector`` as they are read.
+    A callable is handed on as it is: ``SequenceError`` coerces its values
+    once, through ``engine.error_vector``, and a layer that scales a value
+    coerces it first.  A list becomes a lookup of coerced vectors.
     """
-    if sequence is None:
-        return None
-    if callable(sequence):
-        return lambda n: error_vector(sequence(n))
+    if sequence is None or callable(sequence):
+        return sequence
     vectors = [None if e is None else as_vector(e) for e in sequence]
 
     def fn(n: int):
@@ -140,7 +140,9 @@ def peaceman_rachford(
 
     def doubled(fn):
         # the layer error 2 e_n of a sequence e_n; an absent sequence stays absent
-        return None if fn is None else (lambda n: None if (e := fn(n)) is None else 2.0 * e)
+        return None if fn is None else (
+            lambda n: None if (e := error_vector(fn(n))) is None else 2.0 * e
+        )
 
     resolvents = [None, None]  # J_{gamma A}, J_{gamma B} as the layers last returned them
 
@@ -295,7 +297,7 @@ def forward_backward(
         return compose(layers)
 
     def forward_error(n: int) -> Vector | None:
-        b_n = b_fn(n)
+        b_n = error_vector(b_fn(n))
         if b_n is None:
             return None
         return -(checked[n] if n in checked else gamma_fn(n)) * b_n
