@@ -112,16 +112,21 @@ def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
 XBAR_BLOCK_FLOATS = 1 << 16
 
 
-def _xbar_dists(trace: RunTrace, ns: list[int], dists: list[float], x_ref: Vector) -> list[float]:
-    """``||xbar_n - x*||`` for each ``n`` in ``ns``.
+def _row_squares(rows: np.ndarray) -> np.ndarray:
+    """``[r.dot(r) for r in rows]`` of a 2-D float64 array, bit for bit.
 
-    Where ``xbar_n`` is ``x_n`` itself that is ``dists[n]``.  The other
-    ``xbar_n`` are stacked in row blocks of at most ``XBAR_BLOCK_FLOATS``
-    floats (one row when ``d`` is larger), ``x*`` is subtracted in place, and
-    each row's square is one stacked ``matmul`` of ``(1, d)`` by ``(d, 1)``:
-    the same ``ddot`` call as ``norm``'s ``x.dot(x)``, so bit for bit the
-    same.  ``einsum`` and ``(D * D).sum(1)`` reduce in another order.
+    One stacked ``matmul`` of ``(1, d)`` by ``(d, 1)`` per row calls the same
+    ``ddot`` as ``x.dot(x)``; ``einsum`` and ``(rows * rows).sum(1)`` reduce
+    in other orders, so their last bits can differ.
     """
+    return np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
+
+
+def _xbar_dists(trace: RunTrace, ns: list[int], dists: list[float], x_ref: Vector) -> list[float]:
+    """``||xbar_n - x*||`` for each ``n`` in ``ns``, bit for bit
+    ``norm(xbar_n - x*)``: ``dists[n]`` where ``xbar_n`` is ``x_n`` itself,
+    else in row blocks of at most ``XBAR_BLOCK_FLOATS`` floats (one row when
+    ``d`` is larger)."""
     xbars, points = trace.xbars, trace.points
     out = [dists[n] for n in ns]
     apart = [pos for pos, n in enumerate(ns) if xbars[n] is not points[n]]
@@ -130,8 +135,7 @@ def _xbar_dists(trace: RunTrace, ns: list[int], dists: list[float], x_ref: Vecto
         block = apart[lo : lo + rows]
         diff = np.array([xbars[ns[pos]] for pos in block])
         diff -= x_ref
-        squares = np.matmul(diff[:, None, :], diff[:, :, None]).ravel().tolist()
-        for pos, sq in zip(block, squares):
+        for pos, sq in zip(block, _row_squares(diff).tolist()):
             out[pos] = math.sqrt(sq)
     return out
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,16 +23,20 @@ from affiter import (
     gradient_step,
     gronwall_envelope,
     inertial_band_validate,
+    l1_subdifferential,
     linear_operator,
     memoryless,
     peaceman_rachford,
     prox_l1,
     run,
     run_certificates,
+    soft_threshold,
     summability_monitor,
     tail_apply,
     window,
 )
+from affiter import certificates
+from affiter.space import norm
 
 
 EPS = np.finfo(np.float64).eps
@@ -546,3 +551,135 @@ class TestLongCesaroCertificateI:
             return min(times)
 
         assert best_of_five(("i",)) <= best_of_five(("ii",))
+
+
+def loop_slacks(trace, x_ref, which, indices=None):
+    """Certificates (i)-(iii) one step at a time: the per-row loop that
+    ``run_certificates`` ran before its distances and sums were batched.
+
+    (i) is the row ``fsum`` of ``|mu_{n,j}| ||x_j - x*||`` (not for cesaro,
+    whose running sum is only within 2 eps of it); (ii) and (iii) measure
+    ``||xbar_n - x*||`` with one ``norm`` per step.
+    """
+    x_ref = np.asarray(x_ref, dtype=np.float64)
+    points = trace.points
+    eval_at = range(trace.n_steps) if indices is None else sorted(set(indices))
+    dists = [norm(p - x_ref) for p in points]
+    out = {name: np.zeros(len(eval_at)) for name in which}
+    ref_stack = None
+    for pos, n in enumerate(eval_at):
+        theta_n, xbar, r_n = trace.thetas[n], trace.xbars[n], trace.residuals[n]
+        lam, phi, lhs1 = trace.lambdas[n], trace.phis[n], dists[n + 1]
+        if "i" in which:
+            row = trace.config.weights.row(n)
+            rhs = math.fsum(abs(w) * dists[j] for j, w in row.items())
+            out["i"][pos] = (rhs + theta_n) - lhs1
+        dbar = dists[n] if xbar is points[n] else norm(xbar - x_ref)
+        nu_n = theta_n * (2.0 * dbar + theta_n)
+        base = dbar**2 - lhs1**2 + nu_n
+        if "ii" in which:
+            out["ii"][pos] = base - lam * (1.0 / phi - lam) * r_n**2
+        if "iii" in which:
+            stack = trace.stack_at(n)
+            if stack is not ref_stack:
+                ref_stack, ref_disps = stack, []
+                for i, layer in enumerate(stack.layers, start=1):
+                    coeff = (1.0 - layer.alpha) / layer.alpha
+                    if coeff != 0.0:
+                        t_ref = tail_apply(stack, i, x_ref)
+                        ref_disps.append((i, layer, coeff, t_ref - layer.fn(t_ref)))
+            layer_term = 0.0
+            for i, layer, coeff, d_ref in ref_disps:
+                t_bar = tail_apply(stack, i, xbar)
+                disp = (t_bar - layer.fn(t_bar)) - d_ref
+                layer_term = max(layer_term, coeff * float(disp @ disp))
+            out["iii"][pos] = base + lam * (lam - 1.0) * r_n**2 - lam * layer_term
+    return out
+
+
+def loop_envelope(theta0, nu_seq, eps_seq):
+    """``gronwall_envelope``'s recurrence over numpy scalars, one entry at a time."""
+    nu = np.asarray(nu_seq, dtype=np.float64)
+    eps = np.asarray(eps_seq, dtype=np.float64)
+    env = np.zeros(min(nu.size, eps.size))
+    prev = float(theta0)
+    for n in range(env.size):
+        prev = math.exp(nu[n]) * prev + eps[n]
+        env[n] = prev
+    return env
+
+
+class TestArrayPasses:
+    """The batched certificates against their per-row loop, bit for bit."""
+
+    FAMILIES = {
+        "memoryless": {},
+        "nesterov": dict(variant="inertial", eta=EtaSchedule(kind="nesterov", tau=2.0)),
+        "custom": dict(variant="inertial", eta=EtaSchedule(
+            kind="custom", eta=0.5, fn=lambda n: 0.0 if n % 3 == 0 else 0.3)),
+        "window2": dict(variant="mean", weights=window(2)),
+        "window3": dict(variant="mean", weights=window(3)),
+        "cesaro": dict(variant="mean", weights=cesaro()),
+    }
+
+    @staticmethod
+    def solve(family, dim, max_iters=40):
+        rng = np.random.default_rng(dim)
+        a = rng.uniform(-3.0, 3.0, dim)
+        preset = forward_backward(
+            A=l1_subdifferential(), B=lambda x: x - a, beta=1.0, gamma=0.8,
+            x0=rng.standard_normal(dim), max_iters=max_iters, stop_residual=0.0,
+            b_errors=None if family in ("nesterov", "custom") else (
+                lambda n: 0.5**n * np.ones(dim)),
+            reference=soft_threshold(a, 1.0), **TestArrayPasses.FAMILIES[family],
+        )
+        return preset.solve()[1]
+
+    @settings(deadline=None, max_examples=60)
+    @given(dim=st.sampled_from([1, 2, 3, 8, 64, 1000, 4097]), rows=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_squares_are_each_rows_dot(self, dim, rows, seed):
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-8, 8, (rows, 1))
+        expected = np.array([row.dot(row) for row in block])
+        assert certificates._row_squares(block).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 40])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_slacks_equal_the_per_row_loop(self, family, dim, monkeypatch):
+        trace = self.solve(family, dim)
+        ref = trace.config.reference
+        which = ("i", "ii", "iii") if family != "cesaro" else ("ii", "iii")
+        subset = [0, 3, 4, 9, trace.n_steps - 1]
+        for x_ref in (ref, ref + 0.01 * np.arange(dim)):
+            for indices in (None, subset):
+                expected = loop_slacks(trace, x_ref, which, indices)
+                for block_floats in (certificates.XBAR_BLOCK_FLOATS, 2 * dim):
+                    # a small block splits the stacked xbar_n into many blocks
+                    monkeypatch.setattr(certificates, "XBAR_BLOCK_FLOATS", block_floats)
+                    got = run_certificates(trace, x_ref, which=which, indices=indices,
+                                           check_reference=False)
+                    for name in which:
+                        assert got[name].slacks.tobytes() == expected[name].tobytes(), name
+
+    @settings(deadline=None, max_examples=100)
+    @given(theta0=st.floats(0.0, 1e3),
+           nus=st.lists(st.floats(-2.0, 2.0), max_size=60),
+           eps=st.lists(st.floats(0.0, 1e3), max_size=60))
+    def test_envelope_equals_the_scalar_loop(self, theta0, nus, eps):
+        got = gronwall_envelope(theta0, nus, eps).envelope
+        assert got.tobytes() == loop_envelope(theta0, nus, eps).tobytes()
+
+    def test_window_certificates_hold_one_block_of_xbar_n(self):
+        # the stacked xbar_n take at most XBAR_BLOCK_FLOATS floats at a time,
+        # not the whole N x d orbit (16 MB here)
+        trace = self.solve("window2", 20_000, max_iters=100)
+        x_ref = trace.config.reference
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_certificates(trace, x_ref, which=("i", "ii"), check_reference=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2_000_000

@@ -536,3 +536,58 @@ class TestTraceWriter:
         assert written == per_field_csv(trace, cert_i, cert_ii)
         assert written.splitlines()[1].split(b",")[1] == b"-0"
         assert written.splitlines()[2].split(b",")[2] == b"4.9406564584124654e-324"
+
+
+@pytest.mark.parametrize("commands, edit, named", [
+    (("run", "validate"), _set("horizon", 2.7), "horizon must be an integer, got 2.7"),
+    (("run", "validate"), _set("seed", 1.5), "seed must be an integer, got 1.5"),
+    (("run", "validate"), _set("weights", {"family": "window", "window": 2.7}),
+     "weights.window must be an integer, got 2.7"),
+    (("run", "validate"), _set("errors", {"model": "custom", "values": [[0.1]], "layer": 1.5}),
+     "errors.layer must be an integer, got 1.5"),
+    (("run", "validate"), _set("errors", {"model": "geometric", "rate": 0.5, "direction": [0.1],
+                                          "layer": 1.5}),
+     "errors.layer must be an integer, got 1.5"),
+], ids=["horizon", "seed", "weights.window", "errors.layer-custom", "errors.layer-geometric"])
+def test_non_integral_float_in_place_of_an_integer_exits_3_naming_the_key(
+    tmp_path, monkeypatch, capsys, commands, edit, named
+):
+    # int() would truncate it: "horizon": 2.7 ran 2 steps
+    monkeypatch.chdir(tmp_path)
+    cfg = memoryless_golden(tmp_path, edit)
+    for command in commands:
+        assert cli.main([command, cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {named}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_an_integral_float_is_read_as_its_integer(tmp_path, capsys):
+    def edit(payload):
+        payload.update(horizon=2.0, stop_residual=0, seed=3.0)
+
+    cfg = memoryless_golden(tmp_path, edit)
+    assert cli.main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["iterations"] == 2 and report["seed"] == 3
+    capsys.readouterr()
+    as_float = cli.main(["validate", cfg]), capsys.readouterr().out
+    cfg = memoryless_golden(tmp_path, lambda payload: payload.update(horizon=2))
+    assert (cli.main(["validate", cfg]), capsys.readouterr().out) == as_float
+
+
+@pytest.mark.parametrize("key", ["dir", "trace", "report"])
+@pytest.mark.parametrize("value", [["x"], 5, None, True])
+def test_outputs_value_of_wrong_type_exits_3_before_the_solve(
+    tmp_path, monkeypatch, capsys, key, value
+):
+    # Path() would raise a TypeError after the whole run
+    monkeypatch.chdir(tmp_path)
+    cfg = memoryless_golden(tmp_path, _set("outputs", key, value))
+    monkeypatch.setattr(cli.solvers.SolverPreset, "solve", lambda self: pytest.fail("solved"))
+    assert cli.main(["run", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: outputs.{key} must be a string, got {value!r}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

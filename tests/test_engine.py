@@ -625,6 +625,28 @@ class TestErrorBudget:
             sums = error_budget_check(cfg, cfg.max_iters).partial_sums[: cfg.max_iters]
             assert sums.tobytes() == np.cumsum(trace.thetas).tobytes(), name
 
+    def test_a_float32_error_is_measured_in_float64_by_the_run_and_the_budget(self):
+        value = np.array([0.1, 0.2, 0.3], dtype=np.float32)
+        cfg = IterationConfig(
+            stacks=compose([prox_l1(1.0)]), weights=memoryless(),
+            relaxation=constant_relaxation(1.0), x0=vec(3.0, -2.0, 0.5),
+            errors=SequenceError([lambda n: value]), max_iters=3, stop_residual=0.0,
+        )
+        trace = run(cfg)
+        assert trace.thetas[0] == norm(value.astype(np.float64)) == 0.37416575022665244
+        sums = error_budget_check(cfg, 3).partial_sums[:3]
+        assert sums.tobytes() == np.cumsum(trace.thetas).tobytes()
+
+    def test_a_non_finite_float32_error_is_rejected_as_a_configuration_error(self):
+        cfg = IterationConfig(
+            stacks=compose([prox_l1(1.0)]), weights=memoryless(),
+            relaxation=constant_relaxation(1.0), x0=vec(3.0, -2.0),
+            errors=SequenceError([lambda n: np.array([np.nan, 0.0], dtype=np.float32)]),
+            max_iters=3, stop_residual=0.0,
+        )
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            run(cfg)
+
     def test_inertial_with_errors_and_nonunit_lambda_flagged(self):
         weights = inertial(EtaSchedule(kind="constant", eta=0.3))
         cfg = self.base_config(weights, GeometricError(0.5, vec(1.0)), lam=0.9)

@@ -23,6 +23,7 @@ from affiter import (
     run_certificates,
     window,
 )
+from affiter import engine, solvers
 
 
 def vec(*xs):
@@ -283,6 +284,43 @@ def test_error_callable_returning_a_list_runs_as_its_array(solver, key):
     assert points_bytes(trace) == points_bytes(expected)
     assert trace.thetas == expected.thetas
     assert error_budget_check(listed.config, 19).total == pytest.approx(sum(trace.thetas))
+
+
+@pytest.mark.parametrize("key", ["a_errors", "b_errors"])
+@pytest.mark.parametrize("solver", ["forward_backward", "peaceman_rachford"])
+def test_each_error_value_goes_through_error_vector_once(solver, key, monkeypatch):
+    # a layer that scales the value (2 e_n, -gamma_n b_n) coerces it first, and
+    # SequenceError does not coerce the user's value a second time
+    seen = []
+    error_vector = engine.error_vector
+
+    def counted(e):
+        seen.append(e)
+        return error_vector(e)
+
+    monkeypatch.setattr(engine, "error_vector", counted)
+    monkeypatch.setattr(solvers, "error_vector", counted)
+    returned = []
+
+    def errors(n):
+        returned.append(vec(0.1 * 0.5**n, 0.0, 0.0))
+        return returned[-1]
+
+    prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+    if solver == "forward_backward":
+        preset = forward_backward(
+            prob.ingredients["A"], prob.ingredients["grad"], prob.beta, 1.0,
+            x0=np.zeros(3), max_iters=20, stop_residual=0.0, **{key: errors},
+        )
+    else:
+        preset = peaceman_rachford(
+            prob.ingredients["A"], prob.ingredients["B"], 1.0, window(2),
+            np.zeros(3), max_iters=20, stop_residual=0.0, **{key: errors},
+        )
+    preset.solve()
+    error_budget_check(preset.config, 19)
+    assert len(returned) == 40
+    assert [sum(e is value for e in seen) for value in returned] == [1] * 40
 
 
 class TestForwardBackward:
