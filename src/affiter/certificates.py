@@ -23,12 +23,12 @@ negative weights allowed (the identity for affine combinations).  So (ii)
 and (iii) read ``xbar_n`` from ``trace.xbars`` and cost O(d) per step
 (plus the stack tails for (iii)).  The distances ``||xbar_n - x*||`` of
 the steps whose ``xbar_n`` is not ``x_n`` (inertial, window and cesaro
-traces) are taken in batches: the points are stacked in row blocks of at
-most ``XBAR_BLOCK_FLOATS`` floats, so the transient is O(block), not
-O(N d), and the squared norms are one stacked ``np.matmul``, which calls
-the same ``ddot`` as ``x.dot(x)`` and matches it bit for bit (``einsum``
-and ``(D * D).sum(1)`` reduce in other orders and do not).  Certificate
-(i) builds no weight row:
+traces) are taken in batches, one per packed block of ``trace.xbars``
+(``space.Rows``, at most ``space.BLOCK_FLOATS`` floats), so the transient
+is O(block), not O(N d), and the squared norms are one stacked
+``np.matmul``, which calls the same ``ddot`` as ``x.dot(x)`` and matches
+it bit for bit (``einsum`` and ``(D * D).sum(1)`` reduce in other orders
+and do not).  Certificate (i) builds no weight row:
 ``schedules.abs_weighted_sums`` forms its sum per family from the
 distances ``||x_j - x*||``, in O(N) for every family but ``window(w)``
 (O(N w)).  When x* is the run's reference, those distances are the ones
@@ -39,6 +39,7 @@ functions of the trace: recomputing yields identical values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,10 +109,6 @@ def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
                 )
 
 
-#: floats per block of stacked xbar_n in ``_xbar_dists``: 512 KiB
-XBAR_BLOCK_FLOATS = 1 << 16
-
-
 def _row_squares(rows: np.ndarray) -> np.ndarray:
     """``[r.dot(r) for r in rows]`` of a 2-D float64 array, bit for bit.
 
@@ -123,19 +120,24 @@ def _row_squares(rows: np.ndarray) -> np.ndarray:
 
 
 def _xbar_dists(trace: RunTrace, ns: list[int], dists: list[float], x_ref: Vector) -> list[float]:
-    """``||xbar_n - x*||`` for each ``n`` in ``ns``, bit for bit
-    ``norm(xbar_n - x*)``: ``dists[n]`` where ``xbar_n`` is ``x_n`` itself,
-    else in row blocks of at most ``XBAR_BLOCK_FLOATS`` floats (one row when
-    ``d`` is larger)."""
-    xbars, points = trace.xbars, trace.points
+    """``||xbar_n - x*||`` for each ``n`` in ``ns`` (sorted, distinct), bit for
+    bit ``norm(xbar_n - x*)``: ``dists[n]`` where ``xbar_n`` is ``x_n`` (memoryless
+    weights, or an inertial row with ``eta_n = 0``), else one ``_row_squares``
+    per packed block of ``trace.xbars`` (``space.Rows``), over the rows it
+    holds of ``ns``."""
     out = [dists[n] for n in ns]
-    apart = [pos for pos, n in enumerate(ns) if xbars[n] is not points[n]]
-    rows = max(1, XBAR_BLOCK_FLOATS // x_ref.size)
-    for lo in range(0, len(apart), rows):
-        block = apart[lo : lo + rows]
-        diff = np.array([xbars[ns[pos]] for pos in block])
+    if trace.config.weights.family == "memoryless":
+        return out
+    etas = trace.etas
+    for start, rows in trace.xbars.blocks():
+        lo = bisect_left(ns, start)
+        hi = bisect_left(ns, start + len(rows), lo)
+        apart = [pos for pos in range(lo, hi) if etas is None or etas[ns[pos]] != 0.0]
+        if not apart:
+            continue
+        diff = rows[[ns[pos] - start for pos in apart]]
         diff -= x_ref
-        for pos, sq in zip(block, _row_squares(diff).tolist()):
+        for pos, sq in zip(apart, _row_squares(diff).tolist()):
             out[pos] = math.sqrt(sq)
     return out
 
@@ -166,8 +168,8 @@ def run_certificates(
     start from ``||xbar_n - x*||^2``, with ``xbar_n`` read from
     ``trace.xbars`` (the point the run fed to the stack), so they cost O(d)
     per step.  Where ``xbar_n`` is not ``x_n`` those distances are batched
-    (``_xbar_dists``): row blocks of at most ``XBAR_BLOCK_FLOATS`` floats,
-    one ``matmul`` of stacked ``(1, d) @ (d, 1)`` each, bit for bit
+    (``_xbar_dists``): one ``matmul`` of stacked ``(1, d) @ (d, 1)`` per
+    packed block of ``trace.xbars``, bit for bit
     ``norm``'s ``x.dot(x)``; ``einsum`` would not be.  The rest of (ii) is
     Python floats, since numpy's squares differ from ``x**2`` in the last
     bit.  Stacks are read from the trace (``RunTrace.stack_at``), never
@@ -192,33 +194,36 @@ def run_certificates(
             raise ConfigurationError(f"certificate indices outside 0..{n_steps - 1}")
     points = trace.points
     ref = trace.config.reference
+    d = np.empty(n_steps + 1)
     if trace.dist_to_ref is not None and np.array_equal(x_ref, as_vector(ref)):
         # the run measured ||x_n - x*|| for n < N with the same norm call
-        dists = trace.dist_to_ref + [norm(points[-1] - x_ref)]
+        d[:n_steps] = trace.dist_to_ref
+        d[n_steps] = norm(points[-1] - x_ref)
     else:
-        dists = [norm(p - x_ref) for p in points]
+        d[:] = [norm(p - x_ref) for p in points]
 
     slacks = {}
     if "i" in which:
-        d = np.array(dists)
         rhs = abs_weighted_sums(trace.config.weights, d, eval_at, trace.etas)
-        slacks["i"] = (rhs + np.array(trace.thetas)[eval_at]) - d[eval_at + 1]
+        slacks["i"] = (rhs + np.asarray(trace.thetas)[eval_at]) - d[eval_at + 1]
     # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n, in
-    # Python floats: numpy's squares would differ from x**2 in the last bit
-    ns = eval_at.tolist() if {"ii", "iii"} & set(which) else []
-    thetas, residuals, lambdas = trace.thetas, trace.residuals, trace.lambdas
-    base = [
-        dbar**2 - dists[n + 1] ** 2 + thetas[n] * (2.0 * dbar + thetas[n])
-        for n, dbar in zip(ns, _xbar_dists(trace, ns, dists, x_ref))
-    ]
+    # Python floats: numpy's squares would differ from x**2 in the last bit.
+    # The columns become lists once, so that each value is boxed once.
+    if {"ii", "iii"} & set(which):
+        ns = eval_at.tolist()
+        dists, thetas, residuals = d.tolist(), list(trace.thetas), list(trace.residuals)
+        base = [
+            dbar**2 - dists[n + 1] ** 2 + thetas[n] * (2.0 * dbar + thetas[n])
+            for n, dbar in zip(ns, _xbar_dists(trace, ns, dists, x_ref))
+        ]
     if "ii" in which:
-        phis = trace.phis
-        slacks["ii"] = np.array([
-            b - lambdas[n] * (1.0 / phis[n] - lambdas[n]) * residuals[n] ** 2
-            for n, b in zip(ns, base)
-        ])
+        # lambda_n (1/phi_n - lambda_n) takes the same IEEE operations elementwise
+        lam = np.asarray(trace.lambdas)
+        coef = (lam * (1.0 / np.asarray(trace.phis) - lam)).tolist()
+        slacks["ii"] = np.array([b - coef[n] * residuals[n] ** 2 for n, b in zip(ns, base)])
     if "iii" in which:
         iii = []
+        lambdas = list(trace.lambdas)
         ref_stack = None
         for n, b in zip(ns, base):
             stack = trace.stack_at(n)

@@ -12,6 +12,7 @@ Commands
     the custom inertial band) the inertial parameters, without iterating.
     The relaxation range and the band's sequences come from one run of the
     pre-pass, over two steps past the horizon when a band is checked.
+    ``seed`` and ``outputs`` get the checks ``run`` gives them.
 
 ``affiter chi --family {zero,constant,nesterov} [--eta E] [--tau T] --N H [--K TRUNC]``
     Tabulate the summability weights ``chi_n`` with their analytic bound as
@@ -221,6 +222,21 @@ def _ingredient(problem: ProblemSpec, key: str):
         ) from None
 
 
+def _outputs_from(cfg: dict) -> tuple[str, str, str]:
+    """The ``outputs`` directory, trace name and report name.  A value that is
+    not a string, or an empty file name, is a ConfigurationError naming its
+    key; ``run`` and ``validate`` both check them before building anything."""
+    outputs = _section(cfg, "", "outputs")
+    out_dir, trace_name, report_name = (
+        _field(outputs, "outputs", key, _string, default)
+        for key, default in (("dir", "."), ("trace", "trace.csv"), ("report", "report.json"))
+    )
+    for key, name in (("trace", trace_name), ("report", report_name)):
+        if not name:
+            raise ConfigurationError(f"outputs.{key} must name a file, got {name!r}")
+    return out_dir, trace_name, report_name
+
+
 def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
     problem_cfg = _section(cfg, "", "problem")
     if not problem_cfg:
@@ -345,11 +361,7 @@ def _write_trace(path: Path, trace, cert_i=None, cert_ii=None) -> None:
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     seed = _field(cfg, "", "seed", _integer, 0)
-    outputs = _section(cfg, "", "outputs")
-    out_dir, trace_name, report_name = (
-        _field(outputs, "outputs", key, _string, default)
-        for key, default in (("dir", "."), ("trace", "trace.csv"), ("report", "report.json"))
-    )
+    out_dir, trace_name, report_name = _outputs_from(cfg)
     preset, problem = _build_preset(cfg)
     solution, trace = preset.solve()
 
@@ -396,7 +408,8 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
-    _field(cfg, "", "seed", _integer, 0)  # only run reads it; both check it
+    _field(cfg, "", "seed", _integer, 0)  # only run reads these; both check them
+    _outputs_from(cfg)
     horizon = _field(cfg, "", "horizon", _integer, 200)
     preset, _problem = _build_preset(cfg)
     weights_report = validate_weights(preset.config.weights, horizon)

@@ -21,7 +21,8 @@ after the update, and a finite distance proves every entry of ``x_{n+1}``
 finite; only a run without a reference, or a non-finite distance, tests
 the entries.  The returned trace retains the whole history for post-hoc
 certificate analysis, together with the stacks and the eta_n the loop
-applied.
+applied: the orbit as packed float64 rows (``space.Rows``) and each
+per-step scalar as an ``array("d")`` column.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .schedules import (
     orbit_mean,
     relaxation_at,
 )
-from .space import Vector, all_finite, as_vector, norm
+from .space import Rows, Vector, all_finite, as_vector, norm
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +164,14 @@ class IterationConfig:
 class RunTrace:
     """Per-iteration record of a run, plus the config that produced it.
 
-    ``points`` holds ``x_0 .. x_N`` (one more entry than there are steps);
-    all step-indexed lists have length ``n_steps``.  ``stacks`` is the
+    ``points`` holds ``x_0 .. x_N`` (one more row than there are steps) and
+    ``xbars`` holds ``xbar_0 .. xbar_{N-1}``, each a ``space.Rows`` of
+    packed float64 rows, and ``points[n]`` is a 1-D view into its block.
+    With memoryless weights ``xbars`` is
+    ``points.head(n_steps)``, the same memory.  ``lambdas``, ``phis``,
+    ``residuals``, ``thetas`` and ``dist_to_ref`` are ``array("d")``
+    columns of length ``n_steps``; ``error_norms`` holds one tuple per
+    step and ``aux`` one recorder dict per step.  ``stacks`` is the
     single LayerStack of the config, or the pre-pass's list of per-step
     stacks; read it through ``stack_at(n)``.  ``etas`` holds the pre-pass's
     eta_n of inertial rows (``schedules.eta_values``, one per
@@ -176,15 +183,15 @@ class RunTrace:
 
     config: IterationConfig
     stacks: LayerStack | list[LayerStack]
+    points: Rows
+    xbars: Rows
+    lambdas: array
+    phis: array
+    residuals: array
+    thetas: array
+    error_norms: list[tuple[float, ...]]
     etas: array | None = None
-    points: list[Vector] = field(default_factory=list)
-    xbars: list[Vector] = field(default_factory=list)
-    lambdas: list[float] = field(default_factory=list)
-    phis: list[float] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
-    thetas: list[float] = field(default_factory=list)
-    error_norms: list[tuple[float, ...]] = field(default_factory=list)
-    dist_to_ref: list[float] | None = None
+    dist_to_ref: array | None = None
     aux: list[dict] | None = None
     stop_reason: str = ""
     flags: list[str] = field(default_factory=list)
@@ -276,9 +283,13 @@ def run(config: IterationConfig) -> RunTrace:
 
     Every configuration error is raised by the pre-pass, before the first
     operator call; the loop then reads ``lambda_n``, the stack and
-    ``xbar_n`` from the plan.  With memoryless weights ``trace.xbars[n]`` is
-    ``trace.points[n]`` (the same array), and the produced iterates coincide
-    bit-for-bit with the plain recursion
+    ``xbar_n`` from the plan, and keeps ``x_n`` in a local variable.  It
+    writes ``x_{n+1}`` straight into the next row of ``trace.points``
+    (``space.Rows.new_row``) and copies ``xbar_n`` into ``trace.xbars``,
+    unless the weights are memoryless: then the loop calls no kernel,
+    ``trace.xbars`` is the first ``n_steps`` rows of ``trace.points`` (the
+    same memory), and the produced iterates coincide bit-for-bit with the
+    plain recursion
     ``x <- x + lambda (T_1(...T_m x + e_m ...) + e_1 - x)`` (same
     floating-point operation order; at ``lambda_n == 1`` the update is
     ``x + step``, which equals ``x + 1.0 * step`` bit for bit).
@@ -293,40 +304,54 @@ def run(config: IterationConfig) -> RunTrace:
     distance at its own step.
     """
     plan = _prevalidate(config)
-    x0 = as_vector(config.x0)
+    x = as_vector(config.x0)
+    horizon = config.max_iters
 
-    stacks = config.stacks if plan.stacks is None else plan.stacks
-    trace = RunTrace(config=config, stacks=stacks, etas=plan.etas)
-    trace.points.append(x0)
-    reference = None
+    points = Rows(x.size, horizon + 1)
+    points.append(x)
+    memoryless = config.weights.family == "memoryless"
+    xbars = None if memoryless else Rows(x.size, horizon)
+    residuals, thetas, error_norms = array("d"), array("d"), []
+    dists = aux = reference = None
     if config.reference is not None:
-        reference = as_vector(config.reference, dim=x0.size)
-        trace.dist_to_ref = []
-    if config.aux_recorder is not None:
-        trace.aux = []
+        reference = as_vector(config.reference, dim=x.size)
+        dists = array("d")
+    recorder = config.aux_recorder
+    if recorder is not None:
+        aux = []
+    # bound once: the loop calls each of them once per step
+    new_point, add = points.new_row, np.add
+    keep_xbar = None if xbars is None else xbars.append
+    keep_residual, keep_theta = residuals.append, thetas.append
+    keep_norms = error_norms.append
+    keep_dist = None if dists is None else dists.append
 
     stack = config.stacks  # the one LayerStack, unless the plan has one per n
     per_step = plan.stacks
+    lambdas = plan.lambdas
     xbar_at = plan.xbar
     errors_for = config.errors.errors_for
+    if type(config.errors).errors_for is ErrorModel.errors_for:
+        errors_for = None  # the error-free model: no call per step
     stop_residual = config.stop_residual
     stop_reason = "max_iters"
     d_ref = None  # norm(x_n - reference) when the step before measured it finite
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for n in range(config.max_iters):
-            xbar = xbar_at(n, trace.points[n])
+        for n in range(horizon):
+            xbar = x if memoryless else xbar_at(n, x)
             if per_step is not None:
                 stack = per_step[n]
-            lam = plan.lambdas[n]
+            lam = lambdas[n]
 
-            errors_n = errors_for(n)
+            errors_n = None if errors_for is None else errors_for(n)
             noisy = apply_stack(stack, xbar, errors_n)
             step = noisy.value - xbar
             # the clean residual; without errors the clean pass is the step's own
             residual = norm(step) if errors_n is None else norm(noisy.clean - xbar)
 
-            x_next = xbar + step if lam == 1.0 else xbar + lam * step
+            x_next = new_point()
+            add(xbar, step if lam == 1.0 else lam * step, x_next)
             d_next = None
             if reference is not None:
                 mark = len(caught)
@@ -340,30 +365,47 @@ def run(config: IterationConfig) -> RunTrace:
                     f"iterate became non-finite at iteration {n}", iteration=n
                 )
 
-            trace.xbars.append(xbar)
-            trace.lambdas.append(lam)
-            trace.phis.append(stack.phi)
-            trace.residuals.append(residual)
-            trace.error_norms.append(noisy.error_norms)
-            trace.thetas.append(lam * noisy.aggregate_error)
+            if keep_xbar is not None:
+                keep_xbar(xbar)
+            keep_residual(residual)
+            keep_norms(noisy.error_norms)
+            keep_theta(lam * noisy.aggregate_error)
             if reference is not None:
-                trace.dist_to_ref.append(
-                    norm(trace.points[n] - reference) if d_ref is None else d_ref
-                )
+                keep_dist(norm(x - reference) if d_ref is None else d_ref)
                 d_ref = d_next
-            if config.aux_recorder is not None:
-                trace.aux.append(config.aux_recorder(n, xbar, errors_n))
+            if recorder is not None:
+                aux.append(recorder(n, xbar, errors_n))
 
-            trace.points.append(x_next)
+            x = x_next
 
             if stop_residual > 0.0 and residual <= stop_residual:
                 stop_reason = "residual"
                 break
 
-    trace.flags = [str(w.message) for w in caught]
-    trace.stop_reason = stop_reason
-    trace.peak_orbit_points = min(config.weights.support_bound or 1, len(trace.points))
-    return trace
+    n_steps = len(residuals)
+    if per_step is None:
+        phis = array("d", [stack.phi]) * n_steps
+        stacks = config.stacks
+    else:
+        stacks = per_step
+        phis = array("d", [s.phi for s in per_step[:n_steps]])
+    return RunTrace(
+        config=config,
+        stacks=stacks,
+        etas=plan.etas,
+        points=points,
+        xbars=points.head(n_steps) if memoryless else xbars,
+        lambdas=array("d", lambdas[:n_steps]),
+        phis=phis,
+        residuals=residuals,
+        thetas=thetas,
+        error_norms=error_norms,
+        dist_to_ref=dists,
+        aux=aux,
+        stop_reason=stop_reason,
+        flags=[str(w.message) for w in caught],
+        peak_orbit_points=min(config.weights.support_bound or 1, len(points)),
+    )
 
 
 # ---------------------------------------------------------------------------

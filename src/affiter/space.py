@@ -5,12 +5,15 @@ Points are plain 1-D float64 numpy arrays.  A weight row is a plain dict
 point ``xbar_n = sum_j mu_{n,j} x_j`` from it.  The run forms ``xbar_n``
 with the weight family's own kernel (``schedules.orbit_mean``);
 ``affine_combine`` is the reference those kernels are tested against.
+A run keeps its orbit in ``Rows``, equal-length points packed in 2-D blocks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from array import array
+from bisect import bisect_right
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -86,3 +89,113 @@ def affine_combine(row: Mapping[int, float], orbit) -> Vector:
         n = items[-1][0]
         raise NumericalDivergence(f"affine combination at row {n} is non-finite", iteration=n)
     return acc
+
+
+#: floats per block of ``Rows`` (512 KiB); a longer row is kept as its own array
+BLOCK_FLOATS = 1 << 16
+
+
+class Rows:
+    """Up to ``capacity`` points of dimension ``dim``, packed in float64 blocks.
+
+    Blocks are 2-D arrays of at most ``BLOCK_FLOATS`` floats.  They hold 1,
+    2, 4, ... rows, never more in all than ``capacity``, so a sequence that
+    stops short reserves at most about twice the rows it holds.
+    ``append(x)`` copies ``x`` into the next row; ``new_row()`` returns the
+    next row as a writable 1-D view for the caller to fill (with a ufunc's
+    ``out``, say).  A point of ``BLOCK_FLOATS`` floats or more is a block of
+    its own: ``append`` keeps ``x[None]``, with no copy.  ``rows[i]``
+    (negative ``i`` too) and iteration give 1-D views into the blocks, a
+    slice gives a list of them, and ``blocks()`` gives the filled part of
+    each block.
+    """
+
+    __slots__ = (
+        "dim", "_capacity", "_max_rows", "_blocks", "_starts", "_block", "_flat", "_pos", "_end"
+    )
+
+    def __init__(self, dim: int, capacity: int):
+        self.dim = dim
+        self._capacity = capacity
+        self._max_rows = max(1, BLOCK_FLOATS // dim)
+        self._blocks: list[np.ndarray] = []
+        self._starts = array("q")  # the index of each block's first row
+        self._block = None  # the newest block, filled up to row _pos of _end
+        self._flat = None  # its floats as one flat memoryview, once append opened it
+        self._pos = self._end = 0
+
+    def append(self, x: Vector) -> None:
+        pos = self._pos
+        if pos == self._end:
+            if self.dim >= BLOCK_FLOATS:
+                self._add_block(x[None])
+                self._pos = 1
+                return
+            self._add_block(None)
+            self._flat = memoryview(self._block).cast("B").cast("d")
+            pos = 0
+        dim = self.dim
+        try:
+            # a memoryview copies a float64 row in about half numpy's time
+            self._flat[pos * dim : (pos + 1) * dim] = x
+        except (TypeError, ValueError):  # another dtype or shape, or no _flat
+            self._block[pos] = x
+        self._pos = pos + 1
+
+    def new_row(self) -> Vector:
+        pos = self._pos
+        if pos == self._end:
+            self._add_block(None)
+            pos = 0
+        self._pos = pos + 1
+        return self._block[pos]
+
+    def _add_block(self, block: np.ndarray | None) -> None:
+        """Open ``block``, or a new empty one when it is None."""
+        size = len(self)
+        if block is None:
+            rows = min(max(1, 2 * self._end), self._max_rows, self._capacity - size)
+            if rows < 1:
+                raise IndexError(f"Rows holds at most {self._capacity} points")
+            block = np.empty((rows, self.dim))
+        elif size >= self._capacity:
+            raise IndexError(f"Rows holds at most {self._capacity} points")
+        self._blocks.append(block)
+        self._starts.append(size)
+        self._block, self._flat, self._pos, self._end = block, None, 0, len(block)
+
+    def __len__(self) -> int:
+        return self._starts[-1] + self._pos if self._starts else 0
+
+    def head(self, n: int) -> "Rows":
+        """The first ``n`` rows, sharing this container's blocks; it takes no appends."""
+        if not 0 <= n <= len(self):
+            raise IndexError(f"head({n}) of {len(self)} rows")
+        out = Rows(self.dim, n)
+        count = bisect_right(self._starts, n - 1) if n else 0
+        out._blocks, out._starts = self._blocks[:count], self._starts[:count]
+        if count:
+            out._block = out._blocks[-1]
+            out._pos = out._end = n - out._starts[-1]
+        return out
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, block)`` for each block: the index of its first row and
+        its filled rows, as one 2-D array."""
+        last = len(self._blocks) - 1
+        for k, (start, block) in enumerate(zip(self._starts, self._blocks)):
+            yield start, block[: self._pos] if k == last else block
+
+    def __iter__(self) -> Iterator[Vector]:
+        for _start, block in self.blocks():
+            yield from block
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        size = len(self)
+        k = i + size if i < 0 else i
+        if not 0 <= k < size:
+            raise IndexError(f"row {i} of {size}")
+        b = bisect_right(self._starts, k) - 1
+        return self._blocks[b][k - self._starts[b]]

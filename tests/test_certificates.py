@@ -35,7 +35,7 @@ from affiter import (
     tail_apply,
     window,
 )
-from affiter import certificates
+from affiter import certificates, space
 from affiter.space import norm
 
 
@@ -574,7 +574,7 @@ def loop_slacks(trace, x_ref, which, indices=None):
             row = trace.config.weights.row(n)
             rhs = math.fsum(abs(w) * dists[j] for j, w in row.items())
             out["i"][pos] = (rhs + theta_n) - lhs1
-        dbar = dists[n] if xbar is points[n] else norm(xbar - x_ref)
+        dbar = dists[n] if np.shares_memory(xbar, points[n]) else norm(xbar - x_ref)
         nu_n = theta_n * (2.0 * dbar + theta_n)
         base = dbar**2 - lhs1**2 + nu_n
         if "ii" in which:
@@ -647,16 +647,18 @@ class TestArrayPasses:
     @pytest.mark.parametrize("dim", [3, 40])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_slacks_equal_the_per_row_loop(self, family, dim, monkeypatch):
-        trace = self.solve(family, dim)
-        ref = trace.config.reference
+        traces = {}
+        for block_floats in (space.BLOCK_FLOATS, 2 * dim):
+            # a small block packs the trace's xbar_n into many blocks
+            monkeypatch.setattr(space, "BLOCK_FLOATS", block_floats)
+            traces[block_floats] = self.solve(family, dim)
         which = ("i", "ii", "iii") if family != "cesaro" else ("ii", "iii")
-        subset = [0, 3, 4, 9, trace.n_steps - 1]
-        for x_ref in (ref, ref + 0.01 * np.arange(dim)):
-            for indices in (None, subset):
-                expected = loop_slacks(trace, x_ref, which, indices)
-                for block_floats in (certificates.XBAR_BLOCK_FLOATS, 2 * dim):
-                    # a small block splits the stacked xbar_n into many blocks
-                    monkeypatch.setattr(certificates, "XBAR_BLOCK_FLOATS", block_floats)
+        for trace in traces.values():
+            ref = trace.config.reference
+            subset = [0, 3, 4, 9, trace.n_steps - 1]
+            for x_ref in (ref, ref + 0.01 * np.arange(dim)):
+                for indices in (None, subset):
+                    expected = loop_slacks(trace, x_ref, which, indices)
                     got = run_certificates(trace, x_ref, which=which, indices=indices,
                                            check_reference=False)
                     for name in which:
@@ -671,7 +673,7 @@ class TestArrayPasses:
         assert got.tobytes() == loop_envelope(theta0, nus, eps).tobytes()
 
     def test_window_certificates_hold_one_block_of_xbar_n(self):
-        # the stacked xbar_n take at most XBAR_BLOCK_FLOATS floats at a time,
+        # the stacked xbar_n take at most space.BLOCK_FLOATS floats at a time,
         # not the whole N x d orbit (16 MB here)
         trace = self.solve("window2", 20_000, max_iters=100)
         x_ref = trace.config.reference

@@ -591,3 +591,31 @@ def test_outputs_value_of_wrong_type_exits_3_before_the_solve(
     assert captured.err == f"configuration error: outputs.{key} must be a string, got {value!r}\n"
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("key", ["trace", "report"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_empty_output_name_exits_3_before_the_solve(tmp_path, monkeypatch, capsys, key, command):
+    # out_dir / "" is the directory itself: the run wrote nothing and ended
+    # in IsADirectoryError after the whole solve
+    monkeypatch.chdir(tmp_path)
+    cfg = memoryless_golden(tmp_path, _set("outputs", key, ""))
+    monkeypatch.setattr(cli.solvers.SolverPreset, "solve", lambda self: pytest.fail("solved"))
+    assert cli.main([command, cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: outputs.{key} must name a file, got ''\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_validate_rejects_the_outputs_that_run_rejects(tmp_path, monkeypatch, capsys):
+    # validate exited 0 on this config, which run rejects
+    monkeypatch.chdir(tmp_path)
+    payload = json.loads((GOLDEN / "window3" / "config.json").read_text())
+    payload["outputs"] = {"trace": ["x"]}
+    cfg = write_config(tmp_path, payload)
+    for command in ("run", "validate"):
+        assert cli.main([command, cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: outputs.trace must be a string, got ['x']\n"
+        assert captured.out == ""

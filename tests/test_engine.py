@@ -1,7 +1,10 @@
 import dataclasses
+import gc
 import math
 import re
+import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -30,16 +33,18 @@ from affiter import (
     gradient_step,
     inertial,
     krasnoselskii_mann,
+    l1_subdifferential,
     linear_operator,
     memoryless,
     peaceman_rachford,
     prox_l1,
     relaxation_at,
     run,
+    soft_threshold,
     window,
 )
 from affiter import engine
-from affiter.space import as_vector, norm
+from affiter.space import BLOCK_FLOATS, as_vector, norm
 
 NEG_ID = compose([linear_operator(-np.eye(1), alpha=1.0)])
 NEG_ID2 = compose([linear_operator(-np.eye(2), alpha=1.0)])
@@ -274,7 +279,7 @@ class TestRun:
                 dists.append(norm(x - reference))
                 x = x + step
         assert all(np.isfinite(p).all() for p in trace.points)
-        assert trace.dist_to_ref == dists
+        assert trace.dist_to_ref.tolist() == dists
         assert math.isinf(dists[-1])
         assert trace.flags == [str(w.message) for w in caught]
 
@@ -314,6 +319,62 @@ KERNEL_WEIGHTS = st.one_of(
     st.floats(0.0, 0.95).map(lambda sup: inertial(
         EtaSchedule(kind="custom", eta=sup, fn=lambda n: sup * n / (n + 2.0)))),
 )
+
+
+def fb_preset(dim, max_iters, variant):
+    """Forward-backward on ``min ||x||_1 + 1/2 ||x - a||^2``, memoryless or nesterov."""
+    rng = np.random.default_rng(dim)
+    a = rng.uniform(-3.0, 3.0, dim)
+    extra = {} if variant == "memoryless" else dict(
+        variant="inertial", eta=EtaSchedule(kind="nesterov", tau=2.0))
+    return forward_backward(
+        A=l1_subdifferential(), B=lambda x: x - a, beta=1.0, gamma=0.8,
+        x0=rng.standard_normal(dim), max_iters=max_iters, stop_residual=0.0,
+        reference=soft_threshold(a, 1.0), **extra,
+    )
+
+
+def traced_solve(preset):
+    """``preset.solve()``'s trace, and the bytes it retained and its peak, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _solution, trace = preset.solve()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return trace, current - start, peak - start
+
+
+class TestTracePacking:
+    """The trace keeps its orbit in packed float64 rows and its per-step
+    scalars in ``array("d")``: one boxed float costs 33 B, and one 2-float
+    ndarray about 137 B."""
+
+    @pytest.mark.parametrize("variant", ["memoryless", "nesterov"])
+    def test_a_step_at_d2_retains_at_most_100_bytes(self, variant):
+        steps = 2000
+        trace, retained, _peak = traced_solve(fb_preset(2, steps, variant))
+        assert trace.n_steps == steps
+        for column in (trace.lambdas, trace.phis, trace.residuals, trace.thetas,
+                       trace.dist_to_ref):
+            assert isinstance(column, array) and column.typecode == "d"
+            assert len(column) == steps
+        assert retained <= 100 * steps
+
+    def test_a_long_orbit_is_kept_once(self):
+        # rows of 2**16 floats or more are kept as the arrays the run made
+        dim, steps = BLOCK_FLOATS + 1, 20
+        preset = fb_preset(dim, steps, "memoryless")
+        trace, retained, peak = traced_solve(preset)
+        assert np.shares_memory(trace.points[0], preset.config.x0)
+        row = 8 * dim
+        # x_1 .. x_N (x_0 is the caller's), and a few vectors of one step;
+        # a second copy of the orbit would take N more rows
+        assert retained <= steps * row + 100_000
+        assert peak <= (steps + 8) * row
+        assert all(np.shares_memory(xbar, x) for xbar, x in zip(trace.xbars, trace.points))
 
 
 class TestPlan:
@@ -357,7 +418,7 @@ class TestPlan:
         )
         trace = run(cfg)
         assert seen == evaluated_at
-        assert trace.lambdas == [0.75] * 12
+        assert trace.lambdas.tolist() == [0.75] * 12
         # the first violated bound keeps its n = 0
         with pytest.raises(ConfigurationError, match=r"^lambda_0 = 5\.0 exceeds"):
             run(dataclasses.replace(cfg, relaxation=constant_relaxation(5.0)))
@@ -420,7 +481,9 @@ class TestPlan:
         trace = run(cfg)
         for n, xbar in enumerate(trace.xbars):
             if weights.family == "memoryless":
-                assert xbar is trace.points[n]
+                # the same memory as x_n, not a second copy
+                assert np.shares_memory(xbar, trace.points[n])
+                assert xbar.tobytes() == trace.points[n].tobytes()
             else:
                 assert xbar.tobytes() == affine_combine(weights.row(n), trace.points).tobytes()
 
@@ -475,7 +538,7 @@ class TestResidualModes:
         listed = run(config(lambda n: [0.5**n]))
         arrays = run(config(lambda n: vec(0.5**n)))
         assert [p.tobytes() for p in listed.points] == [p.tobytes() for p in arrays.points]
-        assert listed.thetas == arrays.thetas == [0.5**n for n in range(5)]
+        assert listed.thetas.tolist() == arrays.thetas.tolist() == [0.5**n for n in range(5)]
 
 
 class TestErrorBudget:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affiter import ConfigurationError, affine_combine
-from affiter.space import all_finite, as_vector, norm
+from affiter.space import BLOCK_FLOATS, Rows, all_finite, as_vector, norm
 
 
 def vec(*xs):
@@ -92,3 +92,69 @@ class TestAsVector:
     def test_dim_check(self):
         with pytest.raises(ConfigurationError):
             as_vector([1.0, 2.0], dim=3)
+
+
+class TestRows:
+    """``Rows`` gives back every row it was given, bit for bit, across blocks."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(dim=st.sampled_from([1, 2, 3, 1000, BLOCK_FLOATS, BLOCK_FLOATS + 1]), data=st.data())
+    def test_every_row_comes_back(self, dim, data):
+        long_rows = dim >= BLOCK_FLOATS
+        capacity = data.draw(st.integers(1, 4 if long_rows else 300), label="capacity")
+        count = data.draw(st.integers(0, capacity), label="count")
+        # True: append(x); False: fill new_row() in place
+        appends = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows, given_rows = Rows(dim, capacity), []
+        for append in appends:
+            x = rng.standard_normal(dim) * 10.0 ** rng.integers(-300, 300)
+            if append:
+                rows.append(x)
+            else:
+                rows.new_row()[:] = x
+            given_rows.append(x)
+
+        expected = [x.tobytes() for x in given_rows]
+        assert len(rows) == count
+        assert [r.tobytes() for r in rows] == expected
+        assert [rows[k].tobytes() for k in range(count)] == expected
+        assert [rows[k - count].tobytes() for k in range(count)] == expected
+        assert [r.tobytes() for r in rows[1::2]] == expected[1::2]
+        assert [r.tobytes() for r in rows[::-1]] == expected[::-1]
+        packed = b"".join(block.tobytes() for _start, block in rows.blocks())
+        assert packed == b"".join(expected)
+        for k, (append, x) in enumerate(zip(appends, given_rows)):
+            # a long appended row is kept as it is; a short one is copied
+            assert np.shares_memory(rows[k], x) == (append and long_rows)
+        head = rows.head(count // 2)
+        assert [r.tobytes() for r in head] == expected[: count // 2]
+        assert all(np.shares_memory(h, r) for h, r in zip(head, rows))
+        # the blocks grow 1, 2, 4, ... rows, so at most about twice the rows
+        # held are reserved, and never more than the capacity
+        reserved = sum(len(block) for block in rows._blocks)
+        assert reserved <= min(capacity, 2 * count)
+        assert all(block.size <= BLOCK_FLOATS or len(block) == 1 for block in rows._blocks)
+        with pytest.raises(IndexError):
+            rows[count]
+        with pytest.raises(IndexError):
+            rows[-count - 1]
+
+    def test_no_row_past_the_capacity(self):
+        rows = Rows(2, 3)
+        for k in range(3):
+            rows.append(vec(k, k))
+        with pytest.raises(IndexError, match="at most 3"):
+            rows.append(vec(3.0, 3.0))
+        with pytest.raises(IndexError, match="at most 3"):
+            rows.new_row()
+        with pytest.raises(IndexError, match="at most 2"):
+            rows.head(2).append(vec(0.0, 0.0))
+
+    def test_rows_of_another_dtype_or_shape_go_through_numpy(self):
+        rows = Rows(3, 4)
+        rows.append(np.array([1.0, 2.0, 3.0], dtype=np.float32))
+        rows.append([4.0, 5.0, 6.0])
+        rows.append(np.array([[7.0, 8.0, 9.0]]))
+        rows.append(np.arange(6.0)[::2])
+        assert np.stack(rows[:]).tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9], [0, 2, 4]]
