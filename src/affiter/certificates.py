@@ -39,7 +39,6 @@ functions of the trace: recomputing yields identical values.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,26 +118,26 @@ def _row_squares(rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
 
 
-def _xbar_dists(trace: RunTrace, ns: list[int], dists: list[float], x_ref: Vector) -> list[float]:
+def _xbar_dists(trace: RunTrace, ns: np.ndarray, dists: np.ndarray, x_ref: Vector) -> np.ndarray:
     """``||xbar_n - x*||`` for each ``n`` in ``ns`` (sorted, distinct), bit for
-    bit ``norm(xbar_n - x*)``: ``dists[n]`` where ``xbar_n`` is ``x_n`` (memoryless
-    weights, or an inertial row with ``eta_n = 0``), else one ``_row_squares``
-    per packed block of ``trace.xbars`` (``space.Rows``), over the rows it
-    holds of ``ns``."""
-    out = [dists[n] for n in ns]
+    bit ``norm(xbar_n - x*)``: ``dists[n]`` where ``xbar_n`` is ``x_n``
+    (memoryless weights, or an inertial row with ``eta_n = 0``), else one
+    ``_row_squares`` per packed block of ``trace.xbars`` (``space.Rows``),
+    over the rows it holds of ``ns``; ``np.sqrt`` is IEEE's, as
+    ``math.sqrt`` is."""
+    out = dists[ns]
     if trace.config.weights.family == "memoryless":
         return out
-    etas = trace.etas
+    etas = None if trace.etas is None else np.frombuffer(trace.etas)
     for start, rows in trace.xbars.blocks():
-        lo = bisect_left(ns, start)
-        hi = bisect_left(ns, start + len(rows), lo)
-        apart = [pos for pos in range(lo, hi) if etas is None or etas[ns[pos]] != 0.0]
-        if not apart:
-            continue
-        diff = rows[[ns[pos] - start for pos in apart]]
-        diff -= x_ref
-        for pos, sq in zip(apart, _row_squares(diff).tolist()):
-            out[pos] = math.sqrt(sq)
+        lo, hi = np.searchsorted(ns, (start, start + len(rows)))
+        pos = np.arange(lo, hi)
+        if etas is not None:
+            pos = pos[etas[ns[lo:hi]] != 0.0]
+        if pos.size:
+            diff = rows[ns[pos] - start]
+            diff -= x_ref
+            out[pos] = np.sqrt(_row_squares(diff))
     return out
 
 
@@ -212,9 +211,10 @@ def run_certificates(
     if {"ii", "iii"} & set(which):
         ns = eval_at.tolist()
         dists, thetas, residuals = d.tolist(), list(trace.thetas), list(trace.residuals)
+        dbars = _xbar_dists(trace, eval_at, d, x_ref).tolist()
         base = [
             dbar**2 - dists[n + 1] ** 2 + thetas[n] * (2.0 * dbar + thetas[n])
-            for n, dbar in zip(ns, _xbar_dists(trace, ns, dists, x_ref))
+            for n, dbar in zip(ns, dbars)
         ]
     if "ii" in which:
         # lambda_n (1/phi_n - lambda_n) takes the same IEEE operations elementwise

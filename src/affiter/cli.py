@@ -224,15 +224,16 @@ def _ingredient(problem: ProblemSpec, key: str):
 
 def _outputs_from(cfg: dict) -> tuple[str, str, str]:
     """The ``outputs`` directory, trace name and report name.  A value that is
-    not a string, or an empty file name, is a ConfigurationError naming its
-    key; ``run`` and ``validate`` both check them before building anything."""
+    not a string, or a name with no file part (``""``, ``"."``, ``".."``), is
+    a ConfigurationError naming its key; ``run`` and ``validate`` both check
+    them before building anything."""
     outputs = _section(cfg, "", "outputs")
     out_dir, trace_name, report_name = (
         _field(outputs, "outputs", key, _string, default)
         for key, default in (("dir", "."), ("trace", "trace.csv"), ("report", "report.json"))
     )
     for key, name in (("trace", trace_name), ("report", report_name)):
-        if not name:
+        if Path(name).name in ("", ".."):
             raise ConfigurationError(f"outputs.{key} must name a file, got {name!r}")
     return out_dir, trace_name, report_name
 

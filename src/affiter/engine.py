@@ -8,11 +8,11 @@ One step of the scheme, from the current orbit prefix ``x_0 .. x_n``:
 
 with ``lambda_n in (0, 1/phi_n]``.  One pre-pass (``_prevalidate``) checks
 the whole horizon before the first operator call and returns the run's plan:
-every ``lambda_n``, every stack when the layers depend on n, every
-``eta_n`` of an inertial row, and the weight family's kernel for ``xbar_n``
-(``schedules.orbit_mean``).  Memoryless ``xbar_n`` is ``x_n`` itself, not
-a copy.  A step with ``lambda_n == 1`` forms ``xbar_n + step`` with no
-multiply (``1.0 * v`` is ``v`` bit for bit).  The errors ``e_{i,n}`` have
+every ``lambda_n``, every stack when the layers depend on n, and every
+``eta_n`` of an inertial row.  The weight family's kernel
+(``schedules.orbit_mean``) forms ``xbar_n``; memoryless ``xbar_n`` is
+``x_n`` itself, not a copy.  A step with ``lambda_n == 1`` forms
+``xbar_n + step`` with no multiply (``1.0 * v`` is ``v`` bit for bit).  The errors ``e_{i,n}`` have
 one source, the error model's ``errors_for(n)``: the step injects them,
 the residual ``||T_n xbar_n - xbar_n||`` is always the clean chain's of the
 same pass, and ``error_budget_check`` sums the norms of the same vectors.
@@ -167,7 +167,7 @@ class RunTrace:
     ``points`` holds ``x_0 .. x_N`` (one more row than there are steps) and
     ``xbars`` holds ``xbar_0 .. xbar_{N-1}``, each a ``space.Rows`` of
     packed float64 rows, and ``points[n]`` is a 1-D view into its block.
-    With memoryless weights ``xbars`` is
+    With memoryless weights (rows of one point) ``xbars`` is
     ``points.head(n_steps)``, the same memory.  ``lambdas``, ``phis``,
     ``residuals``, ``thetas`` and ``dist_to_ref`` are ``array("d")``
     columns of length ``n_steps``; ``error_norms`` holds one tuple per
@@ -230,9 +230,8 @@ class RunTrace:
 class RunPlan:
     """What the pre-pass established for the steps ``n < max_iters``."""
 
-    lambdas: list[float]
+    lambdas: array  # array("d"), so that a trace's column is a slice of it
     stacks: list[LayerStack] | None  # None when the config holds one LayerStack
-    xbar: Callable[[int, Vector], Vector]  # the weight family's kernel, fed x_n
     etas: array | None  # eta_n of inertial rows, None for the other families
 
 
@@ -252,18 +251,19 @@ def _prevalidate(config: IterationConfig) -> RunPlan:
     stack, and raises the first violated bound with its n.
     """
     etas = eta_values(config.weights, config.max_iters)
-    xbar = orbit_mean(config.weights, etas)
     steps = range(config.max_iters)
     if not callable(config.stacks):
         _check_error_depth(config.errors, config.stacks.m)
         phi = config.stacks.phi
         if callable(config.relaxation.value):
-            lambdas = [relaxation_at(config.relaxation, n, phi) for n in steps]
-        else:
+            lambdas = array("d", [relaxation_at(config.relaxation, n, phi) for n in steps])
+        elif steps:
             # one float at every n, so a bound it fails at any n it fails at n = 0
-            lambdas = [relaxation_at(config.relaxation, 0, phi)] * len(steps) if steps else []
-        return RunPlan(lambdas, None, xbar, etas)
-    lambdas, stacks = [], []
+            lambdas = array("d", [relaxation_at(config.relaxation, 0, phi)]) * len(steps)
+        else:
+            lambdas = array("d")
+        return RunPlan(lambdas, None, etas)
+    lambdas, stacks = array("d"), []
     for n in steps:
         stack = config.stacks(n)
         if not stacks:
@@ -274,7 +274,7 @@ def _prevalidate(config: IterationConfig) -> RunPlan:
             )
         stacks.append(stack)
         lambdas.append(relaxation_at(config.relaxation, n, stack.phi))
-    return RunPlan(lambdas, stacks, xbar, etas)
+    return RunPlan(lambdas, stacks, etas)
 
 
 def run(config: IterationConfig) -> RunTrace:
@@ -283,10 +283,12 @@ def run(config: IterationConfig) -> RunTrace:
 
     Every configuration error is raised by the pre-pass, before the first
     operator call; the loop then reads ``lambda_n``, the stack and
-    ``xbar_n`` from the plan, and keeps ``x_n`` in a local variable.  It
+    ``eta_n`` from the plan, and keeps ``x_n`` in a local variable.  It
     writes ``x_{n+1}`` straight into the next row of ``trace.points``
-    (``space.Rows.new_row``) and copies ``xbar_n`` into ``trace.xbars``,
-    unless the weights are memoryless: then the loop calls no kernel,
+    (``space.Rows.new_row``); the weight family's kernel writes ``xbar_n``
+    into the next row of ``trace.xbars``, and where ``xbar_n`` is ``x_n``
+    the loop copies ``x_n`` there.  When every row is one point
+    (memoryless weights, or ``window(1)``) the loop calls no kernel,
     ``trace.xbars`` is the first ``n_steps`` rows of ``trace.points`` (the
     same memory), and the produced iterates coincide bit-for-bit with the
     plain recursion
@@ -309,7 +311,7 @@ def run(config: IterationConfig) -> RunTrace:
 
     points = Rows(x.size, horizon + 1)
     points.append(x)
-    memoryless = config.weights.family == "memoryless"
+    memoryless = config.weights.support_bound == 1  # every row is x_n alone
     xbars = None if memoryless else Rows(x.size, horizon)
     residuals, thetas, error_norms = array("d"), array("d"), []
     dists = aux = reference = None
@@ -321,7 +323,6 @@ def run(config: IterationConfig) -> RunTrace:
         aux = []
     # bound once: the loop calls each of them once per step
     new_point, add = points.new_row, np.add
-    keep_xbar = None if xbars is None else xbars.append
     keep_residual, keep_theta = residuals.append, thetas.append
     keep_norms = error_norms.append
     keep_dist = None if dists is None else dists.append
@@ -329,7 +330,7 @@ def run(config: IterationConfig) -> RunTrace:
     stack = config.stacks  # the one LayerStack, unless the plan has one per n
     per_step = plan.stacks
     lambdas = plan.lambdas
-    xbar_at = plan.xbar
+    xbar_at = None if memoryless else orbit_mean(config.weights, plan.etas, xbars.new_row)
     errors_for = config.errors.errors_for
     if type(config.errors).errors_for is ErrorModel.errors_for:
         errors_for = None  # the error-free model: no call per step
@@ -339,7 +340,12 @@ def run(config: IterationConfig) -> RunTrace:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for n in range(horizon):
-            xbar = x if memoryless else xbar_at(n, x)
+            if memoryless:
+                xbar = x
+            else:
+                xbar = xbar_at(n, x)
+                if xbar is x:  # row n is x_n alone; the kernel wrote no row
+                    xbars.append(x)
             if per_step is not None:
                 stack = per_step[n]
             lam = lambdas[n]
@@ -365,8 +371,6 @@ def run(config: IterationConfig) -> RunTrace:
                     f"iterate became non-finite at iteration {n}", iteration=n
                 )
 
-            if keep_xbar is not None:
-                keep_xbar(xbar)
             keep_residual(residual)
             keep_norms(noisy.error_norms)
             keep_theta(lam * noisy.aggregate_error)
@@ -395,7 +399,7 @@ def run(config: IterationConfig) -> RunTrace:
         etas=plan.etas,
         points=points,
         xbars=points.head(n_steps) if memoryless else xbars,
-        lambdas=array("d", lambdas[:n_steps]),
+        lambdas=lambdas[:n_steps],
         phis=phis,
         residuals=residuals,
         thetas=thetas,

@@ -224,18 +224,22 @@ def eta_values(schedule: WeightSchedule, horizon: int) -> array | None:
         raise InvalidScheduleError(str(exc)) from exc
 
 
-def orbit_mean(schedule: WeightSchedule, etas: array | None) -> Callable[[int, Vector], Vector]:
+def orbit_mean(
+    schedule: WeightSchedule, etas: array | None, new_row: Callable[[], Vector]
+) -> Callable[[int, Vector], Vector]:
     """The family's kernel ``(n, x_n) -> xbar_n``.
 
     Calls must come for ``n = 0, 1, ...`` in order, each with the newest
-    orbit point: every kernel keeps only the history its rows read.  The
-    memoryless kernel keeps nothing and returns ``x_n`` itself (not a copy);
-    the inertial kernel keeps ``x_{n-1}`` and reads ``etas[n]`` (from
-    ``eta_values``); ``window(w)`` keeps the last ``w`` points; cesaro
-    keeps a running sum, which it divides by ``n + 1``.  The memoryless,
-    window and inertial kernels perform the operations of
-    ``affine_combine(schedule.row(n), orbit)`` in the same order, so their
-    results are the same bit for bit.
+    orbit point: every kernel keeps only the history its rows read.  Where
+    row ``n`` is ``x_n`` alone (memoryless rows, window's first row,
+    inertial rows with ``eta_n = 0``) the kernel returns ``x_n`` itself, not
+    a copy; otherwise it writes ``xbar_n`` into ``new_row()``, a fresh
+    writable vector, and returns that.  The inertial kernel keeps
+    ``x_{n-1}`` and reads ``etas[n]`` (from ``eta_values``); ``window(w)``
+    keeps the last ``w`` points; cesaro keeps a running sum, which it
+    divides by ``n + 1``.  The memoryless, window and inertial kernels
+    perform the operations of ``affine_combine(schedule.row(n), orbit)`` in
+    the same order, so their results are the same bit for bit.
     """
     family = schedule.family
     if family == "memoryless":
@@ -246,13 +250,14 @@ def orbit_mean(schedule: WeightSchedule, etas: array | None) -> Callable[[int, V
 
         def window_mean(n, x):
             recent.append(x)
-            if len(recent) == 1:
+            k = len(recent)
+            if k == 1:
                 return x
-            weight = 1.0 / len(recent)
+            weight = 1.0 / k
             acc = weight * recent[0]
-            for y in islice(recent, 1, None):
+            for y in islice(recent, 1, k - 1):
                 acc = acc + weight * y
-            return _finite(acc, n)
+            return _finite(np.add(acc, weight * recent[-1], new_row()), n)
 
         return window_mean
 
@@ -262,7 +267,7 @@ def orbit_mean(schedule: WeightSchedule, etas: array | None) -> Callable[[int, V
         def running_mean(n, x):
             nonlocal total
             total = x if n == 0 else total + x
-            return total / (n + 1.0)
+            return np.divide(total, n + 1.0, new_row())
 
         return running_mean
 
@@ -274,7 +279,7 @@ def orbit_mean(schedule: WeightSchedule, etas: array | None) -> Callable[[int, V
         eta_n = etas[n]
         if eta_n == 0.0:
             return x
-        return _finite((-eta_n) * x_prev + (1.0 + eta_n) * x, n)
+        return _finite(np.add((-eta_n) * x_prev, (1.0 + eta_n) * x, new_row()), n)
 
     return extrapolate
 

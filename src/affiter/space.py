@@ -11,7 +11,6 @@ A run keeps its orbit in ``Rows``, equal-length points packed in 2-D blocks.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
 from typing import Iterator, Mapping
 
@@ -93,53 +92,50 @@ def affine_combine(row: Mapping[int, float], orbit) -> Vector:
 
 #: floats per block of ``Rows`` (512 KiB); a longer row is kept as its own array
 BLOCK_FLOATS = 1 << 16
+#: floats in the first block of ``Rows`` (8 KiB): opening a block, and
+#: certifying one, costs a few microseconds
+FIRST_BLOCK_FLOATS = 1 << 10
 
 
 class Rows:
     """Up to ``capacity`` points of dimension ``dim``, packed in float64 blocks.
 
-    Blocks are 2-D arrays of at most ``BLOCK_FLOATS`` floats.  They hold 1,
-    2, 4, ... rows, never more in all than ``capacity``, so a sequence that
-    stops short reserves at most about twice the rows it holds.
+    Blocks are 2-D arrays of at most ``BLOCK_FLOATS`` floats.  The first
+    holds ``FIRST_BLOCK_FLOATS`` floats (at least one row), each next one as
+    many rows as all before it, and all together never more than
+    ``capacity`` rows: a sequence that stops short reserves at most twice
+    the rows it holds, or its first block.
     ``append(x)`` copies ``x`` into the next row; ``new_row()`` returns the
     next row as a writable 1-D view for the caller to fill (with a ufunc's
     ``out``, say).  A point of ``BLOCK_FLOATS`` floats or more is a block of
-    its own: ``append`` keeps ``x[None]``, with no copy.  ``rows[i]``
+    its own: ``append`` keeps a view of ``x``, with no copy.  ``rows[i]``
     (negative ``i`` too) and iteration give 1-D views into the blocks, a
     slice gives a list of them, and ``blocks()`` gives the filled part of
     each block.
     """
 
-    __slots__ = (
-        "dim", "_capacity", "_max_rows", "_blocks", "_starts", "_block", "_flat", "_pos", "_end"
-    )
+    __slots__ = ("dim", "_capacity", "_max_rows", "_blocks", "_starts", "_block", "_pos", "_end")
 
     def __init__(self, dim: int, capacity: int):
         self.dim = dim
         self._capacity = capacity
         self._max_rows = max(1, BLOCK_FLOATS // dim)
         self._blocks: list[np.ndarray] = []
-        self._starts = array("q")  # the index of each block's first row
+        self._starts: list[int] = []  # the index of each block's first row
         self._block = None  # the newest block, filled up to row _pos of _end
-        self._flat = None  # its floats as one flat memoryview, once append opened it
         self._pos = self._end = 0
 
     def append(self, x: Vector) -> None:
         pos = self._pos
         if pos == self._end:
             if self.dim >= BLOCK_FLOATS:
-                self._add_block(x[None])
+                # a view of x whenever x is a float64 vector
+                self._add_block(np.asarray(x, dtype=np.float64).reshape(1, self.dim))
                 self._pos = 1
                 return
             self._add_block(None)
-            self._flat = memoryview(self._block).cast("B").cast("d")
             pos = 0
-        dim = self.dim
-        try:
-            # a memoryview copies a float64 row in about half numpy's time
-            self._flat[pos * dim : (pos + 1) * dim] = x
-        except (TypeError, ValueError):  # another dtype or shape, or no _flat
-            self._block[pos] = x
+        self._block[pos] = x
         self._pos = pos + 1
 
     def new_row(self) -> Vector:
@@ -154,7 +150,8 @@ class Rows:
         """Open ``block``, or a new empty one when it is None."""
         size = len(self)
         if block is None:
-            rows = min(max(1, 2 * self._end), self._max_rows, self._capacity - size)
+            first = FIRST_BLOCK_FLOATS // self.dim
+            rows = min(max(1, first, size), self._max_rows, self._capacity - size)
             if rows < 1:
                 raise IndexError(f"Rows holds at most {self._capacity} points")
             block = np.empty((rows, self.dim))
@@ -162,7 +159,7 @@ class Rows:
             raise IndexError(f"Rows holds at most {self._capacity} points")
         self._blocks.append(block)
         self._starts.append(size)
-        self._block, self._flat, self._pos, self._end = block, None, 0, len(block)
+        self._block, self._pos, self._end = block, 0, len(block)
 
     def __len__(self) -> int:
         return self._starts[-1] + self._pos if self._starts else 0

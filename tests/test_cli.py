@@ -593,17 +593,20 @@ def test_outputs_value_of_wrong_type_exits_3_before_the_solve(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("name", ["", ".", "out/.."])
 @pytest.mark.parametrize("key", ["trace", "report"])
 @pytest.mark.parametrize("command", ["run", "validate"])
-def test_empty_output_name_exits_3_before_the_solve(tmp_path, monkeypatch, capsys, key, command):
+def test_output_name_without_a_file_exits_3_before_the_solve(
+    tmp_path, monkeypatch, capsys, key, command, name
+):
     # out_dir / "" is the directory itself: the run wrote nothing and ended
     # in IsADirectoryError after the whole solve
     monkeypatch.chdir(tmp_path)
-    cfg = memoryless_golden(tmp_path, _set("outputs", key, ""))
+    cfg = memoryless_golden(tmp_path, _set("outputs", key, name))
     monkeypatch.setattr(cli.solvers.SolverPreset, "solve", lambda self: pytest.fail("solved"))
     assert cli.main([command, cfg]) == 3
     captured = capsys.readouterr()
-    assert captured.err == f"configuration error: outputs.{key} must name a file, got ''\n"
+    assert captured.err == f"configuration error: outputs.{key} must name a file, got {name!r}\n"
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 

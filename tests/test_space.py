@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affiter import ConfigurationError, affine_combine
-from affiter.space import BLOCK_FLOATS, Rows, all_finite, as_vector, norm
+from affiter.space import BLOCK_FLOATS, FIRST_BLOCK_FLOATS, Rows, all_finite, as_vector, norm
 
 
 def vec(*xs):
@@ -101,11 +101,13 @@ class TestRows:
     @given(dim=st.sampled_from([1, 2, 3, 1000, BLOCK_FLOATS, BLOCK_FLOATS + 1]), data=st.data())
     def test_every_row_comes_back(self, dim, data):
         long_rows = dim >= BLOCK_FLOATS
-        capacity = data.draw(st.integers(1, 4 if long_rows else 300), label="capacity")
+        # room to cross two or more block boundaries at every dim
+        most = 4 if long_rows else 300 if dim >= 1000 else 2500
+        capacity = data.draw(st.integers(1, most), label="capacity")
         count = data.draw(st.integers(0, capacity), label="count")
-        # True: append(x); False: fill new_row() in place
-        appends = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # True: append(x); False: fill new_row() in place
+        appends = (rng.random(count) < 0.5).tolist()
         rows, given_rows = Rows(dim, capacity), []
         for append in appends:
             x = rng.standard_normal(dim) * 10.0 ** rng.integers(-300, 300)
@@ -130,10 +132,11 @@ class TestRows:
         head = rows.head(count // 2)
         assert [r.tobytes() for r in head] == expected[: count // 2]
         assert all(np.shares_memory(h, r) for h, r in zip(head, rows))
-        # the blocks grow 1, 2, 4, ... rows, so at most about twice the rows
-        # held are reserved, and never more than the capacity
+        # a block holds as many rows as all before it, so at most twice the
+        # rows held, or the first block, are reserved, never past capacity
         reserved = sum(len(block) for block in rows._blocks)
-        assert reserved <= min(capacity, 2 * count)
+        first = max(1, FIRST_BLOCK_FLOATS // dim)
+        assert reserved <= min(capacity, max(2 * count, first))
         assert all(block.size <= BLOCK_FLOATS or len(block) == 1 for block in rows._blocks)
         with pytest.raises(IndexError):
             rows[count]
