@@ -120,24 +120,27 @@ def _row_squares(rows: np.ndarray) -> np.ndarray:
 
 def _xbar_dists(trace: RunTrace, ns: np.ndarray, dists: np.ndarray, x_ref: Vector) -> np.ndarray:
     """``||xbar_n - x*||`` for each ``n`` in ``ns`` (sorted, distinct), bit for
-    bit ``norm(xbar_n - x*)``: ``dists[n]`` where ``xbar_n`` is ``x_n``
-    (memoryless weights, or an inertial row with ``eta_n = 0``), else one
+    bit ``norm(xbar_n - x*)``: ``dists[n]`` where ``xbar_n`` is ``x_n`` (rows
+    of one point, or an inertial row with ``eta_n = 0``), else one
     ``_row_squares`` per packed block of ``trace.xbars`` (``space.Rows``),
     over the rows it holds of ``ns``; ``np.sqrt`` is IEEE's, as
     ``math.sqrt`` is."""
     out = dists[ns]
-    if trace.config.weights.family == "memoryless":
+    if trace.config.weights.support_bound == 1:
         return out
-    etas = None if trace.etas is None else np.frombuffer(trace.etas)
+    every = ns.size == trace.n_steps  # ns is 0 .. N-1
     for start, rows in trace.xbars.blocks():
-        lo, hi = np.searchsorted(ns, (start, start + len(rows)))
-        pos = np.arange(lo, hi)
-        if etas is not None:
-            pos = pos[etas[ns[lo:hi]] != 0.0]
-        if pos.size:
-            diff = rows[ns[pos] - start]
-            diff -= x_ref
-            out[pos] = np.sqrt(_row_squares(diff))
+        if every:
+            at, diff = slice(start, start + len(rows)), rows - x_ref
+        else:
+            lo, hi = np.searchsorted(ns, (start, start + len(rows)))
+            if lo == hi:
+                continue
+            at, diff = slice(lo, hi), rows[ns[lo:hi] - start] - x_ref
+        out[at] = np.sqrt(_row_squares(diff))
+    if trace.etas is not None:
+        kept = np.frombuffer(trace.etas)[ns] == 0.0
+        out[kept] = dists[ns[kept]]
     return out
 
 
@@ -210,20 +213,21 @@ def run_certificates(
     # The columns become lists once, so that each value is boxed once.
     if {"ii", "iii"} & set(which):
         ns = eval_at.tolist()
-        dists, thetas, residuals = d.tolist(), list(trace.thetas), list(trace.residuals)
+        dists, thetas, residuals = d.tolist(), trace.thetas.tolist(), trace.residuals.tolist()
         dbars = _xbar_dists(trace, eval_at, d, x_ref).tolist()
         base = [
             dbar**2 - dists[n + 1] ** 2 + thetas[n] * (2.0 * dbar + thetas[n])
             for n, dbar in zip(ns, dbars)
         ]
+        lambdas = trace.lambdas.tolist()
     if "ii" in which:
-        # lambda_n (1/phi_n - lambda_n) takes the same IEEE operations elementwise
-        lam = np.asarray(trace.lambdas)
-        coef = (lam * (1.0 / np.asarray(trace.phis) - lam)).tolist()
-        slacks["ii"] = np.array([b - coef[n] * residuals[n] ** 2 for n, b in zip(ns, base)])
+        phis = trace.phis.tolist()
+        slacks["ii"] = np.array([
+            b - lambdas[n] * (1.0 / phis[n] - lambdas[n]) * residuals[n] ** 2
+            for n, b in zip(ns, base)
+        ])
     if "iii" in which:
         iii = []
-        lambdas = list(trace.lambdas)
         ref_stack = None
         for n, b in zip(ns, base):
             stack = trace.stack_at(n)
