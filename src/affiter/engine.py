@@ -12,10 +12,11 @@ every ``lambda_n``, every stack when the layers depend on n, and every
 ``eta_n`` of an inertial row.  The weight family's kernel
 (``schedules.orbit_mean``) forms ``xbar_n``; memoryless ``xbar_n`` is
 ``x_n`` itself, not a copy.  A step with ``lambda_n == 1`` forms
-``xbar_n + step`` with no multiply (``1.0 * v`` is ``v`` bit for bit).  The errors ``e_{i,n}`` have
-one source, the error model's ``errors_for(n)``: the step injects them,
-the residual ``||T_n xbar_n - xbar_n||`` is always the clean chain's of the
-same pass, and ``error_budget_check`` sums the norms of the same vectors.
+``xbar_n + step`` with no multiply (``1.0 * v`` is ``v`` bit for bit).  The
+errors ``e_{i,n}`` have one source, the error model's ``errors_for(n)``:
+the step injects them, the residual ``||T_n xbar_n - xbar_n||`` is always
+the clean chain's of the same pass, and ``error_budget_check`` sums the
+norms of the same vectors.
 With a reference set, the distance ``||x_{n+1} - x*||`` is measured right
 after the update, and a finite distance proves every entry of ``x_{n+1}``
 finite; only a run without a reference, or a non-finite distance, tests

@@ -154,7 +154,7 @@ class TestRows:
         with pytest.raises(IndexError, match="at most 2"):
             rows.head(2).append(vec(0.0, 0.0))
 
-    def test_rows_of_another_dtype_or_shape_go_through_numpy(self):
+    def test_rows_of_another_dtype_or_layout_are_converted(self):
         rows = Rows(3, 4)
         rows.append(np.array([1.0, 2.0, 3.0], dtype=np.float32))
         rows.append([4.0, 5.0, 6.0])
