@@ -330,7 +330,7 @@ class InertialBandParams:
         # eta = 0 collapses to the inertia-free relaxation band and is legal
         if not 0.0 <= self.eta < 1.0:
             raise ConfigurationError("eta must lie in [0, 1)")
-        if self.sigma <= 0.0 or self.theta_tune <= 0.0:
+        if not (self.sigma > 0.0 and self.theta_tune > 0.0):
             raise ConfigurationError("sigma and theta_tune must be positive")
 
 

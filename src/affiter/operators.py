@@ -206,7 +206,7 @@ def normal_cone(set_kind: str, bounded: bool | None = None, **params) -> Monoton
 
 def prox_l1(gamma: float, weight: float = 1.0) -> AveragedOperator:
     """Soft-thresholding prox of ``weight * ||.||_1`` at step ``gamma``; firmly nonexpansive."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ConfigurationError("prox step gamma must be positive")
     t = gamma * weight
     return AveragedOperator(
@@ -287,7 +287,7 @@ def gradient_step(gamma: float, grad: Callable[[Vector], Vector], beta: float) -
 
 def resolvent_operator(gamma: float, mono: MonotoneMap) -> AveragedOperator:
     """Resolvent ``(Id + gamma A)^-1`` of a catalog monotone map; firmly nonexpansive."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ConfigurationError("resolvent step gamma must be positive")
     return AveragedOperator(
         fn=lambda x: mono.resolvent(gamma, x),
@@ -299,7 +299,7 @@ def resolvent_operator(gamma: float, mono: MonotoneMap) -> AveragedOperator:
 
 def reflector_operator(gamma: float, mono: MonotoneMap) -> AveragedOperator:
     """Reflected resolvent ``2 (Id + gamma A)^-1 - Id``; nonexpansive (alpha = 1)."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ConfigurationError("reflector step gamma must be positive")
     return AveragedOperator(
         fn=lambda x: 2.0 * mono.resolvent(gamma, x) - x,

@@ -103,7 +103,7 @@ def catalog(name: str, **params) -> ProblemSpec:
 
     if name == "rotation_fixed_point":
         angle = float(params.get("angle", np.pi / 2))
-        if angle % (2 * np.pi) == 0.0:
+        if not angle % (2 * np.pi) > 0.0:  # NaN and inf fail it too
             raise ConfigurationError("rotation angle must be nonzero for a unique fixed point")
         c, s = np.cos(angle), np.sin(angle)
         rot = linear_operator([[c, -s], [s, c]], alpha=1.0)

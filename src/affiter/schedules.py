@@ -66,7 +66,7 @@ class EtaSchedule:
             raise ConfigurationError(f"unknown eta schedule kind {self.kind!r}")
         if self.kind == "constant" and not 0.0 <= self.eta < 1.0:
             raise ConfigurationError(f"constant eta must lie in [0, 1), got {self.eta}")
-        if self.kind == "nesterov" and self.tau < 2.0:
+        if self.kind == "nesterov" and not self.tau >= 2.0:
             raise ConfigurationError(f"nesterov-style schedule needs tau >= 2, got {self.tau}")
         if self.kind == "custom":
             if self.fn is None:
@@ -581,17 +581,17 @@ def relaxation_at(rs: RelaxationSchedule, n: int, phi_n: float) -> float:
         lam = rs._requested(n)
         if lam is None:
             lam = cap
-        if lam < rs.epsilon:
+        if not lam >= rs.epsilon:
             raise ConfigurationError(
                 f"lambda_{n} = {lam} below the band floor eps = {rs.epsilon}"
             )
-        if lam > cap + 1e-12:
+        if not lam <= cap + 1e-12:
             raise ConfigurationError(
                 f"lambda_{n} = {lam} exceeds the band cap 1+(1-eps)(1-gamma/(2 beta)) = {cap}"
             )
-    if lam is None or lam <= 0.0:
+    if lam is None or not lam > 0.0:
         raise ConfigurationError(f"lambda_{n} must be positive, got {lam}")
-    if lam > hard_cap + 1e-12:
+    if not lam <= hard_cap + 1e-12:
         raise ConfigurationError(
             f"lambda_{n} = {lam} exceeds the relaxation cap 1/phi_n = {hard_cap}"
         )

@@ -129,7 +129,7 @@ def peaceman_rachford(
     One preset must not be solved from two threads at once: the resolvent
     values are shared by its runs.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ConfigurationError("gamma must be positive")
     if not weights.nonnegative or weights.mann_product_bound() <= 0.0:
         raise ConfigurationError(
@@ -243,7 +243,7 @@ def forward_backward(
 
     def checked_gamma(n: int) -> float:
         g = gamma_fn(n)
-        if g < epsilon or (gamma_hi is not None and g > gamma_hi + 1e-12):
+        if not g >= epsilon or (gamma_hi is not None and not g <= gamma_hi + 1e-12):
             hi = "inf" if gamma_hi is None else f"{gamma_hi}"
             raise ConfigurationError(
                 f"gamma_{n} = {g} outside the admissible band [{epsilon}, {hi}]"

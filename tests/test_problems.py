@@ -35,6 +35,12 @@ class TestCatalog:
         with pytest.raises(ConfigurationError):
             catalog("rotation_fixed_point", angle=0.0)
 
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf")])
+    def test_rotation_rejects_a_non_finite_angle(self, angle):
+        # NaN % 2 pi is NaN, which passed `== 0.0` and built a NaN rotation
+        with pytest.raises(ConfigurationError, match="rotation angle must be nonzero"):
+            catalog("rotation_fixed_point", angle=angle)
+
     def test_polyak_problem_metadata(self):
         spec = catalog("polyak_norm_over_halfspace")
         assert spec.theta == 1.0

@@ -853,3 +853,70 @@ class TestKrasnoselskiiMann:
         )
         x, _ = preset.solve()
         assert np.linalg.norm(x) <= 1e-6
+
+
+NAN = float("nan")
+
+
+def counted_ingredients(calls):
+    """l1_quadratic's A, B and grad, each appending its name to ``calls``."""
+    prob = catalog("l1_quadratic", a=2.0)
+    A, B, grad = prob.ingredients["A"], prob.ingredients["B"], prob.ingredients["grad"]
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    return (dataclasses.replace(A, resolvent=counted("A", A.resolvent)),
+            dataclasses.replace(B, resolvent=counted("B", B.resolvent)),
+            counted("grad", grad))
+
+
+def nan_fb(calls, **kw):
+    A, _B, grad = counted_ingredients(calls)
+    args = dict(A=A, B=grad, beta=1.0, gamma=1.0, x0=vec(0.0), max_iters=10)
+    args.update(kw)
+    return forward_backward(**args)
+
+
+def nan_km(calls, **kw):
+    T = linear_operator(-np.eye(2), alpha=1.0)
+
+    def negate(x):
+        calls.append("T")
+        return T.fn(x)
+
+    return krasnoselskii_mann(dataclasses.replace(T, fn=negate), x0=vec(1.0, 0.0), max_iters=10,
+                              **kw)
+
+
+def nan_pr(calls, **kw):
+    A, B, _grad = counted_ingredients(calls)
+    return peaceman_rachford(A, B, weights=window(2), x0=vec(0.0), max_iters=10, **kw)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda calls: nan_km(calls, variant="memoryless", lam=NAN),
+     "lambda_0 must be positive, got nan"),
+    (lambda calls: nan_fb(calls, lam=NAN), "lambda_0 = nan below the band floor eps = 0.1"),
+    (lambda calls: nan_fb(calls, gamma=NAN, variant="proximal_point"),
+     "gamma_0 = nan outside the admissible band [0.1, inf]"),
+    (lambda calls: nan_fb(calls, gamma=NAN),
+     "gamma_0 = nan outside the admissible band [0.1, 1.8181818181818181]"),
+    (lambda calls: nan_pr(calls, gamma=NAN), "gamma must be positive"),
+    (lambda calls: nan_km(calls, variant="inertial", lam=0.5, sigma=NAN,
+                          eta=EtaSchedule(kind="constant", eta=0.2)),
+     "sigma and theta_tune must be positive"),
+    (lambda calls: nan_fb(calls, variant="inertial", eta=EtaSchedule(kind="nesterov", tau=NAN)),
+     "nesterov-style schedule needs tau >= 2, got nan"),
+], ids=["km-lambda", "fb-lambda", "proximal-point-gamma", "fb-gamma", "pr-gamma", "km-sigma",
+        "nesterov-tau"])
+def test_nan_parameter_is_a_configuration_error_before_any_layer_call(build, message):
+    # every comparison with NaN is false, so a band written as `x < lo` let NaN through
+    # and the run diverged at n = 0
+    calls = []
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        build(calls).solve()
+    assert calls == []
