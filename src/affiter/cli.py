@@ -12,13 +12,14 @@ Commands
     the custom inertial band) the inertial parameters, without iterating.
     The relaxation range and the band's sequences come from one run of the
     pre-pass, over two steps past the horizon when a band is checked.
-    ``seed`` and ``outputs`` get the checks ``run`` gives them.
 
 ``affiter chi --family {zero,constant,nesterov} [--eta E] [--tau T] --N H [--K TRUNC]``
     Tabulate the summability weights ``chi_n`` with their analytic bound as
     CSV ``n,chi_n,analytic_bound``.
 
-The config file is JSON; see the README for the schema.  Trace CSV columns:
+The config file is JSON; see the README for the schema.  ``run`` and
+``validate`` check the same keys, each as a strict JSON kind, before building
+anything.  Trace CSV columns:
 ``n,residual,theta_n,lambda_n,phi_n,dist_to_ref,cert_i_slack,cert_ii_slack``
 with 17 significant digits (empty where unavailable).
 
@@ -50,7 +51,7 @@ from .errors import (
     ConfigurationError,
     NumericalDivergence,
 )
-from .problems import ProblemSpec, catalog
+from .problems import PROBLEM_PARAMS, ProblemSpec, catalog
 from .schedules import (
     EtaSchedule,
     WeightSchedule,
@@ -84,11 +85,26 @@ def _load_config(path: str) -> dict:
 _REQUIRED = object()
 
 
+def _number(value):
+    """An int or a float, never a bool or a string; kept as written for messages."""
+    if type(value) not in (int, float):
+        raise TypeError(value)
+    return value
+
+
+def _float(value) -> float:
+    return float(_number(value))
+
+
+def _number_or_null(value):
+    return None if value is None else _number(value)
+
+
 def _integer(value) -> int:
-    """``int(value)``, except that a float must be integral (``2.0`` is 2)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
+    """An int, or an integral float (``2.0`` is 2)."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise TypeError(value)
 
 
 def _string(value) -> str:
@@ -97,119 +113,110 @@ def _string(value) -> str:
     return value
 
 
-_KINDS = {_integer: "an integer", _string: "a string"}
-
-
-def _field(section: dict, where: str, key: str, convert=None, default=_REQUIRED):
-    """``section[key]``, or ``default``, passed through ``convert`` (``_integer``,
-    ``_string``, float or a number reader).
-
-    A missing required key, a JSON boolean, or a value that ``convert``
-    rejects is a ConfigurationError naming the key as ``where.key``.
-    """
-    name = f"{where}.{key}" if where else key
-    value = section.get(key, default)
-    if value is _REQUIRED:
-        raise ConfigurationError(f"config needs {name}")
-    if convert is None:
-        return value
-    try:
-        if isinstance(value, bool):  # int() and float() would take it
-            raise TypeError
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        kind = _KINDS.get(convert, "a number")
-        raise ConfigurationError(f"{name} must be {kind}, got {value!r}") from None
-
-
-def _number(value):
-    """A JSON number as the config wrote it (messages quote an int as an int);
-    any other value goes through ``float``."""
-    return value if type(value) in (int, float) else float(value)
-
-
-def _number_or_null(value):
-    return None if value is None else _number(value)
-
-
-def _param(params: dict, key: str, default, convert=_number):
-    """Remove solver param ``key`` from ``params`` and return it as a number."""
-    value = _field(params, "solver.params", key, convert, default)
-    params.pop(key, None)
-    return value
-
-
-def _section(cfg: dict, where: str, key: str, default=None) -> dict:
-    """``cfg[key]`` as a JSON object: {} when it is missing or empty (null,
-    [], ""), ``default`` when missing and given; any other value is a
-    ConfigurationError naming the key as ``where.key``."""
-    value = cfg.get(key, default)
-    if not value:
+def _object(value) -> dict:
+    """A JSON object; null, [] and "" read as {}."""
+    if value is None or value == [] or value == "":
         return {}
     if not isinstance(value, dict):
-        name = f"{where}.{key}" if where else key
-        raise ConfigurationError(f"{name} must be an object, got {value!r}")
+        raise TypeError(value)
     return value
 
 
-def _vector(value, name: str, dim: int | None = None):
-    """``as_vector(value, dim)``; a value it cannot convert to floats, or a
-    JSON boolean in place of a number, is a ConfigurationError naming the key."""
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return value
+
+
+def _vector(value):
+    """A number or a list of numbers, as the config wrote it."""
+    for entry in value if type(value) is list else [value]:
+        _float(entry)
+    return value
+
+
+_KINDS = {_integer: "an integer", _string: "a string", _object: "an object",
+          _list: "a list", _vector: "a vector of numbers"}
+
+
+def _as(kind, value, path: str):
+    """``kind(value)``; a value of another kind is a ConfigurationError naming ``path``."""
     try:
-        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
-            raise TypeError
-        return as_vector(value, dim=dim)
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{name} must be a vector of numbers, got {value!r}") from None
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        name = _KINDS.get(kind, "a number")
+        raise ConfigurationError(f"{path} must be {name}, got {value!r}") from None
+
+
+def _read(section: dict, path: str, kind, default=_REQUIRED):
+    """The value at the dotted ``path`` as ``kind`` reads it; ``section`` holds
+    its last key.  ``default`` is returned as given when the key is missing;
+    a missing required key is a ConfigurationError naming ``path``."""
+    key = path.rpartition(".")[2]
+    if key in section:
+        return _as(kind, section[key], path)
+    if default is _REQUIRED:
+        raise ConfigurationError(f"config needs {path}")
+    return default
+
+
+#: the ``solver.params`` each preset reads, with the kind each reads as; a
+#: param the config omits takes the builder's default
+SOLVER_PARAMS = {
+    "forward_backward": {"variant": _string, "gamma": _number, "epsilon": _number,
+                         "lambda": _number_or_null, "eta": _object},
+    "peaceman_rachford": {"gamma": _number},
+    "polyak_subgradient": {"xi": _number, "eta_low": _number, "epsilon": _number,
+                           "lambda": _number},
+    "krasnoselskii_mann": {"variant": _string, "eta": _object, "sigma": _number,
+                           "theta_tune": _number, "lambda": _number},
+}
+
+#: the kind of each ``problem.params`` key in ``problems.PROBLEM_PARAMS``
+_PROBLEM_PARAM_KINDS = {"a": _vector, "angle": _float, "x0": _vector}
 
 
 def _weights_from(cfg: dict) -> WeightSchedule | None:
     if not cfg:
         return None
-    family = cfg.get("family", "memoryless")
+    family = _read(cfg, "weights.family", _string, "memoryless")
     if family == "inertial":
-        eta = _eta_from(_section(cfg, "weights", "eta"), "weights.eta")
+        eta = _eta_from(_read(cfg, "weights.eta", _object, {}), "weights.eta")
         return WeightSchedule(family="inertial", eta=eta)
-    return WeightSchedule(family=family, window=_field(cfg, "weights", "window", _integer, 1))
+    return WeightSchedule(family=family, window=_read(cfg, "weights.window", _integer, 1))
 
 
 def _eta_from(cfg: dict, where: str = "solver.params.eta") -> EtaSchedule:
-    kind = cfg.get("kind", "zero")
     return EtaSchedule(
-        kind=kind,
-        eta=_field(cfg, where, "eta", float, 0.0),
-        tau=_field(cfg, where, "tau", float, 2.0),
+        kind=_read(cfg, f"{where}.kind", _string, "zero"),
+        eta=_read(cfg, f"{where}.eta", _float, 0.0),
+        tau=_read(cfg, f"{where}.tau", _float, 2.0),
     )
 
 
 def _errors_from(cfg: dict):
-    if not cfg or cfg.get("model", "none") == "none":
+    model = _read(cfg, "errors.model", _string, "none")
+    if model == "none":
         return None
-    model = cfg["model"]
     if model == "geometric":
         return GeometricError(
-            rate=_field(cfg, "errors", "rate", float),
-            direction=_vector(_field(cfg, "errors", "direction"), "errors.direction"),
-            layer=_field(cfg, "errors", "layer", _integer, 1),
+            rate=_read(cfg, "errors.rate", _float),
+            direction=as_vector(_read(cfg, "errors.direction", _vector)),
+            layer=_read(cfg, "errors.layer", _integer, 1),
         )
     if model == "custom":
-        values = _field(cfg, "errors", "values")
-        if not isinstance(values, list):
-            raise ConfigurationError(f"errors.values must be a list, got {values!r}")
         values = [
-            None if v is None else _vector(v, f"errors.values[{k}]") for k, v in enumerate(values)
+            None if v is None else as_vector(_as(_vector, v, f"errors.values[{k}]"))
+            for k, v in enumerate(_read(cfg, "errors.values", _list))
         ]
-        layer = _field(cfg, "errors", "layer", _integer, 1)
+        layer = _read(cfg, "errors.layer", _integer, 1)
         if layer < 1:
             raise ConfigurationError("layer index is 1-based")
 
         def fn(n):
             return values[n] if n < len(values) else None
 
-        per_layer = [None] * (layer - 1) + [fn]
-        return SequenceError(per_layer)
+        return SequenceError([None] * (layer - 1) + [fn])
     raise ConfigurationError(f"unknown error model {model!r}")
 
 
@@ -222,75 +229,90 @@ def _ingredient(problem: ProblemSpec, key: str):
         ) from None
 
 
-def _outputs_from(cfg: dict) -> tuple[str, str, str]:
-    """The ``outputs`` directory, trace name and report name.  A value that is
-    not a string, or a name with no file part (``""``, ``"."``, ``".."``), is
-    a ConfigurationError naming its key; ``run`` and ``validate`` both check
-    them before building anything."""
-    outputs = _section(cfg, "", "outputs")
+def _settings_from(cfg: dict) -> tuple[int, tuple[str, str, str], InertialBandParams | None]:
+    """``seed``; the ``outputs`` directory, trace name and report name; and the
+    ``inertial_band`` params, or None.  An output name with no file part
+    (``""``, ``"."``, ``".."``) is a ConfigurationError naming its key."""
+    seed = _read(cfg, "seed", _integer, 0)
+    outputs = _read(cfg, "outputs", _object, {})
     out_dir, trace_name, report_name = (
-        _field(outputs, "outputs", key, _string, default)
+        _read(outputs, f"outputs.{key}", _string, default)
         for key, default in (("dir", "."), ("trace", "trace.csv"), ("report", "report.json"))
     )
     for key, name in (("trace", trace_name), ("report", report_name)):
         if Path(name).name in ("", ".."):
             raise ConfigurationError(f"outputs.{key} must name a file, got {name!r}")
-    return out_dir, trace_name, report_name
+    band_cfg = _read(cfg, "inertial_band", _object, {})
+    band = InertialBandParams(
+        eta=_read(band_cfg, "inertial_band.eta", _float),
+        sigma=_read(band_cfg, "inertial_band.sigma", _float),
+        theta_tune=_read(band_cfg, "inertial_band.theta_tune", _float),
+    ) if band_cfg else None
+    return seed, (out_dir, trace_name, report_name), band
 
 
 def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
-    problem_cfg = _section(cfg, "", "problem")
+    problem_cfg = _read(cfg, "problem", _object, {})
     if not problem_cfg:
         raise ConfigurationError("config needs a problem section")
-    problem_params = dict(_section(problem_cfg, "problem", "params"))
-    problem_name = _field(problem_cfg, "problem", "name")
-    # typed here so that a wrong type names its key; catalog rejects unknown keys
-    if problem_name == "l1_quadratic" and "a" in problem_params:
-        problem_params["a"] = _vector(problem_params["a"], "problem.params.a")
-    if problem_name == "rotation_fixed_point" and "angle" in problem_params:
-        problem_params["angle"] = _field(problem_params, "problem.params", "angle", float)
-    problem = catalog(problem_name, **problem_params)
-    solver_cfg = _section(cfg, "", "solver")
+    problem_params = _read(problem_cfg, "problem.params", _object, {})
+    problem_name = _read(problem_cfg, "problem.name", _string)
+    # typed here so that a wrong kind names its key; catalog rejects unknown keys
+    problem = catalog(problem_name, **{
+        key: _read(problem_params, f"problem.params.{key}", _PROBLEM_PARAM_KINDS[key])
+        if key in PROBLEM_PARAMS.get(problem_name, ()) else value
+        for key, value in problem_params.items()
+    })
+    solver_cfg = _read(cfg, "solver", _object, {})
     if not solver_cfg:
         raise ConfigurationError("config needs a solver section")
-    name = _field(solver_cfg, "solver", "name")
-    params = dict(_section(solver_cfg, "solver", "params"))
-    weights = _weights_from(_section(cfg, "", "weights"))
-    horizon = _field(cfg, "", "horizon", _integer, 200)
+    name = _read(solver_cfg, "solver.name", _string)
+    if name not in SOLVER_PARAMS:
+        raise ConfigurationError(f"unknown solver preset {name!r}")
+    kinds = SOLVER_PARAMS[name]
+    params = _read(solver_cfg, "solver.params", _object, {})
+    unknown = [key for key in params if key not in kinds]
+    if unknown:
+        raise ConfigurationError(f"unknown {name} params: {', '.join(map(repr, unknown))}")
+    # the builders take lambda as lam; a param the config omits keeps its default
+    kwargs = {
+        "lam" if key == "lambda" else key: _read(params, f"solver.params.{key}", kinds[key])
+        for key in params
+    }
+    weights = _weights_from(_read(cfg, "weights", _object, {}))
+    horizon = _read(cfg, "horizon", _integer, 200)
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-    stop_residual = _field(cfg, "", "stop_residual", float, 1e-10)
-    x0 = _vector(cfg.get("x0", np.zeros(problem.dim)), "x0", dim=problem.dim)
-    relax_cfg = _section(cfg, "", "relaxation")
-    policy = relax_cfg.get("policy", "constant")
+    stop_residual = _read(cfg, "stop_residual", _float, 1e-10)
+    x0 = as_vector(_read(cfg, "x0", _vector, np.zeros(problem.dim)), dim=problem.dim)
+    relax_cfg = _read(cfg, "relaxation", _object, {})
+    policy = _read(relax_cfg, "relaxation.policy", _string, "constant")
     if policy != "constant":
         raise ConfigurationError(f"unsupported relaxation policy {policy!r} (only \"constant\")")
-    lam = _param(params, "lambda", 1.0, _number_or_null)
-    lam = _field(relax_cfg, "relaxation", "value", _number_or_null, lam)
-    error_model = _errors_from(_section(cfg, "", "errors"))
+    if "value" in relax_cfg:
+        kwargs["lam"] = _read(relax_cfg, "relaxation.value", kinds.get("lambda", _number))
+    error_model = _errors_from(_read(cfg, "errors", _object, {}))
 
     common = dict(max_iters=horizon, stop_residual=stop_residual, reference=problem.reference)
     if name == "forward_backward":
-        variant = params.pop("variant", "memoryless")
-        eta_cfg = _section(params, "solver.params", "eta", {"kind": "nesterov"})
-        params.pop("eta", None)
-        eta = _eta_from(eta_cfg) if variant == "inertial" else None
+        eta = kwargs.pop("eta", {"kind": "nesterov"})
         preset = solvers.forward_backward(
             A=_ingredient(problem, "A"),
             B=problem.ingredients.get("grad"),
             beta=problem.beta,
-            gamma=_param(params, "gamma", 1.0),
+            gamma=kwargs.pop("gamma", 1.0),
             x0=x0,
-            epsilon=_param(params, "epsilon", 0.1),
-            lam=lam,
             weights=weights,
-            variant=variant,
-            eta=eta,
+            eta=_eta_from(eta) if kwargs.get("variant") == "inertial" else None,
+            **kwargs,
             **common,
         )
     elif name == "peaceman_rachford":
+        lam = kwargs.get("lam", 1.0)
+        if lam != 1.0:
+            raise ConfigurationError(f"relaxation.value must be 1 for peaceman_rachford, got {lam!r}")
         B = _ingredient(problem, "B")
-        gamma = _param(params, "gamma", 1.0)
+        gamma = kwargs.get("gamma", 1.0)
         # the orbit converges to x* = y* + gamma B(y*), not to the solution y*
         y_ref = problem.reference
         common["reference"] = (
@@ -311,33 +333,20 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
             theta=problem.theta,
             region_projector=_ingredient(problem, "projector"),
             x0=x0,
-            xi=_param(params, "xi", 1.0),
-            lam=lam,
-            eta_low=_param(params, "eta_low", 0.5),
-            epsilon=_param(params, "epsilon", 0.05),
             weights=weights,
+            **kwargs,
             **common,
         )
-    elif name == "krasnoselskii_mann":
-        variant = params.pop("variant", "mean")
-        eta_cfg = _section(params, "solver.params", "eta", {"kind": "constant", "eta": 0.2})
-        params.pop("eta", None)
-        eta = _eta_from(eta_cfg) if variant == "inertial" else None
+    else:  # krasnoselskii_mann
+        eta = kwargs.pop("eta", {"kind": "constant", "eta": 0.2})
         preset = solvers.krasnoselskii_mann(
             T=_ingredient(problem, "T"),
             x0=x0,
-            variant=variant,
-            weights=weights or (WeightSchedule(family="window", window=2) if variant == "mean" else None),
-            eta=eta,
-            lam=lam,
-            sigma=_param(params, "sigma", 0.2),
-            theta_tune=_param(params, "theta_tune", 2.0 / 3.0),
+            weights=weights or WeightSchedule(family="window", window=2),  # only mean reads it
+            eta=_eta_from(eta) if kwargs.get("variant") == "inertial" else None,
+            **kwargs,
             **common,
         )
-    else:
-        raise ConfigurationError(f"unknown solver preset {name!r}")
-    if params:
-        raise ConfigurationError(f"unknown {name} params: {', '.join(map(repr, params))}")
     if error_model is not None:
         preset.config.errors = error_model
     return preset, problem
@@ -361,8 +370,7 @@ def _write_trace(path: Path, trace, cert_i=None, cert_ii=None) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    seed = _field(cfg, "", "seed", _integer, 0)
-    out_dir, trace_name, report_name = _outputs_from(cfg)
+    seed, (out_dir, trace_name, report_name), _band = _settings_from(cfg)
     preset, problem = _build_preset(cfg)
     solution, trace = preset.solve()
 
@@ -409,14 +417,12 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
-    _field(cfg, "", "seed", _integer, 0)  # only run reads these; both check them
-    _outputs_from(cfg)
-    horizon = _field(cfg, "", "horizon", _integer, 200)
+    _seed, _outputs, band_params = _settings_from(cfg)  # only run uses seed and outputs
     preset, _problem = _build_preset(cfg)
+    horizon = preset.config.max_iters
     weights_report = validate_weights(preset.config.weights, horizon)
-    band_cfg = _section(cfg, "", "inertial_band")
     # one sweep: the band condition at n reads omega_{n+1}, so it needs two more steps
-    steps = horizon + 2 if band_cfg else horizon
+    steps = horizon if band_params is None else horizon + 2
     plan = _prevalidate(dataclasses.replace(preset.config, max_iters=steps))
     lam_probe = plan.lambdas[:horizon]
     out = {
@@ -431,26 +437,18 @@ def cmd_validate(args) -> int:
         },
         "relaxation": {"min": min(lam_probe), "max": max(lam_probe)},
     }
-    if band_cfg:
-        params = InertialBandParams(
-            eta=_field(band_cfg, "inertial_band", "eta", float),
-            sigma=_field(band_cfg, "inertial_band", "sigma", float),
-            theta_tune=_field(band_cfg, "inertial_band", "theta_tune", float),
-        )
+    if band_params is not None:
         phis = [stack.phi for stack in plan.stacks or [preset.config.stacks] * steps]
         etas = plan.etas if plan.etas is not None else [0.0] * steps
-        band = inertial_band_validate(params, phis, plan.lambdas, etas)
+        band = inertial_band_validate(band_params, phis, plan.lambdas, etas)
         out["inertial_band"] = {
             "ok": band.ok,
             "violated": band.violated,
             "first_violation": band.first_violation,
             "lambda_margin": band.lambda_margin,
         }
-        if not band.ok:
-            print(json.dumps(out, indent=2))
-            return EXIT_CONFIG
     print(json.dumps(out, indent=2))
-    return EXIT_OK if weights_report.ok else EXIT_CONFIG
+    return EXIT_OK if weights_report.ok and (band_params is None or band.ok) else EXIT_CONFIG
 
 
 def cmd_chi(args) -> int:
