@@ -1,9 +1,11 @@
-"""Every span target that perfbench wraps still exists on the package.
+"""Every span target and patched name that perfbench uses still exists on the package.
 
-``perfbench/run.py`` lists its targets as ``Target(span, af.<owner>, attr)``
-calls, and ``Tracer.__enter__`` looks each one up with ``getattr``.  The
-file is parsed, not imported or run, so a deleted or renamed target fails
-here rather than at ``perfbench/run.py --trace 1``.
+``perfbench/run.py`` and ``perfbench/workloads.py`` list their targets as
+``Target(span, owner, attr)`` calls, and ``Tracer.__enter__`` looks each one
+up with ``getattr``.  ``perfbench/workloads.py`` also replaces names on
+``affiter.cli`` with ``mock.patch.object(cli, name, ...)``, which fails on a
+name the module no longer has.  The files are parsed, not imported or run, so
+a deleted or renamed target fails here rather than at ``perfbench/run.py``.
 """
 
 import ast
@@ -14,24 +16,49 @@ import pytest
 
 import affiter
 
-RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def traced_targets():
+def owner_name(node):
+    """``cli`` for the module name ``cli``, ``<name>`` for ``af.<name>``."""
+    if isinstance(node, ast.Name):
+        assert node.id == "cli", ast.unparse(node)
+        return node.id
+    assert isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    assert node.value.id == "af", ast.unparse(node)
+    return node.attr
+
+
+def calls(filename, is_target):
+    tree = ast.parse((PERFBENCH / filename).read_text())
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and is_target(node.func)]
+
+
+def traced_targets(filename):
     targets = []
-    for node in ast.walk(ast.parse(RUN_PY.read_text())):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "Target"):
-            span, owner, attr = node.args[:3]
-            assert isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
-            assert owner.value.id == "af", ast.unparse(owner)
-            targets.append((span.value if isinstance(span, ast.Constant) else ast.unparse(span),
-                            owner.attr, attr.value))
+    for node in calls(filename, lambda f: isinstance(f, ast.Name) and f.id == "Target"):
+        span, owner, attr = node.args[:3]
+        targets.append((span.value if isinstance(span, ast.Constant) else ast.unparse(span),
+                        owner_name(owner), attr.value))
     return targets
 
 
+def patched_names(filename):
+    # mock.patch.object(cli, "<name>", replacement)
+    return [("patch", owner_name(node.args[0]), node.args[1].value)
+            for node in calls(filename, lambda f: ast.unparse(f) == "mock.patch.object")]
+
+
 def test_the_target_list_is_found():
-    assert len(traced_targets()) >= 20
+    assert len(traced_targets("run.py")) >= 20
+
+
+def test_the_workload_targets_and_patches_are_found():
+    workloads = traced_targets("workloads.py") + patched_names("workloads.py")
+    assert {(owner, attr) for _span, owner, attr in workloads} == {
+        ("cli", "_build_preset"), ("cli", "run_certificates"), ("cli", "catalog"),
+        ("SolverPreset", "solve"),
+    }
 
 
 def resolve(owner):
@@ -43,6 +70,12 @@ def resolve(owner):
         return getattr(affiter, owner)
 
 
-@pytest.mark.parametrize("span,owner,attr", traced_targets())
+@pytest.mark.parametrize("span,owner,attr", traced_targets("run.py"))
 def test_target_resolves_on_affiter(span, owner, attr):
+    assert callable(getattr(resolve(owner), attr))
+
+
+@pytest.mark.parametrize("span,owner,attr",
+                         traced_targets("workloads.py") + patched_names("workloads.py"))
+def test_workload_target_resolves_on_affiter(span, owner, attr):
     assert callable(getattr(resolve(owner), attr))
