@@ -22,8 +22,10 @@ after the update, and a finite distance proves every entry of ``x_{n+1}``
 finite; only a run without a reference, or a non-finite distance, tests
 the entries.  The returned trace retains the whole history for post-hoc
 certificate analysis, together with the stacks and the eta_n the loop
-applied: the orbit as packed float64 rows (``space.Rows``) and each
-per-step scalar as an ``array("d")`` column.
+applied: the orbit and each recorder value as packed float64 rows
+(``space.Rows``), each per-step scalar as an ``array("d")`` column, and the
+per-layer error norms as one float64 array.  A step leaves no Python object
+behind in the trace.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -139,12 +141,19 @@ class IterationConfig:
     always the clean one, ``||T_n xbar_n - xbar_n||``, which the perturbed
     pass carries along (``StackApplication.clean``).
     ``stop_residual = 0`` disables the residual stop entirely (useful when a
-    mean point can land on a fixed point without the orbit having settled).
+    mean point can land on a fixed point without the orbit having settled);
+    a negative or NaN value is rejected by the pre-pass.
     ``aux_recorder(n, xbar_n, errors_n)`` runs after each step's pass and
-    its dict goes to ``trace.aux``; ``errors_n`` is what
-    ``errors.errors_for(n)`` returned for that pass (None, or per-layer
-    vectors outermost first), so a recorder reads the errors the step
-    injected without calling the error model again.
+    returns a mapping whose values are vectors of the run's dimension;
+    ``errors_n`` is what ``errors.errors_for(n)`` returned for that pass
+    (None, or per-layer vectors outermost first), so a recorder reads the
+    errors the step injected without calling the error model again.  The
+    keys of the first record fix the columns of ``trace.aux``: the run
+    copies each value into the packed rows of its key, and a later record
+    with other keys, or a value of another shape (a scalar too, which is
+    not broadcast), raises ``ConfigurationError`` naming the key and n.
+    As with ``space.Rows``, a row of ``BLOCK_FLOATS`` floats or more is
+    kept as the array the recorder returned, not copied.
     """
 
     stacks: LayerStack | Callable[[int], LayerStack]
@@ -155,10 +164,53 @@ class IterationConfig:
     max_iters: int = 1000
     stop_residual: float = 1e-10
     reference: Vector | None = None
-    aux_recorder: Callable[[int, Vector, Sequence | None], dict] | None = None
+    aux_recorder: Callable[[int, Vector, Sequence | None], Mapping[str, Vector]] | None = None
 
     def stack_at(self, n: int) -> LayerStack:
         return self.stacks(n) if callable(self.stacks) else self.stacks
+
+
+class AuxRecords(Sequence):
+    """``trace.aux``: one mapping ``{key: 1-D view}`` per step, read from
+    the packed rows (``space.Rows``) of each recorder key.
+
+    ``aux[n]`` (negative ``n`` too) builds the step's mapping, a slice
+    gives a list of them, and iteration, ``len`` and ``reversed`` work as on
+    any sequence.  ``columns`` maps each key to its rows.
+    """
+
+    __slots__ = ("columns", "_n_steps")
+
+    def __init__(self, columns: dict[str, Rows], n_steps: int):
+        self.columns = columns
+        self._n_steps = n_steps
+
+    def __len__(self) -> int:
+        return self._n_steps
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(self._n_steps))]
+        k = i + self._n_steps if i < 0 else i
+        if not 0 <= k < self._n_steps:
+            raise IndexError(f"aux record {i} of {self._n_steps}")
+        return {key: rows[k] for key, rows in self.columns.items()}
+
+
+def _aux_value(key, n: int, value, dim: int) -> Vector:
+    """A recorder value of another type or shape than a float vector of
+    dimension ``dim``, read as one, or a ConfigurationError naming it."""
+    try:
+        v = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != (dim,):
+        got = f"shape {v.shape}" if v is not None else f"{type(value).__name__}"
+        raise ConfigurationError(
+            f"aux_recorder value {key!r} at n={n} must be a vector of dimension {dim}, "
+            f"got {got}"
+        )
+    return v
 
 
 @dataclass
@@ -171,10 +223,17 @@ class RunTrace:
     With memoryless weights (rows of one point) ``xbars`` is
     ``points.head(n_steps)``, the same memory.  ``lambdas``, ``phis``,
     ``residuals``, ``thetas`` and ``dist_to_ref`` are ``array("d")``
-    columns of length ``n_steps``; ``error_norms`` holds one tuple per
-    step and ``aux`` one recorder dict per step.  ``stacks`` is the
-    single LayerStack of the config, or the pre-pass's list of per-step
-    stacks; read it through ``stack_at(n)``.  ``etas`` holds the pre-pass's
+    columns of length ``n_steps``.  ``error_norms`` is an ``(n_steps, m)``
+    float64 array of the per-layer norms ``||e_{i,n}||``, outermost layer
+    first; a run whose model is the base ``ErrorModel`` keeps no per-step
+    norm or theta: its ``error_norms`` is a read-only ``np.broadcast_to``
+    of one zero row and its ``thetas`` the zeros ``lambda_n * 0.0`` gives
+    (``m`` is 0 for a zero-step run whose stacks come from a provider, as
+    no stack was built).  ``aux`` is None without a recorder, else an
+    ``AuxRecords``: one mapping of 1-D views into the recorder's packed
+    columns per step.  ``stacks`` is the single LayerStack of the config,
+    or the pre-pass's list of per-step stacks; read it through
+    ``stack_at(n)``.  ``etas`` holds the pre-pass's
     eta_n of inertial rows (``schedules.eta_values``, one per
     ``n < max_iters``), None for the other families.  With a reference set,
     ``dist_to_ref`` holds ``norm(x_n - reference)`` for each step ``n``
@@ -190,10 +249,10 @@ class RunTrace:
     phis: array
     residuals: array
     thetas: array
-    error_norms: list[tuple[float, ...]]
+    error_norms: np.ndarray
     etas: array | None = None
     dist_to_ref: array | None = None
-    aux: list[dict] | None = None
+    aux: AuxRecords | None = None
     stop_reason: str = ""
     flags: list[str] = field(default_factory=list)
     peak_orbit_points: int = 0  # orbit points the xbar_n kernel held at most
@@ -249,8 +308,13 @@ def _prevalidate(config: IterationConfig) -> RunPlan:
     Calls a stack provider and the relaxation schedule once per n (the
     schedule only once, at n = 0, when neither its value nor the stack
     depends on n), checks that the error model reaches no layer below the
-    stack, and raises the first violated bound with its n.
+    stack and that ``stop_residual`` is not negative or NaN, and raises the
+    first violated bound with its n.
     """
+    if not config.stop_residual >= 0.0:
+        raise ConfigurationError(
+            f"stop_residual must be >= 0 (0 disables the stop), got {config.stop_residual}"
+        )
     etas = eta_values(config.weights, config.max_iters)
     steps = range(config.max_iters)
     if not callable(config.stacks):
@@ -314,18 +378,17 @@ def run(config: IterationConfig) -> RunTrace:
     points.append(x)
     memoryless = config.weights.support_bound == 1  # every row is x_n alone
     xbars = None if memoryless else Rows(x.size, horizon)
-    residuals, thetas, error_norms = array("d"), array("d"), []
-    dists = aux = reference = None
+    residuals, thetas, norms = array("d"), array("d"), array("d")
+    dists = reference = None
     if config.reference is not None:
         reference = as_vector(config.reference, dim=x.size)
         dists = array("d")
     recorder = config.aux_recorder
-    if recorder is not None:
-        aux = []
+    columns = keep_columns = None  # the recorder's rows, opened at its first record
+    shape = x.shape
     # bound once: the loop calls each of them once per step
     new_point, add = points.new_row, np.add
-    keep_residual, keep_theta = residuals.append, thetas.append
-    keep_norms = error_norms.append
+    keep_residual, keep_theta, keep_norms = residuals.append, thetas.append, norms.extend
     keep_dist = None if dists is None else dists.append
 
     stack = config.stacks  # the one LayerStack, unless the plan has one per n
@@ -373,13 +436,27 @@ def run(config: IterationConfig) -> RunTrace:
                 )
 
             keep_residual(residual)
-            keep_norms(noisy.error_norms)
-            keep_theta(lam * noisy.aggregate_error)
+            if errors_for is not None:
+                keep_norms(noisy.error_norms)
+                keep_theta(lam * noisy.aggregate_error)
             if reference is not None:
                 keep_dist(norm(x - reference) if d_ref is None else d_ref)
                 d_ref = d_next
             if recorder is not None:
-                aux.append(recorder(n, xbar, errors_n))
+                record = recorder(n, xbar, errors_n)
+                if columns is None:
+                    columns = {key: Rows(x.size, horizon) for key in record}
+                    keep_columns = [(key, rows.append) for key, rows in columns.items()]
+                elif record.keys() != columns.keys():
+                    raise ConfigurationError(
+                        f"aux_recorder keys at n={n} are {list(record)}, "
+                        f"not the first record's {list(columns)}"
+                    )
+                for key, keep in keep_columns:
+                    value = record[key]
+                    if type(value) is not np.ndarray or value.shape != shape:
+                        value = _aux_value(key, n, value, x.size)
+                    keep(value)
 
             x = x_next
 
@@ -391,9 +468,17 @@ def run(config: IterationConfig) -> RunTrace:
     if per_step is None:
         phis = array("d", [stack.phi]) * n_steps
         stacks = config.stacks
+        m = stacks.m
     else:
         stacks = per_step
         phis = array("d", [s.phi for s in per_step[:n_steps]])
+        m = per_step[0].m if per_step else 0
+    if errors_for is None:
+        # lambda_n * 0.0 is +0.0 for every lambda_n > 0
+        thetas = array("d", [0.0]) * n_steps
+        error_norms = np.broadcast_to(np.zeros(m), (n_steps, m))
+    else:
+        error_norms = np.frombuffer(norms, dtype=np.float64).reshape(n_steps, m)
     return RunTrace(
         config=config,
         stacks=stacks,
@@ -406,7 +491,7 @@ def run(config: IterationConfig) -> RunTrace:
         thetas=thetas,
         error_norms=error_norms,
         dist_to_ref=dists,
-        aux=aux,
+        aux=None if recorder is None else AuxRecords(columns or {}, n_steps),
         stop_reason=stop_reason,
         flags=[str(w.message) for w in caught],
         peak_orbit_points=min(config.weights.support_bound or 1, len(points)),

@@ -21,11 +21,16 @@ from .errors import ConfigurationError, NumericalDivergence
 Vector = np.ndarray
 
 def as_vector(x, dim: int | None = None) -> Vector:
-    """Coerce ``x`` to a finite float64 1-D array; scalars become length 1."""
-    v = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if v.ndim != 1 or v.size < 1:
-        raise ConfigurationError(f"expected a 1-D point, got shape {np.shape(x)}")
-    if not np.all(np.isfinite(v)):
+    """Coerce ``x`` to a finite float64 1-D array; scalars become length 1.
+
+    A 1-D float64 ndarray comes back as the same object.
+    """
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    elif v.ndim != 1 or not v.size:
+        raise ConfigurationError(f"expected a 1-D point, got shape {v.shape}")
+    if not all_finite(v):
         raise ConfigurationError("point has non-finite coordinates")
     if dim is not None and v.size != dim:
         raise ConfigurationError(f"expected dimension {dim}, got {v.size}")
