@@ -176,13 +176,13 @@ class AuxRecords(Sequence):
 
     ``aux[n]`` (negative ``n`` too) builds the step's mapping, a slice
     gives a list of them, and iteration, ``len`` and ``reversed`` work as on
-    any sequence.  ``columns`` maps each key to its rows.
+    any sequence.
     """
 
-    __slots__ = ("columns", "_n_steps")
+    __slots__ = ("_columns", "_n_steps")
 
     def __init__(self, columns: dict[str, Rows], n_steps: int):
-        self.columns = columns
+        self._columns = columns
         self._n_steps = n_steps
 
     def __len__(self) -> int:
@@ -194,7 +194,7 @@ class AuxRecords(Sequence):
         k = i + self._n_steps if i < 0 else i
         if not 0 <= k < self._n_steps:
             raise IndexError(f"aux record {i} of {self._n_steps}")
-        return {key: rows[k] for key, rows in self.columns.items()}
+        return {key: rows[k] for key, rows in self._columns.items()}
 
 
 def _aux_value(key, n: int, value, dim: int) -> Vector:
@@ -205,7 +205,7 @@ def _aux_value(key, n: int, value, dim: int) -> Vector:
     except (TypeError, ValueError):
         v = None
     if v is None or v.shape != (dim,):
-        got = f"shape {v.shape}" if v is not None else f"{type(value).__name__}"
+        got = f"shape {v.shape}" if v is not None else type(value).__name__
         raise ConfigurationError(
             f"aux_recorder value {key!r} at n={n} must be a vector of dimension {dim}, "
             f"got {got}"

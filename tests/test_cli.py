@@ -227,6 +227,19 @@ class TestRunCommand:
         assert capsys.readouterr().err == "configuration error: unknown l1_quadratic params: 'b'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_negative_or_nan_stop_residual_exits_3(self, tmp_path, monkeypatch, capsys,
+                                                     command, value):
+        # json reads NaN; either value used to turn the residual stop off
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, fb_config(tmp_path, stop_residual=value)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: stop_residual must be >= 0 "
+                                f"(0 disables the stop), got {value}\n")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_unknown_solver_param_exits_3_naming_it(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = fb_config(tmp_path, solver={

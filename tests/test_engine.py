@@ -19,6 +19,7 @@ from affiter import (
     GeometricError,
     InvalidScheduleError,
     IterationConfig,
+    MonotoneMap,
     NumericalDivergence,
     SequenceError,
     affine_combine,
@@ -334,6 +335,11 @@ def fb_preset(dim, max_iters, variant):
     )
 
 
+def linear_monotone(a):
+    """``B x = x - a``, with its resolvent ``(x + g a) / (1 + g)``."""
+    return MonotoneMap(name="x - a", resolvent=lambda g, x: (x + g * a) / (1.0 + g))
+
+
 def traced_solve(preset):
     """``preset.solve()``'s trace, and the bytes it retained and its peak, by tracemalloc."""
     gc.collect()
@@ -362,6 +368,20 @@ class TestTracePacking:
             assert isinstance(column, array) and column.typecode == "d"
             assert len(column) == steps
         assert retained <= 100 * steps
+
+    def test_a_peaceman_rachford_step_with_errors_retains_at_most_160_bytes(self):
+        # x_{n+1}, xbar_n, y_n, z_n (16 B each), five scalars and two error norms;
+        # a record dict of two fresh ndarrays and a tuple of norms took about 630 B
+        steps, a = 2000, vec(1.0, -2.0)
+        preset = peaceman_rachford(
+            l1_subdifferential(), linear_monotone(a), gamma=1.0, weights=window(2),
+            x0=vec(3.0, 1.0), b_errors=lambda n: 0.9**n * vec(0.3, -0.1),
+            max_iters=steps, stop_residual=0.0, reference=vec(0.0, 0.0),
+        )
+        trace, retained, _peak = traced_solve(preset)
+        assert trace.n_steps == steps
+        assert trace.error_norms.shape == (steps, 2) and trace.error_norms.dtype == np.float64
+        assert retained <= 160 * steps
 
     def test_a_long_orbit_is_kept_once(self):
         # rows of 2**16 floats or more are kept as the arrays the run made
@@ -486,6 +506,165 @@ class TestPlan:
                 assert xbar.tobytes() == trace.points[n].tobytes()
             else:
                 assert xbar.tobytes() == affine_combine(weights.row(n), trace.points).tobytes()
+
+
+def recorder_config(record, max_iters=6, **kw):
+    """A window(2) run in the plane with ``aux_recorder=record``."""
+    return IterationConfig(
+        stacks=NEG_ID2, weights=window(2), relaxation=constant_relaxation(1.0),
+        x0=vec(1.0, 0.5), max_iters=max_iters, stop_residual=0.0, aux_recorder=record, **kw,
+    )
+
+
+class TestAuxColumns:
+    """``trace.aux`` reads the recorder's values back from packed rows."""
+
+    def test_aux_is_a_sequence_of_step_mappings(self):
+        trace = run(recorder_config(lambda n, xbar, _e: {"xbar": xbar, "n": np.full(2, n)}))
+        aux = trace.aux
+        assert len(aux) == trace.n_steps == 6
+        for n, record in enumerate(aux):
+            assert list(record) == ["xbar", "n"]
+            assert record["xbar"].tobytes() == trace.xbars[n].tobytes()
+            assert record["n"].tolist() == [n, n]
+            assert record["xbar"].ndim == 1 and record["xbar"].dtype == np.float64
+        assert aux[-1]["n"].tolist() == [5.0, 5.0] and aux[-6]["n"].tolist() == [0.0, 0.0]
+        assert [r["n"][0] for r in aux[1:5:2]] == [1.0, 3.0]
+        assert [r["n"][0] for r in reversed(aux)] == [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+        assert aux[::-1][0]["n"][0] == 5.0 and aux[7:] == []
+        for bad in (6, -7):
+            with pytest.raises(IndexError):
+                aux[bad]
+
+    def test_values_are_copied(self):
+        buffer = np.zeros(2)
+
+        def record(n, _xbar, _e):
+            buffer[:] = n  # one array, rewritten at every step
+            return {"n": buffer}
+
+        trace = run(recorder_config(record))
+        assert [r["n"][0] for r in trace.aux] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_a_list_value_is_read_as_a_vector(self):
+        trace = run(recorder_config(lambda n, _xbar, _e: {"v": [n, -n]}))
+        assert trace.aux[3]["v"].tolist() == [3.0, -3.0]
+
+    def test_a_zero_step_run_has_an_empty_aux(self):
+        calls = []
+        trace = run(recorder_config(lambda n, xbar, _e: calls.append(n) or {"v": xbar},
+                                    max_iters=0))
+        assert calls == [] and trace.n_steps == 0
+        assert len(trace.aux) == 0 and list(trace.aux) == [] and trace.aux[:] == []
+        assert not trace.aux  # perfbench reads ``trace.aux or ()``
+        with pytest.raises(IndexError):
+            trace.aux[-1]
+
+    def test_no_recorder_no_aux(self):
+        assert run(recorder_config(None)).aux is None
+
+    @pytest.mark.parametrize("value,got", [
+        (1.0, "shape ()"),
+        (np.float64(1.0), "shape ()"),
+        (np.array(1.0), "shape ()"),
+        (np.zeros((1, 2)), "shape (1, 2)"),
+        (np.zeros(3), "shape (3,)"),
+        ([1.0], "shape (1,)"),
+        (None, "shape ()"),
+        ("ab", "str"),
+    ], ids=["float", "float64", "0-d", "1x2", "3", "list", "None", "str"])
+    def test_a_value_of_another_shape_raises_naming_its_key_and_n(self, value, got):
+        # a scalar is not broadcast into the row
+        def record(n, xbar, _e):
+            return {"y": xbar, "bad": xbar if n < 3 else value}
+
+        with pytest.raises(ConfigurationError) as info:
+            run(recorder_config(record))
+        assert str(info.value) == (
+            f"aux_recorder value 'bad' at n=3 must be a vector of dimension 2, got {got}"
+        )
+
+    def test_a_first_value_of_another_shape_raises(self):
+        with pytest.raises(ConfigurationError, match="'v' at n=0 .* got shape \\(\\)"):
+            run(recorder_config(lambda n, _xbar, _e: {"v": 0.0}))
+
+    @pytest.mark.parametrize("keys", [("y",), ("y", "z", "w"), ("y", "w")])
+    def test_the_first_record_fixes_the_keys(self, keys):
+        def record(n, xbar, _e):
+            return dict.fromkeys(("y", "z") if n < 2 else keys, xbar)
+
+        with pytest.raises(ConfigurationError) as info:
+            run(recorder_config(record))
+        assert str(info.value) == (
+            f"aux_recorder keys at n=2 are {list(keys)}, not the first record's ['y', 'z']"
+        )
+
+
+class TestErrorColumns:
+    """``error_norms`` is one float64 array; an error-free run keeps no norm or theta."""
+
+    def config(self, errors=None, **kw):
+        stack = compose([prox_l1(0.5), gradient_step(0.7, lambda x: x - 2.0, beta=1.0)])
+        args = dict(stacks=stack, weights=window(2), x0=vec(3.0, -1.0), max_iters=9,
+                    stop_residual=0.0, relaxation=constant_relaxation(lambda n: 0.5 + 0.05 * n))
+        if errors is not None:
+            args["errors"] = errors
+        return IterationConfig(**(args | kw))
+
+    def test_error_free_norms_and_thetas_are_zeros(self):
+        trace = run(self.config())
+        assert trace.error_norms.shape == (9, 2) and trace.error_norms.dtype == np.float64
+        assert not trace.error_norms.flags.writeable
+        assert not trace.error_norms.any()
+        expected = array("d", [lam * 0.0 for lam in trace.lambdas])
+        assert isinstance(trace.thetas, array) and trace.thetas.typecode == "d"
+        assert trace.thetas.tobytes() == expected.tobytes()
+
+    def test_norms_are_the_stack_passes_per_layer_norms(self):
+        errors = SequenceError([lambda n: vec(0.1 * n, 0.0), lambda n: vec(0.0, 0.5**n)])
+        trace = run(self.config(errors))
+        rows = [apply_stack(trace.stack_at(n), xbar, errors.errors_for(n)).error_norms
+                for n, xbar in enumerate(trace.xbars)]
+        assert trace.error_norms.shape == (9, 2) and trace.error_norms.dtype == np.float64
+        assert trace.error_norms.tobytes() == np.array(rows).tobytes()
+        assert trace.thetas.tolist() == [
+            lam * sum(row) for lam, row in zip(trace.lambdas, rows)]
+
+    def test_a_model_whose_step_has_no_error_keeps_zero_rows(self):
+        trace = run(self.config(SequenceError([lambda n: vec(1.0, 1.0) if n == 2 else None])))
+        assert trace.error_norms[:, 1].tolist() == [0.0] * 9
+        assert trace.error_norms[:, 0].tolist() == [0.0, 0.0, math.sqrt(2.0)] + [0.0] * 6
+
+    @pytest.mark.parametrize("errors", [None, GeometricError(0.5, vec(1.0, 1.0))])
+    def test_zero_step_runs(self, errors):
+        fixed = run(self.config(errors, max_iters=0))
+        provided = run(self.config(errors, max_iters=0, stacks=lambda n: fixed.stacks))
+        assert fixed.error_norms.shape == (0, 2) and provided.error_norms.shape == (0, 0)
+        assert len(fixed.thetas) == len(provided.thetas) == 0
+
+
+class TestStopResidual:
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf, -0.5e-300])
+    def test_a_negative_or_nan_stop_residual_is_rejected_before_any_layer_call(self, value):
+        calls = []
+        op = AveragedOperator(fn=lambda x: calls.append(1) or 0.5 * x, alpha=0.5)
+        cfg = IterationConfig(
+            stacks=compose([op]), weights=memoryless(), relaxation=constant_relaxation(1.0),
+            x0=vec(1.0), max_iters=5, stop_residual=value,
+        )
+        with pytest.raises(ConfigurationError) as info:
+            run(cfg)
+        assert str(info.value) == f"stop_residual must be >= 0 (0 disables the stop), got {value}"
+        assert calls == []
+
+    @pytest.mark.parametrize("value,steps", [(0.0, 40), (-0.0, 40), (1e-3, 10), (math.inf, 1)])
+    def test_zero_or_a_positive_value_is_accepted(self, value, steps):
+        cfg = IterationConfig(
+            stacks=compose([linear_operator(0.5 * np.eye(1), alpha=0.75)]),
+            weights=memoryless(), relaxation=constant_relaxation(1.0), x0=vec(1.0),
+            max_iters=40, stop_residual=value,
+        )
+        assert run(cfg).n_steps == steps
 
 
 class TestResidualModes:

@@ -6,12 +6,15 @@ up with ``getattr``.  ``perfbench/workloads.py`` also replaces names on
 ``affiter.cli`` with ``mock.patch.object(cli, name, ...)``, which fails on a
 name the module no longer has.  The files are parsed, not imported or run, so
 a deleted or renamed target fails here rather than at ``perfbench/run.py``.
+The traced mode's trace meter reads a solved trace; the last test reads one
+the same way.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import affiter
@@ -79,3 +82,22 @@ def test_target_resolves_on_affiter(span, owner, attr):
                          traced_targets("workloads.py") + patched_names("workloads.py"))
 def test_workload_target_resolves_on_affiter(span, owner, attr):
     assert callable(getattr(resolve(owner), attr))
+
+
+def test_a_peaceman_rachford_trace_reads_as_the_trace_meter_reads_it():
+    # perfbench/run.py's _trace_meter: the orbit rows, then each aux record's arrays
+    prob = affiter.catalog("l1_quadratic", a=[1.0, -2.0])
+    steps, dim = 40, 2
+    _y, trace = affiter.peaceman_rachford(
+        prob.ingredients["A"], prob.ingredients["B"], gamma=1.0, weights=affiter.window(2),
+        x0=np.array([0.3, 0.1]), b_errors=lambda n: 0.5**n * np.ones(dim),
+        max_iters=steps, stop_residual=0.0,
+    ).solve()
+    assert trace.n_steps == steps
+    arrays = list(trace.points) + list(trace.xbars)
+    for record in trace.aux or ():
+        arrays.extend(v for v in record.values() if isinstance(v, np.ndarray))
+    # x_0 .. x_N, xbar_0 .. xbar_{N-1}, and y_n, z_n of each step
+    assert len(arrays) == (steps + 1) + steps + 2 * steps
+    assert sum(a.nbytes for a in arrays) == 8 * dim * len(arrays)
+    assert trace.peak_orbit_points == 2

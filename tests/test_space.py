@@ -85,13 +85,64 @@ class TestAsVector:
         v = as_vector(2.5)
         assert v.shape == (1,) and v.dtype == np.float64
 
+    @pytest.mark.parametrize("scalar", [2.5, 2, np.float64(2.5), np.array(2.5), np.int32(2)])
+    def test_every_kind_of_scalar_becomes_length_one(self, scalar):
+        v = as_vector(scalar)
+        assert v.shape == (1,) and v.dtype == np.float64
+        assert v[0] == float(scalar)
+        assert as_vector(scalar, dim=1).tolist() == v.tolist()
+
+    def test_a_float64_vector_comes_back_as_the_same_object(self):
+        x = vec(1.0, -2.0, 3.0)
+        assert as_vector(x) is x and as_vector(x, dim=3) is x
+        strided = np.arange(6.0)[::2]
+        assert as_vector(strided) is strided
+
+    @pytest.mark.parametrize("value", [[1, 2], (1.0, 2.0), np.array([1, 2], dtype=np.int64),
+                                       np.array([1.0, 2.0], dtype=np.float32)])
+    def test_other_vectors_are_read_as_float64(self, value):
+        v = as_vector(value)
+        assert v.dtype == np.float64 and v.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("value,shape", [
+        ([[1.0, 2.0], [3.0, 4.0]], "(2, 2)"),
+        (np.zeros((1, 3)), "(1, 3)"),
+        (np.zeros((0, 3)), "(0, 3)"),
+        ([], "(0,)"),
+        (np.zeros(0), "(0,)"),
+    ])
+    def test_a_2d_or_empty_input_is_rejected(self, value, shape):
+        with pytest.raises(ConfigurationError) as info:
+            as_vector(value)
+        assert str(info.value) == f"expected a 1-D point, got shape {shape}"
+
     def test_rejects_nan(self):
         with pytest.raises(ConfigurationError):
             as_vector([1.0, float("nan")])
 
+    @pytest.mark.parametrize("value", [[1.0, float("nan")], [float("inf"), 0.0],
+                                       -math.inf, [np.nan]])
+    def test_non_finite_entries_keep_their_message(self, value):
+        with pytest.raises(ConfigurationError) as info:
+            as_vector(value)
+        assert str(info.value) == "point has non-finite coordinates"
+
+    def test_finite_entries_whose_squares_overflow_pass(self):
+        assert as_vector([1e200, -1e300]).tolist() == [1e200, -1e300]
+
     def test_dim_check(self):
         with pytest.raises(ConfigurationError):
             as_vector([1.0, 2.0], dim=3)
+
+    @pytest.mark.parametrize("value,dim,size", [([1.0, 2.0], 3, 2), (2.5, 2, 1)])
+    def test_a_dim_mismatch_keeps_its_message(self, value, dim, size):
+        with pytest.raises(ConfigurationError) as info:
+            as_vector(value, dim=dim)
+        assert str(info.value) == f"expected dimension {dim}, got {size}"
+
+    def test_a_non_finite_point_is_reported_before_its_dimension(self):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            as_vector([math.nan, 1.0], dim=3)
 
 
 class TestRows:
