@@ -23,9 +23,10 @@ negative weights allowed (the identity for affine combinations).  So (ii)
 and (iii) read ``xbar_n`` from ``trace.xbars`` and cost O(d) per step
 (plus the stack tails for (iii)).  The distances ``||xbar_n - x*||`` of
 the steps whose ``xbar_n`` is not ``x_n`` (inertial, window and cesaro
-traces) are taken in batches, one per packed block of ``trace.xbars``
-(``space.Rows``, at most ``space.BLOCK_FLOATS`` floats), so the transient
-is O(block), not O(N d), and the squared norms are one stacked
+traces) are taken per packed block of ``trace.xbars`` (``space.Rows``)
+by ``space.row_distances``, the kernel the run fills ``trace.dist_to_ref``
+with: a few rows at a time through a small scratch, so the transient is
+O(block), not O(N d), and the squared norms are one stacked
 ``np.matmul``, which calls the same ``ddot`` as ``x.dot(x)`` and matches
 it bit for bit (``einsum`` and ``(D * D).sum(1)`` reduce in other orders
 and do not).  Certificate (i) builds no weight row:
@@ -48,7 +49,7 @@ from .engine import RunTrace
 from .errors import ConfigurationError, InvalidReferenceError
 from .operators import apply_stack, tail_apply
 from .schedules import abs_weighted_sums
-from .space import Vector, as_vector, norm
+from .space import Vector, as_vector, norm, row_distances
 
 DEFAULT_CERT_TOL = 1e-9
 
@@ -108,36 +109,22 @@ def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
                 )
 
 
-def _row_squares(rows: np.ndarray) -> np.ndarray:
-    """``[r.dot(r) for r in rows]`` of a 2-D float64 array, bit for bit.
-
-    One stacked ``matmul`` of ``(1, d)`` by ``(d, 1)`` per row calls the same
-    ``ddot`` as ``x.dot(x)``; ``einsum`` and ``(rows * rows).sum(1)`` reduce
-    in other orders, so their last bits can differ.
-    """
-    return np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
-
-
 def _xbar_dists(trace: RunTrace, ns: np.ndarray, dists: np.ndarray, x_ref: Vector) -> np.ndarray:
     """``||xbar_n - x*||`` for each ``n`` in ``ns`` (sorted, distinct), bit for
     bit ``norm(xbar_n - x*)``: ``dists[n]`` where ``xbar_n`` is ``x_n`` (rows
-    of one point, or an inertial row with ``eta_n = 0``), else one
-    ``_row_squares`` per packed block of ``trace.xbars`` (``space.Rows``),
-    over the rows it holds of ``ns``; ``np.sqrt`` is IEEE's, as
-    ``math.sqrt`` is."""
+    of one point, or an inertial row with ``eta_n = 0``), else
+    ``space.row_distances`` over the rows of ``ns`` in each packed block of
+    ``trace.xbars`` (``space.Rows.distances`` when ``ns`` is every n)."""
     out = dists[ns]
     if trace.config.weights.support_bound == 1:
         return out
-    every = ns.size == trace.n_steps  # ns is 0 .. N-1
-    for start, rows in trace.xbars.blocks():
-        if every:
-            at, diff = slice(start, start + len(rows)), rows - x_ref
-        else:
+    if ns.size == trace.n_steps:  # ns is 0 .. N-1
+        trace.xbars.distances(x_ref, out)
+    else:
+        for start, rows in trace.xbars.blocks():
             lo, hi = np.searchsorted(ns, (start, start + len(rows)))
-            if lo == hi:
-                continue
-            at, diff = slice(lo, hi), rows[ns[lo:hi] - start] - x_ref
-        out[at] = np.sqrt(_row_squares(diff))
+            if lo < hi:
+                row_distances(rows[ns[lo:hi] - start], x_ref, out[lo:hi])
     if trace.etas is not None:
         kept = np.frombuffer(trace.etas)[ns] == 0.0
         out[kept] = dists[ns[kept]]
@@ -170,9 +157,9 @@ def run_certificates(
     start from ``||xbar_n - x*||^2``, with ``xbar_n`` read from
     ``trace.xbars`` (the point the run fed to the stack), so they cost O(d)
     per step.  Where ``xbar_n`` is not ``x_n`` those distances are batched
-    (``_xbar_dists``): one ``matmul`` of stacked ``(1, d) @ (d, 1)`` per
-    packed block of ``trace.xbars``, bit for bit
-    ``norm``'s ``x.dot(x)``; ``einsum`` would not be.  The rest of (ii) is
+    (``_xbar_dists``): stacked ``(1, d) @ (d, 1)`` ``matmul`` calls over
+    each packed block of ``trace.xbars`` (``space.row_distances``), bit for
+    bit ``norm``'s ``x.dot(x)``; ``einsum`` would not be.  The rest of (ii) is
     Python floats, since numpy's squares differ from ``x**2`` in the last
     bit.  Stacks are read from the trace (``RunTrace.stack_at``), never
     from a stack provider.  Certificate (iii) also evaluates the stack tails

@@ -342,6 +342,62 @@ def _prevalidate(config: IterationConfig) -> RunPlan:
     return RunPlan(lambdas, stacks, etas)
 
 
+#: An error-free step whose residual r_n is finite and has ``lambda_n * r_n``
+#: below this bound yields a finite x_{n+1} = xbar_n + lambda_n * step, with
+#: no test of its entries.  A finite r_n = sqrt(sum_i step_i^2) makes every
+#: step_i and xbar_i finite (an infinite or NaN entry of either makes r_n
+#: infinite or NaN), and |step_i| <= r_n: a sum of nonnegative terms is
+#: rounded monotonically, and sqrt(fl(s^2)) == |s| when s^2 does not
+#: underflow (where it does, |step_i| < 2^-511, and lambda_n < 2^1024 keeps
+#: the addend below 2^513).  Rounding is monotone, so the addend
+#: fl(lambda_n * step_i) is at most fl(lambda_n * r_n) < 2^968 in magnitude.
+#: The exact sum xbar_i + addend is then below DBL_MAX + 2^968, and a sum
+#: rounds to infinity only from DBL_MAX + 2^970, half an ulp of DBL_MAX.
+FINITE_ADDEND = 2.0**968
+
+
+def _divergence(n: int, xbar: Vector, x: Vector, names_row: bool) -> NumericalDivergence:
+    """The error for a non-finite ``x_{n+1}``: it names row ``n`` when the
+    weight kernel formed a non-finite ``xbar_n`` (window and inertial rows;
+    cesaro's kernel never named one)."""
+    if names_row and xbar is not x and not all_finite(xbar):
+        return NumericalDivergence(f"affine combination at row {n} is non-finite", iteration=n)
+    return NumericalDivergence(f"iterate became non-finite at iteration {n}", iteration=n)
+
+
+def _distances(points: Rows, n_steps: int, reference: Vector, caught: list, marks: list) -> array:
+    """``trace.dist_to_ref``: ``norm(x_n - reference)`` for ``n < n_steps``,
+    bit for bit, in one blocked pass (``space.Rows.distances``).
+
+    Called inside the run's ``catch_warnings`` block.  ``marks`` holds
+    ``(n, len(caught))`` from each step after which the warning count
+    changed, taken where a step measured its distance before this pass
+    existed.  A distance that overflows is the only one that warns (the
+    points and the reference are finite), and its warning names ``matmul``
+    where ``norm`` names ``dot``: so when the pass warns, its warnings are
+    dropped, the non-finite rows are measured again with ``norm``, and
+    their warnings go where a measurement at step ``n`` put them.
+    """
+    dists = array("d", [0.0]) * n_steps
+    column = np.ndarray(n_steps, np.float64, dists)  # a view, as np.frombuffer but lighter
+    before = len(caught)
+    points.distances(reference, column)
+    if len(caught) == before:
+        return dists
+    del caught[before:]
+    spliced, done, at, k = [], 0, 0, 0
+    for n in np.flatnonzero(~np.isfinite(column)).tolist():
+        while k < len(marks) and marks[k][0] <= n:
+            at = marks[k][1]
+            k += 1
+        dists[n] = norm(points[n] - reference)
+        spliced += caught[done:at] + caught[before:]
+        del caught[before:]
+        done = at
+    caught[:before] = spliced + caught[done:before]
+    return dists
+
+
 def run(config: IterationConfig) -> RunTrace:
     """Iterate until the clean residual drops below ``stop_residual`` or
     ``max_iters`` is reached; returns the full trace.
@@ -359,16 +415,23 @@ def run(config: IterationConfig) -> RunTrace:
     plain recursion
     ``x <- x + lambda (T_1(...T_m x + e_m ...) + e_1 - x)`` (same
     floating-point operation order; at ``lambda_n == 1`` the update is
-    ``x + step``, which equals ``x + 1.0 * step`` bit for bit).
+    ``x + step``, which equals ``x + 1.0 * step`` bit for bit).  A step
+    whose ``errors_for(n)`` is None calls the stack's layer ``fn``s itself,
+    innermost first; ``apply_stack`` serves the steps with errors.
 
     A non-finite ``x_{n+1}`` raises ``NumericalDivergence`` at step ``n``.
-    With a reference set, ``norm(x_{n+1} - reference)`` is that check: it is
-    computed right after the update, kept for ``trace.dist_to_ref[n + 1]``,
-    and ``all_finite`` runs only when it is not finite (a finite iterate
-    whose distance overflows does not raise).  Such a distance is measured
-    again at step ``n + 1`` and the warnings of the first attempt are
-    dropped, so ``trace.flags`` keeps the order of a run that measures each
-    distance at its own step.
+    A step without errors whose residual ``r_n`` is finite and has
+    ``lambda_n * r_n < FINITE_ADDEND`` (2^968) needs no test: its
+    ``x_{n+1}`` is finite (the proof is at ``FINITE_ADDEND``).  Every other
+    step tests the entries of ``x_{n+1}``.  The window and inertial kernels
+    do not test ``xbar_n``: a non-finite ``xbar_n`` makes ``r_n``, and so
+    ``x_{n+1}``, non-finite, and the run then raises "affine combination at
+    row n is non-finite" at the same n, after the layers have seen that
+    ``xbar_n`` once.  With a reference set, ``trace.dist_to_ref`` is filled
+    after the loop (``_distances``), bit for bit ``norm(x_n - reference)``;
+    a finite iterate whose distance overflows does not raise, and
+    ``trace.flags`` keeps the order of a run that measures each distance at
+    its own step.
     """
     plan = _prevalidate(config)
     x = as_vector(config.x0)
@@ -379,28 +442,33 @@ def run(config: IterationConfig) -> RunTrace:
     memoryless = config.weights.support_bound == 1  # every row is x_n alone
     xbars = None if memoryless else Rows(x.size, horizon)
     residuals, thetas, norms = array("d"), array("d"), array("d")
-    dists = reference = None
+    reference = marks = None
     if config.reference is not None:
         reference = as_vector(config.reference, dim=x.size)
-        dists = array("d")
+        marks = []  # (n, len(caught)) after each step that changed the count
     recorder = config.aux_recorder
     columns = keep_columns = None  # the recorder's rows, opened at its first record
     shape = x.shape
     # bound once: the loop calls each of them once per step
     new_point, add = points.new_row, np.add
     keep_residual, keep_theta, keep_norms = residuals.append, thetas.append, norms.extend
-    keep_dist = None if dists is None else dists.append
 
     stack = config.stacks  # the one LayerStack, unless the plan has one per n
     per_step = plan.stacks
+    if per_step is None:
+        m, fns = stack.m, [op.fn for op in reversed(stack.layers)]
+    else:
+        m, fns = (per_step[0].m if per_step else 0), None
+    no_error = (0.0,) * m
     lambdas = plan.lambdas
     xbar_at = None if memoryless else orbit_mean(config.weights, plan.etas, xbars.new_row)
+    names_row = config.weights.family in ("window", "inertial")
     errors_for = config.errors.errors_for
     if type(config.errors).errors_for is ErrorModel.errors_for:
         errors_for = None  # the error-free model: no call per step
     stop_residual = config.stop_residual
     stop_reason = "max_iters"
-    d_ref = None  # norm(x_n - reference) when the step before measured it finite
+    marked = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for n in range(horizon):
@@ -410,38 +478,40 @@ def run(config: IterationConfig) -> RunTrace:
                 xbar = xbar_at(n, x)
                 if xbar is x:  # row n is x_n alone; the kernel wrote no row
                     xbars.append(x)
-            if per_step is not None:
+            if per_step is not None and per_step[n] is not stack:
                 stack = per_step[n]
+                fns = [op.fn for op in reversed(stack.layers)]
             lam = lambdas[n]
 
             errors_n = None if errors_for is None else errors_for(n)
-            noisy = apply_stack(stack, xbar, errors_n)
-            step = noisy.value - xbar
-            # the clean residual; without errors the clean pass is the step's own
-            residual = norm(step) if errors_n is None else norm(noisy.clean - xbar)
+            if errors_n is None:
+                value = xbar
+                for fn in fns:
+                    value = fn(value)
+                step = value - xbar
+                residual = norm(step)  # the clean pass is the step's own
+            else:
+                noisy = apply_stack(stack, xbar, errors_n)
+                step = noisy.value - xbar
+                residual = norm(noisy.clean - xbar)
 
             x_next = new_point()
             add(xbar, step if lam == 1.0 else lam * step, x_next)
-            d_next = None
-            if reference is not None:
-                mark = len(caught)
-                d_next = norm(x_next - reference)
-                if not math.isfinite(d_next):
-                    # measured again at step n + 1, so its warnings keep their place
-                    del caught[mark:]
-                    d_next = None
-            if d_next is None and not all_finite(x_next):
-                raise NumericalDivergence(
-                    f"iterate became non-finite at iteration {n}", iteration=n
-                )
+            if errors_n is not None or not lam * residual < FINITE_ADDEND:
+                if not all_finite(x_next):
+                    raise _divergence(n, xbar, x, names_row)
+            if marks is not None and len(caught) != marked:
+                marked = len(caught)
+                marks.append((n, marked))
 
             keep_residual(residual)
             if errors_for is not None:
-                keep_norms(noisy.error_norms)
-                keep_theta(lam * noisy.aggregate_error)
-            if reference is not None:
-                keep_dist(norm(x - reference) if d_ref is None else d_ref)
-                d_ref = d_next
+                if errors_n is None:
+                    keep_norms(no_error)
+                    keep_theta(0.0)  # lambda_n * 0.0, as lambda_n > 0
+                else:
+                    keep_norms(noisy.error_norms)
+                    keep_theta(lam * noisy.aggregate_error)
             if recorder is not None:
                 record = recorder(n, xbar, errors_n)
                 if columns is None:
@@ -464,19 +534,22 @@ def run(config: IterationConfig) -> RunTrace:
                 stop_reason = "residual"
                 break
 
-    n_steps = len(residuals)
+        n_steps = len(residuals)
+        dists = None
+        if reference is not None:
+            dists = _distances(points, n_steps, reference, caught, marks)
+
     if per_step is None:
         phis = array("d", [stack.phi]) * n_steps
         stacks = config.stacks
-        m = stacks.m
     else:
         stacks = per_step
         phis = array("d", [s.phi for s in per_step[:n_steps]])
-        m = per_step[0].m if per_step else 0
     if errors_for is None:
         # lambda_n * 0.0 is +0.0 for every lambda_n > 0
         thetas = array("d", [0.0]) * n_steps
-        error_norms = np.broadcast_to(np.zeros(m), (n_steps, m))
+        # n_steps rows over one zero row, read-only as its buffer is bytes
+        error_norms = np.ndarray((n_steps, m), np.float64, bytes(8 * m), 0, (0, 8))
     else:
         error_norms = np.frombuffer(norms, dtype=np.float64).reshape(n_steps, m)
     return RunTrace(
@@ -485,7 +558,7 @@ def run(config: IterationConfig) -> RunTrace:
         etas=plan.etas,
         points=points,
         xbars=points.head(n_steps) if memoryless else xbars,
-        lambdas=lambdas[:n_steps],
+        lambdas=lambdas if n_steps == len(lambdas) else lambdas[:n_steps],
         phis=phis,
         residuals=residuals,
         thetas=thetas,

@@ -35,9 +35,8 @@ from .errors import (
     CertificateUnavailableError,
     ConfigurationError,
     InvalidScheduleError,
-    NumericalDivergence,
 )
-from .space import Vector, all_finite
+from .space import Vector
 
 #: default truncation horizon for chi sums
 CHI_TRUNCATION = 200
@@ -201,14 +200,6 @@ def inertial(eta: EtaSchedule) -> WeightSchedule:
 # averaged-point kernels
 # ---------------------------------------------------------------------------
 
-def _finite(xbar: Vector, n: int) -> Vector:
-    if not all_finite(xbar):
-        raise NumericalDivergence(
-            f"affine combination at row {n} is non-finite", iteration=n
-        )
-    return xbar
-
-
 def eta_values(schedule: WeightSchedule, horizon: int) -> array | None:
     """``eta_0 .. eta_{horizon-1}`` of an inertial schedule's rows; None otherwise.
 
@@ -239,7 +230,11 @@ def orbit_mean(
     keeps the last ``w`` points; cesaro keeps a running sum, which it
     divides by ``n + 1``.  The memoryless, window and inertial kernels
     perform the operations of ``affine_combine(schedule.row(n), orbit)`` in
-    the same order, so their results are the same bit for bit.
+    the same order, so their results are the same bit for bit.  No kernel
+    tests its result for finiteness: a non-finite ``xbar_n`` makes the
+    step's residual non-finite, and ``engine.run`` then names the row
+    (window and inertial: "affine combination at row n is non-finite") at
+    the same n, after the layers have seen that ``xbar_n`` once.
     """
     family = schedule.family
     if family == "memoryless":
@@ -257,7 +252,7 @@ def orbit_mean(
             acc = weight * recent[0]
             for y in islice(recent, 1, k - 1):
                 acc = acc + weight * y
-            return _finite(np.add(acc, weight * recent[-1], new_row()), n)
+            return np.add(acc, weight * recent[-1], new_row())
 
         return window_mean
 
@@ -279,7 +274,7 @@ def orbit_mean(
         eta_n = etas[n]
         if eta_n == 0.0:
             return x
-        return _finite(np.add((-eta_n) * x_prev, (1.0 + eta_n) * x, new_row()), n)
+        return np.add((-eta_n) * x_prev, (1.0 + eta_n) * x, new_row())
 
     return extrapolate
 

@@ -5,7 +5,8 @@ Points are plain 1-D float64 numpy arrays.  A weight row is a plain dict
 point ``xbar_n = sum_j mu_{n,j} x_j`` from it.  The run forms ``xbar_n``
 with the weight family's own kernel (``schedules.orbit_mean``);
 ``affine_combine`` is the reference those kernels are tested against.
-A run keeps its orbit in ``Rows``, equal-length points packed in 2-D blocks.
+A run keeps its orbit in ``Rows``, equal-length points packed in 2-D blocks,
+and ``row_distances`` measures a block of them against one point at a time.
 """
 
 from __future__ import annotations
@@ -95,6 +96,48 @@ def affine_combine(row: Mapping[int, float], orbit) -> Vector:
     return acc
 
 
+#: floats of scratch ``row_distances`` works in (one row at the least)
+DIST_SCRATCH_FLOATS = 64
+
+
+def _row_squares(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``[r.dot(r) for r in rows]`` of a 2-D float64 array, bit for bit.
+
+    One stacked ``matmul`` of ``(1, d)`` by ``(d, 1)`` per row calls the same
+    ``ddot`` as ``x.dot(x)``; ``einsum`` and ``(rows * rows).sum(1)`` reduce
+    in other orders, so their last bits can differ.  ``out``, a contiguous
+    1-D float64 array of one entry per row, receives the squares.
+    """
+    shape = (len(rows), 1, 1)
+    squares = np.matmul(rows[:, None, :], rows[:, :, None],
+                        out=None if out is None else out.reshape(shape))
+    return squares.ravel()
+
+
+def row_distances(rows: np.ndarray, point: Vector, out: np.ndarray) -> None:
+    """``out[k] = norm(rows[k] - point)`` for each row of a 2-D float64 array.
+
+    Bit for bit ``norm``: the same subtraction, the same ``ddot`` per row
+    (``_row_squares``) and IEEE's square root, written into ``out`` (a
+    contiguous 1-D float64 array of one entry per row), a few rows at a
+    time through a scratch of ``DIST_SCRATCH_FLOATS`` floats, so the pass
+    holds no copy of ``rows``.  A distance that overflows warns "overflow
+    encountered in matmul" (or "in subtract"), where ``norm`` warns "in
+    dot".
+    """
+    count = max(1, DIST_SCRATCH_FLOATS // rows.shape[1])
+    scratch = np.empty((min(count, len(rows)), rows.shape[1]))
+    for lo in range(0, len(rows), count):
+        part = out[lo : lo + count]
+        diff = scratch[: len(part)]
+        # rows minus copies of the point: operands of one shape take numpy's
+        # plain loop, where broadcasting would build an iterator (1.6 KB)
+        diff[...] = point
+        np.subtract(rows[lo : lo + count], diff, out=diff)
+        _row_squares(diff, part)
+        np.sqrt(part, out=part)
+
+
 #: floats per block of ``Rows`` (512 KiB); a longer row is kept as its own array
 BLOCK_FLOATS = 1 << 16
 #: floats in the first block of ``Rows`` (8 KiB): opening a block, and
@@ -115,8 +158,8 @@ class Rows:
     ``out``, say).  A point of ``BLOCK_FLOATS`` floats or more is a block of
     its own: ``append`` keeps a view of ``x``, with no copy.  ``rows[i]``
     (negative ``i`` too) and iteration give 1-D views into the blocks, a
-    slice gives a list of them, and ``blocks()`` gives the filled part of
-    each block.
+    slice gives a list of them, ``blocks()`` gives the filled part of each
+    block, and ``distances(point, out)`` measures the rows against a point.
     """
 
     __slots__ = ("dim", "_capacity", "_max_rows", "_blocks", "_starts", "_block", "_pos", "_end")
@@ -187,6 +230,16 @@ class Rows:
         last = len(self._blocks) - 1
         for k, (start, block) in enumerate(zip(self._starts, self._blocks)):
             yield start, block[: self._pos] if k == last else block
+
+    def distances(self, point: Vector, out: np.ndarray) -> None:
+        """``out[k] = norm(self[k] - point)`` for the first ``len(out)`` rows,
+        by ``row_distances`` over each block."""
+        size = len(out)
+        for start, block in zip(self._starts, self._blocks):
+            if start >= size:
+                break
+            rows = block[: size - start]
+            row_distances(rows, point, out[start : start + len(rows)])
 
     def __iter__(self) -> Iterator[Vector]:
         for _start, block in self.blocks():

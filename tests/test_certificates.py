@@ -642,7 +642,7 @@ class TestArrayPasses:
         rng = np.random.default_rng(seed)
         block = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-8, 8, (rows, 1))
         expected = np.array([row.dot(row) for row in block])
-        assert certificates._row_squares(block).tobytes() == expected.tobytes()
+        assert space._row_squares(block).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dim", [3, 40])
     @pytest.mark.parametrize("family", FAMILIES)

@@ -44,7 +44,7 @@ from affiter import (
     soft_threshold,
     window,
 )
-from affiter import engine
+from affiter import engine, space
 from affiter.space import BLOCK_FLOATS, as_vector, norm
 
 NEG_ID = compose([linear_operator(-np.eye(1), alpha=1.0)])
@@ -894,3 +894,225 @@ class TestErrorBudget:
         cfg = self.base_config(weights, GeometricError(0.5, vec(1.0)), lam=0.9)
         report = error_budget_check(cfg, 30)
         assert any("unsupported-regime" in f for f in report.flags)
+
+
+WEIGHT_FAMILIES = {
+    "memoryless": memoryless(),
+    "window1": window(1),
+    "window2": window(2),
+    "window5": window(5),
+    "cesaro": cesaro(),
+    "nesterov": inertial(EtaSchedule(kind="nesterov", tau=2.0)),
+    "constant_eta": inertial(EtaSchedule(kind="constant", eta=0.4)),
+    "custom_eta": inertial(EtaSchedule(kind="custom", eta=0.5,
+                                       fn=lambda n: 0.0 if n % 3 == 0 else 0.3)),
+}
+
+
+class TestDistancesAfterTheLoop:
+    """``dist_to_ref`` is filled after the loop, bit for bit each step's ``norm``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3, 17, 1000, 4097]),
+           family=st.sampled_from(sorted(WEIGHT_FAMILIES)),
+           steps=st.integers(0, 24), stop=st.sampled_from([0.0, 1e-3, 0.5]),
+           rows_per_block=st.sampled_from([None, 1, 2, 5]), scratch=st.sampled_from([None, 1, 7]),
+           scale=st.sampled_from([1.0, 1e-160, 1e150]), seed=st.integers(0, 2**32 - 1))
+    def test_dist_to_ref_is_each_steps_norm(self, dim, family, steps, stop, rows_per_block,
+                                            scratch, scale, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-3.0, 3.0, dim) * scale
+        stack = compose([prox_l1(0.5 * scale), gradient_step(0.7, lambda x: x - a, beta=1.0)])
+        cfg = IterationConfig(
+            stacks=stack, weights=WEIGHT_FAMILIES[family], relaxation=constant_relaxation(0.9),
+            x0=rng.standard_normal(dim) * scale, max_iters=steps, stop_residual=stop * scale,
+            reference=rng.standard_normal(dim) * scale,
+        )
+        patches = {}
+        if rows_per_block is not None:
+            # a run's points then span many blocks, whose first one is one row
+            patches = {"BLOCK_FLOATS": rows_per_block * dim, "FIRST_BLOCK_FLOATS": dim}
+        if scratch is not None:
+            patches["DIST_SCRATCH_FLOATS"] = scratch * dim
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in patches.items():
+                mp.setattr(space, name, value)
+            trace = run(cfg)
+        ref = as_vector(cfg.reference)
+        expected = array("d", [norm(trace.points[n] - ref) for n in range(trace.n_steps)])
+        assert trace.dist_to_ref.tobytes() == expected.tobytes()
+
+    def test_distances_warn_where_each_step_would_measure_them(self):
+        # every third point overflows its distance; the layer and the recorder
+        # warn at each step, so each distance warning has one place to go
+        def far(x):
+            warnings.warn(f"layer {x[0]:.3g}")
+            return x * -2.0 if abs(x[0]) < 1e300 else x * 0.5
+
+        def recorder(n, xbar, errors_n):
+            warnings.warn(f"recorder {n}")
+            return {}
+
+        cfg = IterationConfig(
+            stacks=compose([AveragedOperator(fn=far, alpha=1.0)]), weights=memoryless(),
+            relaxation=constant_relaxation(1.0), x0=vec(3e307), max_iters=7, stop_residual=0.0,
+            reference=vec(-1e308), aux_recorder=recorder,
+        )
+        trace = run(cfg)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x, dists = vec(3e307), []
+            for n in range(7):
+                step = far(x) - x
+                norm(step)
+                x_next = x + step
+                dists.append(norm(x - vec(-1e308)))
+                recorder(n, x, None)
+                x = x_next
+        assert any(not math.isfinite(d) for d in dists)
+        assert trace.dist_to_ref.tolist() == dists
+        assert trace.flags == [str(w.message) for w in caught]
+
+
+def plain_divergence(config):
+    """``(n, message)`` of the first divergence of the plain loop with each
+    step's checks as a separate kernel made them: ``affine_combine`` names a
+    non-finite row, then a non-finite ``x_{n+1}`` names its step."""
+    orbit = [as_vector(config.x0)]
+    stack = config.stacks
+    for n in range(config.max_iters):
+        try:
+            xbar = affine_combine(config.weights.row(n), orbit)
+        except NumericalDivergence as exc:
+            return exc.iteration, str(exc)
+        lam = relaxation_at(config.relaxation, n, stack.phi)
+        step = apply_stack(stack, xbar, config.errors.errors_for(n)).value - xbar
+        x = xbar + (step if lam == 1.0 else lam * step)
+        if not np.all(np.isfinite(x)):
+            return n, f"iterate became non-finite at iteration {n}"
+        orbit.append(x)
+    return None
+
+
+class TestFinitenessFromTheResidual:
+    """A step without errors whose ``lambda_n * r_n`` is below ``engine.FINITE_ADDEND``
+    tests no entry; every divergence still raises at the same n, with the same message."""
+
+    @staticmethod
+    def counted(config):
+        """``config`` whose layers, error model and recorder log each call's step."""
+        calls = {"layers": 0, "errors": [], "recorder": []}
+
+        def wrap(op):
+            def fn(x):
+                calls["layers"] += 1
+                return op.fn(x)
+
+            return AveragedOperator(fn=fn, alpha=op.alpha, name=op.name)
+
+        class Logged(ErrorModel):
+            layers = config.errors.layers
+
+            def errors_for(self, n):
+                calls["errors"].append(n)
+                return config.errors.errors_for(n)
+
+        def recorder(n, xbar, errors_n):
+            calls["recorder"].append(n)
+            return {}
+
+        logged = dataclasses.replace(
+            config, stacks=compose([wrap(op) for op in config.stacks.layers]),
+            errors=Logged(), aux_recorder=recorder,
+        )
+        return logged, calls
+
+    def assert_same_divergence(self, config):
+        expected = plain_divergence(config)
+        assert expected is not None
+        n, message = expected
+        for reference in (None, np.zeros(as_vector(config.x0).size)):
+            logged, calls = self.counted(dataclasses.replace(config, reference=reference))
+            with pytest.raises(NumericalDivergence) as err:
+                run(logged)
+            assert (err.value.iteration, str(err.value)) == (n, message)
+            # the layers see the divergent step's xbar_n once, and nothing runs after it
+            assert calls["layers"] == (n + 1) * logged.stacks.m
+            assert calls["errors"] == list(range(n + 1))
+            assert calls["recorder"] == list(range(n))
+        return n, message
+
+    @pytest.mark.parametrize("family", ["window11", "nesterov", "constant_eta"])
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_a_non_finite_mean_names_its_row(self, family, lam):
+        if family == "window11":
+            # eleven points at DBL_MAX: 11 * fl(DBL_MAX / 11) rounds past it
+            big = np.finfo(np.float64).max
+            layer = AveragedOperator(fn=lambda x: np.full_like(x, big), alpha=1.0)
+            weights, x0 = window(11), vec(big, 1.0)
+        else:
+            layer = linear_operator(2.0 * np.eye(2), alpha=1.0)
+            weights = inertial(EtaSchedule(kind="nesterov", tau=2.0) if family == "nesterov"
+                               else EtaSchedule(kind="constant", eta=0.9))
+            x0 = vec(1.5, 1.0)  # its extrapolation overflows before x_n (found by search)
+        cfg = IterationConfig(
+            stacks=compose([layer]), weights=weights, relaxation=constant_relaxation(lam),
+            x0=x0, max_iters=5000, stop_residual=0.0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            n, message = self.assert_same_divergence(cfg)
+        assert message == f"affine combination at row {n} is non-finite"
+
+    @pytest.mark.parametrize("lam", [1e5, 1e200])
+    @pytest.mark.parametrize("family", ["memoryless", "window2", "cesaro", "nesterov"])
+    def test_a_huge_relaxation_overflows_the_iterate_but_not_the_residual(self, family, lam):
+        # phi = 1e-300, so lambda_n may reach 1e300; r_n = |x_n| stays finite
+        # while x_{n+1} = (1 + lambda_n) x_n overflows
+        doubling = AveragedOperator(fn=lambda x: x + x, alpha=1e-300)
+        cfg = IterationConfig(
+            stacks=compose([doubling]), weights=WEIGHT_FAMILIES[family],
+            relaxation=constant_relaxation(lam), x0=vec(1.0, -3.0), max_iters=500,
+            stop_residual=0.0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            if family == "cesaro":
+                # cesaro's running sum is not affine_combine's; its first
+                # non-finite iterate is a step whose residual is finite
+                with pytest.raises(NumericalDivergence) as err:
+                    run(cfg)
+                assert str(err.value) == f"iterate became non-finite at iteration {err.value.iteration}"
+                return
+            n, message = self.assert_same_divergence(cfg)
+        assert message == f"iterate became non-finite at iteration {n}"
+
+    @pytest.mark.parametrize("family", ["memoryless", "window2", "nesterov"])
+    def test_a_step_whose_perturbed_chain_alone_overflows(self, family):
+        # the clean chain and its residual stay finite; e_{1,3} pushes the
+        # perturbed value past DBL_MAX
+        def e1(n):
+            return vec(1.79e308, 0.0) if n == 3 else None
+
+        half = linear_operator(0.5 * np.eye(2), alpha=0.75)
+        cfg = IterationConfig(
+            stacks=compose([half]), weights=WEIGHT_FAMILIES[family],
+            relaxation=constant_relaxation(1.0), x0=vec(1e308, 1.0), max_iters=20,
+            stop_residual=0.0, errors=SequenceError([e1]),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            n, message = self.assert_same_divergence(cfg)
+        assert (n, message) == (3, "iterate became non-finite at iteration 3")
+
+    def test_an_error_free_step_makes_no_numpy_call_for_finiteness_or_distance(self, monkeypatch):
+        checks, passes = [], []
+        monkeypatch.setattr(engine, "all_finite", lambda v: checks.append(1) or True)
+        monkeypatch.setattr(engine, "apply_stack", lambda *a: passes.append(1))
+        stack = compose([prox_l1(0.5), gradient_step(0.7, lambda x: x - 2.0, beta=1.0)])
+        for family in WEIGHT_FAMILIES.values():
+            cfg = IterationConfig(
+                stacks=stack, weights=family, relaxation=constant_relaxation(0.9),
+                x0=vec(3.0, -1.0), max_iters=30, stop_residual=0.0, reference=vec(1.5, 1.5),
+            )
+            trace = run(cfg)
+            assert trace.n_steps == 30 and len(trace.dist_to_ref) == 30
+        assert checks == [] and passes == []
