@@ -301,8 +301,13 @@ def reflector_operator(gamma: float, mono: MonotoneMap) -> AveragedOperator:
     """Reflected resolvent ``2 (Id + gamma A)^-1 - Id``; nonexpansive (alpha = 1)."""
     if not gamma > 0:
         raise ConfigurationError("reflector step gamma must be positive")
+
+    def fn(x):
+        j = mono.resolvent(gamma, x)
+        return j + j - x  # 2 j - x: doubling by addition is exact, as 2.0 * j is
+
     return AveragedOperator(
-        fn=lambda x: 2.0 * mono.resolvent(gamma, x) - x,
+        fn=fn,
         alpha=1.0,
         name=f"reflector({mono.name}, gamma={gamma})",
     )

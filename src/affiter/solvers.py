@@ -143,7 +143,7 @@ def peaceman_rachford(
     def doubled(fn):
         # the layer error 2 e_n of a sequence e_n; an absent sequence stays absent
         return None if fn is None else (
-            lambda n: None if (e := error_vector(fn(n))) is None else 2.0 * e
+            lambda n: None if (e := error_vector(fn(n))) is None else e + e
         )
 
     resolvents = [None, None]  # J_{gamma A}, J_{gamma B} as the layers last returned them
@@ -152,7 +152,7 @@ def peaceman_rachford(
         # reflector_operator(gamma, mono), keeping its resolvent value for record
         def fn(x):
             j = resolvents[k] = mono.resolvent(gamma, x)
-            return 2.0 * j - x
+            return j + j - x  # 2 j - x: doubling by addition is exact, as 2.0 * j is
 
         return AveragedOperator(fn=fn, alpha=1.0, name=f"reflector({mono.name}, gamma={gamma})")
 

@@ -9,6 +9,7 @@ from affiter import (
     AveragedOperator,
     ConfigurationError,
     DegenerateSelectionWarning,
+    MonotoneMap,
     affine_monotone,
     apply_stack,
     averagedness_certificate,
@@ -459,3 +460,28 @@ class TestAveragednessCertificate:
         a = averagedness_certificate(op, dim=2, seed=7)
         b = averagedness_certificate(op, dim=2, seed=7)
         assert a.max_violation == b.max_violation
+
+
+#: floats whose double is awkward: signed zeros, subnormals, values whose
+#: double overflows, infinities and NaNs, besides hypothesis' own floats
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7e308,
+                     8.98846567431158e307, np.inf, -np.inf, np.nan, -np.nan]),
+)
+
+
+class TestDoublingByAddition:
+    """``j + j`` is ``2.0 * j`` bit for bit, so the reflectors' ``2 j - x`` kept its bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=9))
+    def test_reflector_is_two_resolvents_minus_the_point(self, pairs):
+        j, x = (np.array(column) for column in zip(*pairs))
+        given_resolvent = MonotoneMap(name="given", resolvent=lambda gamma, y: j)
+        with np.errstate(all="ignore"):
+            got = reflector_operator(1.0, given_resolvent).fn(x)
+            expected = 2.0 * j - x
+            doubled, twice = j + j, 2.0 * j
+        assert got.tobytes() == expected.tobytes()
+        assert doubled.tobytes() == twice.tobytes()

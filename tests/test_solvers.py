@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affiter import (
     ConfigurationError,
@@ -11,6 +13,7 @@ from affiter import (
     GeometricError,
     InvalidScheduleError,
     LayerStack,
+    MonotoneMap,
     catalog,
     error_budget_check,
     forward_backward,
@@ -69,6 +72,30 @@ class TestPeacemanRachford:
         for n in range(trace.n_steps):
             three_line = trace.xbars[n] + 2.0 * (trace.aux[n]["z"] - trace.aux[n]["y"])
             assert np.linalg.norm(trace.points[n + 1] - three_line) <= 1e-12
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7e308]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(EDGES)),
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGES)),
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGES)),
+    ), min_size=1, max_size=6))
+    def test_reflectors_and_layer_errors_double_by_addition(self, rows):
+        # j + j and e + e are 2.0 * j and 2.0 * e bit for bit: ±0, subnormals,
+        # doubles that overflow, and (for the resolvent values) inf and NaN
+        j, x, e = (np.array(column) for column in zip(*rows))
+        given_resolvent = MonotoneMap(name="given", resolvent=lambda gamma, y: j)
+        preset = peaceman_rachford(
+            given_resolvent, given_resolvent, gamma=1.0, weights=window(2), x0=x,
+            a_errors=lambda n: e, b_errors=[e],
+        )
+        with np.errstate(all="ignore"):
+            reflected = [layer.fn(x) for layer in preset.config.stacks.layers]
+            expected, twice = 2.0 * j - x, 2.0 * e
+            layer_errors = preset.config.errors.errors_for(0)
+        assert [r.tobytes() for r in reflected] == [expected.tobytes()] * 2
+        assert [v.tobytes() for v in layer_errors] == [twice.tobytes()] * 2
 
     def test_indicator_fixed_start_is_constant(self):
         # A = B = normal cone of the same set and a feasible start: nothing moves
