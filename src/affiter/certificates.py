@@ -67,7 +67,8 @@ class CertificateReport:
 
     @property
     def first_violation(self) -> int | None:
-        bad = np.nonzero(self.slacks < -self.tolerance)[0]
+        # a NaN slack fails: it is not >= -tolerance
+        bad = np.nonzero(~(self.slacks >= -self.tolerance))[0]
         return int(self.indices[bad[0]]) if bad.size else None
 
     @property

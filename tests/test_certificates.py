@@ -449,6 +449,39 @@ class TestRunCertificates:
             run_certificates(trace, vec(1.0), indices=[999])
 
 
+class TestNaNSlack:
+    """A NaN slack is a failed certificate, not a passed one."""
+
+    def test_a_report_with_a_nan_slack_fails_at_its_index(self):
+        report = certificates.CertificateReport(
+            name="ii", slacks=np.array([0.5, math.nan, 0.25]), tolerance=1e-9,
+            indices=np.array([4, 7, 9]),
+        )
+        assert report.first_violation == 7 and not report.passed
+
+    @pytest.mark.parametrize("variant", [
+        {}, dict(variant="inertial", eta=EtaSchedule(kind="nesterov", tau=2.0)),
+        dict(variant="mean", weights=cesaro()),
+    ], ids=["memoryless", "nesterov", "cesaro"])
+    def test_squared_distances_that_overflow_fail(self, variant):
+        # l1_quadratic at d=50 with a of size 1e155: ||x_n - x*||^2 overflows,
+        # so (i) and (ii) hold NaN slacks
+        a = np.random.default_rng(0).uniform(-3.0, 3.0, 50) * 1e155
+        prob = catalog("l1_quadratic", a=a)
+        preset = forward_backward(
+            A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=1.0, gamma=0.8,
+            x0=np.zeros(50), max_iters=300, stop_residual=0.0, reference=prob.reference,
+            **variant,
+        )
+        _, trace = preset.solve()
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = run_certificates(trace, prob.reference, which=("i", "ii"))
+        for report in reports.values():
+            assert np.isnan(report.slacks).any()
+            assert not report.passed
+            assert report.first_violation == int(np.flatnonzero(np.isnan(report.slacks))[0])
+
+
 class TestDistanceReuse:
     """``run_certificates`` reads ``||x_n - x*||``, n < N, from ``trace.dist_to_ref``
     when x* is the run's reference, and measures every distance otherwise."""
