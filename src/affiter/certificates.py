@@ -25,8 +25,8 @@ and (iii) read ``xbar_n`` from ``trace.xbars`` and cost O(d) per step
 the steps whose ``xbar_n`` is not ``x_n`` (inertial, window and cesaro
 traces) are taken per packed block of ``trace.xbars`` (``space.Rows``)
 by ``space.row_distances``, the kernel the run fills ``trace.dist_to_ref``
-with: a few rows at a time through a small scratch, so the transient is
-O(block), not O(N d), and the squared norms are one stacked
+with, so the transient is O(block), not O(N d), and the squared norms
+are one stacked
 ``np.matmul``, which calls the same ``ddot`` as ``x.dot(x)`` and matches
 it bit for bit (``einsum`` and ``(D * D).sum(1)`` reduce in other orders
 and do not).  Certificate (i) builds no weight row:
@@ -49,7 +49,7 @@ from .engine import RunTrace
 from .errors import ConfigurationError, InvalidReferenceError
 from .operators import apply_stack, tail_apply
 from .schedules import abs_weighted_sums
-from .space import Vector, as_vector, norm, row_distances
+from .space import BLOCK_FLOATS, Vector, as_vector, norm, row_distances
 
 DEFAULT_CERT_TOL = 1e-9
 
@@ -119,13 +119,14 @@ def _xbar_dists(trace: RunTrace, ns: np.ndarray, dists: np.ndarray, x_ref: Vecto
     out = dists[ns]
     if trace.config.weights.support_bound == 1:
         return out
+    # a block per call, for fewer numpy calls; the scratch is one block at most
     if ns.size == trace.n_steps:  # ns is 0 .. N-1
-        trace.xbars.distances(x_ref, out)
+        trace.xbars.distances(x_ref, out, BLOCK_FLOATS)
     else:
         for start, rows in trace.xbars.blocks():
             lo, hi = np.searchsorted(ns, (start, start + len(rows)))
             if lo < hi:
-                row_distances(rows[ns[lo:hi] - start], x_ref, out[lo:hi])
+                row_distances(rows[ns[lo:hi] - start], x_ref, out[lo:hi], BLOCK_FLOATS)
     if trace.etas is not None:
         kept = np.frombuffer(trace.etas)[ns] == 0.0
         out[kept] = dists[ns[kept]]

@@ -17,15 +17,19 @@ errors ``e_{i,n}`` have one source, the error model's ``errors_for(n)``:
 the step injects them, the residual ``||T_n xbar_n - xbar_n||`` is always
 the clean chain's of the same pass, and ``error_budget_check`` sums the
 norms of the same vectors.
-With a reference set, the distance ``||x_{n+1} - x*||`` is measured right
-after the update, and a finite distance proves every entry of ``x_{n+1}``
-finite; only a run without a reference, or a non-finite distance, tests
-the entries.  The returned trace retains the whole history for post-hoc
-certificate analysis, together with the stacks and the eta_n the loop
-applied: the orbit and each recorder value as packed float64 rows
-(``space.Rows``), each per-step scalar as an ``array("d")`` column, and the
-per-layer error norms as one float64 array.  A step leaves no Python object
-behind in the trace.
+A step without errors calls the layers' ``fn``s itself and pays only for
+them and the affine combination: its finite residual proves ``x_{n+1}``
+finite whenever ``lambda_n r_n < 2^968`` (``FINITE_ADDEND`` holds the
+proof), and only the other steps test the entries of ``x_{n+1}``.  No
+kernel tests ``xbar_n``, so the layers may see one non-finite ``xbar_n``
+before the run raises at that n.  With a reference set, the distances
+``||x_n - x*||`` are filled after the loop, in one blocked pass over the
+packed orbit, bit for bit each step's ``norm``.  The returned trace
+retains the whole history for post-hoc certificate analysis, together with
+the stacks and the eta_n the loop applied: the orbit and each recorder
+value as packed float64 rows (``space.Rows``), each per-step scalar as an
+``array("d")`` column, and the per-layer error norms as one float64 array.
+A step leaves no Python object behind in the trace.
 """
 
 from __future__ import annotations
@@ -237,8 +241,8 @@ class RunTrace:
     eta_n of inertial rows (``schedules.eta_values``, one per
     ``n < max_iters``), None for the other families.  With a reference set,
     ``dist_to_ref`` holds ``norm(x_n - reference)`` for each step ``n``
-    (not the final point); ``run_certificates`` reuses these values when
-    it certifies against that reference.
+    (not the final point), filled after the loop; ``run_certificates``
+    reuses these values when it certifies against that reference.
     """
 
     config: IterationConfig
