@@ -2,7 +2,7 @@
 
 Given a trace and a reference point ``x* = x_ref`` in the common fixed-point
 set, three inequalities are evaluated per iteration (slack = RHS - LHS,
-declared PASS when the minimum slack stays above ``-tolerance``):
+declared PASS when no slack is below ``-tolerance`` or NaN):
 
   (i)   ||x_{n+1} - x*||  <=  sum_j |mu_{n,j}| ||x_j - x*||  +  theta_n
 

@@ -374,13 +374,13 @@ def _distances(points: Rows, n_steps: int, reference: Vector, caught: list, mark
     bit for bit, in one blocked pass (``space.Rows.distances``).
 
     Called inside the run's ``catch_warnings`` block.  ``marks`` holds
-    ``(n, len(caught))`` from each step after which the warning count
-    changed, taken where a step measured its distance before this pass
-    existed.  A distance that overflows is the only one that warns (the
-    points and the reference are finite), and its warning names ``matmul``
-    where ``norm`` names ``dot``: so when the pass warns, its warnings are
-    dropped, the non-finite rows are measured again with ``norm``, and
-    their warnings go where a measurement at step ``n`` put them.
+    ``(n, len(caught))`` for each step that changed the warning count,
+    taken after the step's update and before its recorder call, where a
+    step would measure its own distance.  The pass's warnings name
+    ``matmul`` where ``norm``'s name ``dot`` (under numpy's default error
+    state only an overflowing distance warns), so when the pass warns, its
+    warnings are dropped and each row is measured again with ``norm``, its
+    warnings going where a measurement at step ``n`` would put them.
     """
     dists = array("d", [0.0]) * n_steps
     column = np.ndarray(n_steps, np.float64, dists)  # a view, as np.frombuffer but lighter
@@ -390,14 +390,15 @@ def _distances(points: Rows, n_steps: int, reference: Vector, caught: list, mark
         return dists
     del caught[before:]
     spliced, done, at, k = [], 0, 0, 0
-    for n in np.flatnonzero(~np.isfinite(column)).tolist():
+    for n in range(n_steps):
         while k < len(marks) and marks[k][0] <= n:
             at = marks[k][1]
             k += 1
         dists[n] = norm(points[n] - reference)
-        spliced += caught[done:at] + caught[before:]
-        del caught[before:]
-        done = at
+        if len(caught) > before:
+            spliced += caught[done:at] + caught[before:]
+            del caught[before:]
+            done = at
     caught[:before] = spliced + caught[done:before]
     return dists
 
