@@ -22,14 +22,13 @@ x*||^2``; the two are equal for every row whose weights sum to 1, with
 negative weights allowed (the identity for affine combinations).  So (ii)
 and (iii) read ``xbar_n`` from ``trace.xbars`` and cost O(d) per step
 (plus the stack tails for (iii)).  The distances ``||xbar_n - x*||`` of
-the steps whose ``xbar_n`` is not ``x_n`` (inertial, window and cesaro
-traces) are taken per packed block of ``trace.xbars`` (``space.Rows``)
-by ``space.row_distances``, the kernel the run fills ``trace.dist_to_ref``
-with, so the transient is O(block), not O(N d), and the squared norms
-are one stacked
-``np.matmul``, which calls the same ``ddot`` as ``x.dot(x)`` and matches
-it bit for bit (``einsum`` and ``(D * D).sum(1)`` reduce in other orders
-and do not).  Certificate (i) builds no weight row:
+inertial, window and cesaro traces are taken per packed block of
+``trace.xbars`` (``space.Rows``) by ``space.row_distances``, the kernel
+the run fills ``trace.dist_to_ref`` with, so the transient is O(block),
+not O(N d), and the squared norms are one stacked ``np.matmul``, which
+calls the same ``ddot`` as ``x.dot(x)`` and matches it bit for bit
+(``einsum`` and ``(D * D).sum(1)`` reduce in other orders and do not).
+Certificate (i) builds no weight row:
 ``schedules.abs_weighted_sums`` forms its sum per family from the
 distances ``||x_j - x*||``, in O(N) for every family but ``window(w)``
 (O(N w)).  When x* is the run's reference, those distances are the ones
@@ -45,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import RunTrace
+from .engine import RunTrace, _partial_sums
 from .errors import ConfigurationError, InvalidReferenceError
 from .operators import apply_stack, tail_apply
 from .schedules import abs_weighted_sums
@@ -112,10 +111,10 @@ def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
 
 def _xbar_dists(trace: RunTrace, ns: np.ndarray, dists: np.ndarray, x_ref: Vector) -> np.ndarray:
     """``||xbar_n - x*||`` for each ``n`` in ``ns`` (sorted, distinct), bit for
-    bit ``norm(xbar_n - x*)``: ``dists[n]`` where ``xbar_n`` is ``x_n`` (rows
-    of one point, or an inertial row with ``eta_n = 0``), else
+    bit ``norm(xbar_n - x*)``: ``dists[n]`` where every row is one point, else
     ``space.row_distances`` over the rows of ``ns`` in each packed block of
-    ``trace.xbars`` (``space.Rows.distances`` when ``ns`` is every n)."""
+    ``trace.xbars`` (``space.Rows.distances`` when ``ns`` is every n), whose
+    inertial rows with ``eta_n = 0`` are copies of ``x_n``."""
     out = dists[ns]
     if trace.config.weights.support_bound == 1:
         return out
@@ -127,9 +126,6 @@ def _xbar_dists(trace: RunTrace, ns: np.ndarray, dists: np.ndarray, x_ref: Vecto
             lo, hi = np.searchsorted(ns, (start, start + len(rows)))
             if lo < hi:
                 row_distances(rows[ns[lo:hi] - start], x_ref, out[lo:hi], BLOCK_FLOATS)
-    if trace.etas is not None:
-        kept = np.frombuffer(trace.etas)[ns] == 0.0
-        out[kept] = dists[ns[kept]]
     return out
 
 
@@ -426,8 +422,6 @@ def summability_monitor(
         if c.size < a.size:
             raise ConfigurationError("chi weights shorter than the series")
         a = a * c[: a.size]
-    sums = np.cumsum(a)
+    sums, tail = _partial_sums(a)
     total = float(sums[-1]) if a.size else 0.0
-    cut = (3 * (a.size - 1)) // 4 if a.size else 0
-    tail = total - float(sums[cut]) if a.size else 0.0
     return SummabilityReport(partial_sum=total, tail_increment=tail, tolerance=tolerance)

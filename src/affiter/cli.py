@@ -67,10 +67,6 @@ EXIT_CONFIG = 3
 TRACE_HEADER = "n,residual,theta_n,lambda_n,phi_n,dist_to_ref,cert_i_slack,cert_ii_slack"
 
 
-def _fmt(x) -> str:
-    return "" if x is None else format(float(x), ".17g")
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -212,11 +208,7 @@ def _errors_from(cfg: dict):
         layer = _read(cfg, "errors.layer", _integer, 1)
         if layer < 1:
             raise ConfigurationError("layer index is 1-based")
-
-        def fn(n):
-            return values[n] if n < len(values) else None
-
-        return SequenceError([None] * (layer - 1) + [fn])
+        return SequenceError([None] * (layer - 1) + [solvers._seq(values)])
     raise ConfigurationError(f"unknown error model {model!r}")
 
 
@@ -457,7 +449,7 @@ def cmd_chi(args) -> int:
     table = chi_table(schedule, horizon=args.N, truncation=args.K)
     lines = ["n,chi_n,analytic_bound"]
     for entry in table:
-        lines.append(f"{entry.n},{_fmt(entry.value)},{_fmt(entry.analytic_bound)}")
+        lines.append("%d,%.17g,%.17g" % (entry.n, entry.value, entry.analytic_bound))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

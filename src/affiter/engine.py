@@ -591,6 +591,18 @@ class ErrorBudgetReport:
         return float(self.partial_sums[-1]) if len(self.partial_sums) else 0.0
 
 
+def _partial_sums(terms) -> tuple[np.ndarray, float]:
+    """The partial sums ``S_0 .. S_N`` of ``terms``, added in order as a Python
+    running sum adds them (bit for bit, and overflowing to inf without a
+    warning), and the last quarter's increment ``S_N - S_{(3 N) // 4}`` in
+    Python floats, where ``inf - inf`` is NaN without a warning (0.0 without terms)."""
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(terms, dtype=np.float64)
+    if not sums.size:
+        return sums, 0.0
+    return sums, float(sums[-1]) - float(sums[(3 * (sums.size - 1)) // 4])
+
+
 def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetReport:
     """Partial sums of the chi-weighted error budget over a horizon.
 
@@ -618,8 +630,7 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     weights = config.weights
     nonneg = weights.nonnegative
     flags: list[str] = []
-    sums = []
-    acc = 0.0
+    terms = []
     any_error = False
     errors_for = config.errors.errors_for
     for n, lam in enumerate(plan.lambdas):
@@ -637,8 +648,7 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
             per_iter += r
         if per_iter > 0.0:
             any_error = True
-        acc += chi_n * lam * per_iter
-        sums.append(acc)
+        terms.append(chi_n * lam * per_iter)
     if any_error and not nonneg:
         all_unit_lambda = all(lam == 1.0 for lam in plan.lambdas)
         if not (all_unit_lambda and first.layers[0].bounded_range):
@@ -646,5 +656,5 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
                 "unsupported-regime: errors under inertial weights are only "
                 "covered with unit relaxation and a bounded-range outer layer"
             )
-    tail = acc - sums[(3 * horizon) // 4]
-    return ErrorBudgetReport(partial_sums=np.array(sums), tail_increment=tail, flags=tuple(flags))
+    sums, tail = _partial_sums(terms)
+    return ErrorBudgetReport(partial_sums=sums, tail_increment=tail, flags=tuple(flags))

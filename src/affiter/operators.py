@@ -24,7 +24,6 @@ stack may be merely quasinonexpansive; earlier layers must be nonexpansive.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -448,21 +447,15 @@ class StackApplication:
 
     ``clean`` is the error-free composite ``T_1 ... T_m x``: ``value``
     itself on an error-free pass, the clean chain when errors were given.
-    A plain ``slots`` record, not frozen: ``run`` builds one per step, and a
-    frozen dataclass costs about four times as much to construct.  Nothing
-    reassigns its fields.
+    A plain ``slots`` record, not frozen: ``run`` builds one on each step
+    with errors, and a frozen dataclass costs about four times as much to
+    construct.  Nothing reassigns its fields.
     """
 
     value: Vector
     error_norms: tuple[float, ...]
     aggregate_error: float
     clean: Vector
-
-
-@functools.cache
-def _zero_norms(m: int) -> tuple[float, ...]:
-    """The error norms of an error-free pass, one shared tuple per depth."""
-    return (0.0,) * m
 
 
 def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
@@ -477,9 +470,9 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
     added in layer order; when the outer layers are nonexpansive it bounds
     the deviation of the perturbed output from the clean composite.
 
-    With ``errors=None`` the pass is the layers' ``fn`` calls, innermost
-    first, and nothing else: every such pass returns the same shared tuple
-    of m zero norms, and ``clean`` is ``value`` itself.
+    ``errors=None`` injects no error, as a sequence of ``None`` does: the
+    pass is the layers' ``fn`` calls, innermost first, the norms are m
+    zeros with a 0.0 aggregate, and ``clean`` is ``value`` itself.
 
     With errors the same pass also returns the clean composite ``T_1 ...
     T_m x``: the innermost perturbed layer and the layers inside it run
@@ -490,12 +483,7 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
     perturbed chain's resolvents through that order.
     """
     m = stack.m
-    if errors is None:
-        y = x
-        for op in reversed(stack.layers):
-            y = op.fn(y)
-        return StackApplication(y, _zero_norms(m), 0.0, y)
-    given = len(errors)
+    given = 0 if errors is None else len(errors)
     if given > m:
         raise ConfigurationError(f"expected at most {m} per-layer errors, got {given}")
     y = x

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,22 @@ class TestSummability:
     def test_chi_weighting(self):
         report = summability_monitor([1.0, 1.0], chi=[2.0, 3.0])
         assert report.partial_sum == pytest.approx(5.0)
+
+    def test_a_sum_that_overflows_keeps_its_total_and_tail_without_a_warning(self):
+        # S = [1e308, inf, inf, inf]: the last-quarter cut is S_2, and
+        # inf - inf is NaN in Python floats, with no numpy warning
+        values = [1e308, 1e308, 1.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = summability_monitor(values)
+        assert report.partial_sum == math.inf
+        assert math.isnan(report.tail_increment)
+        assert not report.passed
+        # S = [1, 2, 3, 1e308, inf]: the cut S_3 is finite, so the tail is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = summability_monitor([1.0, 1.0, 1.0, 1e308, 1e308])
+        assert report.partial_sum == report.tail_increment == math.inf
 
 
 class TestRunCertificates:
@@ -696,6 +713,35 @@ class TestArrayPasses:
                                            check_reference=False)
                     for name in which:
                         assert got[name].slacks.tobytes() == expected[name].tobytes(), name
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+           zeros=st.lists(st.booleans(), min_size=1, max_size=7),
+           subset=st.booleans(), foreign=st.booleans())
+    def test_xbar_distances_are_each_rows_norm(self, seed, dim, zeros, subset, foreign):
+        # an inertial row with eta_n = 0 is x_n itself; its trace row is a copy
+        # of x_n, measured like every other row
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-3.0, 3.0, dim)
+        eta = EtaSchedule(kind="custom", eta=0.5,
+                          fn=lambda n: 0.0 if zeros[n % len(zeros)] else 0.4)
+        trace = forward_backward(
+            A=l1_subdifferential(), B=lambda x: x - a, beta=1.0, gamma=0.8,
+            x0=rng.standard_normal(dim), variant="inertial", eta=eta, max_iters=40,
+            stop_residual=0.0, reference=soft_threshold(a, 1.0),
+        ).solve()[1]
+        x_ref = trace.config.reference
+        if foreign:
+            x_ref = x_ref + rng.standard_normal(dim)
+            dists = np.array([norm(p - x_ref) for p in trace.points])
+        else:
+            dists = np.append(trace.dist_to_ref, norm(trace.points[-1] - x_ref))
+        ns = np.arange(trace.n_steps)
+        if subset:
+            ns = np.unique(rng.integers(0, trace.n_steps, 12))
+        got = certificates._xbar_dists(trace, ns, dists, x_ref)
+        expected = np.array([norm(trace.xbars[n] - x_ref) for n in ns.tolist()])
+        assert got.tobytes() == expected.tobytes()
 
     @settings(deadline=None, max_examples=100)
     @given(theta0=st.floats(0.0, 1e3),

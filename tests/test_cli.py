@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -371,6 +372,19 @@ class TestChiCommand:
         for row in rows:
             n, chi_n, bound = row.split(",")
             assert float(chi_n) <= float(bound) == (int(n) + 7.0) / 2.0
+
+    @pytest.mark.parametrize("args,digest", [
+        ("--family zero --N 30",
+         "e89cb08c8e5867fd69565b4e179a3f27cc557289b29a63f5127384acddc7ac4f"),
+        ("--family constant --eta 0.3 --N 40",
+         "749989c29687af7b70b21163e5d3e8e3314131c8970fac0e951b291889bb3ed7"),
+        ("--family nesterov --tau 3 --N 50",
+         "31f001563e5126bb55e038d88ac86cb6b4c8d9db811f37c792fa988812714db8"),
+    ], ids=["zero", "constant", "nesterov"])
+    def test_table_bytes_are_pinned(self, args, digest, capsysbinary):
+        # the sha256 of the whole table, as "%.17g" formats each float
+        assert cli.main(["chi", *args.split()]) == 0
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
 
     def test_eta_at_one_exits_3(self, capsys):
         assert cli.main(["chi", "--family", "constant", "--eta", "1.0", "--N", "3"]) == 3

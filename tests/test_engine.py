@@ -889,6 +889,30 @@ class TestErrorBudget:
         with pytest.raises(ConfigurationError, match="non-finite"):
             run(cfg)
 
+    @pytest.mark.parametrize("eta", [
+        EtaSchedule(kind="nesterov", tau=3.0),
+        EtaSchedule(kind="custom", eta=0.5, fn=lambda n: 0.0 if n % 3 == 0 else 0.4),
+    ], ids=["nesterov", "custom"])
+    def test_inertial_partial_sums_are_the_running_sum_in_term_order(self, eta):
+        # S_N adds chi_n * lambda_n * sum_i ||e_{i,n}|| in order, as a Python
+        # running sum does; the tail is S_H - S_{(3 H) // 4}
+        weights = inertial(eta)
+        stack = compose([prox_l1(1.0), gradient_step(0.7, lambda x: x - 2.0, beta=1.0)])
+        model = SequenceError([lambda n: vec(0.3 / (n + 1.0)), lambda n: vec(0.7**n, 0.1)[:1]])
+        cfg = IterationConfig(
+            stacks=stack, weights=weights, relaxation=constant_relaxation(0.9),
+            x0=vec(1.0), errors=model, max_iters=10,
+        )
+        horizon = 41
+        acc, expected = 0.0, []
+        for n in range(horizon + 1):
+            e1, e2 = model.errors_for(n)
+            acc += chi_value(weights, n).value * 0.9 * (norm(e1) + norm(e2))
+            expected.append(acc)
+        report = error_budget_check(cfg, horizon)
+        assert report.partial_sums.tobytes() == np.array(expected).tobytes()
+        assert report.tail_increment == acc - expected[(3 * horizon) // 4]
+
     def test_inertial_with_errors_and_nonunit_lambda_flagged(self):
         weights = inertial(EtaSchedule(kind="constant", eta=0.3))
         cfg = self.base_config(weights, GeometricError(0.5, vec(1.0)), lam=0.9)
