@@ -285,7 +285,9 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
         kwargs["lam"] = _read(relax_cfg, "relaxation.value", kinds.get("lambda", _number))
     error_model = _errors_from(_read(cfg, "errors", _object, {}))
 
-    common = dict(max_iters=horizon, stop_residual=stop_residual, reference=problem.reference)
+    # the builder applies its own error rules to the config's model
+    common = dict(max_iters=horizon, stop_residual=stop_residual, reference=problem.reference,
+                  errors=error_model)
     if name == "forward_backward":
         eta = kwargs.pop("eta", {"kind": "nesterov"})
         preset = solvers.forward_backward(
@@ -339,8 +341,6 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
             **kwargs,
             **common,
         )
-    if error_model is not None:
-        preset.config.errors = error_model
     return preset, problem
 
 

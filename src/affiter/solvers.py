@@ -12,6 +12,10 @@ configuration runs in: the inertial fixed-point band, which couples lambda_n
 and eta_n.  Inertial forward-backward with errors needs unit relaxation; a
 callable lambda is wrapped so that the pre-pass rejects the first
 lambda_n != 1.
+
+Every builder takes ``errors``, an ``ErrorModel`` that perturbs the stack's
+layers as given (outermost first), and applies its error rules to it as to
+its own error sequences; ``affiter run`` passes the config's model this way.
 """
 
 from __future__ import annotations
@@ -71,6 +75,17 @@ def _seq(sequence) -> Callable[[int], Vector | None] | None:
     return fn
 
 
+def _error_model(errors: ErrorModel | None, per_layer: list) -> ErrorModel:
+    """``errors`` as given, or a SequenceError over the per-layer sequences
+    (callables or None, outermost first) when one is given, or no errors."""
+    given = any(fn is not None for fn in per_layer)
+    if errors is None:
+        return SequenceError(per_layer) if given else ErrorModel()
+    if given:
+        raise ConfigurationError("give an error model or error sequences, not both")
+    return errors
+
+
 def _tabulated(values: list[float], fn: Callable[[int], float]) -> Callable[[int], float]:
     """``fn``, read from ``values[n]`` where the list covers ``n``."""
     return lambda n: values[n] if n < len(values) else fn(n)
@@ -98,6 +113,7 @@ def peaceman_rachford(
     max_iters: int = 200,
     stop_residual: float = 1e-10,
     reference: Vector | None = None,
+    errors: ErrorModel | None = None,
 ) -> SolverPreset:
     """Mean-value Peaceman-Rachford iteration for ``0 in A y + B y``.
 
@@ -126,8 +142,8 @@ def peaceman_rachford(
     first).  ``u_n`` is ``2 y_n - xbar_n`` in exact arithmetic; in floating
     point z_n can differ from that form by rounding when b_n is given.  The
     recorder takes a_n and b_n as half the layer errors the step injected
-    (halving ``2 b_n`` is exact), so an error model set on the config
-    directly gives y_n, z_n with ``x_{n+1} = xbar_n + 2 (z_n - y_n)`` too.
+    (halving ``2 b_n`` is exact), so a model given as ``errors`` (or set on
+    the config) gives y_n, z_n with ``x_{n+1} = xbar_n + 2 (z_n - y_n)`` too.
     One preset must not be solved from two threads at once: the resolvent
     values are shared by its runs.
     """
@@ -169,8 +185,7 @@ def peaceman_rachford(
         weights=weights,
         relaxation=RelaxationSchedule(policy="constant", value=1.0),
         x0=as_vector(x0),
-        errors=(ErrorModel() if a_fn is None and b_fn is None
-                else SequenceError([doubled(a_fn), doubled(b_fn)])),
+        errors=_error_model(errors, [doubled(a_fn), doubled(b_fn)]),
         max_iters=max_iters,
         stop_residual=stop_residual,
         reference=reference,
@@ -203,6 +218,7 @@ def forward_backward(
     max_iters: int = 500,
     stop_residual: float = 1e-10,
     reference: Vector | None = None,
+    errors: ErrorModel | None = None,
 ) -> SolverPreset:
     """Relaxed forward-backward splitting for ``0 in A x + B x``.
 
@@ -218,8 +234,8 @@ def forward_backward(
     and ``proximal_point`` (``B = 0``: the backward layer alone with
     ``phi = 1/2`` and ``gamma_n in [eps, inf)``).
 
-    Inertial runs accept errors only in the unit-relaxation bounded-domain
-    regime; anything else is rejected.
+    Inertial runs accept errors (sequences or a model) only in the
+    unit-relaxation bounded-domain regime; anything else is rejected.
     """
     if variant not in ("memoryless", "mean", "inertial", "proximal_point"):
         raise ConfigurationError(f"unknown forward-backward variant {variant!r}")
@@ -259,7 +275,7 @@ def forward_backward(
         if eta is None:
             raise ConfigurationError("inertial variant needs an eta schedule")
         weights = inertial(eta)
-        if a_errors is not None or b_errors is not None:
+        if errors is not None or a_errors is not None or b_errors is not None:
             rejected = (
                 "errors under inertial weights need unit relaxation and a "
                 "bounded-domain backward operator; rejected"
@@ -304,9 +320,7 @@ def forward_backward(
             return None
         return -(checked[n] if n in checked else gamma_fn(n)) * b_n
 
-    errors = ErrorModel()
-    if a_fn is not None or b_fn is not None:
-        errors = SequenceError([a_fn] if b_fn is None else [a_fn, forward_error])
+    errors = _error_model(errors, [a_fn] if b_fn is None else [a_fn, forward_error])
 
     config = IterationConfig(
         stacks=stack_for if callable(gamma) else stack_for(0),
@@ -343,6 +357,7 @@ def polyak_subgradient(
     max_iters: int = 500,
     stop_residual: float = 1e-10,
     reference: Vector | None = None,
+    errors: ErrorModel | None = None,
 ) -> SolverPreset:
     """Level-set subgradient projection for ``min f over C`` with known
     optimal value ``theta``.
@@ -386,6 +401,7 @@ def polyak_subgradient(
         weights=weights,
         relaxation=RelaxationSchedule(policy="constant", value=lam),
         x0=region_projector.fn(as_vector(x0)),
+        errors=_error_model(errors, []),
         max_iters=max_iters,
         stop_residual=stop_residual,
         reference=reference,
@@ -424,7 +440,8 @@ def krasnoselskii_mann(
     needs ``inf_n mu_{n+1,n} mu_{n+1,n+1} > 0`` (window w >= 2).
     ``inertial``: two-term extrapolation, error-free, with the (eta, sigma,
     theta_tune) relaxation band validated on the supplied sequences
-    (phi == 1 here).
+    (phi == 1 here).  ``errors`` is a sequence for ``T`` (a list or a
+    callable), or an ``ErrorModel`` used as given.
     """
     stack = compose([
         AveragedOperator(fn=T.fn, alpha=1.0, kind=T.kind, name=T.name or "fixed_point_map")
@@ -470,13 +487,14 @@ def krasnoselskii_mann(
         weights = inertial(eta)
     else:
         raise ConfigurationError(f"unknown fixed-point variant {variant!r}")
-    e_fn = _seq(errors)
+    if not isinstance(errors, ErrorModel):
+        errors = _error_model(None, [_seq(errors)])
     config = IterationConfig(
         stacks=stack,
         weights=weights,
         relaxation=RelaxationSchedule(policy="constant", value=lam),
         x0=x0,
-        errors=SequenceError([e_fn]) if e_fn is not None else ErrorModel(),
+        errors=errors,
         max_iters=max_iters,
         stop_residual=stop_residual,
         reference=reference,

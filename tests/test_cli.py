@@ -133,6 +133,37 @@ class TestRunCommand:
         assert "perturbs layer 3, but the stack has 2 layers" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("solver,message", [
+        ({"name": "forward_backward", "params": {
+            "variant": "inertial", "gamma": 0.8, "eta": {"kind": "constant", "eta": 0.3}}},
+         "errors under inertial weights need unit relaxation and a bounded-domain "
+         "backward operator; rejected"),
+        ({"name": "krasnoselskii_mann", "params": {"variant": "inertial", "lambda": 0.3}},
+         "the inertial variant is error-free; rejected"),
+    ], ids=["forward_backward", "krasnoselskii_mann"])
+    def test_errors_meet_the_builders_inertial_rules(self, tmp_path, capsys, command,
+                                                     solver, message):
+        # the builder sees the config's error model, not a model set after it
+        fb = solver["name"] == "forward_backward"
+        cfg = write_config(tmp_path, {
+            "problem": {"name": "l1_quadratic", "params": {"a": [2.0, -0.3, 0.7]}} if fb
+            else {"name": "rotation_fixed_point", "params": {"angle": 1.0}},
+            "solver": solver,
+            "relaxation": {"policy": "constant", "value": 1.3 if fb else 0.3},
+            "errors": {"model": "geometric", "rate": 0.5, "direction": [0.01, -0.02, 0.005]}
+            if fb else {"model": "custom", "values": [[0.01, 0.0], [0.005, 0.0]]},
+            "horizon": 30,
+            "stop_residual": 0.0,
+            "x0": [-1.0, 0.5, 3.0] if fb else [1.0, -0.5],
+        })
+        args = [command, cfg] + (["--out-dir", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("layer", [0, -3])
     def test_custom_error_layer_below_one_exits_3(self, tmp_path, capsys, layer):
         cfg = fb_config(tmp_path, errors={"model": "custom", "values": [[0.1]], "layer": layer})

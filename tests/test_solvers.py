@@ -313,6 +313,57 @@ def test_error_callable_returning_a_list_runs_as_its_array(solver, key):
     assert error_budget_check(listed.config, 19).total == pytest.approx(sum(trace.thetas))
 
 
+def model_presets(**kwargs):
+    """One preset of each builder, with ``kwargs`` passed to every builder."""
+    prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+    polyak = catalog("polyak_norm_over_halfspace")
+    rotation = catalog("rotation_fixed_point", angle=1.0)
+    common = dict(max_iters=25, stop_residual=0.0, **kwargs)
+    return {
+        "forward_backward": lambda: forward_backward(
+            prob.ingredients["A"], prob.ingredients["grad"], prob.beta, 0.8,
+            x0=vec(-1.0, 0.5, 3.0), weights=window(2), variant="mean", **common),
+        "peaceman_rachford": lambda: peaceman_rachford(
+            prob.ingredients["A"], prob.ingredients["B"], 0.9, window(2),
+            vec(-1.0, 0.5, 3.0), **common),
+        "polyak_subgradient": lambda: polyak_subgradient(
+            polyak.ingredients["f"], polyak.ingredients["s"], polyak.theta,
+            polyak.ingredients["projector"], x0=vec(3.0, 2.0), **common),
+        "krasnoselskii_mann": lambda: krasnoselskii_mann(
+            rotation.ingredients["T"], x0=vec(1.0, -0.5), weights=window(2), **common),
+    }
+
+
+@pytest.mark.parametrize("solver", ["forward_backward", "peaceman_rachford",
+                                    "polyak_subgradient", "krasnoselskii_mann"])
+@pytest.mark.parametrize("layer", [1, 2])
+def test_an_error_model_given_to_the_builder_is_the_one_set_on_its_config(solver, layer):
+    dim = 2 if solver in ("polyak_subgradient", "krasnoselskii_mann") else 3
+    model = GeometricError(0.5, np.linspace(0.1, -0.05, dim), layer=layer)
+    given = model_presets(errors=model)[solver]()
+    assert given.config.errors is model
+    if layer > given.config.stacks.m:
+        with pytest.raises(ConfigurationError, match=f"perturbs layer {layer}"):
+            given.solve()
+        return
+    _, trace = given.solve()
+    assigned = model_presets()[solver]()
+    assigned.config.errors = model
+    _, expected = assigned.solve()
+    assert points_bytes(trace) == points_bytes(expected)
+    assert trace.thetas == expected.thetas
+    if trace.aux is not None:
+        assert [r["z"].tobytes() for r in trace.aux] == [r["z"].tobytes() for r in expected.aux]
+
+
+@pytest.mark.parametrize("key", ["a_errors", "b_errors"])
+@pytest.mark.parametrize("solver", ["forward_backward", "peaceman_rachford"])
+def test_an_error_model_and_error_sequences_are_not_both_given(solver, key):
+    kwargs = {"errors": GeometricError(0.5, vec(0.1, 0.0, 0.0)), key: [vec(0.1, 0.0, 0.0)]}
+    with pytest.raises(ConfigurationError, match="give an error model or error sequences"):
+        model_presets(**kwargs)[solver]()
+
+
 @pytest.mark.parametrize("key", ["a_errors", "b_errors"])
 @pytest.mark.parametrize("solver", ["forward_backward", "peaceman_rachford"])
 def test_each_error_value_goes_through_error_vector_once(solver, key, monkeypatch):
