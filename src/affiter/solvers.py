@@ -20,6 +20,7 @@ its own error sequences; ``affiter run`` passes the config's model this way.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -144,8 +145,9 @@ def peaceman_rachford(
     recorder takes a_n and b_n as half the layer errors the step injected
     (halving ``2 b_n`` is exact), so a model given as ``errors`` (or set on
     the config) gives y_n, z_n with ``x_{n+1} = xbar_n + 2 (z_n - y_n)`` too.
-    One preset must not be solved from two threads at once: the resolvent
-    values are shared by its runs.
+    The resolvent values are kept per thread, where a run makes all its
+    layer and recorder calls, so runs of one preset in two threads each
+    record their own y_n and z_n.
     """
     if not gamma > 0:
         raise ConfigurationError("gamma must be positive")
@@ -162,12 +164,14 @@ def peaceman_rachford(
             lambda n: None if (e := error_vector(fn(n))) is None else e + e
         )
 
-    resolvents = [None, None]  # J_{gamma A}, J_{gamma B} as the layers last returned them
+    # J_{gamma A} as .a and J_{gamma B} as .b, as this thread's layers last returned them
+    resolvents = threading.local()
 
-    def reflector(k: int, mono: MonotoneMap) -> AveragedOperator:
+    def reflector(key: str, mono: MonotoneMap) -> AveragedOperator:
         # reflector_operator(gamma, mono), keeping its resolvent value for record
         def fn(x):
-            j = resolvents[k] = mono.resolvent(gamma, x)
+            j = mono.resolvent(gamma, x)
+            setattr(resolvents, key, j)
             return j + j - x  # 2 j - x: doubling by addition is exact, as 2.0 * j is
 
         return AveragedOperator(fn=fn, alpha=1.0, name=f"reflector({mono.name}, gamma={gamma})")
@@ -176,12 +180,12 @@ def peaceman_rachford(
         # the step's pass has just evaluated J_{gamma B} at xbar_n and, last,
         # J_{gamma A} on the perturbed chain; errors_n is (2 a_n, 2 b_n), or shorter
         e_a, e_b = (None, None) if errors_n is None else (*errors_n, None, None)[:2]
-        ja, jb = resolvents
+        ja, jb = resolvents.a, resolvents.b
         return {"y": jb if e_b is None else jb + 0.5 * e_b,
                 "z": ja if e_a is None else ja + 0.5 * e_a}
 
     config = IterationConfig(
-        stacks=compose([reflector(0, A), reflector(1, B)]),
+        stacks=compose([reflector("a", A), reflector("b", B)]),
         weights=weights,
         relaxation=RelaxationSchedule(policy="constant", value=1.0),
         x0=as_vector(x0),

@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -47,6 +49,39 @@ class TestPeacemanRachford:
         y, trace = preset.solve()
         assert abs(y[0]) <= 1e-8
         assert trace.n_steps == 50
+
+    def test_two_threads_solving_one_preset_each_get_the_serial_run(self):
+        # the reflectors keep their resolvent values per thread; flags are
+        # left out, as the run's warning capture is process-wide
+        prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
+        preset = peaceman_rachford(
+            prob.ingredients["A"], prob.ingredients["B"], gamma=0.9, weights=window(2),
+            x0=vec(-1.0, 0.5, 3.0), b_errors=lambda n: vec(0.01, -0.02, 0.005) / (n + 1.0),
+            max_iters=1500, stop_residual=0.0,
+        )
+
+        def fields(trace):
+            return ([p.tobytes() for p in trace.points],
+                    [(r["y"].tobytes(), r["z"].tobytes()) for r in trace.aux])
+
+        expected = fields(preset.solve()[1])
+        traces = [None, None]
+
+        def solve(k):
+            traces[k] = preset.solve()[1]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for trace in traces:
+            assert fields(trace) == expected
 
     def test_extractor_matches_inner_resolvent(self):
         prob = self.problem()
