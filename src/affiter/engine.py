@@ -230,10 +230,10 @@ class RunTrace:
     columns of length ``n_steps``.  ``error_norms`` is an ``(n_steps, m)``
     float64 array of the per-layer norms ``||e_{i,n}||``, outermost layer
     first; a run whose model is the base ``ErrorModel`` keeps no per-step
-    norm or theta: its ``error_norms`` is a read-only ``np.broadcast_to``
-    of one zero row and its ``thetas`` the zeros ``lambda_n * 0.0`` gives
-    (``m`` is 0 for a zero-step run whose stacks come from a provider, as
-    no stack was built).  ``aux`` is None without a recorder, else an
+    norm or theta: its ``error_norms`` is an ndarray of ``n_steps`` rows over
+    one zero row in a ``bytes`` buffer, so read-only, and its ``thetas`` the
+    zeros ``lambda_n * 0.0`` gives (``m`` is 0 for a zero-step run whose
+    stacks come from a provider, as no stack was built).  ``aux`` is None without a recorder, else an
     ``AuxRecords``: one mapping of 1-D views into the recorder's packed
     columns per step.  ``stacks`` is the single LayerStack of the config,
     or the pre-pass's list of per-step stacks; read it through

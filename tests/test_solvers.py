@@ -50,7 +50,7 @@ class TestPeacemanRachford:
         assert abs(y[0]) <= 1e-8
         assert trace.n_steps == 50
 
-    def test_two_threads_solving_one_preset_each_get_the_serial_run(self):
+    def test_threads_solving_one_preset_each_get_the_serial_run(self):
         # the reflectors keep their resolvent values per thread; flags are
         # left out, as the run's warning capture is process-wide
         prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
@@ -65,7 +65,7 @@ class TestPeacemanRachford:
                     [(r["y"].tobytes(), r["z"].tobytes()) for r in trace.aux])
 
         expected = fields(preset.solve()[1])
-        traces = [None, None]
+        traces = [None] * 3  # more threads than the two cores of a small host
 
         def solve(k):
             traces[k] = preset.solve()[1]
@@ -73,13 +73,14 @@ class TestPeacemanRachford:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(traces))]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60.0)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         for trace in traces:
             assert fields(trace) == expected
 
