@@ -233,9 +233,9 @@ class RunTrace:
     norm or theta: its ``error_norms`` is an ndarray of ``n_steps`` rows over
     one zero row in a ``bytes`` buffer, so read-only, and its ``thetas`` the
     zeros ``lambda_n * 0.0`` gives (``m`` is 0 for a zero-step run whose
-    stacks come from a provider, as no stack was built).  ``aux`` is None without a recorder, else an
-    ``AuxRecords``: one mapping of 1-D views into the recorder's packed
-    columns per step.  ``stacks`` is the single LayerStack of the config,
+    stacks come from a provider, as no stack was built).  ``aux`` is None
+    without a recorder, else an ``AuxRecords``: one mapping of 1-D views
+    into the recorder's packed columns per step.  ``stacks`` is the single LayerStack of the config,
     or the pre-pass's list of per-step stacks; read it through
     ``stack_at(n)``.  ``etas`` holds the pre-pass's
     eta_n of inertial rows (``schedules.eta_values``, one per
