@@ -141,9 +141,9 @@ def run_certificates(
 
     The distances ``||x_j - x*||`` for ``j < N`` come from
     ``trace.dist_to_ref`` when ``x_ref`` equals the run's reference, and only
-    ``||x_N - x*||`` is measured; for any other point every distance is
-    measured.  Both are the same ``norm(x_j - x*)`` call on the same arrays,
-    so the slacks do not depend on which path ran.
+    ``||x_N - x*||`` is measured; for any other point ``Rows.distances``, the
+    kernel that fills ``dist_to_ref``, measures them all.  Both are bit for
+    bit ``norm(x_j - x*)``, so the slacks do not depend on which path ran.
 
     Certificate (i) builds no weight row: ``schedules.abs_weighted_sums``
     forms ``sum_j |mu_{n,j}| ||x_j - x*||`` from the distances and the
@@ -183,11 +183,11 @@ def run_certificates(
     ref = trace.config.reference
     d = np.empty(n_steps + 1)
     if trace.dist_to_ref is not None and np.array_equal(x_ref, as_vector(ref)):
-        # the run measured ||x_n - x*|| for n < N with the same norm call
+        # the run measured ||x_n - x*|| for n < N with the same kernel
         d[:n_steps] = trace.dist_to_ref
         d[n_steps] = norm(points[-1] - x_ref)
     else:
-        d[:] = [norm(p - x_ref) for p in points]
+        points.distances(x_ref, d)
 
     slacks = {}
     if "i" in which:

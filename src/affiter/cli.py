@@ -31,7 +31,6 @@ that shared parser, which callers must not mutate.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -415,7 +414,7 @@ def cmd_validate(args) -> int:
     weights_report = validate_weights(preset.config.weights, horizon)
     # one sweep: the band condition at n reads omega_{n+1}, so it needs two more steps
     steps = horizon if band_params is None else horizon + 2
-    plan = _prevalidate(dataclasses.replace(preset.config, max_iters=steps))
+    plan = _prevalidate(preset.config, steps)
     lam_probe = plan.lambdas[:horizon]
     out = {
         "weights": {

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -225,24 +225,25 @@ class RunTrace:
     ``xbars`` holds ``xbar_0 .. xbar_{N-1}``, each a ``space.Rows`` of
     packed float64 rows, and ``points[n]`` is a 1-D view into its block.
     With memoryless weights (rows of one point) ``xbars`` is
-    ``points.head(n_steps)``, the same memory.  ``lambdas``, ``phis``,
-    ``residuals``, ``thetas`` and ``dist_to_ref`` are ``array("d")``
-    columns of length ``n_steps``.  ``error_norms`` is an ``(n_steps, m)``
-    float64 array of the per-layer norms ``||e_{i,n}||``, outermost layer
-    first; a run whose model is the base ``ErrorModel`` keeps no per-step
-    norm or theta: its ``error_norms`` is an ndarray of ``n_steps`` rows over
-    one zero row in a ``bytes`` buffer, so read-only, and its ``thetas`` the
-    zeros ``lambda_n * 0.0`` gives (``m`` is 0 for a zero-step run whose
-    stacks come from a provider, as no stack was built).  ``aux`` is None
-    without a recorder, else an ``AuxRecords``: one mapping of 1-D views
-    into the recorder's packed columns per step.  ``stacks`` is the single LayerStack of the config,
-    or the pre-pass's list of per-step stacks; read it through
-    ``stack_at(n)``.  ``etas`` holds the pre-pass's
-    eta_n of inertial rows (``schedules.eta_values``, one per
-    ``n < max_iters``), None for the other families.  With a reference set,
-    ``dist_to_ref`` holds ``norm(x_n - reference)`` for each step ``n``
-    (not the final point), filled after the loop; ``run_certificates``
-    reuses these values when it certifies against that reference.
+    ``points.head(n_steps)``, the same memory.  ``lambdas``, ``residuals``,
+    ``thetas`` and ``dist_to_ref`` are ``array("d")`` columns of length
+    ``n_steps``, and so is ``phis``, read from ``stacks`` on each access.
+    ``error_norms`` is an ``(n_steps, m)`` float64 array of the per-layer
+    norms ``||e_{i,n}||``, outermost layer first; a run whose model is the
+    base ``ErrorModel`` keeps no per-step norm or theta: its ``error_norms``
+    is an ndarray of ``n_steps`` rows over one zero row in a ``bytes``
+    buffer, so read-only, and its ``thetas`` the zeros ``lambda_n * 0.0``
+    gives (``m`` is 0 for a zero-step run whose stacks come from a provider,
+    as no stack was built).  ``aux`` is None without a recorder, else an
+    ``AuxRecords``: one mapping of 1-D views into the recorder's packed
+    columns per step.  ``stacks`` is the single LayerStack of the config, or
+    the pre-pass's list of per-step stacks; read it through ``stack_at(n)``.
+    ``etas`` holds the pre-pass's eta_n of inertial rows
+    (``schedules.eta_values``, one per ``n < max_iters``), None for the
+    other families.  With a reference set, ``dist_to_ref`` holds
+    ``norm(x_n - reference)`` for each step ``n`` (not the final point),
+    filled after the loop; ``run_certificates`` reuses these values when it
+    certifies against that reference.
     """
 
     config: IterationConfig
@@ -250,7 +251,6 @@ class RunTrace:
     points: Rows
     xbars: Rows
     lambdas: array
-    phis: array
     residuals: array
     thetas: array
     error_norms: np.ndarray
@@ -268,6 +268,12 @@ class RunTrace:
     def stack_at(self, n: int) -> LayerStack:
         """The stack the run applied at step ``n``."""
         return self.stacks[n] if isinstance(self.stacks, list) else self.stacks
+
+    @property
+    def phis(self) -> array:
+        """``phi_n`` of the stack applied at each step, as an ``array("d")``."""
+        stacks = self.stacks if isinstance(self.stacks, list) else [self.stacks] * self.n_steps
+        return array("d", [s.phi for s in stacks[: self.n_steps]])
 
     @property
     def final_point(self) -> Vector:
@@ -306,8 +312,9 @@ def _check_error_depth(errors: ErrorModel, m: int) -> None:
         )
 
 
-def _prevalidate(config: IterationConfig) -> RunPlan:
-    """Check the whole horizon before any operator call; the run's only pre-pass.
+def _prevalidate(config: IterationConfig, steps: int | None = None) -> RunPlan:
+    """Check the whole horizon, the first ``steps`` n (``config.max_iters``
+    when None), before any operator call; the run's only pre-pass.
 
     Calls a stack provider and the relaxation schedule once per n (the
     schedule only once, at n = 0, when neither its value nor the stack
@@ -319,8 +326,8 @@ def _prevalidate(config: IterationConfig) -> RunPlan:
         raise ConfigurationError(
             f"stop_residual must be >= 0 (0 disables the stop), got {config.stop_residual}"
         )
-    etas = eta_values(config.weights, config.max_iters)
-    steps = range(config.max_iters)
+    steps = range(config.max_iters if steps is None else steps)
+    etas = eta_values(config.weights, len(steps))
     if not callable(config.stacks):
         _check_error_depth(config.errors, config.stacks.m)
         phi = config.stacks.phi
@@ -540,16 +547,8 @@ def run(config: IterationConfig) -> RunTrace:
                 break
 
         n_steps = len(residuals)
-        dists = None
-        if reference is not None:
-            dists = _distances(points, n_steps, reference, caught, marks)
+        dists = None if reference is None else _distances(points, n_steps, reference, caught, marks)
 
-    if per_step is None:
-        phis = array("d", [stack.phi]) * n_steps
-        stacks = config.stacks
-    else:
-        stacks = per_step
-        phis = array("d", [s.phi for s in per_step[:n_steps]])
     if errors_for is None:
         # lambda_n * 0.0 is +0.0 for every lambda_n > 0
         thetas = array("d", [0.0]) * n_steps
@@ -559,12 +558,11 @@ def run(config: IterationConfig) -> RunTrace:
         error_norms = np.frombuffer(norms, dtype=np.float64).reshape(n_steps, m)
     return RunTrace(
         config=config,
-        stacks=stacks,
+        stacks=config.stacks if per_step is None else per_step,
         etas=plan.etas,
         points=points,
         xbars=points.head(n_steps) if memoryless else xbars,
         lambdas=lambdas if n_steps == len(lambdas) else lambdas[:n_steps],
-        phis=phis,
         residuals=residuals,
         thetas=thetas,
         error_norms=error_norms,
@@ -625,7 +623,7 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     """
     if horizon < 1:
         raise ConfigurationError("budget horizon must be >= 1")
-    plan = _prevalidate(replace(config, max_iters=horizon + 1))
+    plan = _prevalidate(config, horizon + 1)
     first = config.stacks if plan.stacks is None else plan.stacks[0]
     weights = config.weights
     nonneg = weights.nonnegative

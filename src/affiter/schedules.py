@@ -220,26 +220,24 @@ def orbit_mean(
 ) -> Callable[[int, Vector], Vector]:
     """The family's kernel ``(n, x_n) -> xbar_n``.
 
-    Calls must come for ``n = 0, 1, ...`` in order, each with the newest
-    orbit point: every kernel keeps only the history its rows read.  Where
-    row ``n`` is ``x_n`` alone (memoryless rows, window's first row,
+    For rows of more than one point: ``engine.run`` calls no kernel when
+    ``support_bound == 1``.  Calls come for ``n = 0, 1, ...`` in order, each
+    with the newest orbit point: every kernel keeps only the history its
+    rows read.  Where row ``n`` is ``x_n`` alone (window's first row,
     inertial rows with ``eta_n = 0``) the kernel returns ``x_n`` itself, not
     a copy; otherwise it writes ``xbar_n`` into ``new_row()``, a fresh
     writable vector, and returns that.  The inertial kernel keeps
     ``x_{n-1}`` and reads ``etas[n]`` (from ``eta_values``); ``window(w)``
     keeps the last ``w`` points; cesaro keeps a running sum, which it
-    divides by ``n + 1``.  The memoryless, window and inertial kernels
-    perform the operations of ``affine_combine(schedule.row(n), orbit)`` in
-    the same order, so their results are the same bit for bit.  No kernel
-    tests its result for finiteness: a non-finite ``xbar_n`` makes the
-    step's residual non-finite, and ``engine.run`` then names the row
-    (window and inertial: "affine combination at row n is non-finite") at
-    the same n, after the layers have seen that ``xbar_n`` once.
+    divides by ``n + 1``.  The window and inertial kernels perform the
+    operations of ``affine_combine(schedule.row(n), orbit)`` in the same
+    order, so their results are the same bit for bit.  No kernel tests its
+    result for finiteness: a non-finite ``xbar_n`` makes the step's residual
+    non-finite, and ``engine.run`` then names the row (window and inertial:
+    "affine combination at row n is non-finite") at the same n, after the
+    layers have seen that ``xbar_n`` once.
     """
     family = schedule.family
-    if family == "memoryless":
-        return lambda n, x: x
-
     if family == "window":
         recent: deque[Vector] = deque(maxlen=schedule.window)
 
@@ -525,8 +523,6 @@ class RelaxationSchedule:
 
     - ``constant``: a fixed requested value, rejected whenever it exceeds the
       ``1/phi_n`` cap.
-    - ``fraction_of_inverse_phi``: ``(1 - eps) / phi_n``.
-    - ``overrelaxed``: ``eps + (1 - eps) / phi_n``.
     - ``fb_band``: values in ``[eps, eps + (1 - eps) / phi_n]``; a requested
       value defaults to the band's upper end.  For forward-backward steps
       ``phi_n = 2 / (4 - gamma_n / beta)``, so the top is
@@ -539,7 +535,7 @@ class RelaxationSchedule:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.policy not in ("constant", "fraction_of_inverse_phi", "overrelaxed", "fb_band"):
+        if self.policy not in ("constant", "fb_band"):
             raise ConfigurationError(f"unknown relaxation policy {self.policy!r}")
         if self.policy == "constant" and self.value is None:
             raise ConfigurationError("constant relaxation needs a value")
@@ -567,10 +563,6 @@ def relaxation_at(rs: RelaxationSchedule, n: int, phi_n: float) -> float:
     hard_cap = 1.0 / phi_n
     if rs.policy == "constant":
         lam = rs._requested(n)
-    elif rs.policy == "fraction_of_inverse_phi":
-        lam = (1.0 - rs.epsilon) / phi_n
-    elif rs.policy == "overrelaxed":
-        lam = rs.epsilon + (1.0 - rs.epsilon) / phi_n
     else:  # fb_band
         cap = rs.epsilon + (1.0 - rs.epsilon) / phi_n
         lam = rs._requested(n)
