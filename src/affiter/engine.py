@@ -35,6 +35,7 @@ A step leaves no Python object behind in the trace.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -320,8 +321,15 @@ def _prevalidate(config: IterationConfig, steps: int | None = None) -> RunPlan:
     schedule only once, at n = 0, when neither its value nor the stack
     depends on n), checks that the error model reaches no layer below the
     stack and that ``stop_residual`` is not negative or NaN, and raises the
-    first violated bound with its n.
+    first violated bound with its n.  ``max_iters`` must be an integer >= 0
+    (``operator.index`` accepts it); 0 is a run of no steps.
     """
+    try:
+        valid = operator.index(config.max_iters) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ConfigurationError(f"max_iters must be an integer >= 0, got {config.max_iters!r}")
     if not config.stop_residual >= 0.0:
         raise ConfigurationError(
             f"stop_residual must be >= 0 (0 disables the stop), got {config.stop_residual}"

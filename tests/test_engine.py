@@ -667,6 +667,50 @@ class TestStopResidual:
         assert run(cfg).n_steps == steps
 
 
+class TestMaxIters:
+    """A negative or non-integer ``max_iters`` is a configuration error, raised
+    by the pre-pass before any operator call; 0 is a run of no steps."""
+
+    @staticmethod
+    def counted_config(max_iters):
+        calls = []
+        op = AveragedOperator(fn=lambda x: calls.append(1) or 0.5 * x, alpha=0.5)
+        cfg = IterationConfig(
+            stacks=lambda n: compose([op]), weights=window(2),
+            relaxation=constant_relaxation(lambda n: calls.append(1) or 1.0),
+            x0=vec(1.0), max_iters=max_iters, stop_residual=0.0,
+        )
+        return cfg, calls
+
+    @pytest.mark.parametrize("value", [-1, 2.5, "3", None])
+    def test_a_bad_max_iters_is_rejected_before_any_call(self, value):
+        cfg, calls = self.counted_config(value)
+        with pytest.raises(ConfigurationError) as info:
+            run(cfg)
+        assert str(info.value) == f"max_iters must be an integer >= 0, got {value!r}"
+        assert calls == []
+
+    def test_a_builder_with_a_negative_max_iters_fails_to_solve_by_name(self):
+        problem = catalog("l1_quadratic", a=[2.0, -0.3])
+        preset = forward_backward(
+            A=problem.ingredients["A"], B=problem.ingredients["grad"], beta=problem.beta,
+            gamma=1.0, x0=[1.0, 1.0], max_iters=-3,
+        )
+        with pytest.raises(ConfigurationError, match=r"^max_iters must be an integer >= 0, got -3$"):
+            preset.solve()
+
+    @pytest.mark.parametrize("value", [0, np.int64(0)])
+    def test_zero_max_iters_is_a_run_of_no_steps(self, value):
+        cfg, calls = self.counted_config(value)
+        trace = run(cfg)
+        assert trace.n_steps == 0 and len(trace.points) == 1 and calls == []
+        assert trace.phis.tolist() == [] and trace.stop_reason == "max_iters"
+
+    def test_an_integer_like_max_iters_runs(self):
+        cfg, _calls = self.counted_config(np.int64(4))
+        assert run(cfg).n_steps == 4
+
+
 class TestResidualModes:
     """Injected errors: the residual stays the clean one."""
 
