@@ -179,60 +179,62 @@ def run_certificates(
         eval_at = np.asarray(sorted(set(indices)), dtype=int)
         if eval_at.size and (eval_at[0] < 0 or eval_at[-1] >= n_steps):
             raise ConfigurationError(f"certificate indices outside 0..{n_steps - 1}")
-    points = trace.points
-    ref = trace.config.reference
-    d = np.empty(n_steps + 1)
-    if trace.dist_to_ref is not None and np.array_equal(x_ref, as_vector(ref)):
-        # the run measured ||x_n - x*|| for n < N with the same kernel
-        d[:n_steps] = trace.dist_to_ref
-        d[n_steps] = norm(points[-1] - x_ref)
-    else:
-        points.distances(x_ref, d)
+    # a NaN or infinite slack fails its verdict; numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = trace.points
+        ref = trace.config.reference
+        d = np.empty(n_steps + 1)
+        if trace.dist_to_ref is not None and np.array_equal(x_ref, as_vector(ref)):
+            # the run measured ||x_n - x*|| for n < N with the same kernel
+            d[:n_steps] = trace.dist_to_ref
+            d[n_steps] = norm(points[-1] - x_ref)
+        else:
+            points.distances(x_ref, d)
 
-    slacks = {}
-    if "i" in which:
-        rhs = abs_weighted_sums(trace.config.weights, d, eval_at, trace.etas)
-        slacks["i"] = (rhs + np.asarray(trace.thetas)[eval_at]) - d[eval_at + 1]
-    # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n, in
-    # Python floats: numpy's squares would differ from x**2 in the last bit.
-    # The columns become lists once, so that each value is boxed once.
-    if {"ii", "iii"} & set(which):
-        ns = eval_at.tolist()
-        dists, thetas, residuals = d.tolist(), trace.thetas.tolist(), trace.residuals.tolist()
-        dbars = _xbar_dists(trace, eval_at, d, x_ref).tolist()
-        base = [
-            dbar**2 - dists[n + 1] ** 2 + thetas[n] * (2.0 * dbar + thetas[n])
-            for n, dbar in zip(ns, dbars)
-        ]
-        lambdas = trace.lambdas.tolist()
-    if "ii" in which:
-        phis = trace.phis.tolist()
-        slacks["ii"] = np.array([
-            b - lambdas[n] * (1.0 / phis[n] - lambdas[n]) * residuals[n] ** 2
-            for n, b in zip(ns, base)
-        ])
-    if "iii" in which:
-        iii = []
-        ref_stack = None
-        for n, b in zip(ns, base):
-            stack = trace.stack_at(n)
-            if stack is not ref_stack:
-                # (Id - T_i) T_{i+} x_ref, for each layer with a nonzero coefficient
-                ref_stack, ref_disps = stack, []
-                for i, layer in enumerate(stack.layers, start=1):
-                    coeff = (1.0 - layer.alpha) / layer.alpha
-                    if coeff != 0.0:
-                        t_ref = tail_apply(stack, i, x_ref)
-                        ref_disps.append((i, layer, coeff, t_ref - layer.fn(t_ref)))
-            xbar = trace.xbars[n]
-            layer_term = 0.0
-            for i, layer, coeff, d_ref in ref_disps:
-                t_bar = tail_apply(stack, i, xbar)
-                disp = (t_bar - layer.fn(t_bar)) - d_ref
-                layer_term = max(layer_term, coeff * float(disp @ disp))
-            lam = lambdas[n]
-            iii.append(b + lam * (lam - 1.0) * residuals[n] ** 2 - lam * layer_term)
-        slacks["iii"] = np.array(iii)
+        slacks = {}
+        if "i" in which:
+            rhs = abs_weighted_sums(trace.config.weights, d, eval_at, trace.etas)
+            slacks["i"] = (rhs + np.asarray(trace.thetas)[eval_at]) - d[eval_at + 1]
+        # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n, in
+        # Python floats: numpy's squares would differ from x**2 in the last bit.
+        # The columns become lists once, so that each value is boxed once.
+        if {"ii", "iii"} & set(which):
+            ns = eval_at.tolist()
+            dists, thetas, residuals = d.tolist(), trace.thetas.tolist(), trace.residuals.tolist()
+            dbars = _xbar_dists(trace, eval_at, d, x_ref).tolist()
+            base = [
+                dbar**2 - dists[n + 1] ** 2 + thetas[n] * (2.0 * dbar + thetas[n])
+                for n, dbar in zip(ns, dbars)
+            ]
+            lambdas = trace.lambdas.tolist()
+        if "ii" in which:
+            phis = trace.phis.tolist()
+            slacks["ii"] = np.array([
+                b - lambdas[n] * (1.0 / phis[n] - lambdas[n]) * residuals[n] ** 2
+                for n, b in zip(ns, base)
+            ])
+        if "iii" in which:
+            iii = []
+            ref_stack = None
+            for n, b in zip(ns, base):
+                stack = trace.stack_at(n)
+                if stack is not ref_stack:
+                    # (Id - T_i) T_{i+} x_ref, for each layer with a nonzero coefficient
+                    ref_stack, ref_disps = stack, []
+                    for i, layer in enumerate(stack.layers, start=1):
+                        coeff = (1.0 - layer.alpha) / layer.alpha
+                        if coeff != 0.0:
+                            t_ref = tail_apply(stack, i, x_ref)
+                            ref_disps.append((i, layer, coeff, t_ref - layer.fn(t_ref)))
+                xbar = trace.xbars[n]
+                layer_term = 0.0
+                for i, layer, coeff, d_ref in ref_disps:
+                    t_bar = tail_apply(stack, i, xbar)
+                    disp = (t_bar - layer.fn(t_bar)) - d_ref
+                    layer_term = max(layer_term, coeff * float(disp @ disp))
+                lam = lambdas[n]
+                iii.append(b + lam * (lam - 1.0) * residuals[n] ** 2 - lam * layer_term)
+            slacks["iii"] = np.array(iii)
     return {
         name: CertificateReport(
             name=name, slacks=slacks[name], tolerance=tolerance, indices=eval_at

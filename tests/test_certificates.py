@@ -491,12 +491,33 @@ class TestNaNSlack:
             **variant,
         )
         _, trace = preset.solve()
-        with np.errstate(over="ignore", invalid="ignore"):
-            reports = run_certificates(trace, prob.reference, which=("i", "ii"))
+        reports = run_certificates(trace, prob.reference, which=("i", "ii"))
         for report in reports.values():
             assert np.isnan(report.slacks).any()
             assert not report.passed
             assert report.first_violation == int(np.flatnonzero(np.isnan(report.slacks))[0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("measured", [False, True], ids=["dist_to_ref", "measured"])
+    def test_overflowing_slacks_fail_without_a_numpy_warning(self, measured):
+        # the digest corpus's fb-window2-overflow inputs: l1_quadratic at d=3 with
+        # a and x0 times 1e155, window(2), 80 steps; the run flags its overflows
+        a, x0 = np.array([2.0, -0.3, 0.7]) * 1e155, np.array([-1.0, 0.5, 3.0]) * 1e155
+        prob = catalog("l1_quadratic", a=a)
+        preset = forward_backward(
+            A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=prob.beta, gamma=0.8,
+            x0=x0, weights=window(2), variant="mean", max_iters=80, stop_residual=0.0,
+            reference=prob.reference,
+        )
+        _, trace = preset.solve()
+        assert "overflow encountered in dot" in trace.flags
+        if measured:  # no stored distances: run_certificates measures every one
+            trace = dataclasses.replace(trace, dist_to_ref=None)
+        reports = run_certificates(trace, prob.reference, which=("i", "ii", "iii"))
+        assert sorted(reports) == ["i", "ii", "iii"]
+        for report in reports.values():
+            assert report.passed is False
+            assert not np.isfinite(report.slacks).all()
 
 
 class TestDistanceReuse:
