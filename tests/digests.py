@@ -147,6 +147,7 @@ CORPUS = {
         window(2), problem_a=[v * 1e155 for v in D3], x0=[v * 1e155 for v in X0]),
     "fb-gamma-callable": lambda: _fb(gamma=lambda n: 0.6 + 0.4 / (n + 1)),
     "fb-gamma-callable-window2": lambda: _fb(window(2), gamma=lambda n: 0.6 + 0.4 / (n + 1)),
+    "fb-gamma-callable-constant": lambda: _fb(window(2), gamma=lambda n: 0.7, b_errors=_b),
     "fb-lambda-cap": lambda: _fb(window(2), lam=None),
     "fb-a": lambda: _fb(a_errors=_a),
     "fb-b": lambda: _fb(b_errors=_b),
@@ -173,6 +174,7 @@ CORPUS = {
     "polyak-window2": lambda: _polyak(window(2)),
     "polyak-cesaro": lambda: _polyak(cesaro()),
     "polyak-xi-callable": lambda: _polyak(window(2), xi=lambda n: 1.0 + 0.4 / (n + 1)),
+    "polyak-xi-callable-constant": lambda: _polyak(window(2), xi=lambda n: 1.2),
     "km-memoryless": lambda: _km("memoryless", lam=0.5),
     "km-mean-window2": lambda: _km("mean", window(2)),
     "km-mean-window3-errors": lambda: _km("mean", window(3), errors=_values(np.float64, d=2)),
