@@ -240,6 +240,10 @@ def forward_backward(
 
     Inertial runs accept errors (sequences or a model) only in the
     unit-relaxation bounded-domain regime; anything else is rejected.
+
+    A callable ``gamma`` makes the stacks a provider, which returns the
+    previous step's stack when ``gamma_n`` equals the previous value: a
+    callable that returns a constant builds one stack per run.
     """
     if variant not in ("memoryless", "mean", "inertial", "proximal_point"):
         raise ConfigurationError(f"unknown forward-backward variant {variant!r}")
@@ -305,8 +309,14 @@ def forward_backward(
 
     a_fn, b_fn = _seq(a_errors), _seq(b_errors)
 
+    last = (None, None)  # (gamma_n, its stack) of the latest step
+
     def stack_for(n: int) -> LayerStack:
+        nonlocal last
         g = checked_gamma(n)
+        shared = last  # one read: a concurrent call with another gamma swaps the whole tuple
+        if shared[0] == g:
+            return shared[1]
         layers = [resolvent_operator(g, A)]
         if not proximal_point:
             layers.append(
@@ -316,7 +326,9 @@ def forward_backward(
                     name=f"forward_step(gamma={g})",
                 )
             )
-        return compose(layers)
+        stack = compose(layers)
+        last = (g, stack)
+        return stack
 
     def forward_error(n: int) -> Vector | None:
         b_n = error_vector(b_fn(n))
@@ -371,7 +383,9 @@ def polyak_subgradient(
     layer, so a common fixed point across layers is assumed: the problem must
     be consistent).  Bands: ``eta_low in (0, 1)``, ``eps in (0, eta_low /
     (2 + eta_low))``, ``xi_n in [eta_low, 2 - eta_low]``, ``lambda_n in
-    [eps, (1 - eps)(2 - xi_n / 2)]``.  The start is projected into C.
+    [eps, (1 - eps)(2 - xi_n / 2)]``.  The start is projected into C.  A
+    callable ``xi`` shares a stack between steps with equal ``xi_n``, as
+    ``forward_backward`` does with ``gamma_n``.
     """
     if not 0.0 < eta_low < 1.0:
         raise ConfigurationError("eta_low must lie in (0, 1)")
@@ -387,8 +401,14 @@ def polyak_subgradient(
     xi_fn = _gamma_fn(xi)
     g_op = subgradient_projector(f, s, theta)
 
+    last = (None, None)  # (xi_n, its stack) of the latest step
+
     def stack_for(n: int) -> LayerStack:
+        nonlocal last
         x = xi_fn(n)
+        shared = last  # one read, as in forward_backward
+        if shared[0] == x:  # checked when it was built
+            return shared[1]
         if not eta_low <= x <= 2.0 - eta_low:
             raise ConfigurationError(
                 f"xi_{n} = {x} outside [eta, 2-eta] = [{eta_low}, {2.0 - eta_low}]"
@@ -398,7 +418,9 @@ def polyak_subgradient(
             raise ConfigurationError(
                 f"lambda = {lam} outside [eps, (1-eps)(2 - xi/2)] = [{epsilon}, {cap}] at n={n}"
             )
-        return compose([region_projector, relaxed(g_op, x)])
+        stack = compose([region_projector, relaxed(g_op, x)])
+        last = (x, stack)
+        return stack
 
     config = IterationConfig(
         stacks=stack_for if callable(xi) else stack_for(0),
