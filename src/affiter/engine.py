@@ -462,7 +462,7 @@ def run(config: IterationConfig) -> RunTrace:
     memoryless = config.weights.support_bound == 1  # every row is x_n alone
     xbars = None if memoryless else Rows(x.size, horizon)
     residuals, thetas, norms = array("d"), array("d"), array("d")
-    reference = marks = None
+    reference = marks = dists = None
     if config.reference is not None:
         reference = as_vector(config.reference, dim=x.size)
         marks = []  # (n, len(caught)) after each step that changed the count
@@ -555,7 +555,8 @@ def run(config: IterationConfig) -> RunTrace:
                 break
 
         n_steps = len(residuals)
-        dists = None if reference is None else _distances(points, n_steps, reference, caught, marks)
+        if reference is not None:
+            dists = _distances(points, n_steps, reference, caught, marks)
 
     if errors_for is None:
         # lambda_n * 0.0 is +0.0 for every lambda_n > 0

@@ -696,8 +696,9 @@ class TestMaxIters:
             A=problem.ingredients["A"], B=problem.ingredients["grad"], beta=problem.beta,
             gamma=1.0, x0=[1.0, 1.0], max_iters=-3,
         )
-        with pytest.raises(ConfigurationError, match=r"^max_iters must be an integer >= 0, got -3$"):
+        with pytest.raises(ConfigurationError) as info:
             preset.solve()
+        assert str(info.value) == "max_iters must be an integer >= 0, got -3"
 
     @pytest.mark.parametrize("value", [0, np.int64(0)])
     def test_zero_max_iters_is_a_run_of_no_steps(self, value):
