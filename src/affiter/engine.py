@@ -273,8 +273,9 @@ class RunTrace:
     @property
     def phis(self) -> array:
         """``phi_n`` of the stack applied at each step, as an ``array("d")``."""
-        stacks = self.stacks if isinstance(self.stacks, list) else [self.stacks] * self.n_steps
-        return array("d", [s.phi for s in stacks[: self.n_steps]])
+        if isinstance(self.stacks, list):
+            return array("d", [s.phi for s in self.stacks[: self.n_steps]])
+        return array("d", [self.stacks.phi]) * self.n_steps
 
     @property
     def final_point(self) -> Vector:
