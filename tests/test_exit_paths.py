@@ -25,6 +25,7 @@ from affiter import (
     WeightSchedule,
     affine_combine,
     affine_monotone,
+    brute_oracle,
     catalog,
     chi_value,
     cli,
@@ -242,6 +243,8 @@ LIBRARY = [
     # problems
     ("catalog-unknown-problem", lambda: catalog("bogus"),
      ConfigurationError, "unknown problem 'bogus'"),
+    ("brute_oracle-no-objective", lambda: brute_oracle(catalog("rotation_fixed_point")),
+     ConfigurationError, "problem rotation_fixed_point has no evaluable objective"),
     # space
     ("affine_combine-empty-row", lambda: affine_combine({}, []),
      ConfigurationError, "affine combination of an empty row"),
