@@ -99,6 +99,26 @@ def _gamma_fn(gamma) -> Callable[[int], float]:
     return lambda n: g
 
 
+def _sharing(value_at: Callable[[int], float], build: Callable[[int, float], LayerStack]):
+    """The stack provider ``n -> build(n, value_at(n))``, returning the previous
+    step's stack when ``value_at(n)`` equals the previous value.  It keeps
+    ``(value, stack)`` in one tuple that each call reads once, so concurrent
+    calls with other values never pair a value with another value's stack."""
+    last = (None, None)
+
+    def stack_for(n: int) -> LayerStack:
+        nonlocal last
+        value = value_at(n)
+        shared = last
+        if shared[0] == value:
+            return shared[1]
+        stack = build(n, value)
+        last = (value, stack)
+        return stack
+
+    return stack_for
+
+
 # ---------------------------------------------------------------------------
 # mean-value Peaceman-Rachford
 # ---------------------------------------------------------------------------
@@ -309,14 +329,7 @@ def forward_backward(
 
     a_fn, b_fn = _seq(a_errors), _seq(b_errors)
 
-    last = (None, None)  # (gamma_n, its stack) of the latest step
-
-    def stack_for(n: int) -> LayerStack:
-        nonlocal last
-        g = checked_gamma(n)
-        shared = last  # one read: a concurrent call with another gamma swaps the whole tuple
-        if shared[0] == g:
-            return shared[1]
+    def build(_n: int, g: float) -> LayerStack:
         layers = [resolvent_operator(g, A)]
         if not proximal_point:
             layers.append(
@@ -326,9 +339,9 @@ def forward_backward(
                     name=f"forward_step(gamma={g})",
                 )
             )
-        stack = compose(layers)
-        last = (g, stack)
-        return stack
+        return compose(layers)
+
+    stack_for = _sharing(checked_gamma, build)
 
     def forward_error(n: int) -> Vector | None:
         b_n = error_vector(b_fn(n))
@@ -401,14 +414,7 @@ def polyak_subgradient(
     xi_fn = _gamma_fn(xi)
     g_op = subgradient_projector(f, s, theta)
 
-    last = (None, None)  # (xi_n, its stack) of the latest step
-
-    def stack_for(n: int) -> LayerStack:
-        nonlocal last
-        x = xi_fn(n)
-        shared = last  # one read, as in forward_backward
-        if shared[0] == x:  # checked when it was built
-            return shared[1]
+    def build(n: int, x: float) -> LayerStack:
         if not eta_low <= x <= 2.0 - eta_low:
             raise ConfigurationError(
                 f"xi_{n} = {x} outside [eta, 2-eta] = [{eta_low}, {2.0 - eta_low}]"
@@ -418,10 +424,9 @@ def polyak_subgradient(
             raise ConfigurationError(
                 f"lambda = {lam} outside [eps, (1-eps)(2 - xi/2)] = [{epsilon}, {cap}] at n={n}"
             )
-        stack = compose([region_projector, relaxed(g_op, x)])
-        last = (x, stack)
-        return stack
+        return compose([region_projector, relaxed(g_op, x)])
 
+    stack_for = _sharing(xi_fn, build)  # an equal xi_n passed these checks before
     config = IterationConfig(
         stacks=stack_for if callable(xi) else stack_for(0),
         weights=weights,
