@@ -969,7 +969,8 @@ class TestSharedStacks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=solve, args=(g,)) for g in (0.6, 0.9)]
+            # more threads than the two cores of a small host
+            threads = [threading.Thread(target=solve, args=(g,)) for g in (0.6, 0.9, 1.2)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -977,6 +978,7 @@ class TestSharedStacks:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
+        assert sorted(traces) == [0.6, 0.9, 1.2]
         for g, trace in traces.items():
             assert {trace.stack_at(n).layers[1].alpha for n in range(300)} == {g / (2.0 * beta)}
 
