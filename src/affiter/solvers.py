@@ -99,26 +99,6 @@ def _gamma_fn(gamma) -> Callable[[int], float]:
     return lambda n: g
 
 
-def _sharing(value_at: Callable[[int], float], build: Callable[[int, float], LayerStack]):
-    """The stack provider ``n -> build(n, value_at(n))``, returning the previous
-    step's stack when ``value_at(n)`` equals the previous value.  It keeps
-    ``(value, stack)`` in one tuple that each call reads once, so concurrent
-    calls with other values never pair a value with another value's stack."""
-    last = (None, None)
-
-    def stack_for(n: int) -> LayerStack:
-        nonlocal last
-        value = value_at(n)
-        shared = last
-        if shared[0] == value:
-            return shared[1]
-        stack = build(n, value)
-        last = (value, stack)
-        return stack
-
-    return stack_for
-
-
 # ---------------------------------------------------------------------------
 # mean-value Peaceman-Rachford
 # ---------------------------------------------------------------------------
@@ -260,10 +240,6 @@ def forward_backward(
 
     Inertial runs accept errors (sequences or a model) only in the
     unit-relaxation bounded-domain regime; anything else is rejected.
-
-    A callable ``gamma`` makes the stacks a provider, which returns the
-    previous step's stack when ``gamma_n`` equals the previous value: a
-    callable that returns a constant builds one stack per run.
     """
     if variant not in ("memoryless", "mean", "inertial", "proximal_point"):
         raise ConfigurationError(f"unknown forward-backward variant {variant!r}")
@@ -329,7 +305,8 @@ def forward_backward(
 
     a_fn, b_fn = _seq(a_errors), _seq(b_errors)
 
-    def build(_n: int, g: float) -> LayerStack:
+    def stack_for(n: int) -> LayerStack:
+        g = checked_gamma(n)
         layers = [resolvent_operator(g, A)]
         if not proximal_point:
             layers.append(
@@ -340,8 +317,6 @@ def forward_backward(
                 )
             )
         return compose(layers)
-
-    stack_for = _sharing(checked_gamma, build)
 
     def forward_error(n: int) -> Vector | None:
         b_n = error_vector(b_fn(n))
@@ -396,9 +371,7 @@ def polyak_subgradient(
     layer, so a common fixed point across layers is assumed: the problem must
     be consistent).  Bands: ``eta_low in (0, 1)``, ``eps in (0, eta_low /
     (2 + eta_low))``, ``xi_n in [eta_low, 2 - eta_low]``, ``lambda_n in
-    [eps, (1 - eps)(2 - xi_n / 2)]``.  The start is projected into C.  A
-    callable ``xi`` shares a stack between steps with equal ``xi_n``, as
-    ``forward_backward`` does with ``gamma_n``.
+    [eps, (1 - eps)(2 - xi_n / 2)]``.  The start is projected into C.
     """
     if not 0.0 < eta_low < 1.0:
         raise ConfigurationError("eta_low must lie in (0, 1)")
@@ -414,7 +387,8 @@ def polyak_subgradient(
     xi_fn = _gamma_fn(xi)
     g_op = subgradient_projector(f, s, theta)
 
-    def build(n: int, x: float) -> LayerStack:
+    def stack_for(n: int) -> LayerStack:
+        x = xi_fn(n)
         if not eta_low <= x <= 2.0 - eta_low:
             raise ConfigurationError(
                 f"xi_{n} = {x} outside [eta, 2-eta] = [{eta_low}, {2.0 - eta_low}]"
@@ -426,7 +400,6 @@ def polyak_subgradient(
             )
         return compose([region_projector, relaxed(g_op, x)])
 
-    stack_for = _sharing(xi_fn, build)  # an equal xi_n passed these checks before
     config = IterationConfig(
         stacks=stack_for if callable(xi) else stack_for(0),
         weights=weights,

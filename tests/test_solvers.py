@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import re
 import sys
 import threading
@@ -29,7 +28,7 @@ from affiter import (
     run_certificates,
     window,
 )
-from affiter import certificates, engine, solvers
+from affiter import engine, solvers
 
 
 def vec(*xs):
@@ -871,116 +870,6 @@ class TestPolyakSubgradient:
             max_iters=3,
         )
         assert preset.config.x0[0] == pytest.approx(1.0)
-
-
-class TestSharedStacks:
-    """A stack provider returns the previous step's stack when its parameter
-    (gamma_n or xi_n) equals the previous value, so a callable that returns a
-    constant builds one stack per run."""
-
-    @staticmethod
-    def fb(gamma, **kwargs):
-        prob = catalog("l1_quadratic", a=[2.0, -0.3])
-        args = dict(
-            A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=prob.beta, gamma=gamma,
-            x0=vec(1.0, 3.0), max_iters=40, stop_residual=0.0, reference=prob.reference,
-        )
-        args.update(kwargs)
-        return forward_backward(**args)
-
-    @staticmethod
-    def polyak(xi, f):
-        prob = catalog("polyak_norm_over_halfspace")
-        return polyak_subgradient(
-            f=f, s=prob.ingredients["s"], theta=prob.theta,
-            region_projector=prob.ingredients["projector"], x0=vec(3.0, 2.0), xi=xi,
-            weights=window(2), max_iters=40, stop_residual=0.0, reference=prob.reference,
-        )
-
-    def test_equal_consecutive_gammas_share_a_stack(self):
-        _, trace = self.fb(lambda n: 0.7 if n < 5 or n >= 9 else 0.9).solve()
-        stacks = [trace.stack_at(n) for n in range(trace.n_steps)]
-        assert all(stacks[n] is stacks[0] for n in range(5))
-        assert all(stacks[n] is stacks[5] for n in range(5, 9)) and stacks[5] is not stacks[0]
-        # only the previous step's stack is kept: gamma = 0.7 again builds a third one
-        assert all(stacks[n] is stacks[9] for n in range(9, 40)) and stacks[9] is not stacks[0]
-        assert trace.phis.tolist() == [s.phi for s in stacks]
-
-    def test_a_constant_gamma_callable_builds_one_stack_checked_once(self):
-        A = catalog("l1_quadratic", a=[2.0, -0.3]).ingredients["A"]
-        calls = []
-
-        def counting(g, x):
-            calls.append(1)
-            return A.resolvent(g, x)
-
-        _, trace = self.fb(lambda n: 0.7, A=dataclasses.replace(A, resolvent=counting)).solve()
-        assert trace.n_steps == 40
-        assert all(trace.stack_at(n) is trace.stack_at(0) for n in range(trace.n_steps))
-        del calls[:]
-        # verify_reference skips a stack it checked at the step before
-        reports = run_certificates(trace, trace.config.reference, which=("ii",))
-        assert reports["ii"].passed and calls == [1]
-
-    def test_a_constant_xi_callable_builds_one_stack_checked_once(self):
-        f = catalog("polyak_norm_over_halfspace").ingredients["f"]
-        calls = []
-
-        def counting_f(x):
-            calls.append(1)
-            return f(x)
-
-        preset = self.polyak(lambda n: 1.2, counting_f)
-        _, trace = preset.solve()
-        assert all(trace.stack_at(n) is trace.stack_at(0) for n in range(trace.n_steps))
-        assert trace.stack_at(0).case == "b"  # each layer is checked at x_ref
-        del calls[:]
-        certificates.verify_reference(trace, preset.config.reference)
-        assert calls == [1]
-
-    def test_a_constant_gamma_callable_retains_at_most_160_bytes_a_step_at_d2(self):
-        def retained(steps):
-            preset = self.fb(lambda n: 0.7, max_iters=steps, reference=None)
-            gc.collect()
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                _, trace = preset.solve()
-                current = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-            assert trace.n_steps == steps
-            return current - start
-
-        # a stack per step retained about 1.3 KB; the gamma_n dict that the
-        # forward layer's errors read takes most of what is left
-        assert retained(3000) - retained(1000) <= 160 * 2000
-
-    def test_two_threads_with_their_own_gammas_get_their_own_stacks(self):
-        gammas = threading.local()
-        preset = self.fb(lambda n: getattr(gammas, "value", 0.6), max_iters=300)
-        beta = catalog("l1_quadratic", a=[2.0, -0.3]).beta
-        traces = {}
-
-        def solve(g):
-            gammas.value = g
-            traces[g] = preset.solve()[1]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            # more threads than the two cores of a small host
-            threads = [threading.Thread(target=solve, args=(g,)) for g in (0.6, 0.9, 1.2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(traces) == [0.6, 0.9, 1.2]
-        for g, trace in traces.items():
-            assert {trace.stack_at(n).layers[1].alpha for n in range(300)} == {g / (2.0 * beta)}
 
 
 class TestKrasnoselskiiMann:
