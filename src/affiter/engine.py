@@ -228,7 +228,7 @@ class RunTrace:
     With memoryless weights (rows of one point) ``xbars`` is
     ``points.head(n_steps)``, the same memory.  ``lambdas``, ``residuals``,
     ``thetas`` and ``dist_to_ref`` are ``array("d")`` columns of length
-    ``n_steps``, and so is ``phis``, read from ``stacks`` on each access.
+    ``n_steps``, and so is ``phis``, built anew from ``stacks`` on each read.
     ``error_norms`` is an ``(n_steps, m)`` float64 array of the per-layer
     norms ``||e_{i,n}||``, outermost layer first; a run whose model is the
     base ``ErrorModel`` keeps no per-step norm or theta: its ``error_norms``
@@ -272,7 +272,10 @@ class RunTrace:
 
     @property
     def phis(self) -> array:
-        """``phi_n`` of the stack applied at each step, as an ``array("d")``."""
+        """``phi_n`` of the stack applied at each step, as an ``array("d")``.
+
+        Each read builds a new array of ``n_steps`` entries: bind it once
+        (``phis = trace.phis``) before reading it per step."""
         if isinstance(self.stacks, list):
             return array("d", [s.phi for s in self.stacks[: self.n_steps]])
         return array("d", [self.stacks.phi]) * self.n_steps
@@ -322,20 +325,23 @@ def _prevalidate(config: IterationConfig, steps: int | None = None) -> RunPlan:
     schedule only once, at n = 0, when neither its value nor the stack
     depends on n), checks that the error model reaches no layer below the
     stack and that ``stop_residual`` is not negative or NaN, and raises the
-    first violated bound with its n.  ``max_iters`` must be an integer >= 0
-    (``operator.index`` accepts it); 0 is a run of no steps.
+    first violated bound with its n.  Without ``steps``, ``max_iters`` must be
+    an integer >= 0 that ``operator.index`` accepts and not a bool; 0 is a
+    run of no steps.
     """
-    try:
-        valid = operator.index(config.max_iters) >= 0
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ConfigurationError(f"max_iters must be an integer >= 0, got {config.max_iters!r}")
+    if steps is None:
+        steps = config.max_iters
+        try:
+            valid = not isinstance(steps, bool) and operator.index(steps) >= 0
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ConfigurationError(f"max_iters must be an integer >= 0, got {steps!r}")
     if not config.stop_residual >= 0.0:
         raise ConfigurationError(
             f"stop_residual must be >= 0 (0 disables the stop), got {config.stop_residual}"
         )
-    steps = range(config.max_iters if steps is None else steps)
+    steps = range(steps)
     etas = eta_values(config.weights, len(steps))
     if not callable(config.stacks):
         _check_error_depth(config.errors, config.stacks.m)

@@ -75,10 +75,10 @@ def closed_form_envelope(theta0, nus, eps):
 def pairwise_slacks(trace, x_ref):
     """Certificates (ii) and (iii) with the paper's pairwise sums over each row."""
     ii, iii = [], []
+    phis = trace.phis
     for n in range(trace.n_steps):
         row = trace.config.weights.row(n)
-        lam, phi, r_n, theta = (trace.lambdas[n], trace.phis[n], trace.residuals[n],
-                                trace.thetas[n])
+        lam, phi, r_n, theta = trace.lambdas[n], phis[n], trace.residuals[n], trace.thetas[n]
         xbar = trace.xbars[n]
         dbar = float(np.linalg.norm(xbar - x_ref))
         base = (pairwise_form(row, trace.points, x_ref)
@@ -388,6 +388,11 @@ class TestRunCertificates:
         per_step, _ = slacks(lambda n: compose(layers), 10)
         assert constant.tobytes() == per_step.tobytes()
         assert constant.min() >= -1e-9
+        # a provider that returns one stack object: verify_reference and (iii)
+        # skip a stack that is the step before's, so x_ref is seen as often
+        shared = compose(layers)
+        repeated, calls_shared = slacks(lambda n: shared, 10)
+        assert calls_shared == calls_10 and repeated.tobytes() == constant.tobytes()
 
     FAMILIES = {
         "memoryless": {},
@@ -638,9 +643,10 @@ def loop_slacks(trace, x_ref, which, indices=None):
     dists = [norm(p - x_ref) for p in points]
     out = {name: np.zeros(len(eval_at)) for name in which}
     ref_stack = None
+    phis = trace.phis
     for pos, n in enumerate(eval_at):
         theta_n, xbar, r_n = trace.thetas[n], trace.xbars[n], trace.residuals[n]
-        lam, phi, lhs1 = trace.lambdas[n], trace.phis[n], dists[n + 1]
+        lam, phi, lhs1 = trace.lambdas[n], phis[n], dists[n + 1]
         if "i" in which:
             row = trace.config.weights.row(n)
             rhs = math.fsum(abs(w) * dists[j] for j, w in row.items())

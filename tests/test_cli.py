@@ -545,8 +545,9 @@ def per_field_csv(trace, cert_i=None, cert_ii=None) -> bytes:
         return "" if x is None else format(float(x), ".17g")
 
     lines = [cli.TRACE_HEADER]
+    phis = trace.phis
     for n in range(trace.n_steps):
-        cells = [trace.residuals[n], trace.thetas[n], trace.lambdas[n], trace.phis[n],
+        cells = [trace.residuals[n], trace.thetas[n], trace.lambdas[n], phis[n],
                  None if trace.dist_to_ref is None else trace.dist_to_ref[n],
                  None if cert_i is None else cert_i[n],
                  None if cert_ii is None else cert_ii[n]]

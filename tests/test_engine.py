@@ -682,7 +682,7 @@ class TestMaxIters:
         )
         return cfg, calls
 
-    @pytest.mark.parametrize("value", [-1, 2.5, "3", None])
+    @pytest.mark.parametrize("value", [-1, 2.5, "3", None, True, False])
     def test_a_bad_max_iters_is_rejected_before_any_call(self, value):
         cfg, calls = self.counted_config(value)
         with pytest.raises(ConfigurationError) as info:
@@ -710,6 +710,11 @@ class TestMaxIters:
     def test_an_integer_like_max_iters_runs(self):
         cfg, _calls = self.counted_config(np.int64(4))
         assert run(cfg).n_steps == 4
+
+    def test_a_given_horizon_does_not_read_max_iters(self):
+        # error_budget_check sweeps its own horizon, as before the check
+        cfg, _calls = self.counted_config(-1)
+        assert error_budget_check(cfg, 10).partial_sums.size == 11
 
 
 class TestResidualModes:
