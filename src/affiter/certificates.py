@@ -24,16 +24,15 @@ and (iii) read ``xbar_n`` from ``trace.xbars`` and cost O(d) per step
 (plus the stack tails for (iii)).  The distances ``||xbar_n - x*||`` of
 inertial, window and cesaro traces are taken per packed block of
 ``trace.xbars`` (``space.Rows``) by ``space.row_distances``, the kernel
-the run fills ``trace.dist_to_ref`` with, so the transient is O(block),
-not O(N d), and the squared norms are one stacked ``np.matmul``, which
+that measures ``trace.dist_to_ref``, so the transient is O(block), not
+O(N d), and the squared norms are one stacked ``np.matmul``, which
 calls the same ``ddot`` as ``x.dot(x)`` and matches it bit for bit
 (``einsum`` and ``(D * D).sum(1)`` reduce in other orders and do not).
 Certificate (i) builds no weight row:
 ``schedules.abs_weighted_sums`` forms its sum per family from the
 distances ``||x_j - x*||``, in O(N) for every family but ``window(w)``
-(O(N w)).  When x* is the run's reference, those distances are the ones
-the run stored in ``trace.dist_to_ref``.  These are deterministic
-functions of the trace: recomputing yields identical values.
+(O(N w)).  These are deterministic functions of the trace: recomputing
+yields identical values.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .engine import RunTrace, _partial_sums
 from .errors import ConfigurationError, InvalidReferenceError
 from .operators import apply_stack, tail_apply
 from .schedules import abs_weighted_sums
-from .space import BLOCK_FLOATS, Vector, as_vector, norm, row_distances
+from .space import Vector, as_vector, norm, row_distances
 
 DEFAULT_CERT_TOL = 1e-9
 
@@ -120,12 +119,12 @@ def _xbar_dists(trace: RunTrace, ns: np.ndarray, dists: np.ndarray, x_ref: Vecto
         return out
     # a block per call, for fewer numpy calls; the scratch is one block at most
     if ns.size == trace.n_steps:  # ns is 0 .. N-1
-        trace.xbars.distances(x_ref, out, BLOCK_FLOATS)
+        trace.xbars.distances(x_ref, out)
     else:
         for start, rows in trace.xbars.blocks():
             lo, hi = np.searchsorted(ns, (start, start + len(rows)))
             if lo < hi:
-                row_distances(rows[ns[lo:hi] - start], x_ref, out[lo:hi], BLOCK_FLOATS)
+                row_distances(rows[ns[lo:hi] - start], x_ref, out[lo:hi])
     return out
 
 
@@ -139,11 +138,9 @@ def run_certificates(
 ) -> dict[str, CertificateReport]:
     """Evaluate the requested certificate slacks along a trace.
 
-    The distances ``||x_j - x*||`` for ``j < N`` come from
-    ``trace.dist_to_ref`` when ``x_ref`` equals the run's reference, and only
-    ``||x_N - x*||`` is measured; for any other point ``Rows.distances``, the
-    kernel that fills ``dist_to_ref``, measures them all.  Both are bit for
-    bit ``norm(x_j - x*)``, so the slacks do not depend on which path ran.
+    The distances ``||x_j - x*||``, ``j <= N``, are measured in one pass
+    (``space.Rows.distances``, the kernel behind ``trace.dist_to_ref``),
+    bit for bit ``norm(x_j - x*)``, whatever x* is.
 
     Certificate (i) builds no weight row: ``schedules.abs_weighted_sums``
     forms ``sum_j |mu_{n,j}| ||x_j - x*||`` from the distances and the
@@ -181,16 +178,8 @@ def run_certificates(
             raise ConfigurationError(f"certificate indices outside 0..{n_steps - 1}")
     # a NaN or infinite slack fails its verdict; numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        points = trace.points
-        ref = trace.config.reference
         d = np.empty(n_steps + 1)
-        # equal floats, as np.array_equal reads them, in a tenth of its time
-        if trace.dist_to_ref is not None and x_ref.tolist() == as_vector(ref).tolist():
-            # the run measured ||x_n - x*|| for n < N with the same kernel
-            d[:n_steps] = trace.dist_to_ref
-            d[n_steps] = norm(points[-1] - x_ref)
-        else:
-            points.distances(x_ref, d)
+        trace.points.distances(x_ref, d)
 
         slacks = {}
         if "i" in which:

@@ -343,7 +343,7 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
     return preset, problem
 
 
-def _write_trace(path: Path, trace, cert_i=None, cert_ii=None) -> None:
+def _write_trace(path: Path, trace, dists=None, cert_i=None, cert_ii=None) -> None:
     steps = trace.n_steps
 
     def column(values):
@@ -354,7 +354,7 @@ def _write_trace(path: Path, trace, cert_i=None, cert_ii=None) -> None:
         return ["%.17g" % v for v in values]
 
     columns = (trace.residuals, trace.thetas, trace.lambdas, trace.phis,
-               trace.dist_to_ref, cert_i, cert_ii)
+               dists, cert_i, cert_ii)
     rows = zip(map(str, range(steps)), *map(column, columns))
     path.write_text("\n".join([TRACE_HEADER, *map(",".join, rows)]) + "\n")
 
@@ -386,7 +386,7 @@ def cmd_run(args) -> int:
             for name, rep in reports.items()
         }
 
-    _write_trace(trace_path, trace, cert_i, cert_ii)
+    _write_trace(trace_path, trace, trace.dist_to_ref, cert_i, cert_ii)
     final_dist = trace.final_dist_to_ref()
     report = {
         "problem": problem.name,

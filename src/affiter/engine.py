@@ -22,9 +22,9 @@ them and the affine combination: its finite residual proves ``x_{n+1}``
 finite whenever ``lambda_n r_n < 2^968`` (``FINITE_ADDEND`` holds the
 proof), and only the other steps test the entries of ``x_{n+1}``.  No
 kernel tests ``xbar_n``, so the layers may see one non-finite ``xbar_n``
-before the run raises at that n.  With a reference set, the distances
-``||x_n - x*||`` are filled after the loop, in one blocked pass over the
-packed orbit, bit for bit each step's ``norm``.  The returned trace
+before the run raises at that n.  The update never reads x*: the run only
+checks a reference before the loop, and ``||x_n - x*||`` is measured where
+it is read (``RunTrace.dist_to_ref``, the certificates).  The returned trace
 retains the whole history for post-hoc certificate analysis, together with
 the stacks and the eta_n the loop applied: the orbit and each recorder
 value as packed float64 rows (``space.Rows``), each per-step scalar as an
@@ -227,8 +227,8 @@ class RunTrace:
     packed float64 rows, and ``points[n]`` is a 1-D view into its block.
     With memoryless weights (rows of one point) ``xbars`` is
     ``points.head(n_steps)``, the same memory.  ``lambdas``, ``residuals``,
-    ``thetas`` and ``dist_to_ref`` are ``array("d")`` columns of length
-    ``n_steps``, and so is ``phis``, built anew from ``stacks`` on each read.
+    and ``thetas`` are ``array("d")`` columns of length ``n_steps``, and so
+    are ``phis`` and ``dist_to_ref``, built anew on each read.
     ``error_norms`` is an ``(n_steps, m)`` float64 array of the per-layer
     norms ``||e_{i,n}||``, outermost layer first; a run whose model is the
     base ``ErrorModel`` keeps no per-step norm or theta: its ``error_norms``
@@ -241,10 +241,7 @@ class RunTrace:
     the pre-pass's list of per-step stacks; read it through ``stack_at(n)``.
     ``etas`` holds the pre-pass's eta_n of inertial rows
     (``schedules.eta_values``, one per ``n < max_iters``), None for the
-    other families.  With a reference set, ``dist_to_ref`` holds
-    ``norm(x_n - reference)`` for each step ``n`` (not the final point),
-    filled after the loop; ``run_certificates`` reuses these values when it
-    certifies against that reference.
+    other families.
     """
 
     config: IterationConfig
@@ -256,7 +253,6 @@ class RunTrace:
     thetas: array
     error_norms: np.ndarray
     etas: array | None = None
-    dist_to_ref: array | None = None
     aux: AuxRecords | None = None
     stop_reason: str = ""
     flags: list[str] = field(default_factory=list)
@@ -279,6 +275,24 @@ class RunTrace:
         if isinstance(self.stacks, list):
             return array("d", [s.phi for s in self.stacks[: self.n_steps]])
         return array("d", [self.stacks.phi]) * self.n_steps
+
+    @property
+    def dist_to_ref(self) -> array | None:
+        """``norm(x_n - x*)`` for each step ``n`` (not the final point), as an
+        ``array("d")``, None without a reference.
+
+        Each read measures the orbit (``space.Rows.distances``): bind it once
+        before reading it per step.  ``x*`` is ``config.reference`` as it is
+        at read time, as in ``final_dist_to_ref()``.  A distance that
+        overflows reads inf, with no numpy warning."""
+        if self.config.reference is None:
+            return None
+        reference = as_vector(self.config.reference, dim=self.points.dim)
+        dists = array("d", [0.0]) * self.n_steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a view, as np.frombuffer but lighter
+            self.points.distances(reference, np.ndarray(self.n_steps, np.float64, dists))
+        return dists
 
     @property
     def final_point(self) -> Vector:
@@ -391,40 +405,6 @@ def _divergence(n: int, xbar: Vector, x: Vector, names_row: bool) -> NumericalDi
     return NumericalDivergence(f"iterate became non-finite at iteration {n}", iteration=n)
 
 
-def _distances(points: Rows, n_steps: int, reference: Vector, caught: list, marks: list) -> array:
-    """``trace.dist_to_ref``: ``norm(x_n - reference)`` for ``n < n_steps``,
-    bit for bit, in one blocked pass (``space.Rows.distances``).
-
-    Called inside the run's ``catch_warnings`` block.  ``marks`` holds
-    ``(n, len(caught))`` for each step that changed the warning count,
-    taken after the step's update and before its recorder call, where a
-    step would measure its own distance.  The pass's warnings name
-    ``matmul`` where ``norm``'s name ``dot`` (under numpy's default error
-    state only an overflowing distance warns), so when the pass warns, its
-    warnings are dropped and each row is measured again with ``norm``, its
-    warnings going where a measurement at step ``n`` would put them.
-    """
-    dists = array("d", [0.0]) * n_steps
-    column = np.ndarray(n_steps, np.float64, dists)  # a view, as np.frombuffer but lighter
-    before = len(caught)
-    points.distances(reference, column)
-    if len(caught) == before:
-        return dists
-    del caught[before:]
-    spliced, done, at, k = [], 0, 0, 0
-    for n in range(n_steps):
-        while k < len(marks) and marks[k][0] <= n:
-            at = marks[k][1]
-            k += 1
-        dists[n] = norm(points[n] - reference)
-        if len(caught) > before:
-            spliced += caught[done:at] + caught[before:]
-            del caught[before:]
-            done = at
-    caught[:before] = spliced + caught[done:before]
-    return dists
-
-
 def run(config: IterationConfig) -> RunTrace:
     """Iterate until the clean residual drops below ``stop_residual`` or
     ``max_iters`` is reached; returns the full trace.
@@ -454,11 +434,8 @@ def run(config: IterationConfig) -> RunTrace:
     do not test ``xbar_n``: a non-finite ``xbar_n`` makes ``r_n``, and so
     ``x_{n+1}``, non-finite, and the run then raises "affine combination at
     row n is non-finite" at the same n, after the layers have seen that
-    ``xbar_n`` once.  With a reference set, ``trace.dist_to_ref`` is filled
-    after the loop (``_distances``), bit for bit ``norm(x_n - reference)``;
-    a finite iterate whose distance overflows does not raise, and
-    ``trace.flags`` keeps the order of a run that measures each distance at
-    its own step.
+    ``xbar_n`` once.  A reference is checked before the loop and not read
+    again: ``trace.dist_to_ref`` measures the orbit when it is read.
     """
     plan = _prevalidate(config)
     x = as_vector(config.x0)
@@ -469,10 +446,8 @@ def run(config: IterationConfig) -> RunTrace:
     memoryless = config.weights.support_bound == 1  # every row is x_n alone
     xbars = None if memoryless else Rows(x.size, horizon)
     residuals, thetas, norms = array("d"), array("d"), array("d")
-    reference = marks = dists = None
-    if config.reference is not None:
-        reference = as_vector(config.reference, dim=x.size)
-        marks = []  # (n, len(caught)) after each step that changed the count
+    if config.reference is not None:  # rejects a wrong dimension or a non-finite entry
+        as_vector(config.reference, dim=x.size)
     recorder = config.aux_recorder
     columns = keep_columns = None  # the recorder's rows, opened at its first record
     shape = x.shape
@@ -495,7 +470,6 @@ def run(config: IterationConfig) -> RunTrace:
         errors_for = None  # the error-free model: no call per step
     stop_residual = config.stop_residual
     stop_reason = "max_iters"
-    marked = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for n in range(horizon):
@@ -527,9 +501,6 @@ def run(config: IterationConfig) -> RunTrace:
             if errors_n is not None or not lam * residual < FINITE_ADDEND:
                 if not all_finite(x_next):
                     raise _divergence(n, xbar, x, names_row)
-            if marks is not None and len(caught) != marked:
-                marked = len(caught)
-                marks.append((n, marked))
 
             keep_residual(residual)
             if errors_for is not None:
@@ -561,10 +532,7 @@ def run(config: IterationConfig) -> RunTrace:
                 stop_reason = "residual"
                 break
 
-        n_steps = len(residuals)
-        if reference is not None:
-            dists = _distances(points, n_steps, reference, caught, marks)
-
+    n_steps = len(residuals)
     if errors_for is None:
         # lambda_n * 0.0 is +0.0 for every lambda_n > 0
         thetas = array("d", [0.0]) * n_steps
@@ -582,7 +550,6 @@ def run(config: IterationConfig) -> RunTrace:
         residuals=residuals,
         thetas=thetas,
         error_norms=error_norms,
-        dist_to_ref=dists,
         aux=None if recorder is None else AuxRecords(columns or {}, n_steps),
         stop_reason=stop_reason,
         flags=[str(w.message) for w in caught],

@@ -96,12 +96,6 @@ def affine_combine(row: Mapping[int, float], orbit) -> Vector:
     return acc
 
 
-#: floats of scratch ``row_distances`` works in by default (one row at the
-#: least): a run measures its orbit when its trace is largest, so the pass
-#: stays small
-DIST_SCRATCH_FLOATS = 64
-
-
 def _row_squares(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``[r.dot(r) for r in rows]`` of a 2-D float64 array, bit for bit.
 
@@ -116,30 +110,23 @@ def _row_squares(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return squares.ravel()
 
 
-def row_distances(
-    rows: np.ndarray, point: Vector, out: np.ndarray, scratch_floats: int | None = None
-) -> None:
+def row_distances(rows: np.ndarray, point: Vector, out: np.ndarray) -> None:
     """``out[k] = norm(rows[k] - point)`` for each row of a 2-D float64 array.
 
     Bit for bit ``norm``: the same subtraction, the same ``ddot`` per row
     (``_row_squares``) and IEEE's square root, written into ``out`` (a
-    contiguous 1-D float64 array of one entry per row), a few rows at a
-    time through a scratch of ``scratch_floats`` floats
-    (``DIST_SCRATCH_FLOATS`` when None), so the pass holds no copy of
-    ``rows``.  A distance that overflows warns "overflow encountered in
-    matmul" (or "in subtract"), where ``norm`` warns "in dot".
+    contiguous 1-D float64 array of one entry per row).  The scratch has the
+    shape of ``rows``, one block of ``Rows`` at most.  A distance that
+    overflows warns "overflow encountered in matmul" (or "in subtract"),
+    where ``norm`` warns "in dot".
     """
-    count = max(1, (scratch_floats or DIST_SCRATCH_FLOATS) // rows.shape[1])
-    scratch = np.empty((min(count, len(rows)), rows.shape[1]))
-    for lo in range(0, len(rows), count):
-        part = out[lo : lo + count]
-        diff = scratch[: len(part)]
-        # rows minus copies of the point: operands of one shape take numpy's
-        # plain loop, where broadcasting would build an iterator (1.6 KB)
-        diff[...] = point
-        np.subtract(rows[lo : lo + count], diff, out=diff)
-        _row_squares(diff, part)
-        np.sqrt(part, out=part)
+    # rows minus copies of the point: operands of one shape take numpy's
+    # plain loop, where broadcasting would build an iterator (1.6 KB)
+    diff = np.empty(rows.shape)
+    diff[...] = point
+    np.subtract(rows, diff, out=diff)
+    _row_squares(diff, out)
+    np.sqrt(out, out=out)
 
 
 #: floats per block of ``Rows`` (512 KiB); a longer row is kept as its own array
@@ -235,7 +222,7 @@ class Rows:
         for k, (start, block) in enumerate(zip(self._starts, self._blocks)):
             yield start, block[: self._pos] if k == last else block
 
-    def distances(self, point: Vector, out: np.ndarray, scratch_floats: int | None = None) -> None:
+    def distances(self, point: Vector, out: np.ndarray) -> None:
         """``out[k] = norm(self[k] - point)`` for the first ``len(out)`` rows,
         by ``row_distances`` over each block."""
         size = len(out)
@@ -243,7 +230,7 @@ class Rows:
             if start >= size:
                 break
             rows = block[: size - start]
-            row_distances(rows, point, out[start : start + len(rows)], scratch_floats)
+            row_distances(rows, point, out[start : start + len(rows)])
 
     def __iter__(self) -> Iterator[Vector]:
         for _start, block in self.blocks():

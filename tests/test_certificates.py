@@ -503,8 +503,7 @@ class TestNaNSlack:
             assert report.first_violation == int(np.flatnonzero(np.isnan(report.slacks))[0])
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("measured", [False, True], ids=["dist_to_ref", "measured"])
-    def test_overflowing_slacks_fail_without_a_numpy_warning(self, measured):
+    def test_overflowing_slacks_fail_without_a_numpy_warning(self):
         # the digest corpus's fb-window2-overflow inputs: l1_quadratic at d=3 with
         # a and x0 times 1e155, window(2), 80 steps; the run flags its overflows
         a, x0 = np.array([2.0, -0.3, 0.7]) * 1e155, np.array([-1.0, 0.5, 3.0]) * 1e155
@@ -516,8 +515,6 @@ class TestNaNSlack:
         )
         _, trace = preset.solve()
         assert "overflow encountered in dot" in trace.flags
-        if measured:  # no stored distances: run_certificates measures every one
-            trace = dataclasses.replace(trace, dist_to_ref=None)
         reports = run_certificates(trace, prob.reference, which=("i", "ii", "iii"))
         assert sorted(reports) == ["i", "ii", "iii"]
         for report in reports.values():
@@ -525,9 +522,10 @@ class TestNaNSlack:
             assert not np.isfinite(report.slacks).all()
 
 
-class TestDistanceReuse:
-    """``run_certificates`` reads ``||x_n - x*||``, n < N, from ``trace.dist_to_ref``
-    when x* is the run's reference, and measures every distance otherwise."""
+class TestMeasuredDistances:
+    """``run_certificates`` measures every ``||x_n - x*||`` itself, whatever x*
+    is: a reference given as a list, an ``indices`` subset and a trace stopped
+    on the residual each read the distances of the orbit they certify."""
 
     CASES = [*TestRunCertificates.FAMILIES, "peaceman_rachford"]
 
@@ -557,38 +555,25 @@ class TestDistanceReuse:
         return {name: rep.slacks.tobytes() for name, rep in reports.items()}
 
     @pytest.mark.parametrize("case", CASES)
-    def test_slacks_are_bit_identical_with_and_without_the_runs_distances(self, case):
+    def test_a_list_reference_and_an_index_subset_give_the_full_slacks(self, case):
         trace = self.solve(case)
-        assert len(trace.dist_to_ref) == trace.n_steps
         x_ref = trace.config.reference
-        bare = dataclasses.replace(trace, dist_to_ref=None)
-        assert self.slacks(trace, x_ref) == self.slacks(bare, x_ref)
-        assert self.slacks(trace, list(x_ref)) == self.slacks(bare, x_ref)
+        full = self.slacks(trace, x_ref)
+        assert self.slacks(trace, list(x_ref)) == full
         sub = [0, 3, trace.n_steps - 1]
-        assert self.slacks(trace, x_ref, indices=sub) == self.slacks(bare, x_ref, indices=sub)
+        picked = {name: np.frombuffer(slacks)[sub].tobytes() for name, slacks in full.items()}
+        assert self.slacks(trace, x_ref, indices=sub) == picked
 
     @pytest.mark.parametrize("case", ["memoryless", "window3", "peaceman_rachford"])
-    def test_a_trace_stopped_on_the_residual_gives_the_same_slacks(self, case):
+    def test_a_trace_stopped_on_the_residual_gives_the_per_row_slacks(self, case):
         trace = self.solve(case, max_iters=400, stop_residual=1e-6)
         assert trace.stop_reason == "residual" and trace.n_steps < 400
         assert len(trace.dist_to_ref) == trace.n_steps == len(trace.points) - 1
         x_ref = trace.config.reference
-        bare = dataclasses.replace(trace, dist_to_ref=None)
-        assert self.slacks(trace, x_ref) == self.slacks(bare, x_ref)
-
-    def test_the_runs_distances_are_read_for_its_reference_only(self):
-        trace = self.solve("cesaro")
-        x_ref = trace.config.reference
-        honest = self.slacks(trace, x_ref)
-        # a stored distance the certificates read shows up in the slacks
-        skewed = dataclasses.replace(trace, dist_to_ref=[d + 1.0 for d in trace.dist_to_ref])
-        assert self.slacks(skewed, x_ref) != honest
-        # another point gets fresh distances, so the stored ones do not matter
-        other = x_ref + vec(0.25, -0.5, 0.125)
-        fresh = self.slacks(dataclasses.replace(trace, dist_to_ref=None), other,
-                            check_reference=False)
-        assert self.slacks(skewed, other, check_reference=False) == fresh
-        assert fresh != honest
+        expected = loop_slacks(trace, x_ref, ("i", "ii", "iii"))
+        assert self.slacks(trace, x_ref) == {
+            name: slacks.tobytes() for name, slacks in expected.items()
+        }
 
 
 class TestLongCesaroCertificateI:

@@ -539,7 +539,7 @@ def test_repeated_main_calls_share_one_parser_and_keep_every_output(
         assert helps[0].startswith(f"usage: affiter {command} ")
 
 
-def per_field_csv(trace, cert_i=None, cert_ii=None) -> bytes:
+def per_field_csv(trace, dists=None, cert_i=None, cert_ii=None) -> bytes:
     """The trace CSV formatted one field at a time, as a reference."""
     def fmt(x):
         return "" if x is None else format(float(x), ".17g")
@@ -548,7 +548,7 @@ def per_field_csv(trace, cert_i=None, cert_ii=None) -> bytes:
     phis = trace.phis
     for n in range(trace.n_steps):
         cells = [trace.residuals[n], trace.thetas[n], trace.lambdas[n], phis[n],
-                 None if trace.dist_to_ref is None else trace.dist_to_ref[n],
+                 None if dists is None else dists[n],
                  None if cert_i is None else cert_i[n],
                  None if cert_ii is None else cert_ii[n]]
         lines.append(",".join([str(n), *map(fmt, cells)]))
@@ -580,19 +580,25 @@ class TestTraceWriter:
         reports = run_certificates(trace, trace.config.reference, which=("i", "ii"))
         cert_i, cert_ii = reports["i"].slacks, reports["ii"].slacks
         assert cert_i.dtype == cert_ii.dtype == np.float64
-        cli._write_trace(tmp_path / "trace.csv", trace, cert_i, cert_ii)
-        assert (tmp_path / "trace.csv").read_bytes() == per_field_csv(trace, cert_i, cert_ii)
+        dists = trace.dist_to_ref
+        cli._write_trace(tmp_path / "trace.csv", trace, dists, cert_i, cert_ii)
+        assert (tmp_path / "trace.csv").read_bytes() == per_field_csv(trace, dists, cert_i, cert_ii)
 
     def test_negative_zero_and_subnormals(self, tmp_path):
         trace = self.trace(reference=np.array([1.0, 1.0]))
         tiny = np.nextafter(0.0, 1.0)
-        trace.residuals[0], trace.thetas[1], trace.dist_to_ref[2] = -0.0, tiny, 3 * tiny
+        trace.residuals[0], trace.thetas[1] = -0.0, tiny
+        # the run keeps no distances, so the column is the test's own
+        dists = trace.dist_to_ref
+        dists[2], dists[5] = 3 * tiny, -0.0
         cert_i = np.linspace(-1.0, 1.0, trace.n_steps)
         cert_ii = np.full(trace.n_steps, -0.0)
         cert_i[3], cert_ii[4] = -tiny, np.finfo(np.float64).tiny / 7
-        cli._write_trace(tmp_path / "trace.csv", trace, cert_i, cert_ii)
+        cli._write_trace(tmp_path / "trace.csv", trace, dists, cert_i, cert_ii)
         written = (tmp_path / "trace.csv").read_bytes()
-        assert written == per_field_csv(trace, cert_i, cert_ii)
+        assert written == per_field_csv(trace, dists, cert_i, cert_ii)
+        assert written.splitlines()[3].split(b",")[5] == b"1.4821969375237396e-323"
+        assert written.splitlines()[6].split(b",")[5] == b"-0"
         assert written.splitlines()[1].split(b",")[1] == b"-0"
         assert written.splitlines()[2].split(b",")[2] == b"4.9406564584124654e-324"
 

@@ -256,10 +256,10 @@ class TestRun:
         assert raised == [(iteration, f"iterate became non-finite at iteration {iteration}")] * 3
 
     @pytest.mark.parametrize("reference", [vec(0.0), vec(-1.5e308)], ids=["dot", "subtract"])
-    def test_overflowing_distance_keeps_todays_trace(self, reference):
-        # finite iterates whose distance to the reference overflows: no raise, and
-        # dist_to_ref and flags as when each distance is measured at its own step,
-        # after that step's operator call (whose warning fixes the order)
+    def test_overflowing_distance_leaves_the_flags_to_the_layers(self, reference):
+        # finite iterates whose distance to the reference overflows: no raise,
+        # trace.flags holds the layer's warnings as in the plain loop, which
+        # measures no distance, and dist_to_ref reads inf where one overflows
         def far(x):
             warnings.warn(f"far from {x[0]:.3g}")
             return vec(1.5e308)
@@ -273,12 +273,13 @@ class TestRun:
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            x, dists = vec(1.0), []
+            x = vec(1.0)
             for _ in range(4):
                 step = far(x) - x
                 norm(step)
-                dists.append(norm(x - reference))
                 x = x + step
+        with np.errstate(over="ignore"):
+            dists = [norm(p - reference) for p in trace.points[:4]]
         assert all(np.isfinite(p).all() for p in trace.points)
         assert trace.dist_to_ref.tolist() == dists
         assert math.isinf(dists[-1])
@@ -983,17 +984,18 @@ WEIGHT_FAMILIES = {
 }
 
 
-class TestDistancesAfterTheLoop:
-    """``dist_to_ref`` is filled after the loop, bit for bit each step's ``norm``."""
+class TestDistancesWhereRead:
+    """The run measures no distance; ``dist_to_ref`` measures the orbit when
+    it is read, bit for bit each step's ``norm``."""
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.sampled_from([1, 2, 3, 17, 1000, 4097]),
            family=st.sampled_from(sorted(WEIGHT_FAMILIES)),
            steps=st.integers(0, 24), stop=st.sampled_from([0.0, 1e-3, 0.5]),
-           rows_per_block=st.sampled_from([None, 1, 2, 5]), scratch=st.sampled_from([None, 1, 7]),
+           rows_per_block=st.sampled_from([None, 1, 2, 5]),
            scale=st.sampled_from([1.0, 1e-160, 1e150]), seed=st.integers(0, 2**32 - 1))
     def test_dist_to_ref_is_each_steps_norm(self, dim, family, steps, stop, rows_per_block,
-                                            scratch, scale, seed):
+                                            scale, seed):
         rng = np.random.default_rng(seed)
         a = rng.uniform(-3.0, 3.0, dim) * scale
         stack = compose([prox_l1(0.5 * scale), gradient_step(0.7, lambda x: x - a, beta=1.0)])
@@ -1006,19 +1008,35 @@ class TestDistancesAfterTheLoop:
         if rows_per_block is not None:
             # a run's points then span many blocks, whose first one is one row
             patches = {"BLOCK_FLOATS": rows_per_block * dim, "FIRST_BLOCK_FLOATS": dim}
-        if scratch is not None:
-            patches["DIST_SCRATCH_FLOATS"] = scratch * dim
         with pytest.MonkeyPatch.context() as mp:
             for name, value in patches.items():
                 mp.setattr(space, name, value)
             trace = run(cfg)
+            dists = trace.dist_to_ref
         ref = as_vector(cfg.reference)
         expected = array("d", [norm(trace.points[n] - ref) for n in range(trace.n_steps)])
-        assert trace.dist_to_ref.tobytes() == expected.tobytes()
+        assert dists.tobytes() == expected.tobytes()
 
-    def test_distances_warn_where_each_step_would_measure_them(self):
+    def test_a_run_with_a_reference_measures_no_distance(self, monkeypatch):
+        def no_distances(*args):
+            raise AssertionError("the run measured a distance")
+
+        ref = vec(1.5, -0.5)
+        for family in WEIGHT_FAMILIES.values():
+            cfg = IterationConfig(
+                stacks=compose([prox_l1(0.5), gradient_step(0.7, lambda x: x - 2.0, beta=1.0)]),
+                weights=family, relaxation=constant_relaxation(0.9), x0=vec(3.0, -1.0),
+                max_iters=30, stop_residual=0.0, reference=ref,
+            )
+            with monkeypatch.context() as mp:
+                mp.setattr(space, "row_distances", no_distances)
+                trace = run(cfg)
+            expected = array("d", [norm(trace.points[n] - ref) for n in range(30)])
+            assert trace.dist_to_ref.tobytes() == expected.tobytes()
+
+    def test_flags_hold_the_layer_and_recorder_warnings_only(self):
         # every third point overflows its distance; the layer and the recorder
-        # warn at each step, so each distance warning has one place to go
+        # warn at each step, and no distance warning joins them
         def far(x):
             warnings.warn(f"layer {x[0]:.3g}")
             return x * -2.0 if abs(x[0]) < 1e300 else x * 0.5
@@ -1036,14 +1054,15 @@ class TestDistancesAfterTheLoop:
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            x, dists = vec(3e307), []
+            x = vec(3e307)
             for n in range(7):
                 step = far(x) - x
                 norm(step)
                 x_next = x + step
-                dists.append(norm(x - vec(-1e308)))
                 recorder(n, x, None)
                 x = x_next
+        with np.errstate(over="ignore"):
+            dists = [norm(p - vec(-1e308)) for p in trace.points[:7]]
         assert any(not math.isfinite(d) for d in dists)
         assert trace.dist_to_ref.tolist() == dists
         assert trace.flags == [str(w.message) for w in caught]
