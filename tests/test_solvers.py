@@ -455,6 +455,40 @@ class TestForwardBackward:
         args.update(kw)
         return forward_backward(variant=variant, **args)
 
+    def test_threads_with_their_own_gamma_each_get_their_serial_run(self):
+        # gamma_n as the pre-pass read it is kept per thread, so a thread whose
+        # callable gamma returns its own value scales b_n by that value
+        prob = catalog("l1_quadratic", a=[2.0, -0.3])
+        local = threading.local()
+        preset = forward_backward(
+            A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=prob.beta,
+            gamma=lambda n: getattr(local, "gamma", 0.6), x0=vec(-1.0, 0.5),
+            b_errors=lambda n: vec(0.01, -0.02) / (n + 1.0), max_iters=3000, stop_residual=0.0,
+        )
+        gammas = (0.6, 0.9)
+        expected = []
+        for g in gammas:
+            local.gamma = g
+            expected.append(preset.solve()[1].thetas.tobytes())
+        thetas = [None] * len(gammas)
+
+        def solve(k):
+            local.gamma = gammas[k]
+            thetas[k] = preset.solve()[1].thetas.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(gammas))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert thetas == expected
+
     @pytest.mark.parametrize("variant", ["memoryless", "mean", "inertial"])
     def test_reaches_soft_threshold_solution(self, variant):
         preset = self.variant_preset(variant)
