@@ -43,7 +43,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDivergence
+from .errors import ConfigurationError, NumericalDivergence, check_integer, is_integer
 from .operators import LayerStack, apply_stack
 from .schedules import (
     RelaxationSchedule,
@@ -97,6 +97,7 @@ class GeometricError(ErrorModel):
     def __init__(self, rate: float, direction, layer: int = 1):
         if not 0.0 < rate < 1.0:
             raise ConfigurationError("geometric error rate must lie in (0, 1)")
+        check_integer(layer, "layer index")
         if layer < 1:
             raise ConfigurationError("layer index is 1-based")
         self.rate = rate
@@ -345,11 +346,7 @@ def _prevalidate(config: IterationConfig, steps: int | None = None) -> RunPlan:
     """
     if steps is None:
         steps = config.max_iters
-        try:
-            valid = not isinstance(steps, bool) and operator.index(steps) >= 0
-        except TypeError:
-            valid = False
-        if not valid:
+        if not (is_integer(steps) and operator.index(steps) >= 0):
             raise ConfigurationError(f"max_iters must be an integer >= 0, got {steps!r}")
     if not config.stop_residual >= 0.0:
         raise ConfigurationError(
@@ -604,6 +601,7 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     stateful or random sequence yields a budget for errors other than the
     ones a run injected.
     """
+    check_integer(horizon, "budget horizon")
     if horizon < 1:
         raise ConfigurationError("budget horizon must be >= 1")
     plan = _prevalidate(config, horizon + 1)

@@ -1,8 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check behind
+several configuration errors."""
+
+import operator
 
 
 class ConfigurationError(ValueError):
     """A parameter, operator spec, or schedule violates its admissible band."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``operator.index`` accepts ``value`` (an int or a numpy
+    integer, not 2.0 or "2") and it is not a bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def check_integer(value, what: str) -> None:
+    """Raise a ConfigurationError naming ``what`` unless ``is_integer(value)``."""
+    if not is_integer(value):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
 
 
 class InvalidScheduleError(ConfigurationError):

@@ -108,7 +108,7 @@ def soft_threshold(x: Vector, t: float) -> Vector:
 
 def l1_subdifferential(weight: float = 1.0) -> MonotoneMap:
     """Subdifferential of ``weight * ||.||_1``; resolvent is soft thresholding."""
-    if weight <= 0:
+    if not weight > 0:
         raise ConfigurationError("l1 weight must be positive")
 
     def graph(y, u, tol=1e-9):
@@ -230,7 +230,7 @@ def projector(set_kind: str, **params) -> AveragedOperator:
         bounded = True
     elif set_kind == "ball":
         center, radius = as_vector(params["center"]), float(params["radius"])
-        if radius <= 0:
+        if not radius > 0:
             raise ConfigurationError("ball radius must be positive")
 
         def fn(x):
@@ -271,7 +271,7 @@ def gradient_step(gamma: float, grad: Callable[[Vector], Vector], beta: float) -
 
     Averaged with constant ``gamma / (2 beta)``; requires ``0 < gamma < 2 beta``.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ConfigurationError("cocoercivity constant beta must be positive")
     if not 0.0 < gamma < 2.0 * beta:
         raise ConfigurationError(

@@ -35,6 +35,7 @@ from .errors import (
     CertificateUnavailableError,
     ConfigurationError,
     InvalidScheduleError,
+    check_integer,
 )
 from .space import Vector
 
@@ -121,8 +122,10 @@ class WeightSchedule:
     def __post_init__(self):
         if self.family not in ("memoryless", "window", "cesaro", "inertial"):
             raise ConfigurationError(f"unknown weight family {self.family!r}")
-        if self.family == "window" and self.window < 1:
-            raise ConfigurationError("window width must be >= 1")
+        if self.family == "window":
+            check_integer(self.window, "window width")
+            if self.window < 1:
+                raise ConfigurationError("window width must be >= 1")
         if self.family == "inertial" and self.eta is None:
             raise ConfigurationError("inertial weights need an eta schedule")
 
@@ -463,6 +466,7 @@ def validate_weights(schedule, horizon: int) -> WeightValidationReport:
     regularity certificate (e) comes from the family's analytic argument,
     never from data; explicit row sets get no certificate.
     """
+    check_integer(horizon, "validation horizon")
     if horizon < 1:
         raise ConfigurationError("validation horizon must be >= 1")
 

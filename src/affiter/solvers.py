@@ -256,7 +256,7 @@ def forward_backward(
         if not 0.0 < epsilon < 0.5:
             raise ConfigurationError("epsilon must lie in (0, 1/2)")
     else:
-        if beta is None or beta <= 0:
+        if beta is None or not beta > 0:
             raise ConfigurationError("cocoercivity constant beta must be positive")
         if not 0.0 < epsilon < min(0.5, beta):
             raise ConfigurationError(

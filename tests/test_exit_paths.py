@@ -84,10 +84,13 @@ def km(**kwargs):
     return krasnoselskii_mann(T=T, x0=[1.0, 0.0], **kwargs)
 
 
-def budget_at_horizon_zero():
+NAN = float("nan")
+
+
+def budget_at_horizon(horizon):
     config = IterationConfig(stacks=compose([prox_l1(1.0)]), weights=memoryless(),
                              relaxation=constant_relaxation(1.0), x0=[1.0])
-    error_budget_check(config, 0)
+    error_budget_check(config, horizon)
 
 
 class SupOneEta:
@@ -152,22 +155,38 @@ LIBRARY = [
      ConfigurationError, "unknown operator class 'firm'"),
     ("l1_subdifferential-weight", lambda: l1_subdifferential(0.0),
      ConfigurationError, "l1 weight must be positive"),
+    ("l1_subdifferential-weight-nan", lambda: l1_subdifferential(NAN),
+     ConfigurationError, "l1 weight must be positive"),
     ("gradient_step-beta", lambda: gradient_step(1.0, abs, 0.0),
      ConfigurationError, "cocoercivity constant beta must be positive"),
+    ("gradient_step-beta-nan", lambda: gradient_step(1.0, abs, NAN),
+     ConfigurationError, "cocoercivity constant beta must be positive"),
     ("projector-ball-radius", lambda: projector("ball", center=[0.0], radius=0.0),
+     ConfigurationError, "ball radius must be positive"),
+    ("projector-ball-radius-nan", lambda: projector("ball", center=[0.0], radius=NAN),
      ConfigurationError, "ball radius must be positive"),
     # engine
     ("GeometricError-rate", lambda: GeometricError(1.0, [0.1]),
      ConfigurationError, "geometric error rate must lie in (0, 1)"),
     ("GeometricError-layer-0", lambda: GeometricError(0.5, [0.1], layer=0),
      ConfigurationError, "layer index is 1-based"),
-    ("error_budget_check-horizon-0", budget_at_horizon_zero,
+    ("GeometricError-layer-float", lambda: GeometricError(0.5, [0.1], layer=1.5),
+     ConfigurationError, "layer index must be an integer, got 1.5"),
+    ("GeometricError-layer-bool", lambda: GeometricError(0.5, [0.1], layer=True),
+     ConfigurationError, "layer index must be an integer, got True"),
+    ("error_budget_check-horizon-0", lambda: budget_at_horizon(0),
      ConfigurationError, "budget horizon must be >= 1"),
+    ("error_budget_check-horizon-float", lambda: budget_at_horizon(2.5),
+     ConfigurationError, "budget horizon must be an integer, got 2.5"),
+    ("error_budget_check-horizon-bool", lambda: budget_at_horizon(True),
+     ConfigurationError, "budget horizon must be an integer, got True"),
     # schedules
     ("chi_value-truncation-0", lambda: chi_value(memoryless(), 0, truncation=0),
      ConfigurationError, "chi truncation must be >= 1"),
     ("validate_weights-horizon-0", lambda: validate_weights(memoryless(), 0),
      ConfigurationError, "validation horizon must be >= 1"),
+    ("validate_weights-horizon-float", lambda: validate_weights(memoryless(), 2.5),
+     ConfigurationError, "validation horizon must be an integer, got 2.5"),
     ("validate_weights-sup-eta-1",
      lambda: validate_weights(WeightSchedule(family="inertial", eta=SupOneEta()), 10),
      InvalidScheduleError, "inertial weights need sup eta < 1 or the nesterov form"),
@@ -187,6 +206,10 @@ LIBRARY = [
      ConfigurationError, "unknown weight family 'bogus'"),
     ("WeightSchedule-window-0", lambda: WeightSchedule(family="window", window=0),
      ConfigurationError, "window width must be >= 1"),
+    ("window-float", lambda: window(2.5),
+     ConfigurationError, "window width must be an integer, got 2.5"),
+    ("window-bool", lambda: window(True),
+     ConfigurationError, "window width must be an integer, got True"),
     ("WeightSchedule-inertial-no-eta", lambda: WeightSchedule(family="inertial"),
      ConfigurationError, "inertial weights need an eta schedule"),
     ("WeightSchedule-row-negative", lambda: memoryless().row(-1),
@@ -221,6 +244,8 @@ LIBRARY = [
     ("forward_backward-proximal-epsilon", lambda: fb(variant="proximal_point", epsilon=0.6),
      ConfigurationError, "epsilon must lie in (0, 1/2)"),
     ("forward_backward-beta", lambda: fb(beta=0.0),
+     ConfigurationError, "cocoercivity constant beta must be positive"),
+    ("forward_backward-beta-nan", lambda: fb(beta=NAN),
      ConfigurationError, "cocoercivity constant beta must be positive"),
     ("forward_backward-epsilon-band", lambda: fb(beta=1.0, epsilon=0.7),
      ConfigurationError, "epsilon must lie in (0, min(1/2, beta)) = (0, 0.5)"),
