@@ -241,8 +241,8 @@ def forward_backward(
     Inertial runs accept errors (sequences or a model) only in the
     unit-relaxation bounded-domain regime; anything else is rejected.
     The forward error ``-gamma_n b_n`` reads gamma_n as the run's pre-pass
-    read it, kept per thread, so runs of one preset in two threads each
-    scale b_n by their own gamma_n.
+    read it, kept per thread (by thread id), so runs of one preset in two
+    threads each scale b_n by their own gamma_n.
     """
     if variant not in ("memoryless", "mean", "inertial", "proximal_point"):
         raise ConfigurationError(f"unknown forward-backward variant {variant!r}")
@@ -264,8 +264,9 @@ def forward_backward(
             )
     gamma_fn = _gamma_fn(gamma)
     gamma_hi = None if proximal_point else 2.0 * beta / (1.0 + epsilon)
-    # .gammas: gamma_n as this thread's pre-pass read it, where the run reads it
-    checked = threading.local()
+    # gamma_n as each thread's pre-pass read it, by thread id; a threading.local
+    # per preset would slow every build (its first instance after a gc is costly)
+    checked: dict[int, dict[int, float]] = {}
 
     def checked_gamma(n: int) -> float:
         g = gamma_fn(n)
@@ -274,10 +275,7 @@ def forward_backward(
             raise ConfigurationError(
                 f"gamma_{n} = {g} outside the admissible band [{epsilon}, {hi}]"
             )
-        gammas = getattr(checked, "gammas", None)
-        if gammas is None:
-            gammas = checked.gammas = {}
-        gammas[n] = g
+        checked.setdefault(threading.get_ident(), {})[n] = g
         return g
 
     checked_gamma(0)
@@ -329,7 +327,7 @@ def forward_backward(
         b_n = error_vector(b_fn(n))
         if b_n is None:
             return None
-        gammas = getattr(checked, "gammas", {})
+        gammas = checked.get(threading.get_ident(), {})
         return -(gammas[n] if n in gammas else gamma_fn(n)) * b_n
 
     errors = _error_model(errors, [a_fn] if b_fn is None else [a_fn, forward_error])
