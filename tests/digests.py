@@ -18,9 +18,9 @@ steps, so no BLAS-blocked reduction enters and the whole pass is fast.
 ``test_digests.py`` recomputes them.  A change that moves results on purpose
 regenerates the file in its own commit, naming each changed digest.
 
-    python tests/digests.py             # print the digests as JSON
-    python tests/digests.py --write     # rewrite tests/golden/digests.json
-    python tests/digests.py --diff A B  # name the digests that differ
+    PYTHONPATH=src python tests/digests.py             # print the digests as JSON
+    PYTHONPATH=src python tests/digests.py --write     # rewrite tests/golden/digests.json
+    PYTHONPATH=src python tests/digests.py --diff A B  # name the digests that differ
 """
 
 from __future__ import annotations
