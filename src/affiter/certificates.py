@@ -47,7 +47,7 @@ from .engine import RunTrace, _partial_sums
 from .errors import ConfigurationError, InvalidReferenceError
 from .operators import apply_stack, tail_apply
 from .schedules import abs_weighted_sums
-from .space import Vector, as_vector, norm, row_distances
+from .space import Vector, as_vector, norm
 
 DEFAULT_CERT_TOL = 1e-9
 
@@ -57,7 +57,6 @@ class CertificateReport:
     name: str
     slacks: np.ndarray
     tolerance: float
-    indices: np.ndarray  # the iterations the slacks were evaluated at
 
     @property
     def min_slack(self) -> float:
@@ -67,7 +66,7 @@ class CertificateReport:
     def first_violation(self) -> int | None:
         # a NaN slack fails: it is not >= -tolerance
         bad = np.nonzero(~(self.slacks >= -self.tolerance))[0]
-        return int(self.indices[bad[0]]) if bad.size else None
+        return int(bad[0]) if bad.size else None
 
     @property
     def passed(self) -> bool:
@@ -108,35 +107,14 @@ def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
                 )
 
 
-def _xbar_dists(trace: RunTrace, ns: np.ndarray, dists: np.ndarray, x_ref: Vector) -> np.ndarray:
-    """``||xbar_n - x*||`` for each ``n`` in ``ns`` (sorted, distinct), bit for
-    bit ``norm(xbar_n - x*)``: ``dists[n]`` where every row is one point, else
-    ``space.row_distances`` over the rows of ``ns`` in each packed block of
-    ``trace.xbars`` (``space.Rows.distances`` when ``ns`` is every n), whose
-    inertial rows with ``eta_n = 0`` are copies of ``x_n``."""
-    out = dists[ns]
-    if trace.config.weights.support_bound == 1:
-        return out
-    # a block per call, for fewer numpy calls; the scratch is one block at most
-    if ns.size == trace.n_steps:  # ns is 0 .. N-1
-        trace.xbars.distances(x_ref, out)
-    else:
-        for start, rows in trace.xbars.blocks():
-            lo, hi = np.searchsorted(ns, (start, start + len(rows)))
-            if lo < hi:
-                row_distances(rows[ns[lo:hi] - start], x_ref, out[lo:hi])
-    return out
-
-
 def run_certificates(
     trace: RunTrace,
     x_ref,
     which: Sequence[str] = ("i", "ii"),
     tolerance: float = DEFAULT_CERT_TOL,
     check_reference: bool = True,
-    indices: Sequence[int] | None = None,
 ) -> dict[str, CertificateReport]:
-    """Evaluate the requested certificate slacks along a trace.
+    """Evaluate the requested certificate slacks at every step n = 0 .. N-1.
 
     The distances ``||x_j - x*||``, ``j <= N``, are measured in one pass
     (``space.Rows.distances``, the kernel behind ``trace.dist_to_ref``),
@@ -151,16 +129,14 @@ def run_certificates(
     about ``2 eps`` of that ``fsum``, relative.  Certificates (ii) and (iii)
     start from ``||xbar_n - x*||^2``, with ``xbar_n`` read from
     ``trace.xbars`` (the point the run fed to the stack), so they cost O(d)
-    per step.  Where ``xbar_n`` is not ``x_n`` those distances are batched
-    (``_xbar_dists``): stacked ``(1, d) @ (d, 1)`` ``matmul`` calls over
-    each packed block of ``trace.xbars`` (``space.row_distances``), bit for
+    per step.  Where ``xbar_n`` is not ``x_n`` those distances take a
+    second pass, over ``trace.xbars``: stacked ``(1, d) @ (d, 1)``
+    ``matmul`` calls per packed block (``space.row_distances``), bit for
     bit ``norm``'s ``x.dot(x)``; ``einsum`` would not be.  The rest of (ii) is
     Python floats, since numpy's squares differ from ``x**2`` in the last
     bit.  Stacks are read from the trace (``RunTrace.stack_at``), never
     from a stack provider.  Certificate (iii) also evaluates the stack tails
-    at ``xbar_n`` every iteration, and at ``x_ref`` once per distinct stack;
-    ``indices`` restricts the evaluation to a subsample when that cost
-    matters.
+    at ``xbar_n`` every iteration, and at ``x_ref`` once per distinct stack.
     """
     x_ref = as_vector(x_ref, dim=trace.points.dim)
     unknown = set(which) - {"i", "ii", "iii"}
@@ -170,12 +146,6 @@ def run_certificates(
         verify_reference(trace, x_ref)
 
     n_steps = trace.n_steps
-    if indices is None:
-        eval_at = np.arange(n_steps)
-    else:
-        eval_at = np.asarray(sorted(set(indices)), dtype=int)
-        if eval_at.size and (eval_at[0] < 0 or eval_at[-1] >= n_steps):
-            raise ConfigurationError(f"certificate indices outside 0..{n_steps - 1}")
     # a NaN or infinite slack fails its verdict; numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.empty(n_steps + 1)
@@ -183,30 +153,30 @@ def run_certificates(
 
         slacks = {}
         if "i" in which:
-            rhs = abs_weighted_sums(trace.config.weights, d, eval_at, trace.etas)
-            slacks["i"] = (rhs + np.asarray(trace.thetas)[eval_at]) - d[eval_at + 1]
+            rhs = abs_weighted_sums(trace.config.weights, d, trace.etas)
+            slacks["i"] = (rhs + np.asarray(trace.thetas)) - d[1:]
         # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n, in
         # Python floats: numpy's squares would differ from x**2 in the last bit.
-        # The columns become lists once, so that each value is boxed once.
         if {"ii", "iii"} & set(which):
-            ns = eval_at.tolist()
-            dists, thetas, residuals = d.tolist(), trace.thetas.tolist(), trace.residuals.tolist()
-            dbars = _xbar_dists(trace, eval_at, d, x_ref).tolist()
+            # rows of one point are x_n itself; the others are measured
+            dbars = d[:n_steps]
+            if trace.config.weights.support_bound != 1:
+                dbars = np.empty(n_steps)
+                trace.xbars.distances(x_ref, dbars)
             base = [
-                dbar**2 - dists[n + 1] ** 2 + thetas[n] * (2.0 * dbar + thetas[n])
-                for n, dbar in zip(ns, dbars)
+                dbar**2 - d_next**2 + theta * (2.0 * dbar + theta)
+                for dbar, d_next, theta in zip(dbars.tolist(), d[1:].tolist(), trace.thetas)
             ]
-            lambdas = trace.lambdas.tolist()
         if "ii" in which:
-            phis = trace.phis.tolist()
             slacks["ii"] = np.array([
-                b - lambdas[n] * (1.0 / phis[n] - lambdas[n]) * residuals[n] ** 2
-                for n, b in zip(ns, base)
+                b - lam * (1.0 / phi - lam) * r**2
+                for b, lam, phi, r in zip(base, trace.lambdas, trace.phis, trace.residuals)
             ])
         if "iii" in which:
             iii = []
             ref_stack = None
-            for n, b in zip(ns, base):
+            columns = zip(trace.xbars, base, trace.lambdas, trace.residuals)
+            for n, (xbar, b, lam, r) in enumerate(columns):
                 stack = trace.stack_at(n)
                 if stack is not ref_stack:
                     # (Id - T_i) T_{i+} x_ref, for each layer with a nonzero coefficient
@@ -216,19 +186,15 @@ def run_certificates(
                         if coeff != 0.0:
                             t_ref = tail_apply(stack, i, x_ref)
                             ref_disps.append((i, layer, coeff, t_ref - layer.fn(t_ref)))
-                xbar = trace.xbars[n]
                 layer_term = 0.0
                 for i, layer, coeff, d_ref in ref_disps:
                     t_bar = tail_apply(stack, i, xbar)
                     disp = (t_bar - layer.fn(t_bar)) - d_ref
                     layer_term = max(layer_term, coeff * float(disp @ disp))
-                lam = lambdas[n]
-                iii.append(b + lam * (lam - 1.0) * residuals[n] ** 2 - lam * layer_term)
+                iii.append(b + lam * (lam - 1.0) * r**2 - lam * layer_term)
             slacks["iii"] = np.array(iii)
     return {
-        name: CertificateReport(
-            name=name, slacks=slacks[name], tolerance=tolerance, indices=eval_at
-        )
+        name: CertificateReport(name=name, slacks=slacks[name], tolerance=tolerance)
         for name in which
     }
 

@@ -281,15 +281,12 @@ def orbit_mean(
 
 
 def abs_weighted_sums(
-    schedule: WeightSchedule,
-    dists: np.ndarray,
-    indices: np.ndarray,
-    etas: array | None,
+    schedule: WeightSchedule, dists: np.ndarray, etas: array | None
 ) -> np.ndarray:
-    """``sum_j |mu_{n,j}| d_j`` for each ``n`` in ``indices``, without building a row.
+    """``sum_j |mu_{n,j}| d_j`` for each ``n < N``, without building a row.
 
-    ``dists`` holds ``d_0 .. d_N`` (``N > max(indices)``, all ``d_j >= 0``);
-    ``etas`` comes from ``eta_values``.  Memoryless rows give ``d_n``;
+    ``dists`` holds ``d_0 .. d_N`` (all ``d_j >= 0``); ``etas`` comes from
+    ``eta_values``.  Memoryless rows give ``d_n``;
     inertial rows ``(1 + eta_n) d_n + eta_n d_{n-1}`` (``d_n`` when
     ``eta_n = 0``), formed by array operations over the rows with
     ``eta_n != 0`` (elementwise, so the same IEEE operations as one row at a
@@ -305,32 +302,28 @@ def abs_weighted_sums(
     subnormal per term where the products underflow.
     """
     family = schedule.family
+    sums = dists[:-1].copy()
     if family == "memoryless":
-        return dists[indices]
+        return sums
     if family == "inertial":
-        sums = dists[indices]
-        eta = np.frombuffer(etas)[indices]
-        moved = eta != 0.0
-        eta, at = eta[moved], indices[moved]
-        sums[moved] = (1.0 + eta) * dists[at] + eta * dists[at - 1]
+        eta = np.frombuffer(etas)[: sums.size]
+        at = np.flatnonzero(eta != 0.0)
+        eta = eta[at]
+        sums[at] = (1.0 + eta) * dists[at] + eta * dists[at - 1]
         return sums
     if family == "cesaro":
-        if not indices.size:
-            return np.empty(0)
-        running = np.empty(indices.max() + 1)
         s = c = 0.0
-        for n, x in enumerate(dists[: running.size].tolist()):
+        for n, x in enumerate(sums.tolist()):
             t = s + x
             # Neumaier: s and x are nonnegative, so compare them directly
             c += (s - t) + x if s >= x else (x - t) + s
             s = t
-            running[n] = s + c
-        return running[indices] * (1.0 / (indices + 1.0))
+            sums[n] = s + c
+        return sums * (1.0 / np.arange(1.0, sums.size + 1.0))
     w = schedule.window
-    sums = np.empty(indices.size)
-    for pos, n in enumerate(indices.tolist()):
+    for n in range(sums.size):
         k = min(w, n + 1)
-        sums[pos] = math.fsum((dists[n + 1 - k : n + 1] * (1.0 / k)).tolist())
+        sums[n] = math.fsum((dists[n + 1 - k : n + 1] * (1.0 / k)).tolist())
     return sums
 
 

@@ -427,18 +427,16 @@ class TestRunCertificates:
             raise AssertionError(f"run_certificates built weight row {n}")
 
         monkeypatch.setattr(WeightSchedule, "row", no_row)
-        for indices in (None, [0, 1, 6, 14]):
-            at = slice(None) if indices is None else indices
-            reports = run_certificates(trace, x_ref, which=("i", "ii", "iii"), indices=indices)
-            if family == "cesaro":
-                # one compensated running sum, not a row fsum: within 2 eps of the
-                # row sum, plus the rounding of the subtraction (theta_n = 0 here)
-                bound = 2.0 * EPS * rhs[at] + np.spacing(np.abs(oracle[at]))
-                assert np.all(np.abs(reports["i"].slacks - oracle[at]) <= bound)
-            else:
-                assert reports["i"].slacks.tobytes() == oracle[at].tobytes()
-            for name in ("ii", "iii"):
-                assert reports[name].slacks.tobytes() == energy[name].slacks[at].tobytes()
+        reports = run_certificates(trace, x_ref, which=("i", "ii", "iii"))
+        if family == "cesaro":
+            # one compensated running sum, not a row fsum: within 2 eps of the
+            # row sum, plus the rounding of the subtraction (theta_n = 0 here)
+            bound = 2.0 * EPS * rhs + np.spacing(np.abs(oracle))
+            assert np.all(np.abs(reports["i"].slacks - oracle) <= bound)
+        else:
+            assert reports["i"].slacks.tobytes() == oracle.tobytes()
+        for name in ("ii", "iii"):
+            assert reports[name].slacks.tobytes() == energy[name].slacks.tobytes()
 
     def test_certificate_i_reads_the_runs_eta(self):
         calls = []
@@ -460,16 +458,6 @@ class TestRunCertificates:
         assert calls == []
         assert reports["i"].passed
 
-    def test_subsampled_evaluation(self):
-        trace = self.fb_trace(max_iters=50, x0=4.0)
-        full = run_certificates(trace, vec(1.0), which=("iii",))["iii"]
-        sub = run_certificates(trace, vec(1.0), which=("iii",), indices=[0, 7, 20])["iii"]
-        assert sub.slacks.shape == (3,)
-        assert np.array_equal(sub.indices, [0, 7, 20])
-        assert sub.slacks == pytest.approx(full.slacks[[0, 7, 20]])
-        with pytest.raises(ConfigurationError):
-            run_certificates(trace, vec(1.0), indices=[999])
-
 
 class TestNaNSlack:
     """A NaN slack is a failed certificate, not a passed one."""
@@ -477,9 +465,8 @@ class TestNaNSlack:
     def test_a_report_with_a_nan_slack_fails_at_its_index(self):
         report = certificates.CertificateReport(
             name="ii", slacks=np.array([0.5, math.nan, 0.25]), tolerance=1e-9,
-            indices=np.array([4, 7, 9]),
         )
-        assert report.first_violation == 7 and not report.passed
+        assert report.first_violation == 1 and not report.passed
 
     @pytest.mark.parametrize("variant", [
         {}, dict(variant="inertial", eta=EtaSchedule(kind="nesterov", tau=2.0)),
@@ -524,8 +511,8 @@ class TestNaNSlack:
 
 class TestMeasuredDistances:
     """``run_certificates`` measures every ``||x_n - x*||`` itself, whatever x*
-    is: a reference given as a list, an ``indices`` subset and a trace stopped
-    on the residual each read the distances of the orbit they certify."""
+    is: a reference given as a list and a trace stopped on the residual
+    each read the distances of the orbit they certify."""
 
     CASES = [*TestRunCertificates.FAMILIES, "peaceman_rachford"]
 
@@ -550,19 +537,15 @@ class TestMeasuredDistances:
         return preset.solve()[1]
 
     @staticmethod
-    def slacks(trace, x_ref, **kwargs):
-        reports = run_certificates(trace, x_ref, which=("i", "ii", "iii"), **kwargs)
+    def slacks(trace, x_ref):
+        reports = run_certificates(trace, x_ref, which=("i", "ii", "iii"))
         return {name: rep.slacks.tobytes() for name, rep in reports.items()}
 
     @pytest.mark.parametrize("case", CASES)
-    def test_a_list_reference_and_an_index_subset_give_the_full_slacks(self, case):
+    def test_a_list_reference_gives_the_array_references_slacks(self, case):
         trace = self.solve(case)
         x_ref = trace.config.reference
-        full = self.slacks(trace, x_ref)
-        assert self.slacks(trace, list(x_ref)) == full
-        sub = [0, 3, trace.n_steps - 1]
-        picked = {name: np.frombuffer(slacks)[sub].tobytes() for name, slacks in full.items()}
-        assert self.slacks(trace, x_ref, indices=sub) == picked
+        assert self.slacks(trace, list(x_ref)) == self.slacks(trace, x_ref)
 
     @pytest.mark.parametrize("case", ["memoryless", "window3", "peaceman_rachford"])
     def test_a_trace_stopped_on_the_residual_gives_the_per_row_slacks(self, case):
@@ -614,7 +597,7 @@ class TestLongCesaroCertificateI:
         assert best_of_five(("i",)) <= best_of_five(("ii",))
 
 
-def loop_slacks(trace, x_ref, which, indices=None):
+def loop_slacks(trace, x_ref, which):
     """Certificates (i)-(iii) one step at a time: the per-row loop that
     ``run_certificates`` ran before its distances and sums were batched.
 
@@ -624,23 +607,22 @@ def loop_slacks(trace, x_ref, which, indices=None):
     """
     x_ref = np.asarray(x_ref, dtype=np.float64)
     points = trace.points
-    eval_at = range(trace.n_steps) if indices is None else sorted(set(indices))
     dists = [norm(p - x_ref) for p in points]
-    out = {name: np.zeros(len(eval_at)) for name in which}
+    out = {name: np.zeros(trace.n_steps) for name in which}
     ref_stack = None
     phis = trace.phis
-    for pos, n in enumerate(eval_at):
+    for n in range(trace.n_steps):
         theta_n, xbar, r_n = trace.thetas[n], trace.xbars[n], trace.residuals[n]
         lam, phi, lhs1 = trace.lambdas[n], phis[n], dists[n + 1]
         if "i" in which:
             row = trace.config.weights.row(n)
             rhs = math.fsum(abs(w) * dists[j] for j, w in row.items())
-            out["i"][pos] = (rhs + theta_n) - lhs1
+            out["i"][n] = (rhs + theta_n) - lhs1
         dbar = dists[n] if np.shares_memory(xbar, points[n]) else norm(xbar - x_ref)
         nu_n = theta_n * (2.0 * dbar + theta_n)
         base = dbar**2 - lhs1**2 + nu_n
         if "ii" in which:
-            out["ii"][pos] = base - lam * (1.0 / phi - lam) * r_n**2
+            out["ii"][n] = base - lam * (1.0 / phi - lam) * r_n**2
         if "iii" in which:
             stack = trace.stack_at(n)
             if stack is not ref_stack:
@@ -655,7 +637,7 @@ def loop_slacks(trace, x_ref, which, indices=None):
                 t_bar = tail_apply(stack, i, xbar)
                 disp = (t_bar - layer.fn(t_bar)) - d_ref
                 layer_term = max(layer_term, coeff * float(disp @ disp))
-            out["iii"][pos] = base + lam * (lam - 1.0) * r_n**2 - lam * layer_term
+            out["iii"][n] = base + lam * (lam - 1.0) * r_n**2 - lam * layer_term
     return out
 
 
@@ -717,20 +699,16 @@ class TestArrayPasses:
         which = ("i", "ii", "iii") if family != "cesaro" else ("ii", "iii")
         for trace in traces.values():
             ref = trace.config.reference
-            subset = [0, 3, 4, 9, trace.n_steps - 1]
             for x_ref in (ref, ref + 0.01 * np.arange(dim)):
-                for indices in (None, subset):
-                    expected = loop_slacks(trace, x_ref, which, indices)
-                    got = run_certificates(trace, x_ref, which=which, indices=indices,
-                                           check_reference=False)
-                    for name in which:
-                        assert got[name].slacks.tobytes() == expected[name].tobytes(), name
+                expected = loop_slacks(trace, x_ref, which)
+                got = run_certificates(trace, x_ref, which=which, check_reference=False)
+                for name in which:
+                    assert got[name].slacks.tobytes() == expected[name].tobytes(), name
 
     @settings(deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
-           zeros=st.lists(st.booleans(), min_size=1, max_size=7),
-           subset=st.booleans(), foreign=st.booleans())
-    def test_xbar_distances_are_each_rows_norm(self, seed, dim, zeros, subset, foreign):
+           zeros=st.lists(st.booleans(), min_size=1, max_size=7), foreign=st.booleans())
+    def test_xbar_distances_are_each_rows_norm(self, seed, dim, zeros, foreign):
         # an inertial row with eta_n = 0 is x_n itself; its trace row is a copy
         # of x_n, measured like every other row
         rng = np.random.default_rng(seed)
@@ -745,14 +723,9 @@ class TestArrayPasses:
         x_ref = trace.config.reference
         if foreign:
             x_ref = x_ref + rng.standard_normal(dim)
-            dists = np.array([norm(p - x_ref) for p in trace.points])
-        else:
-            dists = np.append(trace.dist_to_ref, norm(trace.points[-1] - x_ref))
-        ns = np.arange(trace.n_steps)
-        if subset:
-            ns = np.unique(rng.integers(0, trace.n_steps, 12))
-        got = certificates._xbar_dists(trace, ns, dists, x_ref)
-        expected = np.array([norm(trace.xbars[n] - x_ref) for n in ns.tolist()])
+        got = np.empty(trace.n_steps)
+        trace.xbars.distances(x_ref, got)
+        expected = np.array([norm(xbar - x_ref) for xbar in trace.xbars])
         assert got.tobytes() == expected.tobytes()
 
     @settings(deadline=None, max_examples=100)
