@@ -227,11 +227,12 @@ def gronwall_envelope(
     theta_1, ...) is supplied, checks ``theta_{n+1} <= env_n`` and reports
     the first violation.
     """
-    if theta0 < 0.0:
+    # each check fails on NaN, and a NaN envelope entry is a violation
+    if not theta0 >= 0.0:
         raise ConfigurationError("theta0 must be nonnegative")
     nu = np.asarray(nu_seq, dtype=np.float64)
     eps = np.asarray(eps_seq, dtype=np.float64)
-    if np.any(eps < 0.0):
+    if not np.all(eps >= 0.0):
         raise ConfigurationError("eps sequence must be nonnegative")
     n_max = min(nu.size, eps.size)
     steps = []
@@ -244,10 +245,10 @@ def gronwall_envelope(
     first_violation = None
     if theta_seq is not None:
         th = np.asarray(theta_seq, dtype=np.float64)
-        if np.any(th < 0.0):
+        if not np.all(th >= 0.0):
             raise ConfigurationError("theta sequence must be nonnegative")
         upto = min(n_max, th.size - 1)
-        viol = np.nonzero(th[1 : upto + 1] > env[:upto] * (1 + 1e-12) + 1e-15)[0]
+        viol = np.nonzero(~(th[1 : upto + 1] <= env[:upto] * (1 + 1e-12) + 1e-15))[0]
         dominated = viol.size == 0
         first_violation = int(viol[0]) if viol.size else None
     return GronwallReport(envelope=env, dominated=dominated, first_violation=first_violation)
@@ -311,7 +312,7 @@ def inertial_band_validate(
     L = min(phi.size, lam.size, eta_n.size)
     if L < 2:
         raise ConfigurationError("need sequences of length >= 2")
-    if np.any(phi[:L] <= 0.0) or np.any(phi[:L] > 1.0):
+    if not np.all((phi[:L] > 0.0) & (phi[:L] <= 1.0)):
         raise ConfigurationError("phi values must lie in (0, 1]")
     e, sg, th = params.eta, params.sigma, params.theta_tune
     omega = 1.0 / phi[:L] - lam[:L]
@@ -329,10 +330,10 @@ def inertial_band_validate(
         mono_margin = min(mono_margin, mono)
         if first is None:
             # the strict condition guarantees the cap is positive, so it is
-            # checked first and named on simultaneous violations
-            if mono < 0.0:
+            # checked first and named on simultaneous violations; NaN fails each
+            if not mono >= 0.0:
                 first, violated = n, "eta monotonicity / bound"
-            elif strict <= 0.0:
+            elif not strict > 0.0:
                 first, violated = n, "strict sigma condition"
             elif not 0.0 < lam[n] <= cap:
                 first, violated = n, "lambda cap"

@@ -556,7 +556,7 @@ def averagedness_certificate(
     passes when the largest violation stays within ``tolerance``.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    viols = []
     if op.kind == QUASINONEXPANSIVE:
         if not fixed_points:
             raise ConfigurationError(
@@ -571,7 +571,7 @@ def averagedness_certificate(
             rhs = (2.0 * op.alpha - 1.0) * (
                 float((x - y) @ (x - y)) - float((tx - y) @ (tx - y))
             )
-            worst = max(worst, lhs - rhs)
+            viols.append(lhs - rhs)
     else:
         coeff = (1.0 - op.alpha) / op.alpha
         for _ in range(sample_count):
@@ -581,14 +581,14 @@ def averagedness_certificate(
             d_im = tu - tv
             d = u - v
             r = (u - tu) - (v - tv)
-            viol = float(d_im @ d_im) + coeff * float(r @ r) - float(d @ d)
-            worst = max(worst, viol)
+            viols.append(float(d_im @ d_im) + coeff * float(r @ r) - float(d @ d))
     return AveragednessReport(
         operator=op.name or repr(op.fn),
         alpha=op.alpha,
         kind=op.kind,
         samples=sample_count,
         seed=seed,
-        max_violation=worst,
+        # np.max, not max(): a NaN violation makes the maximum NaN, so a fail
+        max_violation=float(np.max(viols, initial=0.0)),
         tolerance=tolerance,
     )

@@ -172,6 +172,8 @@ def brute_oracle(spec: ProblemSpec, resolution: float = 1e-3) -> Vector:
     drops below the resolution.  Only meant for dimension <= 3; feasibility
     problems with a feasible supplied start return it directly.
     """
+    if not resolution > 0.0:
+        raise ConfigurationError(f"brute oracle resolution must be positive, got {resolution!r}")
     if spec.dim > 3:
         raise ConfigurationError("brute oracle supports dimension <= 3 only")
     if spec.objective is None:
@@ -186,18 +188,11 @@ def brute_oracle(spec: ProblemSpec, resolution: float = 1e-3) -> Vector:
     if spec.name == "polyak_norm_over_halfspace":
         lo[0] = 1.0  # restrict the scan to the constraint set
 
-    def feasible_filter(points):
-        if spec.name == "polyak_norm_over_halfspace":
-            return points[points[:, 0] >= 1.0 - 1e-15]
-        return points
-
     pts_per_axis = 41
-    best = None
     while True:
         axes = [np.linspace(lo[d], hi[d], pts_per_axis) for d in range(spec.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=1)
-        grid = feasible_filter(grid)
         values = np.array([spec.objective(p) for p in grid])
         best = grid[int(np.argmin(values))]
         spacing = (hi - lo) / (pts_per_axis - 1)

@@ -346,6 +346,7 @@ def chi_value(schedule: WeightSchedule, n: int, truncation: int = CHI_TRUNCATION
     ``sup eta < 1`` for bounded sequences, and via the cubic decay of
     ``exp(zeta)`` for the nesterov form (whose running sup tends to 1).
     """
+    check_integer(truncation, "chi truncation")
     if truncation < 1:
         raise ConfigurationError("chi truncation must be >= 1")
     eta = schedule.eta_schedule()
@@ -371,6 +372,7 @@ def chi_value(schedule: WeightSchedule, n: int, truncation: int = CHI_TRUNCATION
 
 
 def chi_table(schedule: WeightSchedule, horizon: int, truncation: int = CHI_TRUNCATION) -> list[ChiEntry]:
+    check_integer(horizon, "chi horizon")
     if horizon < 0:
         raise ConfigurationError(f"chi horizon must be >= 0, got {horizon}")
     return [chi_value(schedule, n, truncation) for n in range(horizon + 1)]

@@ -136,6 +136,13 @@ class TestGronwall:
         with pytest.raises(ConfigurationError):
             gronwall_envelope(1.0, [0.0], [-0.1])
 
+    def test_a_nan_nu_makes_a_violation_at_its_step(self):
+        # nu_2 = NaN makes env_2 and every later entry NaN: theta_3 is not dominated
+        report = gronwall_envelope(1.0, [0.0, 0.0, math.nan, 0.0], [0.0] * 4,
+                                   theta_seq=[1.0] * 5)
+        assert np.isnan(report.envelope[2:]).all()
+        assert report.dominated is False and report.first_violation == 2
+
     @settings(deadline=None, max_examples=80)
     @given(
         theta0=st.floats(0.0, 5.0),
@@ -207,6 +214,24 @@ class TestInertialBand:
         )
         assert not report.ok
         assert report.violated == "strict sigma condition"
+
+    def test_an_all_nan_eta_sequence_fails(self):
+        params = InertialBandParams(eta=0.5, sigma=0.2, theta_tune=1.0)
+        report = inertial_band_validate(
+            params, phi_seq=[1.0] * 4, lambda_seq=[0.1] * 4, eta_seq=[math.nan] * 4,
+        )
+        assert not report.ok
+        assert report.first_violation == 0 and report.violated == "eta monotonicity / bound"
+
+    def test_a_nan_strict_condition_fails(self):
+        # lambda_1 = NaN makes omega_1, and so the strict condition at n = 0, NaN
+        params = InertialBandParams(eta=0.2, sigma=0.2, theta_tune=1.0)
+        report = inertial_band_validate(
+            params, phi_seq=[1.0] * 3, lambda_seq=[0.5, math.nan, 0.5],
+            eta_seq=[0.0, 0.2, 0.2],
+        )
+        assert not report.ok
+        assert report.first_violation == 0 and report.violated == "strict sigma condition"
 
     def test_monotonicity_of_eta_enforced(self):
         params = InertialBandParams(eta=0.5, sigma=0.2, theta_tune=1.0)

@@ -27,6 +27,7 @@ from affiter import (
     affine_monotone,
     brute_oracle,
     catalog,
+    chi_table,
     chi_value,
     cli,
     compose,
@@ -183,6 +184,16 @@ LIBRARY = [
     # schedules
     ("chi_value-truncation-0", lambda: chi_value(memoryless(), 0, truncation=0),
      ConfigurationError, "chi truncation must be >= 1"),
+    ("chi_value-truncation-float", lambda: chi_value(memoryless(), 0, truncation=2.5),
+     ConfigurationError, "chi truncation must be an integer, got 2.5"),
+    ("chi_value-truncation-bool", lambda: chi_value(memoryless(), 0, truncation=True),
+     ConfigurationError, "chi truncation must be an integer, got True"),
+    ("chi_table-horizon-negative", lambda: chi_table(memoryless(), -1),
+     ConfigurationError, "chi horizon must be >= 0, got -1"),
+    ("chi_table-horizon-float", lambda: chi_table(memoryless(), 2.5),
+     ConfigurationError, "chi horizon must be an integer, got 2.5"),
+    ("chi_table-horizon-bool", lambda: chi_table(memoryless(), True),
+     ConfigurationError, "chi horizon must be an integer, got True"),
     ("validate_weights-horizon-0", lambda: validate_weights(memoryless(), 0),
      ConfigurationError, "validation horizon must be >= 1"),
     ("validate_weights-horizon-float", lambda: validate_weights(memoryless(), 2.5),
@@ -226,12 +237,22 @@ LIBRARY = [
     ("gronwall_envelope-negative-theta",
      lambda: gronwall_envelope(0.0, [0.1], [0.0], theta_seq=[0.0, -1.0]),
      ConfigurationError, "theta sequence must be nonnegative"),
+    ("gronwall_envelope-nan-theta",
+     lambda: gronwall_envelope(0.0, [0.1], [0.0], theta_seq=[0.0, NAN]),
+     ConfigurationError, "theta sequence must be nonnegative"),
+    ("gronwall_envelope-nan-theta0", lambda: gronwall_envelope(NAN, [0.1], [0.0]),
+     ConfigurationError, "theta0 must be nonnegative"),
+    ("gronwall_envelope-nan-eps", lambda: gronwall_envelope(1.0, [0.1], [NAN]),
+     ConfigurationError, "eps sequence must be nonnegative"),
     ("InertialBandParams-eta-1", lambda: InertialBandParams(eta=1.0, sigma=0.1, theta_tune=1.0),
      ConfigurationError, "eta must lie in [0, 1)"),
     ("inertial_band_validate-short", lambda: inertial_band_validate(BAND, [1.0], [1.0], [0.0]),
      ConfigurationError, "need sequences of length >= 2"),
     ("inertial_band_validate-phi",
      lambda: inertial_band_validate(BAND, [1.5, 1.0], [1.0, 1.0], [0.0, 0.0]),
+     ConfigurationError, "phi values must lie in (0, 1]"),
+    ("inertial_band_validate-phi-nan",
+     lambda: inertial_band_validate(BAND, [NAN, 0.5, 0.5], [0.5] * 3, [0.0] * 3),
      ConfigurationError, "phi values must lie in (0, 1]"),
     ("summability_monitor-short-chi", lambda: summability_monitor([1.0, 2.0], chi=[1.0]),
      ConfigurationError, "chi weights shorter than the series"),
@@ -270,6 +291,15 @@ LIBRARY = [
      ConfigurationError, "unknown problem 'bogus'"),
     ("brute_oracle-no-objective", lambda: brute_oracle(catalog("rotation_fixed_point")),
      ConfigurationError, "problem rotation_fixed_point has no evaluable objective"),
+    ("brute_oracle-resolution-nan",
+     lambda: brute_oracle(catalog("l1_quadratic", a=[2.0]), resolution=NAN),
+     ConfigurationError, "brute oracle resolution must be positive, got nan"),
+    ("brute_oracle-resolution-negative",
+     lambda: brute_oracle(catalog("l1_quadratic", a=[2.0]), resolution=-1),
+     ConfigurationError, "brute oracle resolution must be positive, got -1"),
+    ("brute_oracle-resolution-0",
+     lambda: brute_oracle(catalog("l1_quadratic", a=[2.0]), resolution=0),
+     ConfigurationError, "brute oracle resolution must be positive, got 0"),
     # space
     ("affine_combine-empty-row", lambda: affine_combine({}, []),
      ConfigurationError, "affine combination of an empty row"),

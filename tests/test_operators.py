@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -452,6 +453,22 @@ class TestAveragednessCertificate:
         g = subgradient_projector(f, s, theta=1.0)
         fps = [vec(0.0, 0.0), vec(0.5, 0.5), vec(-0.9, 0.1)]
         assert averagedness_certificate(g, dim=2, sample_count=600, fixed_points=fps).passed
+
+    @pytest.mark.parametrize("fixed_points", [None, [vec(0.0, 0.0)]],
+                             ids=["nonexpansive", "quasinonexpansive"])
+    def test_an_operator_that_returns_nan_fails(self, fixed_points):
+        calls = []
+
+        def nan_once(x):
+            # NaN from the second call only: the finite samples after it must not hide it
+            calls.append(1)
+            return np.full_like(x, np.nan) if len(calls) == 2 else 0.5 * x
+
+        kind = "nonexpansive" if fixed_points is None else "quasinonexpansive"
+        op = AveragedOperator(fn=nan_once, alpha=0.5, kind=kind, name="nan")
+        report = averagedness_certificate(op, dim=2, sample_count=50,
+                                          fixed_points=fixed_points)
+        assert math.isnan(report.max_violation) and not report.passed
 
     def test_seeded_reports_are_reproducible(self):
         op = prox_l1(1.0)
