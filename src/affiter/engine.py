@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -402,6 +401,16 @@ def _divergence(n: int, xbar: Vector, x: Vector, names_row: bool) -> NumericalDi
     return NumericalDivergence(f"iterate became non-finite at iteration {n}", iteration=n)
 
 
+class _FlagLog(list):
+    """numpy's error callback for one run's loop; ``call`` is the caller's."""
+
+    def write(self, message):  # a category in mode "log": "Warning: <text>\n"
+        self.append(message.removeprefix("Warning: ").removesuffix("\n"))
+
+    def __call__(self, kind, flag):  # a category in mode "call"
+        return self.call(kind, flag)
+
+
 def run(config: IterationConfig) -> RunTrace:
     """Iterate until the clean residual drops below ``stop_residual`` or
     ``max_iters`` is reached; returns the full trace.
@@ -467,8 +476,9 @@ def run(config: IterationConfig) -> RunTrace:
         errors_for = None  # the error-free model: no call per step
     stop_residual = config.stop_residual
     stop_reason = "max_iters"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    log = _FlagLog()  # each category in mode "warn" is logged instead
+    log.call = np.geterrcall()
+    with np.errstate(call=log, **{k: "log" for k, v in np.geterr().items() if v == "warn"}):
         for n in range(horizon):
             if memoryless:
                 xbar = x
@@ -549,7 +559,7 @@ def run(config: IterationConfig) -> RunTrace:
         error_norms=error_norms,
         aux=None if recorder is None else AuxRecords(columns or {}, n_steps),
         stop_reason=stop_reason,
-        flags=[str(w.message) for w in caught],
+        flags=list(log),
         peak_orbit_points=min(config.weights.support_bound or 1, len(points)),
     )
 

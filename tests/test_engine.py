@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from array import array
@@ -258,8 +260,9 @@ class TestRun:
     @pytest.mark.parametrize("reference", [vec(0.0), vec(-1.5e308)], ids=["dot", "subtract"])
     def test_overflowing_distance_leaves_the_flags_to_the_layers(self, reference):
         # finite iterates whose distance to the reference overflows: no raise,
-        # trace.flags holds the layer's warnings as in the plain loop, which
-        # measures no distance, and dist_to_ref reads inf where one overflows
+        # the layer's warnings reach the caller, trace.flags holds the numpy
+        # events of the plain loop, which measures no distance, and
+        # dist_to_ref reads inf where one overflows
         def far(x):
             warnings.warn(f"far from {x[0]:.3g}")
             return vec(1.5e308)
@@ -269,7 +272,8 @@ class TestRun:
             stacks=stack, weights=memoryless(), relaxation=constant_relaxation(1.0),
             x0=vec(1.0), max_iters=4, stop_residual=0.0, reference=reference,
         )
-        trace = run(cfg)
+        with pytest.warns(UserWarning) as warned:
+            trace = run(cfg)
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -283,7 +287,11 @@ class TestRun:
         assert all(np.isfinite(p).all() for p in trace.points)
         assert trace.dist_to_ref.tolist() == dists
         assert math.isinf(dists[-1])
-        assert trace.flags == [str(w.message) for w in caught]
+        assert [str(w.message) for w in warned] == [
+            str(w.message) for w in caught if w.category is UserWarning
+        ]
+        assert trace.flags == [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert trace.flags == ["overflow encountered in dot"]
 
     def test_bad_relaxation_aborts_before_iterating(self):
         from affiter import AveragedOperator
@@ -1034,9 +1042,10 @@ class TestDistancesWhereRead:
             expected = array("d", [norm(trace.points[n] - ref) for n in range(30)])
             assert trace.dist_to_ref.tobytes() == expected.tobytes()
 
-    def test_flags_hold_the_layer_and_recorder_warnings_only(self):
+    def test_layer_and_recorder_warnings_reach_the_caller(self):
         # every third point overflows its distance; the layer and the recorder
-        # warn at each step, and no distance warning joins them
+        # warn the caller at each step, trace.flags holds the numpy events of
+        # the plain loop, and no distance warning joins either
         def far(x):
             warnings.warn(f"layer {x[0]:.3g}")
             return x * -2.0 if abs(x[0]) < 1e300 else x * 0.5
@@ -1050,7 +1059,8 @@ class TestDistancesWhereRead:
             relaxation=constant_relaxation(1.0), x0=vec(3e307), max_iters=7, stop_residual=0.0,
             reference=vec(-1e308), aux_recorder=recorder,
         )
-        trace = run(cfg)
+        with pytest.warns(UserWarning) as warned:
+            trace = run(cfg)
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1065,7 +1075,12 @@ class TestDistancesWhereRead:
             dists = [norm(p - vec(-1e308)) for p in trace.points[:7]]
         assert any(not math.isfinite(d) for d in dists)
         assert trace.dist_to_ref.tolist() == dists
-        assert trace.flags == [str(w.message) for w in caught]
+        assert [str(w.message) for w in warned] == [
+            str(w.message) for w in caught if w.category is UserWarning
+        ]
+        assert len(warned) == 14
+        assert trace.flags == [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert trace.flags == ["overflow encountered in dot"] * 7
 
 
 def plain_divergence(config):
@@ -1209,3 +1224,118 @@ class TestFinitenessFromTheResidual:
             trace = run(cfg)
             assert trace.n_steps == 30 and len(trace.dist_to_ref) == 30
         assert checks == [] and passes == []
+
+
+BIG = vec(1e200, 1e200)
+
+
+def flag_config(loud, steps=5, recorder=None):
+    """A memoryless run of ``x -> x / 2`` whose layer overflows a dot product
+    at each step when ``loud``."""
+
+    def halve(x):
+        if loud:
+            BIG.dot(BIG)
+        return x * 0.5
+
+    return IterationConfig(
+        stacks=compose([AveragedOperator(fn=halve, alpha=0.75)]), weights=memoryless(),
+        relaxation=constant_relaxation(1.0), x0=vec(1.0), max_iters=steps,
+        stop_residual=0.0, aux_recorder=recorder,
+    )
+
+
+class TestFlags:
+    """``trace.flags`` comes from numpy's error state in the run's thread."""
+
+    def test_two_threads_each_keep_their_own_flags(self):
+        steps = 3000
+        expected = [["overflow encountered in dot"] * steps, []]
+        configs = [flag_config(True, steps), flag_config(False, steps)]
+        assert [run(cfg).flags for cfg in configs] == expected
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                traces = [None, None]
+
+                def solve(k):
+                    traces[k] = run(configs[k])
+
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert [trace.flags for trace in traces] == expected
+                assert caught == []
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_callers_state_is_restored_on_each_exit(self):
+        def recorder(n, xbar, errors_n):
+            return {"x": xbar} if n < 2 else {"y": xbar}
+
+        diverging = IterationConfig(
+            stacks=compose([AveragedOperator(fn=lambda x: x * 1e300, alpha=1.0)]),
+            weights=memoryless(), relaxation=constant_relaxation(1.0), x0=vec(1.0),
+            max_iters=5, stop_residual=0.0,
+        )
+
+        def callback(kind, flag):
+            pass
+
+        with np.errstate(call=callback):
+            filters, modes = list(warnings.filters), np.geterr()
+            assert run(flag_config(True)).flags == ["overflow encountered in dot"] * 5
+            with pytest.raises(NumericalDivergence):
+                run(diverging)
+            with pytest.raises(ConfigurationError, match="aux_recorder keys at n=2"):
+                run(flag_config(True, recorder=recorder))
+            assert list(warnings.filters) == filters
+            assert np.geterr() == modes
+            assert np.geterrcall() is callback
+
+    def test_a_callers_raise_mode_raises(self):
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow encountered in dot"):
+                run(flag_config(True))
+
+    def test_a_callers_ignore_mode_leaves_no_flag(self):
+        with np.errstate(over="ignore"):
+            assert run(flag_config(True)).flags == []
+
+    def test_a_callers_callback_receives_the_events(self):
+        events = []
+        with np.errstate(over="call", call=lambda kind, flag: events.append(kind)):
+            trace = run(flag_config(True))
+        assert trace.n_steps == 5
+        assert events == ["overflow"] * 5
+        assert trace.flags == []
+
+    def test_a_callers_log_mode_is_logged_into_the_flags(self):
+        class Log:
+            def __init__(self):
+                self.lines = []
+
+            def write(self, message):
+                self.lines.append(message)
+
+        caller_log = Log()
+        with np.errstate(over="log", call=caller_log):
+            trace = run(flag_config(True))
+        assert trace.flags == ["overflow encountered in dot"] * 5
+        assert caller_log.lines == []
+
+    def test_underflow_stays_ignored(self):
+        tiny = vec(1e-200)
+        cfg = IterationConfig(
+            stacks=compose([AveragedOperator(fn=lambda x: x * tiny * tiny, alpha=1.0)]),
+            weights=memoryless(), relaxation=constant_relaxation(1.0), x0=vec(1.0),
+            max_iters=3, stop_residual=0.0,
+        )
+        assert np.geterr()["under"] == "ignore"
+        assert run(cfg).flags == []
