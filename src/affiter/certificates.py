@@ -315,35 +315,29 @@ def inertial_band_validate(
     if not np.all((phi[:L] > 0.0) & (phi[:L] <= 1.0)):
         raise ConfigurationError("phi values must lie in (0, 1]")
     e, sg, th = params.eta, params.sigma, params.theta_tune
-    omega = 1.0 / phi[:L] - lam[:L]
-    lam_margin = math.inf
-    sig_margin = math.inf
-    mono_margin = math.inf
-    first, violated = None, None
-    for n in range(L - 1):
-        mono = min(eta_n[n + 1] - eta_n[n], e - eta_n[n + 1])
-        b = e * (1.0 + e) + e * th * omega[n + 1] + sg
-        cap = (th / phi[n] - e * b) / (th * (1.0 + b))
-        strict = (1.0 / phi[n] - e * e * omega[n + 1]) - (e * e * (1.0 + e) + e * sg) / th
-        lam_margin = min(lam_margin, cap - lam[n])
-        sig_margin = min(sig_margin, strict)
-        mono_margin = min(mono_margin, mono)
-        if first is None:
-            # the strict condition guarantees the cap is positive, so it is
-            # checked first and named on simultaneous violations; NaN fails each
-            if not mono >= 0.0:
-                first, violated = n, "eta monotonicity / bound"
-            elif not strict > 0.0:
-                first, violated = n, "strict sigma condition"
-            elif not 0.0 < lam[n] <= cap:
-                first, violated = n, "lambda cap"
+    # the steps n = 0 .. L-2, each with omega_{n+1}; every margin is a NaN-propagating min
+    omega = 1.0 / phi[1:L] - lam[1:L]
+    phi, lam = phi[: L - 1], lam[: L - 1]
+    mono = np.minimum(eta_n[1:L] - eta_n[: L - 1], e - eta_n[1:L])
+    b = e * (1.0 + e) + e * th * omega + sg
+    cap = (th / phi - e * b) / (th * (1.0 + b))
+    strict = (1.0 / phi - e * e * omega) - (e * e * (1.0 + e) + e * sg) / th
+    # the strict condition guarantees the cap is positive, so it is checked
+    # first and named on simultaneous violations; NaN fails each
+    checks = (
+        (~(mono >= 0.0), "eta monotonicity / bound"),
+        (~(strict > 0.0), "strict sigma condition"),
+        (~((0.0 < lam) & (lam <= cap)), "lambda cap"),
+    )
+    bad = checks[0][0] | checks[1][0] | checks[2][0]
+    first = int(np.argmax(bad)) if bad.any() else None
     return InertialBandReport(
         ok=first is None,
         first_violation=first,
-        violated=violated,
-        lambda_margin=lam_margin,
-        sigma_margin=sig_margin,
-        monotone_margin=mono_margin,
+        violated=None if first is None else next(name for fails, name in checks if fails[first]),
+        lambda_margin=float(np.min(cap - lam)),
+        sigma_margin=float(np.min(strict)),
+        monotone_margin=float(np.min(mono)),
     )
 
 

@@ -346,6 +346,9 @@ def chi_value(schedule: WeightSchedule, n: int, truncation: int = CHI_TRUNCATION
     ``sup eta < 1`` for bounded sequences, and via the cubic decay of
     ``exp(zeta)`` for the nesterov form (whose running sup tends to 1).
     """
+    check_integer(n, "chi index")
+    if n < 0:
+        raise ConfigurationError(f"chi index must be >= 0, got {n}")
     check_integer(truncation, "chi truncation")
     if truncation < 1:
         raise ConfigurationError("chi truncation must be >= 1")

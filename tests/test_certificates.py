@@ -233,6 +233,50 @@ class TestInertialBand:
         assert not report.ok
         assert report.first_violation == 0 and report.violated == "strict sigma condition"
 
+    def test_a_nan_eta_makes_the_monotone_margin_nan(self):
+        params = InertialBandParams(eta=0.5, sigma=0.2, theta_tune=1.0)
+        for eta in ([math.nan] * 4, [0.0, 0.1, math.nan, 0.3]):
+            report = inertial_band_validate(
+                params, phi_seq=[1.0] * 4, lambda_seq=[0.1] * 4, eta_seq=eta,
+            )
+            assert not report.ok and report.violated == "eta monotonicity / bound"
+            assert math.isnan(report.monotone_margin)
+            assert math.isfinite(report.lambda_margin) and math.isfinite(report.sigma_margin)
+
+    def test_a_nan_lambda_makes_the_lambda_and_sigma_margins_nan(self):
+        # lambda_1 = NaN: omega_1, and so the cap and the strict condition at
+        # n = 0, are NaN, and lambda_1 itself fails the cap at n = 1
+        params = InertialBandParams(eta=0.2, sigma=0.2, theta_tune=1.0)
+        report = inertial_band_validate(
+            params, phi_seq=[1.0] * 5, lambda_seq=[0.5, math.nan, 0.5, 0.5, 0.5],
+            eta_seq=[0.0, 0.2, 0.2, 0.2, 0.2],
+        )
+        assert not report.ok and report.first_violation == 0
+        assert math.isnan(report.lambda_margin) and math.isnan(report.sigma_margin)
+        assert report.monotone_margin == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 12), st.floats(0.0, 0.95), st.floats(0.01, 2.0), st.floats(0.01, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_finite_margins_equal_the_per_step_fold(self, L, e, sg, th, seed):
+        rng = np.random.default_rng(seed)
+        phi, lam = rng.uniform(0.05, 1.0, L), rng.uniform(0.0, 1.5, L)
+        eta = np.sort(rng.uniform(0.0, e, L))
+        report = inertial_band_validate(InertialBandParams(e, sg, th), phi, lam, eta)
+        omega = 1.0 / phi - lam
+        margins = [math.inf] * 3
+        for n in range(L - 1):
+            b = e * (1.0 + e) + e * th * omega[n + 1] + sg
+            cap = (th / phi[n] - e * b) / (th * (1.0 + b))
+            strict = (1.0 / phi[n] - e * e * omega[n + 1]) - (e * e * (1.0 + e) + e * sg) / th
+            mono = min(eta[n + 1] - eta[n], e - eta[n + 1])
+            margins = [min(margins[0], cap - lam[n]), min(margins[1], strict),
+                       min(margins[2], mono)]
+        got = [report.lambda_margin, report.sigma_margin, report.monotone_margin]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in margins]
+
     def test_monotonicity_of_eta_enforced(self):
         params = InertialBandParams(eta=0.5, sigma=0.2, theta_tune=1.0)
         report = inertial_band_validate(

@@ -182,6 +182,12 @@ LIBRARY = [
     ("error_budget_check-horizon-bool", lambda: budget_at_horizon(True),
      ConfigurationError, "budget horizon must be an integer, got True"),
     # schedules
+    ("chi_value-index-float", lambda: chi_value(memoryless(), 2.5),
+     ConfigurationError, "chi index must be an integer, got 2.5"),
+    ("chi_value-index-bool", lambda: chi_value(memoryless(), True),
+     ConfigurationError, "chi index must be an integer, got True"),
+    ("chi_value-index-negative", lambda: chi_value(memoryless(), -3),
+     ConfigurationError, "chi index must be >= 0, got -3"),
     ("chi_value-truncation-0", lambda: chi_value(memoryless(), 0, truncation=0),
      ConfigurationError, "chi truncation must be >= 1"),
     ("chi_value-truncation-float", lambda: chi_value(memoryless(), 0, truncation=2.5),
