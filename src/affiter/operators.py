@@ -90,14 +90,12 @@ class MonotoneMap:
     """A maximally monotone map with a closed-form resolvent ``(Id + g A)^-1``.
 
     ``graph_contains(y, u)`` decides ``u in A(y)`` where that is finitely
-    checkable; ``selection`` evaluates one element of ``A(y)`` when a natural
-    single-valued choice exists.
+    checkable.
     """
 
     name: str
     resolvent: Callable[[float, Vector], Vector]
     mapping: Callable[[Vector], Vector] | None = None
-    selection: Callable[[Vector], Vector] | None = None
     graph_contains: Callable[[Vector, Vector, float], bool] | None = None
     bounded_domain: bool = False
 
@@ -120,7 +118,6 @@ def l1_subdifferential(weight: float = 1.0) -> MonotoneMap:
     return MonotoneMap(
         name=f"l1_subdifferential(weight={weight})",
         resolvent=lambda g, x: soft_threshold(x, g * weight),
-        selection=lambda y: weight * np.sign(y),
         graph_contains=graph,
     )
 
@@ -180,7 +177,6 @@ def affine_monotone(matrix, offset) -> MonotoneMap:
         name="affine_monotone",
         resolvent=resolvent,
         mapping=mapping,
-        selection=mapping,
         graph_contains=lambda y, u, tol=1e-9: bool(
             np.linalg.norm(u - mapping(y)) <= tol
         ),

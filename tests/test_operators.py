@@ -378,7 +378,7 @@ class TestResolventIdentity:
         for _ in range(50):
             x = rng.normal(size=2) * 5.0
             y = mono.resolvent(gamma, x)
-            assert np.linalg.norm(y + gamma * mono.selection(y) - x) <= 1e-9
+            assert np.linalg.norm(y + gamma * mono.mapping(y) - x) <= 1e-9
 
     def test_l1_graph_membership(self):
         mono = l1_subdifferential()
