@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from affiter import (
     ConfigurationError,
+    DegenerateSelectionWarning,
     EtaSchedule,
     GeometricError,
     InvalidScheduleError,
@@ -51,8 +52,8 @@ class TestPeacemanRachford:
         assert trace.n_steps == 50
 
     def test_threads_solving_one_preset_each_get_the_serial_run(self):
-        # the reflectors keep their resolvent values per thread; flags are
-        # left out, as the run's warning capture is process-wide
+        # the reflectors keep their resolvent values per thread, and numpy
+        # keeps each thread's error state, so each run logs its own flags
         prob = catalog("l1_quadratic", a=[2.0, -0.3, 0.7])
         preset = peaceman_rachford(
             prob.ingredients["A"], prob.ingredients["B"], gamma=0.9, weights=window(2),
@@ -62,7 +63,7 @@ class TestPeacemanRachford:
 
         def fields(trace):
             return ([p.tobytes() for p in trace.points],
-                    [(r["y"].tobytes(), r["z"].tobytes()) for r in trace.aux])
+                    [(r["y"].tobytes(), r["z"].tobytes()) for r in trace.aux], trace.flags)
 
         expected = fields(preset.solve()[1])
         traces = [None] * 3  # more threads than the two cores of a small host
@@ -787,6 +788,20 @@ class TestForwardBackward:
 
 
 class TestPolyakSubgradient:
+    def test_a_zero_selection_above_the_level_warns_the_caller(self):
+        # f sits above theta everywhere and s selects 0: each step's
+        # subgradient projector warns, and the warning is not a flag
+        box = projector("box", lo=[-1.0, -1.0], hi=[1.0, 1.0])
+        preset = polyak_subgradient(
+            f=lambda x: 2.0, s=np.zeros_like, theta=1.0, region_projector=box,
+            x0=vec(0.5, -0.25), max_iters=3, stop_residual=0.0,
+        )
+        with pytest.warns(DegenerateSelectionWarning) as warned:
+            x, trace = preset.solve()
+        assert [w.category for w in warned] == [DegenerateSelectionWarning] * 3
+        assert trace.flags == []
+        assert x.tolist() == [0.5, -0.25]
+
     def test_whole_space_scalar_collapses_in_one_step(self):
         # G sends any x to the level set of |.| at 0 immediately
         box = projector("box", lo=[-1e12], hi=[1e12])
