@@ -241,7 +241,9 @@ class RunTrace:
     the pre-pass's list of per-step stacks; read it through ``stack_at(n)``.
     ``etas`` holds the pre-pass's eta_n of inertial rows
     (``schedules.eta_values``, one per ``n < max_iters``), None for the
-    other families.
+    other families.  ``flags`` holds the numpy floating-point events of the
+    loop in the run's thread, as numpy words them; other warnings reach the
+    caller (see ``run``).
     """
 
     config: IterationConfig
@@ -442,6 +444,17 @@ def run(config: IterationConfig) -> RunTrace:
     row n is non-finite" at the same n, after the layers have seen that
     ``xbar_n`` once.  A reference is checked before the loop and not read
     again: ``trace.dist_to_ref`` measures the orbit when it is read.
+
+    ``trace.flags`` holds the numpy floating-point events of the loop in
+    the run's thread, one per event, as numpy words them ("overflow
+    encountered in dot").  The loop runs under ``np.errstate``, which numpy
+    keeps per thread, with each category that ``np.geterr()`` sets to "warn"
+    switched to "log".  The caller's other modes hold: "ignore" stays
+    silent, "raise" raises ``FloatingPointError``, "print" prints, and
+    "call" calls the caller's ``np.geterrcall()``.  A category the caller
+    set to "log" is logged into ``trace.flags``, not into the caller's log.
+    Every other warning (a layer's or a recorder's ``warnings.warn``,
+    ``DegenerateSelectionWarning``) goes to the caller's warning filters.
     """
     plan = _prevalidate(config)
     x = as_vector(config.x0)

@@ -59,8 +59,8 @@ def all_finite(x: Vector) -> bool:
 
     The sum of squares is finite only when every entry is; when it is not,
     the entries are tested one by one, since the sum can overflow.
-    ``np.vdot`` raises no floating-point warning on that overflow, which
-    ``run`` would record among the trace's flags.
+    ``np.vdot`` raises no floating-point event on that overflow, which the
+    run's log would record among the trace's flags.
     """
     return math.isfinite(np.vdot(x, x)) or bool(np.all(np.isfinite(x)))
 
