@@ -329,8 +329,8 @@ def inertial_band_validate(
         (~(strict > 0.0), "strict sigma condition"),
         (~((0.0 < lam) & (lam <= cap)), "lambda cap"),
     )
-    bad = checks[0][0] | checks[1][0] | checks[2][0]
-    first = int(np.argmax(bad)) if bad.any() else None
+    bad = np.flatnonzero(np.logical_or.reduce([fails for fails, _ in checks]))
+    first = int(bad[0]) if bad.size else None
     return InertialBandReport(
         ok=first is None,
         first_violation=first,

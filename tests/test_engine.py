@@ -1249,22 +1249,25 @@ class TestFlags:
     """``trace.flags`` comes from numpy's error state in the run's thread."""
 
     def test_two_threads_each_keep_their_own_flags(self):
+        # more threads than the two cores of a small host: two overflow a
+        # dot product at each step, one between them is quiet
         steps = 3000
-        expected = [["overflow encountered in dot"] * steps, []]
-        configs = [flag_config(True, steps), flag_config(False, steps)]
+        loud = ["overflow encountered in dot"] * steps
+        expected = [loud, [], loud]
+        configs = [flag_config(True, steps), flag_config(False, steps), flag_config(True, steps)]
         assert [run(cfg).flags for cfg in configs] == expected
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                traces = [None, None]
+                traces = [None] * len(configs)
 
                 def solve(k):
                     traces[k] = run(configs[k])
 
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+                    threads = [threading.Thread(target=solve, args=(k,)) for k in range(3)]
                     for thread in threads:
                         thread.start()
                     for thread in threads:
