@@ -20,15 +20,17 @@ paper states (ii) and (iii) with ``sum_j mu_{n,j} ||x_j - x*||^2 - 1/2
 sum_{j,k} mu_{n,j} mu_{n,k} ||x_j - x_k||^2`` in place of ``||xbar_n -
 x*||^2``; the two are equal for every row whose weights sum to 1, with
 negative weights allowed (the identity for affine combinations).  So (ii)
-and (iii) read ``xbar_n`` from ``trace.xbars`` and cost O(d) per step
-(plus the stack tails for (iii)).  The distances ``||xbar_n - x*||`` of
-inertial, window and cesaro traces are taken per packed block of
-``trace.xbars`` (``space.Rows``) by ``space.row_distances``, the kernel
-that measures ``trace.dist_to_ref``, so the transient is O(block), not
-O(N d), and the squared norms are one stacked ``np.matmul``, which
-calls the same ``ddot`` as ``x.dot(x)`` and matches it bit for bit
-(``einsum`` and ``(D * D).sum(1)`` reduce in other orders and do not).
-Certificate (i) builds no weight row:
+and (iii) read ``xbar_n`` and cost O(d) per step (plus the stack tails for
+(iii)).  No trace stores ``xbar_n``: for inertial, window and cesaro traces
+it is formed from the orbit one packed block at a time
+(``RunTrace.xbar_blocks``, the block form of the run's step kernel, bit for
+bit the point the run fed to the stack, at one step kernel's arithmetic per
+row), and its distances ``||xbar_n - x*||`` are taken per block by
+``space.row_distances``, the kernel that measures ``trace.dist_to_ref``.
+So the transient is O(block), not O(N d), and the squared norms are one
+stacked ``np.matmul``, which calls the same ``ddot`` as ``x.dot(x)`` and
+matches it bit for bit (``einsum`` and ``(D * D).sum(1)`` reduce in other
+orders and do not).  Certificate (i) builds no weight row:
 ``schedules.abs_weighted_sums`` forms its sum per family from the
 distances ``||x_j - x*||``, in O(N) for every family but ``window(w)``
 (O(N w)).  These are deterministic functions of the trace: recomputing
@@ -47,7 +49,7 @@ from .engine import RunTrace, _partial_sums
 from .errors import ConfigurationError, InvalidReferenceError
 from .operators import apply_stack, tail_apply
 from .schedules import abs_weighted_sums
-from .space import Vector, as_vector, norm
+from .space import Vector, as_vector, norm, row_distances
 
 DEFAULT_CERT_TOL = 1e-9
 
@@ -127,12 +129,16 @@ def run_certificates(
     cesaro, the slacks are bit for bit those of ``fsum`` over row ``n``'s
     terms ``|mu_{n,j}| ||x_j - x*||``; cesaro's running sum stays within
     about ``2 eps`` of that ``fsum``, relative.  Certificates (ii) and (iii)
-    start from ``||xbar_n - x*||^2``, with ``xbar_n`` read from
-    ``trace.xbars`` (the point the run fed to the stack), so they cost O(d)
-    per step.  Where ``xbar_n`` is not ``x_n`` those distances take a
-    second pass, over ``trace.xbars``: stacked ``(1, d) @ (d, 1)``
-    ``matmul`` calls per packed block (``space.row_distances``), bit for
-    bit ``norm``'s ``x.dot(x)``; ``einsum`` would not be.  The rest of (ii) is
+    start from ``||xbar_n - x*||^2``, so they cost O(d) per step.  Where
+    ``xbar_n`` is not ``x_n`` those distances take a second pass, which
+    forms ``xbar_n`` from the orbit one packed block at a time
+    (``trace.xbar_blocks()``, bit for bit the point the run fed to the
+    stack; for cesaro one ``np.add.accumulate`` and one divide per block)
+    and measures each block with stacked ``(1, d) @ (d, 1)`` ``matmul``
+    calls (``space.row_distances``), bit for bit ``norm``'s ``x.dot(x)``;
+    ``einsum`` would not be.  Certificate (iii) reads ``xbar_n`` from a
+    second such pass, so no pass holds more than one block of ``xbar_n``.
+    ``trace.lambdas`` and ``trace.thetas`` are read once.  The rest of (ii) is
     Python floats, since numpy's squares differ from ``x**2`` in the last
     bit.  Stacks are read from the trace (``RunTrace.stack_at``), never
     from a stack provider.  Certificate (iii) also evaluates the stack tails
@@ -146,6 +152,7 @@ def run_certificates(
         verify_reference(trace, x_ref)
 
     n_steps = trace.n_steps
+    thetas, lambdas = trace.thetas, trace.lambdas  # built on read where not kept
     # a NaN or infinite slack fails its verdict; numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.empty(n_steps + 1)
@@ -154,28 +161,31 @@ def run_certificates(
         slacks = {}
         if "i" in which:
             rhs = abs_weighted_sums(trace.config.weights, d, trace.etas)
-            slacks["i"] = (rhs + np.asarray(trace.thetas)) - d[1:]
+            slacks["i"] = (rhs + np.asarray(thetas)) - d[1:]
         # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n, in
         # Python floats: numpy's squares would differ from x**2 in the last bit.
         if {"ii", "iii"} & set(which):
-            # rows of one point are x_n itself; the others are measured
+            # rows of one point are x_n itself; the others are formed and
+            # measured one block at a time
             dbars = d[:n_steps]
             if trace.config.weights.support_bound != 1:
                 dbars = np.empty(n_steps)
-                trace.xbars.distances(x_ref, dbars)
+                for start, rows in trace.xbar_blocks():
+                    row_distances(rows, x_ref, dbars[start : start + len(rows)])
             base = [
                 dbar**2 - d_next**2 + theta * (2.0 * dbar + theta)
-                for dbar, d_next, theta in zip(dbars.tolist(), d[1:].tolist(), trace.thetas)
+                for dbar, d_next, theta in zip(dbars.tolist(), d[1:].tolist(), thetas)
             ]
         if "ii" in which:
             slacks["ii"] = np.array([
                 b - lam * (1.0 / phi - lam) * r**2
-                for b, lam, phi, r in zip(base, trace.lambdas, trace.phis, trace.residuals)
+                for b, lam, phi, r in zip(base, lambdas, trace.phis, trace.residuals)
             ])
         if "iii" in which:
             iii = []
             ref_stack = None
-            columns = zip(trace.xbars, base, trace.lambdas, trace.residuals)
+            xbars = (xbar for _start, rows in trace.xbar_blocks() for xbar in rows)
+            columns = zip(xbars, base, lambdas, trace.residuals)
             for n, (xbar, b, lam, r) in enumerate(columns):
                 stack = trace.stack_at(n)
                 if stack is not ref_stack:

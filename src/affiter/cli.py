@@ -415,7 +415,8 @@ def cmd_validate(args) -> int:
     # one sweep: the band condition at n reads omega_{n+1}, so it needs two more steps
     steps = horizon if band_params is None else horizon + 2
     plan = _prevalidate(preset.config, steps)
-    lam_probe = plan.lambdas[:horizon]
+    lambdas = plan.lambda_column(steps)
+    lam_probe = lambdas[:horizon]
     out = {
         "weights": {
             "schedule": weights_report.schedule,
@@ -431,7 +432,7 @@ def cmd_validate(args) -> int:
     if band_params is not None:
         phis = [stack.phi for stack in plan.stacks or [preset.config.stacks] * steps]
         etas = plan.etas if plan.etas is not None else [0.0] * steps
-        band = inertial_band_validate(band_params, phis, plan.lambdas, etas)
+        band = inertial_band_validate(band_params, phis, lambdas, etas)
         out["inertial_band"] = {
             "ok": band.ok,
             "violated": band.violated,

@@ -8,10 +8,10 @@ One step of the scheme, from the current orbit prefix ``x_0 .. x_n``:
 
 with ``lambda_n in (0, 1/phi_n]``.  One pre-pass (``_prevalidate``) checks
 the whole horizon before the first operator call and returns the run's plan:
-every ``lambda_n``, every stack when the layers depend on n, and every
-``eta_n`` of an inertial row.  The weight family's kernel
-(``schedules.orbit_mean``) forms ``xbar_n``; memoryless ``xbar_n`` is
-``x_n`` itself, not a copy.  A step with ``lambda_n == 1`` forms
+``lambda_n`` (one float when every n shares it), every stack when the layers
+depend on n, and every ``eta_n`` of an inertial row.  The weight family's
+step kernel (``schedules.orbit_mean``) forms ``xbar_n``; memoryless
+``xbar_n`` is ``x_n`` itself, not a copy.  A step with ``lambda_n == 1`` forms
 ``xbar_n + step`` with no multiply (``1.0 * v`` is ``v`` bit for bit).  The
 errors ``e_{i,n}`` have one source, the error model's ``errors_for(n)``:
 the step injects them, the residual ``||T_n xbar_n - xbar_n||`` is always
@@ -25,11 +25,15 @@ kernel tests ``xbar_n``, so the layers may see one non-finite ``xbar_n``
 before the run raises at that n.  The update never reads x*: the run only
 checks a reference before the loop, and ``||x_n - x*||`` is measured where
 it is read (``RunTrace.dist_to_ref``, the certificates).  The returned trace
-retains the whole history for post-hoc certificate analysis, together with
-the stacks and the eta_n the loop applied: the orbit and each recorder
-value as packed float64 rows (``space.Rows``), each per-step scalar as an
-``array("d")`` column, and the per-layer error norms as one float64 array.
-A step leaves no Python object behind in the trace.
+retains the orbit for post-hoc certificate analysis, together with the
+stacks and the eta_n the loop applied: the orbit and each recorder value as
+packed float64 rows (``space.Rows``), each per-step scalar that is not
+derived as an ``array("d")`` column, and the per-layer error norms as one
+float64 array.  It keeps one copy of each fact: ``xbar_n`` is formed again
+from the orbit where it is read (``RunTrace.xbars``, ``xbar_blocks``), by
+the block form of the step kernel (``schedules.orbit_mean_blocks``), bit for
+bit; a ``lambda_n`` shared by every step is one float, and an error-free
+run keeps no theta_n.  A step leaves no Python object behind in the trace.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +55,7 @@ from .schedules import (
     chi_value,
     eta_values,
     orbit_mean,
+    orbit_mean_blocks,
     relaxation_at,
 )
 from .space import Rows, Vector, all_finite, as_vector, norm
@@ -222,37 +228,42 @@ def _aux_value(key, n: int, value, dim: int) -> Vector:
 class RunTrace:
     """Per-iteration record of a run, plus the config that produced it.
 
-    ``points`` holds ``x_0 .. x_N`` (one more row than there are steps) and
-    ``xbars`` holds ``xbar_0 .. xbar_{N-1}``, each a ``space.Rows`` of
-    packed float64 rows, and ``points[n]`` is a 1-D view into its block.
-    With memoryless weights (rows of one point) ``xbars`` is
-    ``points.head(n_steps)``, the same memory.  ``lambdas``, ``residuals``,
-    and ``thetas`` are ``array("d")`` columns of length ``n_steps``, and so
-    are ``phis`` and ``dist_to_ref``, built anew on each read.
-    ``error_norms`` is an ``(n_steps, m)`` float64 array of the per-layer
-    norms ``||e_{i,n}||``, outermost layer first; a run whose model is the
-    base ``ErrorModel`` keeps no per-step norm or theta: its ``error_norms``
-    is an ndarray of ``n_steps`` rows over one zero row in a ``bytes``
-    buffer, so read-only, and its ``thetas`` the zeros ``lambda_n * 0.0``
-    gives (``m`` is 0 for a zero-step run whose stacks come from a provider,
-    as no stack was built).  ``aux`` is None without a recorder, else an
-    ``AuxRecords``: one mapping of 1-D views into the recorder's packed
-    columns per step.  ``stacks`` is the single LayerStack of the config, or
-    the pre-pass's list of per-step stacks; read it through ``stack_at(n)``.
-    ``etas`` holds the pre-pass's eta_n of inertial rows
-    (``schedules.eta_values``, one per ``n < max_iters``), None for the
-    other families.  ``flags`` holds the numpy floating-point events of the
-    loop in the run's thread, as numpy words them; other warnings reach the
-    caller (see ``run``).
+    The trace keeps the orbit and derives the rest where it is read.
+    ``points`` holds ``x_0 .. x_N`` (one more row than there are steps) as a
+    ``space.Rows`` of packed float64 rows; ``points[n]`` is a 1-D view into
+    its block.  ``xbars`` holds ``xbar_0 .. xbar_{N-1}``: no run stores them,
+    and each read forms them anew from ``points`` and ``etas``
+    (``xbar_blocks``, O(N d) work), so bind it once (``xbars =
+    trace.xbars``) before reading it per step.  With memoryless weights
+    (rows of one point) it is ``points``' first ``n_steps`` rows, the same
+    memory.  ``residuals`` is an ``array("d")`` column of length ``n_steps``,
+    and so are ``lambdas``, ``thetas``, ``phis`` and ``dist_to_ref``, which
+    are built on read where the run keeps less than a column:
+    ``kept_lambdas`` is the one float every step shares when the plan had
+    one, else the column of ``lambda_n``, and ``kept_thetas`` is None for a
+    run whose model is the base ``ErrorModel``, whose ``thetas`` are the
+    zeros ``lambda_n * 0.0`` gives.  ``error_norms`` is an ``(n_steps, m)``
+    float64 array of the per-layer norms ``||e_{i,n}||``, outermost layer
+    first; such an error-free run keeps no per-step norm either: its
+    ``error_norms`` is an ndarray of ``n_steps`` rows over one zero row in a
+    ``bytes`` buffer, so read-only (``m`` is 0 for a zero-step run whose
+    stacks come from a provider, as no stack was built).  ``aux`` is None
+    without a recorder, else an ``AuxRecords``: one mapping of 1-D views into
+    the recorder's packed columns per step.  ``stacks`` is the single
+    LayerStack of the config, or the pre-pass's list of per-step stacks;
+    read it through ``stack_at(n)``.  ``etas`` holds the pre-pass's eta_n of
+    inertial rows (``schedules.eta_values``, one per ``n < max_iters``),
+    None for the other families.  ``flags`` holds the numpy floating-point
+    events of the loop in the run's thread, as numpy words them; other
+    warnings reach the caller (see ``run``).
     """
 
     config: IterationConfig
     stacks: LayerStack | list[LayerStack]
     points: Rows
-    xbars: Rows
-    lambdas: array
+    kept_lambdas: array | float
     residuals: array
-    thetas: array
+    kept_thetas: array | None
     error_norms: np.ndarray
     etas: array | None = None
     aux: AuxRecords | None = None
@@ -267,6 +278,33 @@ class RunTrace:
     def stack_at(self, n: int) -> LayerStack:
         """The stack the run applied at step ``n``."""
         return self.stacks[n] if isinstance(self.stacks, list) else self.stacks
+
+    def xbar_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, rows)`` with ``rows[i] = xbar_{start + i}``, one packed
+        block of ``points`` at a time (``schedules.orbit_mean_blocks``), bit
+        for bit the points the run fed to the stack."""
+        return orbit_mean_blocks(
+            self.config.weights, self.etas, self.points.blocks(), self.n_steps)
+
+    @property
+    def xbars(self) -> Rows:
+        """``xbar_0 .. xbar_{N-1}`` as a ``space.Rows``, formed anew on each
+        read (``xbar_blocks``): bind it once before reading it per step."""
+        return Rows.of_blocks(self.points.dim, self.xbar_blocks())
+
+    @property
+    def lambdas(self) -> array:
+        """``lambda_n`` of each step, as an ``array("d")``; built on each read
+        when every step shares one value."""
+        return _lambda_column(self.kept_lambdas, self.n_steps)
+
+    @property
+    def thetas(self) -> array:
+        """``theta_n = lambda_n sum_i ||e_{i,n}||`` of each step, as an
+        ``array("d")``; built on each read (zeros) for an error-free run."""
+        if self.kept_thetas is None:
+            return array("d", [0.0]) * self.n_steps  # lambda_n * 0.0 for lambda_n > 0
+        return self.kept_thetas
 
     @property
     def phis(self) -> array:
@@ -317,13 +355,28 @@ class RunTrace:
         )
 
 
+def _lambda_column(lambdas: array | float, steps: int) -> array:
+    """``lambda_0 .. lambda_{steps-1}`` as an ``array("d")``: a new column
+    repeating one float, or the first ``steps`` entries of a column (the
+    column itself when it has no more)."""
+    if isinstance(lambdas, float):
+        return array("d", [lambdas]) * steps
+    return lambdas if len(lambdas) == steps else lambdas[:steps]
+
+
 @dataclass(frozen=True)
 class RunPlan:
     """What the pre-pass established for the steps ``n < max_iters``."""
 
-    lambdas: array  # array("d"), so that a trace's column is a slice of it
+    # one float when every n shares it (one stack, and a relaxation that
+    # does not depend on n), else an array("d") of lambda_n
+    lambdas: array | float
     stacks: list[LayerStack] | None  # None when the config holds one LayerStack
     etas: array | None  # eta_n of inertial rows, None for the other families
+
+    def lambda_column(self, steps: int) -> array:
+        """``lambda_0 .. lambda_{steps-1}`` as an ``array("d")``."""
+        return _lambda_column(self.lambdas, steps)
 
 
 def _check_error_depth(errors: ErrorModel, m: int) -> None:
@@ -362,7 +415,7 @@ def _prevalidate(config: IterationConfig, steps: int | None = None) -> RunPlan:
             lambdas = array("d", [relaxation_at(config.relaxation, n, phi) for n in steps])
         elif steps:
             # one float at every n, so a bound it fails at any n it fails at n = 0
-            lambdas = array("d", [relaxation_at(config.relaxation, 0, phi)]) * len(steps)
+            lambdas = relaxation_at(config.relaxation, 0, phi)
         else:
             lambdas = array("d")
         return RunPlan(lambdas, None, etas)
@@ -410,6 +463,8 @@ class _FlagLog(list):
         self.append(message.removeprefix("Warning: ").removesuffix("\n"))
 
     def __call__(self, kind, flag):  # a category in mode "call"
+        if self.call is None:  # numpy's own error when no callback is set
+            raise NameError(f"python callback specified for {kind} but no function found.")
         return self.call(kind, flag)
 
 
@@ -421,13 +476,19 @@ def run(config: IterationConfig) -> RunTrace:
     operator call; the loop then reads ``lambda_n``, the stack and
     ``eta_n`` from the plan, and keeps ``x_n`` in a local variable.  It
     writes ``x_{n+1}`` straight into the next row of ``trace.points``
-    (``space.Rows.new_row``); the weight family's kernel writes ``xbar_n``
-    into the next row of ``trace.xbars``, and where ``xbar_n`` is ``x_n``
-    the loop copies ``x_n`` there.  When every row is one point
-    (memoryless weights, or ``window(1)``) the loop calls no kernel,
-    ``trace.xbars`` is the first ``n_steps`` rows of ``trace.points`` (the
-    same memory), and the produced iterates coincide bit-for-bit with the
-    plain recursion
+    (``space.Rows.new_row``), and that orbit is all the trace keeps of the
+    points: the weight family's step kernel (``schedules.orbit_mean``)
+    returns ``xbar_n`` as a fresh vector that no row keeps, and
+    ``trace.xbars`` forms the same rows again from the orbit when it is
+    read.  A ``lambda_n`` shared by every n is kept once, as one float, and
+    an error-free run keeps no theta column: such a step at d=2 retains
+    about 26 B (``x_{n+1}`` and ``r_n``) whatever the weights, and 8 B more
+    for an inertial row's ``eta_n``.  The kernels' history is O(w d), so a
+    run's traced peak is about its orbit's, N d floats, for every family.
+    When every row is one point (memoryless weights, or ``window(1)``) the
+    loop calls no kernel, ``trace.xbars`` is the first ``n_steps`` rows of
+    ``trace.points`` (the same memory), and the produced iterates coincide
+    bit-for-bit with the plain recursion
     ``x <- x + lambda (T_1(...T_m x + e_m ...) + e_1 - x)`` (same
     floating-point operation order; at ``lambda_n == 1`` the update is
     ``x + step``, which equals ``x + 1.0 * step`` bit for bit).  A step
@@ -463,7 +524,6 @@ def run(config: IterationConfig) -> RunTrace:
     points = Rows(x.size, horizon + 1)
     points.append(x)
     memoryless = config.weights.support_bound == 1  # every row is x_n alone
-    xbars = None if memoryless else Rows(x.size, horizon)
     residuals, thetas, norms = array("d"), array("d"), array("d")
     if config.reference is not None:  # rejects a wrong dimension or a non-finite entry
         as_vector(config.reference, dim=x.size)
@@ -482,7 +542,8 @@ def run(config: IterationConfig) -> RunTrace:
         m, fns = (per_step[0].m if per_step else 0), None
     no_error = (0.0,) * m
     lambdas = plan.lambdas
-    xbar_at = None if memoryless else orbit_mean(config.weights, plan.etas, xbars.new_row)
+    each_lambda = repeat(lambdas) if isinstance(lambdas, float) else lambdas
+    xbar_at = None if memoryless else orbit_mean(config.weights, plan.etas)
     names_row = config.weights.family in ("window", "inertial")
     errors_for = config.errors.errors_for
     if type(config.errors).errors_for is ErrorModel.errors_for:
@@ -492,17 +553,11 @@ def run(config: IterationConfig) -> RunTrace:
     log = _FlagLog()  # each category in mode "warn" is logged instead
     log.call = np.geterrcall()
     with np.errstate(call=log, **{k: "log" for k, v in np.geterr().items() if v == "warn"}):
-        for n in range(horizon):
-            if memoryless:
-                xbar = x
-            else:
-                xbar = xbar_at(n, x)
-                if xbar is x:  # row n is x_n alone; the kernel wrote no row
-                    xbars.append(x)
+        for n, lam in zip(range(horizon), each_lambda):
+            xbar = x if memoryless else xbar_at(n, x)
             if per_step is not None and per_step[n] is not stack:
                 stack = per_step[n]
                 fns = [op.fn for op in reversed(stack.layers)]
-            lam = lambdas[n]
 
             errors_n = None if errors_for is None else errors_for(n)
             if errors_n is None:
@@ -554,8 +609,7 @@ def run(config: IterationConfig) -> RunTrace:
 
     n_steps = len(residuals)
     if errors_for is None:
-        # lambda_n * 0.0 is +0.0 for every lambda_n > 0
-        thetas = array("d", [0.0]) * n_steps
+        thetas = None  # trace.thetas reads zeros
         # n_steps rows over one zero row, read-only as its buffer is bytes
         error_norms = np.ndarray((n_steps, m), np.float64, bytes(8 * m), 0, (0, 8))
     else:
@@ -565,10 +619,9 @@ def run(config: IterationConfig) -> RunTrace:
         stacks=config.stacks if per_step is None else per_step,
         etas=plan.etas,
         points=points,
-        xbars=points.head(n_steps) if memoryless else xbars,
-        lambdas=lambdas if n_steps == len(lambdas) else lambdas[:n_steps],
+        kept_lambdas=lambdas if isinstance(lambdas, float) else _lambda_column(lambdas, n_steps),
         residuals=residuals,
-        thetas=thetas,
+        kept_thetas=thetas,
         error_norms=error_norms,
         aux=None if recorder is None else AuxRecords(columns or {}, n_steps),
         stop_reason=stop_reason,
@@ -628,6 +681,7 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     if horizon < 1:
         raise ConfigurationError("budget horizon must be >= 1")
     plan = _prevalidate(config, horizon + 1)
+    lambdas = plan.lambda_column(horizon + 1)
     first = config.stacks if plan.stacks is None else plan.stacks[0]
     weights = config.weights
     nonneg = weights.nonnegative
@@ -635,7 +689,7 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     terms = []
     any_error = False
     errors_for = config.errors.errors_for
-    for n, lam in enumerate(plan.lambdas):
+    for n, lam in enumerate(lambdas):
         chi_n = 1.0 if nonneg else chi_value(weights, n).value
         per_iter = 0
         for e in errors_for(n) or ():
@@ -652,7 +706,7 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
             any_error = True
         terms.append(chi_n * lam * per_iter)
     if any_error and not nonneg:
-        all_unit_lambda = all(lam == 1.0 for lam in plan.lambdas)
+        all_unit_lambda = all(lam == 1.0 for lam in lambdas)
         if not (all_unit_lambda and first.layers[0].bounded_range):
             flags.append(
                 "unsupported-regime: errors under inertial weights are only "

@@ -101,7 +101,17 @@ class MonotoneMap:
 
 
 def soft_threshold(x: Vector, t: float) -> Vector:
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    """``sign(x) * max(|x| - t, 0)`` for a float vector ``x`` and ``t >= 0``,
+    as ``x`` minus its clip to ``[-t, t]`` with the sign of ``x``: four ufuncs
+    and one temporary.  Bit for bit ``np.sign(x) * np.maximum(np.abs(x) - t,
+    0.0)``, infinities and subnormals included, except at ``x = -0.0``: that
+    form gives +0.0 there (``np.sign(-0.0)`` is +0.0), this one -0.0.  A NaN
+    entry gives NaN in both, with the sign of ``x`` here, where that form's
+    sign bit depends on numpy's loop."""
+    r = np.minimum(x, t)
+    np.maximum(r, -t, out=r)
+    np.subtract(x, r, out=r)
+    return np.copysign(r, x, out=r)
 
 
 def l1_subdifferential(weight: float = 1.0) -> MonotoneMap:

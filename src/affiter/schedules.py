@@ -26,8 +26,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -218,27 +217,36 @@ def eta_values(schedule: WeightSchedule, horizon: int) -> array | None:
         raise InvalidScheduleError(str(exc)) from exc
 
 
-def orbit_mean(
-    schedule: WeightSchedule, etas: array | None, new_row: Callable[[], Vector]
-) -> Callable[[int, Vector], Vector]:
-    """The family's kernel ``(n, x_n) -> xbar_n``.
+def _window_sum(points, weight: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``weight * p_0 + weight * p_1 + ...``, added oldest first, into ``out``
+    (a fresh array when None).  ``points`` are the vectors of one window row,
+    or, for a block of rows, the shifted (rows, d) slices of the orbit."""
+    points = iter(points)
+    acc = np.multiply(weight, next(points), out=out)
+    for p in points:
+        acc += weight * p
+    return acc
+
+
+def orbit_mean(schedule: WeightSchedule, etas: array | None) -> Callable[[int, Vector], Vector]:
+    """The family's step kernel ``(n, x_n) -> xbar_n``.
 
     For rows of more than one point: ``engine.run`` calls no kernel when
     ``support_bound == 1``.  Calls come for ``n = 0, 1, ...`` in order, each
     with the newest orbit point: every kernel keeps only the history its
     rows read.  Where row ``n`` is ``x_n`` alone (window's first row,
     inertial rows with ``eta_n = 0``) the kernel returns ``x_n`` itself, not
-    a copy; otherwise it writes ``xbar_n`` into ``new_row()``, a fresh
-    writable vector, and returns that.  The inertial kernel keeps
-    ``x_{n-1}`` and reads ``etas[n]`` (from ``eta_values``); ``window(w)``
-    keeps the last ``w`` points; cesaro keeps a running sum, which it
-    divides by ``n + 1``.  The window and inertial kernels perform the
-    operations of ``affine_combine(schedule.row(n), orbit)`` in the same
-    order, so their results are the same bit for bit.  No kernel tests its
-    result for finiteness: a non-finite ``xbar_n`` makes the step's residual
-    non-finite, and ``engine.run`` then names the row (window and inertial:
-    "affine combination at row n is non-finite") at the same n, after the
-    layers have seen that ``xbar_n`` once.
+    a copy; otherwise it returns ``xbar_n`` as a fresh vector, which nothing
+    keeps: ``orbit_mean_blocks`` forms the same rows again from the orbit.
+    The inertial kernel keeps ``x_{n-1}`` and reads ``etas[n]`` (from
+    ``eta_values``); ``window(w)`` keeps the last ``w`` points; cesaro keeps
+    a running sum, which it divides by ``n + 1``.  The window and inertial
+    kernels perform the operations of ``affine_combine(schedule.row(n),
+    orbit)`` in the same order, so their results are the same bit for bit.
+    No kernel tests its result for finiteness: a non-finite ``xbar_n`` makes
+    the step's residual non-finite, and ``engine.run`` then names the row
+    (window and inertial: "affine combination at row n is non-finite") at
+    the same n, after the layers have seen that ``xbar_n`` once.
     """
     family = schedule.family
     if family == "window":
@@ -247,13 +255,7 @@ def orbit_mean(
         def window_mean(n, x):
             recent.append(x)
             k = len(recent)
-            if k == 1:
-                return x
-            weight = 1.0 / k
-            acc = weight * recent[0]
-            for y in islice(recent, 1, k - 1):
-                acc = acc + weight * y
-            return np.add(acc, weight * recent[-1], new_row())
+            return x if k == 1 else _window_sum(recent, 1.0 / k)
 
         return window_mean
 
@@ -263,7 +265,7 @@ def orbit_mean(
         def running_mean(n, x):
             nonlocal total
             total = x if n == 0 else total + x
-            return np.divide(total, n + 1.0, new_row())
+            return total / (n + 1.0)
 
         return running_mean
 
@@ -275,9 +277,102 @@ def orbit_mean(
         eta_n = etas[n]
         if eta_n == 0.0:
             return x
-        return np.add((-eta_n) * x_prev, (1.0 + eta_n) * x, new_row())
+        return (-eta_n) * x_prev + (1.0 + eta_n) * x
 
     return extrapolate
+
+
+def orbit_mean_blocks(
+    schedule: WeightSchedule, etas: array | None, blocks: Iterable[tuple[int, np.ndarray]],
+    steps: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The block form of ``orbit_mean``: ``(start, rows)`` for each packed
+    block ``(start, block)`` of the orbit (``space.Rows.blocks()``), where
+    ``rows[i]`` is ``xbar_{start + i}``, for ``n < steps``.
+
+    Each row is bit for bit the step kernel's: the same IEEE operations on
+    the same operands in the same order, taken over a block at a time
+    (numpy's elementwise ufuncs, and ``np.add.accumulate``, which adds rows
+    in order).  A carry crosses the blocks: the last ``w - 1`` points for
+    ``window(w)``, the last point for inertial rows, the running total for
+    cesaro.  Rows of one point (memoryless, ``window(1)``) are the orbit's
+    own blocks, not copies; the other families yield fresh arrays of one
+    block each (``BLOCK_FLOATS`` floats at most, or one point), which
+    nothing keeps, so a pass holds O(block) floats, not O(N d).  The
+    arithmetic is the step kernel's, in a few numpy calls per block: a
+    window block takes ``2 w - 1`` over its rows past the first ``w - 1``,
+    which it forms row by row from the carry; a cesaro block one
+    ``np.add.accumulate`` and one divide by the count column (two more to
+    start from the carry); an inertial block a dozen, over its rows with
+    ``eta_n != 0`` (the others are copies of ``x_n``).
+    """
+    blocks = ((start, block[: steps - start]) for start, block in blocks if start < steps)
+    if schedule.support_bound == 1:
+        return blocks
+    family = schedule.family
+    if family == "window":
+        w = schedule.window
+
+        def window_means():
+            carry: list[Vector] = []  # the last w - 1 points before the block, oldest first
+            for start, block in blocks:
+                rows = len(block)
+                out = np.empty(block.shape)
+                # the block's first w - 1 rows read the carry, one row at a time
+                for i in range(min(w - 1, rows)):
+                    points = carry[max(0, len(carry) + i + 1 - w) :] + list(block[: i + 1])
+                    if len(points) == 1:
+                        out[i] = points[0]
+                    else:
+                        _window_sum(points, 1.0 / len(points), out[i])
+                if rows >= w:
+                    views = (block[j : j + rows + 1 - w] for j in range(w))
+                    _window_sum(views, 1.0 / w, out[w - 1 :])
+                carry = carry[max(0, len(carry) + rows + 1 - w) :] + list(block[max(0, rows + 1 - w) :])
+                yield start, out
+
+        return window_means()
+
+    if family == "cesaro":
+
+        def running_means():
+            total = None  # x_0 + ... + x_{start - 1}
+            counts = np.arange(1.0, steps + 1.0)
+            for start, block in blocks:
+                if total is None:
+                    sums = np.add.accumulate(block, axis=0)
+                else:
+                    sums = np.empty(block.shape)
+                    np.add(total, block[0], out=sums[0])
+                    sums[1:] = block[1:]
+                    np.add.accumulate(sums, axis=0, out=sums)
+                end = start + len(sums)
+                if end < steps:
+                    total = sums[-1].copy()
+                yield start, np.divide(sums, counts[start:end, None], out=sums)
+
+        return running_means()
+
+    eta_all = np.frombuffer(etas)
+
+    def extrapolations():
+        prev = None  # x_{start - 1}
+        for start, block in blocks:
+            out = block.copy()  # rows with eta_n = 0 are x_n
+            at = np.flatnonzero(eta_all[start : start + len(block)])
+            if at.size:
+                eta = eta_all[start + at, None]
+                before = block[at - 1]
+                if at[0] == 0:
+                    before[0] = prev
+                np.multiply(-eta, before, out=before)
+                now = block[at]
+                np.multiply(1.0 + eta, now, out=now)
+                out[at] = np.add(before, now, out=before)
+            prev = block[-1]
+            yield start, out
+
+    return extrapolations()
 
 
 def abs_weighted_sums(

@@ -3,7 +3,8 @@
 Points are plain 1-D float64 numpy arrays.  A weight row is a plain dict
 ``{j: mu_{n,j}}`` over orbit indices; ``affine_combine`` forms the averaged
 point ``xbar_n = sum_j mu_{n,j} x_j`` from it.  The run forms ``xbar_n``
-with the weight family's own kernel (``schedules.orbit_mean``);
+with the weight family's own kernel (``schedules.orbit_mean``), and a trace
+forms it again from the orbit, a block at a time (``orbit_mean_blocks``);
 ``affine_combine`` is the reference those kernels are tested against.
 A run keeps its orbit in ``Rows``, equal-length points packed in 2-D blocks,
 and ``row_distances`` measures a block of them against one point at a time.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -203,16 +204,17 @@ class Rows:
     def __len__(self) -> int:
         return self._starts[-1] + self._pos if self._starts else 0
 
-    def head(self, n: int) -> "Rows":
-        """The first ``n`` rows, sharing this container's blocks; it takes no appends."""
-        if not 0 <= n <= len(self):
-            raise IndexError(f"head({n}) of {len(self)} rows")
-        out = Rows(self.dim, n)
-        count = bisect_right(self._starts, n - 1) if n else 0
-        out._blocks, out._starts = self._blocks[:count], self._starts[:count]
-        if count:
-            out._block = out._blocks[-1]
-            out._pos = out._end = n - out._starts[-1]
+    @classmethod
+    def of_blocks(cls, dim: int, blocks: Iterable[tuple[int, np.ndarray]]) -> "Rows":
+        """Rows over the ``(start, block)`` pairs of ``blocks()`` or
+        ``schedules.orbit_mean_blocks``, each block kept as it is; it is
+        full, so it takes no appends."""
+        out = cls(dim, 0)
+        for start, block in blocks:
+            out._blocks.append(block)
+            out._starts.append(start)
+            out._block, out._pos, out._end = block, len(block), len(block)
+        out._capacity = len(out)
         return out
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:

@@ -271,8 +271,9 @@ def test_criterion_8_aggregate_error_bound():
     _, trace = preset.solve()
     stack = preset.config.stack_at(0)
     worst_margin = math.inf
+    xbars = trace.xbars
     for n in range(trace.n_steps):
-        xbar = trace.xbars[n]
+        xbar = xbars[n]
         clean = apply_stack(stack, xbar).value
         noisy = apply_stack(stack, xbar, [e1(n), e2(n)])
         deviation = float(np.linalg.norm(noisy.value - clean))

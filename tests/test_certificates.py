@@ -75,11 +75,11 @@ def closed_form_envelope(theta0, nus, eps):
 def pairwise_slacks(trace, x_ref):
     """Certificates (ii) and (iii) with the paper's pairwise sums over each row."""
     ii, iii = [], []
-    phis = trace.phis
+    phis, lambdas, thetas, xbars = trace.phis, trace.lambdas, trace.thetas, trace.xbars
     for n in range(trace.n_steps):
         row = trace.config.weights.row(n)
-        lam, phi, r_n, theta = trace.lambdas[n], phis[n], trace.residuals[n], trace.thetas[n]
-        xbar = trace.xbars[n]
+        lam, phi, r_n, theta = lambdas[n], phis[n], trace.residuals[n], thetas[n]
+        xbar = xbars[n]
         dbar = float(np.linalg.norm(xbar - x_ref))
         base = (pairwise_form(row, trace.points, x_ref)
                 - sq(trace.points[n + 1] - x_ref) + theta * (2.0 * dbar + theta))
@@ -679,10 +679,10 @@ def loop_slacks(trace, x_ref, which):
     dists = [norm(p - x_ref) for p in points]
     out = {name: np.zeros(trace.n_steps) for name in which}
     ref_stack = None
-    phis = trace.phis
+    phis, lambdas, thetas, xbars = trace.phis, trace.lambdas, trace.thetas, trace.xbars
     for n in range(trace.n_steps):
-        theta_n, xbar, r_n = trace.thetas[n], trace.xbars[n], trace.residuals[n]
-        lam, phi, lhs1 = trace.lambdas[n], phis[n], dists[n + 1]
+        theta_n, xbar, r_n = thetas[n], xbars[n], trace.residuals[n]
+        lam, phi, lhs1 = lambdas[n], phis[n], dists[n + 1]
         if "i" in which:
             row = trace.config.weights.row(n)
             rhs = math.fsum(abs(w) * dists[j] for j, w in row.items())

@@ -9,6 +9,7 @@ import pytest
 
 from affiter import (
     EtaSchedule,
+    GeometricError,
     IterationConfig,
     WeightSchedule,
     chi_table,
@@ -545,9 +546,9 @@ def per_field_csv(trace, dists=None, cert_i=None, cert_ii=None) -> bytes:
         return "" if x is None else format(float(x), ".17g")
 
     lines = [cli.TRACE_HEADER]
-    phis = trace.phis
+    phis, lambdas, thetas = trace.phis, trace.lambdas, trace.thetas
     for n in range(trace.n_steps):
-        cells = [trace.residuals[n], trace.thetas[n], trace.lambdas[n], phis[n],
+        cells = [trace.residuals[n], thetas[n], lambdas[n], phis[n],
                  None if dists is None else dists[n],
                  None if cert_i is None else cert_i[n],
                  None if cert_ii is None else cert_ii[n]]
@@ -559,11 +560,11 @@ class TestTraceWriter:
     """The column-wise writer against the per-field form, where no golden reaches."""
 
     @staticmethod
-    def trace(reference=None):
+    def trace(reference=None, **extra):
         config = IterationConfig(
             stacks=compose([prox_l1(0.8), gradient_step(0.8, lambda x: x - 2.0, beta=1.0)]),
             weights=window(2), relaxation=constant_relaxation(1.2), x0=np.array([3.0, -1.0]),
-            max_iters=25, stop_residual=0.0, reference=reference,
+            max_iters=25, stop_residual=0.0, reference=reference, **extra,
         )
         return run(config)
 
@@ -585,7 +586,9 @@ class TestTraceWriter:
         assert (tmp_path / "trace.csv").read_bytes() == per_field_csv(trace, dists, cert_i, cert_ii)
 
     def test_negative_zero_and_subnormals(self, tmp_path):
-        trace = self.trace(reference=np.array([1.0, 1.0]))
+        # a run with an error model keeps its theta column, which the test edits
+        trace = self.trace(reference=np.array([1.0, 1.0]),
+                           errors=GeometricError(0.5, [0.1, -0.2]))
         tiny = np.nextafter(0.0, 1.0)
         trace.residuals[0], trace.thetas[1] = -0.0, tiny
         # the run keeps no distances, so the column is the test's own

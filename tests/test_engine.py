@@ -216,9 +216,10 @@ class TestRun:
             x0=vec(0.0, 0.0), max_iters=40, stop_residual=0.0,
         )
         trace = run(cfg)
+        xbars = trace.xbars
         for n in range(trace.n_steps):
             explicit = affine_combine(cesaro().row(n), trace.points)
-            assert np.linalg.norm(trace.xbars[n] - explicit) <= 1e-12
+            assert np.linalg.norm(xbars[n] - explicit) <= 1e-12
 
     def test_cesaro_kernel_holds_one_point(self):
         # the running mean reads x_n only: no orbit store grows with the horizon
@@ -331,12 +332,21 @@ KERNEL_WEIGHTS = st.one_of(
 )
 
 
+FB_VARIANTS = {
+    "memoryless": {},
+    "nesterov": dict(variant="inertial", eta=EtaSchedule(kind="nesterov", tau=2.0)),
+    "window3": dict(variant="mean", weights=window(3)),
+    "window10": dict(variant="mean", weights=window(10)),
+    "cesaro": dict(variant="mean", weights=cesaro()),
+}
+
+
 def fb_preset(dim, max_iters, variant):
-    """Forward-backward on ``min ||x||_1 + 1/2 ||x - a||^2``, memoryless or nesterov."""
+    """Forward-backward on ``min ||x||_1 + 1/2 ||x - a||^2``, with the weights
+    of ``FB_VARIANTS[variant]``."""
     rng = np.random.default_rng(dim)
     a = rng.uniform(-3.0, 3.0, dim)
-    extra = {} if variant == "memoryless" else dict(
-        variant="inertial", eta=EtaSchedule(kind="nesterov", tau=2.0))
+    extra = FB_VARIANTS[variant]
     return forward_backward(
         A=l1_subdifferential(), B=lambda x: x - a, beta=1.0, gamma=0.8,
         x0=rng.standard_normal(dim), max_iters=max_iters, stop_residual=0.0,
@@ -365,10 +375,12 @@ def traced_solve(preset):
 class TestTracePacking:
     """The trace keeps its orbit in packed float64 rows and its per-step
     scalars in ``array("d")``: one boxed float costs 33 B, and one 2-float
-    ndarray about 137 B."""
+    ndarray about 137 B.  It keeps no xbar_n, no constant lambda_n column and,
+    without errors, no theta_n column."""
 
-    @pytest.mark.parametrize("variant", ["memoryless", "nesterov"])
-    def test_a_step_at_d2_retains_at_most_100_bytes(self, variant):
+    @pytest.mark.parametrize("variant", ["memoryless", "nesterov", "window10", "cesaro"])
+    def test_a_step_at_d2_retains_at_most_40_bytes(self, variant):
+        # x_{n+1} (16 B) and r_n (8 B)
         steps = 2000
         trace, retained, _peak = traced_solve(fb_preset(2, steps, variant))
         assert trace.n_steps == steps
@@ -376,10 +388,10 @@ class TestTracePacking:
                        trace.dist_to_ref):
             assert isinstance(column, array) and column.typecode == "d"
             assert len(column) == steps
-        assert retained <= 100 * steps
+        assert retained <= 40 * steps
 
-    def test_a_peaceman_rachford_step_with_errors_retains_at_most_160_bytes(self):
-        # x_{n+1}, xbar_n, y_n, z_n (16 B each), five scalars and two error norms;
+    def test_a_peaceman_rachford_step_with_errors_retains_at_most_100_bytes(self):
+        # x_{n+1}, y_n, z_n (16 B each), r_n, theta_n and two error norms;
         # a record dict of two fresh ndarrays and a tuple of norms took about 630 B
         steps, a = 2000, vec(1.0, -2.0)
         preset = peaceman_rachford(
@@ -390,20 +402,22 @@ class TestTracePacking:
         trace, retained, _peak = traced_solve(preset)
         assert trace.n_steps == steps
         assert trace.error_norms.shape == (steps, 2) and trace.error_norms.dtype == np.float64
-        assert retained <= 160 * steps
+        assert retained <= 100 * steps
 
-    def test_a_long_orbit_is_kept_once(self):
+    @pytest.mark.parametrize("variant", ["memoryless", "nesterov", "window3"])
+    def test_a_long_orbit_is_kept_once(self, variant):
         # rows of 2**16 floats or more are kept as the arrays the run made
         dim, steps = BLOCK_FLOATS + 1, 20
-        preset = fb_preset(dim, steps, "memoryless")
+        preset = fb_preset(dim, steps, variant)
         trace, retained, peak = traced_solve(preset)
         assert np.shares_memory(trace.points[0], preset.config.x0)
         row = 8 * dim
         # x_1 .. x_N (x_0 is the caller's), and a few vectors of one step;
-        # a second copy of the orbit would take N more rows
+        # a second copy of the orbit, such as stored xbar_n, would take N more rows
         assert retained <= steps * row + 100_000
         assert peak <= (steps + 8) * row
-        assert all(np.shares_memory(xbar, x) for xbar, x in zip(trace.xbars, trace.points))
+        if variant == "memoryless":
+            assert all(np.shares_memory(xbar, x) for xbar, x in zip(trace.xbars, trace.points))
 
 
 class TestPlan:
@@ -532,9 +546,10 @@ class TestAuxColumns:
         trace = run(recorder_config(lambda n, xbar, _e: {"xbar": xbar, "n": np.full(2, n)}))
         aux = trace.aux
         assert len(aux) == trace.n_steps == 6
+        xbars = trace.xbars
         for n, record in enumerate(aux):
             assert list(record) == ["xbar", "n"]
-            assert record["xbar"].tobytes() == trace.xbars[n].tobytes()
+            assert record["xbar"].tobytes() == xbars[n].tobytes()
             assert record["n"].tolist() == [n, n]
             assert record["xbar"].ndim == 1 and record["xbar"].dtype == np.float64
         assert aux[-1]["n"].tolist() == [5.0, 5.0] and aux[-6]["n"].tolist() == [0.0, 0.0]
@@ -1318,6 +1333,16 @@ class TestFlags:
         assert trace.n_steps == 5
         assert events == ["overflow"] * 5
         assert trace.flags == []
+
+    def test_a_callers_call_mode_without_a_callback_raises_name_error(self):
+        # numpy's own error for "call" with no callback, from the first event
+        with np.errstate(over="call", call=None):
+            with pytest.raises(NameError, match="no function found"):
+                BIG.dot(BIG)
+            with pytest.raises(NameError, match="^python callback specified for overflow but "
+                                                "no function found.$"):
+                run(flag_config(True))
+            assert np.geterrcall() is None
 
     def test_a_callers_log_mode_is_logged_into_the_flags(self):
         class Log:

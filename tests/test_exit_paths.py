@@ -311,8 +311,6 @@ LIBRARY = [
      ConfigurationError, "affine combination of an empty row"),
     ("Rows-long-row-past-capacity", long_row_past_capacity,
      IndexError, "Rows holds at most 1 points"),
-    ("Rows-head-out-of-range", lambda: Rows(2, 3).head(1),
-     IndexError, "head(1) of 0 rows"),
 ]
 
 

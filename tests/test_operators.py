@@ -24,6 +24,7 @@ from affiter import (
     reflector_operator,
     relaxed,
     resolvent_operator,
+    soft_threshold,
     subgradient_projector,
     tail_apply,
 )
@@ -37,6 +38,25 @@ class TestCatalog:
     def test_prox_l1_soft_threshold(self):
         assert prox_l1(1.0)(vec(2.0)) == pytest.approx(1.0)
         assert prox_l1(1.0)(vec(0.5)) == pytest.approx(0.0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(x=st.lists(st.one_of(
+               st.floats(allow_nan=True, allow_infinity=True),
+               st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf])),
+               min_size=1, max_size=12),
+           t=st.one_of(st.floats(0.0, 1e308), st.sampled_from([0.0, 5e-324, 1.0, 0.8])))
+    def test_soft_threshold_is_the_sign_times_max_form(self, x, t):
+        # bit for bit np.sign(x) * max(|x| - t, 0), except that -0.0 stays -0.0
+        # and that a NaN keeps its sign bit, which that form's does not always
+        x = np.array(x, dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            expected = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+            got = soft_threshold(x, t)
+        negative_zero = (x == 0.0) & np.signbit(x)
+        expected[negative_zero] = -0.0
+        nan = np.isnan(x)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
 
     def test_ball_projector_radial_scaling(self):
         p = projector("ball", center=[0.0, 0.0], radius=1.0)

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from affiter import (
     validate_weights,
     window,
 )
-from affiter.schedules import abs_weighted_sums, eta_values
+from affiter import space
+from affiter.schedules import abs_weighted_sums, eta_values, orbit_mean, orbit_mean_blocks
 
 EPS = np.finfo(np.float64).eps
 
@@ -158,6 +160,46 @@ class TestAbsWeightedSums:
             ])
             assert np.all(np.abs(got - expected) <= 2.0 * EPS * expected)
             assert np.any(got != expected)  # the two sums do round apart
+
+
+class TestOrbitMeanBlocks:
+    """The block form of each weight kernel against its step kernel, bit for bit."""
+
+    SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf])
+
+    @settings(deadline=None, max_examples=120)
+    @given(family=st.one_of(st.integers(1, 12).map(window), st.just(cesaro()),
+                            st.lists(st.booleans(), min_size=1, max_size=5)),
+           dim=st.sampled_from([1, 2, 3, 1000, space.BLOCK_FLOATS + 1]),
+           steps=st.integers(0, 40), rows_per_block=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_the_step_kernels(self, family, dim, steps, rows_per_block, seed):
+        if dim > 1000:
+            steps = min(steps, 14)  # 0.5 MB a point
+        if isinstance(family, list):
+            # inertial, with eta_n = 0 on the rows the pattern marks
+            zeros = family
+            family = inertial(EtaSchedule(kind="custom", eta=0.5,
+                                          fn=lambda n: 0.0 if zeros[n % len(zeros)] else 0.4))
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([1e-300, 1e-8, 1.0, 1e8, 1e300], (steps + 1, 1))
+        orbit = rng.standard_normal((steps + 1, dim)) * scale
+        special = rng.random(orbit.shape) < min(0.2, 8.0 / dim)
+        orbit[special] = rng.choice(self.SPECIAL, np.count_nonzero(special))
+        etas = eta_values(family, steps)
+        # small blocks, so that each carry crosses block boundaries
+        with mock.patch.object(space, "BLOCK_FLOATS", rows_per_block * dim), \
+                mock.patch.object(space, "FIRST_BLOCK_FLOATS", dim):
+            points = space.Rows(dim, steps + 1)
+            for x in orbit:
+                points.append(x)
+        assert all(len(block) <= rows_per_block for block in points._blocks)
+        kernel = orbit_mean(family, etas)
+        with np.errstate(all="ignore"):
+            expected = [kernel(n, points[n]).tobytes() for n in range(steps)]
+            blocks = list(orbit_mean_blocks(family, etas, points.blocks(), steps))
+        assert [start for start, _rows in blocks] == points._starts[: len(blocks)]
+        assert [row.tobytes() for _start, rows in blocks for row in rows] == expected
 
 
 class TestChi:

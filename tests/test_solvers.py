@@ -92,8 +92,7 @@ class TestPeacemanRachford:
             weights=window(2), x0=vec(0.3), max_iters=20, stop_residual=0.0,
         )
         y, trace = preset.solve()
-        for n in range(trace.n_steps):
-            xbar = trace.xbars[n]
+        for n, xbar in enumerate(trace.xbars):
             jb = prob.ingredients["B"].resolvent(1.0, xbar)
             assert np.array_equal(trace.aux[n]["y"], jb)
 
@@ -106,8 +105,8 @@ class TestPeacemanRachford:
             a_errors=lambda n: vec(0.5**n * 0.1), b_errors=lambda n: vec(0.5**n * -0.05),
         )
         _, trace = preset.solve()
-        for n in range(trace.n_steps):
-            three_line = trace.xbars[n] + 2.0 * (trace.aux[n]["z"] - trace.aux[n]["y"])
+        for n, xbar in enumerate(trace.xbars):
+            three_line = xbar + 2.0 * (trace.aux[n]["z"] - trace.aux[n]["y"])
             assert np.linalg.norm(trace.points[n + 1] - three_line) <= 1e-12
 
     EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7e308]
@@ -233,8 +232,8 @@ class TestPeacemanRachford:
             max_iters=40, stop_residual=0.0,
         ).solve()
         rounded = 0
-        for n in range(trace.n_steps):
-            xbar, a, b = trace.xbars[n], 0.9**n * a_n[n], 0.9**n * b_n[n]
+        for n, xbar in enumerate(trace.xbars):
+            a, b = 0.9**n * a_n[n], 0.9**n * b_n[n]
             jb = B.resolvent(gamma, xbar)
             y, z = trace.aux[n]["y"], trace.aux[n]["z"]
             assert y.tobytes() == (jb + b).tobytes()
@@ -256,8 +255,8 @@ class TestPeacemanRachford:
         preset.config.errors = GeometricError(0.5, [0.1, 0.0, 0.0], layer=layer)
         _, trace = preset.solve()
         assert [norms[layer - 1] for norms in trace.error_norms[:3]] == [0.1, 0.05, 0.025]
-        for n in range(trace.n_steps):
-            three_line = trace.xbars[n] + 2.0 * (trace.aux[n]["z"] - trace.aux[n]["y"])
+        for n, xbar in enumerate(trace.xbars):
+            three_line = xbar + 2.0 * (trace.aux[n]["z"] - trace.aux[n]["y"])
             assert np.linalg.norm(trace.points[n + 1] - three_line) <= 1e-15
 
     def test_catalog_and_steps_at_large_d_stay_o_of_d_in_memory(self):
@@ -305,10 +304,11 @@ class TestPeacemanRachford:
             b_errors=lambda n: 0.8**n * b_n[n], max_iters=30, stop_residual=0.0,
         )
         _, trace = preset.solve()
-        for n in range(trace.n_steps):
+        lambdas = trace.lambdas
+        for n, theta in enumerate(trace.thetas):
             bound = (float(np.linalg.norm(2.0 * 0.7**n * a_n[n]))
                      + float(np.linalg.norm(2.0 * 0.8**n * b_n[n])))
-            assert trace.thetas[n] == trace.lambdas[n] * bound
+            assert theta == lambdas[n] * bound
 
     def test_rejects_families_without_adjacent_mass(self):
         from affiter import cesaro, memoryless
@@ -507,8 +507,8 @@ class TestForwardBackward:
     def test_memoryless_unit_relaxation_residual_identity(self):
         preset = self.variant_preset("memoryless")
         _, trace = preset.solve()
-        for n in range(trace.n_steps):
-            step_norm = np.linalg.norm(trace.points[n + 1] - trace.xbars[n])
+        for n, xbar in enumerate(trace.xbars):
+            step_norm = np.linalg.norm(trace.points[n + 1] - xbar)
             assert step_norm == pytest.approx(trace.residuals[n], abs=1e-14)
 
     def test_2d_problem_with_shorter_steps(self):
