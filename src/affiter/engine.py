@@ -284,7 +284,7 @@ class RunTrace:
         block of ``points`` at a time (``schedules.orbit_mean_blocks``), bit
         for bit the points the run fed to the stack."""
         return orbit_mean_blocks(
-            self.config.weights, self.etas, self.points.blocks(), self.n_steps)
+            self.config.weights, self.etas, self.points.blocks(self.n_steps))
 
     @property
     def xbars(self) -> Rows:

@@ -283,12 +283,11 @@ def orbit_mean(schedule: WeightSchedule, etas: array | None) -> Callable[[int, V
 
 
 def orbit_mean_blocks(
-    schedule: WeightSchedule, etas: array | None, blocks: Iterable[tuple[int, np.ndarray]],
-    steps: int,
+    schedule: WeightSchedule, etas: array | None, blocks: Iterable[tuple[int, np.ndarray]]
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The block form of ``orbit_mean``: ``(start, rows)`` for each packed
-    block ``(start, block)`` of the orbit (``space.Rows.blocks()``), where
-    ``rows[i]`` is ``xbar_{start + i}``, for ``n < steps``.
+    block ``(start, block)`` of the orbit (``space.Rows.blocks(N)`` for
+    ``xbar_0 .. xbar_{N-1}``), where ``rows[i]`` is ``xbar_{start + i}``.
 
     Each row is bit for bit the step kernel's: the same IEEE operations on
     the same operands in the same order, taken over a block at a time
@@ -303,76 +302,61 @@ def orbit_mean_blocks(
     window block takes ``2 w - 1`` over its rows past the first ``w - 1``,
     which it forms row by row from the carry; a cesaro block one
     ``np.add.accumulate`` and one divide by the count column (two more to
-    start from the carry); an inertial block a dozen, over its rows with
-    ``eta_n != 0`` (the others are copies of ``x_n``).
+    start from the carry); an inertial block about ten, over all
+    its rows, after which the rows with ``eta_n = 0`` are copies of ``x_n``.
+    The orbit of a returned trace is finite, and so is each ``xbar_n``, so
+    no numpy event arises (an ``eta_n = 0`` row multiplies ``x_{n-1}`` by
+    -0.0 before its copy replaces it).
     """
-    blocks = ((start, block[: steps - start]) for start, block in blocks if start < steps)
-    if schedule.support_bound == 1:
-        return blocks
-    family = schedule.family
-    if family == "window":
-        w = schedule.window
-
-        def window_means():
-            carry: list[Vector] = []  # the last w - 1 points before the block, oldest first
-            for start, block in blocks:
-                rows = len(block)
-                out = np.empty(block.shape)
-                # the block's first w - 1 rows read the carry, one row at a time
-                for i in range(min(w - 1, rows)):
-                    points = carry[max(0, len(carry) + i + 1 - w) :] + list(block[: i + 1])
-                    if len(points) == 1:
-                        out[i] = points[0]
-                    else:
-                        _window_sum(points, 1.0 / len(points), out[i])
-                if rows >= w:
-                    views = (block[j : j + rows + 1 - w] for j in range(w))
-                    _window_sum(views, 1.0 / w, out[w - 1 :])
-                carry = carry[max(0, len(carry) + rows + 1 - w) :] + list(block[max(0, rows + 1 - w) :])
-                yield start, out
-
-        return window_means()
-
-    if family == "cesaro":
-
-        def running_means():
-            total = None  # x_0 + ... + x_{start - 1}
-            counts = np.arange(1.0, steps + 1.0)
-            for start, block in blocks:
-                if total is None:
-                    sums = np.add.accumulate(block, axis=0)
+    family = "memoryless" if schedule.support_bound == 1 else schedule.family
+    w = schedule.window
+    eta_all = np.frombuffer(etas) if family == "inertial" else None
+    # window: the last w - 1 points before the block, oldest first;
+    # cesaro: x_0 + ... + x_{start - 1}; inertial: x_{start - 1}
+    carry = [] if family == "window" else None
+    for start, block in blocks:
+        if family == "memoryless":
+            rows = block
+        elif family == "cesaro":
+            if carry is None:
+                sums = np.add.accumulate(block, axis=0)
+            else:
+                sums = np.empty(block.shape)
+                np.add(carry, block[0], out=sums[0])
+                sums[1:] = block[1:]
+                np.add.accumulate(sums, axis=0, out=sums)
+            carry = sums[-1]
+            counts = np.arange(start + 1.0, start + len(sums) + 1.0)
+            rows = np.divide(sums, counts[:, None])
+        elif family == "inertial":
+            # (-eta_n) x_{n-1} + (1 + eta_n) x_n on every row
+            eta = eta_all[start : start + len(block), None]
+            rows = np.multiply(1.0 + eta, block)
+            before = np.empty(block.shape)
+            np.multiply(-eta[1:], block[:-1], out=before[1:])
+            if carry is None:
+                before[0] = 0.0  # eta_0 = 0: row 0 is x_0, copied below
+            else:
+                np.multiply(-eta[0], carry, out=before[0])
+            np.add(before, rows, out=rows)
+            zero = np.flatnonzero(eta == 0.0)
+            rows[zero] = block[zero]
+            carry = block[-1]
+        else:  # window
+            size = len(block)
+            rows = np.empty(block.shape)
+            # the block's first w - 1 rows read the carry, one row at a time
+            for i in range(min(w - 1, size)):
+                points = carry[max(0, len(carry) + i + 1 - w) :] + list(block[: i + 1])
+                if len(points) == 1:
+                    rows[i] = points[0]
                 else:
-                    sums = np.empty(block.shape)
-                    np.add(total, block[0], out=sums[0])
-                    sums[1:] = block[1:]
-                    np.add.accumulate(sums, axis=0, out=sums)
-                end = start + len(sums)
-                if end < steps:
-                    total = sums[-1].copy()
-                yield start, np.divide(sums, counts[start:end, None], out=sums)
-
-        return running_means()
-
-    eta_all = np.frombuffer(etas)
-
-    def extrapolations():
-        prev = None  # x_{start - 1}
-        for start, block in blocks:
-            out = block.copy()  # rows with eta_n = 0 are x_n
-            at = np.flatnonzero(eta_all[start : start + len(block)])
-            if at.size:
-                eta = eta_all[start + at, None]
-                before = block[at - 1]
-                if at[0] == 0:
-                    before[0] = prev
-                np.multiply(-eta, before, out=before)
-                now = block[at]
-                np.multiply(1.0 + eta, now, out=now)
-                out[at] = np.add(before, now, out=before)
-            prev = block[-1]
-            yield start, out
-
-    return extrapolations()
+                    _window_sum(points, 1.0 / len(points), rows[i])
+            if size >= w:
+                views = (block[j : j + size + 1 - w] for j in range(w))
+                _window_sum(views, 1.0 / w, rows[w - 1 :])
+            carry = carry[max(0, len(carry) + size + 1 - w) :] + list(block[max(0, size + 1 - w) :])
+        yield start, rows
 
 
 def abs_weighted_sums(

@@ -150,8 +150,9 @@ class Rows:
     ``out``, say).  A point of ``BLOCK_FLOATS`` floats or more is a block of
     its own: ``append`` keeps a view of ``x``, with no copy.  ``rows[i]``
     (negative ``i`` too) and iteration give 1-D views into the blocks, a
-    slice gives a list of them, ``blocks()`` gives the filled part of each
-    block, and ``distances(point, out)`` measures the rows against a point.
+    slice gives a list of them, ``blocks(stop)`` gives the filled part of
+    each block up to a row, ``of_blocks`` wraps such blocks again, and
+    ``distances(point, out)`` measures the rows against a point.
     """
 
     __slots__ = ("dim", "_capacity", "_max_rows", "_blocks", "_starts", "_block", "_pos", "_end")
@@ -217,21 +218,18 @@ class Rows:
         out._capacity = len(out)
         return out
 
-    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+    def blocks(self, stop: int | None = None) -> list[tuple[int, np.ndarray]]:
         """``(start, block)`` for each block: the index of its first row and
-        its filled rows, as one 2-D array."""
-        last = len(self._blocks) - 1
-        for k, (start, block) in enumerate(zip(self._starts, self._blocks)):
-            yield start, block[: self._pos] if k == last else block
+        its filled rows before row ``stop`` (all of them when None), as one
+        2-D array."""
+        stop = len(self) if stop is None else stop
+        return [(start, block[: stop - start])
+                for start, block in zip(self._starts, self._blocks) if start < stop]
 
     def distances(self, point: Vector, out: np.ndarray) -> None:
         """``out[k] = norm(self[k] - point)`` for the first ``len(out)`` rows,
         by ``row_distances`` over each block."""
-        size = len(out)
-        for start, block in zip(self._starts, self._blocks):
-            if start >= size:
-                break
-            rows = block[: size - start]
+        for start, rows in self.blocks(len(out)):
             row_distances(rows, point, out[start : start + len(rows)])
 
     def __iter__(self) -> Iterator[Vector]:

@@ -197,7 +197,7 @@ class TestOrbitMeanBlocks:
         kernel = orbit_mean(family, etas)
         with np.errstate(all="ignore"):
             expected = [kernel(n, points[n]).tobytes() for n in range(steps)]
-            blocks = list(orbit_mean_blocks(family, etas, points.blocks(), steps))
+            blocks = list(orbit_mean_blocks(family, etas, points.blocks(steps)))
         assert [start for start, _rows in blocks] == points._starts[: len(blocks)]
         assert [row.tobytes() for _start, rows in blocks for row in rows] == expected
 

@@ -177,6 +177,8 @@ class TestRows:
         assert [r.tobytes() for r in rows[::-1]] == expected[::-1]
         packed = b"".join(block.tobytes() for _start, block in rows.blocks())
         assert packed == b"".join(expected)
+        head = b"".join(block.tobytes() for _start, block in rows.blocks(count // 2))
+        assert head == b"".join(expected[: count // 2])
         for k, (append, x) in enumerate(zip(appends, given_rows)):
             # a long appended row is kept as it is; a short one is copied
             assert np.shares_memory(rows[k], x) == (append and long_rows)
