@@ -282,7 +282,9 @@ class RunTrace:
     def xbar_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """``(start, rows)`` with ``rows[i] = xbar_{start + i}``, one packed
         block of ``points`` at a time (``schedules.orbit_mean_blocks``), bit
-        for bit the points the run fed to the stack."""
+        for bit the points the run fed to the stack.  The rows follow
+        ``config.weights`` as it is at read time, as ``dist_to_ref`` follows
+        ``config.reference``."""
         return orbit_mean_blocks(
             self.config.weights, self.etas, self.points.blocks(self.n_steps))
 
