@@ -326,8 +326,12 @@ def orbit_mean_blocks(
                 sums[1:] = block[1:]
                 np.add.accumulate(sums, axis=0, out=sums)
             carry = sums[-1]
-            counts = np.arange(start + 1.0, start + len(sums) + 1.0)
-            rows = np.divide(sums, counts[:, None])
+            # row i's count n + 1 in each column: a divide whose operands have
+            # one shape takes numpy's plain loop, where a broadcast builds an
+            # iterator, the dearer call in a pass that makes it once
+            rows = np.empty(sums.shape)
+            rows[...] = np.arange(start + 1.0, start + len(sums) + 1.0)[:, None]
+            np.divide(sums, rows, out=rows)
         elif family == "inertial":
             # (-eta_n) x_{n-1} + (1 + eta_n) x_n on every row
             eta = eta_all[start : start + len(block), None]
