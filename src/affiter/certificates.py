@@ -133,7 +133,8 @@ def run_certificates(
     ``xbar_n`` is not ``x_n`` those distances take a second pass, which
     forms ``xbar_n`` from the orbit one packed block at a time
     (``trace.xbar_blocks()``, bit for bit the point the run fed to the
-    stack; for cesaro one ``np.add.accumulate`` and one divide per block)
+    stack; for cesaro one ``np.add.accumulate`` and one divide by the
+    counts per block)
     and measures each block with stacked ``(1, d) @ (d, 1)`` ``matmul``
     calls (``space.row_distances``), bit for bit ``norm``'s ``x.dot(x)``;
     ``einsum`` would not be.  Certificate (iii) reads ``xbar_n`` from a

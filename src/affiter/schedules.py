@@ -301,9 +301,10 @@ def orbit_mean_blocks(
     arithmetic is the step kernel's, in a few numpy calls per block: a
     window block takes ``2 w - 1`` over its rows past the first ``w - 1``,
     which it forms row by row from the carry; a cesaro block one
-    ``np.add.accumulate`` and one divide by the count column (two more to
-    start from the carry); an inertial block about ten, over all
-    its rows, after which the rows with ``eta_n = 0`` are copies of ``x_n``.
+    ``np.add.accumulate``, an array of its shape holding each row's count and
+    one divide by it (two more to start from the carry); an inertial block
+    about ten, over all its rows, after which the rows with ``eta_n = 0``
+    are copies of ``x_n``.
     The orbit of a returned trace is finite, and so is each ``xbar_n``, so
     no numpy event arises (an ``eta_n = 0`` row multiplies ``x_{n-1}`` by
     -0.0 before its copy replaces it).
