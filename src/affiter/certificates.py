@@ -86,15 +86,7 @@ def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
     so each layer is checked individually there; otherwise the composite
     residual suffices.
     """
-    if isinstance(trace.stacks, list):
-        applied = enumerate(trace.stacks[: trace.n_steps])
-    else:
-        applied = [(0, trace.stacks)]
-    checked = None
-    for n, stack in applied:
-        if stack is checked:
-            continue
-        checked = stack
+    for n, stack in trace.plan.stacks_applied(trace.n_steps):
         if stack.case == "b":
             for i, layer in enumerate(stack.layers, start=1):
                 if norm(layer.fn(x_ref) - x_ref) > tol:
@@ -124,7 +116,7 @@ def run_certificates(
 
     Certificate (i) builds no weight row: ``schedules.abs_weighted_sums``
     forms ``sum_j |mu_{n,j}| ||x_j - x*||`` from the distances and the
-    eta_n the run kept (``trace.etas``).  That costs O(N) for memoryless,
+    eta_n the run applied (``trace.plan.etas``).  That costs O(N) for memoryless,
     inertial and cesaro traces and O(N w) for ``window(w)``.  Except for
     cesaro, the slacks are bit for bit those of ``fsum`` over row ``n``'s
     terms ``|mu_{n,j}| ||x_j - x*||``; cesaro's running sum stays within
@@ -161,7 +153,7 @@ def run_certificates(
 
         slacks = {}
         if "i" in which:
-            rhs = abs_weighted_sums(trace.config.weights, d, trace.etas)
+            rhs = abs_weighted_sums(trace.plan.weights, d, trace.plan.etas)
             slacks["i"] = (rhs + np.asarray(thetas)) - d[1:]
         # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n, in
         # Python floats: numpy's squares would differ from x**2 in the last bit.
@@ -169,7 +161,7 @@ def run_certificates(
             # rows of one point are x_n itself; the others are formed and
             # measured one block at a time
             dbars = d[:n_steps]
-            if trace.config.weights.support_bound != 1:
+            if trace.plan.weights.support_bound != 1:
                 dbars = np.empty(n_steps)
                 for start, rows in trace.xbar_blocks():
                     row_distances(rows, x_ref, dbars[start : start + len(rows)])

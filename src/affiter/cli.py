@@ -430,9 +430,8 @@ def cmd_validate(args) -> int:
         "relaxation": {"min": min(lam_probe), "max": max(lam_probe)},
     }
     if band_params is not None:
-        phis = [stack.phi for stack in plan.stacks or [preset.config.stacks] * steps]
         etas = plan.etas if plan.etas is not None else [0.0] * steps
-        band = inertial_band_validate(band_params, phis, lambdas, etas)
+        band = inertial_band_validate(band_params, plan.phi_column(steps), lambdas, etas)
         out["inertial_band"] = {
             "ok": band.ok,
             "violated": band.violated,

@@ -25,8 +25,8 @@ kernel tests ``xbar_n``, so the layers may see one non-finite ``xbar_n``
 before the run raises at that n.  The update never reads x*: the run only
 checks a reference before the loop, and ``||x_n - x*||`` is measured where
 it is read (``RunTrace.dist_to_ref``, the certificates).  The returned trace
-retains the orbit for post-hoc certificate analysis, together with the
-stacks and the eta_n the loop applied: the orbit and each recorder value as
+retains the orbit for post-hoc certificate analysis, with the run's plan
+(``RunPlan``, what the loop applied): the orbit and each recorder value as
 packed float64 rows (``space.Rows``), each per-step scalar that is not
 derived as an ``array("d")`` column, and the per-layer error norms as one
 float64 array.  It keeps one copy of each fact: ``xbar_n`` is formed again
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -224,69 +224,106 @@ def _aux_value(key, n: int, value, dim: int) -> Vector:
     return v
 
 
+@dataclass(frozen=True, slots=True)
+class RunPlan:
+    """What the pre-pass established for the steps ``n < max_iters``: what a
+    run applies, and what its trace reads.  ``lambdas`` is one float when
+    every n shares it (one stack, and a relaxation that does not depend on
+    n), else an ``array("d")``; ``stacks`` the config's LayerStack, or the
+    provider's stack of each n; ``etas`` the eta_n of inertial rows, else
+    None; ``reference`` the checked x* (a float64 vector), or None."""
+
+    lambdas: array | float
+    stacks: LayerStack | list[LayerStack]
+    etas: array | None
+    weights: WeightSchedule
+    reference: Vector | None
+
+    def stack_at(self, n: int) -> LayerStack:
+        """The stack of step ``n``."""
+        return self.stacks[n] if isinstance(self.stacks, list) else self.stacks
+
+    def stacks_applied(self, steps: int) -> list[tuple[int, LayerStack]]:
+        """``(n, stack)`` for each of the first ``steps`` n whose stack is
+        not step ``n - 1``'s object; ``[(0, stack)]`` for a single LayerStack."""
+        stacks = self.stacks[:steps] if isinstance(self.stacks, list) else [self.stacks]
+        return [(n, s) for n, s in enumerate(stacks) if n == 0 or s is not stacks[n - 1]]
+
+    def lambda_column(self, steps: int) -> array:
+        """``lambda_0 .. lambda_{steps-1}`` as an ``array("d")``: a new column
+        repeating one float, or the first ``steps`` entries of the column
+        (the column itself when it has no more)."""
+        if isinstance(self.lambdas, float):
+            return array("d", [self.lambdas]) * steps
+        return self.lambdas if len(self.lambdas) == steps else self.lambdas[:steps]
+
+    def phi_column(self, steps: int) -> array:
+        """``phi_n`` of the stacks of the first ``steps`` n, as a new ``array("d")``."""
+        if isinstance(self.stacks, list):
+            return array("d", [s.phi for s in self.stacks[:steps]])
+        return array("d", [self.stacks.phi]) * steps
+
+
 @dataclass
 class RunTrace:
     """Per-iteration record of a run, plus the config that produced it.
 
-    The trace keeps the orbit and derives the rest where it is read.
+    The trace keeps the orbit and derives the rest where it is read, from it
+    and from ``plan``: the pre-pass's ``RunPlan`` (its lambda_n column cut to
+    ``n_steps``), so it reads what the run applied, not ``config``.
     ``points`` holds ``x_0 .. x_N`` (one more row than there are steps) as a
     ``space.Rows`` of packed float64 rows; ``points[n]`` is a 1-D view into
     its block.  ``xbars`` holds ``xbar_0 .. xbar_{N-1}``: no run stores them,
-    and each read forms them anew from ``points`` and ``etas``
+    and each read forms them anew from ``points`` and the plan
     (``xbar_blocks``, O(N d) work), so bind it once (``xbars =
     trace.xbars``) before reading it per step.  With memoryless weights
     (rows of one point) it is ``points``' first ``n_steps`` rows, the same
     memory.  ``residuals`` is an ``array("d")`` column of length ``n_steps``,
     and so are ``lambdas``, ``thetas``, ``phis`` and ``dist_to_ref``, which
     are built on read where the run keeps less than a column:
-    ``kept_lambdas`` is the one float every step shares when the plan had
-    one, else the column of ``lambda_n``, and ``kept_thetas`` is None for a
-    run whose model is the base ``ErrorModel``, whose ``thetas`` are the
-    zeros ``lambda_n * 0.0`` gives.  ``error_norms`` is an ``(n_steps, m)``
-    float64 array of the per-layer norms ``||e_{i,n}||``, outermost layer
-    first; such an error-free run keeps no per-step norm either: its
-    ``error_norms`` is an ndarray of ``n_steps`` rows over one zero row in a
-    ``bytes`` buffer, so read-only (``m`` is 0 for a zero-step run whose
-    stacks come from a provider, as no stack was built).  ``aux`` is None
-    without a recorder, else an ``AuxRecords``: one mapping of 1-D views into
-    the recorder's packed columns per step.  ``stacks`` is the single
-    LayerStack of the config, or the pre-pass's list of per-step stacks;
-    read it through ``stack_at(n)``.  ``etas`` holds the pre-pass's eta_n of
-    inertial rows (``schedules.eta_values``, one per ``n < max_iters``),
-    None for the other families.  ``flags`` holds the numpy floating-point
-    events of the loop in the run's thread, as numpy words them; other
-    warnings reach the caller (see ``run``).
+    ``kept_thetas`` is None for a run whose model is the base ``ErrorModel``,
+    whose ``thetas`` are the zeros ``lambda_n * 0.0`` gives.  ``error_norms``
+    is an ``(n_steps, m)`` float64 array of the per-layer norms
+    ``||e_{i,n}||``, outermost layer first; such an error-free run keeps no
+    per-step norm either: its ``error_norms`` is an ndarray of ``n_steps``
+    rows over one zero row in a ``bytes`` buffer, so read-only (``m`` is 0
+    for a zero-step run whose stacks come from a provider, as no stack was
+    built).  ``aux`` is None without a recorder, else an ``AuxRecords``: one
+    mapping of 1-D views into the recorder's packed columns per step.
+    ``flags`` holds the numpy floating-point events of the loop in the run's
+    thread, as numpy words them; other warnings reach the caller (see ``run``).
     """
 
     config: IterationConfig
-    stacks: LayerStack | list[LayerStack]
+    plan: RunPlan
     points: Rows
-    kept_lambdas: array | float
     residuals: array
     kept_thetas: array | None
     error_norms: np.ndarray
-    etas: array | None = None
     aux: AuxRecords | None = None
     stop_reason: str = ""
     flags: list[str] = field(default_factory=list)
-    peak_orbit_points: int = 0  # orbit points the xbar_n kernel held at most
 
     @property
     def n_steps(self) -> int:
         return len(self.residuals)
 
+    @property
+    def peak_orbit_points(self) -> int:
+        """Orbit points the ``xbar_n`` step kernel held at most."""
+        return min(self.plan.weights.support_bound or 1, len(self.points))
+
     def stack_at(self, n: int) -> LayerStack:
         """The stack the run applied at step ``n``."""
-        return self.stacks[n] if isinstance(self.stacks, list) else self.stacks
+        return self.plan.stack_at(n)
 
     def xbar_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """``(start, rows)`` with ``rows[i] = xbar_{start + i}``, one packed
         block of ``points`` at a time (``schedules.orbit_mean_blocks``), bit
-        for bit the points the run fed to the stack.  The rows follow
-        ``config.weights`` as it is at read time, as ``dist_to_ref`` follows
-        ``config.reference``."""
+        for bit the points the run fed to the stack: the rows follow the
+        plan's weights and eta_n."""
         return orbit_mean_blocks(
-            self.config.weights, self.etas, self.points.blocks(self.n_steps))
+            self.plan.weights, self.plan.etas, self.points.blocks(self.n_steps))
 
     @property
     def xbars(self) -> Rows:
@@ -298,7 +335,7 @@ class RunTrace:
     def lambdas(self) -> array:
         """``lambda_n`` of each step, as an ``array("d")``; built on each read
         when every step shares one value."""
-        return _lambda_column(self.kept_lambdas, self.n_steps)
+        return self.plan.lambda_column(self.n_steps)
 
     @property
     def thetas(self) -> array:
@@ -314,9 +351,7 @@ class RunTrace:
 
         Each read builds a new array of ``n_steps`` entries: bind it once
         (``phis = trace.phis``) before reading it per step."""
-        if isinstance(self.stacks, list):
-            return array("d", [s.phi for s in self.stacks[: self.n_steps]])
-        return array("d", [self.stacks.phi]) * self.n_steps
+        return self.plan.phi_column(self.n_steps)
 
     @property
     def dist_to_ref(self) -> array | None:
@@ -324,16 +359,15 @@ class RunTrace:
         ``array("d")``, None without a reference.
 
         Each read measures the orbit (``space.Rows.distances``): bind it once
-        before reading it per step.  ``x*`` is ``config.reference`` as it is
-        at read time, as in ``final_dist_to_ref()``.  A distance that
+        before reading it per step.  ``x*`` is the plan's reference, the one
+        the run checked, as in ``final_dist_to_ref()``.  A distance that
         overflows reads inf, with no numpy warning."""
-        if self.config.reference is None:
+        if self.plan.reference is None:
             return None
-        reference = as_vector(self.config.reference, dim=self.points.dim)
         dists = array("d", [0.0]) * self.n_steps
         with np.errstate(over="ignore", invalid="ignore"):
             # a view, as np.frombuffer but lighter
-            self.points.distances(reference, np.ndarray(self.n_steps, np.float64, dists))
+            self.points.distances(self.plan.reference, np.ndarray(self.n_steps, np.float64, dists))
         return dists
 
     @property
@@ -345,40 +379,15 @@ class RunTrace:
         return self.residuals[-1]
 
     def final_dist_to_ref(self) -> float | None:
-        if self.config.reference is None:
+        if self.plan.reference is None:
             return None
-        reference = as_vector(self.config.reference, dim=self.final_point.size)
-        return norm(self.final_point - reference)
+        return norm(self.final_point - self.plan.reference)
 
     def step_differences(self) -> np.ndarray:
         """Norms ``||x_{n+1} - x_n||`` for n = 0 .. n_steps-1."""
         return np.array(
             [norm(self.points[k + 1] - self.points[k]) for k in range(self.n_steps)]
         )
-
-
-def _lambda_column(lambdas: array | float, steps: int) -> array:
-    """``lambda_0 .. lambda_{steps-1}`` as an ``array("d")``: a new column
-    repeating one float, or the first ``steps`` entries of a column (the
-    column itself when it has no more)."""
-    if isinstance(lambdas, float):
-        return array("d", [lambdas]) * steps
-    return lambdas if len(lambdas) == steps else lambdas[:steps]
-
-
-@dataclass(frozen=True)
-class RunPlan:
-    """What the pre-pass established for the steps ``n < max_iters``."""
-
-    # one float when every n shares it (one stack, and a relaxation that
-    # does not depend on n), else an array("d") of lambda_n
-    lambdas: array | float
-    stacks: list[LayerStack] | None  # None when the config holds one LayerStack
-    etas: array | None  # eta_n of inertial rows, None for the other families
-
-    def lambda_column(self, steps: int) -> array:
-        """``lambda_0 .. lambda_{steps-1}`` as an ``array("d")``."""
-        return _lambda_column(self.lambdas, steps)
 
 
 def _check_error_depth(errors: ErrorModel, m: int) -> None:
@@ -395,7 +404,8 @@ def _prevalidate(config: IterationConfig, steps: int | None = None) -> RunPlan:
     Calls a stack provider and the relaxation schedule once per n (the
     schedule only once, at n = 0, when neither its value nor the stack
     depends on n), checks that the error model reaches no layer below the
-    stack and that ``stop_residual`` is not negative or NaN, and raises the
+    stack, that ``stop_residual`` is not negative or NaN and that a
+    reference is a finite point of ``x0``'s dimension, and raises the
     first violated bound with its n.  Without ``steps``, ``max_iters`` must be
     an integer >= 0 that ``operator.index`` accepts and not a bool; 0 is a
     run of no steps.
@@ -412,7 +422,7 @@ def _prevalidate(config: IterationConfig, steps: int | None = None) -> RunPlan:
     etas = eta_values(config.weights, len(steps))
     if not callable(config.stacks):
         _check_error_depth(config.errors, config.stacks.m)
-        phi = config.stacks.phi
+        stacks, phi = config.stacks, config.stacks.phi
         if callable(config.relaxation.value):
             lambdas = array("d", [relaxation_at(config.relaxation, n, phi) for n in steps])
         elif steps:
@@ -420,19 +430,21 @@ def _prevalidate(config: IterationConfig, steps: int | None = None) -> RunPlan:
             lambdas = relaxation_at(config.relaxation, 0, phi)
         else:
             lambdas = array("d")
-        return RunPlan(lambdas, None, etas)
-    lambdas, stacks = array("d"), []
-    for n in steps:
-        stack = config.stacks(n)
-        if not stacks:
-            _check_error_depth(config.errors, stack.m)
-        elif stack.m != stacks[0].m:
-            raise ConfigurationError(
-                f"stack provider changed layer count at n={n} ({stack.m} != {stacks[0].m})"
-            )
-        stacks.append(stack)
-        lambdas.append(relaxation_at(config.relaxation, n, stack.phi))
-    return RunPlan(lambdas, stacks, etas)
+    else:
+        lambdas, stacks = array("d"), []
+        for n in steps:
+            stack = config.stacks(n)
+            if not stacks:
+                _check_error_depth(config.errors, stack.m)
+            elif stack.m != stacks[0].m:
+                raise ConfigurationError(
+                    f"stack provider changed layer count at n={n} ({stack.m} != {stacks[0].m})"
+                )
+            stacks.append(stack)
+            lambdas.append(relaxation_at(config.relaxation, n, stack.phi))
+    dim = as_vector(config.x0).size
+    reference = None if config.reference is None else as_vector(config.reference, dim=dim)
+    return RunPlan(lambdas, stacks, etas, config.weights, reference)
 
 
 #: An error-free step whose residual r_n is finite and has ``lambda_n * r_n``
@@ -525,10 +537,8 @@ def run(config: IterationConfig) -> RunTrace:
 
     points = Rows(x.size, horizon + 1)
     points.append(x)
-    memoryless = config.weights.support_bound == 1  # every row is x_n alone
+    memoryless = plan.weights.support_bound == 1  # every row is x_n alone
     residuals, thetas, norms = array("d"), array("d"), array("d")
-    if config.reference is not None:  # rejects a wrong dimension or a non-finite entry
-        as_vector(config.reference, dim=x.size)
     recorder = config.aux_recorder
     columns = keep_columns = None  # the recorder's rows, opened at its first record
     shape = x.shape
@@ -536,8 +546,8 @@ def run(config: IterationConfig) -> RunTrace:
     new_point, add = points.new_row, np.add
     keep_residual, keep_theta, keep_norms = residuals.append, thetas.append, norms.extend
 
-    stack = config.stacks  # the one LayerStack, unless the plan has one per n
-    per_step = plan.stacks
+    stack = plan.stacks  # the one LayerStack, unless the plan has one per n
+    per_step = stack if isinstance(stack, list) else None
     if per_step is None:
         m, fns = stack.m, [op.fn for op in reversed(stack.layers)]
     else:
@@ -545,8 +555,8 @@ def run(config: IterationConfig) -> RunTrace:
     no_error = (0.0,) * m
     lambdas = plan.lambdas
     each_lambda = repeat(lambdas) if isinstance(lambdas, float) else lambdas
-    xbar_at = None if memoryless else orbit_mean(config.weights, plan.etas)
-    names_row = config.weights.family in ("window", "inertial")
+    xbar_at = None if memoryless else orbit_mean(plan.weights, plan.etas)
+    names_row = plan.weights.family in ("window", "inertial")
     errors_for = config.errors.errors_for
     if type(config.errors).errors_for is ErrorModel.errors_for:
         errors_for = None  # the error-free model: no call per step
@@ -616,19 +626,18 @@ def run(config: IterationConfig) -> RunTrace:
         error_norms = np.ndarray((n_steps, m), np.float64, bytes(8 * m), 0, (0, 8))
     else:
         error_norms = np.frombuffer(norms, dtype=np.float64).reshape(n_steps, m)
+    if not isinstance(lambdas, float):
+        plan = replace(plan, lambdas=plan.lambda_column(n_steps))
     return RunTrace(
         config=config,
-        stacks=config.stacks if per_step is None else per_step,
-        etas=plan.etas,
+        plan=plan,
         points=points,
-        kept_lambdas=lambdas if isinstance(lambdas, float) else _lambda_column(lambdas, n_steps),
         residuals=residuals,
         kept_thetas=thetas,
         error_norms=error_norms,
         aux=None if recorder is None else AuxRecords(columns or {}, n_steps),
         stop_reason=stop_reason,
         flags=list(log),
-        peak_orbit_points=min(config.weights.support_bound or 1, len(points)),
     )
 
 
@@ -684,7 +693,6 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
         raise ConfigurationError("budget horizon must be >= 1")
     plan = _prevalidate(config, horizon + 1)
     lambdas = plan.lambda_column(horizon + 1)
-    first = config.stacks if plan.stacks is None else plan.stacks[0]
     weights = config.weights
     nonneg = weights.nonnegative
     flags: list[str] = []
@@ -709,7 +717,7 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
         terms.append(chi_n * lam * per_iter)
     if any_error and not nonneg:
         all_unit_lambda = all(lam == 1.0 for lam in lambdas)
-        if not (all_unit_lambda and first.layers[0].bounded_range):
+        if not (all_unit_lambda and plan.stack_at(0).layers[0].bounded_range):
             flags.append(
                 "unsupported-regime: errors under inertial weights are only "
                 "covered with unit relaxation and a bounded-range outer layer"

@@ -43,6 +43,7 @@ from affiter import (
     prox_l1,
     relaxation_at,
     run,
+    run_certificates,
     soft_threshold,
     window,
 )
@@ -465,6 +466,36 @@ class TestPlan:
         # the first violated bound keeps its n = 0
         with pytest.raises(ConfigurationError, match=r"^lambda_0 = 5\.0 exceeds"):
             run(dataclasses.replace(cfg, relaxation=constant_relaxation(5.0)))
+
+    @pytest.mark.parametrize("gamma", [0.8, lambda n: 0.6 + 0.4 / (n + 1)],
+                             ids=["one-stack", "provider"])
+    def test_the_trace_reads_its_plan_not_the_config(self, gamma):
+        problem = catalog("l1_quadratic", a=[2.0, -0.3])
+        preset = forward_backward(
+            A=problem.ingredients["A"], B=problem.ingredients["grad"], beta=problem.beta,
+            gamma=gamma, x0=vec(-1.0, 2.0), variant="mean", weights=window(2), max_iters=30,
+            stop_residual=0.0, reference=problem.reference,
+        )
+        _, trace = preset.solve()
+        x_ref = problem.reference
+
+        def read():
+            reports = run_certificates(trace, x_ref, which=("i", "ii", "iii"))
+            return [np.asarray(trace.xbars[n]).tobytes() for n in range(trace.n_steps)] + [
+                array("d", trace.dist_to_ref).tobytes(), repr(trace.final_dist_to_ref()),
+                trace.lambdas.tobytes(), trace.phis.tobytes(),
+                *(rep.slacks.tobytes() for rep in reports.values()),
+            ]
+
+        before = read()
+        other = forward_backward(
+            A=problem.ingredients["A"], B=problem.ingredients["grad"], beta=problem.beta,
+            gamma=0.3, x0=vec(-1.0, 2.0), max_iters=30,
+        )
+        preset.config.weights = cesaro()
+        preset.config.reference = x_ref + 1.0
+        preset.config.stacks = other.config.stacks
+        assert read() == before
 
     def test_custom_eta_leaving_band_raises_before_operator_calls(self):
         # the bad value sits deep in the horizon: only a whole-horizon check sees it early
