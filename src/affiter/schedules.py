@@ -302,9 +302,9 @@ def orbit_mean_blocks(
     window block takes ``2 w - 1`` over its rows past the first ``w - 1``,
     which it forms row by row from the carry; a cesaro block one
     ``np.add.accumulate``, an array of its shape holding each row's count and
-    one divide by it (two more to start from the carry); an inertial block
-    about ten, over all its rows, after which the rows with ``eta_n = 0``
-    are copies of ``x_n``.
+    one divide by it (a later block first stacks the carry on top of it); an
+    inertial block about ten, over all its rows, after which the rows with
+    ``eta_n = 0`` are copies of ``x_n``.
     The orbit of a returned trace is finite, and so is each ``xbar_n``, so
     no numpy event arises (an ``eta_n = 0`` row multiplies ``x_{n-1}`` by
     -0.0 before its copy replaces it).
@@ -321,11 +321,9 @@ def orbit_mean_blocks(
         elif family == "cesaro":
             if carry is None:
                 sums = np.add.accumulate(block, axis=0)
-            else:
-                sums = np.empty(block.shape)
-                np.add(carry, block[0], out=sums[0])
-                sums[1:] = block[1:]
-                np.add.accumulate(sums, axis=0, out=sums)
+            else:  # the running total on top of the block, accumulated in place
+                sums = np.vstack((carry, block))
+                sums = np.add.accumulate(sums, axis=0, out=sums)[1:]
             carry = sums[-1]
             # row i's count n + 1 in each column: a divide whose operands have
             # one shape takes numpy's plain loop, where a broadcast builds an
@@ -337,13 +335,9 @@ def orbit_mean_blocks(
             # (-eta_n) x_{n-1} + (1 + eta_n) x_n on every row
             eta = eta_all[start : start + len(block), None]
             rows = np.multiply(1.0 + eta, block)
-            before = np.empty(block.shape)
-            np.multiply(-eta[1:], block[:-1], out=before[1:])
-            if carry is None:
-                before[0] = 0.0  # eta_0 = 0: row 0 is x_0, copied below
-            else:
-                np.multiply(-eta[0], carry, out=before[0])
-            np.add(before, rows, out=rows)
+            # x_{n-1} of each row; x_0 stands in for x_{-1}, as eta_0 = 0
+            before = np.vstack((block[0] if carry is None else carry, block[:-1]))
+            np.add(np.multiply(-eta, before, out=before), rows, out=rows)
             zero = np.flatnonzero(eta == 0.0)
             rows[zero] = block[zero]
             carry = block[-1]
@@ -353,10 +347,7 @@ def orbit_mean_blocks(
             # the block's first w - 1 rows read the carry, one row at a time
             for i in range(min(w - 1, size)):
                 points = carry[max(0, len(carry) + i + 1 - w) :] + list(block[: i + 1])
-                if len(points) == 1:
-                    rows[i] = points[0]
-                else:
-                    _window_sum(points, 1.0 / len(points), rows[i])
+                _window_sum(points, 1.0 / len(points), rows[i])  # 1.0 * x is x
             if size >= w:
                 views = (block[j : j + size + 1 - w] for j in range(w))
                 _window_sum(views, 1.0 / w, rows[w - 1 :])
