@@ -137,6 +137,8 @@ def run_certificates(
     from a stack provider.  Certificate (iii) also evaluates the stack tails
     at ``xbar_n`` every iteration, and at ``x_ref`` once per distinct stack.
     """
+    if isinstance(which, str):  # set("ii") is {"i"}, and "ii" in "iii" holds
+        raise ConfigurationError(f"which must be a sequence of certificate names, got {which!r}")
     x_ref = as_vector(x_ref, dim=trace.points.dim)
     unknown = set(which) - {"i", "ii", "iii"}
     if unknown:

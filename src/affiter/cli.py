@@ -189,19 +189,19 @@ def _eta_from(cfg: dict, where: str = "solver.params.eta") -> EtaSchedule:
     )
 
 
-def _errors_from(cfg: dict):
+def _errors_from(cfg: dict, dim: int):
     model = _read(cfg, "errors.model", _string, "none")
     if model == "none":
         return None
     if model == "geometric":
         return GeometricError(
             rate=_read(cfg, "errors.rate", _float),
-            direction=as_vector(_read(cfg, "errors.direction", _vector)),
+            direction=as_vector(_read(cfg, "errors.direction", _vector), dim=dim),
             layer=_read(cfg, "errors.layer", _integer, 1),
         )
     if model == "custom":
         values = [
-            None if v is None else as_vector(_as(_vector, v, f"errors.values[{k}]"))
+            None if v is None else as_vector(_as(_vector, v, f"errors.values[{k}]"), dim=dim)
             for k, v in enumerate(_read(cfg, "errors.values", _list))
         ]
         layer = _read(cfg, "errors.layer", _integer, 1)
@@ -282,7 +282,7 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
         raise ConfigurationError(f"unsupported relaxation policy {policy!r} (only \"constant\")")
     if "value" in relax_cfg:
         kwargs["lam"] = _read(relax_cfg, "relaxation.value", kinds.get("lambda", _number))
-    error_model = _errors_from(_read(cfg, "errors", _object, {}))
+    error_model = _errors_from(_read(cfg, "errors", _object, {}), problem.dim)
 
     # the builder applies its own error rules to the config's model
     common = dict(max_iters=horizon, stop_residual=stop_residual, reference=problem.reference,

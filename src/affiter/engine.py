@@ -375,8 +375,9 @@ class RunTrace:
         return self.points[-1]
 
     @property
-    def final_residual(self) -> float:
-        return self.residuals[-1]
+    def final_residual(self) -> float | None:
+        """``r_{N-1}``, None for a run of no steps."""
+        return self.residuals[-1] if self.residuals else None
 
     def final_dist_to_ref(self) -> float | None:
         if self.plan.reference is None:
@@ -404,8 +405,9 @@ def _prevalidate(config: IterationConfig, steps: int | None = None) -> RunPlan:
     Calls a stack provider and the relaxation schedule once per n (the
     schedule only once, at n = 0, when neither its value nor the stack
     depends on n), checks that the error model reaches no layer below the
-    stack, that ``stop_residual`` is not negative or NaN and that a
-    reference is a finite point of ``x0``'s dimension, and raises the
+    stack, that ``stop_residual`` is not negative or NaN, that a reference
+    is a finite point of ``x0``'s dimension and that a ``GeometricError``'s
+    direction has that dimension, and raises the
     first violated bound with its n.  Without ``steps``, ``max_iters`` must be
     an integer >= 0 that ``operator.index`` accepts and not a bool; 0 is a
     run of no steps.
@@ -444,6 +446,9 @@ def _prevalidate(config: IterationConfig, steps: int | None = None) -> RunPlan:
             lambdas.append(relaxation_at(config.relaxation, n, stack.phi))
     dim = as_vector(config.x0).size
     reference = None if config.reference is None else as_vector(config.reference, dim=dim)
+    if isinstance(config.errors, GeometricError) and config.errors.direction.size != dim:
+        raise ConfigurationError(
+            f"error direction has dimension {config.errors.direction.size}, but x0 has {dim}")
     return RunPlan(lambdas, stacks, etas, config.weights, reference)
 
 

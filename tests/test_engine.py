@@ -536,6 +536,23 @@ class TestPlan:
                 run(cfg)
         assert calls == []
 
+    def test_an_error_direction_of_another_dimension_raises_before_operator_calls(self):
+        calls = []
+        op = AveragedOperator(fn=lambda x: calls.append(1) or 0.5 * x, alpha=0.5)
+        for stacks in (compose([op]), lambda n: compose([op])):
+            cfg = IterationConfig(
+                stacks=stacks, weights=window(2), relaxation=constant_relaxation(1.0),
+                x0=vec(1.0, 2.0), errors=GeometricError(0.5, vec(0.1, 0.2, 0.3)),
+                max_iters=10, stop_residual=0.0,
+            )
+            with pytest.raises(ConfigurationError) as info:
+                run(cfg)
+            assert str(info.value) == "error direction has dimension 3, but x0 has 2"
+            # the error budget reads the same pre-pass
+            with pytest.raises(ConfigurationError, match="^error direction has dimension 3"):
+                error_budget_check(cfg, 5)
+        assert calls == []
+
     @settings(deadline=None, max_examples=80)
     @given(
         weights=KERNEL_WEIGHTS,
@@ -761,6 +778,14 @@ class TestMaxIters:
         trace = run(cfg)
         assert trace.n_steps == 0 and len(trace.points) == 1 and calls == []
         assert trace.phis.tolist() == [] and trace.stop_reason == "max_iters"
+
+    def test_a_run_of_no_steps_has_no_final_residual(self):
+        cfg, _calls = self.counted_config(0)
+        cfg.reference = vec(0.0)
+        trace = run(cfg)
+        assert trace.final_residual is None
+        assert trace.final_dist_to_ref() == 1.0 and trace.dist_to_ref.tolist() == []
+        assert run(dataclasses.replace(cfg, max_iters=1)).final_residual == 0.5
 
     def test_an_integer_like_max_iters_runs(self):
         cfg, _calls = self.counted_config(np.int64(4))

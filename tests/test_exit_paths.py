@@ -50,6 +50,7 @@ from affiter import (
     relaxation_at,
     relaxed,
     resolvent_operator,
+    run_certificates,
     summability_monitor,
     tail_apply,
     validate_weights,
@@ -114,6 +115,11 @@ def bad_reference_of_a_quasinonexpansive_stack():
     verify_reference(trace, np.array([5.0, 5.0]))
 
 
+def certificates_named_by_a_string(which):
+    _, trace = fb(max_iters=5).solve()
+    run_certificates(trace, [1.0], which=which)
+
+
 def long_row_past_capacity():
     rows = Rows(BLOCK_FLOATS, 1)
     rows.append(np.zeros(BLOCK_FLOATS))
@@ -175,6 +181,9 @@ LIBRARY = [
      ConfigurationError, "layer index must be an integer, got 1.5"),
     ("GeometricError-layer-bool", lambda: GeometricError(0.5, [0.1], layer=True),
      ConfigurationError, "layer index must be an integer, got True"),
+    ("run-geometric-direction-dimension",
+     lambda: fb(errors=GeometricError(0.5, [0.1, 0.2])).solve(),
+     ConfigurationError, "error direction has dimension 2, but x0 has 1"),
     ("error_budget_check-horizon-0", lambda: budget_at_horizon(0),
      ConfigurationError, "budget horizon must be >= 1"),
     ("error_budget_check-horizon-float", lambda: budget_at_horizon(2.5),
@@ -240,6 +249,10 @@ LIBRARY = [
     # certificates
     ("verify_reference-layer", bad_reference_of_a_quasinonexpansive_stack,
      InvalidReferenceError, "reference is not fixed by layer 2 of the stack at n=0"),
+    *((f"run_certificates-which-{which}", lambda which=which: certificates_named_by_a_string(which),
+       ConfigurationError,
+       f"which must be a sequence of certificate names, got {which!r}")
+      for which in ("ii", "iii", "iv")),
     ("gronwall_envelope-negative-theta",
      lambda: gronwall_envelope(0.0, [0.1], [0.0], theta_seq=[0.0, -1.0]),
      ConfigurationError, "theta sequence must be nonnegative"),
@@ -354,3 +367,17 @@ def test_cli_exit_path(tmp_path, capsys, config, message):
     captured = capsys.readouterr()
     assert captured.err == "configuration error: " + message.format(path=path) + "\n"
     assert captured.out == "" and not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("errors", [
+    {"model": "geometric", "rate": 0.5, "direction": [0.01, 0.02, 0.03]},
+    {"model": "custom", "values": [None, [0.01, 0.02, 0.03]]},
+], ids=["geometric-direction", "custom-values"])
+def test_run_and_validate_reject_an_error_vector_of_another_dimension(tmp_path, capsys, errors):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(FB_CONFIG, errors=errors)))
+    for command in (["run", str(path), "--out-dir", str(tmp_path)], ["validate", str(path)]):
+        assert cli.main(command) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: expected dimension 1, got 3\n"
+        assert captured.out == "" and not (tmp_path / "trace.csv").exists()
