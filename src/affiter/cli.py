@@ -372,8 +372,8 @@ def cmd_run(args) -> int:
 
     cert_summary = {}
     cert_i = cert_ii = None
-    if preset.config.reference is not None:
-        reports = run_certificates(trace, preset.config.reference, which=("i", "ii"))
+    if trace.plan.reference is not None:
+        reports = run_certificates(trace, trace.plan.reference, which=("i", "ii"))
         cert_i = reports["i"].slacks
         cert_ii = reports["ii"].slacks
         cert_summary = {
