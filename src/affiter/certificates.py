@@ -147,12 +147,15 @@ def run_certificates(
     ``einsum`` would not be.  Certificate (iii) reads ``xbar_n`` from a
     second such pass, so no pass holds more than one block of ``xbar_n``.
     ``trace.lambdas`` and ``trace.thetas`` are read once.  The squares of
-    the distances and of r_n are libm's, as ``x**2`` takes them
-    (``_squares``: numpy's differ in the last bit), and the rest of (ii) is
-    float64 array arithmetic over them in the order of the per-step
-    expression, so each slack is that expression's Python float.  Stacks are read from the trace (``RunTrace.stack_at``), never
-    from a stack provider.  Certificate (iii) also evaluates the stack tails
-    at ``xbar_n`` every iteration, and at ``x_ref`` once per distinct stack.
+    the distances and of r_n are libm's ``pow(v, 2.0)``, the call ``v**2``
+    makes (``_squares``): glibc's ``pow`` is not correctly rounded, and
+    ``v * v`` differs from it in the last bit on 1 660 of 2 000 000
+    standard normal values.  The rest of (ii) is float64 array arithmetic
+    over those squares in the order of the per-step Python expression, so
+    each slack is that expression's float, bit for bit.  Stacks are read
+    from the trace (``RunTrace.stack_at``), never from a stack provider.
+    Certificate (iii) also evaluates the stack tails at ``xbar_n`` every
+    iteration, and at ``x_ref`` once per distinct stack.
     """
     if isinstance(which, str):  # set("ii") is {"i"}, and "ii" in "iii" holds
         raise ConfigurationError(f"which must be a sequence of certificate names, got {which!r}")
@@ -175,8 +178,8 @@ def run_certificates(
             rhs = abs_weighted_sums(trace.plan.weights, d, trace.plan.etas)
             slacks["i"] = (rhs + np.asarray(thetas)) - d[1:]
         # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n:
-        # libm squares (_squares), then elementwise float64 operations in the
-        # order of the per-step expression, so each slack is its Python float
+        # libm's squares, as v**2 takes them (v * v differs on 1 660 of 2e6
+        # normal values), then float64 array operations in the scalar order
         if {"ii", "iii"} & set(which):
             # rows of one point are x_n itself; the others are formed and
             # measured one block at a time
