@@ -58,7 +58,7 @@ from .schedules import (
     orbit_mean_blocks,
     relaxation_at,
 )
-from .space import Rows, Vector, all_finite, as_vector, norm
+from .space import Rows, Vector, all_finite, as_vector, check_same_dim, norm
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +683,9 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     finite 1-D float64 errors the partial sums are
     ``np.cumsum(trace.thetas)`` of a run given the same errors, bit for bit;
     ``SequenceError`` reads every value through ``error_vector``, so its
-    errors are such arrays whatever dtype the user gave.  Any other error
-    value goes through ``as_vector``, which coerces it or raises.
+    errors are such arrays whatever dtype the user gave.  An error whose
+    shape is not x0's raises the run's ``dimension mismatch``; any other
+    error value goes through ``as_vector``, which coerces it or raises.
     ``lambda_n`` and the stacks come from the run's pre-pass over
     ``horizon + 1`` steps, which raises the same configuration errors a run
     would.  Flags inertial weights carrying errors outside the supported
@@ -698,6 +699,8 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
         raise ConfigurationError("budget horizon must be >= 1")
     plan = _prevalidate(config, horizon + 1)
     lambdas = plan.lambda_column(horizon + 1)
+    x0 = as_vector(config.x0)
+    shape = x0.shape
     weights = config.weights
     nonneg = weights.nonnegative
     flags: list[str] = []
@@ -710,11 +713,13 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
         for e in errors_for(n) or ():
             if e is None:
                 continue
-            fast = type(e) is np.ndarray and e.dtype == _FLOAT64 and e.ndim == 1 and e.size
+            fast = type(e) is np.ndarray and e.dtype == _FLOAT64 and e.shape == shape
             r = math.sqrt(e.dot(e)) if fast else math.inf  # norm(e), inlined
             if not math.isfinite(r):
-                # coerces, or raises on non-finite entries; finite entries
-                # whose squares overflow keep the norm inf
+                # another shape gets the run's message; then coerces, or raises
+                # on non-finite entries; finite entries whose squares overflow
+                # keep the norm inf
+                check_same_dim(x0, e)
                 r = norm(as_vector(e))
             per_iter += r
         if per_iter > 0.0:

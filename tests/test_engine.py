@@ -891,9 +891,11 @@ class TestErrorBudget:
         (np.array([np.inf, 0.0]), "point has non-finite coordinates"),
     ], ids=["float64", "list", "int", "float32", "overflow", "2-D", "nan", "inf"])
     def test_sequence_budget_coerces_only_what_it_must(self, value, expected):
-        # a finite 1-D float64 array is its own norm; every other value goes
-        # through as_vector, with its value or its message
+        # a finite float64 array of x0's shape is its own norm; every other
+        # value goes through as_vector, with its value or its message
         cfg = self.base_config(memoryless(), SequenceError([lambda n: value]))
+        if np.size(value) == 2:  # an error of another dimension than x0's is rejected
+            cfg.stacks, cfg.x0 = NEG_ID2, vec(1.0, 1.0)
         if isinstance(expected, str):
             with pytest.raises(ConfigurationError, match=re.escape(expected)):
                 error_budget_check(cfg, 1)

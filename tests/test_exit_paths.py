@@ -95,6 +95,15 @@ def budget_at_horizon(horizon):
     error_budget_check(config, horizon)
 
 
+def budget_of_an_error_of_another_dimension():
+    # the run raises the same message at its first step
+    prob = catalog("l1_quadratic", a=[2.0, 1.0])
+    preset = forward_backward(A=prob.ingredients["A"], B=prob.ingredients["grad"],
+                              beta=prob.beta, gamma=1.0, x0=[0.0, 0.0],
+                              a_errors=lambda n: [0.1, 0.2, 0.3])
+    error_budget_check(preset.config, 5)
+
+
 class SupOneEta:
     """A duck-typed eta schedule whose declared supremum is 1."""
 
@@ -190,6 +199,8 @@ LIBRARY = [
      ConfigurationError, "budget horizon must be an integer, got 2.5"),
     ("error_budget_check-horizon-bool", lambda: budget_at_horizon(True),
      ConfigurationError, "budget horizon must be an integer, got True"),
+    ("error_budget_check-sequence-dimension", budget_of_an_error_of_another_dimension,
+     ConfigurationError, "dimension mismatch: (2,) vs (3,)"),
     # schedules
     ("chi_value-index-float", lambda: chi_value(memoryless(), 2.5),
      ConfigurationError, "chi index must be an integer, got 2.5"),
