@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from affiter import (
     ConfigurationError,
     EtaSchedule,
+    GeometricError,
     InertialBandParams,
     InvalidReferenceError,
     IterationConfig,
@@ -77,7 +78,7 @@ def pairwise_slacks(trace, x_ref):
     ii, iii = [], []
     phis, lambdas, thetas, xbars = trace.phis, trace.lambdas, trace.thetas, trace.xbars
     for n in range(trace.n_steps):
-        row = trace.config.weights.row(n)
+        row = trace.plan.weights.row(n)
         lam, phi, r_n, theta = lambdas[n], phis[n], trace.residuals[n], thetas[n]
         xbar = xbars[n]
         dbar = float(np.linalg.norm(xbar - x_ref))
@@ -484,7 +485,7 @@ class TestRunCertificates:
         x_ref = prob.reference
         # certificate (i) as the explicit row sum: the oracle the kernel must match
         dists = [float(np.linalg.norm(p - x_ref)) for p in trace.points]
-        weights = trace.config.weights
+        weights = trace.plan.weights
         rhs = np.array([
             math.fsum(abs(w) * dists[j] for j, w in weights.row(n).items())
             for n in range(trace.n_steps)
@@ -613,7 +614,7 @@ class TestMeasuredDistances:
     @pytest.mark.parametrize("case", CASES)
     def test_a_list_reference_gives_the_array_references_slacks(self, case):
         trace = self.solve(case)
-        x_ref = trace.config.reference
+        x_ref = trace.plan.reference
         assert self.slacks(trace, list(x_ref)) == self.slacks(trace, x_ref)
 
     @pytest.mark.parametrize("case", ["memoryless", "window3", "peaceman_rachford"])
@@ -621,7 +622,7 @@ class TestMeasuredDistances:
         trace = self.solve(case, max_iters=400, stop_residual=1e-6)
         assert trace.stop_reason == "residual" and trace.n_steps < 400
         assert len(trace.dist_to_ref) == trace.n_steps == len(trace.points) - 1
-        x_ref = trace.config.reference
+        x_ref = trace.plan.reference
         expected = loop_slacks(trace, x_ref, ("i", "ii", "iii"))
         assert self.slacks(trace, x_ref) == {
             name: slacks.tobytes() for name, slacks in expected.items()
@@ -643,7 +644,7 @@ class TestLongCesaroCertificateI:
 
     def test_slacks_stay_within_two_eps_of_the_row_fsum(self, solved):
         trace = solved
-        x_ref = trace.config.reference
+        x_ref = trace.plan.reference
         assert trace.n_steps == 2000 and not any(trace.thetas)
         dists = np.array([float(np.linalg.norm(p - x_ref)) for p in trace.points])
         rhs = np.array([math.fsum((dists[:k] * (1.0 / k)).tolist()) for k in range(1, 2001)])
@@ -653,7 +654,7 @@ class TestLongCesaroCertificateI:
         assert np.all(np.abs(got - oracle) <= 2.0 * EPS * rhs + np.spacing(np.abs(oracle)))
 
     def test_certificate_i_costs_no_more_than_ii(self, solved):
-        x_ref = solved.config.reference
+        x_ref = solved.plan.reference
 
         def best_of_five(which):
             times = []
@@ -684,7 +685,7 @@ def loop_slacks(trace, x_ref, which):
         theta_n, xbar, r_n = thetas[n], xbars[n], trace.residuals[n]
         lam, phi, lhs1 = lambdas[n], phis[n], dists[n + 1]
         if "i" in which:
-            row = trace.config.weights.row(n)
+            row = trace.plan.weights.row(n)
             rhs = math.fsum(abs(w) * dists[j] for j, w in row.items())
             out["i"][n] = (rhs + theta_n) - lhs1
         dbar = dists[n] if np.shares_memory(xbar, points[n]) else norm(xbar - x_ref)
@@ -767,7 +768,7 @@ class TestArrayPasses:
             traces[block_floats] = self.solve(family, dim)
         which = ("i", "ii", "iii") if family != "cesaro" else ("ii", "iii")
         for trace in traces.values():
-            ref = trace.config.reference
+            ref = trace.plan.reference
             for x_ref in (ref, ref + 0.01 * np.arange(dim)):
                 expected = loop_slacks(trace, x_ref, which)
                 got = run_certificates(trace, x_ref, which=which, check_reference=False)
@@ -789,7 +790,7 @@ class TestArrayPasses:
             x0=rng.standard_normal(dim), variant="inertial", eta=eta, max_iters=40,
             stop_residual=0.0, reference=soft_threshold(a, 1.0),
         ).solve()[1]
-        x_ref = trace.config.reference
+        x_ref = trace.plan.reference
         if foreign:
             x_ref = x_ref + rng.standard_normal(dim)
         got = np.empty(trace.n_steps)
@@ -809,7 +810,7 @@ class TestArrayPasses:
         # the stacked xbar_n take at most space.BLOCK_FLOATS floats at a time,
         # not the whole N x d orbit (16 MB here)
         trace = self.solve("window2", 20_000, max_iters=100)
-        x_ref = trace.config.reference
+        x_ref = trace.plan.reference
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -818,3 +819,83 @@ class TestArrayPasses:
         finally:
             tracemalloc.stop()
         assert peak - start <= 2_000_000
+
+
+class TestSquaresKernel:
+    """Certificates (ii) and (iii) over libm squares, against the per-row loop."""
+
+    FAMILIES = {
+        "memoryless": {},
+        "window2": dict(variant="mean", weights=window(2)),
+        "window3": dict(variant="mean", weights=window(3)),
+        "window4": dict(variant="mean", weights=window(4)),
+        "cesaro": dict(variant="mean", weights=cesaro()),
+        "nesterov": dict(variant="inertial", eta=EtaSchedule(kind="nesterov", tau=2.0)),
+    }
+
+    @staticmethod
+    def config(family, dim, rng, scale=1.0, max_iters=12):
+        a = rng.uniform(-3.0, 3.0, dim)
+        return forward_backward(
+            A=l1_subdifferential(), B=lambda x: x - a, beta=1.0, gamma=0.8,
+            x0=rng.standard_normal(dim) * scale, max_iters=max_iters, stop_residual=0.0,
+            reference=soft_threshold(a, 1.0), **TestSquaresKernel.FAMILIES[family],
+        ).config
+
+    @settings(deadline=None, max_examples=100)
+    @given(family=st.sampled_from(sorted(FAMILIES)), dim=st.integers(1, 8),
+           k=st.integers(-500, 500), errors=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_slacks_equal_the_per_row_loop_at_every_scale(self, family, dim, k, errors, seed):
+        rng = np.random.default_rng(seed)
+        scale = 2.0**k
+        config = self.config(family, dim, rng, scale)
+        if errors:
+            # run() takes errors under inertial weights, which the builder rejects
+            direction = rng.standard_normal(dim) * scale
+            config = dataclasses.replace(config, errors=GeometricError(0.5, direction))
+        trace = run(config)
+        x_ref = trace.plan.reference
+        expected = loop_slacks(trace, x_ref, ("ii", "iii"))
+        got = run_certificates(trace, x_ref, which=("ii", "iii"), check_reference=False)
+        for name in ("ii", "iii"):
+            assert got[name].slacks.tobytes() == expected[name].tobytes(), name
+
+    def test_squares_are_those_of_the_power_operator(self):
+        values = np.random.default_rng(2026).standard_normal(100_000).tolist() + [
+            0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 1e-160,
+            math.inf, -math.inf, math.nan,
+        ]
+        expected = np.array([v**2 for v in values])
+        assert certificates._squares(values).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("family", ["memoryless", "cesaro"])
+    def test_a_run_of_no_steps_gets_empty_slacks(self, family):
+        trace = run(self.config(family, 2, np.random.default_rng(0), max_iters=0))
+        assert trace.n_steps == 0
+        reports = run_certificates(trace, trace.plan.reference, which=("i", "ii", "iii"))
+        for report in reports.values():
+            assert report.slacks.shape == (0,) and report.slacks.dtype == np.float64
+            assert report.passed
+
+    def test_slacks_read_the_plan_after_the_config_is_reassigned(self):
+        # the oracle reads trace.plan, as the kernel does: reassigning the
+        # caller's config after the run changes neither
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-3.0, 3.0, 3)
+        preset = forward_backward(
+            A=l1_subdifferential(), B=lambda x: x - a, beta=1.0, gamma=0.8,
+            x0=rng.standard_normal(3), max_iters=30, stop_residual=0.0,
+            b_errors=lambda n: 0.5**n * np.ones(3), reference=soft_threshold(a, 1.0),
+            variant="mean", weights=window(2),
+        )
+        _, trace = preset.solve()
+        x_ref = trace.plan.reference
+        which = ("i", "ii", "iii")
+        before = run_certificates(trace, x_ref, which=which)
+        preset.config.weights = cesaro()
+        preset.config.reference = x_ref + 1.0
+        expected = loop_slacks(trace, trace.plan.reference, which)
+        got = run_certificates(trace, trace.plan.reference, which=which)
+        for name in which:
+            assert got[name].slacks.tobytes() == expected[name].tobytes(), name
+            assert got[name].slacks.tobytes() == before[name].slacks.tobytes(), name

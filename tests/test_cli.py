@@ -578,7 +578,7 @@ class TestTraceWriter:
 
     def test_float64_slack_arrays(self, tmp_path):
         trace = self.trace(reference=np.array([1.0, 1.0]))
-        reports = run_certificates(trace, trace.config.reference, which=("i", "ii"))
+        reports = run_certificates(trace, trace.plan.reference, which=("i", "ii"))
         cert_i, cert_ii = reports["i"].slacks, reports["ii"].slacks
         assert cert_i.dtype == cert_ii.dtype == np.float64
         dists = trace.dist_to_ref
