@@ -130,6 +130,14 @@ def _vector(value):
     return value
 
 
+def _point(value, path: str, dim: int):
+    """``as_vector(value)``; another dimension than ``dim`` is an error naming ``path``."""
+    v = as_vector(value)
+    if v.size != dim:
+        raise ConfigurationError(f"{path} must have dimension {dim}, got {v.size}")
+    return v
+
+
 _KINDS = {_integer: "an integer", _string: "a string", _object: "an object",
           _list: "a list", _vector: "a vector of numbers"}
 
@@ -196,12 +204,13 @@ def _errors_from(cfg: dict, dim: int):
     if model == "geometric":
         return GeometricError(
             rate=_read(cfg, "errors.rate", _float),
-            direction=as_vector(_read(cfg, "errors.direction", _vector), dim=dim),
+            direction=_point(_read(cfg, "errors.direction", _vector), "errors.direction", dim),
             layer=_read(cfg, "errors.layer", _integer, 1),
         )
     if model == "custom":
         values = [
-            None if v is None else as_vector(_as(_vector, v, f"errors.values[{k}]"), dim=dim)
+            None if v is None else _point(_as(_vector, v, f"errors.values[{k}]"),
+                                          f"errors.values[{k}]", dim)
             for k, v in enumerate(_read(cfg, "errors.values", _list))
         ]
         layer = _read(cfg, "errors.layer", _integer, 1)
@@ -275,7 +284,7 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     stop_residual = _read(cfg, "stop_residual", _float, 1e-10)
-    x0 = as_vector(_read(cfg, "x0", _vector, np.zeros(problem.dim)), dim=problem.dim)
+    x0 = _point(_read(cfg, "x0", _vector, np.zeros(problem.dim)), "x0", problem.dim)
     relax_cfg = _read(cfg, "relaxation", _object, {})
     policy = _read(relax_cfg, "relaxation.policy", _string, "constant")
     if policy != "constant":

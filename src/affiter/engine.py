@@ -32,8 +32,8 @@ derived as an ``array("d")`` column, and the per-layer error norms as one
 float64 array.  It keeps one copy of each fact: ``xbar_n`` is formed again
 from the orbit where it is read (``RunTrace.xbars``, ``xbar_blocks``), by
 the block form of the step kernel (``schedules.orbit_mean_blocks``), bit for
-bit; a ``lambda_n`` shared by every step is one float, and an error-free
-run keeps no theta_n.  A step leaves no Python object behind in the trace.
+bit; a ``lambda_n`` shared by every step is one float, and theta_n is read
+from the error norms.  A step leaves no Python object behind in the trace.
 """
 
 from __future__ import annotations
@@ -160,11 +160,10 @@ class IterationConfig:
     (None, or per-layer vectors outermost first), so a recorder reads the
     errors the step injected without calling the error model again.  The
     keys of the first record fix the columns of ``trace.aux``: the run
-    copies each value into the packed rows of its key, and a later record
-    with other keys, or a value of another shape (a scalar too, which is
-    not broadcast), raises ``ConfigurationError`` naming the key and n.
-    As with ``space.Rows``, a row of ``BLOCK_FLOATS`` floats or more is
-    kept as the array the recorder returned, not copied.
+    copies each value into the packed rows of its key (so a recorder may
+    reuse one buffer), and a later record with other keys, or a value of
+    another shape (a scalar too, not broadcast), raises
+    ``ConfigurationError`` naming the key and n.
     """
 
     stacks: LayerStack | Callable[[int], LayerStack]
@@ -231,7 +230,7 @@ class RunPlan:
     every n shares it (one stack, and a relaxation that does not depend on
     n), else an ``array("d")``; ``stacks`` the config's LayerStack, or the
     provider's stack of each n; ``etas`` the eta_n of inertial rows, else
-    None; ``reference`` the checked x* (a float64 vector), or None."""
+    None; ``reference`` a float64 copy of the checked x*, or None."""
 
     lambdas: array | float
     stacks: LayerStack | list[LayerStack]
@@ -266,11 +265,11 @@ class RunPlan:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of a run, plus the config that produced it.
-
-    The trace keeps the orbit and derives the rest where it is read, from it
-    and from ``plan``: the pre-pass's ``RunPlan`` (its lambda_n column cut to
-    ``n_steps``), so it reads what the run applied, not ``config``.
+    """Per-iteration record of a run, in memory that it owns: it shares no
+    array with the caller.  It keeps one copy of each fact, the orbit, and
+    derives the rest where it is read, from it and from ``plan``: the
+    pre-pass's ``RunPlan`` (its lambda_n column cut to ``n_steps``), so it
+    reads what the run applied.
     ``points`` holds ``x_0 .. x_N`` (one more row than there are steps) as a
     ``space.Rows`` of packed float64 rows; ``points[n]`` is a 1-D view into
     its block.  ``xbars`` holds ``xbar_0 .. xbar_{N-1}``: no run stores them,
@@ -280,13 +279,11 @@ class RunTrace:
     (rows of one point) it is ``points``' first ``n_steps`` rows, the same
     memory.  ``residuals`` is an ``array("d")`` column of length ``n_steps``,
     and so are ``lambdas``, ``thetas``, ``phis`` and ``dist_to_ref``, which
-    are built on read where the run keeps less than a column:
-    ``kept_thetas`` is None for a run whose model is the base ``ErrorModel``,
-    whose ``thetas`` are the zeros ``lambda_n * 0.0`` gives.  ``error_norms``
-    is an ``(n_steps, m)`` float64 array of the per-layer norms
-    ``||e_{i,n}||``, outermost layer first; such an error-free run keeps no
-    per-step norm either: its ``error_norms`` is an ndarray of ``n_steps``
-    rows over one zero row in a ``bytes`` buffer, so read-only (``m`` is 0
+    are built on read.  ``error_norms`` is an ``(n_steps, m)`` float64 array
+    of the per-layer norms ``||e_{i,n}||``, outermost layer first, which
+    ``thetas`` reads.  A run whose model is the base ``ErrorModel`` keeps no
+    per-step norm: its ``error_norms`` is an ndarray of ``n_steps`` rows
+    over one zero row in a ``bytes`` buffer, so read-only (``m`` is 0
     for a zero-step run whose stacks come from a provider, as no stack was
     built).  ``aux`` is None without a recorder, else an ``AuxRecords``: one
     mapping of 1-D views into the recorder's packed columns per step.
@@ -294,11 +291,9 @@ class RunTrace:
     thread, as numpy words them; other warnings reach the caller (see ``run``).
     """
 
-    config: IterationConfig
     plan: RunPlan
     points: Rows
     residuals: array
-    kept_thetas: array | None
     error_norms: np.ndarray
     aux: AuxRecords | None = None
     stop_reason: str = ""
@@ -339,11 +334,18 @@ class RunTrace:
 
     @property
     def thetas(self) -> array:
-        """``theta_n = lambda_n sum_i ||e_{i,n}||`` of each step, as an
-        ``array("d")``; built on each read (zeros) for an error-free run."""
-        if self.kept_thetas is None:
-            return array("d", [0.0]) * self.n_steps  # lambda_n * 0.0 for lambda_n > 0
-        return self.kept_thetas
+        """``theta_n = lambda_n sum_i ||e_{i,n}||`` of each step, as a new
+        ``array("d")``: row n of ``error_norms`` added in layer order, times
+        lambda_n, so bit for bit ``apply_stack``'s ``aggregate_error`` times it."""
+        norms = self.error_norms
+        if type(norms.base) is bytes:  # the error-free run's one zero row
+            return array("d", [0.0]) * len(self.residuals)  # lambda_n * 0.0, lambda_n > 0
+        with np.errstate(over="ignore"):  # as Python floats, an overflow reads inf
+            total = np.zeros(len(norms))  # 0.0 + ..., as operators.in_order_sum adds
+            for column in norms.T:
+                total += column
+            total *= np.frombuffer(self.plan.lambda_column(len(norms)))
+        return array("d", total.tobytes())
 
     @property
     def phis(self) -> array:
@@ -445,7 +447,7 @@ def _prevalidate(config: IterationConfig, steps: int | None = None) -> RunPlan:
             stacks.append(stack)
             lambdas.append(relaxation_at(config.relaxation, n, stack.phi))
     dim = as_vector(config.x0).size
-    reference = None if config.reference is None else as_vector(config.reference, dim=dim)
+    reference = None if config.reference is None else as_vector(config.reference, dim=dim).copy()
     if isinstance(config.errors, GeometricError) and config.errors.direction.size != dim:
         raise ConfigurationError(
             f"error direction has dimension {config.errors.direction.size}, but x0 has {dim}")
@@ -500,7 +502,7 @@ def run(config: IterationConfig) -> RunTrace:
     returns ``xbar_n`` as a fresh vector that no row keeps, and
     ``trace.xbars`` forms the same rows again from the orbit when it is
     read.  A ``lambda_n`` shared by every n is kept once, as one float, and
-    an error-free run keeps no theta column: such a step at d=2 retains
+    no run keeps a theta column: an error-free step at d=2 retains
     about 26 B (``x_{n+1}`` and ``r_n``) whatever the weights, and 8 B more
     for an inertial row's ``eta_n``.  The kernels' history is O(w d), so a
     run's traced peak is about its orbit's, N d floats, for every family.
@@ -542,14 +544,15 @@ def run(config: IterationConfig) -> RunTrace:
 
     points = Rows(x.size, horizon + 1)
     points.append(x)
+    x = points[0]  # the trace's own x_0, not the caller's array
     memoryless = plan.weights.support_bound == 1  # every row is x_n alone
-    residuals, thetas, norms = array("d"), array("d"), array("d")
+    residuals, norms = array("d"), array("d")
     recorder = config.aux_recorder
     columns = keep_columns = None  # the recorder's rows, opened at its first record
     shape = x.shape
     # bound once: the loop calls each of them once per step
     new_point, add = points.new_row, np.add
-    keep_residual, keep_theta, keep_norms = residuals.append, thetas.append, norms.extend
+    keep_residual, keep_norms = residuals.append, norms.extend
 
     stack = plan.stacks  # the one LayerStack, unless the plan has one per n
     per_step = stack if isinstance(stack, list) else None
@@ -596,12 +599,7 @@ def run(config: IterationConfig) -> RunTrace:
 
             keep_residual(residual)
             if errors_for is not None:
-                if errors_n is None:
-                    keep_norms(no_error)
-                    keep_theta(0.0)  # lambda_n * 0.0, as lambda_n > 0
-                else:
-                    keep_norms(noisy.error_norms)
-                    keep_theta(lam * noisy.aggregate_error)
+                keep_norms(no_error if errors_n is None else noisy.error_norms)
             if recorder is not None:
                 record = recorder(n, xbar, errors_n)
                 if columns is None:
@@ -626,7 +624,6 @@ def run(config: IterationConfig) -> RunTrace:
 
     n_steps = len(residuals)
     if errors_for is None:
-        thetas = None  # trace.thetas reads zeros
         # n_steps rows over one zero row, read-only as its buffer is bytes
         error_norms = np.ndarray((n_steps, m), np.float64, bytes(8 * m), 0, (0, 8))
     else:
@@ -634,11 +631,9 @@ def run(config: IterationConfig) -> RunTrace:
     if not isinstance(lambdas, float):
         plan = replace(plan, lambdas=plan.lambda_column(n_steps))
     return RunTrace(
-        config=config,
         plan=plan,
         points=points,
         residuals=residuals,
-        kept_thetas=thetas,
         error_norms=error_norms,
         aux=None if recorder is None else AuxRecords(columns or {}, n_steps),
         stop_reason=stop_reason,
@@ -678,21 +673,23 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
 
     Sums ``chi_n lambda_n sum_i ||e_{i,n}||`` over the errors that the
     model's ``errors_for(n)`` returns, one call per n as in a run, without
-    iterating.  Each n adds its layers' norms in layer order, as
-    ``apply_stack`` does, so for nonnegative weights (``chi_n = 1``) and
-    finite 1-D float64 errors the partial sums are
-    ``np.cumsum(trace.thetas)`` of a run given the same errors, bit for bit;
-    ``SequenceError`` reads every value through ``error_vector``, so its
-    errors are such arrays whatever dtype the user gave.  An error whose
-    shape is not x0's raises the run's ``dimension mismatch``; any other
-    error value goes through ``as_vector``, which coerces it or raises.
-    ``lambda_n`` and the stacks come from the run's pre-pass over
-    ``horizon + 1`` steps, which raises the same configuration errors a run
-    would.  Flags inertial weights carrying errors outside the supported
-    regime (unit relaxation and a bounded-range outermost layer).  A model
-    that calls user code (``SequenceError``) calls it again here, so a
-    stateful or random sequence yields a budget for errors other than the
-    ones a run injected.
+    iterating; each n adds its layers' norms in layer order, as
+    ``apply_stack`` does.  ``SequenceError`` reads every value through
+    ``error_vector``, so its errors are float64 arrays whatever dtype the
+    user gave.  An error whose shape is not x0's raises the run's
+    ``dimension mismatch``; any other error value goes through
+    ``as_vector``, which coerces it or raises.  ``lambda_n`` and the stacks
+    come from the run's pre-pass over ``horizon + 1`` steps, which raises
+    the same configuration errors a run would.  Flags inertial weights
+    carrying errors outside the supported regime (unit relaxation and a
+    bounded-range outermost layer).
+    A model that calls user code (``SequenceError``) calls it again here,
+    so a stateful or random sequence yields a budget for other errors than
+    a run injected.  The budget of the injected errors is
+    ``certificates.summability_monitor(trace.thetas)``, which calls no
+    user code; for nonnegative weights (``chi_n = 1``) and errors that do
+    not change between calls, it is this check's ``total`` and
+    ``tail_increment`` over ``horizon = N - 1``, bit for bit.
     """
     check_integer(horizon, "budget horizon")
     if horizon < 1:

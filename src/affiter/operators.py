@@ -24,8 +24,10 @@ stack may be merely quasinonexpansive; earlier layers must be nonexpansive.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -392,13 +394,19 @@ def identity_operator() -> AveragedOperator:
 # layer stacks
 # ---------------------------------------------------------------------------
 
+def in_order_sum(values) -> float:
+    """``((0.0 + v_1) + v_2) + ...``, as builtin ``sum`` adds floats up to
+    CPython 3.11; 3.12 compensates (``sum([1e16, 1.0, 1.0])`` is 1e16 + 2)."""
+    return reduce(operator.add, values, 0.0)
+
+
 def composite_phi(alphas: Sequence[float]) -> float:
     """Averaging constant of a composition from its per-layer constants."""
     alphas = list(alphas)
     if not alphas:
         raise ConfigurationError("empty layer list")
     if max(alphas) < 1.0:
-        s = sum(a / (1.0 - a) for a in alphas)
+        s = in_order_sum(a / (1.0 - a) for a in alphas)
         return 1.0 / (1.0 + 1.0 / s)
     return 1.0
 
@@ -469,11 +477,12 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
 
     ``errors`` is ``None`` (clean pass) or a sequence of per-layer vectors
     (``None`` entries allowed), outermost first; a sequence shorter than the
-    stack leaves the inner layers exact, a longer one is rejected.  An error
-    that is not an ndarray of the layer's shape is checked with
-    ``check_same_dim`` and then read as a float64 array, so a list gives
-    what its array gives.  The aggregate error equals ``sum_i ||e_i||``,
-    added in layer order; when the outer layers are nonexpansive it bounds
+    stack leaves the inner layers exact, a longer one is rejected.  Every
+    error is checked before the first layer call: one that is not an
+    ndarray of ``x``'s shape is checked with ``check_same_dim`` and then
+    read as a float64 array, so a list gives what its array gives.  The
+    aggregate error equals ``sum_i ||e_i||``, added in layer order
+    (``in_order_sum``); when the outer layers are nonexpansive it bounds
     the deviation of the perturbed output from the clean composite.
 
     ``errors=None`` injects no error, as a sequence of ``None`` does: the
@@ -492,6 +501,12 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
     given = 0 if errors is None else len(errors)
     if given > m:
         raise ConfigurationError(f"expected at most {m} per-layer errors, got {given}")
+    if given:
+        errors = list(errors)
+        for k, e in enumerate(errors):
+            if e is not None and (type(e) is not np.ndarray or e.shape != np.shape(x)):
+                check_same_dim(x, e)  # lists and mismatches get its message
+                errors[k] = np.asarray(e, dtype=np.float64)
     y = x
     exact = None  # the clean chain, once an error has split it from y
     norms = [0.0] * m
@@ -502,9 +517,6 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
         y = fn(y)
         e = errors[i - 1] if i <= given else None
         if e is not None:
-            if type(e) is not np.ndarray or type(y) is not np.ndarray or e.shape != y.shape:
-                check_same_dim(y, e)  # lists and mismatches get its message
-                e = np.asarray(e, dtype=np.float64)
             if exact is None:
                 exact = y
             y = y + e
@@ -512,7 +524,7 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
     if exact is None:  # every given error was None
         exact = y
     return StackApplication(
-        value=y, error_norms=tuple(norms), aggregate_error=sum(norms), clean=exact
+        value=y, error_norms=tuple(norms), aggregate_error=in_order_sum(norms), clean=exact
     )
 
 

@@ -130,7 +130,7 @@ def row_distances(rows: np.ndarray, point: Vector, out: np.ndarray) -> None:
     np.sqrt(out, out=out)
 
 
-#: floats per block of ``Rows`` (512 KiB); a longer row is kept as its own array
+#: floats per block of ``Rows`` (512 KiB); a longer row is a block of its own
 BLOCK_FLOATS = 1 << 16
 #: floats in the first block of ``Rows`` (8 KiB): opening a block, and
 #: certifying one, costs a few microseconds
@@ -145,10 +145,10 @@ class Rows:
     many rows as all before it, and all together never more than
     ``capacity`` rows: a sequence that stops short reserves at most twice
     the rows it holds, or its first block.
-    ``append(x)`` copies ``x`` into the next row; ``new_row()`` returns the
-    next row as a writable 1-D view for the caller to fill (with a ufunc's
-    ``out``, say).  A point of ``BLOCK_FLOATS`` floats or more is a block of
-    its own: ``append`` keeps a view of ``x``, with no copy.  ``rows[i]``
+    ``new_row()`` returns the next row as a writable 1-D view for the caller
+    to fill (with a ufunc's ``out``, say), and ``append(x)`` copies ``x``
+    into it, so no row shares memory with a caller's array.  A point of
+    ``BLOCK_FLOATS`` floats or more is a block of one row.  ``rows[i]``
     (negative ``i`` too) and iteration give 1-D views into the blocks, a
     slice gives a list of them, ``blocks(stop)`` gives the filled part of
     each block up to a row, ``of_blocks`` wraps such blocks again, and
@@ -167,40 +167,21 @@ class Rows:
         self._pos = self._end = 0
 
     def append(self, x: Vector) -> None:
-        pos = self._pos
-        if pos == self._end:
-            if self.dim >= BLOCK_FLOATS:
-                # a view of x whenever x is a float64 vector
-                self._add_block(np.asarray(x, dtype=np.float64).reshape(1, self.dim))
-                self._pos = 1
-                return
-            self._add_block(None)
-            pos = 0
-        self._block[pos] = x
-        self._pos = pos + 1
+        self.new_row()[:] = x
 
     def new_row(self) -> Vector:
         pos = self._pos
-        if pos == self._end:
-            self._add_block(None)
-            pos = 0
-        self._pos = pos + 1
-        return self._block[pos]
-
-    def _add_block(self, block: np.ndarray | None) -> None:
-        """Open ``block``, or a new empty one when it is None."""
-        size = len(self)
-        if block is None:
+        if pos == self._end:  # open a block
+            size = len(self)
             first = FIRST_BLOCK_FLOATS // self.dim
             rows = min(max(1, first, size), self._max_rows, self._capacity - size)
             if rows < 1:
                 raise IndexError(f"Rows holds at most {self._capacity} points")
-            block = np.empty((rows, self.dim))
-        elif size >= self._capacity:
-            raise IndexError(f"Rows holds at most {self._capacity} points")
-        self._blocks.append(block)
-        self._starts.append(size)
-        self._block, self._pos, self._end = block, 0, len(block)
+            self._block, pos, self._end = np.empty((rows, self.dim)), 0, rows
+            self._blocks.append(self._block)
+            self._starts.append(size)
+        self._pos = pos + 1
+        return self._block[pos]
 
     def __len__(self) -> int:
         return self._starts[-1] + self._pos if self._starts else 0

@@ -586,11 +586,13 @@ class TestTraceWriter:
         assert (tmp_path / "trace.csv").read_bytes() == per_field_csv(trace, dists, cert_i, cert_ii)
 
     def test_negative_zero_and_subnormals(self, tmp_path):
-        # a run with an error model keeps its theta column, which the test edits
+        # a run with an error model keeps its error norms, which the test
+        # edits: theta_1 = lambda_1 * tiny rounds to tiny for lambda_1 in (0.5, 1.5)
         trace = self.trace(reference=np.array([1.0, 1.0]),
                            errors=GeometricError(0.5, [0.1, -0.2]))
         tiny = np.nextafter(0.0, 1.0)
-        trace.residuals[0], trace.thetas[1] = -0.0, tiny
+        trace.residuals[0], trace.error_norms[1] = -0.0, (tiny, 0.0)
+        assert trace.thetas[1] == tiny
         # the run keeps no distances, so the column is the test's own
         dists = trace.dist_to_ref
         dists[2], dists[5] = 3 * tiny, -0.0

@@ -45,6 +45,7 @@ from affiter import (
     run,
     run_certificates,
     soft_threshold,
+    summability_monitor,
     window,
 )
 from affiter import engine, space
@@ -407,15 +408,16 @@ class TestTracePacking:
 
     @pytest.mark.parametrize("variant", ["memoryless", "nesterov", "window3"])
     def test_a_long_orbit_is_kept_once(self, variant):
-        # rows of 2**16 floats or more are kept as the arrays the run made
+        # rows of 2**16 floats or more are blocks of one row each
         dim, steps = BLOCK_FLOATS + 1, 20
         preset = fb_preset(dim, steps, variant)
         trace, retained, peak = traced_solve(preset)
-        assert np.shares_memory(trace.points[0], preset.config.x0)
+        assert not np.shares_memory(trace.points[0], preset.config.x0)
         row = 8 * dim
-        # x_1 .. x_N (x_0 is the caller's), and a few vectors of one step;
-        # a second copy of the orbit, such as stored xbar_n, would take N more rows
-        assert retained <= steps * row + 100_000
+        # x_0 .. x_N (x_0 the trace's own copy), the plan's copy of x* and a
+        # few vectors of one step; a second copy of the orbit, such as stored
+        # xbar_n, would take N more rows
+        assert retained <= (steps + 2) * row + 100_000
         assert peak <= (steps + 8) * row
         if variant == "memoryless":
             assert all(np.shares_memory(xbar, x) for xbar, x in zip(trace.xbars, trace.points))
@@ -710,9 +712,117 @@ class TestErrorColumns:
     @pytest.mark.parametrize("errors", [None, GeometricError(0.5, vec(1.0, 1.0))])
     def test_zero_step_runs(self, errors):
         fixed = run(self.config(errors, max_iters=0))
-        provided = run(self.config(errors, max_iters=0, stacks=lambda n: fixed.stacks))
+        stack = fixed.stack_at(0)
+        provided = run(self.config(errors, max_iters=0, stacks=lambda n: stack))
         assert fixed.error_norms.shape == (0, 2) and provided.error_norms.shape == (0, 0)
         assert len(fixed.thetas) == len(provided.thetas) == 0
+
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_thetas_are_lambda_times_each_passs_aggregate_error(self, data):
+        # theta_n is read from the stored norms; it is the pass's own
+        # lambda_n * aggregate_error, bit for bit, over error models and lambda columns
+        m = data.draw(st.integers(1, 3), label="layers")
+        steps = data.draw(st.integers(0, 12), label="steps")
+        stack = compose([prox_l1(0.5)] * (m - 1) + [gradient_step(0.7, lambda x: x - 2.0, beta=1.0)])
+        magnitude = st.builds(lambda f, k: f * 10.0**k, st.floats(-9.0, 9.0), st.integers(-30, 30))
+        error = st.one_of(st.none(), st.builds(vec, magnitude, magnitude))
+        kind = data.draw(st.sampled_from(["geometric", "sequence", "sparse"]), label="model")
+        if kind == "geometric":
+            model = GeometricError(data.draw(st.floats(0.05, 0.95), label="rate"),
+                                   data.draw(st.builds(vec, magnitude, magnitude)),
+                                   layer=data.draw(st.integers(1, m), label="layer"))
+        else:
+            table = data.draw(st.lists(st.lists(error, min_size=m, max_size=m),
+                                       min_size=steps + 1, max_size=steps + 1), label="errors")
+            if kind == "sequence":
+                model = SequenceError([lambda n, i=i: table[n][i] for i in range(m)])
+            else:  # a model whose errors_for(n) is None at some n
+                model = SequenceError([lambda n: table[n][0] if n % 2 else None])
+        lams = data.draw(st.lists(st.floats(0.01, 1.0), min_size=steps + 1, max_size=steps + 1))
+        lam = data.draw(st.sampled_from([lams[0], lambda n: lams[n]]), label="lambda")
+        trace = run(self.config(model, max_iters=steps, stacks=stack,
+                                relaxation=constant_relaxation(lam)))
+        expected = array("d", [
+            lam_n * apply_stack(stack, xbar, model.errors_for(n)).aggregate_error
+            for n, (lam_n, xbar) in enumerate(zip(trace.lambdas, trace.xbars))])
+        assert trace.thetas.tobytes() == expected.tobytes()
+        # each read is a new column, and building it leaves lambda_n as it was
+        assert trace.thetas is not trace.thetas
+        assert trace.lambdas.tobytes() == array("d", [
+            lams[0] if isinstance(lam, float) else lams[n] for n in range(steps)]).tobytes()
+
+    def test_three_layer_norms_are_added_in_order_on_every_python(self):
+        # CPython 3.12's sum compensates: sum([1e16, 1.0, 1.0]) is 1e16 + 2 there
+        half = AveragedOperator(fn=lambda x: 0.5 * x, alpha=0.5)
+        model = SequenceError([lambda n: vec(1e16), lambda n: vec(1.0), lambda n: vec(1.0)])
+        cfg = IterationConfig(
+            stacks=compose([half, half, half]), weights=memoryless(),
+            relaxation=constant_relaxation(1.0), x0=vec(0.0), errors=model, max_iters=1,
+            stop_residual=0.0,
+        )
+        expected = (1e16 + 1.0) + 1.0
+        assert expected == 1e16
+        assert apply_stack(cfg.stacks, vec(0.0), model.errors_for(0)).aggregate_error == expected
+        assert run(cfg).thetas.tolist() == [expected]
+        assert error_budget_check(cfg, 1).partial_sums[0] == expected
+
+    def test_an_error_of_another_dimension_raises_before_any_layer_call(self):
+        calls = []
+        op = AveragedOperator(fn=lambda x: calls.append(1) or 0.5 * x, alpha=0.5)
+        cfg = IterationConfig(
+            stacks=compose([op, op]), weights=memoryless(), relaxation=constant_relaxation(1.0),
+            x0=vec(1.0, 2.0), errors=SequenceError([lambda n: [0.1, 0.2, 0.3]]), max_iters=3,
+        )
+        with pytest.raises(ConfigurationError) as info:
+            run(cfg)
+        assert str(info.value) == "dimension mismatch: (2,) vs (3,)"
+        assert calls == []
+
+
+class TestTraceOwnsItsArrays:
+    """A trace shares no array with its caller: changing the config's x0,
+    its reference or a recorder's buffer after the run changes nothing the
+    trace reports."""
+
+    def test_a_long_x0_and_a_reused_recorder_buffer_are_copied(self):
+        # rows of 2**16 floats or more are blocks of their own, copied as short rows are
+        dim = BLOCK_FLOATS + 1
+        x0 = np.random.default_rng(5).standard_normal(dim)
+        buffer = np.empty(dim)
+
+        def record(n, _xbar, _errors):
+            buffer[:] = n
+            return {"n": buffer}
+
+        cfg = IterationConfig(
+            stacks=compose([prox_l1(0.5)]), weights=window(2),
+            relaxation=constant_relaxation(1.0), x0=x0, max_iters=3, stop_residual=0.0,
+            reference=np.zeros(dim), aux_recorder=record,
+        )
+        trace = run(cfg)
+        first, dists = x0.tobytes(), trace.dist_to_ref.tobytes()
+        x0 += 1.0
+        buffer[:] = -1.0
+        assert trace.points[0].tobytes() == first
+        assert trace.dist_to_ref.tobytes() == dists
+        assert [record["n"].tobytes() for record in trace.aux] == [
+            np.full(dim, float(n)).tobytes() for n in range(3)]
+
+    def test_the_plan_keeps_its_own_reference(self):
+        ref = vec(1.0, 1.0)
+        cfg = IterationConfig(
+            stacks=compose([prox_l1(0.5)]), weights=window(2),
+            relaxation=constant_relaxation(1.0), x0=vec(2.0, 1.0), max_iters=4,
+            stop_residual=0.0, reference=ref,
+        )
+        trace = run(cfg)
+        dists, final = trace.dist_to_ref.tobytes(), trace.final_dist_to_ref()
+        assert trace.dist_to_ref[0] == 1.0
+        ref += 5.0
+        assert trace.plan.reference.tolist() == [1.0, 1.0]
+        assert trace.dist_to_ref.tobytes() == dists and trace.final_dist_to_ref() == final
 
 
 class TestStopResidual:
@@ -998,6 +1108,11 @@ class TestErrorBudget:
             assert trace.n_steps == cfg.max_iters, name
             sums = error_budget_check(cfg, cfg.max_iters).partial_sums[: cfg.max_iters]
             assert sums.tobytes() == np.cumsum(trace.thetas).tobytes(), name
+            # so the monitor of the run's thetas is the budget over its N steps
+            budget = error_budget_check(cfg, cfg.max_iters - 1)
+            monitor = summability_monitor(trace.thetas)
+            assert (monitor.partial_sum, monitor.tail_increment) == (
+                budget.total, budget.tail_increment), name
 
     def test_a_float32_error_is_measured_in_float64_by_the_run_and_the_budget(self):
         value = np.array([0.1, 0.2, 0.3], dtype=np.float32)
@@ -1044,6 +1159,29 @@ class TestErrorBudget:
         report = error_budget_check(cfg, horizon)
         assert report.partial_sums.tobytes() == np.array(expected).tobytes()
         assert report.tail_increment == acc - expected[(3 * horizon) // 4]
+
+    def test_the_monitor_of_the_runs_thetas_is_the_budget_the_run_injected(self):
+        # summability_monitor(trace.thetas) calls no user code; the budget
+        # of the config calls the error callables again
+        prob = catalog("l1_quadratic", a=[2.0, -0.3])
+        calls = []
+
+        def b_errors(n):  # stateful: each call gives a smaller error
+            calls.append(n)
+            return 0.5 ** len(calls) * vec(0.3, -0.1)
+
+        preset = forward_backward(
+            A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=prob.beta, gamma=0.8,
+            x0=vec(1.0, 1.0), b_errors=b_errors, max_iters=20, stop_residual=0.0,
+        )
+        _, trace = preset.solve()
+        monitor = summability_monitor(trace.thetas)
+        sums = np.cumsum(trace.thetas)
+        assert monitor.partial_sum == sums[-1]
+        assert monitor.tail_increment == sums[-1] - sums[(3 * 19) // 4]
+        assert len(calls) == 20
+        assert error_budget_check(preset.config, 19).total != monitor.partial_sum
+        assert len(calls) == 40
 
     def test_inertial_with_errors_and_nonunit_lambda_flagged(self):
         weights = inertial(EtaSchedule(kind="constant", eta=0.3))

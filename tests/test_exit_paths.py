@@ -380,15 +380,17 @@ def test_cli_exit_path(tmp_path, capsys, config, message):
     assert captured.out == "" and not (tmp_path / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("errors", [
-    {"model": "geometric", "rate": 0.5, "direction": [0.01, 0.02, 0.03]},
-    {"model": "custom", "values": [None, [0.01, 0.02, 0.03]]},
-], ids=["geometric-direction", "custom-values"])
-def test_run_and_validate_reject_an_error_vector_of_another_dimension(tmp_path, capsys, errors):
+@pytest.mark.parametrize("extra, key", [
+    ({"errors": {"model": "geometric", "rate": 0.5, "direction": [0.01, 0.02, 0.03]}},
+     "errors.direction"),
+    ({"errors": {"model": "custom", "values": [None, [0.01, 0.02, 0.03]]}}, "errors.values[1]"),
+    ({"x0": [1.0, 2.0, 3.0]}, "x0"),
+], ids=["geometric-direction", "custom-values", "x0"])
+def test_run_and_validate_reject_an_error_vector_of_another_dimension(tmp_path, capsys, extra, key):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(dict(FB_CONFIG, errors=errors)))
+    path.write_text(json.dumps(FB_CONFIG | extra))
     for command in (["run", str(path), "--out-dir", str(tmp_path)], ["validate", str(path)]):
         assert cli.main(command) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.err == "configuration error: expected dimension 1, got 3\n"
+        assert captured.err == f"configuration error: {key} must have dimension 1, got 3\n"
         assert captured.out == "" and not (tmp_path / "trace.csv").exists()

@@ -179,9 +179,8 @@ class TestRows:
         assert packed == b"".join(expected)
         head = b"".join(block.tobytes() for _start, block in rows.blocks(count // 2))
         assert head == b"".join(expected[: count // 2])
-        for k, (append, x) in enumerate(zip(appends, given_rows)):
-            # a long appended row is kept as it is; a short one is copied
-            assert np.shares_memory(rows[k], x) == (append and long_rows)
+        # every row is a copy, long or short, appended or filled in place
+        assert not any(np.shares_memory(rows[k], x) for k, x in enumerate(given_rows))
         same = Rows.of_blocks(dim, rows.blocks())
         assert [r.tobytes() for r in same] == expected
         assert all(np.shares_memory(s, r) for s, r in zip(same, rows))
