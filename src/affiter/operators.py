@@ -502,10 +502,11 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
     if given > m:
         raise ConfigurationError(f"expected at most {m} per-layer errors, got {given}")
     if given:
-        errors = list(errors)
+        shape = np.shape(x)
         for k, e in enumerate(errors):
-            if e is not None and (type(e) is not np.ndarray or e.shape != np.shape(x)):
+            if e is not None and (type(e) is not np.ndarray or e.shape != shape):
                 check_same_dim(x, e)  # lists and mismatches get its message
+                errors = list(errors)  # a copy: the caller's sequence stays as given
                 errors[k] = np.asarray(e, dtype=np.float64)
     y = x
     exact = None  # the clean chain, once an error has split it from y

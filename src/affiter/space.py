@@ -167,7 +167,7 @@ class Rows:
         self._pos = self._end = 0
 
     def append(self, x: Vector) -> None:
-        self.new_row()[:] = x
+        self.new_row()[...] = x
 
     def new_row(self) -> Vector:
         pos = self._pos

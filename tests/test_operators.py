@@ -190,12 +190,14 @@ class TestApplyStack:
             apply_stack(stack, vec(1.0), [error])
 
     def test_list_error_is_read_as_its_array(self):
-        stack = compose([prox_l1(1.0)])
-        listed = apply_stack(stack, vec(3.0), [[0.5]])
-        arrayed = apply_stack(stack, vec(3.0), [vec(0.5)])
+        stack = compose([prox_l1(1.0), prox_l1(1.0)])
+        given = [[0.5], (0.25,)]
+        listed = apply_stack(stack, vec(3.0), given)
+        arrayed = apply_stack(stack, vec(3.0), [vec(0.5), vec(0.25)])
         assert listed.value.tobytes() == arrayed.value.tobytes()
         assert listed.clean.tobytes() == arrayed.clean.tobytes()
-        assert listed.error_norms == arrayed.error_norms == (0.5,)
+        assert listed.error_norms == arrayed.error_norms == (0.5, 0.25)
+        assert given == [[0.5], (0.25,)]  # the caller's sequence is not coerced in place
 
     def test_wrong_error_count(self):
         stack = compose([prox_l1(1.0)])
