@@ -266,10 +266,10 @@ class RunPlan:
 @dataclass
 class RunTrace:
     """Per-iteration record of a run, in memory that it owns: it shares no
-    array with the caller.  It keeps one copy of each fact, the orbit, and
-    derives the rest where it is read, from it and from ``plan``: the
-    pre-pass's ``RunPlan`` (its lambda_n column cut to ``n_steps``), so it
-    reads what the run applied.
+    array with the caller, and keeps one copy of each fact.  It keeps the
+    orbit and derives the rest where it is read, from it and from ``plan``:
+    the pre-pass's ``RunPlan`` (its lambda_n column cut to ``n_steps``), so
+    it reads what the run applied.
     ``points`` holds ``x_0 .. x_N`` (one more row than there are steps) as a
     ``space.Rows`` of packed float64 rows; ``points[n]`` is a 1-D view into
     its block.  ``xbars`` holds ``xbar_0 .. xbar_{N-1}``: no run stores them,
@@ -687,8 +687,8 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     so a stateful or random sequence yields a budget for other errors than
     a run injected.  The budget of the injected errors is
     ``certificates.summability_monitor(trace.thetas)``, which calls no
-    user code; for nonnegative weights (``chi_n = 1``) and errors that do
-    not change between calls, it is this check's ``total`` and
+    user code; for nonnegative weights (``chi_n = 1``) and float64 errors
+    that do not change between calls, it is this check's ``total`` and
     ``tail_increment`` over ``horizon = N - 1``, bit for bit.
     """
     check_integer(horizon, "budget horizon")

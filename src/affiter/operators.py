@@ -477,13 +477,12 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
 
     ``errors`` is ``None`` (clean pass) or a sequence of per-layer vectors
     (``None`` entries allowed), outermost first; a sequence shorter than the
-    stack leaves the inner layers exact, a longer one is rejected.  Every
-    error is checked before the first layer call: one that is not an
-    ndarray of ``x``'s shape is checked with ``check_same_dim`` and then
-    read as a float64 array, so a list gives what its array gives.  The
-    aggregate error equals ``sum_i ||e_i||``, added in layer order
-    (``in_order_sum``); when the outer layers are nonexpansive it bounds
-    the deviation of the perturbed output from the clean composite.
+    stack leaves the inner layers exact, a longer one is rejected.  Before
+    any layer call, an error that is not an ndarray of ``x``'s shape is
+    checked with ``check_same_dim`` and read as a float64 array, so a list
+    gives what its array gives.  The aggregate error ``sum_i ||e_i||`` is
+    added in order (``in_order_sum``); when the outer layers are nonexpansive
+    it bounds the deviation of the perturbed output from the clean composite.
 
     ``errors=None`` injects no error, as a sequence of ``None`` does: the
     pass is the layers' ``fn`` calls, innermost first, the norms are m
