@@ -27,10 +27,9 @@ it is formed from the orbit one packed block at a time
 bit the point the run fed to the stack, at one step kernel's arithmetic per
 row), and its distances ``||xbar_n - x*||`` are taken per block by
 ``space.row_distances``, the kernel that measures ``trace.dist_to_ref``.
-So the transient is O(block), not O(N d), and the squared norms are one
-stacked ``np.matmul``, which calls the same ``ddot`` as ``x.dot(x)`` and
-matches it bit for bit (``einsum`` and ``(D * D).sum(1)`` reduce in other
-orders and do not).  Certificate (i) builds no weight row:
+So the transient is O(block), not O(N d).  Every squared norm is summed in
+``space``'s one order, so each slack is the same float on every host.
+Certificate (i) builds no weight row:
 ``schedules.abs_weighted_sums`` forms its sum per family from the
 distances ``||x_j - x*||``, in O(N) for every family but ``window(w)``
 (O(N w)).  These are deterministic functions of the trace: recomputing
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +48,7 @@ from .engine import RunTrace, _partial_sums
 from .errors import ConfigurationError, InvalidReferenceError
 from .operators import apply_stack, tail_apply
 from .schedules import abs_weighted_sums
-from .space import Vector, as_vector, norm, row_distances
+from .space import Vector, as_vector, dot, norm, row_distances
 
 DEFAULT_CERT_TOL = 1e-9
 
@@ -102,20 +100,6 @@ def verify_reference(trace: RunTrace, x_ref: Vector, tol: float = 1e-9) -> None:
                 )
 
 
-def _squares(column) -> np.ndarray:
-    """``[v**2 for v in column]`` for a column of Python floats, as a float64
-    array, bit for bit.
-
-    ``v**2`` calls libm's ``pow(v, 2.0)``, which glibc does not round
-    correctly: on 2 000 000 standard normal values (glibc 2.36, x86-64) it
-    differs from ``v * v`` (and ``np.square``) in the last bit on 1 660,
-    and from ``np.power`` with an array exponent on 54 322.  So the squares
-    come from the builtin ``pow``, the call ``**`` makes, which also raises
-    ``**``'s OverflowError (``math.pow`` words it differently).
-    """
-    return np.fromiter(map(pow, column, repeat(2.0)), np.float64, len(column))
-
-
 def run_certificates(
     trace: RunTrace,
     x_ref,
@@ -142,17 +126,14 @@ def run_certificates(
     (``trace.xbar_blocks()``, bit for bit the point the run fed to the
     stack; for cesaro one ``np.add.accumulate`` and one divide by the
     counts per block)
-    and measures each block with stacked ``(1, d) @ (d, 1)`` ``matmul``
-    calls (``space.row_distances``), bit for bit ``norm``'s ``x.dot(x)``;
-    ``einsum`` would not be.  Certificate (iii) reads ``xbar_n`` from a
+    and measures each block by ``space.row_distances``, bit for bit
+    ``norm``.  Certificate (iii) reads ``xbar_n`` from a
     second such pass, so no pass holds more than one block of ``xbar_n``.
     ``trace.lambdas`` and ``trace.thetas`` are read once.  The squares of
-    the distances and of r_n are libm's ``pow(v, 2.0)``, the call ``v**2``
-    makes (``_squares``): glibc's ``pow`` is not correctly rounded, and
-    ``v * v`` differs from it in the last bit on 1 660 of 2 000 000
-    standard normal values.  The rest of (ii) is float64 array arithmetic
-    over those squares in the order of the per-step Python expression, so
-    each slack is that expression's float, bit for bit.  Stacks are read
+    the distances and of r_n are ``np.square``, correctly rounded as
+    ``v * v`` is, and the rest of (ii) is float64 array arithmetic in the
+    order of the per-step Python expression, so each slack is that
+    expression's float, bit for bit.  Stacks are read
     from the trace (``RunTrace.stack_at``), never from a stack provider.
     Certificate (iii) also evaluates the stack tails at ``xbar_n`` every
     iteration, and at ``x_ref`` once per distinct stack.
@@ -177,24 +158,23 @@ def run_certificates(
         if "i" in which:
             rhs = abs_weighted_sums(trace.plan.weights, d, trace.plan.etas)
             slacks["i"] = (rhs + np.asarray(thetas)) - d[1:]
-        # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n:
-        # libm's squares, as v**2 takes them (v * v differs on 1 660 of 2e6
-        # normal values), then float64 array operations in the scalar order
+        # (ii) and (iii) share ||xbar_n - x*||^2 - ||x_{n+1} - x*||^2 + nu_n,
+        # float64 array operations in the scalar expression's order
         if {"ii", "iii"} & set(which):
             # rows of one point are x_n itself; the others are formed and
             # measured one block at a time
-            squares = _squares(d.tolist())
+            squares = np.square(d)
             dbars, dbar_squares = d[:n_steps], squares[:n_steps]
             if trace.plan.weights.support_bound != 1:
                 dbars = np.empty(n_steps)
                 for start, rows in trace.xbar_blocks():
                     row_distances(rows, x_ref, dbars[start : start + len(rows)])
-                dbar_squares = _squares(dbars.tolist())
+                dbar_squares = np.square(dbars)
             theta = np.frombuffer(thetas)
             base = (dbar_squares - squares[1:]) + theta * (2.0 * dbars + theta)
         if "ii" in which:
             lam, phi = np.frombuffer(lambdas), np.frombuffer(trace.phis)
-            slacks["ii"] = base - (lam * (1.0 / phi - lam)) * _squares(trace.residuals)
+            slacks["ii"] = base - (lam * (1.0 / phi - lam)) * np.square(trace.residuals)
         if "iii" in which:
             iii = []
             ref_stack = None
@@ -214,8 +194,8 @@ def run_certificates(
                 for i, layer, coeff, d_ref in ref_disps:
                     t_bar = tail_apply(stack, i, xbar)
                     disp = (t_bar - layer.fn(t_bar)) - d_ref
-                    layer_term = max(layer_term, coeff * float(disp @ disp))
-                iii.append(b + lam * (lam - 1.0) * r**2 - lam * layer_term)
+                    layer_term = max(layer_term, coeff * dot(disp, disp))
+                iii.append(b + lam * (lam - 1.0) * (r * r) - lam * layer_term)
             slacks["iii"] = np.array(iii)
     return {
         name: CertificateReport(name=name, slacks=slacks[name], tolerance=tolerance)

@@ -341,7 +341,7 @@ class RunTrace:
         if type(norms.base) is bytes:  # the error-free run's one zero row
             return array("d", [0.0]) * len(self.residuals)  # lambda_n * 0.0, lambda_n > 0
         with np.errstate(over="ignore"):  # as Python floats, an overflow reads inf
-            total = np.zeros(len(norms))  # 0.0 + ..., as operators.in_order_sum adds
+            total = np.zeros(len(norms))  # 0.0 + ..., as space.in_order_sum adds
             for column in norms.T:
                 total += column
             total *= np.frombuffer(self.plan.lambda_column(len(norms)))
@@ -711,7 +711,7 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
             if e is None:
                 continue
             fast = type(e) is np.ndarray and e.dtype == _FLOAT64 and e.shape == shape
-            r = math.sqrt(e.dot(e)) if fast else math.inf  # norm(e), inlined
+            r = norm(e) if fast else math.inf
             if not math.isfinite(r):
                 # another shape gets the run's message; then coerces, or raises
                 # on non-finite entries; finite entries whose squares overflow

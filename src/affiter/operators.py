@@ -24,16 +24,14 @@ stack may be merely quasinonexpansive; earlier layers must be nonexpansive.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateSelectionWarning
-from .space import Vector, as_vector, check_same_dim, norm
+from .space import Vector, as_vector, check_same_dim, dot, in_order_sum, matvec, norm
 
 NONEXPANSIVE = "nonexpansive"
 QUASINONEXPANSIVE = "quasinonexpansive"
@@ -147,9 +145,11 @@ def affine_monotone(matrix, offset) -> MonotoneMap:
     run with a fixed step forms the two products once, and concurrent calls
     with different steps never mix entries.  The key is the object, not its
     value: a float is immutable, so the same object gives the same products
-    bit for bit.  Any other matrix is stored dense and its resolvent solves
-    ``(I + g M) y = x - g c``.  Monotonicity of ``M`` is the caller's
-    assertion; it is exercised by the sampled certificates.
+    bit for bit.  Any other matrix is stored dense: ``mapping`` is
+    ``space.matvec``, and the resolvent solves ``(I + g M) y = x - g c`` by
+    LAPACK (``np.linalg.solve``), whose last bits depend on the host.
+    Monotonicity of ``M`` is the caller's assertion; it is exercised by the
+    sampled certificates.
     """
     c = as_vector(offset)
     m = np.asarray(matrix, dtype=np.float64)
@@ -180,7 +180,7 @@ def affine_monotone(matrix, offset) -> MonotoneMap:
         eye = np.eye(c.size)
 
         def mapping(x):
-            return m @ x + c
+            return matvec(m, x) + c
 
         def resolvent(g, x):
             return np.linalg.solve(eye + g * m, x - g * c)
@@ -189,9 +189,7 @@ def affine_monotone(matrix, offset) -> MonotoneMap:
         name="affine_monotone",
         resolvent=resolvent,
         mapping=mapping,
-        graph_contains=lambda y, u, tol=1e-9: bool(
-            np.linalg.norm(u - mapping(y)) <= tol
-        ),
+        graph_contains=lambda y, u, tol=1e-9: norm(u - mapping(y)) <= tol,
     )
 
 
@@ -243,26 +241,26 @@ def projector(set_kind: str, **params) -> AveragedOperator:
 
         def fn(x):
             d = x - center
-            nd = np.linalg.norm(d)
+            nd = norm(d)
             return x if nd <= radius else center + (radius / nd) * d
 
         bounded = True
     elif set_kind == "halfspace":
         a, b = as_vector(params["normal"]), float(params["offset"])
-        na2 = float(a @ a)
+        na2 = dot(a, a)
         if na2 == 0.0:
             raise ConfigurationError("halfspace normal must be nonzero")
-        fn = lambda x: x - (max(float(a @ x) - b, 0.0) / na2) * a
+        fn = lambda x: x - (max(dot(a, x) - b, 0.0) / na2) * a
         bounded = False
     elif set_kind == "nonneg":
         fn = lambda x: np.maximum(x, 0.0)
         bounded = False
     elif set_kind == "hyperplane":
         a, b = as_vector(params["normal"]), float(params["offset"])
-        na2 = float(a @ a)
+        na2 = dot(a, a)
         if na2 == 0.0:
             raise ConfigurationError("hyperplane normal must be nonzero")
-        fn = lambda x: x - ((float(a @ x) - b) / na2) * a
+        fn = lambda x: x - ((dot(a, x) - b) / na2) * a
         bounded = False
     else:
         raise ConfigurationError(f"unknown projector set {set_kind!r}")
@@ -339,7 +337,7 @@ def subgradient_projector(
         if fx <= theta:
             return x.copy()
         g = s(x)
-        ng2 = float(g @ g)
+        ng2 = dot(g, g)
         if ng2 == 0.0:
             warnings.warn(
                 f"zero subgradient selection at a point with f(x)={fx} > theta={theta}",
@@ -380,10 +378,11 @@ def linear_operator(matrix, alpha: float = 1.0, kind: str = NONEXPANSIVE) -> Ave
     """Linear map with a user-asserted averaging constant and class.
 
     There is no closed-form alpha for a general matrix, so the assertion is
-    meant to be exercised through ``averagedness_certificate``.
+    meant to be exercised through ``averagedness_certificate``.  The map is
+    ``space.matvec``, whose transient holds d² floats for a d x d matrix.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    return AveragedOperator(fn=lambda x: m @ x, alpha=alpha, kind=kind, name="linear")
+    return AveragedOperator(fn=lambda x: matvec(m, x), alpha=alpha, kind=kind, name="linear")
 
 
 def identity_operator() -> AveragedOperator:
@@ -393,12 +392,6 @@ def identity_operator() -> AveragedOperator:
 # ---------------------------------------------------------------------------
 # layer stacks
 # ---------------------------------------------------------------------------
-
-def in_order_sum(values) -> float:
-    """``((0.0 + v_1) + v_2) + ...``, as builtin ``sum`` adds floats up to
-    CPython 3.11; 3.12 compensates (``sum([1e16, 1.0, 1.0])`` is 1e16 + 2)."""
-    return reduce(operator.add, values, 0.0)
-
 
 def composite_phi(alphas: Sequence[float]) -> float:
     """Averaging constant of a composition from its per-layer constants."""
@@ -585,10 +578,8 @@ def averagedness_certificate(
             x = scale * rng.standard_normal(dim)
             y = fps[k % len(fps)]
             tx = op.fn(x)
-            lhs = 2.0 * (1.0 - op.alpha) * float((y - tx) @ (x - tx))
-            rhs = (2.0 * op.alpha - 1.0) * (
-                float((x - y) @ (x - y)) - float((tx - y) @ (tx - y))
-            )
+            lhs = 2.0 * (1.0 - op.alpha) * dot(y - tx, x - tx)
+            rhs = (2.0 * op.alpha - 1.0) * (dot(x - y, x - y) - dot(tx - y, tx - y))
             viols.append(lhs - rhs)
     else:
         coeff = (1.0 - op.alpha) / op.alpha
@@ -599,7 +590,7 @@ def averagedness_certificate(
             d_im = tu - tv
             d = u - v
             r = (u - tu) - (v - tv)
-            viols.append(float(d_im @ d_im) + coeff * float(r @ r) - float(d @ d))
+            viols.append(dot(d_im, d_im) + coeff * dot(r, r) - dot(d, d))
     return AveragednessReport(
         operator=op.name or repr(op.fn),
         alpha=op.alpha,

@@ -23,7 +23,7 @@ from .operators import (
     projector,
     soft_threshold,
 )
-from .space import Vector, as_vector
+from .space import Vector, as_vector, dot, norm
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,12 @@ MEMBER_TOL = 1e-12
 def _in_halfspace(normal, offset: float) -> Callable[[Vector], bool]:
     """Membership in ``{x : <normal, x> <= offset}``."""
     a = as_vector(normal)
-    return lambda x: bool(float(a @ x) <= offset + MEMBER_TOL)
+    return lambda x: dot(a, x) <= offset + MEMBER_TOL
 
 
 def _in_ball(center, radius: float) -> Callable[[Vector], bool]:
     c = as_vector(center)
-    return lambda x: bool(np.linalg.norm(x - c) <= radius + MEMBER_TOL)
+    return lambda x: norm(x - c) <= radius + MEMBER_TOL
 
 
 #: the params each catalog problem reads
@@ -126,7 +126,7 @@ def catalog(name: str, **params) -> ProblemSpec:
 
         def infeasibility(x):
             d_half = max(0.0, 1.0 - x[0])
-            d_ball = max(0.0, float(np.linalg.norm(x - np.array([2.0, 0.0]))) - 1.5)
+            d_ball = max(0.0, norm(x - np.array([2.0, 0.0])) - 1.5)
             return d_half + d_ball
 
         return ProblemSpec(
@@ -143,10 +143,10 @@ def catalog(name: str, **params) -> ProblemSpec:
         half = projector("halfspace", normal=[-1.0, 0.0], offset=-1.0)
 
         def f(x):
-            return float(np.linalg.norm(x))
+            return norm(x)
 
         def selection(x):
-            nx = np.linalg.norm(x)
+            nx = norm(x)
             return x / nx if nx > 0 else np.zeros_like(x)
 
         return ProblemSpec(

@@ -370,9 +370,9 @@ def abs_weighted_sums(
     ``math.fsum(abs(w) * d[j] for j, w in schedule.row(n).items())`` bit for
     bit: the products are the same IEEE multiplies, ``fsum`` is correctly
     rounded in any order, and a two-term ``fsum`` is one correctly rounded
-    addition.  Cesaro rows take one O(N) pass instead of N row sums: a
-    compensated (Neumaier) running sum ``S_n`` of ``d_0 .. d_n``, times
-    ``1/(n+1)``.  Against the row ``fsum`` that is at most four roundings
+    addition.  Cesaro rows take O(N) array operations: a compensated
+    (Neumaier) running sum ``S_n`` of ``d_0 .. d_n``, each addition's error
+    exact (TwoSum), times ``1/(n+1)``, the scalar loop's floats up to NaN signs.  Against the row ``fsum`` that is at most four roundings
     of half an ulp, so within about ``2 eps`` relative, plus one smallest
     subnormal per term where the products underflow.
     """
@@ -387,14 +387,12 @@ def abs_weighted_sums(
         sums[at] = (1.0 + eta) * dists[at] + eta * dists[at - 1]
         return sums
     if family == "cesaro":
-        s = c = 0.0
-        for n, x in enumerate(sums.tolist()):
-            t = s + x
-            # Neumaier: s and x are nonnegative, so compare them directly
-            c += (s - t) + x if s >= x else (x - t) + s
-            s = t
-            sums[n] = s + c
-        return sums * (1.0 / np.arange(1.0, sums.size + 1.0))
+        # Neumaier: each addition's exact error (Knuth's TwoSum), summed in order
+        s = np.add.accumulate(sums)
+        prev = np.concatenate(([0.0], s[:-1]))
+        back = s - prev
+        c = np.add.accumulate((prev - (s - back)) + (sums - back))
+        return (s + c) * (1.0 / np.arange(1.0, sums.size + 1.0))
     w = schedule.window
     for n in range(sums.size):
         k = min(w, n + 1)

@@ -8,12 +8,19 @@ forms it again from the orbit, a block at a time (``orbit_mean_blocks``);
 ``affine_combine`` is the reference those kernels are tested against.
 A run keeps its orbit in ``Rows``, equal-length points packed in 2-D blocks,
 and ``row_distances`` measures a block of them against one point at a time.
+Every inner product of the package is summed here (``dot``, ``norm``,
+``row_distances``, ``matvec``) in ``np.add.reduce(np.multiply(u, v))``'s
+order, which no BLAS kernel or SIMD level changes: pinned floats hold on
+every host.  Host-dependent are only ``all_finite``'s ``np.vdot``, which
+picks a branch, and the dense resolvent's LAPACK solve (``operators``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
+from functools import reduce
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -46,13 +53,44 @@ def check_same_dim(p: Vector, q: Vector) -> None:
         )
 
 
-def norm(x: Vector) -> float:
-    """Euclidean norm of a 1-D float64 array.
+def in_order_sum(values) -> float:
+    """``((0.0 + v_1) + v_2) + ...``, as builtin ``sum`` adds floats up to
+    CPython 3.11; 3.12 compensates (``sum([1e16, 1.0, 1.0])`` is 1e16 + 2)."""
+    return reduce(operator.add, values, 0.0)
 
-    Bit for bit ``float(np.linalg.norm(x))``, which also takes the correctly
-    rounded square root of ``x.dot(x)``, without its dispatch overhead.
-    """
-    return math.sqrt(x.dot(x))
+
+#: ``add.reduce`` adds fewer terms than this in order, then pairwise
+PAIRWISE_FROM = 8
+
+
+def dot(u: Vector, v: Vector) -> float:
+    """``float(np.add.reduce(np.multiply(u, v)))`` of 1-D float64 arrays of
+    one shape, bit for bit; a short one is summed in Python, more cheaply.
+    A sum that is not finite is taken by numpy, so an overflow raises its
+    event ("overflow encountered in multiply", or "in reduce")."""
+    if v is not u and u.shape != v.shape:
+        check_same_dim(u, v)
+    if len(u) < PAIRWISE_FROM:
+        left = u.tolist()
+        s = 0.0
+        for a, b in zip(left, left if v is u else v.tolist()):
+            s += a * b
+        if s - s == 0.0:  # finite
+            return s
+    return float(np.add.reduce(np.multiply(u, v)))
+
+
+def norm(x: Vector) -> float:
+    """Euclidean norm of a 1-D float64 array, ``math.sqrt(dot(x, x))``."""
+    return math.sqrt(dot(x, x))
+
+
+def matvec(m: np.ndarray, x: Vector) -> Vector:
+    """``m @ x`` for a 2-D float64 ``m``, entry ``i`` bit for bit
+    ``dot(m[i], x)``, through a transient of ``m.size`` floats."""
+    if m.shape[1:] != x.shape:
+        check_same_dim(m[0], x)
+    return np.add.reduce(np.multiply(m, x), axis=1)
 
 
 def all_finite(x: Vector) -> bool:
@@ -97,36 +135,21 @@ def affine_combine(row: Mapping[int, float], orbit) -> Vector:
     return acc
 
 
-def _row_squares(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``[r.dot(r) for r in rows]`` of a 2-D float64 array, bit for bit.
-
-    One stacked ``matmul`` of ``(1, d)`` by ``(d, 1)`` per row calls the same
-    ``ddot`` as ``x.dot(x)``; ``einsum`` and ``(rows * rows).sum(1)`` reduce
-    in other orders, so their last bits can differ.  ``out``, a contiguous
-    1-D float64 array of one entry per row, receives the squares.
-    """
-    shape = (len(rows), 1, 1)
-    squares = np.matmul(rows[:, None, :], rows[:, :, None],
-                        out=None if out is None else out.reshape(shape))
-    return squares.ravel()
-
-
 def row_distances(rows: np.ndarray, point: Vector, out: np.ndarray) -> None:
     """``out[k] = norm(rows[k] - point)`` for each row of a 2-D float64 array.
 
-    Bit for bit ``norm``: the same subtraction, the same ``ddot`` per row
-    (``_row_squares``) and IEEE's square root, written into ``out`` (a
+    Bit for bit ``norm``, with its warnings: the same subtraction, squares,
+    ``add.reduce`` per row and square root, written into ``out`` (a
     contiguous 1-D float64 array of one entry per row).  The scratch has the
-    shape of ``rows``, one block of ``Rows`` at most.  A distance that
-    overflows warns "overflow encountered in matmul" (or "in subtract"),
-    where ``norm`` warns "in dot".
+    shape of ``rows``, one block of ``Rows`` at most.
     """
     # rows minus copies of the point: operands of one shape take numpy's
     # plain loop, where broadcasting would build an iterator (1.6 KB)
     diff = np.empty(rows.shape)
     diff[...] = point
     np.subtract(rows, diff, out=diff)
-    _row_squares(diff, out)
+    np.multiply(diff, diff, out=diff)
+    np.add.reduce(diff, axis=1, out=out)
     np.sqrt(out, out=out)
 
 

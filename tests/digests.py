@@ -38,6 +38,7 @@ from affiter.engine import GeometricError, SequenceError, error_budget_check
 from affiter.operators import normal_cone
 from affiter.problems import catalog
 from affiter.schedules import EtaSchedule, cesaro, window
+from affiter.space import norm
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
 
@@ -78,7 +79,7 @@ def _fb_ball_inertial(eta, **kwargs):
     ball = normal_cone("ball", center=[0.0, 0.0, 0.0], radius=1.0)
     return solvers.forward_backward(
         A=ball, B=lambda x: x - a, beta=1.0, gamma=0.8, x0=X0, variant="inertial",
-        eta=eta, max_iters=STEPS, stop_residual=0.0, reference=a / np.linalg.norm(a),
+        eta=eta, max_iters=STEPS, stop_residual=0.0, reference=a / norm(a),
         **kwargs,
     )
 

@@ -294,7 +294,7 @@ class TestRun:
             str(w.message) for w in caught if w.category is UserWarning
         ]
         assert trace.flags == [str(w.message) for w in caught if w.category is RuntimeWarning]
-        assert trace.flags == ["overflow encountered in dot"]
+        assert trace.flags == ["overflow encountered in multiply"]
 
     def test_bad_relaxation_aborts_before_iterating(self):
         from affiter import AveragedOperator
@@ -994,7 +994,7 @@ class TestErrorBudget:
         ([3.0, 4.0], 5.0),
         (3, 3.0),
         (np.array([0.1, 0.2], dtype=np.float32),
-         float(np.linalg.norm(np.array([0.1, 0.2], dtype=np.float32).astype(np.float64)))),
+         norm(np.array([0.1, 0.2], dtype=np.float32).astype(np.float64))),
         (np.array([1e200, 1e200]), float("inf")),
         (np.array([[3.0, 4.0]]), "expected a 1-D point, got shape (1, 2)"),
         (np.array([1.0, np.nan]), "point has non-finite coordinates"),
@@ -1291,7 +1291,7 @@ class TestDistancesWhereRead:
         ]
         assert len(warned) == 14
         assert trace.flags == [str(w.message) for w in caught if w.category is RuntimeWarning]
-        assert trace.flags == ["overflow encountered in dot"] * 7
+        assert trace.flags == ["overflow encountered in multiply"] * 7
 
 
 def plain_divergence(config):

@@ -148,6 +148,24 @@ class TestAbsWeightedSums:
         else:
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.floats(0.0, 1e300) | st.sampled_from([5e-324, math.inf, math.nan]),
+                    min_size=1, max_size=60))
+    def test_cesaro_sums_are_the_scalar_neumaier_loop_bit_for_bit(self, dists):
+        # the scalar loop that abs_weighted_sums ran before it took array operations
+        s = c = 0.0
+        expected = []
+        for k, x in enumerate(dists[:-1], start=1):
+            t = s + x
+            c += (s - t) + x if s >= x else (x - t) + s
+            s = t
+            expected.append((s + c) * (1.0 / k))
+        with np.errstate(all="ignore"):
+            got = abs_weighted_sums(cesaro(), np.array(dists), None)
+        # a NaN is a NaN whatever its sign bit, which the two forms may set apart
+        canonical = lambda v: np.where(np.isnan(v), math.nan, v).tobytes()
+        assert canonical(got) == canonical(np.array(expected, dtype=np.float64))
+
     def test_cesaro_sums_stay_within_two_eps_of_the_row_fsum_at_n_2000(self):
         # distances of a slowly converging orbit and of a noisy one, 2001 each
         rng = np.random.default_rng(11)

@@ -30,6 +30,7 @@ from affiter import (
     window,
 )
 from affiter import engine, solvers
+from affiter.space import norm
 
 
 def vec(*xs):
@@ -306,8 +307,7 @@ class TestPeacemanRachford:
         _, trace = preset.solve()
         lambdas = trace.lambdas
         for n, theta in enumerate(trace.thetas):
-            bound = (float(np.linalg.norm(2.0 * 0.7**n * a_n[n]))
-                     + float(np.linalg.norm(2.0 * 0.8**n * b_n[n])))
+            bound = norm(2.0 * 0.7**n * a_n[n]) + norm(2.0 * 0.8**n * b_n[n])
             assert theta == lambdas[n] * bound
 
     def test_rejects_families_without_adjacent_mass(self):

@@ -6,24 +6,106 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affiter import ConfigurationError, affine_combine
-from affiter.space import BLOCK_FLOATS, FIRST_BLOCK_FLOATS, Rows, all_finite, as_vector, norm
+from affiter.space import (
+    BLOCK_FLOATS,
+    FIRST_BLOCK_FLOATS,
+    PAIRWISE_FROM,
+    Rows,
+    all_finite,
+    as_vector,
+    dot,
+    in_order_sum,
+    matvec,
+    norm,
+    row_distances,
+)
 
 
 def vec(*xs):
     return np.array(xs, dtype=np.float64)
 
 
-class TestNorm:
-    @settings(deadline=None, max_examples=150)
-    @given(
-        dim=st.integers(1, 10_000),
-        log_scale=st.floats(-150.0, 150.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_numpy_bit_for_bit(self, dim, log_scale, seed):
-        x = np.random.default_rng(seed).standard_normal(dim) * 10.0**log_scale
-        assert norm(x).hex() == float(np.linalg.norm(x)).hex()
+def reduced(u, v):
+    """The reference order: numpy's ``add.reduce`` of the products."""
+    return np.add.reduce(np.multiply(u, v))
 
+
+#: every length below numpy's pairwise bound, the bound itself, and longer
+KERNEL_DIMS = [*range(1, 10), 16, 64, 1000]
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 1e200, -1e-200,
+           math.inf, -math.inf, math.nan]
+
+
+def draw_vector(data, dim, label):
+    """Normal entries over 60 decades, some replaced by zeros of either sign,
+    subnormals, infinities, NaN and values whose squares overflow."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed"))
+    x = rng.standard_normal(dim) * 10.0 ** rng.integers(-30, 30, dim)
+    picks = data.draw(st.lists(st.tuples(st.integers(0, dim - 1), st.sampled_from(SPECIAL)),
+                               max_size=3), label=f"{label} specials")
+    for k, value in picks:
+        x[k] = value
+    return x
+
+
+class TestKernel:
+    """``dot``, ``norm``, ``row_distances`` and ``matvec`` sum in ``add.reduce``'s order."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(dim=st.sampled_from(KERNEL_DIMS), data=st.data())
+    def test_dot_and_norm_are_add_reduce_bit_for_bit(self, dim, data):
+        u, v = draw_vector(data, dim, "u"), draw_vector(data, dim, "v")
+        with np.errstate(all="ignore"):
+            for a, b in ((u, v), (u, u), (u, u.copy())):
+                assert np.float64(dot(a, b)).tobytes() == reduced(a, b).tobytes()
+            assert np.float64(norm(u)).tobytes() == np.sqrt(reduced(u, u)).tobytes()
+
+    @settings(deadline=None, max_examples=150)
+    @given(dim=st.sampled_from(KERNEL_DIMS), rows=st.integers(1, 30), data=st.data())
+    def test_the_row_forms_are_each_rows_dot(self, dim, rows, data):
+        block = np.stack([draw_vector(data, dim, f"row {k}") for k in range(rows)])
+        x = draw_vector(data, dim, "x")
+        with np.errstate(all="ignore"):
+            expected = np.array([reduced(row, x) for row in block])
+            assert matvec(block, x).tobytes() == expected.tobytes()
+            out = np.empty(rows)
+            row_distances(block, x, out)
+            expected = np.array([np.sqrt(reduced(row - x, row - x)) for row in block])
+            assert out.tobytes() == expected.tobytes()
+            assert out.tobytes() == np.array([norm(row - x) for row in block]).tobytes()
+
+    def test_fewer_than_eight_terms_add_in_order_from_positive_zero(self):
+        assert PAIRWISE_FROM == 8
+        for terms in ([1e16, 1.0, 1.0], [1e16] + [1.0] * 6):
+            x = np.array(terms)
+            assert dot(x, np.ones(x.size)) == 1e16 == in_order_sum(terms)
+            assert reduced(x, np.ones(x.size)) == 1e16
+        # from eight terms on, numpy sums pairwise, and so does dot
+        x = np.array([1e16] + [1.0] * 7)
+        assert dot(x, np.ones(8)) == reduced(x, np.ones(8)) > 1e16
+        negative_zero = np.array([-0.0])
+        assert math.copysign(1.0, dot(negative_zero, np.ones(1))) == 1.0
+        assert math.copysign(1.0, matvec(np.array([[-0.0, -0.0]]), np.ones(2))[0]) == 1.0
+
+    @pytest.mark.parametrize("dim", [2, 9])
+    def test_an_overflow_warns_as_numpy_does(self, dim):
+        big = np.full(dim, 1e200)
+        with pytest.warns(RuntimeWarning, match="^overflow encountered in multiply$"):
+            assert dot(big, big) == math.inf
+        with pytest.warns(RuntimeWarning, match="^overflow encountered in reduce$"):
+            assert norm(np.full(dim, 1e154)) == math.inf  # finite squares
+
+    @pytest.mark.parametrize("u,v", [(np.ones(2), np.ones(3)), (np.ones(9), np.ones(1)),
+                                     (np.ones(1), np.ones(9))])
+    def test_vectors_of_two_shapes_are_rejected(self, u, v):
+        message = f"^dimension mismatch: \\({u.size},\\) vs \\({v.size},\\)$"
+        with pytest.raises(ConfigurationError, match=message):
+            dot(u, v)
+        with pytest.raises(ConfigurationError, match="dimension mismatch"):
+            matvec(np.ones((2, u.size)), v)
+
+
+class TestAllFinite:
     @pytest.mark.filterwarnings("error")
     @settings(deadline=None, max_examples=300)
     @given(st.lists(st.floats(), min_size=1, max_size=8))
