@@ -136,7 +136,8 @@ def run_certificates(
     expression's float, bit for bit.  Stacks are read
     from the trace (``RunTrace.stack_at``), never from a stack provider.
     Certificate (iii) also evaluates the stack tails at ``xbar_n`` every
-    iteration, and at ``x_ref`` once per distinct stack.
+    iteration, and at ``x_ref`` once per distinct stack; its maximum over
+    the layers is NaN when a layer term is, so that slack fails.
     """
     if isinstance(which, str):  # set("ii") is {"i"}, and "ii" in "iii" holds
         raise ConfigurationError(f"which must be a sequence of certificate names, got {which!r}")
@@ -194,7 +195,7 @@ def run_certificates(
                 for i, layer, coeff, d_ref in ref_disps:
                     t_bar = tail_apply(stack, i, xbar)
                     disp = (t_bar - layer.fn(t_bar)) - d_ref
-                    layer_term = max(layer_term, coeff * dot(disp, disp))
+                    layer_term = np.maximum(layer_term, coeff * dot(disp, disp))
                 iii.append(b + lam * (lam - 1.0) * (r * r) - lam * layer_term)
             slacks["iii"] = np.array(iii)
     return {

@@ -559,6 +559,36 @@ class TestNaNSlack:
             assert not report.passed
             assert report.first_violation == int(np.flatnonzero(np.isnan(report.slacks))[0])
 
+    @pytest.mark.parametrize("poisoned", [1, 2])
+    def test_a_nan_layer_term_fails_certificate_iii(self, poisoned):
+        # two averaged layers; after the run, layer `poisoned` returns
+        # NaN at its input of step 5 only, so that step's maximum over the
+        # layers is NaN, whichever layer comes first in it
+        a = vec(2.0, -0.3, 0.7)
+        layers = [prox_l1(0.8), gradient_step(0.8, lambda x: x - a, beta=1.0)]
+        poison = []
+
+        def poisonable(fn):
+            return lambda x: np.full_like(x, math.nan) if any(
+                np.array_equal(x, p) for p in poison) else fn(x)
+
+        layers[poisoned - 1] = dataclasses.replace(
+            layers[poisoned - 1], fn=poisonable(layers[poisoned - 1].fn))
+        stack = compose(layers)
+        trace = run(IterationConfig(
+            stacks=stack, weights=window(2), relaxation=constant_relaxation(1.0),
+            x0=vec(-1.0, 0.5, 3.0), max_iters=12, stop_residual=0.0,
+        ))
+        x_ref = soft_threshold(a, 1.0)
+        clean = run_certificates(trace, x_ref, which=("iii",))["iii"]
+        assert clean.passed
+        poison.append(tail_apply(stack, poisoned, trace.xbars[5]))
+        report = run_certificates(trace, x_ref, which=("iii",))["iii"]
+        assert np.flatnonzero(np.isnan(report.slacks)).tolist() == [5]
+        assert report.first_violation == 5 and not report.passed
+        kept = np.arange(trace.n_steps) != 5
+        assert report.slacks[kept].tobytes() == clean.slacks[kept].tobytes()
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_slacks_fail_without_a_numpy_warning(self):
         # the digest corpus's fb-window2-overflow inputs: l1_quadratic at d=3 with
@@ -674,7 +704,8 @@ def loop_slacks(trace, x_ref, which):
     (i) is the row ``fsum`` of ``|mu_{n,j}| ||x_j - x*||`` (not for cesaro,
     whose running sum is only within 2 eps of it); (ii) and (iii) measure
     ``||xbar_n - x*||`` with one ``norm`` per step.  Squares are ``v * v``,
-    and a layer term is ``add.reduce``'s sum of squares.
+    a layer term is ``add.reduce``'s sum of squares, and a NaN layer term
+    makes (iii)'s maximum NaN.
     """
     x_ref = np.asarray(x_ref, dtype=np.float64)
     points = trace.points
@@ -707,7 +738,9 @@ def loop_slacks(trace, x_ref, which):
             for i, layer, coeff, d_ref in ref_disps:
                 t_bar = tail_apply(stack, i, xbar)
                 disp = (t_bar - layer.fn(t_bar)) - d_ref
-                layer_term = max(layer_term, coeff * float(np.add.reduce(np.multiply(disp, disp))))
+                term = coeff * float(np.add.reduce(np.multiply(disp, disp)))
+                if math.isnan(term) or term > layer_term:
+                    layer_term = term
             out["iii"][n] = base + lam * (lam - 1.0) * (r_n * r_n) - lam * layer_term
     return out
 
