@@ -170,7 +170,8 @@ class Rows:
     the rows it holds, or its first block.
     ``new_row()`` returns the next row as a writable 1-D view for the caller
     to fill (with a ufunc's ``out``, say), and ``append(x)`` copies ``x``
-    into it, so no row shares memory with a caller's array.  A point of
+    into it, so no row shares memory with a caller's array; an ``x`` that
+    numpy cannot assign to a row leaves the rows as they were.  A point of
     ``BLOCK_FLOATS`` floats or more is a block of one row.  ``rows[i]``
     (negative ``i`` too) and iteration give 1-D views into the blocks, a
     slice gives a list of them, ``blocks(stop)`` gives the filled part of
@@ -190,7 +191,12 @@ class Rows:
         self._pos = self._end = 0
 
     def append(self, x: Vector) -> None:
-        self.new_row()[...] = x
+        row = self.new_row()
+        try:
+            row[...] = x
+        except BaseException:
+            self._pos -= 1  # numpy rejected x: the row was not appended
+            raise
 
     def new_row(self) -> Vector:
         pos = self._pos

@@ -288,6 +288,21 @@ class TestRows:
         with pytest.raises(IndexError, match="at most 3"):
             Rows.of_blocks(2, rows.blocks()).append(vec(0.0, 0.0))
 
+    @pytest.mark.parametrize("value,error", [
+        ([1.0, 2.0, 3.0], "could not broadcast"), (["a", "b"], "could not convert"),
+    ])
+    def test_a_rejected_append_leaves_the_rows_as_they_were(self, value, error):
+        rows = Rows(2, 3)
+        with pytest.raises(ValueError, match=error):
+            rows.append(value)
+        assert len(rows) == 0 and rows.blocks() == [] and list(rows) == []
+        rows.append(vec(1.0, 2.0))
+        with pytest.raises(ValueError, match=error):
+            rows.append(value)
+        assert len(rows) == 1 and rows[0].tolist() == [1.0, 2.0]
+        rows.append(vec(3.0, 4.0))
+        assert [r.tolist() for r in rows] == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_rows_of_another_dtype_or_layout_are_converted(self):
         rows = Rows(3, 4)
         rows.append(np.array([1.0, 2.0, 3.0], dtype=np.float32))
