@@ -372,9 +372,10 @@ def abs_weighted_sums(
     rounded in any order, and a two-term ``fsum`` is one correctly rounded
     addition.  Cesaro rows take O(N) array operations: a compensated
     (Neumaier) running sum ``S_n`` of ``d_0 .. d_n``, each addition's error
-    exact (TwoSum), times ``1/(n+1)``, the scalar loop's floats up to NaN signs.  Against the row ``fsum`` that is at most four roundings
-    of half an ulp, so within about ``2 eps`` relative, plus one smallest
-    subnormal per term where the products underflow.
+    exact (TwoSum), times ``1/(n+1)``; the scalar loop's floats but for NaN
+    signs.  Against the row ``fsum`` that is at most four roundings of half
+    an ulp, so within about ``2 eps`` relative, plus one smallest subnormal
+    per term where the products underflow.
     """
     family = schedule.family
     sums = dists[:-1].copy()
