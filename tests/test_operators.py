@@ -334,7 +334,7 @@ class TestDiagonalAffineMonotone:
         # +0.0 and keeps every other value): the dense solve and product add
         # 0 * x_j for the off-diagonal terms, which turns a -0.0 into +0.0
         assert hexes(mono.resolvent(gamma, x) + 0.0) == hexes(expected + 0.0)
-        assert hexes(mono.mapping(x) + 0.0) == hexes(dense @ x + c + 0.0)
+        assert hexes(mono.mapping(x) + 0.0) == hexes(np.add.reduce(dense * x, axis=1) + c + 0.0)
 
     def test_only_a_non_diagonal_matrix_calls_the_dense_solve(self, monkeypatch):
         solves = []
