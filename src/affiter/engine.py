@@ -529,7 +529,7 @@ def run(config: IterationConfig) -> RunTrace:
 
     ``trace.flags`` holds the numpy floating-point events of the loop in
     the run's thread, one per event, as numpy words them ("overflow
-    encountered in dot").  The loop runs under ``np.errstate``, which numpy
+    encountered in multiply").  The loop runs under ``np.errstate``, which numpy
     keeps per thread, with each category that ``np.geterr()`` sets to "warn"
     switched to "log".  The caller's other modes hold: "ignore" stays
     silent, "raise" raises ``FloatingPointError``, "print" prints, and
