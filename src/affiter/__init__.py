@@ -36,7 +36,6 @@ from .operators import (
     compose,
     composite_phi,
     gradient_step,
-    identity_operator,
     l1_subdifferential,
     linear_operator,
     normal_cone,
@@ -47,11 +46,9 @@ from .operators import (
     resolvent_operator,
     soft_threshold,
     subgradient_projector,
-    tail_apply,
 )
 from .problems import ProblemSpec, brute_oracle, catalog
 from .schedules import (
-    ChiEntry,
     EtaSchedule,
     RelaxationSchedule,
     WeightSchedule,
@@ -61,7 +58,6 @@ from .schedules import (
     constant_relaxation,
     inertial,
     memoryless,
-    relaxation_at,
     validate_weights,
     window,
 )
@@ -72,6 +68,6 @@ from .solvers import (
     peaceman_rachford,
     polyak_subgradient,
 )
-from .space import affine_combine, as_vector
+from .space import as_vector
 
 __version__ = "0.1.0"

@@ -134,7 +134,7 @@ def run_certificates(
     ``v * v`` is, and the rest of (ii) is float64 array arithmetic in the
     order of the per-step Python expression, so each slack is that
     expression's float, bit for bit.  Stacks are read
-    from the trace (``RunTrace.stack_at``), never from a stack provider.
+    from the trace's plan (``trace.plan.stack_at``), never from a stack provider.
     Certificate (iii) also evaluates the stack tails at ``xbar_n`` every
     iteration, and at ``x_ref`` once per distinct stack; its maximum over
     the layers is NaN when a layer term is, so that slack fails.
@@ -182,7 +182,7 @@ def run_certificates(
             xbars = (xbar for _start, rows in trace.xbar_blocks() for xbar in rows)
             columns = zip(xbars, base.tolist(), lambdas, trace.residuals)
             for n, (xbar, b, lam, r) in enumerate(columns):
-                stack = trace.stack_at(n)
+                stack = trace.plan.stack_at(n)
                 if stack is not ref_stack:
                     # (Id - T_i) T_{i+} x_ref, for each layer with a nonzero coefficient
                     ref_stack, ref_disps = stack, []

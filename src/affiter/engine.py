@@ -308,10 +308,6 @@ class RunTrace:
         """Orbit points the ``xbar_n`` step kernel held at most."""
         return min(self.plan.weights.support_bound or 1, len(self.points))
 
-    def stack_at(self, n: int) -> LayerStack:
-        """The stack the run applied at step ``n``."""
-        return self.plan.stack_at(n)
-
     def xbar_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """``(start, rows)`` with ``rows[i] = xbar_{start + i}``, one packed
         block of ``points`` at a time (``schedules.orbit_mean_blocks``), bit
@@ -385,12 +381,6 @@ class RunTrace:
         if self.plan.reference is None:
             return None
         return norm(self.final_point - self.plan.reference)
-
-    def step_differences(self) -> np.ndarray:
-        """Norms ``||x_{n+1} - x_n||`` for n = 0 .. n_steps-1."""
-        return np.array(
-            [norm(self.points[k + 1] - self.points[k]) for k in range(self.n_steps)]
-        )
 
 
 def _check_error_depth(errors: ErrorModel, m: int) -> None:

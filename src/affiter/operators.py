@@ -385,10 +385,6 @@ def linear_operator(matrix, alpha: float = 1.0, kind: str = NONEXPANSIVE) -> Ave
     return AveragedOperator(fn=lambda x: matvec(m, x), alpha=alpha, kind=kind, name="linear")
 
 
-def identity_operator() -> AveragedOperator:
-    return AveragedOperator(fn=lambda x: x.copy(), alpha=1.0, name="identity")
-
-
 # ---------------------------------------------------------------------------
 # layer stacks
 # ---------------------------------------------------------------------------

@@ -466,12 +466,18 @@ TOEPLITZ_TOL = 1e-3
 
 @dataclass(frozen=True)
 class WeightValidationReport:
+    """What ``validate_weights`` found over its horizon.  ``decay_status`` is
+    "exact-zero" for families of bounded support and "analytic" for cesaro;
+    ``chi_sup`` is a float for every family (1.0 for the nonnegative ones);
+    ``ok`` holds when the absolute row sums are finite, the row sums are 1
+    within 1e-12, and the Toeplitz probe is within ``TOEPLITZ_TOL``."""
+
     schedule: str
     sup_abs_row_sum: float
     max_row_sum_deviation: float
-    decay_status: str            # "exact-zero", "analytic", or "checked"
+    decay_status: str            # "exact-zero" or "analytic"
     chi_certificate: str
-    chi_sup: float | None
+    chi_sup: float
     toeplitz_index: int
     toeplitz_deviation: float
 
@@ -480,7 +486,6 @@ class WeightValidationReport:
         return (
             math.isfinite(self.sup_abs_row_sum)
             and self.max_row_sum_deviation <= 1e-12
-            and self.decay_status != "failed"
             and self.toeplitz_deviation <= TOEPLITZ_TOL
         )
 
@@ -509,80 +514,50 @@ def _row_sums(schedule: WeightSchedule, horizon: int) -> tuple[np.ndarray, np.nd
     return sums, sums
 
 
-def _explicit_row(n: int, entries) -> dict[int, float]:
-    """Caller-supplied row ``n`` as a dict, with its indices and unit sum checked."""
-    row = dict(entries)
-    for j in row:
-        if not 0 <= j <= n:
-            raise InvalidScheduleError(
-                f"row {n}: row {n} touches orbit index {j} outside [0, {n}]"
-            )
-    s = math.fsum(row.values())
-    if abs(s - 1.0) > 1e-12:
-        raise InvalidScheduleError(
-            f"row {n}: row {n} weights sum to {s!r}, expected 1 within 1e-12"
-        )
-    return row
-
-
-def validate_weights(schedule, horizon: int) -> WeightValidationReport:
+def validate_weights(schedule: WeightSchedule, horizon: int) -> WeightValidationReport:
     """Check the row conditions over a horizon and report the (e) certificate.
 
-    ``schedule`` is a WeightSchedule or, for ad-hoc arrays, an explicit
-    sequence of rows given as mappings ``{j: mu_{n,j}}``.  A family's rows
-    ``n = 0 .. horizon`` are all checked in closed form (``_row_sums``), and
-    no row is built but the Toeplitz probe; a custom eta outside [0, 1) at any
-    such ``n`` raises InvalidScheduleError.  Explicit rows are checked entry
-    by entry: an index outside ``[0, n]`` or a row sum off 1 by more than
-    1e-12 raises InvalidScheduleError.  Everything else is reported.  The
-    regularity certificate (e) comes from the family's analytic argument,
-    never from data; explicit row sets get no certificate.
+    Rows ``n = 0 .. horizon`` are all checked in closed form (``_row_sums``),
+    and no row is built but the Toeplitz probe; a custom eta outside [0, 1)
+    at any such ``n`` raises InvalidScheduleError, and so does a
+    ``schedule`` that is not a WeightSchedule.  Everything else is reported.
+    The regularity certificate (e) comes from the family's analytic
+    argument, never from data, so ``chi_sup`` is always a float.
     """
+    if not isinstance(schedule, WeightSchedule):
+        raise InvalidScheduleError(
+            f"validate_weights needs a WeightSchedule, got {type(schedule).__name__}"
+        )
     check_integer(horizon, "validation horizon")
     if horizon < 1:
         raise ConfigurationError("validation horizon must be >= 1")
 
-    if isinstance(schedule, WeightSchedule):
-        name = schedule.describe()
-        sums, abs_sums = _row_sums(schedule, horizon)
-        decay = "exact-zero" if schedule.support_bound is not None else "analytic"
-        if schedule.nonnegative:
-            chi_cert, chi_sup = "constant chi = 1 (nonnegative mean-value family)", 1.0
-        else:
-            eta = schedule.eta_schedule()
-            if eta.kind != "nesterov" and eta.sup() >= 1.0:
-                raise InvalidScheduleError("inertial weights need sup eta < 1 or the nesterov form")
-            probe = [chi_value(schedule, n).value for n in (0, 1, 10, horizon)]
-            chi_sup = max(probe)
-            chi_cert = (
-                "two-term extrapolation family: computed chi "
-                f"(upper estimates {chi_sup:.6g} over probed indexes)"
-            )
-        try:
-            toeplitz_row, t_idx = schedule.row(TOEPLITZ_PROBE), TOEPLITZ_PROBE
-        except ConfigurationError as exc:
-            raise InvalidScheduleError(str(exc)) from exc
+    sums, abs_sums = _row_sums(schedule, horizon)
+    if schedule.nonnegative:
+        chi_cert, chi_sup = "constant chi = 1 (nonnegative mean-value family)", 1.0
     else:
-        name = "explicit rows"
-        rows = [_explicit_row(n, entries) for n, entries in enumerate(schedule)]
-        if not rows:
-            raise InvalidScheduleError("no rows supplied")
-        sums = np.array([math.fsum(r.values()) for r in rows])
-        abs_sums = np.array([math.fsum(map(abs, r.values())) for r in rows])
-        last = len(rows) - 1
-        max_tail = max(abs(rows[last].get(j, 0.0)) for j in range(last // 2 + 1))
-        decay = "checked" if max_tail < 1e-6 else "failed"
-        chi_cert, chi_sup = "none (explicit rows carry no analytic certificate)", None
-        toeplitz_row, t_idx = rows[last], last
+        eta = schedule.eta_schedule()
+        if eta.kind != "nesterov" and eta.sup() >= 1.0:
+            raise InvalidScheduleError("inertial weights need sup eta < 1 or the nesterov form")
+        probe = [chi_value(schedule, n).value for n in (0, 1, 10, horizon)]
+        chi_sup = max(probe)
+        chi_cert = (
+            "two-term extrapolation family: computed chi "
+            f"(upper estimates {chi_sup:.6g} over probed indexes)"
+        )
+    try:
+        toeplitz_row = schedule.row(TOEPLITZ_PROBE)
+    except ConfigurationError as exc:
+        raise InvalidScheduleError(str(exc)) from exc
 
     return WeightValidationReport(
-        schedule=name,
+        schedule=schedule.describe(),
         sup_abs_row_sum=float(abs_sums.max()),
         max_row_sum_deviation=float(np.abs(sums - 1.0).max()),
-        decay_status=decay,
+        decay_status="exact-zero" if schedule.support_bound is not None else "analytic",
         chi_certificate=chi_cert,
         chi_sup=chi_sup,
-        toeplitz_index=t_idx,
+        toeplitz_index=TOEPLITZ_PROBE,
         toeplitz_deviation=abs(_toeplitz_transform(toeplitz_row) - 1.0),
     )
 

@@ -46,6 +46,7 @@ from affiter import (
     validate_weights,
     window,
 )
+from affiter.space import norm
 
 
 def vec(*xs):
@@ -194,8 +195,9 @@ def test_criterion_5_inertial_summability_premise():
     preset = build_fb_preset("inertial", max_iters=1000, stop_residual=0.0)
     _, trace = preset.solve()
     assert trace.n_steps == 1000
-    diffs = trace.step_differences()  # ||x_{n+1} - x_n|| for n = 0..999
-    weighted = [(n + 1) * float(diffs[n]) ** 2 for n in range(len(diffs))]
+    points = trace.points
+    diffs = [norm(points[n + 1] - points[n]) for n in range(trace.n_steps)]  # ||x_{n+1} - x_n||
+    weighted = [(n + 1) * diffs[n] ** 2 for n in range(len(diffs))]
     report = summability_monitor(weighted, tolerance=1e-6)
     note(5, report.passed,
          f"sum n||dx||^2 = {report.partial_sum:.6f}, last-quarter increment "

@@ -34,10 +34,10 @@ from affiter import (
     run_certificates,
     soft_threshold,
     summability_monitor,
-    tail_apply,
     window,
 )
 from affiter import certificates, space
+from affiter.operators import tail_apply
 from affiter.space import norm
 
 
@@ -85,7 +85,7 @@ def pairwise_slacks(trace, x_ref):
         base = (pairwise_form(row, trace.points, x_ref)
                 - sq(trace.points[n + 1] - x_ref) + theta * (2.0 * dbar + theta))
         ii.append(base - lam * (1.0 / phi - lam) * r_n**2)
-        stack = trace.stack_at(n)
+        stack = trace.plan.stack_at(n)
         layer_term = 0.0
         for i, layer in enumerate(stack.layers, start=1):
             t_bar, t_ref = tail_apply(stack, i, xbar), tail_apply(stack, i, x_ref)
@@ -726,7 +726,7 @@ def loop_slacks(trace, x_ref, which):
         if "ii" in which:
             out["ii"][n] = base - lam * (1.0 / phi - lam) * (r_n * r_n)
         if "iii" in which:
-            stack = trace.stack_at(n)
+            stack = trace.plan.stack_at(n)
             if stack is not ref_stack:
                 ref_stack, ref_disps = stack, []
                 for i, layer in enumerate(stack.layers, start=1):

@@ -24,7 +24,6 @@ from affiter import (
     MonotoneMap,
     NumericalDivergence,
     SequenceError,
-    affine_combine,
     apply_stack,
     catalog,
     cesaro,
@@ -41,7 +40,6 @@ from affiter import (
     memoryless,
     peaceman_rachford,
     prox_l1,
-    relaxation_at,
     run,
     run_certificates,
     soft_threshold,
@@ -49,7 +47,8 @@ from affiter import (
     window,
 )
 from affiter import engine, space
-from affiter.space import BLOCK_FLOATS, as_vector, norm
+from affiter.schedules import relaxation_at
+from affiter.space import BLOCK_FLOATS, affine_combine, as_vector, norm
 
 NEG_ID = compose([linear_operator(-np.eye(1), alpha=1.0)])
 NEG_ID2 = compose([linear_operator(-np.eye(2), alpha=1.0)])
@@ -697,7 +696,7 @@ class TestErrorColumns:
     def test_norms_are_the_stack_passes_per_layer_norms(self):
         errors = SequenceError([lambda n: vec(0.1 * n, 0.0), lambda n: vec(0.0, 0.5**n)])
         trace = run(self.config(errors))
-        rows = [apply_stack(trace.stack_at(n), xbar, errors.errors_for(n)).error_norms
+        rows = [apply_stack(trace.plan.stack_at(n), xbar, errors.errors_for(n)).error_norms
                 for n, xbar in enumerate(trace.xbars)]
         assert trace.error_norms.shape == (9, 2) and trace.error_norms.dtype == np.float64
         assert trace.error_norms.tobytes() == np.array(rows).tobytes()
@@ -712,7 +711,7 @@ class TestErrorColumns:
     @pytest.mark.parametrize("errors", [None, GeometricError(0.5, vec(1.0, 1.0))])
     def test_zero_step_runs(self, errors):
         fixed = run(self.config(errors, max_iters=0))
-        stack = fixed.stack_at(0)
+        stack = fixed.plan.stack_at(0)
         provided = run(self.config(errors, max_iters=0, stacks=lambda n: stack))
         assert fixed.error_norms.shape == (0, 2) and provided.error_norms.shape == (0, 0)
         assert len(fixed.thetas) == len(provided.thetas) == 0

@@ -23,7 +23,6 @@ from affiter import (
     IterationConfig,
     RelaxationSchedule,
     WeightSchedule,
-    affine_combine,
     affine_monotone,
     brute_oracle,
     catalog,
@@ -37,7 +36,6 @@ from affiter import (
     forward_backward,
     gradient_step,
     gronwall_envelope,
-    identity_operator,
     inertial,
     inertial_band_validate,
     krasnoselskii_mann,
@@ -47,17 +45,17 @@ from affiter import (
     projector,
     prox_l1,
     reflector_operator,
-    relaxation_at,
     relaxed,
     resolvent_operator,
     run_certificates,
     summability_monitor,
-    tail_apply,
     validate_weights,
     window,
 )
 from affiter.certificates import verify_reference
-from affiter.space import BLOCK_FLOATS, Rows
+from affiter.operators import tail_apply
+from affiter.schedules import relaxation_at
+from affiter.space import BLOCK_FLOATS, Rows, affine_combine
 
 L1 = l1_subdifferential()
 BAND = InertialBandParams(eta=0.3, sigma=0.1, theta_tune=1.0)
@@ -155,7 +153,7 @@ LIBRARY = [
      ConfigurationError, "hyperplane normal must be nonzero"),
     ("projector-unknown-kind", lambda: projector("sphere"),
      ConfigurationError, "unknown projector set 'sphere'"),
-    ("relaxed-alpha", lambda: relaxed(identity_operator(), 1.0),
+    ("relaxed-alpha", lambda: relaxed(AveragedOperator(fn=np.copy, alpha=1.0), 1.0),
      ConfigurationError, "relaxed() needs a firmly (quasi)nonexpansive operator"),
     ("relaxed-xi", lambda: relaxed(prox_l1(1.0), 2.0),
      ConfigurationError, "relaxation xi=2.0 outside (0, 2)"),
@@ -232,7 +230,7 @@ LIBRARY = [
          kind="custom", eta=0.5, fn=lambda n: 0.2 if n < 10_000 else 1.5)), 10),
      InvalidScheduleError, "custom eta value 1.5 at n=10000 outside [0, 1)"),
     ("validate_weights-no-rows", lambda: validate_weights([], 5),
-     InvalidScheduleError, "no rows supplied"),
+     InvalidScheduleError, "validate_weights needs a WeightSchedule, got list"),
     ("EtaSchedule-kind", lambda: EtaSchedule(kind="bogus"),
      ConfigurationError, "unknown eta schedule kind 'bogus'"),
     ("EtaSchedule-custom-no-callable", lambda: EtaSchedule(kind="custom"),

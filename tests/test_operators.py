@@ -26,8 +26,8 @@ from affiter import (
     resolvent_operator,
     soft_threshold,
     subgradient_projector,
-    tail_apply,
 )
+from affiter.operators import tail_apply
 
 
 def vec(*xs):

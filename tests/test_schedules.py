@@ -19,12 +19,17 @@ from affiter import (
     constant_relaxation,
     inertial,
     memoryless,
-    relaxation_at,
     validate_weights,
     window,
 )
 from affiter import space
-from affiter.schedules import abs_weighted_sums, eta_values, orbit_mean, orbit_mean_blocks
+from affiter.schedules import (
+    abs_weighted_sums,
+    eta_values,
+    orbit_mean,
+    orbit_mean_blocks,
+    relaxation_at,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -279,36 +284,6 @@ class TestValidateWeights:
         # geometric series 1/(1 - exp(-0.01)) is large but finite
         assert report.chi_sup == pytest.approx(1.0 / (1.0 - math.exp(-0.01)), rel=1e-6)
         assert report.sup_abs_row_sum == pytest.approx(2.98)
-
-    def test_custom_rows_bad_sum_rejected(self):
-        with pytest.raises(InvalidScheduleError):
-            validate_weights([{0: 1.0}, {1: 0.9}], 1)
-
-    def test_explicit_row_rejects_bad_sum(self):
-        with pytest.raises(InvalidScheduleError, match=re.escape(
-            "row 2: row 2 weights sum to 0.9, expected 1 within 1e-12"
-        )):
-            validate_weights([{0: 1.0}, {1: 1.0}, {2: 0.9}], 2)
-
-    def test_explicit_row_rejects_out_of_range_index(self):
-        with pytest.raises(InvalidScheduleError, match=re.escape(
-            "row 2: row 2 touches orbit index 3 outside [0, 2]"
-        )):
-            validate_weights([{0: 1.0}, {1: 1.0}, {3: 1.0}], 2)
-        with pytest.raises(InvalidScheduleError, match=re.escape(
-            "row 2: row 2 touches orbit index -1 outside [0, 2]"
-        )):
-            validate_weights([{0: 1.0}, {1: 1.0}, {-1: 0.5, 2: 0.5}], 2)
-
-    def test_explicit_rows_abs_row_sum(self):
-        rows = [{0: 1.0}, {1: 1.0}, {2: 1.0}, {3: 1.0}, {4: 1.0}, {5: 1.5, 4: -0.5}]
-        assert validate_weights(rows, 5).sup_abs_row_sum == 2.0
-
-    def test_custom_rows_checked_decay(self):
-        rows = [{0: 1.0}, {1: 1.0}, {2: 1.0}, {3: 1.0}, {4: 1.0}]
-        report = validate_weights(rows, 4)
-        assert report.decay_status == "checked"
-        assert report.chi_sup is None
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affiter import (
+    AveragedOperator,
     ConfigurationError,
     DegenerateSelectionWarning,
     EtaSchedule,
@@ -942,9 +943,7 @@ class TestKrasnoselskiiMann:
         assert all(np.linalg.norm(p) == pytest.approx(1.0) for p in trace.points)
 
     def test_identity_constant_any_variant(self):
-        from affiter import identity_operator
-
-        eye = identity_operator()
+        eye = AveragedOperator(fn=lambda x: x.copy(), alpha=1.0, name="identity")
         for kwargs in (
             dict(variant="memoryless"),
             dict(variant="mean", weights=window(2)),

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affiter import ConfigurationError, affine_combine
+from affiter import ConfigurationError
 from affiter.space import (
     BLOCK_FLOATS,
     FIRST_BLOCK_FLOATS,
     PAIRWISE_FROM,
     Rows,
+    affine_combine,
     all_finite,
     as_vector,
     dot,
