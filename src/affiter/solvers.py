@@ -238,8 +238,10 @@ def forward_backward(
     and ``proximal_point`` (``B = 0``: the backward layer alone with
     ``phi = 1/2`` and ``gamma_n in [eps, inf)``).
 
-    Inertial runs accept errors (sequences or a model) only in the
-    unit-relaxation bounded-domain regime; anything else is rejected.
+    Runs with signed weights (inertial rows whose eta kind is not
+    ``zero``), whatever the variant, accept errors (sequences or a model)
+    only in the unit-relaxation bounded-domain regime; anything else is
+    rejected.
     The forward error ``-gamma_n b_n`` reads gamma_n as the run's pre-pass
     read it, kept per thread (by thread id), so runs of one preset in two
     threads each scale b_n by their own gamma_n.
@@ -284,29 +286,31 @@ def forward_backward(
         if eta is None:
             raise ConfigurationError("inertial variant needs an eta schedule")
         weights = inertial(eta)
-        if errors is not None or a_errors is not None or b_errors is not None:
-            rejected = (
-                "errors under inertial weights need unit relaxation and a "
-                "bounded-domain backward operator; rejected"
-            )
-            # lam=None runs at the fb-band cap, which always exceeds 1
-            if lam is None or not A.bounded_domain or (not callable(lam) and float(lam) != 1.0):
-                raise ConfigurationError(rejected)
-            if callable(lam):
-                lam_fn = lam
-
-                def unit_lam(n: int) -> float:
-                    # read by the run's pre-pass once per n, before any operator call
-                    value = float(lam_fn(n))
-                    if value != 1.0:
-                        raise ConfigurationError(rejected)
-                    return value
-
-                lam = unit_lam
     elif weights is None:
         weights = memoryless()
     if variant == "mean" and not weights.nonnegative:
         raise ConfigurationError("mean variant needs a nonnegative weight family")
+    if not weights.nonnegative and (
+        errors is not None or a_errors is not None or b_errors is not None
+    ):
+        rejected = (
+            "errors under inertial weights need unit relaxation and a "
+            "bounded-domain backward operator; rejected"
+        )
+        # lam=None runs at the fb-band cap, which always exceeds 1
+        if lam is None or not A.bounded_domain or (not callable(lam) and float(lam) != 1.0):
+            raise ConfigurationError(rejected)
+        if callable(lam):
+            lam_fn = lam
+
+            def unit_lam(n: int) -> float:
+                # read by the run's pre-pass once per n, before any operator call
+                value = float(lam_fn(n))
+                if value != 1.0:
+                    raise ConfigurationError(rejected)
+                return value
+
+            lam = unit_lam
 
     a_fn, b_fn = _seq(a_errors), _seq(b_errors)
 

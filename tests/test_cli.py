@@ -135,19 +135,24 @@ class TestRunCommand:
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("solver,message", [
+    @pytest.mark.parametrize("solver,extra,message", [
         ({"name": "forward_backward", "params": {
             "variant": "inertial", "gamma": 0.8, "eta": {"kind": "constant", "eta": 0.3}}},
+         {}, "errors under inertial weights need unit relaxation and a bounded-domain "
+         "backward operator; rejected"),
+        # the memoryless variant meets the same rule when the weights section is inertial
+        ({"name": "forward_backward", "params": {"variant": "memoryless", "gamma": 0.8}},
+         {"weights": {"family": "inertial", "eta": {"kind": "constant", "eta": 0.5}}},
          "errors under inertial weights need unit relaxation and a bounded-domain "
          "backward operator; rejected"),
         ({"name": "krasnoselskii_mann", "params": {"variant": "inertial", "lambda": 0.3}},
-         "the inertial variant is error-free; rejected"),
-    ], ids=["forward_backward", "krasnoselskii_mann"])
+         {}, "the inertial variant is error-free; rejected"),
+    ], ids=["forward_backward", "forward_backward-memoryless", "krasnoselskii_mann"])
     def test_errors_meet_the_builders_inertial_rules(self, tmp_path, capsys, command,
-                                                     solver, message):
+                                                     solver, extra, message):
         # the builder sees the config's error model, not a model set after it
         fb = solver["name"] == "forward_backward"
-        cfg = write_config(tmp_path, {
+        cfg = write_config(tmp_path, extra | {
             "problem": {"name": "l1_quadratic", "params": {"a": [2.0, -0.3, 0.7]}} if fb
             else {"name": "rotation_fixed_point", "params": {"angle": 1.0}},
             "solver": solver,

@@ -21,6 +21,7 @@ from affiter import (
     catalog,
     error_budget_check,
     forward_backward,
+    inertial,
     krasnoselskii_mann,
     linear_operator,
     normal_cone,
@@ -738,6 +739,47 @@ class TestForwardBackward:
                 variant="inertial", eta=EtaSchedule(kind="constant", eta=0.3),
                 lam=None, a_errors=lambda n: vec(0.25**n * 0.01), max_iters=150,
             )
+
+    @pytest.mark.parametrize("variant", ["memoryless", "proximal_point"])
+    def test_inertial_weights_meet_the_errors_rule_whatever_the_variant(self, variant):
+        # the rule reads the weights the builder settled on, not the variant's name
+        prob = catalog("l1_quadratic", a=[2.0, -0.3])
+        message = (
+            "errors under inertial weights need unit relaxation and a "
+            "bounded-domain backward operator; rejected"
+        )
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            forward_backward(
+                A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=prob.beta,
+                gamma=1.0, x0=vec(0.0, 0.0), variant=variant,
+                weights=inertial(EtaSchedule(kind="constant", eta=0.5)),
+                a_errors=lambda n: [0.1**n, 0.0], lam=1.5,
+            )
+
+    def test_inertial_weights_under_the_memoryless_variant_run_as_the_inertial_variant(self):
+        cone = normal_cone("ball", center=[0.0], radius=2.0)
+        eta = EtaSchedule(kind="constant", eta=0.3)
+        args = dict(A=cone, B=lambda x: x - 1.0, beta=1.0, gamma=1.0, x0=vec(0.0),
+                    a_errors=lambda n: vec(0.25**n * 0.01), max_iters=40, stop_residual=0.0)
+        by_weights = forward_backward(weights=inertial(eta), lam=1.0, **args).solve()[1]
+        by_variant = forward_backward(variant="inertial", eta=eta, lam=1.0, **args).solve()[1]
+        assert by_weights.n_steps == by_variant.n_steps == 40
+        assert ([p.tobytes() for p in by_weights.points]
+                == [p.tobytes() for p in by_variant.points])
+        with pytest.raises(ConfigurationError, match="unit relaxation"):
+            forward_backward(weights=inertial(eta), lam=lambda n: 1.0 if n < 5 else 0.9,
+                             **args).solve()
+
+    def test_zero_eta_inertial_weights_take_errors_as_memoryless_weights_do(self):
+        # eta_n = 0 gives the Kronecker rows, so the rule for signed rows does not apply
+        prob = self.problem()
+        args = dict(A=prob.ingredients["A"], B=prob.ingredients["grad"], beta=prob.beta,
+                    gamma=1.0, x0=vec(0.0), lam=0.9, a_errors=lambda n: vec(0.5**n),
+                    max_iters=30, stop_residual=0.0)
+        zero = forward_backward(variant="inertial", eta=EtaSchedule(kind="zero"), **args)
+        plain = forward_backward(variant="memoryless", **args)
+        assert ([p.tobytes() for p in zero.solve()[1].points]
+                == [p.tobytes() for p in plain.solve()[1].points])
 
     def test_solve_leaves_caller_reference_untouched(self):
         cone = normal_cone("ball", center=[0.0], radius=2.0)
