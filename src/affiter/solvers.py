@@ -450,8 +450,9 @@ def krasnoselskii_mann(
     ``memoryless``: the plain relaxed baseline ``x <- x + lam (Tx - x)``
     (which can fail to converge; it exists as the comparison point for the
     averaged variants).  ``mean``: applies ``T`` to a nonnegative average of
-    the orbit with unit relaxation and summable errors; the weight family
-    needs ``inf_n mu_{n+1,n} mu_{n+1,n+1} > 0`` (window w >= 2).
+    the orbit with unit relaxation (any other ``lam`` is rejected) and
+    summable errors; the weight family needs ``inf_n mu_{n+1,n}
+    mu_{n+1,n+1} > 0`` (window w >= 2).
     ``inertial``: two-term extrapolation, error-free, with the (eta, sigma,
     theta_tune) relaxation band validated on the supplied sequences
     (phi == 1 here).  ``errors`` is a sequence for ``T`` (a list or a
@@ -469,7 +470,8 @@ def krasnoselskii_mann(
                 "mean variant needs a nonnegative family with "
                 "inf mu_{n+1,n} mu_{n+1,n+1} > 0 (window w >= 2)"
             )
-        lam = 1.0
+        if callable(lam) or lam != 1.0:
+            raise ConfigurationError("the mean variant runs at unit relaxation; lam must be 1.0")
     elif variant == "inertial":
         if eta is None:
             raise ConfigurationError("inertial variant needs an eta schedule")

@@ -309,6 +309,10 @@ LIBRARY = [
     ("krasnoselskii_mann-inertial-errors",
      lambda: km(variant="inertial", eta=CONSTANT_ETA, errors=[[0.1, 0.0]]),
      ConfigurationError, "the inertial variant is error-free; rejected"),
+    ("krasnoselskii_mann-mean-lam", lambda: km(weights=window(2), lam=0.5),
+     ConfigurationError, "the mean variant runs at unit relaxation; lam must be 1.0"),
+    ("krasnoselskii_mann-mean-lam-callable", lambda: km(weights=window(2), lam=lambda n: 1.0),
+     ConfigurationError, "the mean variant runs at unit relaxation; lam must be 1.0"),
     ("krasnoselskii_mann-variant", lambda: km(variant="bogus", weights=window(2)),
      ConfigurationError, "unknown fixed-point variant 'bogus'"),
     ("krasnoselskii_mann-inertial-sup-eta-1",
@@ -363,6 +367,11 @@ CLI = [
      "config needs a solver section"),
     ("unknown-preset", dict(FB_CONFIG, solver={"name": "douglas_rachford"}),
      "unknown solver preset 'douglas_rachford'"),
+    ("krasnoselskii_mann-mean-relaxation",
+     {"problem": {"name": "rotation_fixed_point"},
+      "solver": {"name": "krasnoselskii_mann", "params": {"variant": "mean"}},
+      "relaxation": {"policy": "constant", "value": 0.5}},
+     "the mean variant runs at unit relaxation; lam must be 1.0"),
 ]
 
 
