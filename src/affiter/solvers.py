@@ -28,7 +28,7 @@ import numpy as np
 
 from .certificates import InertialBandParams, inertial_band_validate
 from .engine import ErrorModel, IterationConfig, RunTrace, SequenceError, error_vector, run
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_integer
 from .operators import (
     AveragedOperator,
     LayerStack,
@@ -132,8 +132,9 @@ def peaceman_rachford(
     ``e_2 = 2 b_n``, so ``theta_n = 2 (||a_n|| + ||b_n||)``.  The trace
     records the three-line quantities y_n, z_n as two packed float64
     columns, read as ``trace.aux[n]["y"]`` and ``trace.aux[n]["z"]``; the
-    reported solution is the last y_n, a view into its column, and the
-    orbit converges to ``x* = y* + gamma B y*``.
+    reported solution is the last y_n, a view into its column (so
+    ``max_iters`` 0 is rejected), and the orbit converges to
+    ``x* = y* + gamma B y*``.
 
     The two reflectors keep the resolvent value they last computed, and the
     recorder reads y_n and z_n from the step's own pass instead of calling
@@ -151,6 +152,10 @@ def peaceman_rachford(
     """
     if not gamma > 0:
         raise ConfigurationError("gamma must be positive")
+    if is_integer(max_iters) and max_iters == 0:
+        raise ConfigurationError(
+            "peaceman_rachford needs max_iters >= 1: its solution is the y_n of a step"
+        )
     if not weights.nonnegative or weights.mann_product_bound() <= 0.0:
         raise ConfigurationError(
             f"weights {weights.describe()} rejected: the mean-value iteration needs "

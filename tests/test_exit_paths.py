@@ -41,6 +41,7 @@ from affiter import (
     krasnoselskii_mann,
     l1_subdifferential,
     memoryless,
+    peaceman_rachford,
     polyak_subgradient,
     projector,
     prox_l1,
@@ -77,6 +78,12 @@ def polyak(**kwargs):
         region_projector=prob.ingredients["projector"], x0=[3.0, 2.0], max_iters=5,
         **kwargs,
     )
+
+
+def pr(**kwargs):
+    prob = catalog("l1_quadratic", a=[2.0])
+    return peaceman_rachford(A=prob.ingredients["A"], B=prob.ingredients["B"], gamma=1.0,
+                             weights=window(2), x0=[0.0], **kwargs)
 
 
 def km(**kwargs):
@@ -285,6 +292,9 @@ LIBRARY = [
     ("summability_monitor-short-chi", lambda: summability_monitor([1.0, 2.0], chi=[1.0]),
      ConfigurationError, "chi weights shorter than the series"),
     # solvers
+    ("peaceman_rachford-zero-steps", lambda: pr(max_iters=0),
+     ConfigurationError,
+     "peaceman_rachford needs max_iters >= 1: its solution is the y_n of a step"),
     ("forward_backward-variant", lambda: fb(variant="bogus"),
      ConfigurationError, "unknown forward-backward variant 'bogus'"),
     ("forward_backward-proximal-b-errors",
