@@ -475,7 +475,7 @@ class WeightValidationReport:
     schedule: str
     sup_abs_row_sum: float
     max_row_sum_deviation: float
-    decay_status: str            # "exact-zero" or "analytic"
+    decay_status: str
     chi_certificate: str
     chi_sup: float
     toeplitz_index: int
