@@ -332,7 +332,7 @@ class RunTrace:
     def thetas(self) -> array:
         """``theta_n = lambda_n sum_i ||e_{i,n}||`` of each step, as a new
         ``array("d")``: row n of ``error_norms`` added in layer order, times
-        lambda_n, so bit for bit ``apply_stack``'s ``aggregate_error`` times it."""
+        lambda_n, so bit for bit ``in_order_sum`` of ``apply_stack``'s norms times it."""
         norms = self.error_norms
         if type(norms.base) is bytes:  # the error-free run's one zero row
             return array("d", [0.0]) * len(self.residuals)  # lambda_n * 0.0, lambda_n > 0

@@ -194,14 +194,13 @@ def affine_monotone(matrix, offset) -> MonotoneMap:
 
 
 def normal_cone(set_kind: str, bounded: bool | None = None, **params) -> MonotoneMap:
-    """Normal cone of one of the catalog convex sets; resolvent is the projector."""
+    """Normal cone of one of the catalog convex sets; resolvent is the projector.
+    Its domain is bounded when the projector's range is, unless ``bounded`` says."""
     proj = projector(set_kind, **params)
-    if bounded is None:
-        bounded = set_kind in ("box", "ball")
     return MonotoneMap(
         name=f"normal_cone({set_kind})",
         resolvent=lambda g, x: proj.fn(x),
-        bounded_domain=bounded,
+        bounded_domain=proj.bounded_range if bounded is None else bounded,
     )
 
 
@@ -457,7 +456,6 @@ class StackApplication:
 
     value: Vector
     error_norms: tuple[float, ...]
-    aggregate_error: float
     clean: Vector
 
 
@@ -469,13 +467,13 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
     stack leaves the inner layers exact, a longer one is rejected.  Before
     any layer call, an error that is not an ndarray of ``x``'s shape is
     checked with ``check_same_dim`` and read as a float64 array, so a list
-    gives what its array gives.  The aggregate error ``sum_i ||e_i||`` is
-    added in order (``in_order_sum``); when the outer layers are nonexpansive
-    it bounds the deviation of the perturbed output from the clean composite.
+    gives what its array gives.  When the outer layers are nonexpansive, the
+    aggregate error ``in_order_sum(error_norms)`` bounds the deviation of the
+    perturbed output from the clean composite.
 
     ``errors=None`` injects no error, as a sequence of ``None`` does: the
     pass is the layers' ``fn`` calls, innermost first, the norms are m
-    zeros with a 0.0 aggregate, and ``clean`` is ``value`` itself.
+    zeros, and ``clean`` is ``value`` itself.
 
     With errors the same pass also returns the clean composite ``T_1 ...
     T_m x``: the innermost perturbed layer and the layers inside it run
@@ -512,9 +510,7 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
             norms[i - 1] = norm(e)
     if exact is None:  # every given error was None
         exact = y
-    return StackApplication(
-        value=y, error_norms=tuple(norms), aggregate_error=in_order_sum(norms), clean=exact
-    )
+    return StackApplication(value=y, error_norms=tuple(norms), clean=exact)
 
 
 def tail_apply(stack: LayerStack, i: int, x: Vector) -> Vector:

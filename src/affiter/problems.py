@@ -95,7 +95,6 @@ def catalog(name: str, **params) -> ProblemSpec:
                 "A": l1_subdifferential(),
                 "B": affine_monotone(1.0, -a),
                 "grad": lambda x: x - a,
-                "a": a,
             },
             beta=1.0,
             notes="solution is the unit soft threshold of a",

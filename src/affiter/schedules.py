@@ -478,7 +478,6 @@ class WeightValidationReport:
     decay_status: str
     chi_certificate: str
     chi_sup: float
-    toeplitz_index: int
     toeplitz_deviation: float
 
     @property
@@ -557,7 +556,6 @@ def validate_weights(schedule: WeightSchedule, horizon: int) -> WeightValidation
         decay_status="exact-zero" if schedule.support_bound is not None else "analytic",
         chi_certificate=chi_cert,
         chi_sup=chi_sup,
-        toeplitz_index=TOEPLITZ_PROBE,
         toeplitz_deviation=abs(_toeplitz_transform(toeplitz_row) - 1.0),
     )
 

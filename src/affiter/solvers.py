@@ -34,6 +34,8 @@ from .operators import (
     LayerStack,
     MonotoneMap,
     compose,
+    gradient_step,
+    reflector_operator,
     relaxed,
     resolvent_operator,
     subgradient_projector,
@@ -136,7 +138,7 @@ def peaceman_rachford(
     ``max_iters`` 0 is rejected), and the orbit converges to
     ``x* = y* + gamma B y*``.
 
-    The two reflectors keep the resolvent value they last computed, and the
+    The two reflectors' resolvents keep the value they last computed, and the
     recorder reads y_n and z_n from the step's own pass instead of calling
     the resolvents again: y_n from ``J_{gamma B} xbar_n``, and z_n from the
     perturbed chain's ``J_{gamma A} u_n`` with ``u_n = R_{gamma B} xbar_n +
@@ -173,13 +175,13 @@ def peaceman_rachford(
     resolvents = threading.local()
 
     def reflector(key: str, mono: MonotoneMap) -> AveragedOperator:
-        # reflector_operator(gamma, mono), keeping its resolvent value for record
-        def fn(x):
-            j = mono.resolvent(gamma, x)
+        # R_{gamma mono} over a resolvent that keeps its value for record
+        def resolvent(g, x):
+            j = mono.resolvent(g, x)
             setattr(resolvents, key, j)
-            return j + j - x  # 2 j - x: doubling by addition is exact, as 2.0 * j is
+            return j
 
-        return AveragedOperator(fn=fn, alpha=1.0, name=f"reflector({mono.name}, gamma={gamma})")
+        return reflector_operator(gamma, MonotoneMap(name=mono.name, resolvent=resolvent))
 
     def record(n, xbar, errors_n):
         # the step's pass has just evaluated J_{gamma B} at xbar_n and, last,
@@ -323,13 +325,7 @@ def forward_backward(
         g = checked_gamma(n)
         layers = [resolvent_operator(g, A)]
         if not proximal_point:
-            layers.append(
-                AveragedOperator(
-                    fn=lambda x, g=g: x - g * B(x),
-                    alpha=g / (2.0 * beta),
-                    name=f"forward_step(gamma={g})",
-                )
-            )
+            layers.append(gradient_step(g, B, beta))
         return compose(layers)
 
     def forward_error(n: int) -> Vector | None:
@@ -463,9 +459,7 @@ def krasnoselskii_mann(
     (phi == 1 here).  ``errors`` is a sequence for ``T`` (a list or a
     callable), or an ``ErrorModel`` used as given.
     """
-    stack = compose([
-        AveragedOperator(fn=T.fn, alpha=1.0, kind=T.kind, name=T.name or "fixed_point_map")
-    ])
+    stack = compose([replace(T, alpha=1.0, name=T.name or "fixed_point_map")])
     x0 = as_vector(x0)
     if variant == "memoryless":
         weights = memoryless()

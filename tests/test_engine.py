@@ -48,7 +48,7 @@ from affiter import (
 )
 from affiter import engine, space
 from affiter.schedules import relaxation_at
-from affiter.space import BLOCK_FLOATS, affine_combine, as_vector, norm
+from affiter.space import BLOCK_FLOATS, affine_combine, as_vector, in_order_sum, norm
 
 NEG_ID = compose([linear_operator(-np.eye(1), alpha=1.0)])
 NEG_ID2 = compose([linear_operator(-np.eye(2), alpha=1.0)])
@@ -744,7 +744,7 @@ class TestErrorColumns:
         trace = run(self.config(model, max_iters=steps, stacks=stack,
                                 relaxation=constant_relaxation(lam)))
         expected = array("d", [
-            lam_n * apply_stack(stack, xbar, model.errors_for(n)).aggregate_error
+            lam_n * in_order_sum(apply_stack(stack, xbar, model.errors_for(n)).error_norms)
             for n, (lam_n, xbar) in enumerate(zip(trace.lambdas, trace.xbars))])
         assert trace.thetas.tobytes() == expected.tobytes()
         # each read is a new column, and building it leaves lambda_n as it was
@@ -763,7 +763,8 @@ class TestErrorColumns:
         )
         expected = (1e16 + 1.0) + 1.0
         assert expected == 1e16
-        assert apply_stack(cfg.stacks, vec(0.0), model.errors_for(0)).aggregate_error == expected
+        noisy = apply_stack(cfg.stacks, vec(0.0), model.errors_for(0))
+        assert in_order_sum(noisy.error_norms) == expected
         assert run(cfg).thetas.tolist() == [expected]
         assert error_budget_check(cfg, 1).partial_sums[0] == expected
 

@@ -308,6 +308,9 @@ LIBRARY = [
      ConfigurationError, "cocoercivity constant beta must be positive"),
     ("forward_backward-epsilon-band", lambda: fb(beta=1.0, epsilon=0.7),
      ConfigurationError, "epsilon must lie in (0, min(1/2, beta)) = (0, 0.5)"),
+    # the gamma band's 1e-12 slack reaches 2 beta when eps < about 5e-13 / beta
+    ("forward_backward-gamma-2-beta", lambda: fb(epsilon=1e-13, gamma=2.0),
+     ConfigurationError, "gradient step gamma=2.0 outside (0, 2*beta)=(0, 2.0)"),
     ("forward_backward-inertial-no-eta", lambda: fb(variant="inertial"),
      ConfigurationError, "inertial variant needs an eta schedule"),
     ("polyak-eta_low", lambda: polyak(eta_low=1.0),

@@ -28,6 +28,7 @@ from affiter import (
     subgradient_projector,
 )
 from affiter.operators import tail_apply
+from affiter.space import in_order_sum
 
 
 def vec(*xs):
@@ -155,13 +156,13 @@ class TestApplyStack:
         clean = apply_stack(stack, x)
         noisy = apply_stack(stack, x, [vec(0.0), vec(0.0)])
         assert np.array_equal(clean.value, noisy.value)
-        assert clean.aggregate_error == 0.0
+        assert in_order_sum(clean.error_norms) == 0.0
 
     def test_single_layer_with_error(self):
         stack = compose([linear_operator([[-1.0]], alpha=1.0)])
         out = apply_stack(stack, vec(2.0), [vec(0.5)])
         assert out.value == pytest.approx(-1.5)
-        assert out.aggregate_error == pytest.approx(0.5)
+        assert in_order_sum(out.error_norms) == pytest.approx(0.5)
 
     def test_reflected_composition_is_constant(self):
         # inner reflector maps everything to 1, outer reflector maps 1 to -1
@@ -224,7 +225,7 @@ class TestApplyStack:
         clean = apply_stack(stack, x).value
         noisy = apply_stack(stack, x, errors)
         dev = float(np.linalg.norm(noisy.value - clean))
-        assert dev <= noisy.aggregate_error + 1e-12
+        assert dev <= in_order_sum(noisy.error_norms) + 1e-12
 
 
 LAYER_KINDS = (
@@ -296,7 +297,7 @@ class TestSharedCleanPass:
         assert out.value.tobytes() == expected.tobytes()
         assert out.clean is out.value
         assert out.error_norms == (0.0,) * stack.m
-        assert out.aggregate_error == 0.0
+        assert in_order_sum(out.error_norms) == 0.0
 
     def test_layers_below_the_innermost_error_run_once(self):
         calls = []
