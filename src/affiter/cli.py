@@ -293,9 +293,9 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
         kwargs["lam"] = _read(relax_cfg, "relaxation.value", kinds.get("lambda", _number))
     error_model = _errors_from(_read(cfg, "errors", _object, {}), problem.dim)
 
-    # the builder applies its own error rules to the config's model
+    # the builder applies its own rules to the config's error model and weights
     common = dict(max_iters=horizon, stop_residual=stop_residual, reference=problem.reference,
-                  errors=error_model)
+                  errors=error_model, weights=weights)
     if name == "forward_backward":
         eta = kwargs.pop("eta", {"kind": "nesterov"})
         preset = solvers.forward_backward(
@@ -304,7 +304,6 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
             beta=problem.beta,
             gamma=kwargs.pop("gamma", 1.0),
             x0=x0,
-            weights=weights,
             eta=_eta_from(eta) if kwargs.get("variant") == "inertial" else None,
             **kwargs,
             **common,
@@ -324,7 +323,6 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
             A=_ingredient(problem, "A"),
             B=B,
             gamma=gamma,
-            weights=weights or WeightSchedule(family="window", window=2),
             x0=x0,
             **common,
         )
@@ -335,7 +333,6 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
             theta=problem.theta,
             region_projector=_ingredient(problem, "projector"),
             x0=x0,
-            weights=weights,
             **kwargs,
             **common,
         )
@@ -344,7 +341,6 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
         preset = solvers.krasnoselskii_mann(
             T=_ingredient(problem, "T"),
             x0=x0,
-            weights=weights or WeightSchedule(family="window", window=2),  # only mean reads it
             eta=_eta_from(eta) if kwargs.get("variant") == "inertial" else None,
             **kwargs,
             **common,

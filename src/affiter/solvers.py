@@ -28,7 +28,7 @@ import numpy as np
 
 from .certificates import InertialBandParams, inertial_band_validate
 from .engine import ErrorModel, IterationConfig, RunTrace, SequenceError, error_vector, run
-from .errors import ConfigurationError, is_integer
+from .errors import ConfigurationError, InvalidScheduleError, is_integer
 from .operators import (
     AveragedOperator,
     LayerStack,
@@ -46,6 +46,7 @@ from .schedules import (
     WeightSchedule,
     inertial,
     memoryless,
+    window,
 )
 from .space import Vector, as_vector
 
@@ -94,6 +95,22 @@ def _tabulated(values: list[float], fn: Callable[[int], float]) -> Callable[[int
     return lambda n: values[n] if n < len(values) else fn(n)
 
 
+def _weights(weights, default: WeightSchedule, own: str | None = None) -> WeightSchedule:
+    """``weights``, or the preset's ``default`` for None; with ``own``, the
+    variant of that name builds its rows as ``default`` and rejects any other."""
+    if weights is None:
+        return default
+    if not isinstance(weights, WeightSchedule):
+        raise InvalidScheduleError(
+            f"weights must be a WeightSchedule, got {type(weights).__name__}"
+        )
+    if own is not None and weights != default:
+        raise ConfigurationError(
+            f"the {own} variant builds its own weights; {weights.describe()} rejected"
+        )
+    return weights
+
+
 def _gamma_fn(gamma) -> Callable[[int], float]:
     if callable(gamma):
         return gamma
@@ -109,7 +126,7 @@ def peaceman_rachford(
     A: MonotoneMap,
     B: MonotoneMap,
     gamma: float,
-    weights: WeightSchedule,
+    weights: WeightSchedule | None,
     x0,
     a_errors=None,
     b_errors=None,
@@ -128,10 +145,11 @@ def peaceman_rachford(
     converge by itself in general; averaging over the orbit restores
     convergence, which is why the weight family must be nonnegative with
     ``inf_n mu_{n+1,n} mu_{n+1,n+1} > 0`` (window w >= 2 qualifies; cesaro
-    and memoryless do not).  This is the driver's two-layer case with unit
-    relaxation: ``T_1 = R_{gamma A}``, ``T_2 = R_{gamma B}`` (both
-    nonexpansive, so phi = 1), and per-layer errors ``e_1 = 2 a_n`` and
-    ``e_2 = 2 b_n``, so ``theta_n = 2 (||a_n|| + ||b_n||)``.  The trace
+    and memoryless do not; None runs window(2)).  This is the driver's
+    two-layer case with unit relaxation: ``T_1 = R_{gamma A}``, ``T_2 =
+    R_{gamma B}`` (both nonexpansive, so phi = 1), and per-layer errors
+    ``e_1 = 2 a_n`` and ``e_2 = 2 b_n``, so ``theta_n = 2 (||a_n|| +
+    ||b_n||)``.  The trace
     records the three-line quantities y_n, z_n as two packed float64
     columns, read as ``trace.aux[n]["y"]`` and ``trace.aux[n]["z"]``; the
     reported solution is the last y_n, a view into its column (so
@@ -158,6 +176,7 @@ def peaceman_rachford(
         raise ConfigurationError(
             "peaceman_rachford needs max_iters >= 1: its solution is the y_n of a step"
         )
+    weights = _weights(weights, window(2))
     if not weights.nonnegative or weights.mann_product_bound() <= 0.0:
         raise ConfigurationError(
             f"weights {weights.describe()} rejected: the mean-value iteration needs "
@@ -243,7 +262,8 @@ def forward_backward(
     Variants: ``memoryless``, ``mean`` (an explicit nonnegative weight
     family), ``inertial`` (two-term extrapolation row built from ``eta``),
     and ``proximal_point`` (``B = 0``: the backward layer alone with
-    ``phi = 1/2`` and ``gamma_n in [eps, inf)``).
+    ``phi = 1/2`` and ``gamma_n in [eps, inf)``).  ``weights=None`` runs
+    memoryless; the inertial variant rejects any schedule but its own row.
 
     Runs with signed weights (inertial rows whose eta kind is not
     ``zero``), whatever the variant, accept errors (sequences or a model)
@@ -292,9 +312,9 @@ def forward_backward(
     if variant == "inertial":
         if eta is None:
             raise ConfigurationError("inertial variant needs an eta schedule")
-        weights = inertial(eta)
-    elif weights is None:
-        weights = memoryless()
+        weights = _weights(weights, inertial(eta), variant)
+    else:
+        weights = _weights(weights, memoryless())
     if variant == "mean" and not weights.nonnegative:
         raise ConfigurationError("mean variant needs a nonnegative weight family")
     if not weights.nonnegative and (
@@ -391,8 +411,7 @@ def polyak_subgradient(
         raise ConfigurationError(
             f"epsilon must lie in (0, eta/(2+eta)) = (0, {eps_cap}), got {epsilon}"
         )
-    if weights is None:
-        weights = memoryless()
+    weights = _weights(weights, memoryless())
     if not weights.nonnegative:
         raise ConfigurationError("subgradient projection needs nonnegative weights")
     xi_fn = _gamma_fn(xi)
@@ -457,14 +476,17 @@ def krasnoselskii_mann(
     ``inertial``: two-term extrapolation, error-free, with the (eta, sigma,
     theta_tune) relaxation band validated on the supplied sequences
     (phi == 1 here).  ``errors`` is a sequence for ``T`` (a list or a
-    callable), or an ``ErrorModel`` used as given.
+    callable), or an ``ErrorModel`` used as given.  ``weights=None`` runs
+    window(2) under ``mean``; the other variants build their own rows and
+    reject any other schedule.
     """
     stack = compose([replace(T, alpha=1.0, name=T.name or "fixed_point_map")])
     x0 = as_vector(x0)
     if variant == "memoryless":
-        weights = memoryless()
+        weights = _weights(weights, memoryless(), variant)
     elif variant == "mean":
-        if weights is None or not weights.nonnegative or weights.mann_product_bound() <= 0.0:
+        weights = _weights(weights, window(2))
+        if not weights.nonnegative or weights.mann_product_bound() <= 0.0:
             raise ConfigurationError(
                 "mean variant needs a nonnegative family with "
                 "inf mu_{n+1,n} mu_{n+1,n+1} > 0 (window w >= 2)"
@@ -480,6 +502,7 @@ def krasnoselskii_mann(
             raise ConfigurationError(
                 "the inertial fixed-point variant needs sup eta < 1"
             )
+        _weights(weights, inertial(eta), variant)  # the row is built below, from eta as tabulated
         # lambda_n and eta_n over the band's horizon, computed once: the
         # config reads them back from these lists, so the run's pre-pass
         # does not call a user callable a second time

@@ -26,6 +26,7 @@ from affiter import (
     affine_monotone,
     brute_oracle,
     catalog,
+    cesaro,
     chi_table,
     chi_value,
     cli,
@@ -83,7 +84,7 @@ def polyak(**kwargs):
 def pr(**kwargs):
     prob = catalog("l1_quadratic", a=[2.0])
     return peaceman_rachford(A=prob.ingredients["A"], B=prob.ingredients["B"], gamma=1.0,
-                             weights=window(2), x0=[0.0], **kwargs)
+                             weights=kwargs.pop("weights", window(2)), x0=[0.0], **kwargs)
 
 
 def km(**kwargs):
@@ -328,6 +329,24 @@ LIBRARY = [
      ConfigurationError, "the mean variant runs at unit relaxation; lam must be 1.0"),
     ("krasnoselskii_mann-variant", lambda: km(variant="bogus", weights=window(2)),
      ConfigurationError, "unknown fixed-point variant 'bogus'"),
+    # a builder settles its weights in one place: None is the preset's default,
+    # a non-schedule is named, and a variant that builds its own rows keeps them
+    ("peaceman_rachford-weights-str", lambda: pr(weights="window"),
+     InvalidScheduleError, "weights must be a WeightSchedule, got str"),
+    ("forward_backward-weights-list", lambda: fb(weights=[1.0]),
+     InvalidScheduleError, "weights must be a WeightSchedule, got list"),
+    ("polyak-weights-int", lambda: polyak(weights=2),
+     InvalidScheduleError, "weights must be a WeightSchedule, got int"),
+    ("krasnoselskii_mann-weights-str", lambda: km(weights="window(2)"),
+     InvalidScheduleError, "weights must be a WeightSchedule, got str"),
+    ("krasnoselskii_mann-memoryless-weights", lambda: km(variant="memoryless", weights=window(3)),
+     ConfigurationError, "the memoryless variant builds its own weights; window(3) rejected"),
+    ("krasnoselskii_mann-inertial-weights",
+     lambda: km(variant="inertial", eta=CONSTANT_ETA, weights=window(2)),
+     ConfigurationError, "the inertial variant builds its own weights; window(2) rejected"),
+    ("forward_backward-inertial-weights",
+     lambda: fb(variant="inertial", eta=CONSTANT_ETA, weights=cesaro()),
+     ConfigurationError, "the inertial variant builds its own weights; cesaro rejected"),
     ("krasnoselskii_mann-inertial-sup-eta-1",
      lambda: km(variant="inertial", eta=EtaSchedule(kind="nesterov")),
      ConfigurationError, "the inertial fixed-point variant needs sup eta < 1"),
@@ -385,6 +404,11 @@ CLI = [
       "solver": {"name": "krasnoselskii_mann", "params": {"variant": "mean"}},
       "relaxation": {"policy": "constant", "value": 0.5}},
      "the mean variant runs at unit relaxation; lam must be 1.0"),
+    ("krasnoselskii_mann-memoryless-weights",
+     {"problem": {"name": "rotation_fixed_point"},
+      "solver": {"name": "krasnoselskii_mann", "params": {"variant": "memoryless"}},
+      "weights": {"family": "window", "window": 2}},
+     "the memoryless variant builds its own weights; window(2) rejected"),
 ]
 
 

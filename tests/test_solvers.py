@@ -24,6 +24,7 @@ from affiter import (
     inertial,
     krasnoselskii_mann,
     linear_operator,
+    memoryless,
     normal_cone,
     peaceman_rachford,
     polyak_subgradient,
@@ -401,6 +402,29 @@ def test_an_error_model_and_error_sequences_are_not_both_given(solver, key):
     kwargs = {"errors": GeometricError(0.5, vec(0.1, 0.0, 0.0)), key: [vec(0.1, 0.0, 0.0)]}
     with pytest.raises(ConfigurationError, match="give an error model or error sequences"):
         model_presets(**kwargs)[solver]()
+
+
+def test_weights_none_runs_each_presets_default_and_its_own_rows_are_accepted():
+    prob = catalog("l1_quadratic", a=[2.0])
+    A, grad, B = prob.ingredients["A"], prob.ingredients["grad"], prob.ingredients["B"]
+    T = catalog("rotation_fixed_point").ingredients["T"]
+    eta = EtaSchedule(kind="constant", eta=0.2)
+    fb = dict(A=A, B=grad, beta=1.0, gamma=1.0, x0=vec(0.0))
+    km = dict(T=T, x0=vec(1.0, 0.0))
+    for weights in (None, "given"):
+        cases = [
+            (lambda w: peaceman_rachford(A, B, 1.0, w, vec(0.0)), window(2)),
+            (lambda w: krasnoselskii_mann(**km, weights=w), window(2)),
+            (lambda w: krasnoselskii_mann(**km, variant="memoryless", weights=w), memoryless()),
+            (lambda w: krasnoselskii_mann(**km, variant="inertial", eta=eta, lam=0.5,
+                                          weights=w), inertial(eta)),
+            (lambda w: forward_backward(**fb, variant="inertial", eta=eta, weights=w),
+             inertial(eta)),
+            (lambda w: forward_backward(**fb, variant="mean", weights=w), memoryless()),
+        ]
+        for build, default in cases:
+            preset = build(default if weights == "given" else None)
+            assert preset.config.weights == default
 
 
 @pytest.mark.parametrize("key", ["a_errors", "b_errors"])
