@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalDivergence, check_integer, is_integer
-from .operators import LayerStack, apply_stack
+from .operators import LayerStack, apply_stack, excess_errors
 from .schedules import (
     RelaxationSchedule,
     WeightSchedule,
@@ -666,8 +666,8 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     iterating; each n adds its layers' norms in layer order, as
     ``apply_stack`` does.  ``SequenceError`` reads every value through
     ``error_vector``, so its errors are float64 arrays whatever dtype the
-    user gave.  An error whose shape is not x0's raises the run's
-    ``dimension mismatch``; any other error value goes through
+    user gave.  More errors than layers at some n, or an error whose shape
+    is not x0's, raises the run's message; any other error value goes through
     ``as_vector``, which coerces it or raises.  ``lambda_n`` and the stacks
     come from the run's pre-pass over ``horizon + 1`` steps, which raises
     the same configuration errors a run would.  Flags inertial weights
@@ -694,10 +694,14 @@ def error_budget_check(config: IterationConfig, horizon: int) -> ErrorBudgetRepo
     terms = []
     any_error = False
     errors_for = config.errors.errors_for
+    m = plan.stack_at(0).m
     for n, lam in enumerate(lambdas):
         chi_n = 1.0 if nonneg else chi_value(weights, n).value
         per_iter = 0
-        for e in errors_for(n) or ():
+        errors_n = errors_for(n) or ()
+        if len(errors_n) > m:  # as apply_stack rejects them
+            raise excess_errors(m, len(errors_n))
+        for e in errors_n:
             if e is None:
                 continue
             fast = type(e) is np.ndarray and e.dtype == _FLOAT64 and e.shape == shape

@@ -459,6 +459,11 @@ class StackApplication:
     clean: Vector
 
 
+def excess_errors(m: int, given: int) -> ConfigurationError:
+    """The error for ``given`` per-layer errors on a stack of ``m < given`` layers."""
+    return ConfigurationError(f"expected at most {m} per-layer errors, got {given}")
+
+
 def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
     """Evaluate ``T_1(T_2(... T_m x + e_m ...) + e_2) + e_1``.
 
@@ -486,7 +491,7 @@ def apply_stack(stack: LayerStack, x: Vector, errors=None) -> StackApplication:
     m = stack.m
     given = 0 if errors is None else len(errors)
     if given > m:
-        raise ConfigurationError(f"expected at most {m} per-layer errors, got {given}")
+        raise excess_errors(m, given)
     if given:
         shape = np.shape(x)
         for k, e in enumerate(errors):

@@ -989,6 +989,19 @@ class TestErrorBudget:
         with pytest.raises(ConfigurationError, match="perturbs layer 3, but the stack has 2"):
             error_budget_check(cfg, 20)
 
+    def test_more_errors_than_layers_fail_the_budget_as_they_fail_the_run(self):
+        class ThreeErrors(ErrorModel):
+            layers = 1  # so the pre-pass's depth check passes
+
+            def errors_for(self, n):
+                return [vec(0.6)] * 3
+
+        cfg = self.base_config(memoryless(), ThreeErrors())
+        for check in (lambda: run(cfg), lambda: error_budget_check(cfg, 2)):
+            with pytest.raises(ConfigurationError) as info:
+                check()
+            assert str(info.value) == "expected at most 1 per-layer errors, got 3"
+
     @pytest.mark.parametrize("value,expected", [
         (np.array([3.0, 4.0]), 5.0),
         ([3.0, 4.0], 5.0),
