@@ -220,13 +220,34 @@ def prox_l1(gamma: float, weight: float = 1.0) -> AveragedOperator:
     )
 
 
+#: the params each projector set kind reads, all of them required
+PROJECTOR_PARAMS = {
+    "box": ("lo", "hi"),
+    "ball": ("center", "radius"),
+    "halfspace": ("normal", "offset"),
+    "nonneg": (),
+    "hyperplane": ("normal", "offset"),
+}
+
+
 def projector(set_kind: str, **params) -> AveragedOperator:
     """Euclidean projector onto one of the catalog convex sets.
 
     Kinds: ``box(lo, hi)``, ``ball(center, radius)``, ``halfspace(normal,
     offset)`` for ``{x : <normal, x> <= offset}``, ``nonneg``, and
-    ``hyperplane(normal, offset)`` for ``{x : <normal, x> = offset}``.
+    ``hyperplane(normal, offset)`` for ``{x : <normal, x> = offset}``.  A
+    missing param, or one the kind does not read, is a ConfigurationError
+    that names it.
     """
+    if set_kind not in PROJECTOR_PARAMS:
+        raise ConfigurationError(f"unknown projector set {set_kind!r}")
+    wanted = PROJECTOR_PARAMS[set_kind]
+    for what, keys in (("missing", [key for key in wanted if key not in params]),
+                       ("unknown", [key for key in params if key not in wanted])):
+        if keys:
+            raise ConfigurationError(
+                f"{what} projector({set_kind}) params: {', '.join(map(repr, keys))}"
+            )
     if set_kind == "box":
         lo, hi = as_vector(params["lo"]), as_vector(params["hi"])
         if np.any(lo > hi):
@@ -254,15 +275,13 @@ def projector(set_kind: str, **params) -> AveragedOperator:
     elif set_kind == "nonneg":
         fn = lambda x: np.maximum(x, 0.0)
         bounded = False
-    elif set_kind == "hyperplane":
+    else:  # hyperplane
         a, b = as_vector(params["normal"]), float(params["offset"])
         na2 = dot(a, a)
         if na2 == 0.0:
             raise ConfigurationError("hyperplane normal must be nonzero")
         fn = lambda x: x - ((dot(a, x) - b) / na2) * a
         bounded = False
-    else:
-        raise ConfigurationError(f"unknown projector set {set_kind!r}")
     return AveragedOperator(
         fn=fn,
         alpha=0.5,

@@ -42,6 +42,7 @@ from affiter import (
     krasnoselskii_mann,
     l1_subdifferential,
     memoryless,
+    normal_cone,
     peaceman_rachford,
     polyak_subgradient,
     projector,
@@ -161,6 +162,15 @@ LIBRARY = [
      ConfigurationError, "hyperplane normal must be nonzero"),
     ("projector-unknown-kind", lambda: projector("sphere"),
      ConfigurationError, "unknown projector set 'sphere'"),
+    ("projector-missing-param", lambda: projector("ball", radius=1.0),
+     ConfigurationError, "missing projector(ball) params: 'center'"),
+    ("projector-missing-params", lambda: projector("box"),
+     ConfigurationError, "missing projector(box) params: 'lo', 'hi'"),
+    ("projector-unknown-params", lambda: projector("nonneg", radius=3.0, bogus=1),
+     ConfigurationError, "unknown projector(nonneg) params: 'radius', 'bogus'"),
+    ("normal_cone-unknown-param",
+     lambda: normal_cone("ball", center=[0.0], radius=1.0, lo=[0.0]),
+     ConfigurationError, "unknown projector(ball) params: 'lo'"),
     ("relaxed-alpha", lambda: relaxed(AveragedOperator(fn=np.copy, alpha=1.0), 1.0),
      ConfigurationError, "relaxed() needs a firmly (quasi)nonexpansive operator"),
     ("relaxed-xi", lambda: relaxed(prox_l1(1.0), 2.0),
