@@ -548,7 +548,7 @@ class TestForwardBackward:
         assert np.linalg.norm(x - prob.reference) <= 1e-8
 
     def test_proximal_point_projects_in_one_step(self):
-        cone = normal_cone("nonneg", bounded=False)
+        cone = normal_cone("nonneg")
         preset = forward_backward(
             A=cone, B=None, beta=None, gamma=1.0, x0=vec(-3.0),
             variant="proximal_point", max_iters=10,
