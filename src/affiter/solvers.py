@@ -149,12 +149,11 @@ def peaceman_rachford(
     two-layer case with unit relaxation: ``T_1 = R_{gamma A}``, ``T_2 =
     R_{gamma B}`` (both nonexpansive, so phi = 1), and per-layer errors
     ``e_1 = 2 a_n`` and ``e_2 = 2 b_n``, so ``theta_n = 2 (||a_n|| +
-    ||b_n||)``.  The trace
-    records the three-line quantities y_n, z_n as two packed float64
-    columns, read as ``trace.aux[n]["y"]`` and ``trace.aux[n]["z"]``; the
-    reported solution is the last y_n, a view into its column (so
-    ``max_iters`` 0 is rejected), and the orbit converges to
-    ``x* = y* + gamma B y*``.
+    ||b_n||)``.  The trace records the three-line quantities y_n, z_n as two
+    packed float64 columns, read as ``trace.aux[n]["y"]`` and
+    ``trace.aux[n]["z"]``; the reported solution is the last y_n, a view
+    into its column (so ``max_iters`` 0 is rejected), and the orbit
+    converges to ``x* = y* + gamma B y*``.
 
     The two reflectors' resolvents keep the value they last computed, and the
     recorder reads y_n and z_n from the step's own pass instead of calling
