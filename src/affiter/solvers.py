@@ -145,7 +145,7 @@ def peaceman_rachford(
     converge by itself in general; averaging over the orbit restores
     convergence, which is why the weight family must be nonnegative with
     ``inf_n mu_{n+1,n} mu_{n+1,n+1} > 0`` (window w >= 2 qualifies; cesaro
-    and memoryless do not; None runs window(2)).  This is the driver's
+    and memoryless do not; None runs window(2)).  This is the engine's
     two-layer case with unit relaxation: ``T_1 = R_{gamma A}``, ``T_2 =
     R_{gamma B}`` (both nonexpansive, so phi = 1), and per-layer errors
     ``e_1 = 2 a_n`` and ``e_2 = 2 b_n``, so ``theta_n = 2 (||a_n|| +
