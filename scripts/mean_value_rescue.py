@@ -10,7 +10,7 @@ sqrt(1/2): geometric convergence out of nowhere.
 
 import numpy as np
 
-from affiter import krasnoselskii_mann, linear_operator, window
+from affiter import krasnoselskii_mann, linear_operator, memoryless, window
 
 
 def main():
@@ -18,11 +18,11 @@ def main():
     x0 = np.array([1.0, 0.0])
 
     runs = {}
-    base = krasnoselskii_mann(neg, x0=x0, variant="memoryless",
+    base = krasnoselskii_mann(neg, x0=x0, weights=memoryless(),
                               max_iters=60, stop_residual=0.0)
     runs["memoryless"] = base.solve()[1]
     for w in (2, 3):
-        preset = krasnoselskii_mann(neg, x0=x0, variant="mean", weights=window(w),
+        preset = krasnoselskii_mann(neg, x0=x0, weights=window(w),
                                     max_iters=60, stop_residual=0.0)
         runs[f"window({w})"] = preset.solve()[1]
 

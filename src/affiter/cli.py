@@ -171,8 +171,7 @@ SOLVER_PARAMS = {
     "peaceman_rachford": {"gamma": _number},
     "polyak_subgradient": {"xi": _number, "eta_low": _number, "epsilon": _number,
                            "lambda": _number},
-    "krasnoselskii_mann": {"variant": _string, "eta": _object, "sigma": _number,
-                           "theta_tune": _number, "lambda": _number},
+    "krasnoselskii_mann": {"sigma": _number, "theta_tune": _number, "lambda": _number},
 }
 
 #: the kind of each ``problem.params`` key in ``problems.PROBLEM_PARAMS``
@@ -337,14 +336,7 @@ def _build_preset(cfg: dict) -> tuple[solvers.SolverPreset, ProblemSpec]:
             **common,
         )
     else:  # krasnoselskii_mann
-        eta = kwargs.pop("eta", {"kind": "constant", "eta": 0.2})
-        preset = solvers.krasnoselskii_mann(
-            T=_ingredient(problem, "T"),
-            x0=x0,
-            eta=_eta_from(eta) if kwargs.get("variant") == "inertial" else None,
-            **kwargs,
-            **common,
-        )
+        preset = solvers.krasnoselskii_mann(T=_ingredient(problem, "T"), x0=x0, **kwargs, **common)
     return preset, problem
 
 

@@ -7,11 +7,11 @@ depend on n (a callable step or xi, the relaxation caps, a custom eta) are
 checked for every n < ``max_iters`` by the run's pre-pass
 (``engine._prevalidate``), before the first operator call; a constant
 parameter is checked once, at build, through its n = 0 value.  One check
-over the horizon stays in a builder, because it selects the regime a
-configuration runs in: the inertial fixed-point band, which couples lambda_n
-and eta_n.  Inertial forward-backward with errors needs unit relaxation; a
-callable lambda is wrapped so that the pre-pass rejects the first
-lambda_n != 1.
+over the horizon stays in a builder: ``krasnoselskii_mann`` under inertial
+weights checks the (eta, sigma, theta_tune) band, which couples lambda_n and
+eta_n, for every n up to ``max_iters + 2``.  Inertial forward-backward with
+errors needs unit relaxation; a callable lambda is wrapped so that the
+pre-pass rejects the first lambda_n != 1.
 
 Every builder takes ``errors``, an ``ErrorModel`` that perturbs the stack's
 layers as given (outermost first), and applies its error rules to it as to
@@ -97,7 +97,8 @@ def _tabulated(values: list[float], fn: Callable[[int], float]) -> Callable[[int
 
 def _weights(weights, default: WeightSchedule, own: str | None = None) -> WeightSchedule:
     """``weights``, or the preset's ``default`` for None; with ``own``, the
-    variant of that name builds its rows as ``default`` and rejects any other."""
+    forward-backward variant of that name builds its rows as ``default`` and
+    rejects any other."""
     if weights is None:
         return default
     if not isinstance(weights, WeightSchedule):
@@ -107,6 +108,16 @@ def _weights(weights, default: WeightSchedule, own: str | None = None) -> Weight
     if own is not None and weights != default:
         raise ConfigurationError(
             f"the {own} variant builds its own weights; {weights.describe()} rejected"
+        )
+    return weights
+
+
+def _mean_value(weights: WeightSchedule) -> WeightSchedule:
+    """``weights``, if Mann's mean value iteration converges under them."""
+    if not weights.nonnegative or weights.mann_product_bound() <= 0.0:
+        raise ConfigurationError(
+            f"weights {weights.describe()} rejected: the mean-value iteration needs "
+            "a nonnegative family with inf mu_{n+1,n} mu_{n+1,n+1} > 0 (window w >= 2)"
         )
     return weights
 
@@ -175,12 +186,7 @@ def peaceman_rachford(
         raise ConfigurationError(
             "peaceman_rachford needs max_iters >= 1: its solution is the y_n of a step"
         )
-    weights = _weights(weights, window(2))
-    if not weights.nonnegative or weights.mann_product_bound() <= 0.0:
-        raise ConfigurationError(
-            f"weights {weights.describe()} rejected: the mean-value iteration needs "
-            "a nonnegative family with inf mu_{n+1,n} mu_{n+1,n+1} > 0 (window w >= 2)"
-        )
+    weights = _mean_value(_weights(weights, window(2)))
     a_fn, b_fn = _seq(a_errors), _seq(b_errors)
 
     def doubled(fn):
@@ -453,10 +459,8 @@ def polyak_subgradient(
 def krasnoselskii_mann(
     T: AveragedOperator,
     x0,
-    variant: str = "mean",
     weights: WeightSchedule | None = None,
     errors=None,
-    eta: EtaSchedule | None = None,
     lam: float | Callable[[int], float] = 1.0,
     sigma: float = 0.2,
     theta_tune: float = 2.0 / 3.0,
@@ -464,44 +468,32 @@ def krasnoselskii_mann(
     stop_residual: float = 1e-10,
     reference: Vector | None = None,
 ) -> SolverPreset:
-    """Fixed-point iteration of a single quasinonexpansive operator.
+    """Fixed-point iteration of a single quasinonexpansive operator, under
+    the rules its weights choose.
 
-    ``memoryless``: the plain relaxed baseline ``x <- x + lam (Tx - x)``
-    (which can fail to converge; it exists as the comparison point for the
-    averaged variants).  ``mean``: applies ``T`` to a nonnegative average of
-    the orbit with unit relaxation (any other ``lam`` is rejected) and
-    summable errors; the weight family needs ``inf_n mu_{n+1,n}
-    mu_{n+1,n+1} > 0`` (window w >= 2).
-    ``inertial``: two-term extrapolation, error-free, with the (eta, sigma,
-    theta_tune) relaxation band validated on the supplied sequences
-    (phi == 1 here).  ``errors`` is a sequence for ``T`` (a list or a
-    callable), or an ``ErrorModel`` used as given.  ``weights=None`` runs
-    window(2) under ``mean``; the other variants build their own rows and
-    reject any other schedule.
+    Rows of one point (memoryless, window(1)): the plain relaxed baseline
+    ``x <- x + lam (Tx - x)`` (which can fail to converge; it exists as the
+    comparison point for the averaged rows).  Inertial rows: two-term
+    extrapolation, error-free, with ``sup eta < 1`` and the (eta, sigma,
+    theta_tune) relaxation band validated on the supplied sequences (phi ==
+    1 here).  Any other rows: Mann's mean value iteration, ``T`` applied to
+    a nonnegative average of the orbit with unit relaxation (any other
+    ``lam`` is rejected) and summable errors; the family needs ``inf_n
+    mu_{n+1,n} mu_{n+1,n+1} > 0`` (window w >= 2).  ``errors`` is a
+    sequence for ``T`` (a list or a callable), or an ``ErrorModel`` used as
+    given.  ``weights=None`` runs window(2).
     """
     stack = compose([replace(T, alpha=1.0, name=T.name or "fixed_point_map")])
-    x0 = as_vector(x0)
-    if variant == "memoryless":
-        weights = _weights(weights, memoryless(), variant)
-    elif variant == "mean":
-        weights = _weights(weights, window(2))
-        if not weights.nonnegative or weights.mann_product_bound() <= 0.0:
-            raise ConfigurationError(
-                "mean variant needs a nonnegative family with "
-                "inf mu_{n+1,n} mu_{n+1,n+1} > 0 (window w >= 2)"
-            )
-        if callable(lam) or lam != 1.0:
-            raise ConfigurationError("the mean variant runs at unit relaxation; lam must be 1.0")
-    elif variant == "inertial":
-        if eta is None:
-            raise ConfigurationError("inertial variant needs an eta schedule")
+    weights = _weights(weights, window(2))
+    rows = weights.describe()
+    if weights.family == "inertial":
+        eta = weights.eta
         if errors is not None:
-            raise ConfigurationError("the inertial variant is error-free; rejected")
+            raise ConfigurationError(f"weights {rows} run error-free; errors rejected")
         if eta.sup() >= 1.0:
             raise ConfigurationError(
-                "the inertial fixed-point variant needs sup eta < 1"
+                f"weights {rows} rejected: the inertial fixed-point iteration needs sup eta < 1"
             )
-        _weights(weights, inertial(eta), variant)  # the row is built below, from eta as tabulated
         # lambda_n and eta_n over the band's horizon, computed once: the
         # config reads them back from these lists, so the run's pre-pass
         # does not call a user callable a second time
@@ -515,29 +507,31 @@ def krasnoselskii_mann(
         )
         if not report.ok:
             raise ConfigurationError(
-                f"inertial band violated ({report.violated}) at n={report.first_violation}"
+                f"weights {rows}: inertial band violated ({report.violated}) "
+                f"at n={report.first_violation}"
             )
         if callable(lam):
             lam = _tabulated(lambdas, lam)
         if eta.kind == "custom":
-            eta = replace(eta, fn=_tabulated(etas, eta.fn))
-        weights = inertial(eta)
-    else:
-        raise ConfigurationError(f"unknown fixed-point variant {variant!r}")
+            weights = inertial(replace(eta, fn=_tabulated(etas, eta.fn)))
+    elif weights.support_bound != 1:
+        _mean_value(weights)
+        if callable(lam) or lam != 1.0:
+            raise ConfigurationError(f"weights {rows} run at unit relaxation; lam must be 1.0")
     if not isinstance(errors, ErrorModel):
         errors = _error_model(None, [_seq(errors)])
     config = IterationConfig(
         stacks=stack,
         weights=weights,
         relaxation=RelaxationSchedule(policy="constant", value=lam),
-        x0=x0,
+        x0=as_vector(x0),
         errors=errors,
         max_iters=max_iters,
         stop_residual=stop_residual,
         reference=reference,
     )
     return SolverPreset(
-        name=f"krasnoselskii_mann[{variant}]",
+        name=f"krasnoselskii_mann[{rows}]",
         config=config,
         extract=lambda trace: trace.final_point,
     )

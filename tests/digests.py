@@ -37,7 +37,7 @@ from affiter.certificates import run_certificates
 from affiter.engine import GeometricError, SequenceError, error_budget_check
 from affiter.operators import normal_cone
 from affiter.problems import catalog
-from affiter.schedules import EtaSchedule, cesaro, window
+from affiter.schedules import EtaSchedule, cesaro, inertial, memoryless, window
 from affiter.space import norm
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
@@ -107,10 +107,10 @@ def _polyak(weights=None, xi=1.0):
     )
 
 
-def _km(variant, weights=None, **kwargs):
+def _km(weights, **kwargs):
     problem = catalog("rotation_fixed_point", angle=1.0)
     return solvers.krasnoselskii_mann(
-        T=problem.ingredients["T"], x0=[1.0, -0.5], variant=variant, weights=weights,
+        T=problem.ingredients["T"], x0=[1.0, -0.5], weights=weights,
         max_iters=STEPS, stop_residual=0.0, reference=problem.reference, **kwargs,
     )
 
@@ -176,11 +176,11 @@ CORPUS = {
     "polyak-cesaro": lambda: _polyak(cesaro()),
     "polyak-xi-callable": lambda: _polyak(window(2), xi=lambda n: 1.0 + 0.4 / (n + 1)),
     "polyak-xi-callable-constant": lambda: _polyak(window(2), xi=lambda n: 1.2),
-    "km-memoryless": lambda: _km("memoryless", lam=0.5),
-    "km-mean-window2": lambda: _km("mean", window(2)),
-    "km-mean-window3-errors": lambda: _km("mean", window(3), errors=_values(np.float64, d=2)),
-    "km-inertial-constant": lambda: _km("inertial", eta=CONSTANT, lam=0.3),
-    "km-inertial-custom": lambda: _km("inertial", eta=RISING, lam=0.3),
+    "km-memoryless": lambda: _km(memoryless(), lam=0.5),
+    "km-mean-window2": lambda: _km(window(2)),
+    "km-mean-window3-errors": lambda: _km(window(3), errors=_values(np.float64, d=2)),
+    "km-inertial-constant": lambda: _km(inertial(CONSTANT), lam=0.3),
+    "km-inertial-custom": lambda: _km(inertial(RISING), lam=0.3),
 }
 
 

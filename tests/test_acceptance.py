@@ -66,8 +66,7 @@ def note(criterion, passed, detail):
 def mann_rescue_trace():
     preset = krasnoselskii_mann(
         linear_operator(-np.eye(2), alpha=1.0), x0=vec(1.0, 0.0),
-        variant="mean", weights=window(2), max_iters=60, stop_residual=0.0,
-        reference=vec(0.0, 0.0),
+        weights=window(2), max_iters=60, stop_residual=0.0, reference=vec(0.0, 0.0),
     )
     _, trace = preset.solve()
     return trace
@@ -124,12 +123,11 @@ def test_criterion_1_mean_value_rescue_of_nonconvergent_iteration():
     neg = linear_operator(-np.eye(2), alpha=1.0)
     t0 = time.perf_counter()
     mean_preset = krasnoselskii_mann(
-        neg, x0=vec(1.0, 0.0), variant="mean", weights=window(2),
-        max_iters=60, stop_residual=0.0,
+        neg, x0=vec(1.0, 0.0), weights=window(2), max_iters=60, stop_residual=0.0,
     )
     x_mean, _ = mean_preset.solve()
     base_preset = krasnoselskii_mann(
-        neg, x0=vec(1.0, 0.0), variant="memoryless", max_iters=60, stop_residual=0.0,
+        neg, x0=vec(1.0, 0.0), weights=memoryless(), max_iters=60, stop_residual=0.0,
     )
     _, base_trace = base_preset.solve()
     elapsed = time.perf_counter() - t0

@@ -72,7 +72,8 @@ class TestRunCommand:
         # the plain baseline on the half-turn rotation keeps residual 2 ||x||
         cfg = write_config(tmp_path, {
             "problem": {"name": "rotation_fixed_point", "params": {"angle": math.pi}},
-            "solver": {"name": "krasnoselskii_mann", "params": {"variant": "memoryless"}},
+            "solver": {"name": "krasnoselskii_mann"},
+            "weights": {"family": "memoryless"},
             "relaxation": {"policy": "constant", "value": 1.0},
             "horizon": 100,
             "stop_residual": 1e-10,
@@ -95,7 +96,7 @@ class TestRunCommand:
     def test_mean_value_fixed_point_config(self, tmp_path):
         cfg = write_config(tmp_path, {
             "problem": {"name": "rotation_fixed_point", "params": {"angle": math.pi}},
-            "solver": {"name": "krasnoselskii_mann", "params": {"variant": "mean"}},
+            "solver": {"name": "krasnoselskii_mann"},
             "weights": {"family": "window", "window": 2},
             "relaxation": {"policy": "constant", "value": 1.0},
             "horizon": 60,
@@ -145,8 +146,9 @@ class TestRunCommand:
          {"weights": {"family": "inertial", "eta": {"kind": "constant", "eta": 0.5}}},
          "errors under inertial weights need unit relaxation and a bounded-domain "
          "backward operator; rejected"),
-        ({"name": "krasnoselskii_mann", "params": {"variant": "inertial", "lambda": 0.3}},
-         {}, "the inertial variant is error-free; rejected"),
+        ({"name": "krasnoselskii_mann", "params": {"lambda": 0.3}},
+         {"weights": {"family": "inertial", "eta": {"kind": "constant", "eta": 0.2}}},
+         "weights inertial(constant) run error-free; errors rejected"),
     ], ids=["forward_backward", "forward_backward-memoryless", "krasnoselskii_mann"])
     def test_errors_meet_the_builders_inertial_rules(self, tmp_path, capsys, command,
                                                      solver, extra, message):
@@ -308,7 +310,7 @@ class TestRunCommand:
         # the feasibility problem carries no single fixed-point map
         cfg = write_config(tmp_path, {
             "problem": {"name": "feasibility"},
-            "solver": {"name": "krasnoselskii_mann", "params": {"variant": "mean"}},
+            "solver": {"name": "krasnoselskii_mann"},
             "weights": {"family": "window", "window": 2},
             "x0": [0.0, 0.0],
         })

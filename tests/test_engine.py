@@ -1104,8 +1104,7 @@ class TestErrorBudget:
             ).config
             cases["km"] = krasnoselskii_mann(
                 linear_operator(-np.eye(3), alpha=1.0), x0=x0,
-                variant="mean", weights=weights, errors=a_errors, max_iters=steps,
-                stop_residual=0.0,
+                weights=weights, errors=a_errors, max_iters=steps, stop_residual=0.0,
             ).config
         return cases
 

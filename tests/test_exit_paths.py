@@ -328,17 +328,21 @@ LIBRARY = [
      ConfigurationError, "eta_low must lie in (0, 1)"),
     ("polyak-signed-weights", lambda: polyak(weights=inertial(CONSTANT_ETA)),
      ConfigurationError, "subgradient projection needs nonnegative weights"),
-    ("krasnoselskii_mann-inertial-no-eta", lambda: km(variant="inertial"),
-     ConfigurationError, "inertial variant needs an eta schedule"),
+    # krasnoselskii_mann's weights choose its rules, and each message names them
     ("krasnoselskii_mann-inertial-errors",
-     lambda: km(variant="inertial", eta=CONSTANT_ETA, errors=[[0.1, 0.0]]),
-     ConfigurationError, "the inertial variant is error-free; rejected"),
+     lambda: km(weights=inertial(CONSTANT_ETA), errors=[[0.1, 0.0]]),
+     ConfigurationError, "weights inertial(constant) run error-free; errors rejected"),
+    ("krasnoselskii_mann-inertial-sup-eta-1",
+     lambda: km(weights=inertial(EtaSchedule(kind="nesterov"))),
+     ConfigurationError,
+     "weights inertial(nesterov) rejected: the inertial fixed-point iteration needs sup eta < 1"),
+    ("krasnoselskii_mann-cesaro", lambda: km(weights=cesaro()),
+     ConfigurationError, "weights cesaro rejected: the mean-value iteration needs "
+     "a nonnegative family with inf mu_{n+1,n} mu_{n+1,n+1} > 0 (window w >= 2)"),
     ("krasnoselskii_mann-mean-lam", lambda: km(weights=window(2), lam=0.5),
-     ConfigurationError, "the mean variant runs at unit relaxation; lam must be 1.0"),
+     ConfigurationError, "weights window(2) run at unit relaxation; lam must be 1.0"),
     ("krasnoselskii_mann-mean-lam-callable", lambda: km(weights=window(2), lam=lambda n: 1.0),
-     ConfigurationError, "the mean variant runs at unit relaxation; lam must be 1.0"),
-    ("krasnoselskii_mann-variant", lambda: km(variant="bogus", weights=window(2)),
-     ConfigurationError, "unknown fixed-point variant 'bogus'"),
+     ConfigurationError, "weights window(2) run at unit relaxation; lam must be 1.0"),
     # a builder settles its weights in one place: None is the preset's default,
     # a non-schedule is named, and a variant that builds its own rows keeps them
     ("peaceman_rachford-weights-str", lambda: pr(weights="window"),
@@ -349,17 +353,9 @@ LIBRARY = [
      InvalidScheduleError, "weights must be a WeightSchedule, got int"),
     ("krasnoselskii_mann-weights-str", lambda: km(weights="window(2)"),
      InvalidScheduleError, "weights must be a WeightSchedule, got str"),
-    ("krasnoselskii_mann-memoryless-weights", lambda: km(variant="memoryless", weights=window(3)),
-     ConfigurationError, "the memoryless variant builds its own weights; window(3) rejected"),
-    ("krasnoselskii_mann-inertial-weights",
-     lambda: km(variant="inertial", eta=CONSTANT_ETA, weights=window(2)),
-     ConfigurationError, "the inertial variant builds its own weights; window(2) rejected"),
     ("forward_backward-inertial-weights",
      lambda: fb(variant="inertial", eta=CONSTANT_ETA, weights=cesaro()),
      ConfigurationError, "the inertial variant builds its own weights; cesaro rejected"),
-    ("krasnoselskii_mann-inertial-sup-eta-1",
-     lambda: km(variant="inertial", eta=EtaSchedule(kind="nesterov")),
-     ConfigurationError, "the inertial fixed-point variant needs sup eta < 1"),
     # problems
     ("catalog-unknown-problem", lambda: catalog("bogus"),
      ConfigurationError, "unknown problem 'bogus'"),
@@ -411,14 +407,15 @@ CLI = [
      "unknown solver preset 'douglas_rachford'"),
     ("krasnoselskii_mann-mean-relaxation",
      {"problem": {"name": "rotation_fixed_point"},
-      "solver": {"name": "krasnoselskii_mann", "params": {"variant": "mean"}},
+      "solver": {"name": "krasnoselskii_mann"},
       "relaxation": {"policy": "constant", "value": 0.5}},
-     "the mean variant runs at unit relaxation; lam must be 1.0"),
-    ("krasnoselskii_mann-memoryless-weights",
+     "weights window(2) run at unit relaxation; lam must be 1.0"),
+    # the config's weights section is the one source of rows
+    ("krasnoselskii_mann-variant",
      {"problem": {"name": "rotation_fixed_point"},
-      "solver": {"name": "krasnoselskii_mann", "params": {"variant": "memoryless"}},
-      "weights": {"family": "window", "window": 2}},
-     "the memoryless variant builds its own weights; window(2) rejected"),
+      "solver": {"name": "krasnoselskii_mann",
+                 "params": {"variant": "mean", "eta": {"kind": "constant", "eta": 0.2}}}},
+     "unknown krasnoselskii_mann params: 'variant', 'eta'"),
 ]
 
 

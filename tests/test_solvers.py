@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 import sys
 import threading
@@ -415,9 +416,6 @@ def test_weights_none_runs_each_presets_default_and_its_own_rows_are_accepted():
         cases = [
             (lambda w: peaceman_rachford(A, B, 1.0, w, vec(0.0)), window(2)),
             (lambda w: krasnoselskii_mann(**km, weights=w), window(2)),
-            (lambda w: krasnoselskii_mann(**km, variant="memoryless", weights=w), memoryless()),
-            (lambda w: krasnoselskii_mann(**km, variant="inertial", eta=eta, lam=0.5,
-                                          weights=w), inertial(eta)),
             (lambda w: forward_backward(**fb, variant="inertial", eta=eta, weights=w),
              inertial(eta)),
             (lambda w: forward_backward(**fb, variant="mean", weights=w), memoryless()),
@@ -425,6 +423,9 @@ def test_weights_none_runs_each_presets_default_and_its_own_rows_are_accepted():
         for build, default in cases:
             preset = build(default if weights == "given" else None)
             assert preset.config.weights == default
+    # the fixed-point map runs the rows it is given, under the rules they choose
+    for given in (memoryless(), inertial(eta)):
+        assert krasnoselskii_mann(**km, weights=given, lam=0.5).config.weights == given
 
 
 @pytest.mark.parametrize("key", ["a_errors", "b_errors"])
@@ -994,16 +995,15 @@ class TestKrasnoselskiiMann:
 
     def test_mean_variant_rescues_negation(self):
         preset = krasnoselskii_mann(
-            self.neg_id(), x0=vec(1.0, 0.0), variant="mean", weights=window(2),
-            max_iters=60, stop_residual=0.0,
+            self.neg_id(), x0=vec(1.0, 0.0), weights=window(2), max_iters=60, stop_residual=0.0,
         )
         x, _ = preset.solve()
         assert np.linalg.norm(x) <= 1e-7
 
     def test_memoryless_baseline_oscillates(self):
         preset = krasnoselskii_mann(
-            self.neg_id(), x0=vec(1.0, 0.0), variant="memoryless",
-            max_iters=40, stop_residual=0.0,
+            self.neg_id(), x0=vec(1.0, 0.0), weights=memoryless(), max_iters=40,
+            stop_residual=0.0,
         )
         _, trace = preset.solve()
         assert all(np.linalg.norm(p) == pytest.approx(1.0) for p in trace.points)
@@ -1011,9 +1011,9 @@ class TestKrasnoselskiiMann:
     def test_identity_constant_any_variant(self):
         eye = AveragedOperator(fn=lambda x: x.copy(), alpha=1.0, name="identity")
         for kwargs in (
-            dict(variant="memoryless"),
-            dict(variant="mean", weights=window(2)),
-            dict(variant="inertial", eta=EtaSchedule(kind="constant", eta=0.2), lam=0.5),
+            dict(weights=memoryless()),
+            dict(weights=window(2)),
+            dict(weights=inertial(EtaSchedule(kind="constant", eta=0.2)), lam=0.5),
         ):
             preset = krasnoselskii_mann(eye, x0=vec(0.4, -0.7), max_iters=10, **kwargs)
             _, trace = preset.solve()
@@ -1022,8 +1022,8 @@ class TestKrasnoselskiiMann:
     def test_inertial_rotation_converges_to_origin(self):
         rot = catalog("rotation_fixed_point", angle=np.pi / 2).ingredients["T"]
         preset = krasnoselskii_mann(
-            rot, x0=vec(1.0, 0.5), variant="inertial",
-            eta=EtaSchedule(kind="constant", eta=0.2), lam=0.5,
+            rot, x0=vec(1.0, 0.5), weights=inertial(EtaSchedule(kind="constant", eta=0.2)),
+            lam=0.5,
             sigma=0.2, theta_tune=2.0 / 3.0, max_iters=300, stop_residual=0.0,
         )
         x, _ = preset.solve()
@@ -1041,8 +1041,8 @@ class TestKrasnoselskiiMann:
             return 0.2
 
         preset = krasnoselskii_mann(
-            self.neg_id(), x0=vec(1.0, 0.0), variant="inertial",
-            eta=EtaSchedule(kind="custom", eta=0.2, fn=eta_fn), lam=lam,
+            self.neg_id(), x0=vec(1.0, 0.0),
+            weights=inertial(EtaSchedule(kind="custom", eta=0.2, fn=eta_fn)), lam=lam,
             max_iters=20, stop_residual=0.0, reference=vec(0.0, 0.0),
         )
         _, trace = preset.solve()
@@ -1051,32 +1051,39 @@ class TestKrasnoselskiiMann:
         assert lam_calls == list(range(22))
         assert eta_calls == list(range(1, 22))
 
-    def test_mean_variant_rejects_memoryless_weights(self):
-        from affiter import memoryless
+    def test_rows_of_one_point_run_the_relaxed_baseline(self):
+        rot = catalog("rotation_fixed_point", angle=1.0).ingredients["T"]
+        orbits = [
+            points_bytes(krasnoselskii_mann(rot, x0=vec(1.0, -0.5), weights=w, lam=0.5,
+                                            max_iters=30, stop_residual=0.0).solve()[1])
+            for w in (window(1), memoryless())
+        ]
+        assert orbits[0] == orbits[1]
 
-        with pytest.raises(ConfigurationError, match="mu_"):
-            krasnoselskii_mann(self.neg_id(), x0=vec(1.0, 0.0), variant="mean",
-                               weights=memoryless())
+    def test_the_weights_alone_choose_the_rules_and_name_the_preset(self):
+        assert not {"variant", "eta"} & set(inspect.signature(krasnoselskii_mann).parameters)
+        assert krasnoselskii_mann(self.neg_id(), x0=vec(1.0, 0.0)).name == (
+            "krasnoselskii_mann[window(2)]")
 
     def test_inertial_band_violation_rejected(self):
         with pytest.raises(ConfigurationError, match="band"):
             krasnoselskii_mann(
-                self.neg_id(), x0=vec(1.0, 0.0), variant="inertial",
-                eta=EtaSchedule(kind="constant", eta=0.9), lam=0.9,
+                self.neg_id(), x0=vec(1.0, 0.0),
+                weights=inertial(EtaSchedule(kind="constant", eta=0.9)), lam=0.9,
                 sigma=1.0, theta_tune=0.1,
             )
 
     def test_inertial_variant_refuses_errors(self):
         with pytest.raises(ConfigurationError, match="error-free"):
             krasnoselskii_mann(
-                self.neg_id(), x0=vec(1.0, 0.0), variant="inertial",
-                eta=EtaSchedule(kind="constant", eta=0.2), lam=0.5,
+                self.neg_id(), x0=vec(1.0, 0.0),
+                weights=inertial(EtaSchedule(kind="constant", eta=0.2)), lam=0.5,
                 errors=lambda n: vec(0.5**n, 0.0),
             )
 
     def test_mean_variant_with_summable_errors(self):
         preset = krasnoselskii_mann(
-            self.neg_id(), x0=vec(1.0, 0.0), variant="mean", weights=window(2),
+            self.neg_id(), x0=vec(1.0, 0.0), weights=window(2),
             errors=lambda n: vec(0.5**n * 0.01, 0.0), max_iters=120, stop_residual=0.0,
         )
         x, _ = preset.solve()
@@ -1126,7 +1133,7 @@ def nan_pr(calls, **kw):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda calls: nan_km(calls, variant="memoryless", lam=NAN),
+    (lambda calls: nan_km(calls, weights=memoryless(), lam=NAN),
      "lambda_0 must be positive, got nan"),
     (lambda calls: nan_fb(calls, lam=NAN), "lambda_0 = nan below the band floor eps = 0.1"),
     (lambda calls: nan_fb(calls, gamma=NAN, variant="proximal_point"),
@@ -1134,8 +1141,8 @@ def nan_pr(calls, **kw):
     (lambda calls: nan_fb(calls, gamma=NAN),
      "gamma_0 = nan outside the admissible band [0.1, 1.8181818181818181]"),
     (lambda calls: nan_pr(calls, gamma=NAN), "gamma must be positive"),
-    (lambda calls: nan_km(calls, variant="inertial", lam=0.5, sigma=NAN,
-                          eta=EtaSchedule(kind="constant", eta=0.2)),
+    (lambda calls: nan_km(calls, weights=inertial(EtaSchedule(kind="constant", eta=0.2)),
+                          lam=0.5, sigma=NAN),
      "sigma and theta_tune must be positive"),
     (lambda calls: nan_fb(calls, variant="inertial", eta=EtaSchedule(kind="nesterov", tau=NAN)),
      "nesterov-style schedule needs tau >= 2, got nan"),
