@@ -193,14 +193,14 @@ def affine_monotone(matrix, offset) -> MonotoneMap:
     )
 
 
-def normal_cone(set_kind: str, bounded: bool | None = None, **params) -> MonotoneMap:
+def normal_cone(set_kind: str, **params) -> MonotoneMap:
     """Normal cone of one of the catalog convex sets; resolvent is the projector.
-    Its domain is bounded when the projector's range is, unless ``bounded`` says."""
+    Its domain is bounded when the projector's range is."""
     proj = projector(set_kind, **params)
     return MonotoneMap(
         name=f"normal_cone({set_kind})",
         resolvent=lambda g, x: proj.fn(x),
-        bounded_domain=proj.bounded_range if bounded is None else bounded,
+        bounded_domain=proj.bounded_range,
     )
 
 

@@ -171,6 +171,10 @@ LIBRARY = [
     ("normal_cone-unknown-param",
      lambda: normal_cone("ball", center=[0.0], radius=1.0, lo=[0.0]),
      ConfigurationError, "unknown projector(ball) params: 'lo'"),
+    # the domain's boundedness is the projector's range, so no caller asserts it
+    ("normal_cone-bounded",
+     lambda: normal_cone("ball", bounded=True, center=[0.0], radius=1.0),
+     ConfigurationError, "unknown projector(ball) params: 'bounded'"),
     ("relaxed-alpha", lambda: relaxed(AveragedOperator(fn=np.copy, alpha=1.0), 1.0),
      ConfigurationError, "relaxed() needs a firmly (quasi)nonexpansive operator"),
     ("relaxed-xi", lambda: relaxed(prox_l1(1.0), 2.0),
