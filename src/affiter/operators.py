@@ -40,7 +40,7 @@ QUASINONEXPANSIVE = "quasinonexpansive"
 CERTIFICATE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AveragedOperator:
     """An evaluable map with a declared averaging constant and class.
 
@@ -85,7 +85,7 @@ class AveragedOperator:
 # monotone-map descriptors (closed-form resolvents only)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonotoneMap:
     """A maximally monotone map with a closed-form resolvent ``(Id + g A)^-1``.
 
@@ -418,7 +418,7 @@ def composite_phi(alphas: Sequence[float]) -> float:
     return 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerStack:
     """Ordered composition ``T_1 ... T_m`` (index 0 is the outermost layer)."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -147,6 +148,22 @@ class TestComposeAndPhi:
         bumped = list(alphas)
         bumped[which] = min(bumped[which] + bump, 0.95)
         assert composite_phi(bumped) >= composite_phi(alphas) - 1e-12
+
+
+@pytest.mark.parametrize("build, field, value", [
+    (lambda: prox_l1(1.0), "name", "renamed"),
+    (lambda: l1_subdifferential(), "bounded_domain", True),
+    (lambda: compose([prox_l1(1.0)]), "phi", 0.75),
+], ids=["AveragedOperator", "MonotoneMap", "LayerStack"])
+def test_a_layer_record_is_slotted_and_replace_still_copies_it(build, field, value):
+    # every preset build makes several of each; a per-instance __dict__ holds
+    # a few hundred bytes, and perfbench wraps a MonotoneMap with replace
+    record = build()
+    assert not hasattr(record, "__dict__")
+    copy = dataclasses.replace(record, **{field: value})
+    assert getattr(copy, field) == value and type(copy) is type(record)
+    assert [getattr(copy, f.name) for f in dataclasses.fields(record) if f.name != field] == [
+        getattr(record, f.name) for f in dataclasses.fields(record) if f.name != field]
 
 
 class TestApplyStack:
