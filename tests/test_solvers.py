@@ -1023,8 +1023,7 @@ class TestKrasnoselskiiMann:
         rot = catalog("rotation_fixed_point", angle=np.pi / 2).ingredients["T"]
         preset = krasnoselskii_mann(
             rot, x0=vec(1.0, 0.5), weights=inertial(EtaSchedule(kind="constant", eta=0.2)),
-            lam=0.5,
-            sigma=0.2, theta_tune=2.0 / 3.0, max_iters=300, stop_residual=0.0,
+            lam=0.5, sigma=0.2, theta_tune=2.0 / 3.0, max_iters=300, stop_residual=0.0,
         )
         x, _ = preset.solve()
         assert np.linalg.norm(x) <= 1e-10
